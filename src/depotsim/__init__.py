@@ -15,7 +15,7 @@ from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
 from .metrics import (MetricSeries, ball_average, domain_average,
                       dose_fractions, net_charge_density, plume_volume)
 from .orchestrator import (DoseLedger, PhasePlan, PipelineResult, Simulation,
-                           StaggeredStepper, step_staggered)
+                           StaggeredStepper)
 from .params import (BindingParams, ConfigurationError, PhCurve,
                      PhysicalConstants, SpeciesSpec, SpeciesTable,
                      StarlingParams, TissueLayer, TissueLayers, charge_at_ph,
@@ -23,7 +23,6 @@ from .params import (BindingParams, ConfigurationError, PhCurve,
                      ph_from_hydrogen, rates_at_ph, recover_chloride,
                      syringe_composition)
 from .potential import PotentialCoefficients, assemble_potential, solve_potential
-from .transport import (TransportStepInputs, advance_species, species_flux,
-                        update_tissue_ph)
+from .transport import TransportStepInputs, advance_species
 
 __version__ = "0.1.0"

@@ -4,9 +4,18 @@ All matrices act on flattened nodal vectors (C order, node k = j*nr1 + i).
 Sign convention: ``diffusion_matrix(coef) @ x`` is the discrete form of
 ``-div(coef * grad x)`` integrated over each dual cell, so elliptic problems
 read ``A x = V * source``.
+
+This is the only module that knows the sparse layout. Every operator on a
+mesh lives on one 5-point CSR pattern (each node coupled to itself and its
+r and z neighbours), built once per mesh and cached on it by `csr_pattern`.
+Operators on one mesh therefore add by their ``data`` arrays, and Dirichlet
+rows are imposed in place by `pin_rows`. The pattern's ``indptr`` and
+``indices`` are read-only and shared by every matrix built on the mesh.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,20 +33,63 @@ def factorize(a: sp.spmatrix):
     return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
 
-def _face_index_arrays(mesh: AxiMesh):
-    """Cached flattened (left, right) / (down, up) node indices per face."""
-    cached = getattr(mesh, "_face_idx", None)
+@dataclass(frozen=True)
+class CsrPattern:
+    """The 5-point CSR layout of one mesh; every array is read-only.
+
+    Faces are listed r faces first, then z faces; face f joins node ``lo[f]``
+    to the next node ``hi[f]``. ``scatter`` holds the ``data`` slots of the
+    four entries of every face in four blocks: (lo, lo), (lo, hi), (hi, lo)
+    and (hi, hi).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag: np.ndarray  # data slot of each node's diagonal entry
+    lo: np.ndarray
+    hi: np.ndarray
+    scatter: np.ndarray
+
+
+def csr_pattern(mesh: AxiMesh) -> CsrPattern:
+    """The mesh's operator pattern, built on first use and cached on the mesh."""
+    cached = getattr(mesh, "_csr_pattern", None)
     if cached is not None:
         return cached
-    idx = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)
-    faces = (
-        idx[:, :-1].ravel(),  # r-face left
-        idx[:, 1:].ravel(),   # r-face right
-        idx[:-1, :].ravel(),  # z-face down
-        idx[1:, :].ravel(),   # z-face up
-    )
-    mesh._face_idx = faces
-    return faces
+    n = mesh.n_nodes
+    idx = np.arange(n).reshape(mesh.nz1, mesh.nr1)
+    lo = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
+    hi = np.concatenate([idx[:, 1:].ravel(), idx[1:, :].ravel()])
+    rows = np.concatenate([idx.ravel(), lo, hi])
+    cols = np.concatenate([idx.ravel(), hi, lo])
+    order = np.lexsort((cols, rows))
+    slot = np.empty_like(order)
+    slot[order] = np.arange(order.size)
+    diag, lo_hi, hi_lo = np.split(slot, [n, n + lo.size])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    pattern = CsrPattern(indptr.astype(np.int32), cols[order].astype(np.int32),
+                         diag, lo, hi, np.concatenate([diag[lo], lo_hi, hi_lo, diag[hi]]))
+    for arr in vars(pattern).values():
+        arr.flags.writeable = False
+    mesh._csr_pattern = pattern
+    return pattern
+
+
+def _fill(mesh: AxiMesh, aa, ab, ba, bb) -> sp.csr_matrix:
+    """Operator on the mesh pattern from per-face entries in `CsrPattern` order."""
+    pattern = csr_pattern(mesh)
+    data = np.bincount(pattern.scatter, weights=np.concatenate([aa, ab, ba, bb]),
+                       minlength=pattern.indices.size)
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(mesh.n_nodes, mesh.n_nodes))
+
+
+def pin_rows(a: sp.csr_matrix, rows) -> sp.csr_matrix:
+    """Make the given rows identity rows in place, keeping their other entries as zeros."""
+    for row in np.atleast_1d(rows):
+        lo, hi = a.indptr[row], a.indptr[row + 1]
+        a.data[lo:hi] = a.indices[lo:hi] == row
+    return a
 
 
 def harmonic_face_coefficients(mesh: AxiMesh, coef: np.ndarray):
@@ -56,24 +108,25 @@ def face_gradients(mesh: AxiMesh, f: np.ndarray):
     return g_r, g_z
 
 
-def transmissibilities(mesh: AxiMesh, coef_r: np.ndarray, coef_z: np.ndarray):
-    """Face transmissibilities T = area * coef / distance."""
-    t_r = mesh.area_r * coef_r / mesh.dr[None, :]
-    t_z = mesh.area_z * coef_z / mesh.dz[:, None]
-    return t_r, t_z
+def _per_face(x_r: np.ndarray, x_z: np.ndarray) -> np.ndarray:
+    """One value per face in `CsrPattern` face order from the two face families."""
+    return np.concatenate([x_r.ravel(), x_z.ravel()])
 
 
-def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray, coef_z: np.ndarray) -> sp.csr_matrix:
-    """Dual-volume discretization of -div(coef grad x); SPD with Neumann faces."""
-    t_r, t_z = transmissibilities(mesh, coef_r, coef_z)
-    le, ri, dn, up = _face_index_arrays(mesh)
-    tr = t_r.ravel()
-    tz = t_z.ravel()
-    rows = np.concatenate([le, le, ri, ri, dn, dn, up, up])
-    cols = np.concatenate([le, ri, ri, le, dn, up, up, dn])
-    data = np.concatenate([tr, -tr, tr, -tr, tz, -tz, tz, -tz])
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
+                     coef_z: np.ndarray | float,
+                     diag: np.ndarray | float = 0.0) -> sp.csr_matrix:
+    """Dual-volume discretization of -div(coef grad x); SPD with Neumann faces.
+
+    ``diag`` (scalar or per node) is added to the diagonal. It is already
+    integrated over the dual cells, e.g. a storage term times node volumes.
+    """
+    # face transmissibilities T = area * coef / distance
+    t = _per_face(mesh.area_r * coef_r / mesh.dr[None, :],
+                  mesh.area_z * coef_z / mesh.dz[:, None])
+    a = _fill(mesh, t, -t, -t, t)
+    a.data[csr_pattern(mesh).diag] += np.ravel(diag)
+    return a
 
 
 def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> sp.csr_matrix:
@@ -83,29 +136,16 @@ def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> 
     families (positive toward growing r / z). Boundary faces do not exist in
     the dual tessellation, so the operator is flux-free by construction.
     """
-    f_r = (mesh.area_r * s_r).ravel()
-    f_z = (mesh.area_z * s_z).ravel()
-    le, ri, dn, up = _face_index_arrays(mesh)
-
-    pos_r, neg_r = np.maximum(f_r, 0.0), np.minimum(f_r, 0.0)
-    pos_z, neg_z = np.maximum(f_z, 0.0), np.minimum(f_z, 0.0)
-    rows = np.concatenate([le, le, ri, ri, dn, dn, up, up])
-    cols = np.concatenate([le, ri, le, ri, dn, up, dn, up])
-    data = np.concatenate([pos_r, neg_r, -pos_r, -neg_r,
-                           pos_z, neg_z, -pos_z, -neg_z])
-    return sp.coo_matrix((data, (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    f = _per_face(mesh.area_r * s_r, mesh.area_z * s_z)
+    pos, neg = np.maximum(f, 0.0), np.minimum(f, 0.0)
+    return _fill(mesh, pos, neg, -pos, -neg)
 
 
 def divergence_of_face_flux(mesh: AxiMesh, flux_r: np.ndarray,
                             flux_z: np.ndarray) -> np.ndarray:
     """Net outward flux per dual cell from per-area face fluxes (2-D output)."""
-    out = np.zeros(mesh.n_nodes)
-    f_r = (mesh.area_r * flux_r).ravel()
-    f_z = (mesh.area_z * flux_z).ravel()
-    le, ri, dn, up = _face_index_arrays(mesh)
-    np.add.at(out, le, f_r)
-    np.add.at(out, ri, -f_r)
-    np.add.at(out, dn, f_z)
-    np.add.at(out, up, -f_z)
+    pattern = csr_pattern(mesh)
+    f = _per_face(mesh.area_r * flux_r, mesh.area_z * flux_z)
+    out = np.bincount(np.concatenate([pattern.lo, pattern.hi]),
+                      weights=np.concatenate([f, -f]), minlength=mesh.n_nodes)
     return out.reshape(mesh.nz1, mesh.nr1)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import params as pr
 from .flow import WATER_VISCOSITY, InjectionProtocol
 from .mesh import AxiMesh, build_graded_mesh
@@ -142,16 +140,6 @@ class SimulationConfig:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def replace(self, **overrides) -> "SimulationConfig":
-        """New config with dotted keys replaced (keys use _ for . here)."""
-        vals = dict(self.values)
-        for k, v in overrides.items():
-            key = k.replace("__", ".")
-            if key not in SCHEMA:
-                raise ConfigurationError(f"unknown key {key!r}")
-            vals[key] = SCHEMA[key][0](v)
-        return SimulationConfig(vals)
-
     def with_values(self, updates: dict) -> "SimulationConfig":
         vals = dict(self.values)
         for key, v in updates.items():
@@ -202,6 +190,7 @@ class SimulationConfig:
         self.constants()
         self.starling()
         self.protocol()
+        self._curves = self._load_curves()
 
     # -- factories ---------------------------------------------------------
     def constants(self) -> PhysicalConstants:
@@ -244,6 +233,10 @@ class SimulationConfig:
             source_radius=v["protocol.source_radius_cm"])
 
     def curves(self) -> tuple[PhCurve, PhCurve, PhCurve]:
+        """The (charge, ka, kd) curves, parsed once when the config was built."""
+        return self._curves
+
+    def _load_curves(self) -> tuple[PhCurve, PhCurve, PhCurve]:
         v = self.values
         if v["curves.charge_csv"] or v["curves.ka_csv"] or v["curves.kd_csv"]:
             paths = (v["curves.charge_csv"], v["curves.ka_csv"], v["curves.kd_csv"])

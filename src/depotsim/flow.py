@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _assembly as fv
 from .mesh import AxiMesh, integrate
@@ -134,17 +132,14 @@ class PressureSolver:
                                      (mesh.nz1, mesh.nr1)).copy()
 
         coef_r, coef_z = fv.harmonic_face_coefficients(mesh, self.kappa / viscosity)
-        a = fv.diffusion_matrix(mesh, coef_r, coef_z)
-        a = a + sp.diags((self.reaction * mesh.node_volumes).ravel())
+        a = fv.diffusion_matrix(mesh, coef_r, coef_z,
+                                diag=self.reaction * mesh.node_volumes)
 
         # Dirichlet p = 0 on the outer rim
-        rim = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
-        a = a.tolil()
-        a[rim, :] = 0.0
-        a[rim, rim] = 1.0
-        self._rim = rim
+        self._rim = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
+        fv.pin_rows(a, self._rim)
         try:
-            self._lu = fv.factorize(a.tocsr())
+            self._lu = fv.factorize(a)
         except RuntimeError as exc:  # pragma: no cover - singular only if misconfigured
             raise SolverError(f"pressure operator factorization failed: {exc}") from exc
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import logging
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import binding as bd
 from . import flow as fl
 from . import metrics as mt
 from . import transport as tr
@@ -115,11 +114,6 @@ class StaggeredStepper:
 
         self.kappa = (self.layers.permeability_at(mesh.z)[:, None]
                       * np.ones((1, mesh.nr1)))
-        self._diff_ops = {
-            "na": tr.diffusion_operator(mesh, self.species.sodium, self.porosity),
-            "h": tr.diffusion_operator(mesh, self.species.hydrogen, self.porosity),
-            "mab": tr.diffusion_operator(mesh, self.species.drug, self.porosity),
-        }
         if flow_active:
             reaction, const = fl.exchange_coefficients(mesh, self.layers,
                                                        self.starling)
@@ -179,7 +173,7 @@ class StaggeredStepper:
             porosity=self.porosity)
         c_na, c_h, c_mab = tr.advance_species(
             mesh, state.c_na, state.c_h, state.c_mab, z_old,
-            self.species, self.constants, inputs, diff_ops=self._diff_ops)
+            self.species, self.constants, inputs)
 
         exchange = assoc * c_mab - release  # mol/cm^3/s into the matrix
         c_b = state.c_b + dt * (exchange - self.binding.k_e * state.c_b)
@@ -468,9 +462,3 @@ class Simulation:
             retries=short.diagnostics.retries + long.diagnostics.retries,
             max_closure_residual=max(closure) if closure else 0.0,
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s)
-
-
-def step_staggered(stepper: StaggeredStepper, state: FieldState,
-                   ledger: DoseLedger, dt: float) -> float:
-    """Single staggered step with retry; returns the dt actually used."""
-    return stepper.step(state, ledger, dt, StepDiagnostics())

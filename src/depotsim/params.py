@@ -11,7 +11,7 @@ The only unit conversion in the whole model is the pH one:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-import scipy.sparse.linalg as spla
-
 from . import _assembly as fv
 from .flow import SolverError
 from .mesh import AxiMesh
@@ -112,10 +110,7 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     b = b.ravel() - w * (b.sum() / w.sum())  # now sums to zero exactly
 
     pin = 0
-    lo, hi = a.indptr[pin], a.indptr[pin + 1]
-    a.data[lo:hi] = 0.0
-    a.data[lo:hi][a.indices[lo:hi] == pin] = 1.0
-    b = b.copy()
+    fv.pin_rows(a, pin)
     b[pin] = 0.0
     try:
         lu = fv.factorize(a)

@@ -14,11 +14,9 @@ negative concentrations from the transport terms themselves).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _assembly as fv
 from .flow import SolverError
@@ -82,39 +80,11 @@ def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivity: float,
     return -z_r * coef * g_r, -z_f * coef * g_z
 
 
-def species_flux(mesh: AxiMesh, c: np.ndarray, diffusivity: float, valence,
-                 u_r: np.ndarray, u_z: np.ndarray, phi: np.ndarray,
-                 porosity: float, constants: PhysicalConstants):
-    """Face-normal mass flux (per unit area) of one species.
-
-    Advective and electromigration parts ride the upwind value on the
-    combined characteristic speed; the diffusive part is central.
-    """
-    w_r, w_z = migration_face_speeds(mesh, phi, diffusivity, valence,
-                                     porosity, constants)
-    s_r = u_r + w_r
-    s_z = u_z + w_z
-    up_r = np.where(s_r >= 0.0, c[:, :-1], c[:, 1:])
-    up_z = np.where(s_z >= 0.0, c[:-1, :], c[1:, :])
-    g_r, g_z = fv.face_gradients(mesh, c)
-    dn = diffusivity * porosity
-    return s_r * up_r - dn * g_r, s_z * up_z - dn * g_z
-
-
-def diffusion_operator(mesh: AxiMesh, spec: SpeciesSpec,
-                       porosity: float) -> sp.csr_matrix:
-    """Constant diffusive part of one species' transport operator."""
-    dn = spec.diffusivity * porosity
-    return fv.diffusion_matrix(mesh, np.full((mesh.nz1, mesh.nr), dn),
-                               np.full((mesh.nz, mesh.nr1), dn))
-
-
 def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
                             valence, inputs: TransportStepInputs,
                             constants: PhysicalConstants,
                             source: np.ndarray,
-                            sink_rate: np.ndarray | float = 0.0,
-                            diff_op: sp.csr_matrix | None = None) -> np.ndarray:
+                            sink_rate: np.ndarray | float = 0.0) -> np.ndarray:
     """Backward-Euler solve of one species; returns the new nodal field."""
     n = inputs.porosity
     w_r, w_z = migration_face_speeds(mesh, inputs.phi, spec.diffusivity,
@@ -122,13 +92,12 @@ def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
     s_r = inputs.u_r + w_r
     s_z = inputs.u_z + w_z
 
-    a = diff_op if diff_op is not None else diffusion_operator(mesh, spec, n)
-    a = a + fv.upwind_advection_matrix(mesh, s_r, s_z)
-
     v = mesh.node_volumes
     cap = n * v / inputs.dt
-    sink = np.broadcast_to(np.asarray(sink_rate, dtype=float), v.shape)
-    a = a + sp.diags((cap + sink * v).ravel())
+    dn = spec.diffusivity * n
+    a = fv.diffusion_matrix(mesh, dn, dn,
+                            diag=cap + np.asarray(sink_rate, dtype=float) * v)
+    a.data += fv.upwind_advection_matrix(mesh, s_r, s_z).data
 
     b = (cap * c_old + v * source).ravel()
     try:
@@ -144,8 +113,7 @@ def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
 def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                     c_mab: np.ndarray, z_mab: np.ndarray,
                     species, constants: PhysicalConstants,
-                    inputs: TransportStepInputs,
-                    diff_ops: dict | None = None):
+                    inputs: TransportStepInputs):
     """Advance Na+, H+ and the drug one implicit step.
 
     Na+ and H+ see only the injection source; the drug additionally carries
@@ -154,18 +122,17 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
     round-off; with non-negative sources that can only come from degenerate
     inputs, not from the scheme.
     """
-    ops = diff_ops or {}
     new_na = _implicit_species_solve(
         mesh, c_na, species.sodium, species.sodium.valence, inputs, constants,
-        source=inputs.q_p * inputs.c_max["na"], diff_op=ops.get("na"))
+        source=inputs.q_p * inputs.c_max["na"])
     new_h = _implicit_species_solve(
         mesh, c_h, species.hydrogen, species.hydrogen.valence, inputs, constants,
-        source=inputs.q_p * inputs.c_max["h"], diff_op=ops.get("h"))
+        source=inputs.q_p * inputs.c_max["h"])
     drug_source = inputs.q_p * inputs.c_max["mab"] + np.asarray(inputs.binding_release)
     drug_sink = np.asarray(inputs.j_l) + np.asarray(inputs.binding_assoc)
     new_mab = _implicit_species_solve(
         mesh, c_mab, species.drug, z_mab, inputs, constants,
-        source=drug_source, sink_rate=drug_sink, diff_op=ops.get("mab"))
+        source=drug_source, sink_rate=drug_sink)
 
     for name, arr in (("Na+", new_na), ("H+", new_h), ("mAb", new_mab)):
         floor = -1.0e-12 * max(float(arr.max(initial=0.0)), 1e-300)
@@ -187,7 +154,3 @@ def tissue_ph(c_h: np.ndarray) -> np.ndarray:
         logger.warning("hydrogen floor applied at %d node(s)", int(floored.sum()))
         c = np.maximum(c, H_FLOOR)
     return -np.log10(MOL_PER_CM3_TO_MOL_PER_L * c)
-
-
-# re-exported under the name used by the orchestration layer
-update_tissue_ph = tissue_ph

@@ -1,0 +1,133 @@
+"""Finite-volume operators on the shared 5-point pattern, against dense references."""
+
+import numpy as np
+import pytest
+
+from depotsim._assembly import (csr_pattern, diffusion_matrix, pin_rows,
+                                upwind_advection_matrix)
+from depotsim.mesh import AxiMesh
+
+
+def graded_nodes(n: int, ratio: float) -> np.ndarray:
+    return np.concatenate([[0.0], np.cumsum(0.1 * ratio ** np.arange(n))])
+
+
+@pytest.fixture(scope="module")
+def mesh():
+    # 6 x 5 cells, grading 1.2: small enough for dense references
+    return AxiMesh(r=graded_nodes(6, 1.2), z=graded_nodes(5, 1.2))
+
+
+def random_faces(mesh, rng, low, high):
+    return (rng.uniform(low, high, (mesh.nz1, mesh.nr)),
+            rng.uniform(low, high, (mesh.nz, mesh.nr1)))
+
+
+def faces(mesh):
+    """(lower node, upper node, area, distance, r-or-z index) of every dual face."""
+    for j in range(mesh.nz1):
+        for i in range(mesh.nr):
+            yield (mesh.node_index(i, j), mesh.node_index(i + 1, j),
+                   mesh.area_r[j, i], mesh.dr[i], ("r", j, i))
+    for j in range(mesh.nz):
+        for i in range(mesh.nr1):
+            yield (mesh.node_index(i, j), mesh.node_index(i, j + 1),
+                   mesh.area_z[j, i], mesh.dz[j], ("z", j, i))
+
+
+def dense_diffusion(mesh, coef_r, coef_z, diag):
+    a = np.diag(diag.ravel().astype(float))
+    for lo, hi, area, dist, (family, j, i) in faces(mesh):
+        coef = coef_r[j, i] if family == "r" else coef_z[j, i]
+        t = area * coef / dist
+        a[lo, lo] += t
+        a[hi, hi] += t
+        a[lo, hi] -= t
+        a[hi, lo] -= t
+    return a
+
+
+def dense_upwind(mesh, s_r, s_z):
+    a = np.zeros((mesh.n_nodes, mesh.n_nodes))
+    for lo, hi, area, _, (family, j, i) in faces(mesh):
+        flux = area * (s_r[j, i] if family == "r" else s_z[j, i])
+        upwind = lo if flux >= 0.0 else hi
+        a[lo, upwind] += flux
+        a[hi, upwind] -= flux
+    return a
+
+
+class TestSharedPattern:
+    def test_every_operator_shares_one_pattern(self, mesh):
+        rng = np.random.default_rng(0)
+        pattern = csr_pattern(mesh)
+        ops = [
+            diffusion_matrix(mesh, *random_faces(mesh, rng, 0.5, 2.0)),
+            diffusion_matrix(mesh, 1.0, 1.0, diag=mesh.node_volumes),
+            upwind_advection_matrix(mesh, *random_faces(mesh, rng, -1.0, 1.0)),
+            pin_rows(diffusion_matrix(mesh, 1.0, 1.0),
+                     np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]),
+        ]
+        for a in ops:
+            assert np.array_equal(a.indptr, pattern.indptr)
+            assert np.array_equal(a.indices, pattern.indices)
+            assert np.shares_memory(a.indices, pattern.indices)
+        assert csr_pattern(mesh) is pattern
+
+    def test_pattern_is_five_point(self, mesh):
+        pattern = csr_pattern(mesh)
+        n_faces = mesh.nz1 * mesh.nr + mesh.nz * mesh.nr1
+        assert pattern.indices.size == mesh.n_nodes + 2 * n_faces
+        assert np.array_equal(pattern.indices[pattern.diag], np.arange(mesh.n_nodes))
+
+    def test_pattern_arrays_are_read_only(self, mesh):
+        pattern = csr_pattern(mesh)
+        for arr in (pattern.indptr, pattern.indices, pattern.diag, pattern.scatter):
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        a = diffusion_matrix(mesh, 1.0, 1.0)
+        with pytest.raises(ValueError):
+            a.indices[0] = 1
+
+
+class TestOperators:
+    def test_diffusion_matches_dense_reference(self, mesh):
+        rng = np.random.default_rng(1)
+        coef_r, coef_z = random_faces(mesh, rng, 0.1, 3.0)
+        diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
+        a = diffusion_matrix(mesh, coef_r, coef_z, diag=diag)
+        expected = dense_diffusion(mesh, coef_r, coef_z, diag)
+        assert np.allclose(a.toarray(), expected, rtol=1e-14, atol=0.0)
+
+    def test_diffusion_rows_sum_to_diag(self, mesh):
+        rng = np.random.default_rng(2)
+        diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
+        a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0), diag=diag)
+        scale = np.abs(a).sum(axis=1).A1
+        assert np.all(np.abs(a.sum(axis=1).A1 - diag.ravel()) <= 1e-14 * scale)
+
+    def test_upwind_matches_dense_reference(self, mesh):
+        rng = np.random.default_rng(3)
+        s_r, s_z = random_faces(mesh, rng, -1.0, 1.0)
+        a = upwind_advection_matrix(mesh, s_r, s_z)
+        assert np.allclose(a.toarray(), dense_upwind(mesh, s_r, s_z),
+                           rtol=1e-14, atol=0.0)
+
+    def test_upwind_columns_sum_to_zero(self, mesh):
+        # whatever leaves one dual cell enters its neighbour: flux-free, conservative
+        rng = np.random.default_rng(4)
+        a = upwind_advection_matrix(mesh, *random_faces(mesh, rng, -1.0, 1.0))
+        scale = np.abs(a).sum(axis=0).A1
+        assert np.all(np.abs(a.sum(axis=0).A1) <= 1e-14 * scale)
+
+    def test_pin_rows_gives_identity_rows_and_keeps_the_rest(self, mesh):
+        rng = np.random.default_rng(5)
+        a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+                             diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)))
+        before = a.toarray()
+        rows = np.array([0, 7, mesh.n_nodes - 1])
+        assert pin_rows(a, rows) is a
+        after = a.toarray()
+        assert np.array_equal(after[rows], np.eye(mesh.n_nodes)[rows])
+        kept = np.setdiff1d(np.arange(mesh.n_nodes), rows)
+        assert np.array_equal(after[kept], before[kept])

@@ -11,8 +11,24 @@ from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
                          save_checkpoint, write_snapshot, write_timeseries)
 from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
-from depotsim.orchestrator import DoseLedger
-from depotsim.params import ConfigurationError, default_species
+from depotsim.orchestrator import (DoseLedger, Simulation, StaggeredStepper,
+                                   StepDiagnostics)
+from depotsim.params import ConfigurationError, PhCurve, default_species
+
+
+def curve_config_text(tmp_path, charge_header="ph,value"):
+    """Config lines naming custom (charge, ka, kd) curve CSVs written to tmp_path."""
+    tables = {
+        "charge": (charge_header, "3.0,20.0\n7.0,5.0\n11.0,-10.0\n"),
+        "ka": ("ph,value", "3.0,2.0e4\n11.0,2.0e3\n"),
+        "kd": ("ph,value", "3.0,1.0e-4\n11.0,1.0e-3\n"),
+    }
+    lines = ["formulation.drug = custom\n"]
+    for name, (header, rows) in tables.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"# custom {name} curve\n{header}\n{rows}")
+        lines.append(f"curves.{name}_csv = {path}\n")
+    return "".join(lines)
 
 
 class TestConfigParsing:
@@ -85,6 +101,34 @@ class TestConfigParsing:
         for key, (typ, default) in SCHEMA.items():
             assert typ in (int, float, str)
             assert isinstance(default, typ)
+
+    def test_custom_curve_files_load_once_and_run(self, tmp_path, monkeypatch):
+        config = load_config_text(
+            curve_config_text(tmp_path)
+            + "mesh.fine_nr = 16\nmesh.fine_nz = 16\nmesh.fine_grading = 1.1\n")
+        charge, ka, kd = config.curves()
+        assert charge(5.0) == pytest.approx(12.5)
+        assert ka(7.0) == pytest.approx(1.1e4)
+        assert kd(7.0) == pytest.approx(5.5e-4)
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("curve CSV parsed after the config was built")
+
+        monkeypatch.setattr(PhCurve, "from_csv", no_parse)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        assert stepper.charge_curve is charge
+        state = Simulation._prime_state(
+            FieldState.rest_state(stepper.mesh, stepper.species),
+            stepper.charge_curve)
+        ledger = DoseLedger()
+        stepper.step(state, ledger, 0.25, StepDiagnostics())
+        assert state.t == pytest.approx(0.25)
+        assert ledger.injected > 0.0
+        assert np.all(np.isfinite(state.c_mab)) and np.all(state.c_mab >= 0.0)
+
+    def test_bad_curve_header_rejected_at_load(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="expected header"):
+            load_config_text(curve_config_text(tmp_path, charge_header="ph,charge"))
 
 
 class TestTimeseriesCsv:

@@ -9,7 +9,7 @@ from depotsim.mesh import FieldState
 from depotsim.metrics import MetricSeries
 from depotsim.orchestrator import (DoseLedger, PhasePlan, Simulation,
                                    StaggeredStepper, StepDiagnostics,
-                                   electroneutrality_residual, step_staggered)
+                                   electroneutrality_residual)
 from depotsim.transport import NegativeConcentrationError
 
 TINY = """
@@ -47,7 +47,7 @@ class TestStepStaggered:
             stepper.charge_curve)
         state.t = 5.5  # past the end of the injection
         ledger = DoseLedger()
-        step_staggered(stepper, state, ledger, 0.25)
+        stepper.step(state, ledger, 0.25, StepDiagnostics())
         assert np.allclose(state.c_na, 1.4e-4, rtol=1e-12)
         assert np.allclose(state.c_h, 4e-11, rtol=1e-12)
         assert np.all(state.c_mab == 0.0)
@@ -63,7 +63,7 @@ class TestStepStaggered:
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
         state.t = 5.5
-        step_staggered(stepper, state, DoseLedger(), 0.25)
+        stepper.step(state, DoseLedger(), 0.25, StepDiagnostics())
         assert np.allclose(state.c_na, 1.4e-4, rtol=3e-4)
         assert np.allclose(state.c_h, 4e-11, rtol=3e-4)
 
@@ -75,7 +75,7 @@ class TestStepStaggered:
             stepper.charge_curve)
         ledger = DoseLedger()
         for _ in range(4):
-            step_staggered(stepper, state, ledger, 0.25)
+            stepper.step(state, ledger, 0.25, StepDiagnostics())
         assert electroneutrality_residual(state) < 1e-12
 
     def test_retry_halves_dt_then_succeeds(self, tiny_sim, monkeypatch):
