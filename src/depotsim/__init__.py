@@ -18,10 +18,9 @@ from .orchestrator import (DoseLedger, PhasePlan, PipelineResult, Simulation,
                            StaggeredStepper)
 from .params import (BindingParams, ConfigurationError, PhCurve,
                      PhysicalConstants, SpeciesSpec, SpeciesTable,
-                     StarlingParams, TissueLayer, TissueLayers, charge_at_ph,
-                     default_layers, default_species, load_drug_curves,
-                     ph_from_hydrogen, rates_at_ph, recover_chloride,
-                     syringe_composition)
+                     StarlingParams, TissueLayer, TissueLayers, default_layers,
+                     default_species, load_drug_curves, ph_from_hydrogen,
+                     rates_at_ph, recover_chloride, syringe_composition)
 from .potential import PotentialCoefficients, assemble_potential, solve_potential
 from .transport import TransportStepInputs, advance_species
 

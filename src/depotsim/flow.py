@@ -139,7 +139,7 @@ class PressureSolver:
         self._rim = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
         fv.pin_rows(a, self._rim)
         try:
-            self._lu = fv.factorize(a)
+            self._lu = fv.factorize(mesh, a)
         except RuntimeError as exc:  # pragma: no cover - singular only if misconfigured
             raise SolverError(f"pressure operator factorization failed: {exc}") from exc
 

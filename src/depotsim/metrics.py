@@ -120,7 +120,3 @@ class MetricSeries:
         out = {name: self.channels[name][k] for name in CHANNELS}
         out["t_s"] = self.time[k]
         return out
-
-    def extend(self, other: "MetricSeries"):
-        for k, t in enumerate(other.time):
-            self.append(t, **{name: other.channels[name][k] for name in CHANNELS})

@@ -22,20 +22,6 @@ logger = logging.getLogger(__name__)
 #: Conversion factor between mol/cm^3 and mol/L, used by every pH computation.
 MOL_PER_CM3_TO_MOL_PER_L = 1000.0
 
-#: Unit contract for every stored parameter value. Documentation only; no
-#: per-field overrides exist anywhere in the package.
-UNITS = {
-    "length": "cm",
-    "time": "s",
-    "amount": "mol",
-    "pressure": "N/cm^2",
-    "energy": "J",
-    "charge": "C",
-    "potential": "V",
-    "temperature": "K",
-    "concentration": "mol/cm^3",
-}
-
 
 class ConfigurationError(ValueError):
     """A parameter or configuration value violates its invariants."""
@@ -335,11 +321,6 @@ def ph_from_hydrogen(c_h):
         )
     out = -np.log10(MOL_PER_CM3_TO_MOL_PER_L * c)
     return float(out) if np.ndim(c_h) == 0 else out
-
-
-def charge_at_ph(curve: PhCurve, ph):
-    """Drug valence at the given pH (linear interpolation, clamped)."""
-    return curve(ph)
 
 
 def rates_at_ph(binding: BindingParams, ph):

@@ -113,7 +113,7 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     fv.pin_rows(a, pin)
     b[pin] = 0.0
     try:
-        lu = fv.factorize(a)
+        lu = fv.factorize(mesh, a)
     except RuntimeError as exc:
         raise SolverError(f"potential factorization failed: {exc}") from exc
     phi = lu.solve(b)

@@ -101,7 +101,7 @@ def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
 
     b = (cap * c_old + v * source).ravel()
     try:
-        lu = fv.factorize(a)
+        lu = fv.factorize(mesh, a)
         c_new = lu.solve(b)
     except RuntimeError as exc:
         raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc

@@ -1,9 +1,14 @@
 """Finite-volume operators on the shared 5-point pattern, against dense references."""
 
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from depotsim._assembly import (csr_pattern, diffusion_matrix, pin_rows,
+from depotsim._assembly import (csr_pattern, diffusion_matrix, factorize, pin_rows,
                                 upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
@@ -16,6 +21,13 @@ def graded_nodes(n: int, ratio: float) -> np.ndarray:
 def mesh():
     # 6 x 5 cells, grading 1.2: small enough for dense references
     return AxiMesh(r=graded_nodes(6, 1.2), z=graded_nodes(5, 1.2))
+
+
+@pytest.fixture(params=[(6, 5, 1.2), (9, 7, 1.1)], ids=["6x5", "9x7"])
+def fresh_mesh(request):
+    # a new mesh per test, so no factorization order is cached on it yet
+    nr, nz, ratio = request.param
+    return AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
 
 
 def random_faces(mesh, rng, low, high):
@@ -131,3 +143,104 @@ class TestOperators:
         assert np.array_equal(after[rows], np.eye(mesh.n_nodes)[rows])
         kept = np.setdiff1d(np.arange(mesh.n_nodes), rows)
         assert np.array_equal(after[kept], before[kept])
+
+
+def rim(mesh):
+    return np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
+
+
+def transport_operator(mesh, rng):
+    a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+                         diag=mesh.node_volumes / 0.1)
+    a.data += upwind_advection_matrix(mesh, *random_faces(mesh, rng, -2.0, 2.0)).data
+    return a
+
+
+def pressure_operator(mesh, rng):
+    a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+                         diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)) * mesh.node_volumes)
+    return pin_rows(a, rim(mesh))
+
+
+def potential_operator(mesh, rng):
+    return pin_rows(diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0)), 0)
+
+
+def pivoting_operator(mesh, rng):
+    # the pinned row keeps a 1 on the diagonal while its column holds
+    # transmissibilities far above 1, so partial pivoting leaves the diagonal
+    return pin_rows(diffusion_matrix(mesh, *random_faces(mesh, rng, 1e3, 3e3)), 7)
+
+
+OPERATORS = [transport_operator, pressure_operator, potential_operator, pivoting_operator]
+
+
+def stock_lu(a):
+    return spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+
+
+def fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Counts `spla.splu` calls by column-order spec."""
+    calls = Counter()
+    splu = spla.splu
+
+    def counting(a, permc_spec=None, **kwargs):
+        calls[permc_spec] += 1
+        return splu(a, permc_spec=permc_spec, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting)
+    return calls
+
+
+class TestFactorize:
+    @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
+    def test_solve_matches_dense_solve(self, fresh_mesh, build):
+        rng = np.random.default_rng(6)
+        a = build(fresh_mesh, rng)
+        b = rng.normal(size=fresh_mesh.n_nodes)
+        expected = np.linalg.solve(a.toarray(), b)
+        # the first factorization takes the order, the second reuses it
+        for lu in (factorize(fresh_mesh, a), factorize(fresh_mesh, a)):
+            x = lu.solve(b)
+            assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_pivoting_operator_pivots_off_the_diagonal(self, fresh_mesh):
+        lu = stock_lu(pivoting_operator(fresh_mesh, np.random.default_rng(6)))
+        assert np.any(lu.perm_r != lu.perm_c)
+
+    @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
+    def test_fill_matches_stock_minimum_degree_lu(self, fresh_mesh, build):
+        rng = np.random.default_rng(7)
+        first = build(fresh_mesh, rng)
+        later = build(fresh_mesh, rng)
+        assert fill(factorize(fresh_mesh, first)) == fill(stock_lu(first))
+        assert fill(factorize(fresh_mesh, later)) == fill(stock_lu(later))
+
+    def test_minimum_degree_order_is_computed_once_per_mesh(self, fresh_mesh, splu_calls):
+        rng = np.random.default_rng(8)
+        for build in OPERATORS + OPERATORS:
+            factorize(fresh_mesh, build(fresh_mesh, rng))
+        assert splu_calls == {"MMD_AT_PLUS_A": 1, "NATURAL": 2 * len(OPERATORS) - 1}
+
+    def test_meshes_never_share_an_order(self, mesh, fresh_mesh, splu_calls):
+        rng = np.random.default_rng(9)
+        twin = AxiMesh(r=fresh_mesh.r, z=fresh_mesh.z)
+        meshes = [AxiMesh(r=mesh.r, z=mesh.z), fresh_mesh, twin]
+        for m in meshes + meshes:
+            a = transport_operator(m, rng)
+            b = rng.normal(size=m.n_nodes)
+            assert np.allclose(a @ factorize(m, a).solve(b), b, rtol=0.0, atol=1e-12)
+        assert splu_calls == {"MMD_AT_PLUS_A": 3, "NATURAL": 3}
+
+    def test_mesh_keeps_no_reference_to_the_first_factor(self, fresh_mesh):
+        lu = factorize(fresh_mesh, potential_operator(fresh_mesh, np.random.default_rng(10)))
+        assert sys.getrefcount(lu) == 2  # the local name and the call's argument
+
+    def test_rejects_an_operator_off_the_mesh_pattern(self, fresh_mesh):
+        with pytest.raises(ValueError):
+            factorize(fresh_mesh, sp.identity(fresh_mesh.n_nodes, format="csr"))

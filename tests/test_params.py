@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
                              PhysicalConstants, SpeciesSpec, TissueLayers,
-                             charge_at_ph, default_layers, default_species,
-                             load_drug_curves, ph_from_hydrogen, rates_at_ph,
-                             recover_chloride, syringe_composition)
+                             default_layers, default_species, load_drug_curves,
+                             ph_from_hydrogen, rates_at_ph, recover_chloride,
+                             syringe_composition)
 
 CONSTANTS = PhysicalConstants()
 
@@ -41,16 +41,16 @@ class TestPhCurve:
         curve = PhCurve([5.0, 9.0], [10.0, -2.0])
         pi = curve.isoelectric_point()
         assert pi == pytest.approx(5 + 4 * 10 / 12)
-        assert abs(charge_at_ph(curve, pi)) < 1e-12
+        assert abs(curve(pi)) < 1e-12
 
     def test_clamps_below_range(self):
         curve = PhCurve([5.0, 9.0], [10.0, -2.0])
-        assert charge_at_ph(curve, 4.0) == 10.0
+        assert curve(4.0) == 10.0
 
     def test_hand_interpolated_segment(self):
         curve = PhCurve([5.0, 7.0, 9.0], [10.0, 4.0, -2.0])
         # hand interpolation on the (7,4)-(9,-2) segment
-        assert charge_at_ph(curve, 8.0) == pytest.approx(1.0)
+        assert curve(8.0) == pytest.approx(1.0)
 
     def test_needs_two_samples(self):
         with pytest.raises(ConfigurationError):
@@ -74,7 +74,7 @@ class TestPhCurve:
         curve = PhCurve(phs, values)
         assert curve.is_non_increasing
         lo, hi = min(a, b), max(a, b)
-        assert charge_at_ph(curve, lo) >= charge_at_ph(curve, hi) - 1e-12
+        assert curve(lo) >= curve(hi) - 1e-12
 
 
 class TestRates:
