@@ -12,12 +12,24 @@ Operators on one mesh therefore add by their ``data`` arrays, and Dirichlet
 rows are imposed in place by `pin_rows`. The pattern's ``indptr`` and
 ``indices`` are read-only and shared by every matrix built on the mesh.
 
-Each mesh also has one fill-reducing order for its LU factorizations, taken
-from the first factorization on the mesh (SuperLU's AT+A minimum degree) and
-cached on it by `factorize`. The order depends only on the pattern, so it
-serves every operator on the mesh, pinned ones included. Every later
-factorization gathers the operator's ``data`` straight into the permuted CSC
-layout and factors it in natural order.
+`factorize` picks one of two LU layouts per mesh from its half-bandwidth.
+Node k couples to k ± 1 and k ± nr1, so every operator on the pattern lies
+in a band of half-width nr1:
+
+- **Narrow meshes** (``nr1 <= _BAND_MAX_WIDTH``) are factored as a band
+  matrix by LAPACK's partial-pivoting ``dgbtrf`` and solved by ``dgbtrs``.
+  A read-only map from CSR ``data`` slots to band storage is cached on the
+  mesh, so a factorization is one scatter and one LAPACK call.
+- **Wide meshes** use SuperLU in one fill-reducing order per mesh, taken from
+  the first factorization on the mesh (AT+A minimum degree) and cached on it.
+  The order depends only on the pattern, so it serves every operator on the
+  mesh, pinned ones included. Every later factorization gathers the
+  operator's ``data`` straight into the permuted CSC layout and factors it
+  in natural order.
+
+A band LU costs O(n nr1²) and the minimum-degree fill of SuperLU grows more
+slowly with the width, so the band wins only on narrow meshes;
+`_BAND_MAX_WIDTH` records where it stops winning.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import AxiMesh
 
@@ -131,23 +144,126 @@ def _permuted_layout(mesh: AxiMesh, perm_c: np.ndarray) -> LuOrder:
     return lu_order
 
 
-def factorize(mesh: AxiMesh, a: sp.csr_matrix):
-    """Sparse LU of an operator on the mesh pattern, in the mesh's cached order.
+#: Widest mesh (nodes per row, nr1) that `factorize` factors as a band.
+#: Factor plus solve of a transport operator on uniform n x n meshes through
+#: `factorize`, best of three rounds, one BLAS thread, 2-core Xeon (4 MiB L2):
+#:
+#:   nr1       17      25      41      49      53      57      65      73
+#:   SuperLU  297 us  708 us  2.01 ms 2.89 ms 3.51 ms 3.87 ms 5.28 ms 8.26 ms
+#:   band      84 us  340 us  1.38 ms 2.12 ms 3.03 ms 4.52 ms 6.32 ms 8.92 ms
+#:
+#: The band loses from 57 on; its margin shrinks from 49, and run-to-run
+#: noise on the shared box is about 20%, so the limit sits below 49.
+_BAND_MAX_WIDTH = 48
 
-    The first factorization on a mesh uses SuperLU's AT+A minimum-degree
-    order, which roughly halves the factorization cost against the default
-    column order on tensor-product grids, and caches that order on the mesh.
-    Later factorizations factor ``P A Pᵀ`` with ``NATURAL``: the order is
-    already applied, so SuperLU skips recomputing it, and the pivoting rule
-    is unchanged, so the fill is the same. ``relax=1, panel_size=1`` because
-    SuperLU's defaults are tuned for large matrices: relaxed supernodes and
-    wide panels only add work on columns with a few dozen nonzeros. Measured
-    on 16² and 72² meshes, they factor 1.3-2.5x faster than the defaults.
-    The returned object's ``solve`` works in mesh numbering either way.
+
+@dataclass(frozen=True)
+class BandLayout:
+    """LAPACK band storage of a mesh's operators; ``slots`` is read-only.
+
+    With half-width ``width`` w, entry (i, j) of an operator sits at
+    ``ab[2w + i - j, j]`` of the column-major ``(3w + 1, n)`` array that
+    ``dgbtrf`` factors in place; its top w rows take the fill of row
+    interchanges. ``slots[s]`` is the flat position of CSR ``data`` slot s in
+    that array's memory. ``l_nnz`` and ``u_nnz`` count the entries the band
+    factors store: up to w below the diagonal of L, and the diagonal and up
+    to 2w above it in U.
+    """
+
+    width: int
+    slots: np.ndarray
+    l_nnz: int
+    u_nnz: int
+
+
+def _band_layout(mesh: AxiMesh) -> BandLayout:
+    """The mesh's band layout, built on first use and cached on the mesh."""
+    cached = getattr(mesh, "_band_layout", None)
+    if cached is not None:
+        return cached
+    pattern = csr_pattern(mesh)
+    n, w = mesh.n_nodes, mesh.nr1
+    rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
+    cols = pattern.indices.astype(np.intp)
+    slots = cols * (3 * w + 1) + 2 * w + rows - cols
+    slots.flags.writeable = False
+    k = np.arange(n)
+    band = BandLayout(w, slots, int(np.minimum(k, w).sum()),
+                      int(np.minimum(k, 2 * w).sum()) + n)
+    mesh._band_layout = band
+    return band
+
+
+@dataclass(frozen=True)
+class StoredEntries:
+    """A band factor's L or U, of which only the stored-entry count is kept."""
+
+    nnz: int
+
+
+class BandLU:
+    """Banded LU of an operator; ``solve`` answers ``A x = b`` in mesh numbering.
+
+    ``piv`` holds LAPACK's row interchanges, 0-based: step i swapped rows i
+    and ``piv[i]``. ``L`` and ``U`` report only ``nnz``, their stored entries.
+    """
+
+    __slots__ = ("_ab", "piv", "_band")
+
+    def __init__(self, ab: np.ndarray, piv: np.ndarray, band: BandLayout):
+        self._ab = ab
+        self.piv = piv
+        self._band = band
+
+    @property
+    def L(self) -> StoredEntries:
+        return StoredEntries(self._band.l_nnz)
+
+    @property
+    def U(self) -> StoredEntries:
+        return StoredEntries(self._band.u_nnz)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        w = self._band.width
+        return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
+
+
+def factorize(mesh: AxiMesh, a: sp.csr_matrix):
+    """LU of an operator on the mesh pattern, in the layout the mesh's width picks.
+
+    On a mesh at most `_BAND_MAX_WIDTH` nodes wide, the operator's ``data``
+    is scattered into LAPACK band storage through the mesh's cached
+    `BandLayout` and factored in place by ``dgbtrf``, with partial pivoting.
+    No scipy matrix is built, and the solve is ``dgbtrs``.
+
+    On a wider mesh, the first factorization uses SuperLU's AT+A
+    minimum-degree order, which roughly halves the factorization cost against
+    the default column order on tensor-product grids, and caches that order
+    on the mesh. Later factorizations factor ``P A Pᵀ`` with ``NATURAL``: the
+    order is already applied, so SuperLU skips recomputing it, and the
+    pivoting rule is unchanged, so the fill is the same. ``relax=1,
+    panel_size=1`` because SuperLU's defaults are tuned for large matrices:
+    relaxed supernodes and wide panels only add work on columns with a few
+    dozen nonzeros. Measured on 16² and 72² meshes, they factor 1.3-2.5x
+    faster than the defaults.
+
+    The returned object's ``solve`` works in mesh numbering either way, and
+    its ``L.nnz + U.nnz`` is the entries the factors store. Raises
+    ``RuntimeError`` for an exactly singular operator on either path.
     """
     pattern = csr_pattern(mesh)
     if a.nnz != pattern.indices.size:
         raise ValueError("factorize needs an operator on the mesh's 5-point pattern")
+    if mesh.nr1 <= _BAND_MAX_WIDTH:
+        band = _band_layout(mesh)
+        w = band.width
+        # the transpose of this C-ordered array is LAPACK's column-major band array
+        ab = np.zeros((mesh.n_nodes, 3 * w + 1))
+        ab.reshape(-1)[band.slots] = a.data
+        lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
+        if info > 0:
+            raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
+        return BandLU(lu, piv, band)
     lu_order = getattr(mesh, "_lu_order", None)
     if lu_order is None:
         lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
@@ -198,18 +314,33 @@ def _per_face(x_r: np.ndarray, x_z: np.ndarray) -> np.ndarray:
 
 def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
                      coef_z: np.ndarray | float,
-                     diag: np.ndarray | float = 0.0) -> sp.csr_matrix:
+                     diag: np.ndarray | float = 0.0,
+                     speeds: tuple[np.ndarray, np.ndarray] | None = None) -> sp.csr_matrix:
     """Dual-volume discretization of -div(coef grad x); SPD with Neumann faces.
 
     ``diag`` (scalar or per node) is added to the diagonal. It is already
     integrated over the dual cells, e.g. a storage term times node volumes.
+    ``speeds``, face-normal speeds ``(s_r, s_z)``, adds the upwind advection
+    ``div(s x)`` of `upwind_advection_matrix` in the same fill; the operator
+    is then no longer symmetric.
     """
     # face transmissibilities T = area * coef / distance
     t = _per_face(mesh.area_r * coef_r / mesh.dr[None, :],
                   mesh.area_z * coef_z / mesh.dz[:, None])
-    a = _fill(mesh, t, -t, -t, t)
+    if speeds is None:
+        a = _fill(mesh, t, -t, -t, t)
+    else:
+        pos, neg = _upwind_face_fluxes(mesh, *speeds)
+        a = _fill(mesh, t + pos, neg - t, -t - pos, t - neg)
     a.data[csr_pattern(mesh).diag] += np.ravel(diag)
     return a
+
+
+def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray):
+    """Area-weighted face speeds, split into flow toward each face's upper node
+    (>= 0, carried by the lower node) and toward its lower node (<= 0)."""
+    f = _per_face(mesh.area_r * s_r, mesh.area_z * s_z)
+    return np.maximum(f, 0.0), np.minimum(f, 0.0)
 
 
 def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> sp.csr_matrix:
@@ -219,8 +350,7 @@ def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> 
     families (positive toward growing r / z). Boundary faces do not exist in
     the dual tessellation, so the operator is flux-free by construction.
     """
-    f = _per_face(mesh.area_r * s_r, mesh.area_z * s_z)
-    pos, neg = np.maximum(f, 0.0), np.minimum(f, 0.0)
+    pos, neg = _upwind_face_fluxes(mesh, s_r, s_z)
     return _fill(mesh, pos, neg, -pos, -neg)
 
 

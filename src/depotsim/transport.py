@@ -96,8 +96,8 @@ def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
     cap = n * v / inputs.dt
     dn = spec.diffusivity * n
     a = fv.diffusion_matrix(mesh, dn, dn,
-                            diag=cap + np.asarray(sink_rate, dtype=float) * v)
-    a.data += fv.upwind_advection_matrix(mesh, s_r, s_z).data
+                            diag=cap + np.asarray(sink_rate, dtype=float) * v,
+                            speeds=(s_r, s_z))
 
     b = (cap * c_old + v * source).ravel()
     try:

@@ -8,7 +8,8 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from depotsim._assembly import (csr_pattern, diffusion_matrix, factorize, pin_rows,
+from depotsim import _assembly
+from depotsim._assembly import (BandLU, csr_pattern, diffusion_matrix, factorize, pin_rows,
                                 upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
@@ -23,11 +24,33 @@ def mesh():
     return AxiMesh(r=graded_nodes(6, 1.2), z=graded_nodes(5, 1.2))
 
 
-@pytest.fixture(params=[(6, 5, 1.2), (9, 7, 1.1)], ids=["6x5", "9x7"])
+NARROW = {"6x5": (6, 5, 1.2), "9x7": (9, 7, 1.1)}
+
+
+def mesh_fixture(meshes):
+    return pytest.fixture(params=list(meshes.values()), ids=list(meshes))
+
+
+@mesh_fixture({**NARROW, "48x12": (48, 12, 1.0)})
 def fresh_mesh(request):
-    # a new mesh per test, so no factorization order is cached on it yet
+    # a new mesh per test, so no factorization layout is cached on it yet;
+    # the narrow meshes take the band LU, 48x12 takes SuperLU
     nr, nz, ratio = request.param
     return AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
+
+
+@mesh_fixture({**NARROW, "56x8": (56, 8, 1.02)})
+def superlu_mesh(request, monkeypatch):
+    """A fresh mesh that `factorize` sends to SuperLU.
+
+    56x8 is wider than the band limit; the narrow meshes are sent to SuperLU
+    by lowering the limit for the test.
+    """
+    nr, nz, ratio = request.param
+    mesh = AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
+    if mesh.nr1 <= _assembly._BAND_MAX_WIDTH:
+        monkeypatch.setattr(_assembly, "_BAND_MAX_WIDTH", 0)
+    return mesh
 
 
 def random_faces(mesh, rng, low, high):
@@ -132,6 +155,18 @@ class TestOperators:
         scale = np.abs(a).sum(axis=0).A1
         assert np.all(np.abs(a.sum(axis=0).A1) <= 1e-14 * scale)
 
+    def test_speeds_add_the_upwind_operator_in_one_fill(self, mesh):
+        rng = np.random.default_rng(16)
+        coef_r, coef_z = random_faces(mesh, rng, 0.1, 3.0)
+        s_r, s_z = random_faces(mesh, rng, -2.0, 2.0)
+        diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
+        a = diffusion_matrix(mesh, coef_r, coef_z, diag=diag, speeds=(s_r, s_z))
+        expected = (dense_diffusion(mesh, coef_r, coef_z, diag)
+                    + dense_upwind(mesh, s_r, s_z))
+        assert np.shares_memory(a.indices, csr_pattern(mesh).indices)
+        assert np.allclose(a.toarray(), expected, rtol=1e-14,
+                           atol=1e-14 * np.abs(expected).max())
+
     def test_pin_rows_gives_identity_rows_and_keeps_the_rest(self, mesh):
         rng = np.random.default_rng(5)
         a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
@@ -197,6 +232,10 @@ def splu_calls(monkeypatch):
     return calls
 
 
+def mesh_of_width(nr1):
+    return AxiMesh(r=graded_nodes(nr1 - 1, 1.02), z=graded_nodes(3, 1.2))
+
+
 class TestFactorize:
     @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
     def test_solve_matches_dense_solve(self, fresh_mesh, build):
@@ -204,43 +243,78 @@ class TestFactorize:
         a = build(fresh_mesh, rng)
         b = rng.normal(size=fresh_mesh.n_nodes)
         expected = np.linalg.solve(a.toarray(), b)
-        # the first factorization takes the order, the second reuses it
+        # on SuperLU, the first factorization takes the order, the second reuses it
         for lu in (factorize(fresh_mesh, a), factorize(fresh_mesh, a)):
             x = lu.solve(b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+            assert fill(lu) > 0  # the benchmark's tracer reads L.nnz + U.nnz
 
-    def test_pivoting_operator_pivots_off_the_diagonal(self, fresh_mesh):
-        lu = stock_lu(pivoting_operator(fresh_mesh, np.random.default_rng(6)))
+    def test_pivoting_operator_pivots_off_the_diagonal(self, superlu_mesh):
+        lu = stock_lu(pivoting_operator(superlu_mesh, np.random.default_rng(6)))
         assert np.any(lu.perm_r != lu.perm_c)
 
     @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
-    def test_fill_matches_stock_minimum_degree_lu(self, fresh_mesh, build):
+    def test_fill_matches_stock_minimum_degree_lu(self, superlu_mesh, build):
         rng = np.random.default_rng(7)
-        first = build(fresh_mesh, rng)
-        later = build(fresh_mesh, rng)
-        assert fill(factorize(fresh_mesh, first)) == fill(stock_lu(first))
-        assert fill(factorize(fresh_mesh, later)) == fill(stock_lu(later))
+        first = build(superlu_mesh, rng)
+        later = build(superlu_mesh, rng)
+        assert fill(factorize(superlu_mesh, first)) == fill(stock_lu(first))
+        assert fill(factorize(superlu_mesh, later)) == fill(stock_lu(later))
 
-    def test_minimum_degree_order_is_computed_once_per_mesh(self, fresh_mesh, splu_calls):
+    def test_minimum_degree_order_is_computed_once_per_mesh(self, superlu_mesh, splu_calls):
         rng = np.random.default_rng(8)
         for build in OPERATORS + OPERATORS:
-            factorize(fresh_mesh, build(fresh_mesh, rng))
+            factorize(superlu_mesh, build(superlu_mesh, rng))
         assert splu_calls == {"MMD_AT_PLUS_A": 1, "NATURAL": 2 * len(OPERATORS) - 1}
 
-    def test_meshes_never_share_an_order(self, mesh, fresh_mesh, splu_calls):
+    def test_meshes_never_share_an_order(self, superlu_mesh, splu_calls):
         rng = np.random.default_rng(9)
-        twin = AxiMesh(r=fresh_mesh.r, z=fresh_mesh.z)
-        meshes = [AxiMesh(r=mesh.r, z=mesh.z), fresh_mesh, twin]
+        shorter = AxiMesh(r=superlu_mesh.r, z=superlu_mesh.z[:-1])
+        twin = AxiMesh(r=superlu_mesh.r, z=superlu_mesh.z)
+        meshes = [shorter, superlu_mesh, twin]
         for m in meshes + meshes:
             a = transport_operator(m, rng)
             b = rng.normal(size=m.n_nodes)
             assert np.allclose(a @ factorize(m, a).solve(b), b, rtol=0.0, atol=1e-12)
         assert splu_calls == {"MMD_AT_PLUS_A": 3, "NATURAL": 3}
 
-    def test_mesh_keeps_no_reference_to_the_first_factor(self, fresh_mesh):
-        lu = factorize(fresh_mesh, potential_operator(fresh_mesh, np.random.default_rng(10)))
+    def test_mesh_keeps_no_reference_to_the_first_factor(self, superlu_mesh):
+        lu = factorize(superlu_mesh, potential_operator(superlu_mesh, np.random.default_rng(10)))
         assert sys.getrefcount(lu) == 2  # the local name and the call's argument
 
     def test_rejects_an_operator_off_the_mesh_pattern(self, fresh_mesh):
         with pytest.raises(ValueError):
             factorize(fresh_mesh, sp.identity(fresh_mesh.n_nodes, format="csr"))
+
+    def test_mesh_width_picks_the_layout(self, splu_calls):
+        rng = np.random.default_rng(11)
+        narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
+        wide = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
+        for _ in range(2):
+            assert isinstance(factorize(narrow, transport_operator(narrow, rng)), BandLU)
+        assert not splu_calls
+        for _ in range(2):
+            assert not isinstance(factorize(wide, transport_operator(wide, rng)), BandLU)
+        assert splu_calls == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
+
+    def test_band_path_pivots_off_the_diagonal(self):
+        m = mesh_of_width(17)
+        lu = factorize(m, pivoting_operator(m, np.random.default_rng(6)))
+        assert isinstance(lu, BandLU)
+        assert np.any(lu.piv != np.arange(m.n_nodes))
+
+    def test_singular_operator_raises(self, fresh_mesh):
+        singular = diffusion_matrix(fresh_mesh, 0.0, 0.0)
+        with pytest.raises(RuntimeError):
+            factorize(fresh_mesh, singular)
+        # and again once a regular operator has set the mesh's layout up
+        factorize(fresh_mesh, transport_operator(fresh_mesh, np.random.default_rng(13)))
+        with pytest.raises(RuntimeError):
+            factorize(fresh_mesh, singular)
+
+    def test_band_factor_counts_its_band(self):
+        m = mesh_of_width(9)
+        lu = factorize(m, transport_operator(m, np.random.default_rng(15)))
+        w, ones = m.nr1, np.ones((m.n_nodes, m.n_nodes))
+        assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w), -1))
+        assert lu.U.nnz == np.count_nonzero(np.triu(np.tril(ones, 2 * w)))
