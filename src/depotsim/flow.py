@@ -5,8 +5,10 @@ The pore pressure solves the quasi-static balance
     -div( (kappa/eta) grad p ) = q_p + J_b(p) - J_l(p)
 
 with p = 0 on the outer rim (r = R) and no-flux everywhere else. Both
-exchange terms are linear in p and kept implicit, so one factorization per
-mesh serves the whole injection phase.
+exchange terms are linear in p and kept implicit, and the source is a fixed
+shape scaled by the flow rate Q(t), so the pressure is affine in Q(t):
+p(t) = p_rest + Q(t) p_unit. The injection-phase stepper solves for p_rest
+and p_unit once at its start and keeps no factorization.
 """
 
 from __future__ import annotations

@@ -306,5 +306,6 @@ def write_run_outputs(result, outdir) -> Path:
         "closure_residual": result.ledger.closure_residual(),
         "electroneutrality_max": result.electroneutrality_max,
         "retries": result.retries,
+        "phases": result.phase_counters,
     }, indent=2) + "\n")
     return outdir

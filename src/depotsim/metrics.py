@@ -15,7 +15,9 @@ from .mesh import AxiMesh, integrate
 #: concentrations at or below this are treated as "no plume left"
 PLUME_FLOOR = 1.0e-18  # mol/cm^3
 
-#: the frozen column order of the timeseries CSV
+#: the frozen column order of the timeseries CSV. Despite its name,
+#: ``velocity_ball_max`` is the largest nodal Darcy speed |u| over the whole
+#: domain, not only inside the near-source ball.
 CHANNELS = (
     "pressure_ball_avg",
     "velocity_ball_max",

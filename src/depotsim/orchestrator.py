@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import logging
 import time as _time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _assembly as fv
 from . import flow as fl
 from . import metrics as mt
 from . import transport as tr
@@ -93,7 +94,12 @@ class StepDiagnostics:
 
 
 class StaggeredStepper:
-    """One-phase stepping engine bound to a mesh and a parameter set."""
+    """One-phase stepping engine bound to a mesh and a parameter set.
+
+    It keeps one `fv.SpeciesSolver` per species, and with them their
+    preconditioners, for as long as it lives: one phase. ``krylov`` counts
+    their work.
+    """
 
     def __init__(self, mesh: AxiMesh, config: SimulationConfig,
                  flow_active: bool, j_l_frozen: np.ndarray | None = None):
@@ -114,11 +120,10 @@ class StaggeredStepper:
 
         self.kappa = (self.layers.permeability_at(mesh.z)[:, None]
                       * np.ones((1, mesh.nr1)))
+        self.krylov = fv.KrylovCounts()
+        self._species_solvers = tuple(fv.SpeciesSolver(mesh, self.krylov)
+                                      for _ in range(3))
         if flow_active:
-            reaction, const = fl.exchange_coefficients(mesh, self.layers,
-                                                       self.starling)
-            self.pressure = fl.PressureSolver(mesh, self.kappa, self.viscosity,
-                                              reaction, const)
             self.slv = self.layers.slv_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
             self.j_l_frozen = None
             # the source shape never changes; only Q(t) rescales it
@@ -126,11 +131,22 @@ class StaggeredStepper:
                                         0.5 * self.protocol.duration)
             q_ref = self.protocol.flow_rate(0.5 * self.protocol.duration)
             self._source_shape = shape / q_ref
+            # the pressure is affine in Q(t), so two solves serve the phase
+            # and no factor outlives the constructor
+            reaction, const = fl.exchange_coefficients(mesh, self.layers,
+                                                       self.starling)
+            pressure = fl.PressureSolver(mesh, self.kappa, self.viscosity,
+                                         reaction, const)
+            self._p_rest = pressure.solve(0.0)
+            self._p_unit = pressure.solve(self._source_shape) - self._p_rest
         else:
             if j_l_frozen is None:
                 raise ValueError("long-term stepper needs a frozen drainage field")
-            self.pressure = None
             self.j_l_frozen = j_l_frozen
+
+    def pressure_at(self, t: float) -> np.ndarray:
+        """Pore pressure at time t of the injection phase, p_rest + Q(t) p_unit."""
+        return self._p_rest + self.protocol.flow_rate(t) * self._p_unit
 
     # -- one attempted step (pure: commits nothing) -------------------------
     def attempt(self, state: FieldState, dt: float):
@@ -139,7 +155,7 @@ class StaggeredStepper:
 
         if self.flow_active:
             q_p = self._source_shape * self.protocol.flow_rate(t_new)
-            p = self.pressure.solve(q_p)
+            p = self.pressure_at(t_new)
             u_r, u_z = fl.velocity_from_pressure(mesh, self.kappa, p,
                                                  self.viscosity)
             j_l = fl.starling_lymph(p, self.starling, self.porosity, self.slv)
@@ -173,7 +189,7 @@ class StaggeredStepper:
             porosity=self.porosity)
         c_na, c_h, c_mab = tr.advance_species(
             mesh, state.c_na, state.c_h, state.c_mab, z_old,
-            self.species, self.constants, inputs)
+            self.species, self.constants, inputs, self._species_solvers)
 
         exchange = assoc * c_mab - release  # mol/cm^3/s into the matrix
         c_b = state.c_b + dt * (exchange - self.binding.k_e * state.c_b)
@@ -250,6 +266,11 @@ class PhaseResult:
     diagnostics: StepDiagnostics
     electroneutrality_max: float
     wall_time_s: float
+    krylov: fv.KrylovCounts
+
+    def counters(self) -> dict[str, int]:
+        """The phase's retries, clipped nodal values and kept-ILU solve work."""
+        return {**asdict(self.diagnostics), **asdict(self.krylov)}
 
 
 @dataclass
@@ -275,6 +296,7 @@ class PipelineResult:
     max_closure_residual: float
     short_wall_s: float
     long_wall_s: float
+    phase_counters: dict[str, dict[str, int]]  # "injection" and "long"
 
 
 class Simulation:
@@ -344,7 +366,7 @@ class Simulation:
                 while next_mark <= state.t + 1e-9:
                     next_mark += cadence
         return PhaseResult(series, state, diagnostics, resid_max,
-                           _time.perf_counter() - t0)
+                           _time.perf_counter() - t0, stepper.krylov)
 
     # -- public phases -------------------------------------------------------
     def run_short_term(self, series: mt.MetricSeries | None = None,
@@ -461,4 +483,5 @@ class Simulation:
                                       long.electroneutrality_max),
             retries=short.diagnostics.retries + long.diagnostics.retries,
             max_closure_residual=max(closure) if closure else 0.0,
-            short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s)
+            short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,
+            phase_counters={"injection": short.counters(), "long": long.counters()})

@@ -83,7 +83,7 @@ def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivity: float,
 def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
                             valence, inputs: TransportStepInputs,
                             constants: PhysicalConstants,
-                            source: np.ndarray,
+                            solver: fv.SpeciesSolver, source: np.ndarray,
                             sink_rate: np.ndarray | float = 0.0) -> np.ndarray:
     """Backward-Euler solve of one species; returns the new nodal field."""
     n = inputs.porosity
@@ -101,8 +101,7 @@ def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
 
     b = (cap * c_old + v * source).ravel()
     try:
-        lu = fv.factorize(mesh, a)
-        c_new = lu.solve(b)
+        c_new = solver.solve(a, b)
     except RuntimeError as exc:
         raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc
     if not np.all(np.isfinite(c_new)):
@@ -113,7 +112,8 @@ def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
 def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                     c_mab: np.ndarray, z_mab: np.ndarray,
                     species, constants: PhysicalConstants,
-                    inputs: TransportStepInputs):
+                    inputs: TransportStepInputs,
+                    solvers: tuple[fv.SpeciesSolver, ...] | None = None):
     """Advance Na+, H+ and the drug one implicit step.
 
     Na+ and H+ see only the injection source; the drug additionally carries
@@ -121,18 +121,24 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
     source. Rejects the step (for dt halving) on negative overshoot beyond
     round-off; with non-negative sources that can only come from degenerate
     inputs, not from the scheme.
+
+    ``solvers`` holds the Na+, H+ and drug solvers that a caller stepping a
+    whole phase keeps across steps; without them each solve starts afresh.
     """
+    if solvers is None:
+        solvers = tuple(fv.SpeciesSolver(mesh) for _ in range(3))
+    na_solver, h_solver, mab_solver = solvers
     new_na = _implicit_species_solve(
         mesh, c_na, species.sodium, species.sodium.valence, inputs, constants,
-        source=inputs.q_p * inputs.c_max["na"])
+        na_solver, source=inputs.q_p * inputs.c_max["na"])
     new_h = _implicit_species_solve(
         mesh, c_h, species.hydrogen, species.hydrogen.valence, inputs, constants,
-        source=inputs.q_p * inputs.c_max["h"])
+        h_solver, source=inputs.q_p * inputs.c_max["h"])
     drug_source = inputs.q_p * inputs.c_max["mab"] + np.asarray(inputs.binding_release)
     drug_sink = np.asarray(inputs.j_l) + np.asarray(inputs.binding_assoc)
     new_mab = _implicit_species_solve(
         mesh, c_mab, species.drug, z_mab, inputs, constants,
-        source=drug_source, sink_rate=drug_sink)
+        mab_solver, source=drug_source, sink_rate=drug_sink)
 
     for name, arr in (("Na+", new_na), ("H+", new_h), ("mAb", new_mab)):
         floor = -1.0e-12 * max(float(arr.max(initial=0.0)), 1e-300)

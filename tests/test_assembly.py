@@ -9,8 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
-from depotsim._assembly import (BandLU, csr_pattern, diffusion_matrix, factorize, pin_rows,
-                                upwind_advection_matrix)
+from depotsim._assembly import (BandLU, KrylovCounts, SpeciesSolver, csr_pattern,
+                                diffusion_matrix, factorize, pin_rows, upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
 
@@ -318,3 +318,89 @@ class TestFactorize:
         w, ones = m.nr1, np.ones((m.n_nodes, m.n_nodes))
         assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w), -1))
         assert lu.U.nnz == np.count_nonzero(np.triu(np.tril(ones, 2 * w)))
+
+
+WIDE = pytest.mark.parametrize("superlu_mesh", [(56, 8, 1.02)], ids=["56x8"], indirect=True)
+
+
+def species_operator(mesh, dt, speed):
+    """A species transport operator with storage V / dt and speeds scaled to ``speed``.
+
+    Diffusion and the speeds' pattern are fixed per mesh; ``speed`` 0 switches
+    the speeds off, as at flow stop. Small dt keeps the operator
+    storage-dominated; large dt makes it diffusion-dominated.
+    """
+    rng = np.random.default_rng(17)
+    coef_r, coef_z = random_faces(mesh, rng, 0.5e-3, 1.5e-3)
+    s_r, s_z = random_faces(mesh, rng, -1.0, 1.0)
+    return diffusion_matrix(mesh, coef_r, coef_z, diag=mesh.node_volumes / dt,
+                            speeds=(speed * s_r, speed * s_z))
+
+
+def species_rhs(mesh):
+    return np.random.default_rng(18).uniform(0.5, 1.5, mesh.n_nodes)
+
+
+@pytest.fixture
+def spilu_calls(monkeypatch):
+    """Counts `spla.spilu` calls."""
+    calls = []
+    spilu = spla.spilu
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return spilu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "spilu", counting)
+    return calls
+
+
+def assert_solves(solver, mesh, a, b):
+    x = solver.solve(a, b)  # first: on a fresh mesh the solver takes the order itself
+    expected = factorize(mesh, a).solve(b)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def krylov_work(counts):
+    return counts.krylov_solves, counts.ilu_builds, counts.direct_fallbacks
+
+
+class TestSpeciesSolver:
+    @WIDE
+    def test_kept_ilu_solve_matches_factorize(self, superlu_mesh, spilu_calls):
+        solver = SpeciesSolver(superlu_mesh)
+        b = species_rhs(superlu_mesh)
+        for speed in (10.0, 10.2, 10.4):
+            assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, speed), b)
+        assert krylov_work(solver.counts) == (3, 1, 0)
+        assert solver.counts.gmres_iterations > 0
+        assert len(spilu_calls) == 1
+
+    @WIDE
+    def test_switching_the_speeds_off_rebuilds_the_ilu(self, superlu_mesh, spilu_calls):
+        solver = SpeciesSolver(superlu_mesh)
+        b = species_rhs(superlu_mesh)
+        for speed in (10.0, 0.0):
+            assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, speed), b)
+        assert krylov_work(solver.counts) == (2, 2, 0)
+        assert len(spilu_calls) == 2
+
+    @WIDE
+    def test_a_failing_fresh_ilu_falls_back_and_stays_direct(self, superlu_mesh, spilu_calls):
+        solver = SpeciesSolver(superlu_mesh)
+        b = species_rhs(superlu_mesh)
+        assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 1e4, 0.0), b)
+        assert krylov_work(solver.counts) == (0, 1, 1)
+        # an operator a fresh ILU would solve still goes to the direct solve
+        assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, 10.0), b)
+        assert krylov_work(solver.counts) == (0, 1, 2)
+        assert len(spilu_calls) == 1
+
+    def test_narrow_meshes_never_build_an_ilu(self, spilu_calls):
+        m = mesh_of_width(_assembly._BAND_MAX_WIDTH)
+        solver = SpeciesSolver(m)
+        b = species_rhs(m)
+        for dt, speed in ((0.01, 10.0), (0.01, 0.0), (1e4, 0.0)):
+            assert_solves(solver, m, species_operator(m, dt, speed), b)
+        assert solver.counts == KrylovCounts()
+        assert not spilu_calls

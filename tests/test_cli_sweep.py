@@ -1,5 +1,7 @@
 """Command line subcommands and the scenario sweep runner."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,18 @@ class TestRunCommand:
                      "checkpoint_short_end.npz", "checkpoint_final.npz",
                      "snapshot_short_end.vtk"):
             assert (finished_run / name).exists(), name
+
+    def test_ledger_reports_per_phase_counters(self, finished_run):
+        ledger = json.loads((finished_run / "ledger.json").read_text())
+        phases = ledger["phases"]
+        assert set(phases) == {"injection", "long"}
+        for counters in phases.values():
+            assert set(counters) == {"retries", "clipped", "krylov_solves",
+                                     "gmres_iterations", "ilu_builds", "direct_fallbacks"}
+            # both meshes are narrow, so no species solve is a Krylov one
+            assert counters["krylov_solves"] == counters["gmres_iterations"] == 0
+            assert counters["ilu_builds"] == counters["direct_fallbacks"] == 0
+        assert sum(c["retries"] for c in phases.values()) == ledger["retries"]
 
     def test_timeseries_parses(self, finished_run):
         series = read_timeseries(finished_run / "timeseries.csv")

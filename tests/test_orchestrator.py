@@ -1,10 +1,15 @@
 """Staggered stepping, phase reduction, ledger bookkeeping, determinism."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from depotsim import _assembly
 from depotsim.config import load_config_text
-from depotsim.flow import SolverError
+from depotsim.flow import (PressureSolver, SolverError, exchange_coefficients,
+                           injection_source)
 from depotsim.mesh import FieldState
 from depotsim.metrics import MetricSeries
 from depotsim.orchestrator import (DoseLedger, PhasePlan, Simulation,
@@ -22,6 +27,21 @@ phases.short_dt_s = 0.25
 phases.short_horizon_s = 6
 phases.long_horizon_h = 0.2
 output.cadence_s = 0.5
+output.long_cadence_s = 60
+"""
+
+
+#: a fine mesh 49 nodes wide, past the band limit, so species take the kept-ILU path
+WIDE_FINE = """
+mesh.fine_nr = 48
+mesh.fine_nz = 12
+mesh.fine_grading = 1.1
+mesh.coarse_nr = 16
+mesh.coarse_nz = 16
+phases.short_dt_s = 0.5
+phases.short_horizon_s = 6
+phases.long_horizon_h = 0.05
+output.cadence_s = 1.0
 output.long_cadence_s = 60
 """
 
@@ -112,6 +132,70 @@ class TestStepStaggered:
         monkeypatch.setattr(StaggeredStepper, "attempt", always_fails)
         with pytest.raises(SolverError, match="halvings"):
             stepper.step(state, DoseLedger(), 0.2, StepDiagnostics())
+
+
+class TestAffinePressure:
+    def test_pressure_matches_a_solve_through_the_injection(self, tiny_sim):
+        config = tiny_sim.config
+        mesh = config.fine_mesh()
+        stepper = StaggeredStepper(mesh, config, flow_active=True)
+        layers, protocol = config.layers(), config.protocol()
+        kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
+        solver = PressureSolver(mesh, kappa, config["flow.viscosity"],
+                                *exchange_coefficients(mesh, layers, config.starling()))
+        ramp, end = protocol.ramp_time, protocol.duration
+        # ramp-up, plateau, ramp-down, after the flow stops
+        for t in (0.5 * ramp, 0.5 * end, end - 0.5 * ramp, end + 0.5):
+            expected = solver.solve(injection_source(mesh, protocol, t))
+            assert (np.linalg.norm(stepper.pressure_at(t) - expected)
+                    <= 1e-12 * np.linalg.norm(expected))
+
+    def test_stepper_holds_no_pressure_factor(self, tiny_sim, monkeypatch):
+        factors = []
+        factorize = _assembly.factorize
+
+        def keeping(mesh, a):
+            factors.append(factorize(mesh, a))
+            return factors[-1]
+
+        monkeypatch.setattr(_assembly, "factorize", keeping)
+        config = tiny_sim.config
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        (lu,) = factors
+        factors.clear()
+        assert sys.getrefcount(lu) == 2  # the local name and the call's argument
+        assert not any(isinstance(v, PressureSolver) for v in vars(stepper).values())
+
+
+class TestWideFineMesh:
+    def test_pipeline_closes_its_budget_and_reruns_bit_identically(self):
+        config = load_config_text(WIDE_FINE)
+        assert config.fine_mesh().nr1 > _assembly._BAND_MAX_WIDTH
+        a = Simulation(config).run_pipeline()
+        b = Simulation(config).run_pipeline()
+        assert a.phase_counters["injection"]["krylov_solves"] > 0
+        assert a.max_closure_residual <= 1e-12
+        assert a.series.channels == b.series.channels
+        for name in ("p", "phi", "c_na", "c_h", "c_mab", "c_b"):
+            assert np.array_equal(getattr(a.short_state, name), getattr(b.short_state, name))
+            assert np.array_equal(getattr(a.final_state, name), getattr(b.final_state, name))
+        assert a.phase_counters == b.phase_counters
+
+    def test_phase_end_drops_the_preconditioners(self, monkeypatch):
+        ilus = []
+        spilu = spla.spilu
+
+        def keeping(*args, **kwargs):
+            ilus.append(spilu(*args, **kwargs))
+            return ilus[-1]
+
+        monkeypatch.setattr(spla, "spilu", keeping)
+        # the result holds the fine mesh past the phase
+        short = Simulation(load_config_text(WIDE_FINE)).run_short_term()
+        assert short.krylov.ilu_builds == len(ilus) > 0
+        while ilus:
+            ilu = ilus.pop()
+            assert sys.getrefcount(ilu) == 2  # the local name and the call's argument
 
 
 class TestShortTerm:
