@@ -14,13 +14,12 @@ from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
                    project_field)
 from .metrics import (MetricSeries, ball_average, domain_average,
                       dose_fractions, net_charge_density, plume_volume)
-from .orchestrator import (DoseLedger, PhasePlan, PipelineResult, Simulation,
+from .orchestrator import (DoseLedger, PipelineResult, Simulation,
                            StaggeredStepper)
 from .params import (BindingParams, ConfigurationError, PhCurve,
                      PhysicalConstants, SpeciesSpec, SpeciesTable,
-                     StarlingParams, TissueLayer, TissueLayers, default_layers,
-                     default_species, load_drug_curves, ph_from_hydrogen,
-                     rates_at_ph, recover_chloride, syringe_composition)
+                     StarlingParams, TissueLayer, TissueLayers, load_drug_curves,
+                     recover_chloride, syringe_composition)
 from .potential import PotentialCoefficients, assemble_potential, solve_potential
 from .transport import TransportStepInputs, advance_species
 

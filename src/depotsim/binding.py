@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import BindingParams, rates_at_ph
+from .params import BindingParams
 
 
 def binding_sink(c_mab, c_b, k_a, k_d, k_e, porosity, b_max):
@@ -44,7 +44,7 @@ def advance_binding(c_b, c_mab, ph, dt: float, binding: BindingParams,
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    k_a, k_d = rates_at_ph(binding, ph)
+    k_a, k_d = binding.ka_curve(ph), binding.kd_curve(ph)
     a = k_a * porosity * np.asarray(c_mab)
     new = ((np.asarray(c_b) + dt * a * binding.b_max)
            / (1.0 + dt * (a + k_d + binding.k_e)))

@@ -4,6 +4,13 @@ An empty file is a complete, runnable default scenario. Unknown keys are
 errors (no silent typo acceptance); every physical value re-validates through
 the parameter types it feeds. `scenario.bmi` presets apply before explicit
 keys, so explicit keys always win.
+
+`SCHEMA` holds the only default of every parameter: the parameter types have
+no field defaults, and every parameter object is built by a
+`SimulationConfig` factory (`constants()`, `layers()`, `species()`, ...).
+Build a variant from config text, ``load_config_text("layers.adipose_cm =
+4.9")``, or from a built object, ``dataclasses.replace(
+default_config().starling(), l_pb=2e-6)``.
 """
 
 from __future__ import annotations
@@ -191,6 +198,7 @@ class SimulationConfig:
         self.starling()
         self.protocol()
         self._curves = self._load_curves()
+        self.syringe()
 
     # -- factories ---------------------------------------------------------
     def constants(self) -> PhysicalConstants:
@@ -262,16 +270,15 @@ class SimulationConfig:
         return pr.syringe_composition(
             v["formulation.buffer_ph"], v["formulation.mg_per_ml"],
             v["formulation.molar_mass_g_per_mol"],
-            float(charge(v["formulation.buffer_ph"])))
+            float(charge(v["formulation.buffer_ph"])), v["species.c_na_init"])
 
     def species(self) -> pr.SpeciesTable:
         v = self.values
-        syr = self.syringe()
         c_na, c_h = v["species.c_na_init"], v["species.c_h_init"]
         return pr.SpeciesTable(
-            sodium=pr.SpeciesSpec("Na+", v["species.d_na_cm2_s"], +1.0, c_na, syr["na"]),
-            hydrogen=pr.SpeciesSpec("H+", v["species.d_h_cm2_s"], +1.0, c_h, syr["h"]),
-            drug=pr.SpeciesSpec("mAb", v["species.d_mab_cm2_s"], 0.0, 0.0, syr["mab"]),
+            sodium=pr.SpeciesSpec("Na+", v["species.d_na_cm2_s"], +1.0, c_na),
+            hydrogen=pr.SpeciesSpec("H+", v["species.d_h_cm2_s"], +1.0, c_h),
+            drug=pr.SpeciesSpec("mAb", v["species.d_mab_cm2_s"], 0.0, 0.0),
             chloride=pr.SpeciesSpec("Cl-", v["species.d_cl_cm2_s"], -1.0, c_na + c_h),
         )
 

@@ -32,11 +32,11 @@ class SolverError(RuntimeError):
 class InjectionProtocol:
     """Needle position and the trapezoidal delivery schedule."""
 
-    depth: float = 0.8  # cm below the skin surface
-    volume: float = 1.0  # cm^3 delivered in total
-    duration: float = 5.0  # s, flow stops exactly here
-    ramp_time: float = 0.1  # s, linear ramp at start and end
-    source_radius: float = 0.1065  # cm; spatial bump sigma = source_radius/2 (calibrated)
+    depth: float  # cm below the skin surface
+    volume: float  # cm^3 delivered in total
+    duration: float  # s, flow stops exactly here
+    ramp_time: float  # s, linear ramp at start and end
+    source_radius: float  # cm; spatial bump sigma = source_radius/2 (calibrated)
 
     def __post_init__(self):
         if self.depth <= 0 or self.volume <= 0 or self.duration <= 0:

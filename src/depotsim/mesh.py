@@ -157,9 +157,6 @@ class AxiMesh:
     def domain_volume(self) -> float:
         return float(np.pi * self.radius**2 * self.height)
 
-    def node_index(self, i: int, j: int) -> int:
-        return j * self.nr1 + i
-
     def ball_mask(self, center: tuple[float, float], radius: float) -> np.ndarray:
         """Boolean node mask of the sphere of given radius about (r0, z0)."""
         r0, z0 = center

@@ -39,34 +39,8 @@ PRESSURE_BALL_RADIUS = 0.1  # cm
 
 MAX_DT_RETRIES = 5
 
-
-@dataclass
-class PhasePlan:
-    """Time-stepping plan for the two phases."""
-
-    short_dt: float = 0.02  # s
-    short_horizon: float = 10.0  # s
-    long_dt_min: float = 1.0  # s
-    long_dt_max: float = 60.0  # s
-    long_horizon_h: float = 36.0  # h after reduction
-    dt_ramp: float = 1.2  # geometric growth of the long-phase step
-    cadence_short: float = 0.1  # s between output rows
-    cadence_long: float = 600.0  # s between output rows
-
-    def __post_init__(self):
-        if self.long_dt_min > self.long_dt_max:
-            raise ValueError("long_dt_min exceeds long_dt_max")
-
-    @classmethod
-    def from_config(cls, config: SimulationConfig) -> "PhasePlan":
-        v = config.values
-        return cls(short_dt=v["phases.short_dt_s"],
-                   short_horizon=v["phases.short_horizon_s"],
-                   long_dt_min=v["phases.long_dt_min_s"],
-                   long_dt_max=v["phases.long_dt_max_s"],
-                   long_horizon_h=v["phases.long_horizon_h"],
-                   cadence_short=v["output.cadence_s"],
-                   cadence_long=v["output.long_cadence_s"])
+#: geometric growth of the long-phase step from its minimum to its maximum
+LONG_DT_GROWTH = 1.2
 
 
 @dataclass
@@ -304,7 +278,6 @@ class Simulation:
 
     def __init__(self, config: SimulationConfig):
         self.config = config
-        self.plan = PhasePlan.from_config(config)
 
     # -- helpers -------------------------------------------------------------
     @staticmethod
@@ -380,14 +353,14 @@ class Simulation:
         ledger = ledger if ledger is not None else DoseLedger()
         closure_track = closure_track if closure_track is not None else []
         self._emit(series, state, ledger, stepper)
-        return self._run_phase(stepper, state, ledger, self.plan.short_horizon,
-                               lambda t: self.plan.short_dt,
-                               self.plan.cadence_short, series, closure_track)
+        dt = self.config["phases.short_dt_s"]
+        return self._run_phase(stepper, state, ledger,
+                               self.config["phases.short_horizon_s"], lambda t: dt,
+                               self.config["output.cadence_s"], series, closure_track)
 
-    def reduce_to_long_term(self, short_state: FieldState,
-                            coarse_mesh: AxiMesh | None = None) -> ReducedState:
+    def reduce_to_long_term(self, short_state: FieldState) -> ReducedState:
         """Project onto the coarse mesh, rescale drug mass, freeze drainage."""
-        coarse = coarse_mesh if coarse_mesh is not None else self.config.coarse_mesh()
+        coarse = self.config.coarse_mesh()
         fine = short_state.mesh
         layers = self.config.layers()
         porosity = layers.porosity
@@ -445,19 +418,20 @@ class Simulation:
         series = series if series is not None else mt.MetricSeries()
         ledger = ledger if ledger is not None else DoseLedger()
         closure_track = closure_track if closure_track is not None else []
-        t_start = state.t
-        t_end = t_start + self.plan.long_horizon_h * 3600.0
+        t_end = state.t + self.config["phases.long_horizon_h"] * 3600.0
 
         # dt ramps geometrically from dt_min to dt_max over the first steps
-        ramp = {"dt": self.plan.long_dt_min}
+        ramp = {"dt": self.config["phases.long_dt_min_s"]}
+        dt_max = self.config["phases.long_dt_max_s"]
 
         def schedule(t):
             dt = ramp["dt"]
-            ramp["dt"] = min(ramp["dt"] * self.plan.dt_ramp, self.plan.long_dt_max)
+            ramp["dt"] = min(ramp["dt"] * LONG_DT_GROWTH, dt_max)
             return dt
 
         return self._run_phase(stepper, state, ledger, t_end, schedule,
-                               self.plan.cadence_long, series, closure_track)
+                               self.config["output.long_cadence_s"], series,
+                               closure_track)
 
     # -- full pipeline -------------------------------------------------------
     def run_pipeline(self) -> PipelineResult:

@@ -29,9 +29,9 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    faraday: float = 96485.0  # C/mol
-    gas_constant: float = 8.314  # J/K/mol
-    temperature: float = 293.0  # K
+    faraday: float  # C/mol
+    gas_constant: float  # J/K/mol
+    temperature: float  # K
 
     def __post_init__(self):
         for name in ("faraday", "gas_constant", "temperature"):
@@ -67,10 +67,6 @@ class PhCurve:
     def __call__(self, ph):
         """Evaluate at scalar or array pH (linear interpolation, clamped)."""
         return np.interp(ph, self.ph, self.values)
-
-    @property
-    def is_non_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.values) <= 0.0))
 
     def isoelectric_point(self) -> float:
         """pH where a charge curve crosses zero (linear interpolation).
@@ -148,7 +144,6 @@ class SpeciesSpec:
     diffusivity: float  # cm^2/s
     valence: float  # dimensionless (drug: value at reference pH; curve governs)
     c_init: float  # mol/cm^3
-    c_syringe: float = 0.0  # mol/cm^3
 
     def __post_init__(self):
         if self.diffusivity <= 0:
@@ -172,10 +167,6 @@ class SpeciesTable:
         if self.chloride.valence == 0:
             raise ConfigurationError("eliminated species must have nonzero valence")
 
-    @property
-    def transported(self) -> tuple[SpeciesSpec, SpeciesSpec, SpeciesSpec]:
-        return (self.sodium, self.hydrogen, self.drug)
-
 
 @dataclass(frozen=True)
 class BindingParams:
@@ -183,8 +174,8 @@ class BindingParams:
 
     ka_curve: PhCurve  # cm^3/mol/s
     kd_curve: PhCurve  # 1/s
-    k_e: float = 0.0  # 1/s, elimination of bound drug
-    b_max: float = 1.0e-9  # mol/cm^3, bound concentration at saturation
+    k_e: float  # 1/s, elimination of bound drug
+    b_max: float  # mol/cm^3, bound concentration at saturation
 
     def __post_init__(self):
         if self.k_e < 0:
@@ -200,14 +191,14 @@ class BindingParams:
 class StarlingParams:
     """Blood filtration / lymphatic uptake coefficients."""
 
-    l_pb: float = 1.0e-6  # cm^3/N/s, hydraulic conductivity of blood vessels
-    l_pl: float = 6.0e-5  # cm^3/N/s, hydraulic conductivity of lymphatics
-    sbv: float = 70.0  # 1/cm, blood vessel area per tissue volume
-    p_b: float = 0.35  # N/cm^2, blood capillary pressure
-    p_l: float = 0.0  # N/cm^2, lymphatic pressure
-    sigma_r: float = 0.3  # reflection coefficient
-    pi_b: float = 0.35  # N/cm^2, blood osmotic pressure
-    pi_i: float = 0.15  # N/cm^2, interstitial osmotic pressure
+    l_pb: float  # cm^3/N/s, hydraulic conductivity of blood vessels
+    l_pl: float  # cm^3/N/s, hydraulic conductivity of lymphatics
+    sbv: float  # 1/cm, blood vessel area per tissue volume
+    p_b: float  # N/cm^2, blood capillary pressure
+    p_l: float  # N/cm^2, lymphatic pressure
+    sigma_r: float  # reflection coefficient
+    pi_b: float  # N/cm^2, blood osmotic pressure
+    pi_i: float  # N/cm^2, interstitial osmotic pressure
 
     def __post_init__(self):
         if not 0.0 <= self.sigma_r <= 1.0:
@@ -235,7 +226,7 @@ class TissueLayers:
     """Layer stack tiling [0, H] in z; skin surface at z = H (top = dermis)."""
 
     layers: tuple[TissueLayer, ...]  # ordered bottom (z=0) to top (z=H)
-    porosity: float = 0.1  # shared across layers
+    porosity: float  # shared across layers
 
     def __post_init__(self):
         if not 0 < self.porosity < 1:
@@ -264,69 +255,9 @@ class TissueLayers:
         return slv[self.layer_index(z)]
 
 
-def default_layers(adipose_cm: float = 1.5, porosity: float = 0.1,
-                   height: float = 5.0) -> TissueLayers:
-    """Three-layer stack (muscle / adipose / dermis-epidermis) of total height H.
-
-    The muscle layer absorbs changes in adipose thickness so the domain height
-    stays fixed; the dermis-epidermis stays 0.2 cm.
-    """
-    dermis = 0.2
-    muscle = height - adipose_cm - dermis
-    if muscle <= 0:
-        raise ConfigurationError("adipose layer too thick for the domain height")
-    return TissueLayers(
-        layers=(
-            TissueLayer("muscle", muscle, 1.0e-11, 0.0),
-            TissueLayer("adipose", adipose_cm, 1.0e-9, 0.05 * 70.0),
-            TissueLayer("dermis-epidermis", dermis, 1.0e-10, 70.0),
-        ),
-        porosity=porosity,
-    )
-
-
-def default_species(c_drug_syringe: float = 0.0,
-                    c_h_syringe: float = 4.0e-11,
-                    drug_valence: float = 0.0) -> SpeciesTable:
-    """Species table with physiological initial concentrations."""
-    c_na = 1.4e-4  # mol/cm^3
-    c_h = 4.0e-11  # mol/cm^3, tissue pH 7.4
-    c_cl = c_na + c_h  # electroneutral rest state
-    return SpeciesTable(
-        sodium=SpeciesSpec("Na+", 1.33e-5, +1.0, c_na, 3.0 * c_na),
-        hydrogen=SpeciesSpec("H+", 9.31e-5, +1.0, c_h, c_h_syringe),
-        drug=SpeciesSpec("mAb", 1.0e-6, drug_valence, 0.0, c_drug_syringe),
-        chloride=SpeciesSpec("Cl-", 2.03e-5, -1.0, c_cl),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Operations
 # ---------------------------------------------------------------------------
-
-def ph_from_hydrogen(c_h):
-    """pH = -log10 of the hydrogen concentration expressed in mol/L.
-
-    Raises on non-positive input; fieldwise callers get the offending node
-    indices in the message. Use :func:`tissue_ph` for the clipped variant.
-    """
-    c = np.asarray(c_h, dtype=float)
-    if np.any(c <= 0.0):
-        bad = np.nonzero(c <= 0.0)
-        if c.ndim == 0:
-            raise ValueError(f"non-positive hydrogen concentration {float(c)}")
-        raise ValueError(
-            f"non-positive hydrogen concentration at node(s) "
-            f"{[tuple(int(b[k]) for b in bad) for k in range(min(5, bad[0].size))]}"
-        )
-    out = -np.log10(MOL_PER_CM3_TO_MOL_PER_L * c)
-    return float(out) if np.ndim(c_h) == 0 else out
-
-
-def rates_at_ph(binding: BindingParams, ph):
-    """(k_a, k_d) at the given pH, same interpolation rule as the charge."""
-    return binding.ka_curve(ph), binding.kd_curve(ph)
-
 
 def recover_chloride(c_na, c_h, c_mab, z_mab, z_cl: float = -1.0):
     """Chloride concentration closing the electroneutrality constraint.
@@ -343,10 +274,10 @@ def recover_chloride(c_na, c_h, c_mab, z_mab, z_cl: float = -1.0):
 
 
 def syringe_composition(buffer_ph: float, mg_per_ml: float, molar_mass: float,
-                        z_drug_at_buffer: float) -> dict[str, float]:
+                        z_drug_at_buffer: float, c_na_tissue: float) -> dict[str, float]:
     """Per-species syringe concentrations (mol/cm^3) for a formulation.
 
-    Na+ and Cl- ride at three times their physiological levels; H+ follows the
+    Na+ rides at three times its tissue level ``c_na_tissue``; H+ follows the
     buffer pH; Cl- closes the electroneutral balance of the injectate.
     """
     if not 3.0 <= buffer_ph <= 12.0:
@@ -355,7 +286,7 @@ def syringe_composition(buffer_ph: float, mg_per_ml: float, molar_mass: float,
         raise ConfigurationError("molar mass must be > 0")
     if mg_per_ml < 0:
         raise ConfigurationError("formulation concentration must be >= 0")
-    c_na = 3.0 * 1.4e-4
+    c_na = 3.0 * c_na_tissue
     c_h = 10.0 ** (-buffer_ph) / MOL_PER_CM3_TO_MOL_PER_L
     c_mab = (mg_per_ml * 1.0e-3) / molar_mass
     c_cl = c_na + c_h + z_drug_at_buffer * c_mab

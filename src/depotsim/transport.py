@@ -51,10 +51,10 @@ class TransportStepInputs:
     phi: np.ndarray  # nodal potential
     q_p: np.ndarray  # nodal injection source density, 1/s
     c_max: dict[str, float]  # syringe concentrations keyed 'na', 'h', 'mab'
+    porosity: float
     j_l: np.ndarray | float = 0.0  # lymphatic drainage rate, 1/s
     binding_assoc: np.ndarray | float = 0.0  # 1/s, implicit sink coefficient
     binding_release: np.ndarray | float = 0.0  # mol/cm^3/s, explicit source
-    porosity: float = 0.1
 
     def __post_init__(self):
         if self.dt <= 0:

@@ -62,11 +62,11 @@ def faces(mesh):
     """(lower node, upper node, area, distance, r-or-z index) of every dual face."""
     for j in range(mesh.nz1):
         for i in range(mesh.nr):
-            yield (mesh.node_index(i, j), mesh.node_index(i + 1, j),
+            yield (j * mesh.nr1 + i, j * mesh.nr1 + i + 1,
                    mesh.area_r[j, i], mesh.dr[i], ("r", j, i))
     for j in range(mesh.nz):
         for i in range(mesh.nr1):
-            yield (mesh.node_index(i, j), mesh.node_index(i, j + 1),
+            yield (j * mesh.nr1 + i, (j + 1) * mesh.nr1 + i,
                    mesh.area_z[j, i], mesh.dz[j], ("z", j, i))
 
 

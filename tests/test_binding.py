@@ -100,7 +100,8 @@ class TestAdvanceBinding:
         # along a k_a-decreasing curve, raising pH never increases the
         # one-step bound increment at fixed free concentration
         binding = BindingParams(PhCurve([5, 9], [8e4, 1e4]),
-                                PhCurve([5, 9], [1e-4, 1e-4]), b_max=B_MAX)
+                                PhCurve([5, 9], [1e-4, 1e-4]), k_e=0.0,
+                                b_max=B_MAX)
         c, dt = 3e-7, 10.0
         increments = [float(advance_binding(0.0, c, ph, dt, binding, N))
                       for ph in np.linspace(5, 9, 9)]

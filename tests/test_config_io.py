@@ -1,5 +1,7 @@
 """Configuration format, serialization round-trips, snapshots, references."""
 
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
 from depotsim.orchestrator import (DoseLedger, Simulation, StaggeredStepper,
                                    StepDiagnostics)
-from depotsim.params import ConfigurationError, PhCurve, default_species
+from depotsim.flow import InjectionProtocol
+from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
+                             PhysicalConstants, StarlingParams, TissueLayers)
 
 
 def curve_config_text(tmp_path, charge_header="ph,value"):
@@ -130,6 +134,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="expected header"):
             load_config_text(curve_config_text(tmp_path, charge_header="ph,charge"))
 
+    def test_syringe_sodium_is_three_times_tissue_sodium(self):
+        syringe = load_config_text("species.c_na_init = 1.5e-4").syringe()
+        assert syringe["na"] == pytest.approx(4.5e-4, rel=1e-15)
+        assert default_config().syringe()["na"] == 3.0 * 1.4e-4
+
+    def test_unbalanced_formulation_rejected_at_load(self):
+        with pytest.raises(ConfigurationError, match="unbalanced formulation"):
+            load_config_text("formulation.buffer_ph = 11.0\n"
+                             "formulation.mg_per_ml = 10000\n")
+
+    def test_schema_holds_the_only_parameter_defaults(self):
+        for cls in (PhysicalConstants, StarlingParams, InjectionProtocol,
+                    BindingParams, TissueLayers):
+            for f in fields(cls):
+                assert f.default is MISSING, f"{cls.__name__}.{f.name}"
+                assert f.default_factory is MISSING, f"{cls.__name__}.{f.name}"
+
 
 class TestTimeseriesCsv:
     def make_series(self, n=3):
@@ -162,7 +183,7 @@ class TestTimeseriesCsv:
 
 def small_state():
     mesh = build_graded_mesh(5, 5, 10, 10, focus=(0, 4.2), grading=1.0)
-    state = FieldState.rest_state(mesh, default_species())
+    state = FieldState.rest_state(mesh, default_config().species())
     rng = np.random.default_rng(1)
     state.c_mab = rng.random(state.c_na.shape) * 1e-7
     state.phi = rng.normal(0, 1e-3, state.c_na.shape)

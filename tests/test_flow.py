@@ -1,17 +1,22 @@
 """Injection protocol, vascular exchange, pressure solve, Darcy velocity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from depotsim.flow import (InjectionProtocol, PressureSolver, injection_source,
-                           node_speed, solve_pressure, starling_blood,
-                           starling_lymph, velocity_from_pressure)
+from depotsim.config import default_config
+from depotsim.flow import (PressureSolver, injection_source, node_speed,
+                           solve_pressure, starling_blood, starling_lymph,
+                           velocity_from_pressure)
 from depotsim.mesh import build_graded_mesh, integrate
-from depotsim.params import (ConfigurationError, StarlingParams,
-                             default_layers)
+from depotsim.params import ConfigurationError
 
 ETA = 1.0e-7  # water viscosity, N*s/cm^2
+DEFAULTS = default_config()
+PROTOCOL = DEFAULTS.protocol()
+STARLING = DEFAULTS.starling()
 
 
 @pytest.fixture(scope="module")
@@ -21,33 +26,33 @@ def mesh():
 
 class TestInjectionProtocol:
     def test_total_volume_by_quadrature(self):
-        proto = InjectionProtocol()
+        proto = PROTOCOL
         total, _ = quad(proto.flow_rate, 0.0, 8.0, points=[0.1, 4.9, 5.0],
                         limit=200)
         assert total == pytest.approx(proto.volume, rel=1e-10)
 
     def test_flow_stops_after_duration(self):
-        proto = InjectionProtocol()
+        proto = PROTOCOL
         assert proto.flow_rate(5.0) == 0.0
         assert proto.flow_rate(7.3) == 0.0
 
     def test_plateau_is_about_one_fifth(self):
         # 1 mL over 5 s with short ramps
-        proto = InjectionProtocol()
+        proto = PROTOCOL
         assert proto.plateau_rate == pytest.approx(0.2, rel=0.025)
 
     def test_bad_ramp_rejected(self):
         with pytest.raises(ConfigurationError):
-            InjectionProtocol(ramp_time=3.0)
+            replace(PROTOCOL, ramp_time=3.0)
 
 
 class TestInjectionSource:
     def test_zero_after_injection(self, mesh):
-        q = injection_source(mesh, InjectionProtocol(), t=7.0)
+        q = injection_source(mesh, PROTOCOL, t=7.0)
         assert np.all(q == 0.0)
 
     def test_plateau_normalization(self, mesh):
-        proto = InjectionProtocol()
+        proto = PROTOCOL
         q = injection_source(mesh, proto, t=2.5)
         q_expected = proto.flow_rate(2.5)
         assert integrate(q, mesh) == pytest.approx(q_expected, rel=1e-8)
@@ -55,44 +60,44 @@ class TestInjectionSource:
 
     def test_mean_exit_speed_matches_needle_area_estimate(self):
         # Q / (pi a^2) for a ~ 0.225 cm reproduces the nominal needle speed
-        proto = InjectionProtocol()
+        proto = PROTOCOL
         a = 0.225
         v = proto.plateau_rate / (np.pi * a**2)
         assert v == pytest.approx(1.26, rel=0.03)
 
     def test_center_outside_domain_rejected(self, mesh):
         with pytest.raises(ConfigurationError):
-            injection_source(mesh, InjectionProtocol(depth=7.0), t=1.0)
+            injection_source(mesh, replace(PROTOCOL, depth=7.0), t=1.0)
 
 
 class TestStarling:
     def test_blood_at_zero_pressure(self):
         # 0.1 * 1e-6 * 70 * (0.35 - 0.3 * 0.20) = 2.03e-6
-        jb = starling_blood(0.0, StarlingParams(), porosity=0.1)
+        jb = starling_blood(0.0, STARLING, porosity=0.1)
         assert jb == pytest.approx(2.03e-6)
 
     def test_blood_zero_crossing(self):
-        params = StarlingParams()
+        params = STARLING
         p_star = params.p_b - params.sigma_r * (params.pi_b - params.pi_i)
         assert p_star == pytest.approx(0.29)
         assert starling_blood(p_star, params, 0.1) == pytest.approx(0.0, abs=1e-20)
 
     def test_blood_linearity_in_conductivity(self):
-        doubled = StarlingParams(l_pb=2e-6)
+        doubled = replace(STARLING, l_pb=2e-6)
         assert starling_blood(0.0, doubled, 0.1) == pytest.approx(2 * 2.03e-6)
 
     def test_lymph_zero_at_lymph_pressure(self):
-        assert starling_lymph(0.0, StarlingParams(), 0.1, slv=70.0) == 0.0
+        assert starling_lymph(0.0, STARLING, 0.1, slv=70.0) == 0.0
 
     def test_lymph_dermis_value(self):
         # 0.1 * 6e-5 * 70 * 0.01 = 4.2e-6
-        jl = starling_lymph(0.01, StarlingParams(), 0.1, slv=70.0)
+        jl = starling_lymph(0.01, STARLING, 0.1, slv=70.0)
         assert jl == pytest.approx(4.2e-6)
 
     def test_lymph_vanishes_in_muscle(self):
-        layers = default_layers()
+        layers = DEFAULTS.layers()
         slv = layers.slv_at(np.array([1.0]))  # muscle
-        assert starling_lymph(5.0, StarlingParams(), 0.1, slv=slv)[0] == 0.0
+        assert starling_lymph(5.0, STARLING, 0.1, slv=slv)[0] == 0.0
 
 
 class TestSolvePressure:
@@ -107,7 +112,7 @@ class TestSolvePressure:
         # The healing length sqrt((kappa/eta)/a) is ~4.8 cm, so the domain
         # must dwarf it for the pointwise balance to show.
         mesh = build_graded_mesh(60, 60, 48, 48, focus=(0, 30), grading=1.0)
-        n, params = 0.1, StarlingParams()
+        n, params = 0.1, STARLING
         blood = n * params.l_pb * params.sbv
         lymph = n * params.l_pl * 70.0
         reaction = blood + lymph
@@ -127,11 +132,11 @@ class TestSolvePressure:
 
     def test_monotone_in_flow_rate(self, mesh):
         from depotsim.metrics import ball_average
-        layers = default_layers()
-        params = StarlingParams()
+        layers = DEFAULTS.layers()
+        params = STARLING
         peaks = []
         for volume in (0.5, 1.0, 2.0):
-            proto = InjectionProtocol(volume=volume)
+            proto = replace(PROTOCOL, volume=volume)
             q = injection_source(mesh, proto, t=2.5)
             p = solve_pressure(mesh, layers, params, q, ETA)
             peaks.append(ball_average(p, mesh, proto.center(5.0), 0.1))

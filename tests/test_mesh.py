@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from depotsim.config import default_config
 from depotsim.mesh import (AxiMesh, FieldState, MeshError, build_graded_mesh,
                            integrate, nodal_integral, project_field)
 
@@ -125,9 +126,8 @@ class TestProjectField:
 
 class TestFieldState:
     def test_rest_state_shapes_and_values(self):
-        from depotsim.params import default_species
         mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
-        state = FieldState.rest_state(mesh, default_species())
+        state = FieldState.rest_state(mesh, default_config().species())
         assert state.c_na.shape == (13, 13)
         assert np.all(state.c_na == 1.4e-4)
         assert np.all(state.c_mab == 0.0)
@@ -135,9 +135,8 @@ class TestFieldState:
         assert state.u_z.shape == (12, 13)
 
     def test_clip_concentrations(self):
-        from depotsim.params import default_species
         mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
-        state = FieldState.rest_state(mesh, default_species())
+        state = FieldState.rest_state(mesh, default_config().species())
         state.c_mab[3, 3] = -1e-16
         n = state.clip_concentrations()
         assert n == 1

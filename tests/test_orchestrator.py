@@ -12,9 +12,8 @@ from depotsim.flow import (PressureSolver, SolverError, exchange_coefficients,
                            injection_source)
 from depotsim.mesh import FieldState
 from depotsim.metrics import MetricSeries
-from depotsim.orchestrator import (DoseLedger, PhasePlan, Simulation,
-                                   StaggeredStepper, StepDiagnostics,
-                                   electroneutrality_residual)
+from depotsim.orchestrator import (DoseLedger, Simulation, StaggeredStepper,
+                                   StepDiagnostics, electroneutrality_residual)
 from depotsim.transport import NegativeConcentrationError
 
 TINY = """
@@ -300,14 +299,16 @@ class TestDeterminism:
 
 
 class TestPhasePlan:
+    """The phases run on the `phases.*` keys read straight from the config."""
+
     def test_from_config(self):
-        plan = PhasePlan.from_config(load_config_text(""))
-        assert plan.short_dt == 0.02
-        assert plan.short_horizon == 10.0
-        assert plan.long_dt_min == 1.0
-        assert plan.long_dt_max == 60.0
-        assert plan.long_horizon_h == 36.0
+        config = load_config_text(TINY).with_values({"phases.long_horizon_h": 0.05})
+        result = Simulation(config).run_pipeline()
+        short_end = config["phases.short_horizon_s"]
+        assert result.short_state.t == pytest.approx(short_end, abs=1e-9)
+        assert result.final_state.t == pytest.approx(
+            short_end + config["phases.long_horizon_h"] * 3600.0, abs=1e-9)
 
     def test_rejects_inverted_ramp(self):
         with pytest.raises(ValueError):
-            PhasePlan(long_dt_min=10.0, long_dt_max=1.0)
+            load_config_text("phases.long_dt_min_s = 10\nphases.long_dt_max_s = 1\n")

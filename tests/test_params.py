@@ -1,39 +1,33 @@
 """Parameter types, pH curves, and electroneutrality algebra."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
-                             PhysicalConstants, SpeciesSpec, TissueLayers,
-                             default_layers, default_species, load_drug_curves,
-                             ph_from_hydrogen, rates_at_ph, recover_chloride,
+from depotsim.config import default_config, load_config_text
+from depotsim.params import (ConfigurationError, PhCurve, SpeciesSpec,
+                             load_drug_curves, recover_chloride,
                              syringe_composition)
+from depotsim.transport import tissue_ph
 
-CONSTANTS = PhysicalConstants()
+DEFAULTS = default_config()
+CONSTANTS = DEFAULTS.constants()
+C_NA = DEFAULTS["species.c_na_init"]
 
 
 class TestPhFromHydrogen:
     def test_neutral_reference(self):
         # 1e-10 mol/cm^3 is 1e-7 mol/L by construction
-        assert ph_from_hydrogen(1.0e-10) == pytest.approx(7.0)
+        assert tissue_ph(1.0e-10) == pytest.approx(7.0)
 
     def test_physiological_value(self):
-        assert ph_from_hydrogen(4.0e-11) == pytest.approx(7.40, abs=0.01)
+        assert tissue_ph(4.0e-11) == pytest.approx(7.40, abs=0.01)
 
     def test_acidic_value(self):
-        assert ph_from_hydrogen(1.0e-9) == pytest.approx(6.0)
-
-    def test_rejects_nonpositive_scalar(self):
-        with pytest.raises(ValueError):
-            ph_from_hydrogen(0.0)
-
-    def test_fieldwise_error_names_offending_nodes(self):
-        field = np.full((3, 3), 4.0e-11)
-        field[1, 2] = -1.0
-        with pytest.raises(ValueError, match=r"\(1, 2\)"):
-            ph_from_hydrogen(field)
+        assert tissue_ph(1.0e-9) == pytest.approx(6.0)
 
 
 class TestPhCurve:
@@ -72,35 +66,40 @@ class TestPhCurve:
         phs = sorted(phs)
         values = sorted(raw[:len(phs)], reverse=True)  # non-increasing
         curve = PhCurve(phs, values)
-        assert curve.is_non_increasing
+        assert np.all(np.diff(curve.values) <= 0.0)
         lo, hi = min(a, b), max(a, b)
         assert curve(lo) >= curve(hi) - 1e-12
 
 
+def with_rates(ka_curve, kd_curve):
+    """The default binding parameters with the given rate curves."""
+    return replace(DEFAULTS.binding(), ka_curve=ka_curve, kd_curve=kd_curve)
+
+
 class TestRates:
     def test_constant_curve(self):
-        binding = BindingParams(PhCurve([5, 9], [2e6, 2e6]),
-                                PhCurve([5, 9], [1e-4, 1e-4]))
+        binding = with_rates(PhCurve([5, 9], [2e6, 2e6]),
+                             PhCurve([5, 9], [1e-4, 1e-4]))
         for ph in (3.0, 7.0, 12.0):
-            ka, _ = rates_at_ph(binding, ph)
+            ka = binding.ka_curve(ph)
             assert ka == 2e6
 
     def test_midpoint(self):
-        binding = BindingParams(PhCurve([5, 9], [1e5, 1e5]),
-                                PhCurve([6, 8], [1e-4, 3e-4]))
-        _, kd = rates_at_ph(binding, 7.0)
+        binding = with_rates(PhCurve([5, 9], [1e5, 1e5]),
+                             PhCurve([6, 8], [1e-4, 3e-4]))
+        kd = binding.kd_curve(7.0)
         assert kd == pytest.approx(2e-4)
 
     def test_clamp_below_range(self):
-        binding = BindingParams(PhCurve([5, 9], [3e5, 1e5]),
-                                PhCurve([5, 9], [1e-4, 2e-4]))
-        ka, _ = rates_at_ph(binding, 4.0)
+        binding = with_rates(PhCurve([5, 9], [3e5, 1e5]),
+                             PhCurve([5, 9], [1e-4, 2e-4]))
+        ka = binding.ka_curve(4.0)
         assert ka == 3e5
 
     def test_rejects_negative_rates(self):
         with pytest.raises(ConfigurationError):
-            BindingParams(PhCurve([5, 9], [1e5, -1.0]),
-                          PhCurve([5, 9], [1e-4, 1e-4]))
+            with_rates(PhCurve([5, 9], [1e5, -1.0]),
+                       PhCurve([5, 9], [1e-4, 1e-4]))
 
 
 class TestRecoverChloride:
@@ -133,44 +132,45 @@ class TestRecoverChloride:
 
 class TestSyringeComposition:
     def test_formulation_molarity(self):
-        syr = syringe_composition(6.0, 100.0, 150000.0, 19.0)
+        syr = syringe_composition(6.0, 100.0, 150000.0, 19.0, C_NA)
         assert syr["mab"] == pytest.approx(6.667e-7, rel=1e-3)
 
     def test_buffer_ph_sets_hydrogen(self):
-        syr = syringe_composition(6.0, 100.0, 150000.0, 0.0)
+        syr = syringe_composition(6.0, 100.0, 150000.0, 0.0, C_NA)
         assert syr["h"] == pytest.approx(1e-9)
 
     def test_neutral_drug_balance(self):
-        syr = syringe_composition(10.0, 0.0, 150000.0, 0.0)
+        syr = syringe_composition(10.0, 0.0, 150000.0, 0.0, C_NA)
         assert syr["na"] == pytest.approx(4.2e-4)
         assert syr["cl"] == pytest.approx(4.2e-4, rel=1e-6)
 
     def test_unbalanced_formulation_rejected(self):
         # a hugely negative drug would demand negative chloride
         with pytest.raises(ConfigurationError):
-            syringe_composition(7.4, 100.0, 150000.0, -1000.0)
+            syringe_composition(7.4, 100.0, 150000.0, -1000.0, C_NA)
 
     def test_injectate_is_electroneutral(self):
         z = -12.5
-        syr = syringe_composition(8.0, 150.0, 150000.0, z)
+        syr = syringe_composition(8.0, 150.0, 150000.0, z, C_NA)
         net = syr["na"] + syr["h"] + z * syr["mab"] - syr["cl"]
         assert abs(net) < 1e-20
 
 
 class TestSpeciesAndLayers:
     def test_mobility_is_derived_exactly(self):
-        for spec in default_species().transported:
+        table = DEFAULTS.species()
+        for spec in (table.sodium, table.hydrogen, table.drug):
             assert spec.mobility(CONSTANTS) * CONSTANTS.rt == spec.diffusivity
 
     def test_eliminated_species_must_be_charged(self):
         from depotsim.params import SpeciesTable
         neutral_cl = SpeciesSpec("Cl-", 2.03e-5, 0.0, 1.4e-4)
-        table = default_species()
+        table = DEFAULTS.species()
         with pytest.raises(ConfigurationError):
             SpeciesTable(table.sodium, table.hydrogen, table.drug, neutral_cl)
 
     def test_default_layer_stack(self):
-        layers = default_layers()
+        layers = DEFAULTS.layers()
         assert layers.height == pytest.approx(5.0)
         names = [l.name for l in layers.layers]
         assert names == ["muscle", "adipose", "dermis-epidermis"]
@@ -178,18 +178,18 @@ class TestSpeciesAndLayers:
         assert [l.permeability for l in layers.layers] == [1e-11, 1e-9, 1e-10]
 
     def test_layer_lookup_by_height(self):
-        layers = default_layers()
+        layers = DEFAULTS.layers()
         z = np.array([0.5, 3.4, 4.9])
         assert list(layers.permeability_at(z)) == [1e-11, 1e-9, 1e-10]
         assert list(layers.slv_at(z)) == [0.0, 3.5, 70.0]
 
     def test_layers_reject_overfull_stack(self):
         with pytest.raises(ConfigurationError):
-            default_layers(adipose_cm=4.9)
+            load_config_text("layers.adipose_cm = 4.9")
 
     def test_constants_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            PhysicalConstants(temperature=-1.0)
+            replace(CONSTANTS, temperature=-1.0)
 
 
 class TestPackagedCurves:

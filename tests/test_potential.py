@@ -13,11 +13,12 @@ import pytest
 from depotsim.flow import SolverError
 from depotsim.mesh import build_graded_mesh, integrate
 from depotsim.metrics import domain_average
-from depotsim.params import PhysicalConstants, default_species
+from depotsim.config import default_config
 from depotsim.potential import (_solve_neumann, assemble_potential,
                                 solve_potential)
 
-CONSTANTS = PhysicalConstants()
+DEFAULTS = default_config()
+CONSTANTS = DEFAULTS.constants()
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +35,7 @@ def uniform_fields(mesh, c_na=1.4e-4, c_h=4e-11, c_mab=0.0, z=0.0):
 class TestAssemble:
     def test_uniform_neutral_state(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
-        coeffs = assemble_potential(mesh, default_species(), CONSTANTS, 0.1,
+        coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
                                     c_na, c_h, c_mab, z)
         assert np.allclose(coeffs.div_g, 0.0)
         assert np.allclose(coeffs.rhs, 0.0)
@@ -42,7 +43,7 @@ class TestAssemble:
     def test_conductivity_dominant_term(self, mesh):
         # F n [c_Na (mu_Na + mu_Cl) + c_H (mu_H + mu_Cl)] with
         # mu_Na = 1.33e-5 / (8.314 * 293) = 5.46e-9
-        species = default_species()
+        species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
                                     c_na, c_h, c_mab, z)
@@ -58,7 +59,7 @@ class TestAssemble:
 
     def test_salt_pair_conductivity(self, mesh):
         # single Na/Cl pair: sigma = F n c (mu_Na + mu_Cl) > 0
-        species = default_species()
+        species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_h=0.0)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
                                     c_na, c_h, c_mab, z)
@@ -71,14 +72,14 @@ class TestAssemble:
     def test_lost_positivity_aborts(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_na=0.0, c_h=0.0)
         with pytest.raises(SolverError):
-            assemble_potential(mesh, default_species(), CONSTANTS, 0.1,
+            assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
                                c_na, c_h, c_mab, z)
 
 
 class TestSolve:
     def test_uniform_state_gives_zero_potential(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
-        coeffs = assemble_potential(mesh, default_species(), CONSTANTS, 0.1,
+        coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
                                     c_na, c_h, c_mab, z)
         phi = solve_potential(coeffs, mesh)
         assert np.max(np.abs(phi)) < 1e-12
@@ -86,7 +87,7 @@ class TestSolve:
     def test_gauge_zero_mean(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + 0.5 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4) ** 2)))
-        coeffs = assemble_potential(mesh, default_species(), CONSTANTS, 0.1,
+        coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
                                     c_na, c_h, c_mab, z)
         phi = solve_potential(coeffs, mesh)
         assert abs(domain_average(phi, mesh)) < 1e-12 * np.max(np.abs(phi))
@@ -94,7 +95,7 @@ class TestSolve:
     def test_deterministic(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + np.exp(-((mesh.rr - 1) ** 2 + (mesh.zz - 3) ** 2)))
-        coeffs = assemble_potential(mesh, default_species(), CONSTANTS, 0.1,
+        coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
                                     c_na, c_h, c_mab, z)
         a = solve_potential(coeffs, mesh)
         b = solve_potential(coeffs, mesh)
@@ -104,7 +105,7 @@ class TestSolve:
         # with no reactive source, sigma and G both scale linearly in the
         # concentrations, so Phi is unchanged and the electromigration flux
         # (prop. to c grad Phi) scales by the same factor as c
-        species = default_species()
+        species = DEFAULTS.species()
         base = uniform_fields(mesh)[0] * (
             1.0 + 0.4 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4.2) ** 2) / 0.5))
         shape = (mesh.nz1, mesh.nr1)
@@ -130,7 +131,7 @@ class TestJunctionOracle:
         # Phi must match (RT/F) (D_Na - D_Cl)/(D_Na + D_Cl) ln c up to the
         # gauge constant, so the concentrated side is the positive one.
         mesh = build_graded_mesh(1.0, 5.0, 8, 96, focus=(0, 2.5), grading=1.0)
-        species = default_species()
+        species = DEFAULTS.species()
         c = 1.4e-4 * (1.0 + 2.0 / (1.0 + np.exp((mesh.zz - 2.5) / 0.3)))
         shape = (mesh.nz1, mesh.nr1)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
@@ -152,7 +153,7 @@ class TestJunctionOracle:
         # a localized uptake of positively charged drug acts as a negative
         # volumetric charge source and digs a local potential well
         mesh = build_graded_mesh(5, 5, 40, 40, focus=(0, 2.5), grading=1.0)
-        species = default_species()
+        species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
         c_na = np.full(shape, 1.4e-4)
         c_mab = np.full(shape, 5e-7)

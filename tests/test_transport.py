@@ -5,11 +5,12 @@ import pytest
 
 from depotsim._assembly import diffusion_matrix, upwind_advection_matrix
 from depotsim.mesh import build_graded_mesh, nodal_integral
-from depotsim.params import PhysicalConstants, default_species
+from depotsim.config import default_config
 from depotsim.transport import (TransportStepInputs, advance_species,
                                 migration_face_speeds, tissue_ph)
 
-CONSTANTS = PhysicalConstants()
+DEFAULTS = default_config()
+CONSTANTS = DEFAULTS.constants()
 N = 0.1
 
 
@@ -80,7 +81,7 @@ class TestSpeciesFlux:
 
 class TestAdvanceSpecies:
     def test_uniform_state_is_fixed_point(self, mesh):
-        species = default_species()
+        species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
         c_na = np.full(shape, 1.4e-4)
         c_h = np.full(shape, 4e-11)
@@ -92,7 +93,7 @@ class TestAdvanceSpecies:
 
     def test_source_mass_balance_closed_domain(self, mesh):
         # total sodium gained per step equals the integrated source exactly
-        species = default_species()
+        species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
         rng = np.random.default_rng(3)
         q = np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4.2) ** 2) / 0.05)
@@ -115,7 +116,7 @@ class TestAdvanceSpecies:
         assert diffusion_order() >= 1.9
 
     def test_maximum_principle_pure_diffusion(self, mesh):
-        species = default_species()
+        species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
         rng = np.random.default_rng(11)
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
@@ -131,11 +132,10 @@ class TestAdvanceSpecies:
         # divergence is only the (tiny) vascular exchange; extrema stay
         # bounded up to that compression
         from depotsim.flow import solve_pressure, velocity_from_pressure
-        from depotsim.params import StarlingParams, default_layers
-        species = default_species()
-        layers = default_layers()
+        species = DEFAULTS.species()
+        layers = DEFAULTS.layers()
         shape = (mesh.nz1, mesh.nr1)
-        p = solve_pressure(mesh, layers, StarlingParams(), q_p=0.0)
+        p = solve_pressure(mesh, layers, DEFAULTS.starling(), q_p=0.0)
         kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
         u = velocity_from_pressure(mesh, kappa, p)
         rng = np.random.default_rng(11)
@@ -150,7 +150,7 @@ class TestAdvanceSpecies:
     def test_migration_moves_charged_species_only(self, mesh):
         # fixed potential ramp, no flow: the center of mass of a positive
         # species drifts toward lower potential; a neutral one stays put
-        species = default_species()
+        species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
         phi = 0.05 * (mesh.zz / 5.0)  # decreasing downward
         blob = 1e-7 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 2.5) ** 2) / 0.3)
@@ -174,7 +174,7 @@ class TestAdvanceSpecies:
 
     def test_implicit_sink_and_release_budget(self, mesh):
         # drug mass change = source - lymph - association + release, exactly
-        species = default_species()
+        species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
         rng = np.random.default_rng(5)
         c_mab = np.abs(rng.normal(3e-7, 1e-7, shape))

@@ -9,15 +9,17 @@ subdominant.
 
 import numpy as np
 
+from depotsim.binding import advance_binding
+from depotsim.config import default_config
 from depotsim.flow import PressureSolver
 from depotsim.mesh import build_graded_mesh, integrate, nodal_integral
-from depotsim.params import BindingParams, PhCurve, PhysicalConstants, default_species
+from depotsim.params import BindingParams, PhCurve
 from depotsim.potential import _solve_neumann
-from depotsim.binding import advance_binding
 from depotsim.transport import TransportStepInputs, advance_species
 
 ETA = 1.0e-7
-CONSTANTS = PhysicalConstants()
+DEFAULTS = default_config()
+CONSTANTS = DEFAULTS.constants()
 
 
 def _fit_order(spacings, errors):
@@ -70,7 +72,7 @@ def potential_order(sizes=(16, 24, 36, 54)) -> float:
 
 def diffusion_order(sizes=(24, 32, 48, 64)) -> float:
     """Spatial order of pure-diffusion transport against the heat kernel."""
-    species = default_species()
+    species = DEFAULTS.species()
     d_mab = species.drug.diffusivity
     z0 = 2.5
     t0 = 0.35**2 / (4 * d_mab)
@@ -104,7 +106,7 @@ def diffusion_order(sizes=(24, 32, 48, 64)) -> float:
 def binding_order(step_counts=(8, 16, 32, 64)) -> float:
     """Temporal order of the implicit binding update against the exact ODE."""
     binding = BindingParams(PhCurve([3, 11], [5e4, 5e4]),
-                            PhCurve([3, 11], [2e-4, 2e-4]), b_max=1e-9)
+                            PhCurve([3, 11], [2e-4, 2e-4]), k_e=0.0, b_max=1e-9)
     porosity, c = 0.1, 5e-7
     a = 5e4 * porosity * c
     lam = a + 2e-4
