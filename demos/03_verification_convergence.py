@@ -2,8 +2,10 @@
 
 Manufactured solutions for the pressure and potential solves, the analytic
 spreading Gaussian for pure diffusion, and the exact linear-ODE solution for
-the binding update. The spatial schemes are second order; the implicit time
-integrator is first order.
+the binding exchange. The binding study steps the pipeline's own update
+(`depotsim.binding`: association implicit in the free field on the old
+capacity, release explicit) with the free field held fixed. The spatial
+schemes are second order; the time integrators are first order.
 """
 
 import sys

@@ -5,11 +5,10 @@ with capillary/lymphatic exchange, and pH-dependent matrix binding on a
 graded (r, z) grid, with a coarse-mesh reduced model for multi-hour horizons.
 """
 
-from .binding import advance_binding, binding_sink, exchange_rate
 from .config import SimulationConfig, default_config, load_config, load_config_text
 from .flow import (InjectionProtocol, PressureSolver, SolverError,
                    injection_source, node_speed, solve_pressure,
-                   starling_blood, starling_lymph, velocity_from_pressure)
+                   starling_lymph, velocity_from_pressure)
 from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
                    project_field)
 from .metrics import (MetricSeries, ball_average, domain_average,

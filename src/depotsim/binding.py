@@ -1,13 +1,18 @@
-"""Pointwise kinetics of drug binding to the extracellular matrix.
+"""Matrix binding of the drug: the exchange every step of the pipeline runs.
 
-Bound drug c_B (mol per tissue volume) evolves node-by-node:
+Bound drug c_B (mol per tissue volume) evolves node by node:
 
     dc_B/dt = k_a(pH) n c (B_max - c_B) - k_d(pH) c_B - k_e c_B
 
-The free pool exchanges only the association/dissociation part; elimination
-(k_e) removes bound drug from the system directly and never passes through
-the free equation. Keeping these two couplings consistent is what makes the
-free + bound + eliminated budget close exactly.
+A step linearises the exchange about the old bound field. Association is an
+implicit sink on the new free field c', with its rate sized by the old
+capacity, k_a n (B_max - c_B); release k_d c_B is an explicit source. The free
+solve takes the flux k_a n (B_max - c_B) c' - k_d c_B out of the pore fluid
+and `advance_bound` books the same flux into c_B, so free + bound + eliminated
+closes to round-off at any dt. Elimination (k_e) removes bound drug directly
+and never passes through the free equation. A dt too large for the
+linearisation carries c_B outside [0, B_max]; that step is rejected, never
+clipped, and the stepper retries it with half the dt.
 """
 
 from __future__ import annotations
@@ -15,37 +20,34 @@ from __future__ import annotations
 import numpy as np
 
 from .params import BindingParams
+from .transport import NegativeConcentrationError
 
 
-def binding_sink(c_mab, c_b, k_a, k_d, k_e, porosity, b_max):
-    """Rate at which matrix exchange feeds the free pool (release-positive).
+def exchange_rates(c_b, ph, binding: BindingParams, porosity: float):
+    """(assoc, release) on the old bound field.
 
-    phi_B = k_d c_B - k_a n c (B_max - c_B); positive values mean dissociation
-    is returning drug to the fluid, negative values mean net uptake. The free
-    transport equation adds phi_B; the bound field gains -phi_B - k_e c_B.
+    ``assoc`` = k_a(pH) n (B_max - c_B) is the association rate (1/s) that
+    multiplies the new free field; ``release`` = k_d(pH) c_B (mol/cm^3/s).
     """
-    c_mab = np.asarray(c_mab)
-    c_b = np.asarray(c_b)
-    return k_d * c_b - k_a * porosity * c_mab * (b_max - c_b)
+    assoc = binding.ka_curve(ph) * porosity * (binding.b_max - c_b)
+    release = binding.kd_curve(ph) * c_b
+    return assoc, release
 
 
-def exchange_rate(c_mab, c_b, k_a, k_d, porosity, b_max):
-    """Net association rate s_B = -phi_B (uptake-positive), used as the
-    free-equation sink and as the charge source of the potential equation."""
-    return -binding_sink(c_mab, c_b, k_a, k_d, 0.0, porosity, b_max)
+def advance_bound(c_b, c_mab_new, assoc, release, dt: float,
+                  binding: BindingParams):
+    """Bound field after one step that took ``assoc * c_mab_new - release``
+    out of the free pool.
 
-
-def advance_binding(c_b, c_mab, ph, dt: float, binding: BindingParams,
-                    porosity: float):
-    """One backward-Euler step of the binding ODE with c frozen.
-
-    The update has a closed form; for non-negative inputs it already lies in
-    [0, B_max], so the clamp only guards round-off.
+    Raises `NegativeConcentrationError` if any node leaves [0, B_max] by more
+    than 1e-12 B_max.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    k_a, k_d = binding.ka_curve(ph), binding.kd_curve(ph)
-    a = k_a * porosity * np.asarray(c_mab)
-    new = ((np.asarray(c_b) + dt * a * binding.b_max)
-           / (1.0 + dt * (a + k_d + binding.k_e)))
-    return np.clip(new, 0.0, binding.b_max)
+    exchange = assoc * c_mab_new - release  # mol/cm^3/s into the matrix
+    new = c_b + dt * (exchange - binding.k_e * c_b)
+    tol = 1e-12 * binding.b_max
+    low, high = float(np.min(new)), float(np.max(new))
+    if low < -tol or high - binding.b_max > tol:
+        raise NegativeConcentrationError(
+            f"bound field left [0, B_max = {binding.b_max:.3e}]: "
+            f"min {low:.3e}, max {high:.3e} at dt={dt:g}")
+    return new

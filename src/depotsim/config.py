@@ -2,8 +2,9 @@
 
 An empty file is a complete, runnable default scenario. Unknown keys are
 errors (no silent typo acceptance); every physical value re-validates through
-the parameter types it feeds. `scenario.bmi` presets apply before explicit
-keys, so explicit keys always win.
+the parameter types it feeds. A `scenario.bmi` preset applies before the
+keys given with it, in config text and in `SimulationConfig.with_values`
+alike, so those keys always win.
 
 `SCHEMA` holds the only default of every parameter: the parameter types have
 no field defaults, and every parameter object is built by a
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import params as pr
-from .flow import WATER_VISCOSITY, InjectionProtocol
+from .flow import InjectionProtocol
 from .mesh import AxiMesh, build_graded_mesh
 from .params import ConfigurationError, PhCurve, PhysicalConstants
 
@@ -67,7 +68,7 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "constants.faraday": (float, 96485.0),
     "constants.gas_constant": (float, 8.314),
     "constants.temperature_k": (float, 293.0),
-    "flow.viscosity": (float, WATER_VISCOSITY),
+    "flow.viscosity": (float, 1.0e-7),  # N*s/cm^2, water
     "starling.l_pb": (float, 1.0e-6),
     "starling.l_pl": (float, 6.0e-5),
     "starling.sbv_per_cm": (float, 70.0),
@@ -124,14 +125,18 @@ def parse_config_text(text: str) -> dict:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
         explicit[key] = _parse_value(key, raw, lineno)
 
-    values = {k: default for k, (_, default) in SCHEMA.items()}
-    bmi = str(explicit.get("scenario.bmi", "")).lower()
-    if bmi:
-        if bmi not in _BMI_PRESETS:
-            raise ConfigurationError(f"scenario.bmi must be 'high' or 'low', got {bmi!r}")
-        values.update(_BMI_PRESETS[bmi])
-    values.update(explicit)
-    return values
+    return _updated({k: default for k, (_, default) in SCHEMA.items()}, explicit)
+
+
+def _updated(values: dict, updates: dict) -> dict:
+    """A copy of ``values`` with the preset of an updated `scenario.bmi`
+    applied first and then ``updates``, so updated keys win over the preset."""
+    out = dict(values)
+    if "scenario.bmi" in updates:
+        updates = {**updates, "scenario.bmi": str(updates["scenario.bmi"]).lower()}
+        out.update(_BMI_PRESETS.get(updates["scenario.bmi"], {}))
+    out.update(updates)
+    return out
 
 
 @dataclass
@@ -148,12 +153,13 @@ class SimulationConfig:
         return self.values[key]
 
     def with_values(self, updates: dict) -> "SimulationConfig":
-        vals = dict(self.values)
-        for key, v in updates.items():
+        """A validated copy with ``updates`` applied as config text applies
+        them: a changed `scenario.bmi` brings its preset."""
+        for key in updates:
             if key not in SCHEMA:
                 raise ConfigurationError(f"unknown key {key!r}")
-            vals[key] = SCHEMA[key][0](v)
-        return SimulationConfig(vals)
+        return SimulationConfig(_updated(
+            self.values, {k: SCHEMA[k][0](v) for k, v in updates.items()}))
 
     # -- validation --------------------------------------------------------
     def validate(self):
@@ -180,6 +186,9 @@ class SimulationConfig:
                     raise ConfigurationError(f"{key} must be >= 0, got {v[key]}")
             elif x <= 0:
                 raise ConfigurationError(f"{key} must be > 0, got {v[key]}")
+        if v["scenario.bmi"] not in ("", *_BMI_PRESETS):
+            raise ConfigurationError(
+                f"scenario.bmi must be 'high' or 'low', got {v['scenario.bmi']!r}")
         if v["formulation.drug"] not in _DRUG_PRESETS and not v["curves.charge_csv"]:
             raise ConfigurationError(
                 f"formulation.drug must be one of {_DRUG_PRESETS} "

@@ -21,9 +21,6 @@ from . import _assembly as fv
 from .mesh import AxiMesh, integrate
 from .params import ConfigurationError, StarlingParams, TissueLayers
 
-WATER_VISCOSITY = 1.0e-7  # N*s/cm^2
-
-
 class SolverError(RuntimeError):
     """A linear solve failed or produced an unusable field."""
 
@@ -88,12 +85,6 @@ def injection_source(mesh: AxiMesh, protocol: InjectionProtocol, t: float) -> np
     return shape * (q_total / total)
 
 
-def starling_blood(p, params: StarlingParams, porosity: float):
-    """Blood filtration rate J_b = n L_pb (S_b/V) (p_b - p - sigma_r (pi_b - pi_i))."""
-    drive = params.p_b - np.asarray(p) - params.sigma_r * (params.pi_b - params.pi_i)
-    return porosity * params.l_pb * params.sbv * drive
-
-
 def starling_lymph(p, params: StarlingParams, porosity: float, slv):
     """Lymphatic drainage rate J_l = n L_pl (S_l/V) (p - p_l); zero where S_l/V = 0."""
     return porosity * params.l_pl * np.asarray(slv) * (np.asarray(p) - params.p_l)
@@ -101,7 +92,11 @@ def starling_lymph(p, params: StarlingParams, porosity: float, slv):
 
 def exchange_coefficients(mesh: AxiMesh, layers: TissueLayers,
                           params: StarlingParams):
-    """Split J_b - J_l into `const - reaction * p` on the nodes."""
+    """Split J_b - J_l into `const - reaction * p` on the nodes.
+
+    Blood filtration is J_b = n L_pb (S_b/V) (p_b - p - sigma_r (pi_b - pi_i))
+    and lymphatic drainage J_l = n L_pl (S_l/V) (p - p_l).
+    """
     n = layers.porosity
     blood = n * params.l_pb * params.sbv
     lymph = n * params.l_pl * layers.slv_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
@@ -118,8 +113,7 @@ class PressureSolver:
     zeros gives the plain Darcy operator (used by the verification tests).
     """
 
-    def __init__(self, mesh: AxiMesh, kappa_nodes: np.ndarray,
-                 viscosity: float = WATER_VISCOSITY,
+    def __init__(self, mesh: AxiMesh, kappa_nodes: np.ndarray, viscosity: float,
                  reaction: np.ndarray | float = 0.0,
                  const: np.ndarray | float = 0.0):
         self.mesh = mesh
@@ -157,8 +151,7 @@ class PressureSolver:
 
 
 def solve_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParams,
-                   q_p: np.ndarray | float = 0.0,
-                   viscosity: float = WATER_VISCOSITY) -> np.ndarray:
+                   q_p: np.ndarray | float, viscosity: float) -> np.ndarray:
     """One-shot pressure solve with layered permeability and vascular exchange."""
     kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
     reaction, const = exchange_coefficients(mesh, layers, starling)
@@ -166,7 +159,7 @@ def solve_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParams
 
 
 def velocity_from_pressure(mesh: AxiMesh, kappa_nodes: np.ndarray, p: np.ndarray,
-                           viscosity: float = WATER_VISCOSITY):
+                           viscosity: float):
     """Face-normal Darcy velocities u = -(kappa/eta) grad p.
 
     Permeability is harmonically averaged across faces, which keeps the

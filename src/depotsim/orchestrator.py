@@ -2,8 +2,10 @@
 
 Each step runs the substeps in a fixed order: (1) pressure + velocity and
 potential (with concentrations lagged), (2) implicit species transport,
-(3) pH update, rate refresh, binding ODE, (4) chloride recovery and ledger
-update. Failed steps retry with halved dt up to five times.
+(3) binding exchange (`binding.py`), (4) pH update, chloride recovery and
+ledger update. A step whose species overshoot below zero, or whose bound
+field leaves [0, B_max], is rejected and retried with halved dt up to five
+times.
 
 After the injection phase the problem is reduced: fields are projected onto
 a coarse uniform mesh (with an exact drug-mass rescale), convection and
@@ -20,12 +22,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _assembly as fv
+from . import binding as bd
 from . import flow as fl
 from . import metrics as mt
 from . import transport as tr
 from .config import SimulationConfig
 from .flow import SolverError
-from .mesh import AxiMesh, FieldState, project_field
+from .mesh import AxiMesh, FieldState, nodal_integral, project_field
 from .params import recover_chloride
 from .potential import assemble_potential, solve_potential
 
@@ -59,6 +62,11 @@ class DoseLedger:
             return 0.0
         accounted = self.free + self.bound + self.absorbed_lymph + self.eliminated
         return (self.injected - accounted) / self.injected
+
+    def count_stock(self, state: FieldState, porosity: float):
+        """Set the free and bound totals from the fields of ``state``."""
+        self.free = porosity * nodal_integral(state.c_mab, state.mesh)
+        self.bound = nodal_integral(state.c_b, state.mesh)
 
 
 @dataclass
@@ -143,13 +151,8 @@ class StaggeredStepper:
         # lagged fields for the staggered substeps
         ph_old = tr.tissue_ph(state.c_h)
         z_old = self.charge_curve(ph_old)
-        ka, kd = self.binding.ka_curve(ph_old), self.binding.kd_curve(ph_old)
-        # one-sided linearization of the matrix exchange: association is an
-        # implicit sink on the new free field, release an explicit source;
-        # the bound update below reuses the identical flux, so the free+bound
-        # budget closes to round-off at any dt
-        assoc = ka * self.porosity * (self.binding.b_max - state.c_b)
-        release = kd * state.c_b
+        assoc, release = bd.exchange_rates(state.c_b, ph_old, self.binding,
+                                           self.porosity)
         s_b_estimate = assoc * state.c_mab - release  # charge source estimate
 
         coeffs = assemble_potential(mesh, self.species, self.constants,
@@ -165,19 +168,13 @@ class StaggeredStepper:
             mesh, state.c_na, state.c_h, state.c_mab, z_old,
             self.species, self.constants, inputs, self._species_solvers)
 
-        exchange = assoc * c_mab - release  # mol/cm^3/s into the matrix
-        c_b = state.c_b + dt * (exchange - self.binding.k_e * state.c_b)
-        overshoot = float(np.max(c_b, initial=0.0)) - self.binding.b_max
-        if overshoot > 1e-12 * self.binding.b_max:
-            logger.warning("bound field clamped %.2e above capacity; "
-                           "association rate too fast for dt=%g", overshoot, dt)
-        np.clip(c_b, 0.0, self.binding.b_max, out=c_b)
+        c_b = bd.advance_bound(state.c_b, c_mab, assoc, release, dt,
+                               self.binding)
 
-        v = mesh.node_volumes
         increments = {
-            "injected": dt * float(np.sum(q_p * v)) * self.c_max["mab"],
-            "absorbed": dt * float(np.sum(np.asarray(j_l) * c_mab * v)),
-            "eliminated": dt * self.binding.k_e * float(np.sum(state.c_b * v)),
+            "injected": dt * nodal_integral(q_p, mesh) * self.c_max["mab"],
+            "absorbed": dt * nodal_integral(j_l * c_mab, mesh),
+            "eliminated": dt * self.binding.k_e * nodal_integral(state.c_b, mesh),
         }
         return {
             "t": t_new, "p": p, "u_r": u_r, "u_z": u_z, "phi": phi,
@@ -218,12 +215,10 @@ class StaggeredStepper:
         state.z_mab = z_new
         state.j_l = fields["j_l"]
 
-        v = self.mesh.node_volumes
         ledger.injected += inc["injected"]
         ledger.absorbed_lymph += inc["absorbed"]
         ledger.eliminated += inc["eliminated"]
-        ledger.free = self.porosity * float(np.sum(state.c_mab * v))
-        ledger.bound = float(np.sum(state.c_b * v))
+        ledger.count_stock(state, self.porosity)
         return dt_eff
 
 
@@ -369,16 +364,15 @@ class Simulation:
         rho_before = mt.domain_average(
             mt.net_charge_density(short_state.c_mab, short_state.z_mab), fine)
 
+        # bilinear weights lie in [0, 1]: non-negative fields stay non-negative
         fields = {}
         for name in ("c_na", "c_h", "c_mab", "c_b"):
             fields[name], _ = project_field(fine, getattr(short_state, name), coarse)
-            np.clip(fields[name], 0.0, None, out=fields[name])
 
-        v_f, v_c = fine.node_volumes, coarse.node_volumes
-        drug_fine = (porosity * float(np.sum(short_state.c_mab * v_f))
-                     + float(np.sum(short_state.c_b * v_f)))
-        drug_coarse = (porosity * float(np.sum(fields["c_mab"] * v_c))
-                       + float(np.sum(fields["c_b"] * v_c)))
+        drug_fine = (porosity * nodal_integral(short_state.c_mab, fine)
+                     + nodal_integral(short_state.c_b, fine))
+        drug_coarse = (porosity * nodal_integral(fields["c_mab"], coarse)
+                       + nodal_integral(fields["c_b"], coarse))
         change = (drug_coarse - drug_fine) / drug_fine if drug_fine > 0 else 0.0
         if abs(change) > 0.05:
             logger.warning("projection changed drug mass by %.2f%% before rescale",
@@ -443,11 +437,7 @@ class Simulation:
         short_state = short.state
         reduced = self.reduce_to_long_term(short_state)
         # the rescale keeps the ledger's free+bound totals exact across meshes
-        ledger.free = (self.config.layers().porosity
-                       * float(np.sum(reduced.state.c_mab
-                                      * reduced.state.mesh.node_volumes)))
-        ledger.bound = float(np.sum(reduced.state.c_b
-                                    * reduced.state.mesh.node_volumes))
+        ledger.count_stock(reduced.state, self.config.layers().porosity)
         long = self.run_long_term(reduced, series, ledger, closure)
 
         return PipelineResult(

@@ -48,8 +48,8 @@ def _worker_count() -> int:
         return 1
 
 
-def _run_one(config_values: dict, outdir: str):
-    config = SimulationConfig(dict(config_values))
+def _run_one(base: SimulationConfig, key: str, value, outdir: str):
+    config = base.with_values({key: value})
     result = Simulation(config).run_pipeline()
     write_run_outputs(result, outdir)
     at = result.series.at_time(SUMMARY_TIME_H * 3600.0)
@@ -70,28 +70,24 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
     outdir.mkdir(parents=True, exist_ok=True)
     key = AXES[axis]
 
-    jobs = []
-    for value in values:
-        sub = outdir / f"{axis}_{value}"
-        values_dict = dict(base.values)
-        values_dict[key] = value  # validated inside the run itself
-        jobs.append((value, values_dict, sub))
-
-    entries = [SweepEntry(value=v, outdir=sub, ok=False) for v, _, sub in jobs]
+    # each case is built and validated inside its run, so a bad value fails
+    # only its own entry
+    entries = [SweepEntry(value=v, outdir=outdir / f"{axis}_{v}", ok=False)
+               for v in values]
     workers = _worker_count()
     if workers == 1:
-        for entry, (_, vals, sub) in zip(entries, jobs):
+        for entry in entries:
             try:
                 entry.free_pct, entry.bound_pct, entry.absorbed_pct = _run_one(
-                    vals, str(sub))
+                    base, key, entry.value, str(entry.outdir))
                 entry.ok = True
             except Exception as exc:  # keep sweeping past individual failures
                 entry.error = str(exc)
                 logger.error("sweep value %r failed: %s", entry.value, exc)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, vals, str(sub))
-                       for _, vals, sub in jobs]
+            futures = [pool.submit(_run_one, base, key, e.value, str(e.outdir))
+                       for e in entries]
             for entry, fut in zip(entries, futures):
                 try:
                     entry.free_pct, entry.bound_pct, entry.absorbed_pct = fut.result()

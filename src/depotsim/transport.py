@@ -30,19 +30,16 @@ H_FLOOR = 1.0e-16  # mol/cm^3
 
 
 class NegativeConcentrationError(SolverError):
-    """Implicit step overshot below the rejection threshold; caller may retry."""
+    """A step left a field outside its bounds beyond round-off; the stepper
+    retries it with half the dt."""
 
 
 @dataclass
 class TransportStepInputs:
     """Frozen per-step context shared by the three species solves.
 
-    The matrix exchange of the drug is split for the implicit solve:
-    ``binding_assoc`` (1/s) is the linearized association sink coefficient
-    k_a n (B_max - c_B), applied implicitly; ``binding_release`` (mol/cm^3/s)
-    is the explicit dissociation source k_d c_B. Keeping association implicit
-    preserves positivity at any dt; the bound-field update reuses the same
-    exchange flux, which closes the drug budget exactly.
+    ``binding_assoc`` and ``binding_release`` are the drug's matrix exchange
+    as `binding.exchange_rates` returns it.
     """
 
     dt: float

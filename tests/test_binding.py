@@ -1,12 +1,13 @@
-"""Matrix-binding kinetics: sink convention, implicit update, exact ODE."""
+"""Matrix-binding exchange as the stepper runs it: rates, bound update, order."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depotsim.binding import advance_binding, binding_sink, exchange_rate
+from depotsim.binding import advance_bound, exchange_rates
 from depotsim.params import BindingParams, PhCurve
+from depotsim.transport import NegativeConcentrationError
 
 N = 0.1
 B_MAX = 1e-9
@@ -17,15 +18,26 @@ def flat_binding(ka=5e4, kd=1e-4, k_e=0.0):
                          PhCurve([3, 11], [kd, kd]), k_e=k_e, b_max=B_MAX)
 
 
+def uptake(c, cb, binding, ph=7.0):
+    """Free-side uptake assoc c - release, mol/cm^3/s into the matrix."""
+    assoc, release = exchange_rates(cb, ph, binding, N)
+    return assoc * c - release
+
+
+def step(cb, c, dt, binding, ph=7.0):
+    assoc, release = exchange_rates(cb, ph, binding, N)
+    return advance_bound(cb, c, assoc, release, dt, binding)
+
+
 class TestBindingSink:
     def test_empty_system_is_silent(self):
-        assert binding_sink(0.0, 0.0, 5e4, 1e-4, 0.0, N, B_MAX) == 0.0
+        assert uptake(0.0, 0.0, flat_binding()) == 0.0
 
     def test_saturated_matrix_without_release(self):
-        assert binding_sink(1e-7, B_MAX, 5e4, 0.0, 0.0, N, B_MAX) == 0.0
+        assert uptake(1e-7, B_MAX, flat_binding(kd=0.0)) == 0.0
 
     def test_pure_release_feeds_free_pool(self):
-        phi = binding_sink(0.0, 5e-10, 5e4, 1e-4, 0.0, N, B_MAX)
+        phi = -uptake(0.0, 5e-10, flat_binding())
         assert phi == pytest.approx(1e-4 * 5e-10)
         assert phi > 0
 
@@ -33,33 +45,39 @@ class TestBindingSink:
     @given(st.floats(0, 1e-6), st.floats(0, B_MAX), st.floats(0, 1e5),
            st.floats(0, 1e-3), st.floats(0, 1e-5))
     def test_pairs_with_bound_update_for_any_ke(self, c, cb, ka, kd, ke):
-        # d(bound)/dt = -phi_B - k_e c_B must hold identically
-        phi = binding_sink(c, cb, ka, kd, ke, N, B_MAX)
-        dcb_dt = ka * N * c * (B_MAX - cb) - kd * cb - ke * cb
-        assert dcb_dt == pytest.approx(-phi - ke * cb, rel=1e-12, abs=1e-30)
+        # what the bound field gains plus what elimination removes is
+        # exactly what the free side gave up, assoc c - release
+        binding = BindingParams(PhCurve([3, 11], [ka, ka]),
+                                PhCurve([3, 11], [kd, kd]), k_e=ke, b_max=B_MAX)
+        dt = 10.0  # small enough that no drawn case leaves [0, B_max]
+        gained = step(cb, c, dt, binding) - cb
+        eliminated = dt * ke * cb
+        assert gained + eliminated == pytest.approx(
+            dt * uptake(c, cb, binding), rel=1e-12, abs=1e-15 * B_MAX)
 
     def test_exchange_rate_is_negated_sink(self):
+        # the uptake is minus the release-positive feed of the rate law,
+        # phi_B = k_d c_B - k_a n c (B_max - c_B)
         c, cb = 3e-7, 4e-10
-        assert exchange_rate(c, cb, 5e4, 1e-4, N, B_MAX) == pytest.approx(
-            -binding_sink(c, cb, 5e4, 1e-4, 0.0, N, B_MAX))
+        phi_b = 1e-4 * cb - 5e4 * N * c * (B_MAX - cb)
+        assert uptake(c, cb, flat_binding()) == pytest.approx(-phi_b, rel=1e-12)
 
 
 class TestAdvanceBinding:
     def test_implicit_decay_with_no_free_drug(self):
+        # release is explicit: one step multiplies c_B by (1 - k_d dt)
         binding = flat_binding(ka=0.0, kd=1e-4)
         cb0 = 5e-10
         dt = 100.0
-        cb1 = advance_binding(cb0, 0.0, 7.0, dt, binding, N)
-        assert cb1 == pytest.approx(cb0 / (1 + 1e-4 * dt))
+        cb1 = step(cb0, 0.0, dt, binding)
+        assert cb1 == pytest.approx(cb0 * (1 - 1e-4 * dt))
 
     def test_large_dt_reaches_equilibrium(self):
-        # c_B* = B_max * k_a n c / (k_a n c + k_d) with k_e = 0
+        # a step far past the exchange time overshoots B_max and is
+        # rejected for the stepper to retry with half the dt
         binding = flat_binding(ka=5e4, kd=1e-4)
-        c = 3e-7
-        a = 5e4 * N * c
-        expected = B_MAX * a / (a + 1e-4)
-        cb = advance_binding(0.0, c, 7.0, 1e9, binding, N)
-        assert cb == pytest.approx(expected, rel=1e-6)
+        with pytest.raises(NegativeConcentrationError, match="B_max"):
+            step(0.0, 3e-7, 1e9, binding)
 
     def test_temporal_order_against_exact_solution(self):
         # dc_B/dt = a (B - c_B) - d c_B has the exact solution
@@ -78,7 +96,7 @@ class TestAdvanceBinding:
             dt = t_end / n_steps
             cb = 0.0
             for _ in range(n_steps):
-                cb = advance_binding(cb, c, 7.0, dt, binding, N)
+                cb = step(cb, c, dt, binding)
             errors.append(abs(float(cb) - exact))
             dts.append(dt)
         order = np.polyfit(np.log(dts), np.log(errors), 1)[0]
@@ -89,12 +107,17 @@ class TestAdvanceBinding:
     @given(st.floats(0, B_MAX), st.floats(0, 1e-6), st.floats(1e-3, 1e5),
            st.floats(4.0, 10.0))
     def test_clamp_never_needed_for_valid_inputs(self, cb0, c, dt, ph):
+        # the update is returned as computed, inside [0, B_max] up to
+        # round-off, or the step is rejected; it is never clamped
         binding = flat_binding()
-        a = 5e4 * N * c
-        raw = (cb0 + dt * a * B_MAX) / (1.0 + dt * (a + 1e-4))
-        assert -1e-25 <= raw <= B_MAX * (1 + 1e-12)
-        out = advance_binding(cb0, c, ph, dt, binding, N)
-        assert 0.0 <= float(out) <= B_MAX
+        assoc, release = exchange_rates(cb0, ph, binding, N)
+        raw = cb0 + dt * (assoc * c - release)
+        inside = -1e-12 * B_MAX <= raw and raw - B_MAX <= 1e-12 * B_MAX
+        if not inside:
+            with pytest.raises(NegativeConcentrationError):
+                advance_bound(cb0, c, assoc, release, dt, binding)
+            return
+        assert advance_bound(cb0, c, assoc, release, dt, binding) == raw
 
     def test_monotone_response_to_ph_on_decreasing_ka(self):
         # along a k_a-decreasing curve, raising pH never increases the
@@ -103,10 +126,7 @@ class TestAdvanceBinding:
                                 PhCurve([5, 9], [1e-4, 1e-4]), k_e=0.0,
                                 b_max=B_MAX)
         c, dt = 3e-7, 10.0
-        increments = [float(advance_binding(0.0, c, ph, dt, binding, N))
+        increments = [float(step(0.0, c, dt, binding, ph=ph))
                       for ph in np.linspace(5, 9, 9)]
         assert all(a >= b - 1e-30 for a, b in zip(increments, increments[1:]))
 
-    def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValueError):
-            advance_binding(0.0, 0.0, 7.0, 0.0, flat_binding(), N)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from depotsim.cli import main
-from depotsim.config import load_config_text
+from depotsim.config import load_config, load_config_text
 from depotsim.io import read_snapshot, read_timeseries
 from depotsim.sweep import run_sweep
 
@@ -163,3 +163,13 @@ class TestSweep:
         assert rc == 0
         text = (tmp_path / "sweep_summary.csv").read_text()
         assert "high" in text and "low" in text
+
+    def test_bmi_sweep_runs_each_preset_tissue(self, tmp_path):
+        entries = run_sweep(load_config_text(TINY), "bmi", ["high", "low"],
+                            tmp_path)
+        assert all(e.ok for e in entries)
+        adipose = {e.value: load_config(e.outdir / "config.cfg")["layers.adipose_cm"]
+                   for e in entries}
+        assert adipose == {"high": 1.5, "low": 0.6}
+        rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert rows[0].split(",")[1:] != rows[1].split(",")[1:]

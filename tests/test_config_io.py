@@ -89,6 +89,12 @@ class TestConfigParsing:
         # the stack keeps the domain height by growing the muscle layer
         assert low.layers().height == pytest.approx(5.0)
 
+    def test_with_values_applies_and_checks_the_bmi_preset(self):
+        low = default_config().with_values({"scenario.bmi": "low"})
+        assert (low["layers.adipose_cm"], low["protocol.depth_cm"]) == (0.6, 0.5)
+        with pytest.raises(ConfigurationError):
+            default_config().with_values({"scenario.bmi": "medium"})
+
     def test_explicit_key_overrides_preset(self):
         config = load_config_text("scenario.bmi = low\nprotocol.depth_cm = 0.7\n")
         assert config["protocol.depth_cm"] == 0.7

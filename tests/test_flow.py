@@ -7,14 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from depotsim.config import default_config
-from depotsim.flow import (PressureSolver, injection_source, node_speed,
-                           solve_pressure, starling_blood, starling_lymph,
-                           velocity_from_pressure)
+from depotsim.flow import (PressureSolver, exchange_coefficients,
+                           injection_source, node_speed, solve_pressure,
+                           starling_lymph, velocity_from_pressure)
 from depotsim.mesh import build_graded_mesh, integrate
-from depotsim.params import ConfigurationError
+from depotsim.params import ConfigurationError, TissueLayer, TissueLayers
 
-ETA = 1.0e-7  # water viscosity, N*s/cm^2
 DEFAULTS = default_config()
+ETA = DEFAULTS["flow.viscosity"]
 PROTOCOL = DEFAULTS.protocol()
 STARLING = DEFAULTS.starling()
 
@@ -70,21 +70,33 @@ class TestInjectionSource:
             injection_source(mesh, replace(PROTOCOL, depth=7.0), t=1.0)
 
 
+def uniform_tissue(height, slv):
+    return TissueLayers((TissueLayer("tissue", height, 1e-9, slv),), porosity=0.1)
+
+
+def blood_rate(p, params, mesh):
+    """J_b at pressure p as the pressure solve books it: `exchange_coefficients`'
+    const - reaction * p on tissue without lymphatics."""
+    reaction, const = exchange_coefficients(mesh, uniform_tissue(mesh.height, 0.0),
+                                            params)
+    return const - reaction * p
+
+
 class TestStarling:
-    def test_blood_at_zero_pressure(self):
+    def test_blood_at_zero_pressure(self, mesh):
         # 0.1 * 1e-6 * 70 * (0.35 - 0.3 * 0.20) = 2.03e-6
-        jb = starling_blood(0.0, STARLING, porosity=0.1)
+        jb = blood_rate(0.0, STARLING, mesh)
         assert jb == pytest.approx(2.03e-6)
 
-    def test_blood_zero_crossing(self):
+    def test_blood_zero_crossing(self, mesh):
         params = STARLING
         p_star = params.p_b - params.sigma_r * (params.pi_b - params.pi_i)
         assert p_star == pytest.approx(0.29)
-        assert starling_blood(p_star, params, 0.1) == pytest.approx(0.0, abs=1e-20)
+        assert blood_rate(p_star, params, mesh) == pytest.approx(0.0, abs=1e-20)
 
-    def test_blood_linearity_in_conductivity(self):
+    def test_blood_linearity_in_conductivity(self, mesh):
         doubled = replace(STARLING, l_pb=2e-6)
-        assert starling_blood(0.0, doubled, 0.1) == pytest.approx(2 * 2.03e-6)
+        assert blood_rate(0.0, doubled, mesh) == pytest.approx(2 * 2.03e-6)
 
     def test_lymph_zero_at_lymph_pressure(self):
         assert starling_lymph(0.0, STARLING, 0.1, slv=70.0) == 0.0
@@ -112,11 +124,8 @@ class TestSolvePressure:
         # The healing length sqrt((kappa/eta)/a) is ~4.8 cm, so the domain
         # must dwarf it for the pointwise balance to show.
         mesh = build_graded_mesh(60, 60, 48, 48, focus=(0, 30), grading=1.0)
-        n, params = 0.1, STARLING
-        blood = n * params.l_pb * params.sbv
-        lymph = n * params.l_pl * 70.0
-        reaction = blood + lymph
-        const = blood * (params.p_b - params.sigma_r * (params.pi_b - params.pi_i))
+        reaction, const = exchange_coefficients(mesh, uniform_tissue(60.0, 70.0),
+                                                STARLING)
         solver = PressureSolver(mesh, 1e-9, ETA, reaction=reaction, const=const)
         p = solver.solve(0.0)
         p_star = 7e-6 * 0.29 / (4.2e-4 + 7e-6)

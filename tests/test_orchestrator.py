@@ -284,6 +284,20 @@ class TestLongTerm:
         long_mask = t > 6.0
         assert free[long_mask][-1] < free[long_mask][0]
 
+    def test_hour_long_steps_retry_instead_of_clamping(self, tiny_sim, caplog):
+        # an hour-long step carries c_B past B_max; the step is rejected and
+        # retried with half the dt, never clamped, so the budget still closes
+        config = tiny_sim.config.with_values({
+            "phases.long_horizon_h": 6.0, "phases.long_dt_min_s": 3600.0,
+            "phases.long_dt_max_s": 3600.0})
+        with caplog.at_level("WARNING", logger="depotsim"):
+            result = Simulation(config).run_pipeline()
+        messages = [r.getMessage() for r in caplog.records]
+        assert result.max_closure_residual <= 1e-12
+        assert result.retries > 0
+        assert sum("rejected" in m for m in messages) == result.retries
+        assert not any("clamped" in m for m in messages)
+
 
 class TestDeterminism:
     def test_bit_identical_trajectories(self):

@@ -135,9 +135,10 @@ class TestAdvanceSpecies:
         species = DEFAULTS.species()
         layers = DEFAULTS.layers()
         shape = (mesh.nz1, mesh.nr1)
-        p = solve_pressure(mesh, layers, DEFAULTS.starling(), q_p=0.0)
+        eta = DEFAULTS["flow.viscosity"]
+        p = solve_pressure(mesh, layers, DEFAULTS.starling(), 0.0, eta)
         kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
-        u = velocity_from_pressure(mesh, kappa, p)
+        u = velocity_from_pressure(mesh, kappa, p, eta)
         rng = np.random.default_rng(11)
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
@@ -192,6 +193,12 @@ class TestAdvanceSpecies:
         expected = dt * (nodal_integral(release, mesh)
                          - nodal_integral((j_l + assoc) * new, mesh))
         assert gained == pytest.approx(expected, rel=1e-10)
+
+
+class TestTransportStepInputs:
+    def test_rejects_nonpositive_dt(self, mesh):
+        with pytest.raises(ValueError):
+            make_inputs(mesh, dt=0.0)
 
 
 class TestTissuePh:
