@@ -1,16 +1,19 @@
 """Sparse finite-volume operators on the dual cells of an AxiMesh.
 
-All matrices act on flattened nodal vectors (C order, node k = j*nr1 + i).
-Sign convention: ``diffusion_matrix(coef) @ x`` is the discrete form of
-``-div(coef * grad x)`` integrated over each dual cell, so elliptic problems
-read ``A x = V * source``.
+All operators act on flattened nodal vectors (C order, node k = j*nr1 + i).
+Sign convention: ``diffusion_matrix(coef)`` applied to x is the discrete
+form of ``-div(coef * grad x)`` integrated over each dual cell, so elliptic
+problems read ``A x = V * source``.
 
 This is the only module that knows the sparse layout. Every operator on a
 mesh lives on one 5-point CSR pattern (each node coupled to itself and its
 r and z neighbours), built once per mesh and cached on it by `csr_pattern`.
-Operators on one mesh therefore add by their ``data`` arrays, and Dirichlet
-rows are imposed in place by `pin_rows`. The pattern's ``indptr`` and
-``indices`` are read-only and shared by every matrix built on the mesh.
+An operator is plain data on that pattern, an `Operator`: the pattern and
+one ``data`` array. Operators on one mesh therefore add by their ``data``
+arrays, and Dirichlet rows are imposed in place by `pin_rows`. The
+pattern's ``indptr`` and ``indices`` are read-only and shared by every
+operator built on the mesh. A scipy matrix is built only where SuperLU,
+``spilu`` or a matrix-vector product needs one.
 
 `factorize` picks one of two LU layouts per mesh from its half-bandwidth.
 Node k couples to k ± 1 and k ± nr1, so every operator on the pattern lies
@@ -97,6 +100,29 @@ def csr_pattern(mesh: AxiMesh) -> CsrPattern:
         arr.flags.writeable = False
     mesh._csr_pattern = pattern
     return pattern
+
+
+@dataclass(slots=True)
+class Operator:
+    """A sparse operator as plain data: its mesh's `CsrPattern` and the ``data``
+    array of its entries in that pattern's CSR order."""
+
+    pattern: CsrPattern
+    data: np.ndarray
+
+    @property
+    def indptr(self) -> np.ndarray:
+        return self.pattern.indptr
+
+    @property
+    def indices(self) -> np.ndarray:
+        return self.pattern.indices
+
+
+def _csr(a: Operator) -> sp.csr_matrix:
+    """The operator as a scipy CSR matrix, for SuperLU's first order and matvecs."""
+    n = a.pattern.indptr.size - 1
+    return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
@@ -241,31 +267,35 @@ class BandLU:
         return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
 
 
-def factorize(mesh: AxiMesh, a: sp.csr_matrix):
+def factorize(mesh: AxiMesh, a: Operator):
     """LU of an operator on the mesh pattern, in the layout the mesh's width picks.
 
-    On a mesh at most `_BAND_MAX_WIDTH` nodes wide, the operator's ``data``
-    is scattered into LAPACK band storage through the mesh's cached
+    Only ``a.data`` is read. On a mesh at most `_BAND_MAX_WIDTH` nodes wide,
+    it is scattered into LAPACK band storage through the mesh's cached
     `BandLayout` and factored in place by ``dgbtrf``, with partial pivoting.
     No scipy matrix is built, and the solve is ``dgbtrs``.
 
-    On a wider mesh, the first factorization uses SuperLU's AT+A
-    minimum-degree order, which roughly halves the factorization cost against
-    the default column order on tensor-product grids, and caches that order
-    on the mesh. Later factorizations factor ``P A Pᵀ`` with ``NATURAL``: the
-    order is already applied, so SuperLU skips recomputing it, and the
-    pivoting rule is unchanged, so the fill is the same. ``relax=1,
-    panel_size=1`` because SuperLU's defaults are tuned for large matrices:
-    relaxed supernodes and wide panels only add work on columns with a few
-    dozen nonzeros. Measured on 16² and 72² meshes, they factor 1.3-2.5x
-    faster than the defaults.
+    On a wider mesh, the first factorization builds the operator's CSC form
+    and uses SuperLU's AT+A minimum-degree order, which roughly halves the
+    factorization cost against the default column order on tensor-product
+    grids, and caches that order on the mesh. Later factorizations gather
+    ``data`` into ``P A Pᵀ`` (`_permuted`) and factor it with ``NATURAL``:
+    the order is already applied, so SuperLU skips recomputing it, and the
+    pivoting rule is unchanged, so the fill is that of the first order.
+    ``relax=1, panel_size=1`` because SuperLU's defaults are tuned for large
+    matrices: relaxed supernodes and wide panels only add work on columns
+    with a few dozen nonzeros. Measured on 16² and 72² meshes, they factor
+    1.3-2.5x faster than the defaults. With them the first factor's fill can
+    differ by a few entries from stock ``splu(a.tocsc(),
+    permc_spec="MMD_AT_PLUS_A")``: on a uniform 48×12-cell mesh the pinned-rim
+    pressure operator's first factor holds 8 entries more.
 
     The returned object's ``solve`` works in mesh numbering either way, and
     its ``L.nnz + U.nnz`` is the entries the factors store. Raises
     ``RuntimeError`` for an exactly singular operator on either path.
     """
     pattern = csr_pattern(mesh)
-    if a.nnz != pattern.indices.size:
+    if a.data.size != pattern.indices.size:
         raise ValueError("factorize needs an operator on the mesh's 5-point pattern")
     if mesh.nr1 <= _BAND_MAX_WIDTH:
         band = _band_layout(mesh)
@@ -279,17 +309,18 @@ def factorize(mesh: AxiMesh, a: sp.csr_matrix):
         return BandLU(lu, piv, band)
     lu_order = getattr(mesh, "_lu_order", None)
     if lu_order is None:
-        lu = spla.splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
+        lu = spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
         mesh._lu_order = _permuted_layout(mesh, lu.perm_c)
         return lu
     return PermutedLU(spla.splu(_permuted(a, lu_order), permc_spec="NATURAL",
                                 **_SMALL_SYSTEM), lu_order)
 
 
-def _permuted(a: sp.csr_matrix, lu_order: LuOrder) -> sp.csc_matrix:
+def _permuted(a: Operator, lu_order: LuOrder) -> sp.csc_matrix:
     """``P A Pᵀ`` of an operator on the mesh pattern, in CSC form."""
+    n = lu_order.order.size
     return sp.csc_matrix((a.data[lu_order.gather], lu_order.indices, lu_order.indptr),
-                         shape=a.shape)
+                         shape=(n, n))
 
 
 #: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. Measured on
@@ -335,13 +366,13 @@ class SpeciesSolver:
     On a mesh at most `_BAND_MAX_WIDTH` wide every solve is a fresh
     `factorize`. On a wider mesh the solver keeps an incomplete LU of an
     earlier operator, built by ``spilu`` on the mesh's minimum-degree layout,
-    and answers ``A x = b`` by GMRES preconditioned by it, started from
-    ``M⁻¹ b``. A result counts only when the explicitly computed residual
-    ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is rebuilt on the
-    current operator and GMRES runs once more; if a fresh ILU fails too, the
-    solve goes to `factorize` and so does every later one of this solver.
-    The ILU lives as long as the solver: its owner, the stepper of one phase,
-    holds it, and the mesh does not.
+    and answers ``A x = b`` by GMRES right-preconditioned by it, started from
+    ``M⁻¹ b`` (`_gmres`). A result counts only when the explicitly computed
+    residual ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is
+    rebuilt on the current operator and GMRES runs once more; if a fresh ILU
+    fails too, the solve goes to `factorize` and so does every later one of
+    this solver. The ILU lives as long as the solver: its owner, the stepper
+    of one phase, holds it, and the mesh does not.
     """
 
     __slots__ = ("mesh", "counts", "_ilu", "_direct")
@@ -352,7 +383,7 @@ class SpeciesSolver:
         self._ilu = None
         self._direct = mesh.nr1 <= _BAND_MAX_WIDTH
 
-    def solve(self, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray:
+    def solve(self, a: Operator, b: np.ndarray) -> np.ndarray:
         if not self._direct:
             x = self._krylov(a, b)
             if x is not None:
@@ -363,16 +394,17 @@ class SpeciesSolver:
             self.counts.direct_fallbacks += 1
         return factorize(self.mesh, a).solve(b)
 
-    def _krylov(self, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
+    def _krylov(self, a: Operator, b: np.ndarray) -> np.ndarray | None:
         """GMRES on the kept ILU, then on a fresh one; None if both fail."""
+        matrix = _csr(a)  # the one scipy matrix of the solve, for its matvecs
         if self._ilu is not None:
-            x = self._gmres(a, b)
+            x = self._gmres(matrix, b)
             if x is not None:
                 return x
         self._ilu = self._build_ilu(a)
-        return self._gmres(a, b)
+        return self._gmres(matrix, b)
 
-    def _build_ilu(self, a: sp.csr_matrix) -> PermutedLU:
+    def _build_ilu(self, a: Operator) -> PermutedLU:
         if getattr(self.mesh, "_lu_order", None) is None:
             factorize(self.mesh, a)  # takes the mesh's minimum-degree order
         lu_order = self.mesh._lu_order
@@ -383,33 +415,71 @@ class SpeciesSolver:
         return PermutedLU(ilu, lu_order)
 
     def _gmres(self, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
+        """Restarted GMRES(`_GMRES_RESTART`) on ``A M⁻¹``, from ``x0 = M⁻¹ b``.
+
+        Saad & Schultz, SISC 7 (1986), preconditioned on the right, so the
+        Arnoldi residual is that of ``A x = b`` itself. Each cycle keeps its
+        preconditioned basis vectors ``z_j = M⁻¹ v_j`` and updates
+        ``x += Z y`` from them, so a run applies the ILU once for ``x0`` and
+        once per iteration. The basis is orthogonalised by classical
+        Gram-Schmidt applied twice. A cycle ends when the Arnoldi residual
+        reaches ``_GMRES_RTOL ‖b‖``; the next one starts only if the explicit
+        residual has not. Returns None if the explicit residual misses
+        ``_KRYLOV_RTOL ‖b‖`` after `_GMRES_CYCLES` cycles.
+        """
         precondition = self._ilu.solve
-        iterations = 0
-
-        def count(_):
-            nonlocal iterations
-            iterations += 1
-
-        x, _ = spla.gmres(a, b, x0=precondition(b), rtol=_GMRES_RTOL, atol=0.0,
-                          restart=_GMRES_RESTART, maxiter=_GMRES_CYCLES,
-                          M=spla.LinearOperator(a.shape, matvec=precondition),
-                          callback=count, callback_type="pr_norm")
-        self.counts.gmres_iterations += iterations
-        if np.linalg.norm(b - a @ x) <= _KRYLOV_RTOL * np.linalg.norm(b):
+        m = _GMRES_RESTART
+        target = _GMRES_RTOL * np.linalg.norm(b)
+        x = precondition(b)
+        r = b - a @ x
+        r_norm = np.linalg.norm(r)
+        for _ in range(_GMRES_CYCLES):
+            if r_norm <= target:
+                break
+            v, z = np.empty((m + 1, b.size)), np.empty((m, b.size))
+            hess = np.zeros((m, m))  # the triangle the rotations leave of H
+            g = np.zeros(m + 1)  # Qᵀ (‖r‖ e_1), last entry the residual
+            cs, sn = np.zeros(m), np.zeros(m)
+            v[0], g[0] = r / r_norm, r_norm
+            for j in range(m):
+                z[j] = precondition(v[j])
+                w = a @ z[j]
+                h = v[:j + 1] @ w
+                w -= h @ v[:j + 1]
+                again = v[:j + 1] @ w
+                w -= again @ v[:j + 1]
+                h += again
+                h_next = np.linalg.norm(w)
+                for i in range(j):
+                    h[i], h[i + 1] = (cs[i] * h[i] + sn[i] * h[i + 1],
+                                      cs[i] * h[i + 1] - sn[i] * h[i])
+                rho = np.hypot(h[j], h_next)
+                cs[j], sn[j] = h[j] / rho, h_next / rho
+                h[j] = rho
+                hess[:j + 1, j] = h
+                g[j + 1], g[j] = -sn[j] * g[j], cs[j] * g[j]
+                self.counts.gmres_iterations += 1
+                if abs(g[j + 1]) <= target:
+                    break
+                v[j + 1] = w / h_next
+            k = j + 1
+            x = x + np.linalg.solve(hess[:k, :k], g[:k]) @ z[:k]
+            r = b - a @ x
+            r_norm = np.linalg.norm(r)
+        if r_norm <= _KRYLOV_RTOL * np.linalg.norm(b):
             return x
         return None
 
 
-def _fill(mesh: AxiMesh, aa, ab, ba, bb) -> sp.csr_matrix:
+def _fill(mesh: AxiMesh, aa, ab, ba, bb) -> Operator:
     """Operator on the mesh pattern from per-face entries in `CsrPattern` order."""
     pattern = csr_pattern(mesh)
-    data = np.bincount(pattern.scatter, weights=np.concatenate([aa, ab, ba, bb]),
-                       minlength=pattern.indices.size)
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(mesh.n_nodes, mesh.n_nodes))
+    return Operator(pattern, np.bincount(pattern.scatter,
+                                         weights=np.concatenate([aa, ab, ba, bb]),
+                                         minlength=pattern.indices.size))
 
 
-def pin_rows(a: sp.csr_matrix, rows) -> sp.csr_matrix:
+def pin_rows(a: Operator, rows) -> Operator:
     """Make the given rows identity rows in place, keeping their other entries as zeros."""
     for row in np.atleast_1d(rows):
         lo, hi = a.indptr[row], a.indptr[row + 1]
@@ -441,7 +511,7 @@ def _per_face(x_r: np.ndarray, x_z: np.ndarray) -> np.ndarray:
 def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
                      coef_z: np.ndarray | float,
                      diag: np.ndarray | float = 0.0,
-                     speeds: tuple[np.ndarray, np.ndarray] | None = None) -> sp.csr_matrix:
+                     speeds: tuple[np.ndarray, np.ndarray] | None = None) -> Operator:
     """Dual-volume discretization of -div(coef grad x); SPD with Neumann faces.
 
     ``diag`` (scalar or per node) is added to the diagonal. It is already
@@ -469,7 +539,7 @@ def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray):
     return np.maximum(f, 0.0), np.minimum(f, 0.0)
 
 
-def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> sp.csr_matrix:
+def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> Operator:
     """First-order upwind discretization of div(s x) from face-normal speeds.
 
     ``s_r``/``s_z`` are the characteristic speeds normal to the two face

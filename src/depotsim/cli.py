@@ -7,6 +7,7 @@ Subcommands: run, sweep, metrics, compare, snapshot. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import json
 import logging
 import sys
 from pathlib import Path
@@ -57,7 +58,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
-    series = read_timeseries(Path(args.run_dir) / "timeseries.csv")
+    run_dir = Path(args.run_dir)
+    series = read_timeseries(run_dir / "timeseries.csv")
     t = np.asarray(series.time)
     print(f"rows: {len(series)}  span: {t[0]:.1f} .. {t[-1]:.1f} s")
     p = series.column("pressure_ball_avg")
@@ -70,6 +72,15 @@ def _cmd_metrics(args) -> int:
     last = series.at_time(t[-1])
     print(f"final split: free {last['free_pct']:.2f}%  bound {last['bound_pct']:.2f}%"
           f"  absorbed {last['absorbed_pct']:.2f}%")
+    if not (run_dir / "ledger.json").exists():
+        return 0
+    ledger = json.loads((run_dir / "ledger.json").read_text())
+    print(f"ledger closure residual: {ledger['closure_residual']:+.2e}")
+    print(f"retries: {ledger['retries']}")
+    if "chloride_min" in ledger:  # absent from reports written before it existed
+        print(f"minimum chloride: {ledger['chloride_min']:.4e} mol/cm^3")
+    for phase, counters in ledger["phases"].items():
+        print(f"{phase} phase: " + "  ".join(f"{k} {v}" for k, v in counters.items()))
     return 0
 
 

@@ -305,6 +305,7 @@ def write_run_outputs(result, outdir) -> Path:
         "eliminated_mol": result.ledger.eliminated,
         "closure_residual": result.ledger.closure_residual(),
         "electroneutrality_max": result.electroneutrality_max,
+        "chloride_min": result.chloride_min,
         "retries": result.retries,
         "phases": result.phase_counters,
     }, indent=2) + "\n")

@@ -234,6 +234,7 @@ class PhaseResult:
     state: FieldState
     diagnostics: StepDiagnostics
     electroneutrality_max: float
+    chloride_min: float  # minimum recovered chloride over every accepted step
     wall_time_s: float
     krylov: fv.KrylovCounts
 
@@ -261,6 +262,7 @@ class PipelineResult:
     final_state: FieldState
     reduction: ReducedState
     electroneutrality_max: float
+    chloride_min: float  # over every accepted step of both phases, mol/cm^3
     retries: int
     max_closure_residual: float
     short_wall_s: float
@@ -322,18 +324,20 @@ class Simulation:
                    closure_track: list) -> PhaseResult:
         diagnostics = StepDiagnostics()
         resid_max = 0.0
+        chloride_min = np.inf
         t0 = _time.perf_counter()
         next_mark = state.t + cadence
         while state.t < t_end - 1e-9:
             dt = min(dt_schedule(state.t), t_end - state.t)
             stepper.step(state, ledger, dt, diagnostics)
+            chloride_min = min(chloride_min, float(state.c_cl.min()))
             if state.t >= next_mark - 1e-9 or state.t >= t_end - 1e-9:
                 self._emit(series, state, ledger, stepper)
                 resid_max = max(resid_max, electroneutrality_residual(state))
                 closure_track.append(abs(ledger.closure_residual()))
                 while next_mark <= state.t + 1e-9:
                     next_mark += cadence
-        return PhaseResult(series, state, diagnostics, resid_max,
+        return PhaseResult(series, state, diagnostics, resid_max, chloride_min,
                            _time.perf_counter() - t0, stepper.krylov)
 
     # -- public phases -------------------------------------------------------
@@ -445,6 +449,7 @@ class Simulation:
             short_state=short_state, final_state=long.state, reduction=reduced,
             electroneutrality_max=max(short.electroneutrality_max,
                                       long.electroneutrality_max),
+            chloride_min=min(short.chloride_min, long.chloride_min),
             retries=short.diagnostics.retries + long.diagnostics.retries,
             max_closure_residual=max(closure) if closure else 0.0,
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,

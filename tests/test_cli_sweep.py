@@ -80,6 +80,18 @@ class TestMetricsCommand:
         assert "peak near-source pressure" in out
         assert "final split" in out
 
+    def test_summary_prints_the_run_report(self, finished_run, capsys):
+        ledger = json.loads((finished_run / "ledger.json").read_text())
+        assert main(["metrics", str(finished_run)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"ledger closure residual: {ledger['closure_residual']:+.2e}" in lines
+        assert f"retries: {ledger['retries']}" in lines
+        assert f"minimum chloride: {ledger['chloride_min']:.4e} mol/cm^3" in lines
+        for phase, counters in ledger["phases"].items():
+            (line,) = [x for x in lines if x.startswith(f"{phase} phase: ")]
+            for key, value in counters.items():
+                assert f"{key} {value}" in line
+
 
 class TestCompareCommand:
     def test_self_similar_reference_scores_well(self, finished_run, tmp_path,

@@ -118,6 +118,24 @@ class TestStepStaggered:
         assert diag.retries == 2
         assert dt_used == pytest.approx(0.05)
 
+    def test_narrow_attempt_builds_no_scipy_matrix(self, tiny_sim, monkeypatch):
+        # on a mesh within the band limit every operator stays plain data
+        config = tiny_sim.config
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        assert stepper.mesh.nr1 <= _assembly._BAND_MAX_WIDTH
+        state = Simulation._prime_state(
+            FieldState.rest_state(stepper.mesh, stepper.species),
+            stepper.charge_curve)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a scipy.sparse matrix was built")
+
+        for constructor in ("csr_matrix", "csc_matrix"):
+            monkeypatch.setattr(_assembly.sp, constructor, refuse)
+        fields, increments = stepper.attempt(state, 0.25)
+        assert increments["injected"] > 0.0
+        assert np.all(np.isfinite(fields["c_mab"]))
+
     def test_persistent_failure_aborts(self, tiny_sim, monkeypatch):
         config = tiny_sim.config
         stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
@@ -277,6 +295,12 @@ class TestLongTerm:
 
     def test_electroneutrality_both_phases(self, tiny_pipeline):
         assert tiny_pipeline.electroneutrality_max < 1e-12
+
+    def test_chloride_min_bounds_the_recovered_chloride(self, tiny_pipeline):
+        # taken over every accepted step, so no more than at the phase ends
+        phase_ends = min(tiny_pipeline.short_state.c_cl.min(),
+                         tiny_pipeline.final_state.c_cl.min())
+        assert 0.0 < tiny_pipeline.chloride_min <= phase_ends
 
     def test_free_fraction_decays(self, tiny_pipeline):
         free = tiny_pipeline.series.column("free_pct")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from depotsim._assembly import diffusion_matrix, upwind_advection_matrix
 from depotsim.mesh import build_graded_mesh, nodal_integral
@@ -42,6 +43,12 @@ def transport_operator(mesh, diffusivity, valence, phi, u_r, u_z):
     return a
 
 
+def scipy_csr(a):
+    """An operator's scipy CSR form, built from its ``data``, ``indices`` and ``indptr``."""
+    n = a.indptr.size - 1
+    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n))
+
+
 def net_outflow(mesh, a, c):
     """Net outward flux per dual cell, (A c) reshaped onto the nodes."""
     return (a @ c.ravel()).reshape(mesh.nz1, mesh.nr1)
@@ -54,7 +61,7 @@ class TestSpeciesFlux:
         c = np.full((mesh.nz1, mesh.nr1), 1.4e-4)
         u_r, u_z = zero_velocity(mesh)
         phi = np.zeros((mesh.nz1, mesh.nr1))
-        a = transport_operator(mesh, 1.33e-5, 1.0, phi, u_r, u_z)
+        a = scipy_csr(transport_operator(mesh, 1.33e-5, 1.0, phi, u_r, u_z))
         gross = net_outflow(mesh, abs(a), c)
         assert np.all(np.abs(net_outflow(mesh, a, c)) <= 1e-12 * gross)
 
@@ -65,7 +72,7 @@ class TestSpeciesFlux:
         u_r, u_z = zero_velocity(mesh)
         w_r, w_z = migration_face_speeds(mesh, phi, 1.33e-5, +1.0, N, CONSTANTS)
         assert np.all(w_r > 0) and np.all(w_z == 0)
-        out = net_outflow(mesh, upwind_advection_matrix(mesh, w_r, w_z), c)
+        out = net_outflow(mesh, scipy_csr(upwind_advection_matrix(mesh, w_r, w_z)), c)
         # what leaves the columns up to i crosses the r-face between i and i+1
         assert np.all(np.cumsum(out, axis=1)[:, :-1] > 0)
 
@@ -73,7 +80,7 @@ class TestSpeciesFlux:
         # 1-D column: D = 1e-6, n = 0.1, dc/dz = 1 -> flux -1e-7 per unit area
         mesh = build_graded_mesh(1, 1, 8, 8, focus=(0, 0.5), grading=1.0)
         c = mesh.zz.copy()  # slope 1 mol/cm^4
-        out = net_outflow(mesh, diffusion_matrix(mesh, 1e-6 * N, 1e-6 * N), c)
+        out = net_outflow(mesh, scipy_csr(diffusion_matrix(mesh, 1e-6 * N, 1e-6 * N)), c)
         # what leaves the rows up to j crosses the z-face between j and j+1
         f_z = np.cumsum(out.sum(axis=1))[:-1] / mesh.area_z.sum(axis=1)
         assert np.allclose(f_z, -1e-7)
