@@ -280,15 +280,14 @@ def factorize(mesh: AxiMesh, a: Operator):
     factorization cost against the default column order on tensor-product
     grids, and caches that order on the mesh. Later factorizations gather
     ``data`` into ``P A Pᵀ`` (`_permuted`) and factor it with ``NATURAL``:
-    the order is already applied, so SuperLU skips recomputing it, and the
-    pivoting rule is unchanged, so the fill is that of the first order.
+    the order is already applied, so SuperLU skips recomputing it.
     ``relax=1, panel_size=1`` because SuperLU's defaults are tuned for large
     matrices: relaxed supernodes and wide panels only add work on columns
     with a few dozen nonzeros. Measured on 16² and 72² meshes, they factor
-    1.3-2.5x faster than the defaults. With them the first factor's fill can
-    differ by a few entries from stock ``splu(a.tocsc(),
-    permc_spec="MMD_AT_PLUS_A")``: on a uniform 48×12-cell mesh the pinned-rim
-    pressure operator's first factor holds 8 entries more.
+    1.3-2.5x faster than the defaults. The fill can differ by a few entries
+    from that of stock ``splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")``: on a
+    uniform 48×12-cell mesh the first factor of the pinned-rim pressure
+    operator holds 8 entries more.
 
     The returned object's ``solve`` works in mesh numbering either way, and
     its ``L.nnz + U.nnz`` is the entries the factors store. Raises
