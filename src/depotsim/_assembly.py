@@ -376,9 +376,9 @@ class SpeciesSolver:
 
     __slots__ = ("mesh", "counts", "_ilu", "_direct")
 
-    def __init__(self, mesh: AxiMesh, counts: KrylovCounts | None = None):
+    def __init__(self, mesh: AxiMesh, counts: KrylovCounts):
         self.mesh = mesh
-        self.counts = counts if counts is not None else KrylovCounts()
+        self.counts = counts
         self._ilu = None
         self._direct = mesh.nr1 <= _BAND_MAX_WIDTH
 
@@ -486,7 +486,7 @@ def pin_rows(a: Operator, rows) -> Operator:
     return a
 
 
-def harmonic_face_coefficients(mesh: AxiMesh, coef: np.ndarray):
+def harmonic_face_coefficients(coef: np.ndarray):
     """Harmonic mean of a positive nodal coefficient on both face families."""
     a, b = coef[:, :-1], coef[:, 1:]
     coef_r = 2.0 * a * b / (a + b)

@@ -44,8 +44,12 @@ def _cmd_sweep(args) -> int:
         raw = raw.strip()
         if args.axis == "bmi":
             values.append(raw)
-        else:
+            continue
+        try:
             values.append(float(raw))
+        except ValueError:
+            raise ConfigurationError(
+                f"--values: {raw!r} is not a number for axis {args.axis}") from None
     outdir = Path(args.outdir or "sweep_output")
     entries = run_sweep(config, args.axis, values, outdir)
     for e in entries:

@@ -285,10 +285,10 @@ class SimulationConfig:
         v = self.values
         c_na, c_h = v["species.c_na_init"], v["species.c_h_init"]
         return pr.SpeciesTable(
-            sodium=pr.SpeciesSpec("Na+", v["species.d_na_cm2_s"], +1.0, c_na),
-            hydrogen=pr.SpeciesSpec("H+", v["species.d_h_cm2_s"], +1.0, c_h),
-            drug=pr.SpeciesSpec("mAb", v["species.d_mab_cm2_s"], 0.0, 0.0),
-            chloride=pr.SpeciesSpec("Cl-", v["species.d_cl_cm2_s"], -1.0, c_na + c_h),
+            sodium=pr.SpeciesSpec("Na+", v["species.d_na_cm2_s"], c_na),
+            hydrogen=pr.SpeciesSpec("H+", v["species.d_h_cm2_s"], c_h),
+            drug=pr.SpeciesSpec("mAb", v["species.d_mab_cm2_s"], 0.0),
+            chloride=pr.SpeciesSpec("Cl-", v["species.d_cl_cm2_s"], c_na + c_h),
         )
 
     def fine_mesh(self) -> AxiMesh:

@@ -8,7 +8,8 @@ with p = 0 on the outer rim (r = R) and no-flux everywhere else. Both
 exchange terms are linear in p and kept implicit, and the source is a fixed
 shape scaled by the flow rate Q(t), so the pressure is affine in Q(t):
 p(t) = p_rest + Q(t) p_unit. The injection-phase stepper solves for p_rest
-and p_unit once at its start and keeps no factorization.
+and p_unit once at its start and keeps no factorization. The long phase
+freezes the drainage of one steady solve without the source (`solve_pressure`).
 """
 
 from __future__ import annotations
@@ -109,13 +110,12 @@ def exchange_coefficients(mesh: AxiMesh, layers: TissueLayers,
 class PressureSolver:
     """Factorized elliptic solver for the pressure equation on one mesh.
 
-    ``reaction`` and ``const`` are the linearized exchange terms; passing
-    zeros gives the plain Darcy operator (used by the verification tests).
+    ``reaction`` and ``const`` are the linearized exchange terms of
+    `exchange_coefficients`.
     """
 
     def __init__(self, mesh: AxiMesh, kappa_nodes: np.ndarray, viscosity: float,
-                 reaction: np.ndarray | float = 0.0,
-                 const: np.ndarray | float = 0.0):
+                 reaction: np.ndarray | float, const: np.ndarray | float):
         self.mesh = mesh
         self.viscosity = viscosity
         self.kappa = np.broadcast_to(np.asarray(kappa_nodes, dtype=float),
@@ -127,7 +127,7 @@ class PressureSolver:
         self.const = np.broadcast_to(np.asarray(const, dtype=float),
                                      (mesh.nz1, mesh.nr1)).copy()
 
-        coef_r, coef_z = fv.harmonic_face_coefficients(mesh, self.kappa / viscosity)
+        coef_r, coef_z = fv.harmonic_face_coefficients(self.kappa / viscosity)
         a = fv.diffusion_matrix(mesh, coef_r, coef_z,
                                 diag=self.reaction * mesh.node_volumes)
 
@@ -139,7 +139,7 @@ class PressureSolver:
         except RuntimeError as exc:  # pragma: no cover - singular only if misconfigured
             raise SolverError(f"pressure operator factorization failed: {exc}") from exc
 
-    def solve(self, q_p: np.ndarray | float = 0.0) -> np.ndarray:
+    def solve(self, q_p: np.ndarray | float) -> np.ndarray:
         b = ((np.broadcast_to(np.asarray(q_p, dtype=float),
                               (self.mesh.nz1, self.mesh.nr1)) + self.const)
              * self.mesh.node_volumes).ravel().copy()
@@ -167,7 +167,7 @@ def velocity_from_pressure(mesh: AxiMesh, kappa_nodes: np.ndarray, p: np.ndarray
     """
     kappa = np.broadcast_to(np.asarray(kappa_nodes, dtype=float),
                             (mesh.nz1, mesh.nr1))
-    coef_r, coef_z = fv.harmonic_face_coefficients(mesh, kappa / viscosity)
+    coef_r, coef_z = fv.harmonic_face_coefficients(kappa / viscosity)
     g_r, g_z = fv.face_gradients(mesh, p)
     return -coef_r * g_r, -coef_z * g_z
 

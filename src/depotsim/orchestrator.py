@@ -10,7 +10,11 @@ times.
 After the injection phase the problem is reduced: fields are projected onto
 a coarse uniform mesh (with an exact drug-mass rescale), convection and
 sources are dropped, and the lymphatic drainage field is frozen from one
-steady pressure solve without the injection source.
+steady pressure solve without the injection source. The reduced phase starts
+from that coarse `FieldState`, whose ``j_l`` is the frozen drainage.
+
+Every accepted state carries its pH, drug charge and recovered chloride
+(`_refresh_derived`); a step reads the lagged values from there.
 """
 
 from __future__ import annotations
@@ -149,9 +153,8 @@ class StaggeredStepper:
             j_l = self.j_l_frozen
 
         # lagged fields for the staggered substeps
-        ph_old = tr.tissue_ph(state.c_h)
-        z_old = self.charge_curve(ph_old)
-        assoc, release = bd.exchange_rates(state.c_b, ph_old, self.binding,
+        z_old = state.z_mab
+        assoc, release = bd.exchange_rates(state.c_b, state.ph, self.binding,
                                            self.porosity)
         s_b_estimate = assoc * state.c_mab - release  # charge source estimate
 
@@ -207,12 +210,7 @@ class StaggeredStepper:
                                               fields["c_mab"])
         state.c_b = fields["c_b"]
         diagnostics.clipped += state.clip_concentrations(logger)
-
-        ph = tr.tissue_ph(state.c_h)
-        z_new = self.charge_curve(ph)
-        state.c_cl = recover_chloride(state.c_na, state.c_h, state.c_mab, z_new)
-        state.ph = ph
-        state.z_mab = z_new
+        _refresh_derived(state, self.charge_curve)
         state.j_l = fields["j_l"]
 
         ledger.injected += inc["injected"]
@@ -222,10 +220,11 @@ class StaggeredStepper:
         return dt_eff
 
 
-def electroneutrality_residual(state: FieldState) -> float:
-    """max |sum_i z_i c_i| / max c_Na after chloride recovery."""
-    net = (state.c_na + state.c_h + state.z_mab * state.c_mab - state.c_cl)
-    return float(np.max(np.abs(net)) / np.max(state.c_na))
+def _refresh_derived(state: FieldState, charge_curve):
+    """Set the pH, drug charge and chloride that follow from the concentrations."""
+    state.ph = tr.tissue_ph(state.c_h)
+    state.z_mab = charge_curve(state.ph)
+    state.c_cl = recover_chloride(state.c_na, state.c_h, state.c_mab, state.z_mab)
 
 
 @dataclass
@@ -233,7 +232,7 @@ class PhaseResult:
     series: mt.MetricSeries
     state: FieldState
     diagnostics: StepDiagnostics
-    electroneutrality_max: float
+    max_closure_residual: float  # largest |ledger closure| at an emitted sample
     chloride_min: float  # minimum recovered chloride over every accepted step
     wall_time_s: float
     krylov: fv.KrylovCounts
@@ -244,24 +243,12 @@ class PhaseResult:
 
 
 @dataclass
-class ReducedState:
-    state: FieldState
-    j_l: np.ndarray
-    p_steady: np.ndarray
-    mass_change_pre_rescale: float
-    rho_avg_before: float
-    rho_avg_after: float
-
-
-@dataclass
 class PipelineResult:
     config: SimulationConfig
     series: mt.MetricSeries
     ledger: DoseLedger
     short_state: FieldState
     final_state: FieldState
-    reduction: ReducedState
-    electroneutrality_max: float
     chloride_min: float  # over every accepted step of both phases, mol/cm^3
     retries: int
     max_closure_residual: float
@@ -310,20 +297,15 @@ class Simulation:
     @staticmethod
     def _prime_state(state: FieldState, charge_curve) -> FieldState:
         """Attach the derived nodal fields the metrics need at t = 0."""
-        ph = tr.tissue_ph(state.c_h)
-        state.ph = ph
-        state.z_mab = charge_curve(ph)
-        state.c_cl = recover_chloride(state.c_na, state.c_h, state.c_mab,
-                                      state.z_mab)
+        _refresh_derived(state, charge_curve)
         state.j_l = np.zeros_like(state.p)
         return state
 
     def _run_phase(self, stepper: StaggeredStepper, state: FieldState,
                    ledger: DoseLedger, t_end: float, dt_schedule,
-                   cadence: float, series: mt.MetricSeries,
-                   closure_track: list) -> PhaseResult:
+                   cadence: float, series: mt.MetricSeries) -> PhaseResult:
         diagnostics = StepDiagnostics()
-        resid_max = 0.0
+        closure_max = 0.0
         chloride_min = np.inf
         t0 = _time.perf_counter()
         next_mark = state.t + cadence
@@ -333,45 +315,37 @@ class Simulation:
             chloride_min = min(chloride_min, float(state.c_cl.min()))
             if state.t >= next_mark - 1e-9 or state.t >= t_end - 1e-9:
                 self._emit(series, state, ledger, stepper)
-                resid_max = max(resid_max, electroneutrality_residual(state))
-                closure_track.append(abs(ledger.closure_residual()))
+                closure_max = max(closure_max, abs(ledger.closure_residual()))
                 while next_mark <= state.t + 1e-9:
                     next_mark += cadence
-        return PhaseResult(series, state, diagnostics, resid_max, chloride_min,
+        return PhaseResult(series, state, diagnostics, closure_max, chloride_min,
                            _time.perf_counter() - t0, stepper.krylov)
 
     # -- public phases -------------------------------------------------------
     def run_short_term(self, series: mt.MetricSeries | None = None,
-                       ledger: DoseLedger | None = None,
-                       closure_track: list | None = None) -> PhaseResult:
+                       ledger: DoseLedger | None = None) -> PhaseResult:
         mesh = self.config.fine_mesh()
         stepper = StaggeredStepper(mesh, self.config, flow_active=True)
         state = self._prime_state(FieldState.rest_state(mesh, stepper.species),
                                   stepper.charge_curve)
         series = series if series is not None else mt.MetricSeries()
         ledger = ledger if ledger is not None else DoseLedger()
-        closure_track = closure_track if closure_track is not None else []
         self._emit(series, state, ledger, stepper)
         dt = self.config["phases.short_dt_s"]
         return self._run_phase(stepper, state, ledger,
                                self.config["phases.short_horizon_s"], lambda t: dt,
-                               self.config["output.cadence_s"], series, closure_track)
+                               self.config["output.cadence_s"], series)
 
-    def reduce_to_long_term(self, short_state: FieldState) -> ReducedState:
+    def reduce_to_long_term(self, short_state: FieldState) -> FieldState:
         """Project onto the coarse mesh, rescale drug mass, freeze drainage."""
         coarse = self.config.coarse_mesh()
         fine = short_state.mesh
         layers = self.config.layers()
         porosity = layers.porosity
-        charge_curve = self.config.charge_curve()
-
-        rho_before = mt.domain_average(
-            mt.net_charge_density(short_state.c_mab, short_state.z_mab), fine)
 
         # bilinear weights lie in [0, 1]: non-negative fields stay non-negative
-        fields = {}
-        for name in ("c_na", "c_h", "c_mab", "c_b"):
-            fields[name], _ = project_field(fine, getattr(short_state, name), coarse)
+        fields = {name: project_field(fine, getattr(short_state, name), coarse)
+                  for name in ("c_na", "c_h", "c_mab", "c_b")}
 
         drug_fine = (porosity * nodal_integral(short_state.c_mab, fine)
                      + nodal_integral(short_state.c_b, fine))
@@ -396,26 +370,18 @@ class Simulation:
             c_mab=fields["c_mab"], c_b=fields["c_b"], p=p_steady,
             phi=np.zeros((coarse.nz1, coarse.nr1)),
             u_r=np.zeros((coarse.nz1, coarse.nr)),
-            u_z=np.zeros((coarse.nz, coarse.nr1)), t=short_state.t)
-        self._prime_state(state, charge_curve)
-        state.j_l = j_l
+            u_z=np.zeros((coarse.nz, coarse.nr1)), t=short_state.t, j_l=j_l)
+        _refresh_derived(state, self.config.charge_curve())
+        return state
 
-        rho_after = mt.domain_average(
-            mt.net_charge_density(state.c_mab, state.z_mab), coarse)
-        return ReducedState(state=state, j_l=j_l, p_steady=p_steady,
-                            mass_change_pre_rescale=change,
-                            rho_avg_before=rho_before, rho_avg_after=rho_after)
-
-    def run_long_term(self, reduced: ReducedState,
+    def run_long_term(self, state: FieldState,
                       series: mt.MetricSeries | None = None,
-                      ledger: DoseLedger | None = None,
-                      closure_track: list | None = None) -> PhaseResult:
-        state = reduced.state
+                      ledger: DoseLedger | None = None) -> PhaseResult:
+        """Run the reduced phase from the coarse state of `reduce_to_long_term`."""
         stepper = StaggeredStepper(state.mesh, self.config, flow_active=False,
-                                   j_l_frozen=reduced.j_l)
+                                   j_l_frozen=state.j_l)
         series = series if series is not None else mt.MetricSeries()
         ledger = ledger if ledger is not None else DoseLedger()
-        closure_track = closure_track if closure_track is not None else []
         t_end = state.t + self.config["phases.long_horizon_h"] * 3600.0
 
         # dt ramps geometrically from dt_min to dt_max over the first steps
@@ -428,29 +394,26 @@ class Simulation:
             return dt
 
         return self._run_phase(stepper, state, ledger, t_end, schedule,
-                               self.config["output.long_cadence_s"], series,
-                               closure_track)
+                               self.config["output.long_cadence_s"], series)
 
     # -- full pipeline -------------------------------------------------------
     def run_pipeline(self) -> PipelineResult:
         series = mt.MetricSeries()
         ledger = DoseLedger()
-        closure: list[float] = []
 
-        short = self.run_short_term(series, ledger, closure)
+        short = self.run_short_term(series, ledger)
         short_state = short.state
         reduced = self.reduce_to_long_term(short_state)
         # the rescale keeps the ledger's free+bound totals exact across meshes
-        ledger.count_stock(reduced.state, self.config.layers().porosity)
-        long = self.run_long_term(reduced, series, ledger, closure)
+        ledger.count_stock(reduced, self.config.layers().porosity)
+        long = self.run_long_term(reduced, series, ledger)
 
         return PipelineResult(
             config=self.config, series=series, ledger=ledger,
-            short_state=short_state, final_state=long.state, reduction=reduced,
-            electroneutrality_max=max(short.electroneutrality_max,
-                                      long.electroneutrality_max),
+            short_state=short_state, final_state=long.state,
             chloride_min=min(short.chloride_min, long.chloride_min),
             retries=short.diagnostics.retries + long.diagnostics.retries,
-            max_closure_residual=max(closure) if closure else 0.0,
+            max_closure_residual=max(short.max_closure_residual,
+                                     long.max_closure_residual),
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,
             phase_counters={"injection": short.counters(), "long": long.counters()})

@@ -11,6 +11,7 @@ The only unit conversion in the whole model is the pH one:
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -21,6 +22,11 @@ logger = logging.getLogger(__name__)
 
 #: Conversion factor between mol/cm^3 and mol/L, used by every pH computation.
 MOL_PER_CM3_TO_MOL_PER_L = 1000.0
+
+#: valences of the small ions; the drug's charge is a pH curve (`PhCurve`)
+Z_NA = +1.0
+Z_H = +1.0
+Z_CL = -1.0  # chloride, eliminated through electroneutrality
 
 
 class ConfigurationError(ValueError):
@@ -51,7 +57,7 @@ class PhCurve:
     so the curve is total on the real line.
     """
 
-    def __init__(self, ph: np.ndarray, values: np.ndarray, name: str = ""):
+    def __init__(self, ph: np.ndarray, values: np.ndarray):
         ph = np.asarray(ph, dtype=float)
         values = np.asarray(values, dtype=float)
         if ph.ndim != 1 or ph.shape != values.shape:
@@ -62,56 +68,51 @@ class PhCurve:
             raise ConfigurationError("curve pH samples must be strictly increasing")
         self.ph = ph
         self.values = values
-        self.name = name
 
     def __call__(self, ph):
         """Evaluate at scalar or array pH (linear interpolation, clamped)."""
         return np.interp(ph, self.ph, self.values)
 
-    def isoelectric_point(self) -> float:
-        """pH where a charge curve crosses zero (linear interpolation).
-
-        Raises if the tabulated values never change sign.
-        """
-        v = self.values
-        if v[0] == 0.0:
-            return float(self.ph[0])
-        sign_change = np.nonzero(np.sign(v[:-1]) * np.sign(v[1:]) <= 0)[0]
-        if sign_change.size == 0:
-            raise ConfigurationError(
-                f"curve {self.name!r} has no zero crossing; cannot report pI"
-            )
-        k = int(sign_change[0])
-        if v[k] == v[k + 1]:  # flat zero segment
-            return float(self.ph[k])
-        return float(self.ph[k] - v[k] * (self.ph[k + 1] - self.ph[k]) / (v[k + 1] - v[k]))
-
     @classmethod
-    def from_csv(cls, path, name: str = "") -> "PhCurve":
+    def from_csv(cls, path) -> "PhCurve":
         """Load a curve from CSV with header ``ph,value``; ``#`` comments allowed."""
-        path = Path(path)
-        rows = []
-        with open(path) as f:
-            header = None
-            for line in f:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if header is None:
-                    header = [c.strip().lower() for c in line.split(",")]
-                    if header != ["ph", "value"]:
-                        raise ConfigurationError(
-                            f"{path}: expected header 'ph,value', got {line!r}"
-                        )
-                    continue
-                cols = line.split(",")
-                if len(cols) != 2:
-                    raise ConfigurationError(f"{path}: malformed row {line!r}")
-                rows.append((float(cols[0]), float(cols[1])))
-        if header is None:
-            raise ConfigurationError(f"{path}: empty curve file")
-        arr = np.array(rows, dtype=float)
-        return cls(arr[:, 0], arr[:, 1], name=name or path.stem)
+        return cls(*read_two_column_csv(path, ("ph", "value")))
+
+
+def read_two_column_csv(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+    """The two numeric columns of a CSV whose first line is ``header``.
+
+    Blank lines and ``#`` comments are skipped. A wrong header, a row that is
+    not two finite numbers, or a file without data rows raises
+    `ConfigurationError` naming the file and line.
+    """
+    path = Path(path)
+    rows = []
+    seen_header = False
+    with open(path) as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            cols = line.split(",")
+            if not seen_header:
+                if [c.strip().lower() for c in cols] != list(header):
+                    raise ConfigurationError(f"{path}:{lineno}: expected header "
+                                             f"{','.join(header)!r}, got {line!r}")
+                seen_header = True
+                continue
+            try:
+                x, y = map(float, cols)  # also raises on a row of the wrong width
+            except ValueError:
+                x = y = math.nan
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ConfigurationError(f"{path}:{lineno}: expected two finite "
+                                         f"numbers, got {line!r}")
+            rows.append((x, y))
+    if not rows:
+        raise ConfigurationError(f"{path}: no data rows")
+    arr = np.array(rows)
+    return arr[:, 0], arr[:, 1]
 
 
 def packaged_curve_path(stem: str) -> Path:
@@ -125,24 +126,16 @@ def packaged_curve_path(stem: str) -> Path:
 
 def load_drug_curves(preset: str) -> tuple["PhCurve", "PhCurve", "PhCurve"]:
     """Load the packaged (charge, ka, kd) curve triple for a drug preset."""
-    return (
-        PhCurve.from_csv(packaged_curve_path(f"{preset}_charge"), name=f"{preset}_charge"),
-        PhCurve.from_csv(packaged_curve_path(f"{preset}_ka"), name=f"{preset}_ka"),
-        PhCurve.from_csv(packaged_curve_path(f"{preset}_kd"), name=f"{preset}_kd"),
-    )
+    return tuple(PhCurve.from_csv(packaged_curve_path(f"{preset}_{kind}"))
+                 for kind in ("charge", "ka", "kd"))
 
 
 @dataclass(frozen=True)
 class SpeciesSpec:
-    """Per-ion physical constants.
-
-    ``valence`` is a constant for the small ions; the drug's pH-dependent
-    charge lives in a PhCurve and is evaluated fieldwise by the caller.
-    """
+    """Per-ion physical constants; valences are the module's ``Z_*``."""
 
     name: str
     diffusivity: float  # cm^2/s
-    valence: float  # dimensionless (drug: value at reference pH; curve governs)
     c_init: float  # mol/cm^3
 
     def __post_init__(self):
@@ -162,10 +155,6 @@ class SpeciesTable:
     hydrogen: SpeciesSpec
     drug: SpeciesSpec
     chloride: SpeciesSpec  # eliminated via electroneutrality
-
-    def __post_init__(self):
-        if self.chloride.valence == 0:
-            raise ConfigurationError("eliminated species must have nonzero valence")
 
 
 @dataclass(frozen=True)
@@ -259,14 +248,19 @@ class TissueLayers:
 # Operations
 # ---------------------------------------------------------------------------
 
-def recover_chloride(c_na, c_h, c_mab, z_mab, z_cl: float = -1.0):
+def _electroneutral_chloride(c_na, c_h, c_mab, z_mab):
+    """c_Cl = -(1/z_Cl) * (z_Na c_Na + z_H c_H + z_mAb c_mAb)."""
+    return -(Z_NA * np.asarray(c_na) + Z_H * np.asarray(c_h)
+             + np.asarray(z_mab) * np.asarray(c_mab)) / Z_CL
+
+
+def recover_chloride(c_na, c_h, c_mab, z_mab):
     """Chloride concentration closing the electroneutrality constraint.
 
-    c_Cl = -(1/z_Cl) * (z_Na c_Na + z_H c_H + z_mAb c_mAb). Negative results
-    (possible only for strongly negative drug charge) are reported, not fatal.
+    Negative results (possible only for strongly negative drug charge) are
+    reported, not fatal.
     """
-    net = np.asarray(c_na) + np.asarray(c_h) + np.asarray(z_mab) * np.asarray(c_mab)
-    c_cl = -net / z_cl
+    c_cl = _electroneutral_chloride(c_na, c_h, c_mab, z_mab)
     n_neg = int(np.sum(np.asarray(c_cl) < 0.0))
     if n_neg:
         logger.warning("chloride recovery produced %d negative node(s)", n_neg)
@@ -289,7 +283,7 @@ def syringe_composition(buffer_ph: float, mg_per_ml: float, molar_mass: float,
     c_na = 3.0 * c_na_tissue
     c_h = 10.0 ** (-buffer_ph) / MOL_PER_CM3_TO_MOL_PER_L
     c_mab = (mg_per_ml * 1.0e-3) / molar_mass
-    c_cl = c_na + c_h + z_drug_at_buffer * c_mab
+    c_cl = float(_electroneutral_chloride(c_na, c_h, c_mab, z_drug_at_buffer))
     if c_cl < 0:
         raise ConfigurationError(
             "unbalanced formulation: electroneutral chloride would be negative"

@@ -23,7 +23,7 @@ import numpy as np
 from . import _assembly as fv
 from .flow import SolverError
 from .mesh import AxiMesh
-from .params import PhysicalConstants, SpeciesTable
+from .params import Z_CL, Z_H, Z_NA, PhysicalConstants, SpeciesTable
 
 
 @dataclass
@@ -38,8 +38,8 @@ class PotentialCoefficients:
 def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
                        constants: PhysicalConstants, porosity: float,
                        c_na: np.ndarray, c_h: np.ndarray, c_mab: np.ndarray,
-                       z_mab: np.ndarray, j_l: np.ndarray | float = 0.0,
-                       binding_rate: np.ndarray | float = 0.0) -> PotentialCoefficients:
+                       z_mab: np.ndarray, j_l: np.ndarray | float,
+                       binding_rate: np.ndarray | float) -> PotentialCoefficients:
     """Build sigma, the charge source, and the concentration-flux divergence.
 
     ``binding_rate`` is the net free-to-bound exchange rate (association minus
@@ -48,19 +48,18 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
     """
     n = porosity
     f_const = constants.faraday
-    z_cl = species.chloride.valence
     mu_cl = species.chloride.mobility(constants)
     d_cl = species.chloride.diffusivity
 
     sigma = np.zeros((mesh.nz1, mesh.nr1))
     triples = (
-        (species.sodium, c_na, np.full_like(sigma, species.sodium.valence)),
-        (species.hydrogen, c_h, np.full_like(sigma, species.hydrogen.valence)),
+        (species.sodium, c_na, np.full_like(sigma, Z_NA)),
+        (species.hydrogen, c_h, np.full_like(sigma, Z_H)),
         (species.drug, c_mab, np.asarray(z_mab, dtype=float)),
     )
     for spec, c, z in triples:
         mu = spec.mobility(constants)
-        sigma += z * f_const * n * (z * mu - z_cl * mu_cl) * c
+        sigma += z * f_const * n * (z * mu - Z_CL * mu_cl) * c
 
     if np.min(sigma) <= 0.0:
         raise SolverError("effective conductivity lost positivity; "
@@ -103,7 +102,7 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     compatible b the pinned solution solves every equation exactly - and the
     gauge integrate(phi) = 0 fixes the remaining constant.
     """
-    coef_r, coef_z = fv.harmonic_face_coefficients(mesh, sigma)
+    coef_r, coef_z = fv.harmonic_face_coefficients(sigma)
     a = fv.diffusion_matrix(mesh, coef_r, coef_z)
 
     w = mesh.integration_weights.ravel()

@@ -21,7 +21,8 @@ import numpy as np
 from . import _assembly as fv
 from .flow import SolverError
 from .mesh import AxiMesh
-from .params import MOL_PER_CM3_TO_MOL_PER_L, PhysicalConstants, SpeciesSpec
+from .params import (MOL_PER_CM3_TO_MOL_PER_L, Z_H, Z_NA, PhysicalConstants,
+                     SpeciesSpec)
 
 logger = logging.getLogger(__name__)
 
@@ -49,9 +50,9 @@ class TransportStepInputs:
     q_p: np.ndarray  # nodal injection source density, 1/s
     c_max: dict[str, float]  # syringe concentrations keyed 'na', 'h', 'mab'
     porosity: float
-    j_l: np.ndarray | float = 0.0  # lymphatic drainage rate, 1/s
-    binding_assoc: np.ndarray | float = 0.0  # 1/s, implicit sink coefficient
-    binding_release: np.ndarray | float = 0.0  # mol/cm^3/s, explicit source
+    j_l: np.ndarray | float  # lymphatic drainage rate, 1/s
+    binding_assoc: np.ndarray | float  # 1/s, implicit sink coefficient
+    binding_release: np.ndarray | float  # mol/cm^3/s, explicit source
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -110,7 +111,7 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                     c_mab: np.ndarray, z_mab: np.ndarray,
                     species, constants: PhysicalConstants,
                     inputs: TransportStepInputs,
-                    solvers: tuple[fv.SpeciesSolver, ...] | None = None):
+                    solvers: tuple[fv.SpeciesSolver, ...]):
     """Advance Na+, H+ and the drug one implicit step.
 
     Na+ and H+ see only the injection source; the drug additionally carries
@@ -120,16 +121,14 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
     inputs, not from the scheme.
 
     ``solvers`` holds the Na+, H+ and drug solvers that a caller stepping a
-    whole phase keeps across steps; without them each solve starts afresh.
+    whole phase keeps across steps.
     """
-    if solvers is None:
-        solvers = tuple(fv.SpeciesSolver(mesh) for _ in range(3))
     na_solver, h_solver, mab_solver = solvers
     new_na = _implicit_species_solve(
-        mesh, c_na, species.sodium, species.sodium.valence, inputs, constants,
+        mesh, c_na, species.sodium, Z_NA, inputs, constants,
         na_solver, source=inputs.q_p * inputs.c_max["na"])
     new_h = _implicit_species_solve(
-        mesh, c_h, species.hydrogen, species.hydrogen.valence, inputs, constants,
+        mesh, c_h, species.hydrogen, Z_H, inputs, constants,
         h_solver, source=inputs.q_p * inputs.c_max["h"])
     drug_source = inputs.q_p * inputs.c_max["mab"] + np.asarray(inputs.binding_release)
     drug_sink = np.asarray(inputs.j_l) + np.asarray(inputs.binding_assoc)

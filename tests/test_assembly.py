@@ -381,7 +381,7 @@ def krylov_work(counts):
 class TestSpeciesSolver:
     @WIDE
     def test_kept_ilu_solve_matches_factorize(self, superlu_mesh, spilu_calls):
-        solver = SpeciesSolver(superlu_mesh)
+        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
         b = species_rhs(superlu_mesh)
         for speed in (10.0, 10.2, 10.4):
             assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, speed), b)
@@ -391,7 +391,7 @@ class TestSpeciesSolver:
 
     @WIDE
     def test_switching_the_speeds_off_rebuilds_the_ilu(self, superlu_mesh, spilu_calls):
-        solver = SpeciesSolver(superlu_mesh)
+        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
         b = species_rhs(superlu_mesh)
         for speed in (10.0, 0.0):
             assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, speed), b)
@@ -400,7 +400,7 @@ class TestSpeciesSolver:
 
     @WIDE
     def test_a_failing_fresh_ilu_falls_back_and_stays_direct(self, superlu_mesh, spilu_calls):
-        solver = SpeciesSolver(superlu_mesh)
+        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
         b = species_rhs(superlu_mesh)
         assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 1e4, 0.0), b)
         assert krylov_work(solver.counts) == (0, 1, 1)
@@ -424,7 +424,7 @@ class TestSpeciesSolver:
                 return self._ilu.solve(b)
 
         monkeypatch.setattr(spla, "spilu", lambda *args, **kw: CountedIlu(spilu(*args, **kw)))
-        solver = SpeciesSolver(superlu_mesh)
+        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
         b = species_rhs(superlu_mesh)
         for speed in (10.0, 10.2):  # a fresh ILU, then the kept one
             a = species_operator(superlu_mesh, 0.01, speed)
@@ -438,7 +438,7 @@ class TestSpeciesSolver:
 
     def test_narrow_meshes_never_build_an_ilu(self, spilu_calls):
         m = mesh_of_width(_assembly._BAND_MAX_WIDTH)
-        solver = SpeciesSolver(m)
+        solver = SpeciesSolver(m, KrylovCounts())
         b = species_rhs(m)
         for dt, speed in ((0.01, 10.0), (0.01, 0.0), (1e4, 0.0)):
             assert_solves(solver, m, species_operator(m, dt, speed), b)

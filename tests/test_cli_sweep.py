@@ -7,8 +7,9 @@ import pytest
 
 from depotsim.cli import main
 from depotsim.config import load_config, load_config_text
-from depotsim.io import read_snapshot, read_timeseries
+from depotsim.io import read_timeseries
 from depotsim.sweep import run_sweep
+from snapshot_reader import read_snapshot
 
 TINY = """
 mesh.fine_nr = 20
@@ -133,6 +134,43 @@ class TestSnapshotCommand:
         assert rc == 0
         _, _, t = read_snapshot(out)
         assert t == pytest.approx(6.0, abs=1.0)
+
+
+def assert_clean_error(capsys, argv, where):
+    """The command exits 1 with one ``error:`` line naming ``where``."""
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+    assert "Traceback" not in err
+
+
+class TestBadInputFiles:
+    def test_run_with_a_non_numeric_curve_row(self, tmp_path, capsys):
+        for kind, rows in (("charge", "3.0,20.0\n7,x\n"), ("ka", "3,2e4\n11,2e3\n"),
+                           ("kd", "3,1e-4\n11,1e-3\n")):
+            (tmp_path / f"{kind}.csv").write_text("ph,value\n" + rows)
+        cfg = tmp_path / "curves.cfg"
+        cfg.write_text("formulation.drug = custom\n" + "".join(
+            f"curves.{kind}_csv = {tmp_path / f'{kind}.csv'}\n"
+            for kind in ("charge", "ka", "kd")))
+        assert_clean_error(capsys, ["run", str(cfg)], "charge.csv:3")
+
+    def test_compare_with_a_non_numeric_reference_row(self, finished_run, tmp_path,
+                                                       capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("time_h,remaining_fraction\n0,1.0\n1,abc\n")
+        assert_clean_error(capsys, ["compare", str(finished_run), str(ref)], "ref.csv:3")
+
+    def test_compare_with_a_one_column_reference_row(self, finished_run, tmp_path,
+                                                      capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_text("time_h,remaining_fraction\n0,1.0\n1\n")
+        assert_clean_error(capsys, ["compare", str(finished_run), str(ref)], "ref.csv:3")
+
+    def test_sweep_with_a_non_numeric_value(self, tiny_cfg_file, tmp_path, capsys):
+        assert_clean_error(capsys, ["sweep", str(tiny_cfg_file), "--axis", "buffer_ph",
+                                    "--values", "abc", "--outdir", str(tmp_path)],
+                           "'abc'")
 
 
 class TestSweep:

@@ -1,15 +1,18 @@
 """Configuration format, serialization round-trips, snapshots, references."""
 
+import ast
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import depotsim
 from depotsim.config import (SCHEMA, default_config, load_config,
                              load_config_text)
 from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
                          compare_reference, load_checkpoint,
-                         load_reference_csv, read_snapshot, read_timeseries,
+                         load_reference_csv, read_timeseries,
                          save_checkpoint, write_snapshot, write_timeseries)
 from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
@@ -18,6 +21,7 @@ from depotsim.orchestrator import (DoseLedger, Simulation, StaggeredStepper,
 from depotsim.flow import InjectionProtocol
 from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
                              PhysicalConstants, StarlingParams, TissueLayers)
+from snapshot_reader import read_snapshot
 
 
 def curve_config_text(tmp_path, charge_header="ph,value"):
@@ -140,6 +144,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="expected header"):
             load_config_text(curve_config_text(tmp_path, charge_header="ph,charge"))
 
+    def test_non_finite_curve_value_rejected_at_load(self, tmp_path):
+        path = tmp_path / "charge.csv"
+        path.write_text("ph,value\n3.0,20.0\n7.0,nan\n11.0,-10.0\n")
+        with pytest.raises(ConfigurationError, match="charge.csv:3"):
+            PhCurve.from_csv(path)
+
     def test_syringe_sodium_is_three_times_tissue_sodium(self):
         syringe = load_config_text("species.c_na_init = 1.5e-4").syringe()
         assert syringe["na"] == pytest.approx(4.5e-4, rel=1e-15)
@@ -156,6 +166,50 @@ class TestConfigParsing:
             for f in fields(cls):
                 assert f.default is MISSING, f"{cls.__name__}.{f.name}"
                 assert f.default_factory is MISSING, f"{cls.__name__}.{f.name}"
+
+    #: (module, function, parameter) -> why a caller may leave it out
+    ALLOWED_DEFAULTS = {
+        ("_assembly", "diffusion_matrix", "diag"):
+            "the potential operator has no storage or sink on its diagonal",
+        ("_assembly", "diffusion_matrix", "speeds"):
+            "the pressure and potential operators carry no advection",
+        ("transport", "_implicit_species_solve", "sink_rate"):
+            "only the drug has the lymphatic and binding sinks",
+        ("cli", "main", "argv"): "the console script calls main() to read sys.argv",
+        ("orchestrator", "StaggeredStepper.__init__", "j_l_frozen"):
+            "only the long phase steps on a frozen drainage field",
+        ("orchestrator", "Simulation.run_short_term", "series"):
+            "a phase run on its own starts its own series",
+        ("orchestrator", "Simulation.run_short_term", "ledger"):
+            "a phase run on its own starts its own ledger",
+        ("orchestrator", "Simulation.run_long_term", "series"):
+            "a phase run on its own starts its own series",
+        ("orchestrator", "Simulation.run_long_term", "ledger"):
+            "a phase run on its own starts its own ledger",
+    }
+
+    def test_package_functions_default_only_the_listed_parameters(self):
+        found = set()
+
+        def visit(node, module, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    visit(child, module, prefix + child.name + ".")
+                elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    name = prefix + child.name
+                    args = child.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                                  if d is not None]
+                    found.update((module, name, a.arg) for a in defaulted)
+                    visit(child, module, name + ".")
+                else:
+                    visit(child, module, prefix)
+
+        for path in Path(depotsim.__file__).parent.glob("*.py"):
+            visit(ast.parse(path.read_text()), path.stem, "")
+        assert found == set(self.ALLOWED_DEFAULTS)
 
 
 class TestTimeseriesCsv:

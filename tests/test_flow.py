@@ -114,7 +114,8 @@ class TestStarling:
 
 class TestSolvePressure:
     def test_no_source_no_exchange_gives_zero(self, mesh):
-        solver = PressureSolver(mesh, kappa_nodes=1e-9, viscosity=ETA)
+        solver = PressureSolver(mesh, kappa_nodes=1e-9, viscosity=ETA,
+                                reaction=0.0, const=0.0)
         p = solver.solve(0.0)
         assert np.max(np.abs(p)) < 1e-12
 

@@ -36,7 +36,7 @@ class TestAssemble:
     def test_uniform_neutral_state(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z)
+                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
         assert np.allclose(coeffs.div_g, 0.0)
         assert np.allclose(coeffs.rhs, 0.0)
 
@@ -46,7 +46,7 @@ class TestAssemble:
         species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z)
+                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
         mu_na = species.sodium.mobility(CONSTANTS)
         mu_h = species.hydrogen.mobility(CONSTANTS)
         mu_cl = species.chloride.mobility(CONSTANTS)
@@ -62,7 +62,7 @@ class TestAssemble:
         species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_h=0.0)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z)
+                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
         expected = (CONSTANTS.faraday * 0.1 * 1.4e-4
                     * (species.sodium.mobility(CONSTANTS)
                        + species.chloride.mobility(CONSTANTS)))
@@ -73,14 +73,14 @@ class TestAssemble:
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_na=0.0, c_h=0.0)
         with pytest.raises(SolverError):
             assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                               c_na, c_h, c_mab, z)
+                               c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
 
 
 class TestSolve:
     def test_uniform_state_gives_zero_potential(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z)
+                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
         assert np.max(np.abs(phi)) < 1e-12
 
@@ -88,7 +88,7 @@ class TestSolve:
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + 0.5 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4) ** 2)))
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z)
+                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
         assert abs(domain_average(phi, mesh)) < 1e-12 * np.max(np.abs(phi))
 
@@ -96,7 +96,7 @@ class TestSolve:
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + np.exp(-((mesh.rr - 1) ** 2 + (mesh.zz - 3) ** 2)))
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z)
+                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
         a = solve_potential(coeffs, mesh)
         b = solve_potential(coeffs, mesh)
         assert np.array_equal(a, b)
@@ -112,11 +112,11 @@ class TestSolve:
         for lam in (0.5, 2.0):
             phi_ref = solve_potential(assemble_potential(
                 mesh, species, CONSTANTS, 0.1, base, np.full(shape, 4e-11),
-                np.zeros(shape), np.zeros(shape)), mesh)
+                np.zeros(shape), np.zeros(shape), j_l=0.0, binding_rate=0.0), mesh)
             phi_lam = solve_potential(assemble_potential(
                 mesh, species, CONSTANTS, 0.1, lam * base,
                 np.full(shape, lam * 4e-11), np.zeros(shape),
-                np.zeros(shape)), mesh)
+                np.zeros(shape), j_l=0.0, binding_rate=0.0), mesh)
             assert np.allclose(phi_lam, phi_ref, atol=1e-14 + 1e-10 * np.abs(phi_ref).max())
 
     def test_manufactured_solution_order(self):
@@ -136,7 +136,7 @@ class TestJunctionOracle:
         shape = (mesh.nz1, mesh.nr1)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
                                     c, np.zeros(shape), np.zeros(shape),
-                                    np.zeros(shape))
+                                    np.zeros(shape), j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
 
         d_na, d_cl = species.sodium.diffusivity, species.chloride.diffusivity

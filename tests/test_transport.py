@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from depotsim._assembly import diffusion_matrix, upwind_advection_matrix
+from depotsim._assembly import (KrylovCounts, SpeciesSolver, diffusion_matrix,
+                                upwind_advection_matrix)
 from depotsim.mesh import build_graded_mesh, nodal_integral
 from depotsim.config import default_config
 from depotsim.transport import (TransportStepInputs, advance_species,
@@ -24,7 +25,8 @@ def zero_velocity(mesh):
     return np.zeros((mesh.nz1, mesh.nr)), np.zeros((mesh.nz, mesh.nr1))
 
 
-def make_inputs(mesh, dt=0.1, phi=None, u=None, q=None, **kw):
+def make_inputs(mesh, dt=0.1, phi=None, u=None, q=None, j_l=0.0,
+                binding_assoc=0.0, binding_release=0.0):
     u_r, u_z = u if u is not None else zero_velocity(mesh)
     shape = (mesh.nz1, mesh.nr1)
     return TransportStepInputs(
@@ -32,7 +34,13 @@ def make_inputs(mesh, dt=0.1, phi=None, u=None, q=None, **kw):
         phi=phi if phi is not None else np.zeros(shape),
         q_p=q if q is not None else np.zeros(shape),
         c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7},
-        porosity=N, **kw)
+        porosity=N, j_l=j_l, binding_assoc=binding_assoc,
+        binding_release=binding_release)
+
+
+def fresh_solvers(mesh):
+    """Fresh Na+, H+ and drug solvers, as a stepper builds them for a phase."""
+    return tuple(SpeciesSolver(mesh, KrylovCounts()) for _ in range(3))
 
 
 def transport_operator(mesh, diffusivity, valence, phi, u_r, u_z):
@@ -94,7 +102,8 @@ class TestAdvanceSpecies:
         c_h = np.full(shape, 4e-11)
         c_mab = np.full(shape, 1e-7)
         out = advance_species(mesh, c_na, c_h, c_mab, np.zeros(shape),
-                              species, CONSTANTS, make_inputs(mesh))
+                              species, CONSTANTS, make_inputs(mesh),
+                              fresh_solvers(mesh))
         for old, new in zip((c_na, c_h, c_mab), out):
             assert np.allclose(new, old, rtol=1e-12)
 
@@ -112,7 +121,8 @@ class TestAdvanceSpecies:
         c_h = np.full(shape, 4e-11)
         c_mab = np.zeros(shape)
         new_na, _, _ = advance_species(mesh, c_na, c_h, c_mab, np.zeros(shape),
-                                       species, CONSTANTS, inputs)
+                                       species, CONSTANTS, inputs,
+                                       fresh_solvers(mesh))
         gained = N * (nodal_integral(new_na, mesh) - nodal_integral(c_na, mesh))
         forced = 0.05 * nodal_integral(q, mesh) * 4.2e-4
         assert gained == pytest.approx(forced, rel=1e-8)
@@ -130,7 +140,7 @@ class TestAdvanceSpecies:
         c_h = np.full(shape, 4e-11)
         new, _, _ = advance_species(mesh, c, c_h, np.zeros(shape),
                                     np.zeros(shape), species, CONSTANTS,
-                                    make_inputs(mesh, dt=5.0))
+                                    make_inputs(mesh, dt=5.0), fresh_solvers(mesh))
         assert new.max() <= c.max() * (1 + 1e-12)
         assert new.min() >= min(0.0, c.min())
 
@@ -151,7 +161,7 @@ class TestAdvanceSpecies:
         c_h = np.full(shape, 4e-11)
         new, _, _ = advance_species(mesh, c, c_h, np.zeros(shape),
                                     np.zeros(shape), species, CONSTANTS,
-                                    make_inputs(mesh, dt=0.5, u=u))
+                                    make_inputs(mesh, dt=0.5, u=u), fresh_solvers(mesh))
         assert new.max() <= c.max() * (1 + 1e-5)
         assert new.min() >= 0.0
 
@@ -172,7 +182,7 @@ class TestAdvanceSpecies:
             inputs = make_inputs(mesh, dt=50.0, phi=phi)
             _, _, new = advance_species(mesh, c_na, c_h, blob.copy(),
                                         np.full(shape, z_val), species,
-                                        CONSTANTS, inputs)
+                                        CONSTANTS, inputs, fresh_solvers(mesh))
             shift = center_of_mass(new) - center_of_mass(blob)
             if expect_drop:
                 assert shift < -1e-5
@@ -195,7 +205,7 @@ class TestAdvanceSpecies:
         inputs = make_inputs(mesh, dt=dt, j_l=j_l, binding_assoc=assoc,
                              binding_release=release)
         _, _, new = advance_species(mesh, c_na, c_h, c_mab, np.zeros(shape),
-                                    species, CONSTANTS, inputs)
+                                    species, CONSTANTS, inputs, fresh_solvers(mesh))
         gained = N * (nodal_integral(new, mesh) - nodal_integral(c_mab, mesh))
         expected = dt * (nodal_integral(release, mesh)
                          - nodal_integral((j_l + assoc) * new, mesh))

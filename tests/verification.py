@@ -9,6 +9,7 @@ subdominant.
 
 import numpy as np
 
+from depotsim._assembly import KrylovCounts, SpeciesSolver
 from depotsim.binding import advance_bound, exchange_rates
 from depotsim.config import default_config
 from depotsim.flow import PressureSolver
@@ -43,7 +44,7 @@ def pressure_order(sizes=(16, 24, 36, 54)) -> float:
         lap = (-a * np.cos(b * mesh.zz)
                * (a * np.sinc(a * mesh.rr / np.pi) + a * np.cos(a * mesh.rr))
                - b**2 * exact)
-        p = PressureSolver(mesh, kappa, ETA).solve(-(kappa / ETA) * lap)
+        p = PressureSolver(mesh, kappa, ETA, 0.0, 0.0).solve(-(kappa / ETA) * lap)
         errors.append(_l2(p - exact, exact, mesh))
         spacings.append(big_r / n)
     return _fit_order(spacings, errors)
@@ -91,13 +92,15 @@ def diffusion_order(sizes=(24, 32, 48, 64)) -> float:
             dt=(t1 - t0) / steps,
             u_r=np.zeros((mesh.nz1, mesh.nr)), u_z=np.zeros((mesh.nz, mesh.nr1)),
             phi=np.zeros(shape), q_p=np.zeros(shape),
-            c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7}, porosity=0.1)
+            c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7}, porosity=0.1,
+            j_l=0.0, binding_assoc=0.0, binding_release=0.0)
         c = exact(mesh, t0)
         c_na = np.full(shape, 1.4e-4)
         c_h = np.full(shape, 4e-11)
         for _ in range(steps):
+            solvers = tuple(SpeciesSolver(mesh, KrylovCounts()) for _ in range(3))
             _, _, c = advance_species(mesh, c_na, c_h, c, np.zeros(shape),
-                                      species, CONSTANTS, inputs)
+                                      species, CONSTANTS, inputs, solvers)
         errors.append(_l2(c - exact(mesh, t1), exact(mesh, t1), mesh))
         spacings.append(5 / n)
     return _fit_order(spacings, errors)
