@@ -15,24 +15,29 @@ pattern's ``indptr`` and ``indices`` are read-only and shared by every
 operator built on the mesh. A scipy matrix is built only where SuperLU,
 ``spilu`` or a matrix-vector product needs one.
 
-`factorize` picks one of two LU layouts per mesh from its half-bandwidth.
-Node k couples to k ± 1 and k ± nr1, so every operator on the pattern lies
-in a band of half-width nr1:
+`factorize` picks one of three layouts from the mesh's half-bandwidth and
+the operator's symmetry. Node k couples to k ± 1 and k ± nr1, so every
+operator on the pattern lies in a band of half-width nr1:
 
 - **Narrow meshes** (``nr1 <= _BAND_MAX_WIDTH``) are factored as a band
   matrix by LAPACK's partial-pivoting ``dgbtrf`` and solved by ``dgbtrs``.
   A read-only map from CSR ``data`` slots to band storage is cached on the
   mesh, so a factorization is one scatter and one LAPACK call.
-- **Wide meshes** use SuperLU in one fill-reducing order per mesh, taken from
-  the first factorization on the mesh (AT+A minimum degree) and cached on it.
-  The order depends only on the pattern, so it serves every operator on the
-  mesh, pinned ones included. Every later factorization gathers the
-  operator's ``data`` straight into the permuted CSC layout and factors it
-  in natural order.
+- **Symmetric operators on wide meshes** up to `_CHOLESKY_MAX_WIDTH`, such
+  as the grounded potential, are factored by LAPACK's banded Cholesky
+  ``dpbtrf`` from a cached lower-band map, in about half the flops of the
+  band LU and without pivoting. An operator that is not positive definite
+  goes on to SuperLU.
+- **Other wide-mesh operators** use SuperLU in one fill-reducing order per
+  mesh, taken from the first SuperLU factorization on the mesh (AT+A minimum
+  degree) and cached on it. The order depends only on the pattern, so it
+  serves every operator on the mesh, pinned ones included. Every later
+  factorization gathers the operator's ``data`` straight into the permuted
+  CSC layout and factors it in natural order.
 
-A band LU costs O(n nr1²) and the minimum-degree fill of SuperLU grows more
-slowly with the width, so the band wins only on narrow meshes;
-`_BAND_MAX_WIDTH` records where it stops winning.
+A band factor costs O(n nr1²) and the minimum-degree fill of SuperLU grows
+more slowly with the width, so the band wins only up to a width;
+`_BAND_MAX_WIDTH` and `_CHOLESKY_MAX_WIDTH` record where each stops winning.
 
 Species transport on a wide mesh does not factor every step. A
 `SpeciesSolver` per species keeps an incomplete LU (``spilu``, drop
@@ -40,9 +45,10 @@ tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
 operator in the mesh's minimum-degree layout, and solves each step by
 GMRES(`_GMRES_RESTART`) preconditioned by it. The species operators change
 slowly from step to step, so the kept ILU usually serves until the flow
-stops. The potential keeps a fresh `factorize` each step: on injection_fine
-even the full LU of its first operator needed 21-23 GMRES iterations to
-precondition the later ones. Narrow meshes keep a fresh band LU for the
+stops. The potential keeps a fresh `factorize` each step, a banded
+Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
+first operator needed 21-23 GMRES iterations to precondition the later
+ones. Narrow meshes keep a fresh band LU for the
 species too: on uniform 17- and 25-wide meshes its factor and solve take
 53 and 191 us, a GMRES run on a kept ILU 292 and 352 us (1.2 ms against
 2.2 ms at 49 wide).
@@ -267,31 +273,111 @@ class BandLU:
         return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
 
 
+#: Widest mesh on which `factorize` factors a symmetric operator by banded
+#: Cholesky. Factor plus solve of a grounded potential operator on uniform
+#: n x n meshes, SuperLU in the cached order against `BandCholesky`,
+#: interleaved, median of 30 rounds (6 from 161 on), one BLAS thread, 2-core
+#: Xeon:
+#:
+#:   nr1        49      65      73      85     101     121     141     161     201
+#:   SuperLU  4.05    7.57    9.67    14.1    22.0    34.9    52.0    66.2     120 ms
+#:   Cholesky 2.55    4.63    6.68    9.01    16.7    28.9    48.1    63.4     130 ms
+#:
+#: The margin falls from 17% at 121 to 8% at 141 and 4% at 161, inside the
+#: box's run-to-run noise, and the band factor's n (w + 1) doubles grow as
+#: nr1³ (14 MB at 121), so the limit sits at 121.
+_CHOLESKY_MAX_WIDTH = 121
+
+
+@dataclass(frozen=True)
+class CholeskyLayout:
+    """LAPACK lower band storage of a mesh's symmetric operators; arrays read-only.
+
+    With half-width ``width`` w, entry (i, j), i >= j, of an operator sits at
+    ``ab[i - j, j]`` of the column-major ``(w + 1, n)`` array that ``dpbtrf``
+    factors in place. ``lower`` holds the CSR ``data`` slots of the diagonal
+    and of the (hi, lo) entry of every face, and ``slots`` their flat
+    positions in that array's memory. ``l_nnz`` counts the entries the
+    factor stores: the diagonal and up to w below it.
+    """
+
+    width: int
+    lower: np.ndarray
+    slots: np.ndarray
+    l_nnz: int
+
+
+def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
+    """The mesh's lower band layout, built on first use and cached on the mesh."""
+    cached = getattr(mesh, "_cholesky_layout", None)
+    if cached is not None:
+        return cached
+    pattern = csr_pattern(mesh)
+    n, w, faces = mesh.n_nodes, mesh.nr1, pattern.lo.size
+    lower = np.concatenate([pattern.diag, pattern.scatter[2 * faces:3 * faces]])
+    slots = np.concatenate([np.arange(n) * (w + 1),
+                            pattern.lo * (w + 1) + pattern.hi - pattern.lo])
+    for arr in (lower, slots):
+        arr.flags.writeable = False
+    layout = CholeskyLayout(w, lower, slots, int(np.minimum(np.arange(n), w).sum()) + n)
+    mesh._cholesky_layout = layout
+    return layout
+
+
+class BandCholesky:
+    """Banded Cholesky ``A = L Lᵀ``; ``solve`` answers ``A x = b`` in mesh numbering.
+
+    ``L.nnz`` is the entries the factor stores. ``U`` is ``Lᵀ``, read from the
+    same storage, so ``U.nnz`` is 0.
+    """
+
+    __slots__ = ("_ab", "_band")
+
+    def __init__(self, ab: np.ndarray, band: CholeskyLayout):
+        self._ab = ab
+        self._band = band
+
+    @property
+    def L(self) -> StoredEntries:
+        return StoredEntries(self._band.l_nnz)
+
+    @property
+    def U(self) -> StoredEntries:
+        return StoredEntries(0)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return lapack.dpbtrs(self._ab, b, lower=1)[0]
+
+
+def _is_symmetric(a: Operator) -> bool:
+    """Whether the operator equals its transpose, compared exactly face by face."""
+    scatter, faces = a.pattern.scatter, a.pattern.lo.size
+    return np.array_equal(a.data[scatter[faces:2 * faces]],
+                          a.data[scatter[2 * faces:3 * faces]])
+
+
 def factorize(mesh: AxiMesh, a: Operator):
-    """LU of an operator on the mesh pattern, in the layout the mesh's width picks.
+    """Factor of an operator on the mesh pattern, in the layout the mesh's width
+    and the operator's symmetry pick.
 
     Only ``a.data`` is read. On a mesh at most `_BAND_MAX_WIDTH` nodes wide,
     it is scattered into LAPACK band storage through the mesh's cached
     `BandLayout` and factored in place by ``dgbtrf``, with partial pivoting.
     No scipy matrix is built, and the solve is ``dgbtrs``.
 
-    On a wider mesh, the first factorization builds the operator's CSC form
-    and uses SuperLU's AT+A minimum-degree order, which roughly halves the
-    factorization cost against the default column order on tensor-product
-    grids, and caches that order on the mesh. Later factorizations gather
-    ``data`` into ``P A Pᵀ`` (`_permuted`) and factor it with ``NATURAL``:
-    the order is already applied, so SuperLU skips recomputing it.
-    ``relax=1, panel_size=1`` because SuperLU's defaults are tuned for large
-    matrices: relaxed supernodes and wide panels only add work on columns
-    with a few dozen nonzeros. Measured on 16² and 72² meshes, they factor
-    1.3-2.5x faster than the defaults. The fill can differ by a few entries
-    from that of stock ``splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")``: on a
-    uniform 48×12-cell mesh the first factor of the pinned-rim pressure
-    operator holds 8 entries more.
+    On a wider mesh up to `_CHOLESKY_MAX_WIDTH`, an operator whose face
+    blocks are exactly symmetric is scattered into lower band storage through
+    the mesh's cached `CholeskyLayout` and factored by ``dpbtrf``, about half
+    the flops of the band LU and no pivoting; the solve is ``dpbtrs``. If the
+    operator is not positive definite, ``dpbtrf`` stops and the operator goes
+    to SuperLU below.
 
-    The returned object's ``solve`` works in mesh numbering either way, and
-    its ``L.nnz + U.nnz`` is the entries the factors store. Raises
-    ``RuntimeError`` for an exactly singular operator on either path.
+    Every other operator on a wide mesh goes to SuperLU (`_superlu`).
+
+    The returned object's ``solve`` works in mesh numbering on every path,
+    and its ``L.nnz + U.nnz`` is the entries the factors store (for Cholesky,
+    ``L`` alone). Raises ``RuntimeError`` for an exactly singular operator on
+    either LU path.
     """
     pattern = csr_pattern(mesh)
     if a.data.size != pattern.indices.size:
@@ -306,6 +392,34 @@ def factorize(mesh: AxiMesh, a: Operator):
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
         return BandLU(lu, piv, band)
+    if mesh.nr1 <= _CHOLESKY_MAX_WIDTH and _is_symmetric(a):
+        band = _cholesky_layout(mesh)
+        ab = np.zeros((mesh.n_nodes, band.width + 1))
+        ab.reshape(-1)[band.slots] = a.data[band.lower]
+        factor, info = lapack.dpbtrf(ab.T, lower=1, overwrite_ab=1)
+        if info == 0:
+            return BandCholesky(factor, band)
+    return _superlu(mesh, a)
+
+
+def _superlu(mesh: AxiMesh, a: Operator):
+    """SuperLU factor of an operator on a wide mesh, in the mesh's one
+    fill-reducing order.
+
+    The first call on a mesh builds the operator's CSC form, uses SuperLU's
+    AT+A minimum-degree order, which roughly halves the factorization cost
+    against the default column order on tensor-product grids, and caches that
+    order on the mesh. Later calls gather ``data`` into ``P A Pᵀ``
+    (`_permuted`) and factor it with ``NATURAL``: the order is already
+    applied, so SuperLU skips recomputing it. ``relax=1, panel_size=1``
+    because SuperLU's defaults are tuned for large matrices: relaxed
+    supernodes and wide panels only add work on columns with a few dozen
+    nonzeros. Measured on 16² and 72² meshes, they factor 1.3-2.5x faster
+    than the defaults. The fill can differ by a few entries from that of
+    stock ``splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")``: on a uniform
+    48×12-cell mesh the first factor of the pinned-rim pressure operator
+    holds 8 entries more.
+    """
     lu_order = getattr(mesh, "_lu_order", None)
     if lu_order is None:
         lu = spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
@@ -405,7 +519,7 @@ class SpeciesSolver:
 
     def _build_ilu(self, a: Operator) -> PermutedLU:
         if getattr(self.mesh, "_lu_order", None) is None:
-            factorize(self.mesh, a)  # takes the mesh's minimum-degree order
+            _superlu(self.mesh, a)  # takes the mesh's minimum-degree order
         lu_order = self.mesh._lu_order
         self.counts.ilu_builds += 1
         ilu = spla.spilu(_permuted(a, lu_order), drop_tol=_ILU_DROP_TOL,

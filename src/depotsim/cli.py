@@ -83,7 +83,7 @@ def _cmd_metrics(args) -> int:
     print(f"retries: {ledger['retries']}")
     if "chloride_min" in ledger:  # absent from reports written before it existed
         print(f"minimum chloride: {ledger['chloride_min']:.4e} mol/cm^3")
-    for phase, counters in ledger["phases"].items():
+    for phase, counters in ledger.get("phases", {}).items():  # likewise
         print(f"{phase} phase: " + "  ".join(f"{k} {v}" for k, v in counters.items()))
     return 0
 

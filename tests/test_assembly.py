@@ -9,8 +9,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
-from depotsim._assembly import (BandLU, KrylovCounts, SpeciesSolver, csr_pattern,
-                                diffusion_matrix, factorize, pin_rows, upwind_advection_matrix)
+from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, SpeciesSolver,
+                                csr_pattern, diffusion_matrix, factorize, pin_rows,
+                                upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
 
@@ -334,6 +335,72 @@ class TestFactorize:
 
 
 WIDE = pytest.mark.parametrize("superlu_mesh", [(56, 8, 1.02)], ids=["56x8"], indirect=True)
+
+
+def grounded_potential_operator(mesh, rng):
+    # as `potential._solve_neumann` builds it: the last node's diagonal doubled
+    a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0))
+    a.data[a.pattern.diag[-1]] *= 2.0
+    return a
+
+
+def capacity_operator(mesh, rng):
+    # storage V / dt plus diffusion, as a species operator with the flow stopped
+    return diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+                            diag=mesh.node_volumes / 0.1)
+
+
+SPD_OPERATORS = [grounded_potential_operator, capacity_operator]
+
+
+class TestBandCholesky:
+    def test_width_and_symmetry_pick_the_layout(self, splu_calls):
+        rng = np.random.default_rng(21)
+        narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
+        assert isinstance(factorize(narrow, capacity_operator(narrow, rng)), BandLU)
+        for nr1 in (_assembly._BAND_MAX_WIDTH + 1, _assembly._CHOLESKY_MAX_WIDTH):
+            m = mesh_of_width(nr1)
+            assert isinstance(factorize(m, capacity_operator(m, rng)), BandCholesky)
+        assert not splu_calls
+        # asymmetric, or above the cap: SuperLU as before
+        m = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
+        assert not isinstance(factorize(m, transport_operator(m, rng)), (BandLU, BandCholesky))
+        m = mesh_of_width(_assembly._CHOLESKY_MAX_WIDTH + 1)
+        assert not isinstance(factorize(m, capacity_operator(m, rng)), (BandLU, BandCholesky))
+        assert splu_calls == {"MMD_AT_PLUS_A": 2}
+
+    @WIDE
+    @pytest.mark.parametrize("build", SPD_OPERATORS, ids=lambda f: f.__name__)
+    def test_spd_operator_solve_matches_dense_solve(self, superlu_mesh, build):
+        rng = np.random.default_rng(22)
+        a = build(superlu_mesh, rng)
+        b = rng.normal(size=superlu_mesh.n_nodes)
+        expected = np.linalg.solve(dense(a), b)
+        lu = factorize(superlu_mesh, a)
+        assert isinstance(lu, BandCholesky)
+        x = lu.solve(b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @WIDE
+    def test_symmetric_indefinite_operator_falls_back_to_lu(self, superlu_mesh, splu_calls):
+        rng = np.random.default_rng(23)
+        a = diffusion_matrix(superlu_mesh, *random_faces(superlu_mesh, rng, 0.1, 3.0))
+        a.data[a.pattern.diag] -= 0.5 * a.data[a.pattern.diag].mean()
+        b = rng.normal(size=superlu_mesh.n_nodes)
+        expected = np.linalg.solve(dense(a), b)
+        assert np.linalg.eigvalsh(dense(a)).min() < 0.0
+        lu = factorize(superlu_mesh, a)
+        assert not isinstance(lu, BandCholesky)
+        assert splu_calls == {"MMD_AT_PLUS_A": 1}
+        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_cholesky_factor_counts_its_band(self):
+        m = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
+        lu = factorize(m, capacity_operator(m, np.random.default_rng(24)))
+        w, ones = m.nr1, np.ones((m.n_nodes, m.n_nodes))
+        assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w)))
+        assert lu.U.nnz == 0  # U is L transposed, in the same storage
+
 
 
 def species_operator(mesh, dt, speed):

@@ -93,6 +93,19 @@ class TestMetricsCommand:
             for key, value in counters.items():
                 assert f"{key} {value}" in line
 
+    def test_summary_reads_a_ledger_without_the_run_report(self, finished_run, tmp_path,
+                                                           capsys):
+        # a ledger.json written before `phases` and `chloride_min` existed
+        ledger = json.loads((finished_run / "ledger.json").read_text())
+        del ledger["phases"], ledger["chloride_min"]
+        (tmp_path / "ledger.json").write_text(json.dumps(ledger))
+        (tmp_path / "timeseries.csv").write_bytes((finished_run / "timeseries.csv").read_bytes())
+        assert main(["metrics", str(tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert f"retries: {ledger['retries']}" in captured.out.splitlines()
+        assert " phase: " not in captured.out
+        assert "Traceback" not in captured.err
+
 
 class TestCompareCommand:
     def test_self_similar_reference_scores_well(self, finished_run, tmp_path,

@@ -300,6 +300,24 @@ class TestCheckpoint:
         assert ledger2.injected == ledger.injected
         assert ledger2.closure_residual() == pytest.approx(0.0, abs=1e-12)
 
+    def test_a_compressed_checkpoint_loads_identically(self, tmp_path):
+        # checkpoints were written by np.savez_compressed before; those still load
+        ledger = DoseLedger(injected=1e-7, free=6e-8, bound=1e-8, absorbed_lymph=3e-8)
+        stored = save_checkpoint(small_state(), ledger, "short_end",
+                                 tmp_path / "stored.npz", config_text="x = 1")
+        with np.load(stored) as data:
+            arrays = dict(data)
+        compressed = tmp_path / "compressed.npz"
+        np.savez_compressed(compressed, **arrays)
+        state, ledger, phase, text = load_checkpoint(stored)
+        state2, ledger2, phase2, text2 = load_checkpoint(compressed)
+        assert (phase2, text2, ledger2, state2.t) == (phase, text, ledger, state.t)
+        assert np.array_equal(state2.mesh.r, state.mesh.r)
+        assert np.array_equal(state2.mesh.z, state.mesh.z)
+        for name in ("c_na", "c_h", "c_mab", "c_b", "p", "phi", "u_r", "u_z",
+                     "c_cl", "ph", "z_mab", "j_l"):
+            assert np.array_equal(getattr(state2, name), getattr(state, name)), name
+
 
 class TestReferenceComparison:
     def test_run_against_itself_is_zero(self):

@@ -9,13 +9,15 @@ concentrated region sits at the higher potential,
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from depotsim import _assembly as fv
 from depotsim.flow import SolverError
-from depotsim.mesh import build_graded_mesh, integrate
+from depotsim.mesh import AxiMesh, build_graded_mesh, integrate
 from depotsim.metrics import domain_average
 from depotsim.config import default_config
-from depotsim.potential import (_solve_neumann, assemble_potential,
-                                solve_potential)
+from depotsim.potential import (PotentialCoefficients, _solve_neumann,
+                                assemble_potential, solve_potential)
 
 DEFAULTS = default_config()
 CONSTANTS = DEFAULTS.constants()
@@ -118,6 +120,37 @@ class TestSolve:
                 np.full(shape, lam * 4e-11), np.zeros(shape),
                 np.zeros(shape), j_l=0.0, binding_rate=0.0), mesh)
             assert np.allclose(phi_lam, phi_ref, atol=1e-14 + 1e-10 * np.abs(phi_ref).max())
+
+    def test_wide_graded_solve_matches_a_refined_bordered_solve(self):
+        # the reference solves the bordered system [[A, w], [w^T, 0]] and
+        # refines it with residuals in long double, so it shares neither the
+        # gauge nor the factorization of the solve under test. The parent's
+        # solve, pinning node 0's row and factoring by SuperLU, was 6.3e-12
+        # of max|Phi| away; grounding the last node and banded Cholesky 3.1e-14
+        nodes = np.concatenate([[0.0], np.cumsum(0.1 * 1.02 ** np.arange(56))])
+        wide = AxiMesh(r=nodes, z=nodes[:9])
+        assert wide.nr1 > fv._BAND_MAX_WIDTH
+        rng = np.random.default_rng(3)
+        shape = (wide.nz1, wide.nr1)
+        coeffs = PotentialCoefficients(sigma=rng.uniform(0.1, 3.0, shape),
+                                       rhs=rng.normal(size=shape),
+                                       div_g=rng.normal(size=shape))
+        phi = solve_potential(coeffs, wide).ravel()
+
+        a = fv.diffusion_matrix(wide, *fv.harmonic_face_coefficients(coeffs.sigma))
+        n = wide.n_nodes
+        w = wide.integration_weights.ravel()
+        b = (coeffs.div_g - coeffs.rhs * wide.node_volumes).ravel()
+        b = b - w * (b.sum() / w.sum())
+        bordered = np.zeros((n + 1, n + 1))
+        bordered[:n, :n] = sp.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n)).toarray()
+        bordered[:n, n] = bordered[n, :n] = w
+        rhs = np.append(b, 0.0).astype(np.longdouble)
+        x = np.linalg.solve(bordered, rhs.astype(float)).astype(np.longdouble)
+        for _ in range(4):
+            x += np.linalg.solve(bordered, (rhs - bordered.astype(np.longdouble) @ x).astype(float))
+        reference = x[:n].astype(float)
+        assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_manufactured_solution_order(self):
         # Phi* = cos(pi r / R) cos(pi z / H) is flux-free on every boundary
