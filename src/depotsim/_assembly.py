@@ -48,10 +48,9 @@ slowly from step to step, so the kept ILU usually serves until the flow
 stops. The potential keeps a fresh `factorize` each step, a banded
 Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
 first operator needed 21-23 GMRES iterations to precondition the later
-ones. Narrow meshes keep a fresh band LU for the
-species too: on uniform 17- and 25-wide meshes its factor and solve take
-53 and 191 us, a GMRES run on a kept ILU 292 and 352 us (1.2 ms against
-2.2 ms at 49 wide).
+ones. Narrow meshes keep a fresh band LU for the species too: on uniform
+17- and 25-wide meshes its factor and solve take 53 and 191 us, a GMRES run
+on a kept ILU 292 and 352 us (1.2 ms against 2.2 ms at 49 wide).
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ class PermutedLU:
         return self._lu.solve(b[self._layout.order])[self._layout.rank]
 
 
-_SMALL_SYSTEM = {"relax": 1, "panel_size": 1}  # see `factorize`
+_SMALL_SYSTEM = {"relax": 1, "panel_size": 1}  # see `_superlu`
 
 
 def _permuted_layout(mesh: AxiMesh, perm_c: np.ndarray) -> LuOrder:
@@ -293,7 +292,7 @@ _CHOLESKY_MAX_WIDTH = 121
 class CholeskyLayout:
     """LAPACK lower band storage of a mesh's symmetric operators; arrays read-only.
 
-    With half-width ``width`` w, entry (i, j), i >= j, of an operator sits at
+    With half-width w = nr1, entry (i, j), i >= j, of an operator sits at
     ``ab[i - j, j]`` of the column-major ``(w + 1, n)`` array that ``dpbtrf``
     factors in place. ``lower`` holds the CSR ``data`` slots of the diagonal
     and of the (hi, lo) entry of every face, and ``slots`` their flat
@@ -301,7 +300,6 @@ class CholeskyLayout:
     factor stores: the diagonal and up to w below it.
     """
 
-    width: int
     lower: np.ndarray
     slots: np.ndarray
     l_nnz: int
@@ -319,7 +317,7 @@ def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
                             pattern.lo * (w + 1) + pattern.hi - pattern.lo])
     for arr in (lower, slots):
         arr.flags.writeable = False
-    layout = CholeskyLayout(w, lower, slots, int(np.minimum(np.arange(n), w).sum()) + n)
+    layout = CholeskyLayout(lower, slots, int(np.minimum(np.arange(n), w).sum()) + n)
     mesh._cholesky_layout = layout
     return layout
 
@@ -394,11 +392,12 @@ def factorize(mesh: AxiMesh, a: Operator):
         return BandLU(lu, piv, band)
     if mesh.nr1 <= _CHOLESKY_MAX_WIDTH and _is_symmetric(a):
         band = _cholesky_layout(mesh)
-        ab = np.zeros((mesh.n_nodes, band.width + 1))
+        ab = np.zeros((mesh.n_nodes, mesh.nr1 + 1))
         ab.reshape(-1)[band.slots] = a.data[band.lower]
         factor, info = lapack.dpbtrf(ab.T, lower=1, overwrite_ab=1)
         if info == 0:
             return BandCholesky(factor, band)
+        # not positive definite: SuperLU pivots, or reports it singular
     return _superlu(mesh, a)
 
 
