@@ -7,7 +7,7 @@ graded (r, z) grid, with a coarse-mesh reduced model for multi-hour horizons.
 
 from .config import SimulationConfig, default_config, load_config, load_config_text
 from .flow import (InjectionProtocol, PressureSolver, SolverError,
-                   injection_source, node_speed, solve_pressure,
+                   darcy_mobility, injection_source, node_speed, solve_pressure,
                    starling_lymph, velocity_from_pressure)
 from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
                    project_field)

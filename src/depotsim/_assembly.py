@@ -39,6 +39,27 @@ A band factor costs O(n nr1²) and the minimum-degree fill of SuperLU grows
 more slowly with the width, so the band wins only up to a width;
 `_BAND_MAX_WIDTH` and `_CHOLESKY_MAX_WIDTH` record where each stops winning.
 
+Per-mesh caches. Each depends on the mesh alone, is built on first use,
+stored on the mesh as a private attribute, lives as long as the mesh, and
+holds only read-only arrays; none holds an operator or a factor:
+
+- `csr_pattern` (``mesh._csr_pattern``): the 5-point CSR layout, the face
+  node arrays and the ``data`` slots every fill scatters into.
+- `face_geometry` (``mesh._face_geometry``): the area and node distance of
+  every face and the face ends in `CsrPattern` face order, which every
+  operator fill and `divergence_of_face_flux` read instead of rebuilding
+  them from the mesh each call.
+- `_band_layout` and `_cholesky_layout` (``mesh._band_layout``,
+  ``mesh._cholesky_layout``): the maps from CSR ``data`` slots to LAPACK band
+  storage.
+- ``mesh._lu_order``: the minimum-degree order and permuted CSC layout of
+  the first SuperLU factorization on a wide mesh (`_superlu`).
+
+An operator fill can stack operators on a leading axis (`_fill`): the
+species transport builds its three operators in one ``bincount``, each in
+its own block of bins, so each operator's entries are summed in the same
+order as in a fill of its own.
+
 Species transport on a wide mesh does not factor every step. A
 `SpeciesSolver` per species keeps an incomplete LU (``spilu``, drop
 tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
@@ -71,8 +92,8 @@ class CsrPattern:
 
     Faces are listed r faces first, then z faces; face f joins node ``lo[f]``
     to the next node ``hi[f]``. ``scatter`` holds the ``data`` slots of the
-    four entries of every face in four blocks: (lo, lo), (lo, hi), (hi, lo)
-    and (hi, hi).
+    four entries of every face in four blocks, (lo, lo), (lo, hi), (hi, lo)
+    and (hi, hi), and then the diagonal slot of every node.
     """
 
     indptr: np.ndarray
@@ -100,7 +121,7 @@ def csr_pattern(mesh: AxiMesh) -> CsrPattern:
     diag, lo_hi, hi_lo = np.split(slot, [n, n + lo.size])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     pattern = CsrPattern(indptr.astype(np.int32), cols[order].astype(np.int32),
-                         diag, lo, hi, np.concatenate([diag[lo], lo_hi, hi_lo, diag[hi]]))
+                         diag, lo, hi, np.concatenate([diag[lo], lo_hi, hi_lo, diag[hi], diag]))
     for arr in vars(pattern).values():
         arr.flags.writeable = False
     mesh._csr_pattern = pattern
@@ -583,12 +604,27 @@ class SpeciesSolver:
         return None
 
 
-def _fill(mesh: AxiMesh, aa, ab, ba, bb) -> Operator:
-    """Operator on the mesh pattern from per-face entries in `CsrPattern` order."""
+def _fill(mesh: AxiMesh, aa, ab, ba, bb, diag) -> Operator:
+    """Operator on the mesh pattern from per-face entries in `CsrPattern` order
+    and a diagonal added after them, scalar or flat per node.
+
+    The entries may carry a leading axis, one operator each: their fills
+    share one ``bincount``, each operator in its own block of bins, and
+    ``data`` gets the same leading axis.
+    """
     pattern = csr_pattern(mesh)
-    return Operator(pattern, np.bincount(pattern.scatter,
-                                         weights=np.concatenate([aa, ab, ba, bb]),
-                                         minlength=pattern.indices.size))
+    nnz, faces = pattern.indices.size, pattern.lo.size
+    lead = np.shape(aa)[:-1]
+    weights = np.empty(lead + (pattern.scatter.size,))
+    for k, entries in enumerate((aa, ab, ba, bb)):
+        weights[..., k * faces:(k + 1) * faces] = entries
+    weights[..., 4 * faces:] = diag
+    index = pattern.scatter
+    if lead:
+        index = (index + nnz * np.arange(lead[0])[:, None]).ravel()
+    data = np.bincount(index, weights=weights.ravel(),
+                       minlength=nnz * (lead[0] if lead else 1))
+    return Operator(pattern, data.reshape(lead + (nnz,)))
 
 
 def pin_rows(a: Operator, rows) -> Operator:
@@ -608,16 +644,60 @@ def harmonic_face_coefficients(coef: np.ndarray):
     return coef_r, coef_z
 
 
+def face_averages(x):
+    """Arithmetic mean of a nodal field on both face families; a scalar is its own mean."""
+    if not (isinstance(x, np.ndarray) and x.ndim):
+        return x, x
+    return 0.5 * (x[:, :-1] + x[:, 1:]), 0.5 * (x[:-1, :] + x[1:, :])
+
+
 def face_gradients(mesh: AxiMesh, f: np.ndarray):
-    """(df/dr on r-faces, df/dz on z-faces)."""
-    g_r = (f[:, 1:] - f[:, :-1]) / mesh.dr[None, :]
-    g_z = (f[1:, :] - f[:-1, :]) / mesh.dz[:, None]
+    """(df/dr on r-faces, df/dz on z-faces); leading axes of ``f`` stack fields."""
+    g_r = (f[..., 1:] - f[..., :-1]) / mesh.dr
+    g_z = (f[..., 1:, :] - f[..., :-1, :]) / mesh.dz[:, None]
     return g_r, g_z
 
 
-def _per_face(x_r: np.ndarray, x_z: np.ndarray) -> np.ndarray:
-    """One value per face in `CsrPattern` face order from the two face families."""
-    return np.concatenate([x_r.ravel(), x_z.ravel()])
+@dataclass(frozen=True)
+class FaceGeometry:
+    """Per-face geometry of one mesh in `CsrPattern` face order; arrays read-only."""
+
+    area: np.ndarray  # dual-face area
+    dist: np.ndarray  # distance between the face's two nodes
+    ends: np.ndarray  # every face's lower nodes, then its upper nodes
+
+
+def face_geometry(mesh: AxiMesh) -> FaceGeometry:
+    """The mesh's face geometry, built on first use and cached on the mesh."""
+    cached = getattr(mesh, "_face_geometry", None)
+    if cached is not None:
+        return cached
+    pattern = csr_pattern(mesh)
+    geometry = FaceGeometry(
+        _per_face(mesh, mesh.area_r, mesh.area_z),
+        _per_face(mesh, np.broadcast_to(mesh.dr, (mesh.nz1, mesh.nr)),
+                  np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))),
+        np.concatenate([pattern.lo, pattern.hi]))
+    for arr in vars(geometry).values():
+        arr.flags.writeable = False
+    mesh._face_geometry = geometry
+    return geometry
+
+
+def _per_face(mesh: AxiMesh, x_r, x_z) -> np.ndarray:
+    """One value per face in `CsrPattern` face order from the two face families.
+
+    Each family gives one value per face, shape (nz1, nr) or (nz, nr1), or
+    one for all its faces, a scalar or shape (1, 1). Leading axes stack
+    operators.
+    """
+    x_r, x_z = np.asarray(x_r), np.asarray(x_z)
+    lead = max(x_r.shape[:-2], x_z.shape[:-2], key=len)
+    n_r = mesh.nz1 * mesh.nr
+    out = np.empty(lead + (n_r + mesh.nz * mesh.nr1,))
+    out[..., :n_r] = x_r.reshape(x_r.shape[:-2] + (-1,))
+    out[..., n_r:] = x_z.reshape(x_z.shape[:-2] + (-1,))
+    return out
 
 
 def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
@@ -631,23 +711,25 @@ def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
     ``speeds``, face-normal speeds ``(s_r, s_z)``, adds the upwind advection
     ``div(s x)`` of `upwind_advection_matrix` in the same fill; the operator
     is then no longer symmetric.
+
+    A leading axis on the coefficients, ``diag`` or the speeds stacks
+    operators, filled together: ``data`` then holds one operator per row.
     """
+    geometry = face_geometry(mesh)
     # face transmissibilities T = area * coef / distance
-    t = _per_face(mesh.area_r * coef_r / mesh.dr[None, :],
-                  mesh.area_z * coef_z / mesh.dz[:, None])
+    t = geometry.area * _per_face(mesh, coef_r, coef_z) / geometry.dist
+    diag = np.asarray(diag)
+    diag = diag.reshape(diag.shape[:-2] + (-1,))
     if speeds is None:
-        a = _fill(mesh, t, -t, -t, t)
-    else:
-        pos, neg = _upwind_face_fluxes(mesh, *speeds)
-        a = _fill(mesh, t + pos, neg - t, -t - pos, t - neg)
-    a.data[csr_pattern(mesh).diag] += np.ravel(diag)
-    return a
+        return _fill(mesh, t, -t, -t, t, diag)
+    pos, neg = _upwind_face_fluxes(mesh, *speeds)
+    return _fill(mesh, t + pos, neg - t, -t - pos, t - neg, diag)
 
 
 def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray):
     """Area-weighted face speeds, split into flow toward each face's upper node
     (>= 0, carried by the lower node) and toward its lower node (<= 0)."""
-    f = _per_face(mesh.area_r * s_r, mesh.area_z * s_z)
+    f = face_geometry(mesh).area * _per_face(mesh, s_r, s_z)
     return np.maximum(f, 0.0), np.minimum(f, 0.0)
 
 
@@ -659,14 +741,14 @@ def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> 
     the dual tessellation, so the operator is flux-free by construction.
     """
     pos, neg = _upwind_face_fluxes(mesh, s_r, s_z)
-    return _fill(mesh, pos, neg, -pos, -neg)
+    return _fill(mesh, pos, neg, -pos, -neg, 0.0)
 
 
 def divergence_of_face_flux(mesh: AxiMesh, flux_r: np.ndarray,
                             flux_z: np.ndarray) -> np.ndarray:
     """Net outward flux per dual cell from per-area face fluxes (2-D output)."""
-    pattern = csr_pattern(mesh)
-    f = _per_face(mesh.area_r * flux_r, mesh.area_z * flux_z)
-    out = np.bincount(np.concatenate([pattern.lo, pattern.hi]),
-                      weights=np.concatenate([f, -f]), minlength=mesh.n_nodes)
+    geometry = face_geometry(mesh)
+    f = geometry.area * _per_face(mesh, flux_r, flux_z)
+    out = np.bincount(geometry.ends, weights=np.concatenate([f, -f]),
+                      minlength=mesh.n_nodes)
     return out.reshape(mesh.nz1, mesh.nr1)

@@ -85,6 +85,11 @@ def _cmd_metrics(args) -> int:
         print(f"minimum chloride: {ledger['chloride_min']:.4e} mol/cm^3")
     for phase, counters in ledger.get("phases", {}).items():  # likewise
         print(f"{phase} phase: " + "  ".join(f"{k} {v}" for k, v in counters.items()))
+    for phase, rep in ledger.get("phase_report", {}).items():  # likewise
+        print(f"{phase} report: steps {rep['steps']}  dt min/median/max "
+              f"{rep['dt_min_s']:.4g}/{rep['dt_median_s']:.4g}/{rep['dt_max_s']:.4g} s  "
+              f"wall {rep['wall_s']:.3f} s  "
+              f"max closure residual {rep['max_closure_residual']:.2e}")
     return 0
 
 

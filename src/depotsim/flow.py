@@ -65,10 +65,14 @@ class InjectionProtocol:
 
 
 def injection_source(mesh: AxiMesh, protocol: InjectionProtocol, t: float) -> np.ndarray:
-    """Volumetric source density q_p (1/s) at time t, exactly normalized.
+    """Volumetric source density q_p (1/s) at time t, normalized in the primal measure.
 
     Spatial profile: exp(-d^2 / (2 sigma^2)) truncated at 3 sigma around the
-    needle tip, rescaled every evaluation so integrate(q_p) equals Q(t).
+    needle tip, rescaled every evaluation so that `integrate(q_p)`, the
+    primal-cell quadrature, equals Q(t). The solvers and the dose ledger book
+    the source in the dual measure, ``sum(node_volumes * q_p)``, which differs
+    from Q(t) by the quadrature error on a coarse or graded mesh, so the dose
+    they inject is not exactly the protocol's.
     """
     r0, z0 = protocol.center(mesh.height)
     if not (0.0 <= r0 <= mesh.radius and 0.0 <= z0 <= mesh.height):
@@ -127,8 +131,9 @@ class PressureSolver:
         self.const = np.broadcast_to(np.asarray(const, dtype=float),
                                      (mesh.nz1, mesh.nr1)).copy()
 
-        coef_r, coef_z = fv.harmonic_face_coefficients(self.kappa / viscosity)
-        a = fv.diffusion_matrix(mesh, coef_r, coef_z,
+        #: face mobilities kappa/eta, the operator's and the velocity's coefficients
+        self.mobility = darcy_mobility(mesh, self.kappa, viscosity)
+        a = fv.diffusion_matrix(mesh, *self.mobility,
                                 diag=self.reaction * mesh.node_volumes)
 
         # Dirichlet p = 0 on the outer rim
@@ -158,18 +163,22 @@ def solve_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParams
     return PressureSolver(mesh, kappa, viscosity, reaction, const).solve(q_p)
 
 
-def velocity_from_pressure(mesh: AxiMesh, kappa_nodes: np.ndarray, p: np.ndarray,
-                           viscosity: float):
-    """Face-normal Darcy velocities u = -(kappa/eta) grad p.
+def darcy_mobility(mesh: AxiMesh, kappa_nodes: np.ndarray | float, viscosity: float):
+    """Face mobilities kappa/eta on both face families.
 
     Permeability is harmonically averaged across faces, which keeps the
     normal flux continuous across layer interfaces.
     """
     kappa = np.broadcast_to(np.asarray(kappa_nodes, dtype=float),
                             (mesh.nz1, mesh.nr1))
-    coef_r, coef_z = fv.harmonic_face_coefficients(kappa / viscosity)
+    return fv.harmonic_face_coefficients(kappa / viscosity)
+
+
+def velocity_from_pressure(mesh: AxiMesh, mobility, p: np.ndarray):
+    """Face-normal Darcy velocities u = -(kappa/eta) grad p from the face
+    mobilities of `darcy_mobility`."""
     g_r, g_z = fv.face_gradients(mesh, p)
-    return -coef_r * g_r, -coef_z * g_z
+    return -mobility[0] * g_r, -mobility[1] * g_z
 
 
 def node_speed(mesh: AxiMesh, u_r: np.ndarray, u_z: np.ndarray) -> np.ndarray:

@@ -263,5 +263,6 @@ def write_run_outputs(result, outdir) -> Path:
         "chloride_min": result.chloride_min,
         "retries": result.retries,
         "phases": result.phase_counters,
+        "phase_report": result.phase_report,
     }, indent=2) + "\n")
     return outdir

@@ -140,6 +140,7 @@ class AxiMesh:
         w[1:, :-1] += quarter
         w[1:, 1:] += quarter
         self.integration_weights = w
+        self.integration_total = float(w.sum())
 
         rr, zz = np.meshgrid(r, z)
         self.rr = rr  # (nz1, nr1) node radii

@@ -1,7 +1,8 @@
 """Reported quantities: domain and ball averages, plume volume, dose splits.
 
 Everything here is a pure function of a state; the only running totals live
-in the orchestrator's dose ledger.
+in the orchestrator's dose ledger. The nodes of a ball (`ball`) depend only on
+the mesh, so they are cached on it, keyed on the ball's centre and radius.
 """
 
 from __future__ import annotations
@@ -41,16 +42,43 @@ def net_charge_density(c_mab: np.ndarray, z_mab: np.ndarray) -> np.ndarray:
     return np.asarray(z_mab) * np.asarray(c_mab)
 
 
+@dataclass(frozen=True)
+class Ball:
+    """The nodes of one mesh inside a sphere; arrays read-only."""
+
+    mask: np.ndarray  # nodes inside the sphere
+    weights: np.ndarray  # their dual-cell volumes
+    total: float  # the sum of the weights
+    nearest: int  # flat index of the node nearest the centre
+
+
+def ball(mesh: AxiMesh, center: tuple[float, float], radius: float) -> Ball:
+    """The sphere's nodes on the mesh, built on first use and cached on the
+    mesh for each (centre, radius) asked for; it lives as long as the mesh."""
+    if radius <= 0:
+        raise ValueError("ball radius must be positive")
+    balls = getattr(mesh, "_balls", None)
+    if balls is None:
+        balls = mesh._balls = {}
+    key = (float(center[0]), float(center[1]), float(radius))
+    cached = balls.get(key)
+    if cached is None:
+        mask = mesh.ball_mask(center, radius)
+        weights = mesh.node_volumes[mask]
+        for arr in (mask, weights):
+            arr.flags.writeable = False
+        cached = balls[key] = Ball(mask, weights, np.sum(weights),
+                                   int(np.argmin(mesh.distance_to(center))))
+    return cached
+
+
 def ball_average(fld: np.ndarray, mesh: AxiMesh, center: tuple[float, float],
                  radius: float) -> float:
     """Volume-weighted average over nodes inside a sphere about `center`."""
-    if radius <= 0:
-        raise ValueError("ball radius must be positive")
-    mask = mesh.ball_mask(center, radius)
-    if not np.any(mask):
+    nodes = ball(mesh, center, radius)
+    if not nodes.weights.size:
         raise ValueError("ball contains no mesh nodes; mesh too coarse")
-    w = mesh.node_volumes[mask]
-    return float(np.sum(np.asarray(fld)[mask] * w) / np.sum(w))
+    return float(np.sum(np.asarray(fld)[nodes.mask] * nodes.weights) / nodes.total)
 
 
 def plume_volume(c_mab: np.ndarray, mesh: AxiMesh) -> float:

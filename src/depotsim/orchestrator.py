@@ -15,6 +15,21 @@ from that coarse `FieldState`, whose ``j_l`` is the frozen drainage.
 
 Every accepted state carries its pH, drug charge and recovered chloride
 (`_refresh_derived`); a step reads the lagged values from there.
+
+A `StaggeredStepper` computes what its phase never changes once, when it is
+built, and keeps it, read-only, for as long as it lives: one phase.
+
+- Injection phase: the source shape, the two pressure fields ``p_rest`` and
+  ``p_unit`` whose Q(t) combination is the pressure at any time, and the
+  face mobilities kappa/eta the pressure solver harmonically averaged, from
+  which each step takes the Darcy velocity.
+- Reduced phase: the frozen drainage field and one pair of zero face
+  velocities that every state of the phase shares. Without flow a step
+  passes no velocity and no injection source to the species transport, and
+  books no injected dose.
+
+The near-source ball of the emitted pressure channel is cached on the mesh
+by `metrics.ball`, keyed on its centre and radius.
 """
 
 from __future__ import annotations
@@ -125,10 +140,15 @@ class StaggeredStepper:
                                          reaction, const)
             self._p_rest = pressure.solve(0.0)
             self._p_unit = pressure.solve(self._source_shape) - self._p_rest
+            self._mobility = pressure.mobility
         else:
             if j_l_frozen is None:
                 raise ValueError("long-term stepper needs a frozen drainage field")
             self.j_l_frozen = j_l_frozen
+            # every state of the phase shares these zero face velocities
+            self._still = (np.zeros((mesh.nz1, mesh.nr)), np.zeros((mesh.nz, mesh.nr1)))
+            for arr in self._still:
+                arr.flags.writeable = False
 
     def pressure_at(self, t: float) -> np.ndarray:
         """Pore pressure at time t of the injection phase, p_rest + Q(t) p_unit."""
@@ -142,15 +162,16 @@ class StaggeredStepper:
         if self.flow_active:
             q_p = self._source_shape * self.protocol.flow_rate(t_new)
             p = self.pressure_at(t_new)
-            u_r, u_z = fl.velocity_from_pressure(mesh, self.kappa, p,
-                                                 self.viscosity)
+            u_r, u_z = fl.velocity_from_pressure(mesh, self._mobility, p)
+            flow = (u_r, u_z, q_p)  # what the species transport carries
             j_l = fl.starling_lymph(p, self.starling, self.porosity, self.slv)
+            injected = dt * nodal_integral(q_p, mesh) * self.c_max["mab"]
         else:
-            q_p = np.zeros((mesh.nz1, mesh.nr1))
             p = state.p
-            u_r = np.zeros((mesh.nz1, mesh.nr))
-            u_z = np.zeros((mesh.nz, mesh.nr1))
+            u_r, u_z = self._still
+            flow = (None, None, None)
             j_l = self.j_l_frozen
+            injected = 0.0
 
         # lagged fields for the staggered substeps
         z_old = state.z_mab
@@ -164,7 +185,7 @@ class StaggeredStepper:
         phi = solve_potential(coeffs, mesh)
 
         inputs = tr.TransportStepInputs(
-            dt=dt, u_r=u_r, u_z=u_z, phi=phi, q_p=q_p, c_max=self.c_max,
+            dt=dt, u_r=flow[0], u_z=flow[1], phi=phi, q_p=flow[2], c_max=self.c_max,
             j_l=j_l, binding_assoc=assoc, binding_release=release,
             porosity=self.porosity)
         c_na, c_h, c_mab = tr.advance_species(
@@ -175,7 +196,7 @@ class StaggeredStepper:
                                self.binding)
 
         increments = {
-            "injected": dt * nodal_integral(q_p, mesh) * self.c_max["mab"],
+            "injected": injected,
             "absorbed": dt * nodal_integral(j_l * c_mab, mesh),
             "eliminated": dt * self.binding.k_e * nodal_integral(state.c_b, mesh),
         }
@@ -236,10 +257,23 @@ class PhaseResult:
     chloride_min: float  # minimum recovered chloride over every accepted step
     wall_time_s: float
     krylov: fv.KrylovCounts
+    dts: list[float]  # the dt of every accepted step, in order
 
     def counters(self) -> dict[str, int]:
         """The phase's retries, clipped nodal values and kept-ILU solve work."""
         return {**asdict(self.diagnostics), **asdict(self.krylov)}
+
+    def report(self) -> dict[str, float]:
+        """The phase's accepted steps, their dt range and median, its wall time
+        and its largest closure residual; a phase takes at least one step."""
+        return {
+            "steps": len(self.dts),
+            "dt_min_s": min(self.dts),
+            "dt_median_s": float(np.median(self.dts)),
+            "dt_max_s": max(self.dts),
+            "wall_s": self.wall_time_s,
+            "max_closure_residual": self.max_closure_residual,
+        }
 
 
 @dataclass
@@ -255,6 +289,7 @@ class PipelineResult:
     short_wall_s: float
     long_wall_s: float
     phase_counters: dict[str, dict[str, int]]  # "injection" and "long"
+    phase_report: dict[str, dict[str, float]]  # likewise, `PhaseResult.report`
 
 
 class Simulation:
@@ -268,10 +303,10 @@ class Simulation:
     def _near_source_average(fld: np.ndarray, mesh: AxiMesh,
                              center: tuple[float, float]) -> float:
         """Ball average that degrades to the nearest node on coarse meshes."""
-        if np.any(mesh.ball_mask(center, PRESSURE_BALL_RADIUS)):
+        nodes = mt.ball(mesh, center, PRESSURE_BALL_RADIUS)
+        if nodes.weights.size:
             return mt.ball_average(fld, mesh, center, PRESSURE_BALL_RADIUS)
-        k = int(np.argmin(mesh.distance_to(center)))
-        return float(fld.ravel()[k])
+        return float(fld.ravel()[nodes.nearest])
 
     def _emit(self, series: mt.MetricSeries, state: FieldState,
               ledger: DoseLedger, stepper: StaggeredStepper):
@@ -281,11 +316,13 @@ class Simulation:
             free_pct, bound_pct, absorbed_pct = mt.dose_fractions(ledger)
         else:
             free_pct = bound_pct = absorbed_pct = 0.0
-        speed = fl.node_speed(mesh, state.u_r, state.u_z)
+        # without flow every face velocity of the phase is zero
+        speed = (float(fl.node_speed(mesh, state.u_r, state.u_z).max())
+                 if stepper.flow_active else 0.0)
         series.append(
             state.t,
             pressure_ball_avg=self._near_source_average(state.p, mesh, center),
-            velocity_ball_max=float(speed.max()),
+            velocity_ball_max=speed,
             phi_avg=mt.domain_average(state.phi, mesh),
             ph_avg=mt.domain_average(state.ph, mesh),
             rho_mab_avg=mt.domain_average(
@@ -307,11 +344,12 @@ class Simulation:
         diagnostics = StepDiagnostics()
         closure_max = 0.0
         chloride_min = np.inf
+        dts = []
         t0 = _time.perf_counter()
         next_mark = state.t + cadence
         while state.t < t_end - 1e-9:
             dt = min(dt_schedule(state.t), t_end - state.t)
-            stepper.step(state, ledger, dt, diagnostics)
+            dts.append(stepper.step(state, ledger, dt, diagnostics))
             chloride_min = min(chloride_min, float(state.c_cl.min()))
             if state.t >= next_mark - 1e-9 or state.t >= t_end - 1e-9:
                 self._emit(series, state, ledger, stepper)
@@ -319,7 +357,7 @@ class Simulation:
                 while next_mark <= state.t + 1e-9:
                     next_mark += cadence
         return PhaseResult(series, state, diagnostics, closure_max, chloride_min,
-                           _time.perf_counter() - t0, stepper.krylov)
+                           _time.perf_counter() - t0, stepper.krylov, dts)
 
     # -- public phases -------------------------------------------------------
     def run_short_term(self, series: mt.MetricSeries | None = None,
@@ -416,4 +454,5 @@ class Simulation:
             max_closure_residual=max(short.max_closure_residual,
                                      long.max_closure_residual),
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,
-            phase_counters={"injection": short.counters(), "long": long.counters()})
+            phase_counters={"injection": short.counters(), "long": long.counters()},
+            phase_report={"injection": short.report(), "long": long.report()})

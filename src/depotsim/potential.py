@@ -54,8 +54,8 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
 
     sigma = np.zeros((mesh.nz1, mesh.nr1))
     triples = (
-        (species.sodium, c_na, np.full_like(sigma, Z_NA)),
-        (species.hydrogen, c_h, np.full_like(sigma, Z_H)),
+        (species.sodium, c_na, Z_NA),
+        (species.hydrogen, c_h, Z_H),
         (species.drug, c_mab, np.asarray(z_mab, dtype=float)),
     )
     for spec, c, z in triples:
@@ -69,13 +69,12 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
     # concentration-driven part: face fluxes of sum_i z_i n (D_i - D_Cl) grad c_i
     g_r = np.zeros((mesh.nz1, mesh.nr))
     g_z = np.zeros((mesh.nz, mesh.nr1))
-    for spec, c, z in triples:
-        dg_r, dg_z = fv.face_gradients(mesh, c)
+    dg_r, dg_z = fv.face_gradients(mesh, np.stack([c_na, c_h, c_mab]))
+    for (spec, _, z), dc_r, dc_z in zip(triples, dg_r, dg_z):
         coef = n * (spec.diffusivity - d_cl)
-        z_r = 0.5 * (z[:, :-1] + z[:, 1:])
-        z_f = 0.5 * (z[:-1, :] + z[1:, :])
-        g_r += z_r * coef * dg_r
-        g_z += z_f * coef * dg_z
+        z_r, z_z = fv.face_averages(z)
+        g_r += z_r * coef * dc_r
+        g_z += z_z * coef * dc_z
     div_g = fv.divergence_of_face_flux(mesh, g_r, g_z)
 
     rhs = np.asarray(z_mab, dtype=float) * (
@@ -114,7 +113,7 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     a.data[a.pattern.diag[-1]] *= 2.0
 
     w = mesh.integration_weights.ravel()
-    b = b.ravel() - w * (b.sum() / w.sum())  # now sums to zero exactly
+    b = b.ravel() - w * (b.sum() / mesh.integration_total)  # now sums to zero exactly
 
     try:
         lu = fv.factorize(mesh, a)
@@ -123,5 +122,5 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     phi = lu.solve(b)
     if not np.all(np.isfinite(phi)):
         raise SolverError("potential solve produced non-finite values")
-    phi -= np.dot(w, phi) / w.sum()
+    phi -= np.dot(w, phi) / mesh.integration_total
     return phi.reshape(mesh.nz1, mesh.nr1)

@@ -40,14 +40,15 @@ class TransportStepInputs:
     """Frozen per-step context shared by the three species solves.
 
     ``binding_assoc`` and ``binding_release`` are the drug's matrix exchange
-    as `binding.exchange_rates` returns it.
+    as `binding.exchange_rates` returns it. Without flow, as in the reduced
+    phase, the face velocities and the injection source are None.
     """
 
     dt: float
-    u_r: np.ndarray  # face velocities, (nz1, nr)
-    u_z: np.ndarray  # face velocities, (nz, nr1)
+    u_r: np.ndarray | None  # face velocities, (nz1, nr)
+    u_z: np.ndarray | None  # face velocities, (nz, nr1)
     phi: np.ndarray  # nodal potential
-    q_p: np.ndarray  # nodal injection source density, 1/s
+    q_p: np.ndarray | None  # nodal injection source density, 1/s
     c_max: dict[str, float]  # syringe concentrations keyed 'na', 'h', 'mab'
     porosity: float
     j_l: np.ndarray | float  # lymphatic drainage rate, 1/s
@@ -59,52 +60,26 @@ class TransportStepInputs:
             raise ValueError("dt must be positive")
 
 
-def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivity: float,
-                          valence, porosity: float,
+def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivities,
+                          valences, porosity: float,
                           constants: PhysicalConstants):
-    """Electromigration drift speed -z (D F / R T) n dPhi/dn on both face sets.
+    """Electromigration drift speeds -z (D F / R T) n dPhi/dn on both face sets.
 
-    A spatially varying valence (the drug) is averaged onto faces.
+    One speed per species, for species k of diffusivity ``diffusivities[k]``
+    and valence ``valences[k]``, stacked on a leading axis: ``(w_r, w_z)`` of
+    shapes (k, nz1, nr) and (k, nz, nr1). The potential's gradient is taken
+    once for all of them. A spatially varying valence (the drug) is averaged
+    onto faces.
     """
-    coef = diffusivity * constants.faraday / constants.rt * porosity
     g_r, g_z = fv.face_gradients(mesh, phi)
-    z = np.asarray(valence, dtype=float)
-    if z.ndim == 0:
-        z_r = z
-        z_f = z
-    else:
-        z_r = 0.5 * (z[:, :-1] + z[:, 1:])
-        z_f = 0.5 * (z[:-1, :] + z[1:, :])
-    return -z_r * coef * g_r, -z_f * coef * g_z
-
-
-def _implicit_species_solve(mesh: AxiMesh, c_old: np.ndarray, spec: SpeciesSpec,
-                            valence, inputs: TransportStepInputs,
-                            constants: PhysicalConstants,
-                            solver: fv.SpeciesSolver, source: np.ndarray,
-                            sink_rate: np.ndarray | float = 0.0) -> np.ndarray:
-    """Backward-Euler solve of one species; returns the new nodal field."""
-    n = inputs.porosity
-    w_r, w_z = migration_face_speeds(mesh, inputs.phi, spec.diffusivity,
-                                     valence, n, constants)
-    s_r = inputs.u_r + w_r
-    s_z = inputs.u_z + w_z
-
-    v = mesh.node_volumes
-    cap = n * v / inputs.dt
-    dn = spec.diffusivity * n
-    a = fv.diffusion_matrix(mesh, dn, dn,
-                            diag=cap + np.asarray(sink_rate, dtype=float) * v,
-                            speeds=(s_r, s_z))
-
-    b = (cap * c_old + v * source).ravel()
-    try:
-        c_new = solver.solve(a, b)
-    except RuntimeError as exc:
-        raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc
-    if not np.all(np.isfinite(c_new)):
-        raise SolverError(f"{spec.name} transport produced non-finite values")
-    return c_new.reshape(mesh.nz1, mesh.nr1)
+    w_r = np.empty((len(diffusivities),) + g_r.shape)
+    w_z = np.empty((len(diffusivities),) + g_z.shape)
+    for k, (diffusivity, valence) in enumerate(zip(diffusivities, valences)):
+        coef = diffusivity * constants.faraday / constants.rt * porosity
+        z_r, z_z = fv.face_averages(valence)
+        np.multiply(-z_r * coef, g_r, out=w_r[k])
+        np.multiply(-z_z * coef, g_z, out=w_z[k])
+    return w_r, w_z
 
 
 def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
@@ -114,34 +89,57 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                     solvers: tuple[fv.SpeciesSolver, ...]):
     """Advance Na+, H+ and the drug one implicit step.
 
-    Na+ and H+ see only the injection source; the drug additionally carries
-    the implicit lymphatic and association sinks plus the explicit release
-    source. Rejects the step (for dt halving) on negative overshoot beyond
-    round-off; with non-negative sources that can only come from degenerate
-    inputs, not from the scheme.
+    Each species solves its backward-Euler system; the three operators are
+    built in one stacked `fv.diffusion_matrix` fill. Na+ and H+ see only the
+    injection source; the drug additionally carries the implicit lymphatic
+    and association sinks plus the explicit release source. Rejects the step
+    (for dt halving) on negative overshoot beyond round-off; with
+    non-negative sources that can only come from degenerate inputs, not from
+    the scheme.
 
     ``solvers`` holds the Na+, H+ and drug solvers that a caller stepping a
     whole phase keeps across steps.
     """
-    na_solver, h_solver, mab_solver = solvers
-    new_na = _implicit_species_solve(
-        mesh, c_na, species.sodium, Z_NA, inputs, constants,
-        na_solver, source=inputs.q_p * inputs.c_max["na"])
-    new_h = _implicit_species_solve(
-        mesh, c_h, species.hydrogen, Z_H, inputs, constants,
-        h_solver, source=inputs.q_p * inputs.c_max["h"])
-    drug_source = inputs.q_p * inputs.c_max["mab"] + np.asarray(inputs.binding_release)
-    drug_sink = np.asarray(inputs.j_l) + np.asarray(inputs.binding_assoc)
-    new_mab = _implicit_species_solve(
-        mesh, c_mab, species.drug, z_mab, inputs, constants,
-        mab_solver, source=drug_source, sink_rate=drug_sink)
+    n = inputs.porosity
+    specs = (species.sodium, species.hydrogen, species.drug)
+    s_r, s_z = migration_face_speeds(mesh, inputs.phi,
+                                     [spec.diffusivity for spec in specs],
+                                     [Z_NA, Z_H, z_mab], n, constants)
+    if inputs.u_r is not None:
+        s_r += inputs.u_r
+        s_z += inputs.u_z
 
-    for name, arr in (("Na+", new_na), ("H+", new_h), ("mAb", new_mab)):
+    v = mesh.node_volumes
+    cap = n * v / inputs.dt
+    diag = np.empty((3,) + cap.shape)
+    diag[:2] = cap
+    drug_sink = np.asarray(inputs.j_l) + np.asarray(inputs.binding_assoc)
+    diag[2] = cap + drug_sink * v
+    dn = np.array([spec.diffusivity * n for spec in specs])[:, None, None]
+    a = fv.diffusion_matrix(mesh, dn, dn, diag=diag, speeds=(s_r, s_z))
+
+    sources = [None, None, np.asarray(inputs.binding_release)]
+    if inputs.q_p is not None:
+        sources = [inputs.q_p * inputs.c_max["na"], inputs.q_p * inputs.c_max["h"],
+                   inputs.q_p * inputs.c_max["mab"] + sources[2]]
+    new = []
+    for spec, c_old, source, data, solver in zip(specs, (c_na, c_h, c_mab), sources,
+                                                 a.data, solvers):
+        b = cap * c_old if source is None else cap * c_old + v * source
+        try:
+            c_new = solver.solve(fv.Operator(a.pattern, data), b.ravel())
+        except RuntimeError as exc:
+            raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc
+        if not np.all(np.isfinite(c_new)):
+            raise SolverError(f"{spec.name} transport produced non-finite values")
+        new.append(c_new.reshape(mesh.nz1, mesh.nr1))
+
+    for name, arr in zip(("Na+", "H+", "mAb"), new):
         floor = -1.0e-12 * max(float(arr.max(initial=0.0)), 1e-300)
         if float(arr.min()) < floor:
             raise NegativeConcentrationError(
                 f"{name} overshot to {float(arr.min()):.3e} (floor {floor:.3e})")
-    return new_na, new_h, new_mab
+    return tuple(new)
 
 
 def tissue_ph(c_h: np.ndarray) -> np.ndarray:

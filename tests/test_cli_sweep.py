@@ -60,6 +60,23 @@ class TestRunCommand:
             assert counters["ilu_builds"] == counters["direct_fallbacks"] == 0
         assert sum(c["retries"] for c in phases.values()) == ledger["retries"]
 
+    def test_ledger_reports_each_phase_steps_dt_wall_and_closure(self, finished_run):
+        ledger = json.loads((finished_run / "ledger.json").read_text())
+        report = ledger["phase_report"]
+        assert set(report) == {"injection", "long"}
+        for rep in report.values():
+            assert set(rep) == {"steps", "dt_min_s", "dt_median_s", "dt_max_s", "wall_s",
+                                "max_closure_residual"}
+            assert rep["steps"] >= 1 and rep["wall_s"] > 0
+            assert 0 < rep["dt_min_s"] <= rep["dt_median_s"] <= rep["dt_max_s"]
+        # 6 s of 0.5 s steps, none retried
+        assert ledger["phases"]["injection"]["retries"] == 0
+        assert report["injection"]["steps"] == 12
+        assert report["injection"]["dt_min_s"] == report["injection"]["dt_max_s"] == 0.5
+        assert report["long"]["dt_max_s"] <= 120.0
+        # the last sample closes the run, so its residual is in the long phase's
+        assert abs(ledger["closure_residual"]) <= report["long"]["max_closure_residual"]
+
     def test_timeseries_parses(self, finished_run):
         series = read_timeseries(finished_run / "timeseries.csv")
         assert len(series) > 3
@@ -92,6 +109,11 @@ class TestMetricsCommand:
             (line,) = [x for x in lines if x.startswith(f"{phase} phase: ")]
             for key, value in counters.items():
                 assert f"{key} {value}" in line
+        for phase, rep in ledger["phase_report"].items():
+            (line,) = [x for x in lines if x.startswith(f"{phase} report: ")]
+            assert f"steps {rep['steps']} " in line
+            assert f"wall {rep['wall_s']:.3f} s" in line
+            assert f"max closure residual {rep['max_closure_residual']:.2e}" in line
 
     def test_summary_reads_a_ledger_without_the_run_report(self, finished_run, tmp_path,
                                                            capsys):

@@ -173,8 +173,6 @@ class TestConfigParsing:
             "the potential operator has no storage or sink on its diagonal",
         ("_assembly", "diffusion_matrix", "speeds"):
             "the pressure and potential operators carry no advection",
-        ("transport", "_implicit_species_solve", "sink_rate"):
-            "only the drug has the lymphatic and binding sinks",
         ("cli", "main", "argv"): "the console script calls main() to read sys.argv",
         ("orchestrator", "StaggeredStepper.__init__", "j_l_frozen"):
             "only the long phase steps on a frozen drainage field",

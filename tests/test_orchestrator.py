@@ -12,8 +12,8 @@ from depotsim.flow import (PressureSolver, SolverError, exchange_coefficients,
                            injection_source)
 from depotsim.mesh import FieldState, nodal_integral, project_field
 from depotsim.metrics import MetricSeries, domain_average, net_charge_density
-from depotsim.orchestrator import (DoseLedger, Simulation, StaggeredStepper,
-                                   StepDiagnostics)
+from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, DoseLedger, Simulation,
+                                   StaggeredStepper, StepDiagnostics)
 from depotsim.transport import NegativeConcentrationError
 
 TINY = """
@@ -223,6 +223,37 @@ class TestWideFineMesh:
         while ilus:
             ilu = ilus.pop()
             assert sys.getrefcount(ilu) == 2  # the local name and the call's argument
+
+
+class TestNearSourceAverage:
+    """`Simulation._near_source_average` on both of its branches, called twice
+    so that the second call reads the ball the first one cached on the mesh."""
+
+    @staticmethod
+    def explicit_ball(mesh, center):
+        d2 = (mesh.rr - center[0]) ** 2 + (mesh.zz - center[1]) ** 2
+        return d2 <= PRESSURE_BALL_RADIUS ** 2, int(np.argmin(d2))
+
+    def test_ball_holding_nodes_gives_their_volume_weighted_average(self, tiny_sim):
+        mesh = tiny_sim.config.fine_mesh()
+        center = tiny_sim.config.protocol().center(mesh.height)
+        mask, _ = self.explicit_ball(mesh, center)
+        assert mask.sum() > 1
+        fld = np.random.default_rng(2).random((mesh.nz1, mesh.nr1))
+        w = mesh.node_volumes[mask]
+        expected = float(np.sum(fld[mask] * w) / np.sum(w))
+        for _ in range(2):
+            assert Simulation._near_source_average(fld, mesh, center) == expected
+
+    def test_empty_ball_falls_back_to_the_nearest_node(self, tiny_sim):
+        # no node of the 16x16 coarse mesh lies within 0.1 cm of the needle tip
+        mesh = tiny_sim.config.coarse_mesh()
+        center = tiny_sim.config.protocol().center(mesh.height)
+        mask, nearest = self.explicit_ball(mesh, center)
+        assert not mask.any()
+        fld = np.random.default_rng(3).random((mesh.nz1, mesh.nr1))
+        for _ in range(2):
+            assert Simulation._near_source_average(fld, mesh, center) == fld.ravel()[nearest]
 
 
 class TestShortTerm:

@@ -45,7 +45,8 @@ def fresh_solvers(mesh):
 
 def transport_operator(mesh, diffusivity, valence, phi, u_r, u_z):
     """Diffusion plus upwind advection-migration, summed as the solver sums them."""
-    w_r, w_z = migration_face_speeds(mesh, phi, diffusivity, valence, N, CONSTANTS)
+    (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [diffusivity], [valence], N,
+                                           CONSTANTS)
     a = diffusion_matrix(mesh, diffusivity * N, diffusivity * N)
     a.data += upwind_advection_matrix(mesh, u_r + w_r, u_z + w_z).data
     return a
@@ -78,7 +79,7 @@ class TestSpeciesFlux:
         c = np.full((mesh.nz1, mesh.nr1), 1e-4)
         phi = -0.01 * mesh.rr
         u_r, u_z = zero_velocity(mesh)
-        w_r, w_z = migration_face_speeds(mesh, phi, 1.33e-5, +1.0, N, CONSTANTS)
+        (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [1.33e-5], [+1.0], N, CONSTANTS)
         assert np.all(w_r > 0) and np.all(w_z == 0)
         out = net_outflow(mesh, scipy_csr(upwind_advection_matrix(mesh, w_r, w_z)), c)
         # what leaves the columns up to i crosses the r-face between i and i+1
@@ -148,14 +149,14 @@ class TestAdvanceSpecies:
         # the operating envelope: a post-injection Darcy field whose
         # divergence is only the (tiny) vascular exchange; extrema stay
         # bounded up to that compression
-        from depotsim.flow import solve_pressure, velocity_from_pressure
+        from depotsim.flow import darcy_mobility, solve_pressure, velocity_from_pressure
         species = DEFAULTS.species()
         layers = DEFAULTS.layers()
         shape = (mesh.nz1, mesh.nr1)
         eta = DEFAULTS["flow.viscosity"]
         p = solve_pressure(mesh, layers, DEFAULTS.starling(), 0.0, eta)
         kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
-        u = velocity_from_pressure(mesh, kappa, p, eta)
+        u = velocity_from_pressure(mesh, darcy_mobility(mesh, kappa, eta), p)
         rng = np.random.default_rng(11)
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
@@ -210,6 +211,98 @@ class TestAdvanceSpecies:
         expected = dt * (nodal_integral(release, mesh)
                          - nodal_integral((j_l + assoc) * new, mesh))
         assert gained == pytest.approx(expected, rel=1e-10)
+
+
+class RecordingSolver(SpeciesSolver):
+    """A species solver that keeps a copy of every system it solves."""
+
+    __slots__ = ("systems",)
+
+    def __init__(self, mesh):
+        super().__init__(mesh, KrylovCounts())
+        self.systems = []
+
+    def solve(self, a, b):
+        self.systems.append((a.data.copy(), b.copy()))
+        return super().solve(a, b)
+
+
+def per_species_system(mesh, c_old, spec, valence, inputs, source, sink_rate):
+    """One species' backward-Euler operator and right-hand side, built by its
+    own `diffusion_matrix` call from the per-species formulas: the potential's
+    gradient and the face valences taken afresh, zero arrays without flow."""
+    n = inputs.porosity
+    shape = (mesh.nz1, mesh.nr1)
+    u_r = inputs.u_r if inputs.u_r is not None else np.zeros((mesh.nz1, mesh.nr))
+    u_z = inputs.u_z if inputs.u_z is not None else np.zeros((mesh.nz, mesh.nr1))
+    q_p = inputs.q_p if inputs.q_p is not None else np.zeros(shape)
+    coef = spec.diffusivity * CONSTANTS.faraday / CONSTANTS.rt * n
+    g_r = (inputs.phi[:, 1:] - inputs.phi[:, :-1]) / mesh.dr[None, :]
+    g_z = (inputs.phi[1:, :] - inputs.phi[:-1, :]) / mesh.dz[:, None]
+    z = np.asarray(valence, dtype=float)
+    if z.ndim == 0:
+        z_r = z_z = z
+    else:
+        z_r = 0.5 * (z[:, :-1] + z[:, 1:])
+        z_z = 0.5 * (z[:-1, :] + z[1:, :])
+    s_r = u_r + -z_r * coef * g_r
+    s_z = u_z + -z_z * coef * g_z
+    v = mesh.node_volumes
+    cap = n * v / inputs.dt
+    dn = spec.diffusivity * n
+    a = diffusion_matrix(mesh, dn, dn, diag=cap + np.asarray(sink_rate, dtype=float) * v,
+                         speeds=(s_r, s_z))
+    b = (cap * c_old + v * source(q_p)).ravel()
+    return a.data, b
+
+
+class TestStackedSpeciesSystems:
+    """The three species' systems of `advance_species`, filled together, equal
+    those of one `diffusion_matrix` call per species, entry for entry."""
+
+    @pytest.mark.parametrize("n_r, n_z", [(16, 16), (56, 8)],
+                             ids=["band-17-wide", "kept-ilu-57-wide"])
+    @pytest.mark.parametrize("flow", [True, False], ids=["flow", "no-flow"])
+    def test_systems_equal_per_species_builds(self, n_r, n_z, flow):
+        mesh = build_graded_mesh(5, 5, n_r, n_z, focus=(0, 4.2), grading=1.0)
+        species = DEFAULTS.species()
+        shape = (mesh.nz1, mesh.nr1)
+        rng = np.random.default_rng(7)
+        smooth = np.exp(-(mesh.rr ** 2 + (mesh.zz - 4.2) ** 2) / 2.0)
+        c_na = 1.4e-4 * (1.0 + 0.1 * smooth)
+        c_h = 4e-11 * (1.0 + 0.5 * smooth)
+        c_mab = 3e-7 * smooth
+        z_mab = 6.0 - 4.0 * smooth  # the drug's valence varies in space
+        j_l = 1e-6 * (1.0 + mesh.zz / 5.0)
+        assoc = 1e-3 * smooth
+        release = 1e-11 * smooth
+        phi = 1e-3 * np.cos(np.pi * mesh.rr / 5) * np.sin(np.pi * mesh.zz / 10)
+        if flow:
+            u = (rng.normal(0, 1e-3, (mesh.nz1, mesh.nr)),
+                 rng.normal(0, 1e-3, (mesh.nz, mesh.nr1)))
+            inputs = make_inputs(mesh, dt=0.1, phi=phi, u=u, q=1e-3 * smooth, j_l=j_l,
+                                 binding_assoc=assoc, binding_release=release)
+        else:
+            inputs = TransportStepInputs(
+                dt=60.0, u_r=None, u_z=None, phi=phi, q_p=None,
+                c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7}, porosity=N,
+                j_l=j_l, binding_assoc=assoc, binding_release=release)
+        solvers = tuple(RecordingSolver(mesh) for _ in range(3))
+        advance_species(mesh, c_na, c_h, c_mab, z_mab, species, CONSTANTS, inputs, solvers)
+
+        c_max = inputs.c_max
+        expected = [
+            per_species_system(mesh, c_na, species.sodium, 1.0, inputs,
+                               lambda q: q * c_max["na"], 0.0),
+            per_species_system(mesh, c_h, species.hydrogen, 1.0, inputs,
+                               lambda q: q * c_max["h"], 0.0),
+            per_species_system(mesh, c_mab, species.drug, z_mab, inputs,
+                               lambda q: q * c_max["mab"] + release, j_l + assoc),
+        ]
+        for solver, (data, b) in zip(solvers, expected):
+            (got_data, got_b), = solver.systems
+            assert np.array_equal(got_data, data)
+            assert np.array_equal(got_b, b)
 
 
 class TestTransportStepInputs:
