@@ -46,19 +46,14 @@ holds only read-only arrays; none holds an operator or a factor:
 - `csr_pattern` (``mesh._csr_pattern``): the 5-point CSR layout, the face
   node arrays and the ``data`` slots every fill scatters into.
 - `face_geometry` (``mesh._face_geometry``): the area and node distance of
-  every face and the face ends in `CsrPattern` face order, which every
-  operator fill and `divergence_of_face_flux` read instead of rebuilding
-  them from the mesh each call.
+  every face in `CsrPattern` face order, which every operator fill and
+  `divergence_of_face_flux` read instead of rebuilding them from the mesh
+  each call.
 - `_band_layout` and `_cholesky_layout` (``mesh._band_layout``,
   ``mesh._cholesky_layout``): the maps from CSR ``data`` slots to LAPACK band
   storage.
 - ``mesh._lu_order``: the minimum-degree order and permuted CSC layout of
   the first SuperLU factorization on a wide mesh (`_superlu`).
-
-An operator fill can stack operators on a leading axis (`_fill`): the
-species transport builds its three operators in one ``bincount``, each in
-its own block of bins, so each operator's entries are summed in the same
-order as in a fill of its own.
 
 Species transport on a wide mesh does not factor every step. A
 `SpeciesSolver` per species keeps an incomplete LU (``spilu``, drop
@@ -606,25 +601,16 @@ class SpeciesSolver:
 
 def _fill(mesh: AxiMesh, aa, ab, ba, bb, diag) -> Operator:
     """Operator on the mesh pattern from per-face entries in `CsrPattern` order
-    and a diagonal added after them, scalar or flat per node.
-
-    The entries may carry a leading axis, one operator each: their fills
-    share one ``bincount``, each operator in its own block of bins, and
-    ``data`` gets the same leading axis.
-    """
+    and a diagonal, scalar or per node, added after them in the same
+    ``bincount``."""
     pattern = csr_pattern(mesh)
-    nnz, faces = pattern.indices.size, pattern.lo.size
-    lead = np.shape(aa)[:-1]
-    weights = np.empty(lead + (pattern.scatter.size,))
+    faces = pattern.lo.size
+    weights = np.empty(pattern.scatter.size)
     for k, entries in enumerate((aa, ab, ba, bb)):
-        weights[..., k * faces:(k + 1) * faces] = entries
-    weights[..., 4 * faces:] = diag
-    index = pattern.scatter
-    if lead:
-        index = (index + nnz * np.arange(lead[0])[:, None]).ravel()
-    data = np.bincount(index, weights=weights.ravel(),
-                       minlength=nnz * (lead[0] if lead else 1))
-    return Operator(pattern, data.reshape(lead + (nnz,)))
+        weights[k * faces:(k + 1) * faces] = entries
+    weights[4 * faces:] = np.ravel(diag)
+    return Operator(pattern, np.bincount(pattern.scatter, weights=weights,
+                                         minlength=pattern.indices.size))
 
 
 def pin_rows(a: Operator, rows) -> Operator:
@@ -664,7 +650,6 @@ class FaceGeometry:
 
     area: np.ndarray  # dual-face area
     dist: np.ndarray  # distance between the face's two nodes
-    ends: np.ndarray  # every face's lower nodes, then its upper nodes
 
 
 def face_geometry(mesh: AxiMesh) -> FaceGeometry:
@@ -672,12 +657,10 @@ def face_geometry(mesh: AxiMesh) -> FaceGeometry:
     cached = getattr(mesh, "_face_geometry", None)
     if cached is not None:
         return cached
-    pattern = csr_pattern(mesh)
     geometry = FaceGeometry(
         _per_face(mesh, mesh.area_r, mesh.area_z),
         _per_face(mesh, np.broadcast_to(mesh.dr, (mesh.nz1, mesh.nr)),
-                  np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))),
-        np.concatenate([pattern.lo, pattern.hi]))
+                  np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))))
     for arr in vars(geometry).values():
         arr.flags.writeable = False
     mesh._face_geometry = geometry
@@ -685,18 +668,12 @@ def face_geometry(mesh: AxiMesh) -> FaceGeometry:
 
 
 def _per_face(mesh: AxiMesh, x_r, x_z) -> np.ndarray:
-    """One value per face in `CsrPattern` face order from the two face families.
-
-    Each family gives one value per face, shape (nz1, nr) or (nz, nr1), or
-    one for all its faces, a scalar or shape (1, 1). Leading axes stack
-    operators.
-    """
-    x_r, x_z = np.asarray(x_r), np.asarray(x_z)
-    lead = max(x_r.shape[:-2], x_z.shape[:-2], key=len)
+    """One value per face in `CsrPattern` face order from the two face
+    families; a scalar holds on every face of its family."""
     n_r = mesh.nz1 * mesh.nr
-    out = np.empty(lead + (n_r + mesh.nz * mesh.nr1,))
-    out[..., :n_r] = x_r.reshape(x_r.shape[:-2] + (-1,))
-    out[..., n_r:] = x_z.reshape(x_z.shape[:-2] + (-1,))
+    out = np.empty(n_r + mesh.nz * mesh.nr1)
+    out[:n_r] = np.ravel(x_r)
+    out[n_r:] = np.ravel(x_z)
     return out
 
 
@@ -711,15 +688,10 @@ def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
     ``speeds``, face-normal speeds ``(s_r, s_z)``, adds the upwind advection
     ``div(s x)`` of `upwind_advection_matrix` in the same fill; the operator
     is then no longer symmetric.
-
-    A leading axis on the coefficients, ``diag`` or the speeds stacks
-    operators, filled together: ``data`` then holds one operator per row.
     """
     geometry = face_geometry(mesh)
     # face transmissibilities T = area * coef / distance
     t = geometry.area * _per_face(mesh, coef_r, coef_z) / geometry.dist
-    diag = np.asarray(diag)
-    diag = diag.reshape(diag.shape[:-2] + (-1,))
     if speeds is None:
         return _fill(mesh, t, -t, -t, t, diag)
     pos, neg = _upwind_face_fluxes(mesh, *speeds)
@@ -747,8 +719,8 @@ def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> 
 def divergence_of_face_flux(mesh: AxiMesh, flux_r: np.ndarray,
                             flux_z: np.ndarray) -> np.ndarray:
     """Net outward flux per dual cell from per-area face fluxes (2-D output)."""
-    geometry = face_geometry(mesh)
-    f = geometry.area * _per_face(mesh, flux_r, flux_z)
-    out = np.bincount(geometry.ends, weights=np.concatenate([f, -f]),
-                      minlength=mesh.n_nodes)
+    pattern = csr_pattern(mesh)
+    f = face_geometry(mesh).area * _per_face(mesh, flux_r, flux_z)
+    out = np.bincount(np.concatenate([pattern.lo, pattern.hi]),
+                      weights=np.concatenate([f, -f]), minlength=mesh.n_nodes)
     return out.reshape(mesh.nz1, mesh.nr1)

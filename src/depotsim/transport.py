@@ -89,13 +89,11 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                     solvers: tuple[fv.SpeciesSolver, ...]):
     """Advance Na+, H+ and the drug one implicit step.
 
-    Each species solves its backward-Euler system; the three operators are
-    built in one stacked `fv.diffusion_matrix` fill. Na+ and H+ see only the
-    injection source; the drug additionally carries the implicit lymphatic
-    and association sinks plus the explicit release source. Rejects the step
-    (for dt halving) on negative overshoot beyond round-off; with
-    non-negative sources that can only come from degenerate inputs, not from
-    the scheme.
+    Na+ and H+ see only the injection source; the drug additionally carries
+    the implicit lymphatic and association sinks plus the explicit release
+    source. Rejects the step (for dt halving) on negative overshoot beyond
+    round-off; with non-negative sources that can only come from degenerate
+    inputs, not from the scheme.
 
     ``solvers`` holds the Na+, H+ and drug solvers that a caller stepping a
     whole phase keeps across steps.
@@ -111,23 +109,21 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
 
     v = mesh.node_volumes
     cap = n * v / inputs.dt
-    diag = np.empty((3,) + cap.shape)
-    diag[:2] = cap
     drug_sink = np.asarray(inputs.j_l) + np.asarray(inputs.binding_assoc)
-    diag[2] = cap + drug_sink * v
-    dn = np.array([spec.diffusivity * n for spec in specs])[:, None, None]
-    a = fv.diffusion_matrix(mesh, dn, dn, diag=diag, speeds=(s_r, s_z))
-
-    sources = [None, None, np.asarray(inputs.binding_release)]
+    diags = (cap, cap, cap + drug_sink * v)
+    sources = (None, None, np.asarray(inputs.binding_release))
     if inputs.q_p is not None:
-        sources = [inputs.q_p * inputs.c_max["na"], inputs.q_p * inputs.c_max["h"],
-                   inputs.q_p * inputs.c_max["mab"] + sources[2]]
+        sources = (inputs.q_p * inputs.c_max["na"], inputs.q_p * inputs.c_max["h"],
+                   inputs.q_p * inputs.c_max["mab"] + sources[2])
+
     new = []
-    for spec, c_old, source, data, solver in zip(specs, (c_na, c_h, c_mab), sources,
-                                                 a.data, solvers):
+    for k, (spec, c_old, diag, source, solver) in enumerate(
+            zip(specs, (c_na, c_h, c_mab), diags, sources, solvers)):
+        dn = spec.diffusivity * n
+        a = fv.diffusion_matrix(mesh, dn, dn, diag=diag, speeds=(s_r[k], s_z[k]))
         b = cap * c_old if source is None else cap * c_old + v * source
         try:
-            c_new = solver.solve(fv.Operator(a.pattern, data), b.ravel())
+            c_new = solver.solve(a, b.ravel())
         except RuntimeError as exc:
             raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc
         if not np.all(np.isfinite(c_new)):

@@ -256,9 +256,11 @@ def per_species_system(mesh, c_old, spec, valence, inputs, source, sink_rate):
     return a.data, b
 
 
-class TestStackedSpeciesSystems:
-    """The three species' systems of `advance_species`, filled together, equal
-    those of one `diffusion_matrix` call per species, entry for entry."""
+class TestSpeciesSystems:
+    """The three species' systems of `advance_species`, built from one
+    potential gradient and the mesh's cached face geometry, equal those of a
+    `diffusion_matrix` call per species from the per-species formulas, entry
+    for entry."""
 
     @pytest.mark.parametrize("n_r, n_z", [(16, 16), (56, 8)],
                              ids=["band-17-wide", "kept-ilu-57-wide"])
