@@ -17,7 +17,9 @@ Every accepted state carries its pH, drug charge and recovered chloride
 (`_refresh_derived`); a step reads the lagged values from there.
 
 A `StaggeredStepper` computes what its phase never changes once, when it is
-built, and keeps it, read-only, for as long as it lives: one phase.
+built, and keeps it for as long as it lives: one phase. No step writes to
+these arrays; the face mobilities and the zero velocities are marked
+read-only.
 
 - Injection phase: the source shape, the two pressure fields ``p_rest`` and
   ``p_unit`` whose Q(t) combination is the pressure at any time, and the
@@ -141,6 +143,8 @@ class StaggeredStepper:
             self._p_rest = pressure.solve(0.0)
             self._p_unit = pressure.solve(self._source_shape) - self._p_rest
             self._mobility = pressure.mobility
+            for arr in self._mobility:
+                arr.flags.writeable = False
         else:
             if j_l_frozen is None:
                 raise ValueError("long-term stepper needs a frozen drainage field")

@@ -21,8 +21,7 @@ import numpy as np
 from . import _assembly as fv
 from .flow import SolverError
 from .mesh import AxiMesh
-from .params import (MOL_PER_CM3_TO_MOL_PER_L, Z_H, Z_NA, PhysicalConstants,
-                     SpeciesSpec)
+from .params import MOL_PER_CM3_TO_MOL_PER_L, Z_H, Z_NA, PhysicalConstants
 
 logger = logging.getLogger(__name__)
 
@@ -117,10 +116,10 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                    inputs.q_p * inputs.c_max["mab"] + sources[2])
 
     new = []
-    for k, (spec, c_old, diag, source, solver) in enumerate(
-            zip(specs, (c_na, c_h, c_mab), diags, sources, solvers)):
+    for spec, c_old, diag, source, solver, speeds in zip(
+            specs, (c_na, c_h, c_mab), diags, sources, solvers, zip(s_r, s_z)):
         dn = spec.diffusivity * n
-        a = fv.diffusion_matrix(mesh, dn, dn, diag=diag, speeds=(s_r[k], s_z[k]))
+        a = fv.diffusion_matrix(mesh, dn, dn, diag=diag, speeds=speeds)
         b = cap * c_old if source is None else cap * c_old + v * source
         try:
             c_new = solver.solve(a, b.ravel())
