@@ -7,6 +7,10 @@ ledger update. A step whose species overshoot below zero, or whose bound
 field leaves [0, B_max], is rejected and retried with halved dt up to five
 times.
 
+A step is state in, state out: `StaggeredStepper.attempt` builds a candidate
+`FieldState` and leaves its input alone, `StaggeredStepper.step` returns the
+accepted one and books the dose ledger, the one thing it changes in place.
+
 After the injection phase the problem is reduced: fields are projected onto
 a coarse uniform mesh (with an exact drug-mass rescale), convection and
 sources are dropped, and the lymphatic drainage field is frozen from one
@@ -19,7 +23,8 @@ Every accepted state carries its pH, drug charge and recovered chloride
 A `StaggeredStepper` computes what its phase never changes once, when it is
 built, and keeps it for as long as it lives: one phase. No step writes to
 these arrays; the face mobilities and the zero velocities are marked
-read-only.
+read-only. A stepper built with a frozen drainage field is a reduced-phase
+one; without it, an injection-phase one.
 
 - Injection phase: the source shape, the two pressure fields ``p_rest`` and
   ``p_unit`` whose Q(t) combination is the pressure at any time, and the
@@ -29,6 +34,10 @@ read-only.
   velocities that every state of the phase shares. Without flow a step
   passes no velocity and no injection source to the species transport, and
   books no injected dose.
+
+The stepper counts its phase's dt-halving ``retries``, ``clipped`` round-off
+negatives and kept-ILU ``krylov`` work; the phase's end copies them into
+`PhaseResult.counters`, the ``phases`` block of ``ledger.json``.
 
 The near-source ball of the emitted pressure channel is cached on the mesh
 by `metrics.ball`, keyed on its centre and radius.
@@ -90,25 +99,21 @@ class DoseLedger:
         self.bound = nodal_integral(state.c_b, state.mesh)
 
 
-@dataclass
-class StepDiagnostics:
-    retries: int = 0
-    clipped: int = 0
-
-
 class StaggeredStepper:
     """One-phase stepping engine bound to a mesh and a parameter set.
 
-    It keeps one `fv.SpeciesSolver` per species, and with them their
-    preconditioners, for as long as it lives: one phase. ``krylov`` counts
-    their work.
+    ``step(state, ledger, dt)`` returns the next state and the dt it took,
+    and never writes to ``state``. It keeps one `fv.SpeciesSolver` per
+    species, and with them their preconditioners, for as long as it lives:
+    one phase. ``retries``, ``clipped`` and ``krylov`` count its work.
     """
 
     def __init__(self, mesh: AxiMesh, config: SimulationConfig,
-                 flow_active: bool, j_l_frozen: np.ndarray | None = None):
+                 j_l_frozen: np.ndarray | None = None):
         self.mesh = mesh
         self.config = config
-        self.flow_active = flow_active
+        self.j_l_frozen = j_l_frozen
+        self.flow_active = j_l_frozen is None
         self.constants = config.constants()
         self.species = config.species()
         self.layers = config.layers()
@@ -123,12 +128,13 @@ class StaggeredStepper:
 
         self.kappa = (self.layers.permeability_at(mesh.z)[:, None]
                       * np.ones((1, mesh.nr1)))
+        self.retries = 0
+        self.clipped = 0
         self.krylov = fv.KrylovCounts()
         self._species_solvers = tuple(fv.SpeciesSolver(mesh, self.krylov)
                                       for _ in range(3))
-        if flow_active:
+        if self.flow_active:
             self.slv = self.layers.slv_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
-            self.j_l_frozen = None
             # the source shape never changes; only Q(t) rescales it
             shape = fl.injection_source(mesh, self.protocol,
                                         0.5 * self.protocol.duration)
@@ -146,9 +152,6 @@ class StaggeredStepper:
             for arr in self._mobility:
                 arr.flags.writeable = False
         else:
-            if j_l_frozen is None:
-                raise ValueError("long-term stepper needs a frozen drainage field")
-            self.j_l_frozen = j_l_frozen
             # every state of the phase shares these zero face velocities
             self._still = (np.zeros((mesh.nz1, mesh.nr)), np.zeros((mesh.nz, mesh.nr1)))
             for arr in self._still:
@@ -160,6 +163,8 @@ class StaggeredStepper:
 
     # -- one attempted step (pure: commits nothing) -------------------------
     def attempt(self, state: FieldState, dt: float):
+        """The candidate state at ``state.t + dt``, without its derived fields,
+        and the step's (injected, absorbed, eliminated) drug increments."""
         mesh = self.mesh
         t_new = state.t + dt
 
@@ -199,27 +204,22 @@ class StaggeredStepper:
         c_b = bd.advance_bound(state.c_b, c_mab, assoc, release, dt,
                                self.binding)
 
-        increments = {
-            "injected": injected,
-            "absorbed": dt * nodal_integral(j_l * c_mab, mesh),
-            "eliminated": dt * self.binding.k_e * nodal_integral(state.c_b, mesh),
-        }
-        return {
-            "t": t_new, "p": p, "u_r": u_r, "u_z": u_z, "phi": phi,
-            "c_na": c_na, "c_h": c_h, "c_mab": c_mab, "c_b": c_b,
-            "j_l": j_l,
-        }, increments
+        new = FieldState(mesh=mesh, c_na=c_na, c_h=c_h, c_mab=c_mab, c_b=c_b,
+                         p=p, phi=phi, u_r=u_r, u_z=u_z, t=t_new, j_l=j_l)
+        return new, (injected,
+                     dt * nodal_integral(j_l * c_mab, mesh),
+                     dt * self.binding.k_e * nodal_integral(state.c_b, mesh))
 
-    def step(self, state: FieldState, ledger: DoseLedger, dt: float,
-             diagnostics: StepDiagnostics) -> float:
-        """Advance the state by one (possibly shortened) step; returns dt used."""
+    def step(self, state: FieldState, ledger: DoseLedger,
+             dt: float) -> tuple[FieldState, float]:
+        """The state one (possibly shortened) step on, and the dt it took."""
         dt_eff = dt
         for attempt in range(MAX_DT_RETRIES + 1):
             try:
-                fields, inc = self.attempt(state, dt_eff)
+                new, (injected, absorbed, eliminated) = self.attempt(state, dt_eff)
                 break
             except tr.NegativeConcentrationError as exc:
-                diagnostics.retries += 1
+                self.retries += 1
                 dt_eff *= 0.5
                 logger.warning("step at t=%.3f rejected (%s); retrying with dt=%g",
                                state.t, exc, dt_eff)
@@ -227,22 +227,13 @@ class StaggeredStepper:
             raise SolverError(
                 f"step at t={state.t:.3f} failed after {MAX_DT_RETRIES} dt halvings")
 
-        state.t = fields["t"]
-        state.p = fields["p"]
-        state.u_r, state.u_z = fields["u_r"], fields["u_z"]
-        state.phi = fields["phi"]
-        state.c_na, state.c_h, state.c_mab = (fields["c_na"], fields["c_h"],
-                                              fields["c_mab"])
-        state.c_b = fields["c_b"]
-        diagnostics.clipped += state.clip_concentrations(logger)
-        _refresh_derived(state, self.charge_curve)
-        state.j_l = fields["j_l"]
-
-        ledger.injected += inc["injected"]
-        ledger.absorbed_lymph += inc["absorbed"]
-        ledger.eliminated += inc["eliminated"]
-        ledger.count_stock(state, self.porosity)
-        return dt_eff
+        self.clipped += new.clip_concentrations(logger)
+        _refresh_derived(new, self.charge_curve)
+        ledger.injected += injected
+        ledger.absorbed_lymph += absorbed
+        ledger.eliminated += eliminated
+        ledger.count_stock(new, self.porosity)
+        return new, dt_eff
 
 
 def _refresh_derived(state: FieldState, charge_curve):
@@ -256,16 +247,11 @@ def _refresh_derived(state: FieldState, charge_curve):
 class PhaseResult:
     series: mt.MetricSeries
     state: FieldState
-    diagnostics: StepDiagnostics
+    counters: dict[str, int]  # retries, clipped nodal values, kept-ILU solve work
     max_closure_residual: float  # largest |ledger closure| at an emitted sample
     chloride_min: float  # minimum recovered chloride over every accepted step
     wall_time_s: float
-    krylov: fv.KrylovCounts
     dts: list[float]  # the dt of every accepted step, in order
-
-    def counters(self) -> dict[str, int]:
-        """The phase's retries, clipped nodal values and kept-ILU solve work."""
-        return {**asdict(self.diagnostics), **asdict(self.krylov)}
 
     def report(self) -> dict[str, float]:
         """The phase's accepted steps, their dt range and median, its wall time
@@ -345,7 +331,6 @@ class Simulation:
     def _run_phase(self, stepper: StaggeredStepper, state: FieldState,
                    ledger: DoseLedger, t_end: float, dt_schedule,
                    cadence: float, series: mt.MetricSeries) -> PhaseResult:
-        diagnostics = StepDiagnostics()
         closure_max = 0.0
         chloride_min = np.inf
         dts = []
@@ -353,21 +338,24 @@ class Simulation:
         next_mark = state.t + cadence
         while state.t < t_end - 1e-9:
             dt = min(dt_schedule(state.t), t_end - state.t)
-            dts.append(stepper.step(state, ledger, dt, diagnostics))
+            state, dt = stepper.step(state, ledger, dt)
+            dts.append(dt)
             chloride_min = min(chloride_min, float(state.c_cl.min()))
             if state.t >= next_mark - 1e-9 or state.t >= t_end - 1e-9:
                 self._emit(series, state, ledger, stepper)
                 closure_max = max(closure_max, abs(ledger.closure_residual()))
                 while next_mark <= state.t + 1e-9:
                     next_mark += cadence
-        return PhaseResult(series, state, diagnostics, closure_max, chloride_min,
-                           _time.perf_counter() - t0, stepper.krylov, dts)
+        counters = {"retries": stepper.retries, "clipped": stepper.clipped,
+                    **asdict(stepper.krylov)}
+        return PhaseResult(series, state, counters, closure_max, chloride_min,
+                           _time.perf_counter() - t0, dts)
 
     # -- public phases -------------------------------------------------------
     def run_short_term(self, series: mt.MetricSeries | None = None,
                        ledger: DoseLedger | None = None) -> PhaseResult:
         mesh = self.config.fine_mesh()
-        stepper = StaggeredStepper(mesh, self.config, flow_active=True)
+        stepper = StaggeredStepper(mesh, self.config)
         state = self._prime_state(FieldState.rest_state(mesh, stepper.species),
                                   stepper.charge_curve)
         series = series if series is not None else mt.MetricSeries()
@@ -420,8 +408,7 @@ class Simulation:
                       series: mt.MetricSeries | None = None,
                       ledger: DoseLedger | None = None) -> PhaseResult:
         """Run the reduced phase from the coarse state of `reduce_to_long_term`."""
-        stepper = StaggeredStepper(state.mesh, self.config, flow_active=False,
-                                   j_l_frozen=state.j_l)
+        stepper = StaggeredStepper(state.mesh, self.config, j_l_frozen=state.j_l)
         series = series if series is not None else mt.MetricSeries()
         ledger = ledger if ledger is not None else DoseLedger()
         t_end = state.t + self.config["phases.long_horizon_h"] * 3600.0
@@ -454,9 +441,9 @@ class Simulation:
             config=self.config, series=series, ledger=ledger,
             short_state=short_state, final_state=long.state,
             chloride_min=min(short.chloride_min, long.chloride_min),
-            retries=short.diagnostics.retries + long.diagnostics.retries,
+            retries=short.counters["retries"] + long.counters["retries"],
             max_closure_residual=max(short.max_closure_residual,
                                      long.max_closure_residual),
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,
-            phase_counters={"injection": short.counters(), "long": long.counters()},
+            phase_counters={"injection": short.counters, "long": long.counters},
             phase_report={"injection": short.report(), "long": long.report()})

@@ -16,8 +16,7 @@ from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
                          save_checkpoint, write_snapshot, write_timeseries)
 from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
-from depotsim.orchestrator import (DoseLedger, Simulation, StaggeredStepper,
-                                   StepDiagnostics)
+from depotsim.orchestrator import DoseLedger, Simulation, StaggeredStepper
 from depotsim.flow import InjectionProtocol
 from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
                              PhysicalConstants, StarlingParams, TissueLayers)
@@ -129,13 +128,13 @@ class TestConfigParsing:
             raise AssertionError("curve CSV parsed after the config was built")
 
         monkeypatch.setattr(PhCurve, "from_csv", no_parse)
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         assert stepper.charge_curve is charge
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
         ledger = DoseLedger()
-        stepper.step(state, ledger, 0.25, StepDiagnostics())
+        state, _ = stepper.step(state, ledger, 0.25)
         assert state.t == pytest.approx(0.25)
         assert ledger.injected > 0.0
         assert np.all(np.isfinite(state.c_mab)) and np.all(state.c_mab >= 0.0)

@@ -13,7 +13,7 @@ from depotsim.flow import (PressureSolver, SolverError, exchange_coefficients,
 from depotsim.mesh import FieldState, nodal_integral, project_field
 from depotsim.metrics import MetricSeries, domain_average, net_charge_density
 from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, DoseLedger, Simulation,
-                                   StaggeredStepper, StepDiagnostics)
+                                   StaggeredStepper)
 from depotsim.transport import NegativeConcentrationError
 
 TINY = """
@@ -70,13 +70,13 @@ class TestStepStaggered:
         # no source and no vascular exchange: the rest state must not move
         config = tiny_sim.config.with_values(
             {"starling.l_pb": 0.0, "starling.l_pl": 0.0})
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
         state.t = 5.5  # past the end of the injection
         ledger = DoseLedger()
-        stepper.step(state, ledger, 0.25, StepDiagnostics())
+        state, _ = stepper.step(state, ledger, 0.25)
         assert np.allclose(state.c_na, 1.4e-4, rtol=1e-12)
         assert np.allclose(state.c_h, 4e-11, rtol=1e-12)
         assert np.all(state.c_mab == 0.0)
@@ -87,29 +87,45 @@ class TestStepStaggered:
         # with Starling exchange on, the rim drain concentrates leftover ions
         # at the 1e-4 relative level per quarter-second step and no faster
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
         state.t = 5.5
-        stepper.step(state, DoseLedger(), 0.25, StepDiagnostics())
+        state, _ = stepper.step(state, DoseLedger(), 0.25)
         assert np.allclose(state.c_na, 1.4e-4, rtol=3e-4)
         assert np.allclose(state.c_h, 4e-11, rtol=3e-4)
 
     def test_electroneutrality_after_step(self, tiny_sim):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
         ledger = DoseLedger()
         for _ in range(4):
-            stepper.step(state, ledger, 0.25, StepDiagnostics())
+            state, _ = stepper.step(state, ledger, 0.25)
         assert electroneutrality_residual(state) < 1e-12
+
+    def test_step_returns_the_next_state_and_leaves_its_input_untouched(self, tiny_sim):
+        config = tiny_sim.config
+        stepper = StaggeredStepper(config.fine_mesh(), config)
+        state = Simulation._prime_state(
+            FieldState.rest_state(stepper.mesh, stepper.species),
+            stepper.charge_curve)
+        arrays = {name: value.copy() for name, value in vars(state).items()
+                  if isinstance(value, np.ndarray)}
+        assert len(arrays) == 12
+        new, dt = stepper.step(state, DoseLedger(), 0.25)
+        assert new is not state and new.t == dt == 0.25
+        assert state.t == 0.0
+        for name, before in arrays.items():
+            assert np.array_equal(getattr(state, name), before), name
+        assert not np.array_equal(new.c_mab, state.c_mab)
 
     def test_retry_halves_dt_then_succeeds(self, tiny_sim, monkeypatch):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
@@ -123,15 +139,14 @@ class TestStepStaggered:
             return real_attempt(self, st, dt)
 
         monkeypatch.setattr(StaggeredStepper, "attempt", flaky)
-        diag = StepDiagnostics()
-        dt_used = stepper.step(state, DoseLedger(), 0.2, diag)
-        assert diag.retries == 2
+        _, dt_used = stepper.step(state, DoseLedger(), 0.2)
+        assert stepper.retries == 2
         assert dt_used == pytest.approx(0.05)
 
     def test_narrow_attempt_builds_no_scipy_matrix(self, tiny_sim, monkeypatch):
         # on a mesh within the band limit every operator stays plain data
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         assert stepper.mesh.nr1 <= _assembly._BAND_MAX_WIDTH
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
@@ -142,13 +157,13 @@ class TestStepStaggered:
 
         for constructor in ("csr_matrix", "csc_matrix"):
             monkeypatch.setattr(_assembly.sp, constructor, refuse)
-        fields, increments = stepper.attempt(state, 0.25)
-        assert increments["injected"] > 0.0
-        assert np.all(np.isfinite(fields["c_mab"]))
+        new, increments = stepper.attempt(state, 0.25)
+        assert increments[0] > 0.0
+        assert np.all(np.isfinite(new.c_mab))
 
     def test_persistent_failure_aborts(self, tiny_sim, monkeypatch):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         state = Simulation._prime_state(
             FieldState.rest_state(stepper.mesh, stepper.species),
             stepper.charge_curve)
@@ -158,14 +173,14 @@ class TestStepStaggered:
 
         monkeypatch.setattr(StaggeredStepper, "attempt", always_fails)
         with pytest.raises(SolverError, match="halvings"):
-            stepper.step(state, DoseLedger(), 0.2, StepDiagnostics())
+            stepper.step(state, DoseLedger(), 0.2)
 
 
 class TestAffinePressure:
     def test_pressure_matches_a_solve_through_the_injection(self, tiny_sim):
         config = tiny_sim.config
         mesh = config.fine_mesh()
-        stepper = StaggeredStepper(mesh, config, flow_active=True)
+        stepper = StaggeredStepper(mesh, config)
         layers, protocol = config.layers(), config.protocol()
         kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
         solver = PressureSolver(mesh, kappa, config["flow.viscosity"],
@@ -187,7 +202,7 @@ class TestAffinePressure:
 
         monkeypatch.setattr(_assembly, "factorize", keeping)
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config, flow_active=True)
+        stepper = StaggeredStepper(config.fine_mesh(), config)
         (lu,) = factors
         factors.clear()
         assert sys.getrefcount(lu) == 2  # the local name and the call's argument
@@ -219,7 +234,7 @@ class TestWideFineMesh:
         monkeypatch.setattr(spla, "spilu", keeping)
         # the result holds the fine mesh past the phase
         short = Simulation(load_config_text(WIDE_FINE)).run_short_term()
-        assert short.krylov.ilu_builds == len(ilus) > 0
+        assert short.counters["ilu_builds"] == len(ilus) > 0
         while ilus:
             ilu = ilus.pop()
             assert sys.getrefcount(ilu) == 2  # the local name and the call's argument
