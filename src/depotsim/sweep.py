@@ -5,7 +5,9 @@ from __future__ import annotations
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .config import SimulationConfig
@@ -61,40 +63,41 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
     """Run one pipeline per axis value; failures are recorded, not fatal.
 
     Each run writes into its own subdirectory; a combined CSV of the dose
-    splits at t = 30 h lands next to them.
+    splits at t = 30 h lands next to them. Two values that name one
+    subdirectory are a `ConfigurationError`, raised before any run. With
+    ``DEPOTSIM_WORKERS`` above 1 the runs share a process pool of that size.
     """
     if axis not in AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; "
                                  f"choose from {sorted(AXES)}")
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     key = AXES[axis]
 
     # each case is built and validated inside its run, so a bad value fails
     # only its own entry
     entries = [SweepEntry(value=v, outdir=outdir / f"{axis}_{v}", ok=False)
                for v in values]
+    dirs = [e.outdir for e in entries]
+    for entry in entries:
+        if dirs.count(entry.outdir) > 1:
+            raise ConfigurationError(f"sweep value {entry.value!r} is repeated: two "
+                                     f"runs would both write {entry.outdir.name}/")
+    outdir.mkdir(parents=True, exist_ok=True)
+
     workers = _worker_count()
-    if workers == 1:
-        for entry in entries:
+    with (ProcessPoolExecutor(max_workers=workers) if workers > 1
+          else nullcontext()) as pool:
+        jobs = [(_run_one, base, key, e.value, str(e.outdir)) for e in entries]
+        # a pool starts every run at once; without one, each runs when read
+        runs = ([pool.submit(*job).result for job in jobs] if pool
+                else [partial(*job) for job in jobs])
+        for entry, run in zip(entries, runs):
             try:
-                entry.free_pct, entry.bound_pct, entry.absorbed_pct = _run_one(
-                    base, key, entry.value, str(entry.outdir))
+                entry.free_pct, entry.bound_pct, entry.absorbed_pct = run()
                 entry.ok = True
             except Exception as exc:  # keep sweeping past individual failures
                 entry.error = str(exc)
                 logger.error("sweep value %r failed: %s", entry.value, exc)
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_one, base, key, e.value, str(e.outdir))
-                       for e in entries]
-            for entry, fut in zip(entries, futures):
-                try:
-                    entry.free_pct, entry.bound_pct, entry.absorbed_pct = fut.result()
-                    entry.ok = True
-                except Exception as exc:
-                    entry.error = str(exc)
-                    logger.error("sweep value %r failed: %s", entry.value, exc)
 
     lines = [f"{axis},free_pct,bound_pct,absorbed_pct,status"]
     for entry in entries:

@@ -258,3 +258,21 @@ class TestSweep:
         assert adipose == {"high": 1.5, "low": 0.6}
         rows = (tmp_path / "sweep_summary.csv").read_text().splitlines()[1:]
         assert rows[0].split(",")[1:] != rows[1].split(",")[1:]
+
+    def test_repeated_value_is_rejected_before_any_run(self, tiny_cfg_file, tmp_path,
+                                                        capsys):
+        # 6 and 6.0 parse to one float, so both runs would write buffer_ph_6.0/
+        outdir = tmp_path / "out"
+        assert_clean_error(capsys, ["sweep", str(tiny_cfg_file), "--axis", "buffer_ph",
+                                    "--values", "6,6.0", "--outdir", str(outdir)],
+                           "buffer_ph_6.0")
+        assert not outdir.exists()
+
+    def test_pool_sweep_matches_the_serial_one(self, tmp_path, monkeypatch):
+        config = load_config_text(TINY)
+        serial = run_sweep(config, "buffer_ph", [5.0, 7.5], tmp_path / "serial")
+        monkeypatch.setenv("DEPOTSIM_WORKERS", "2")
+        pooled = run_sweep(config, "buffer_ph", [5.0, 7.5], tmp_path / "pool")
+        assert all(e.ok for e in serial + pooled)
+        assert ((tmp_path / "pool" / "sweep_summary.csv").read_bytes()
+                == (tmp_path / "serial" / "sweep_summary.csv").read_bytes())
