@@ -522,6 +522,12 @@ class SpeciesSolver:
             self.counts.direct_fallbacks += 1
         return factorize(self.mesh, a).solve(b)
 
+    def drop_preconditioner(self):
+        """Forget the kept ILU, so that the next Krylov solve builds one on its
+        own operator; for a step whose operator is far from the last one's.
+        Whether the solver has gone direct is kept."""
+        self._ilu = None
+
     def _krylov(self, a: Operator, b: np.ndarray) -> np.ndarray | None:
         """GMRES on the kept ILU, then on a fresh one; None if both fail."""
         matrix = _csr(a)  # the one scipy matrix of the solve, for its matvecs
@@ -693,9 +699,11 @@ def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
     # face transmissibilities T = area * coef / distance
     t = geometry.area * _per_face(mesh, coef_r, coef_z) / geometry.dist
     if speeds is None:
-        return _fill(mesh, t, -t, -t, t, diag)
+        minus_t = -t
+        return _fill(mesh, t, minus_t, minus_t, t, diag)
     pos, neg = _upwind_face_fluxes(mesh, *speeds)
-    return _fill(mesh, t + pos, neg - t, -t - pos, t - neg, diag)
+    t_pos = t + pos  # -(t + pos) is -t - pos to the bit: rounding is sign-symmetric
+    return _fill(mesh, t_pos, neg - t, -t_pos, t - neg, diag)
 
 
 def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray):

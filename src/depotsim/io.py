@@ -47,14 +47,24 @@ def write_timeseries(series: MetricSeries, path) -> Path:
 
 
 def read_timeseries(path) -> MetricSeries:
+    """The series of a timeseries CSV; a malformed row raises
+    `ConfigurationError` naming the file and its 1-based line."""
     path = Path(path)
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != TIMESERIES_HEADER:
+    rows = [(number, ln) for number, ln in enumerate(path.read_text().splitlines(), 1)
+            if ln.strip()]
+    if not rows or rows[0][1] != TIMESERIES_HEADER:
         raise ConfigurationError(f"{path}: not a depotsim timeseries file")
     series = MetricSeries()
-    for ln in lines[1:]:
-        vals = [float(c) for c in ln.split(",")]
-        series.append(vals[0], **dict(zip(CHANNELS, vals[1:])))
+    for number, ln in rows[1:]:
+        cells = ln.split(",")
+        try:
+            if len(cells) != len(CHANNELS) + 1:
+                raise ValueError(f"expected {len(CHANNELS) + 1} values, "
+                                 f"found {len(cells)}")
+            vals = [float(c) for c in cells]
+            series.append(vals[0], **dict(zip(CHANNELS, vals[1:])))
+        except ValueError as exc:
+            raise ConfigurationError(f"{path}, line {number}: {exc}") from None
     return series
 
 

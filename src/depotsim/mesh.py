@@ -201,7 +201,7 @@ def integrate(field: np.ndarray, mesh: AxiMesh) -> float:
 
 def nodal_integral(field: np.ndarray, mesh: AxiMesh) -> float:
     """Integral in the dual (conservation) measure: sum of field x node volume."""
-    return float(np.sum(np.asarray(field) * mesh.node_volumes))
+    return float((np.asarray(field) * mesh.node_volumes).sum())
 
 
 def project_field(src_mesh: AxiMesh, src_field: np.ndarray,
@@ -284,9 +284,9 @@ class FieldState:
         n_clipped = 0
         for name in ("c_na", "c_h", "c_mab", "c_b"):
             arr = getattr(self, name)
-            neg = arr < 0.0
-            if np.any(neg):
-                n_clipped += int(neg.sum())
+            if not arr.min() >= 0.0:  # a NaN takes the masked path too
+                neg = arr < 0.0
+                n_clipped += int(np.count_nonzero(neg))
                 arr[neg] = 0.0
         if n_clipped:
             logger.debug("clipped %d tiny negative nodal values", n_clipped)

@@ -3,6 +3,13 @@
 Everything here is a pure function of a state; the only running totals live
 in the orchestrator's dose ledger. The nodes of a ball (`ball`) depend only on
 the mesh, so they are cached on it, keyed on the ball's centre and radius.
+
+The two averages use different measures. `domain_average` integrates in the
+primal measure of `mesh.integrate` (bilinear cell averages times the primal
+cell volumes), written as the nodal weights ``mesh.integration_weights``, and
+divides by the cylinder's volume. `ball_average` weights the nodes inside
+the ball by their dual-cell volumes ``mesh.node_volumes``, the conservation
+measure of the solvers and the ledger.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mesh import AxiMesh, integrate
+from .mesh import AxiMesh
 
 #: concentrations at or below this are treated as "no plume left"
 PLUME_FLOOR = 1.0e-18  # mol/cm^3
@@ -33,8 +40,13 @@ CHANNELS = (
 
 
 def domain_average(fld: np.ndarray, mesh: AxiMesh) -> float:
-    """Volume average over the whole cylinder."""
-    return integrate(fld, mesh) / mesh.domain_volume
+    """Volume average over the whole cylinder: `mesh.integrate` of the field,
+    taken as one dot with the mesh's nodal integration weights."""
+    f = np.asarray(fld)
+    if f.shape != (mesh.nz1, mesh.nr1):
+        raise ValueError(f"field shape {f.shape} does not match mesh "
+                         f"({mesh.nz1}, {mesh.nr1})")
+    return float(np.dot(mesh.integration_weights.ravel(), f.ravel())) / mesh.domain_volume
 
 
 def net_charge_density(c_mab: np.ndarray, z_mab: np.ndarray) -> np.ndarray:
@@ -78,7 +90,7 @@ def ball_average(fld: np.ndarray, mesh: AxiMesh, center: tuple[float, float],
     nodes = ball(mesh, center, radius)
     if not nodes.weights.size:
         raise ValueError("ball contains no mesh nodes; mesh too coarse")
-    return float(np.sum(np.asarray(fld)[nodes.mask] * nodes.weights) / nodes.total)
+    return float((np.asarray(fld)[nodes.mask] * nodes.weights).sum() / nodes.total)
 
 
 def plume_volume(c_mab: np.ndarray, mesh: AxiMesh) -> float:
@@ -93,17 +105,22 @@ def plume_volume(c_mab: np.ndarray, mesh: AxiMesh) -> float:
         return 0.0
     thresh = 0.5 * c_max
 
-    corners = np.stack([c[:-1, :-1], c[:-1, 1:], c[1:, :-1], c[1:, 1:]])
-    lo = corners.min(axis=0)
-    hi = corners.max(axis=0)
-    mean = corners.mean(axis=0)
+    # the smallest and largest of each cell's four corners, taken pairwise
+    pairs = np.minimum(c[:, :-1], c[:, 1:])
+    lo = np.minimum(pairs[:-1], pairs[1:])
+    pairs = np.maximum(c[:, :-1], c[:, 1:])
+    hi = np.maximum(pairs[:-1], pairs[1:])
 
     frac = np.where(lo >= thresh, 1.0, 0.0)
     cut = (lo < thresh) & (hi > thresh)
-    if np.any(cut):
-        lin = 0.5 + (mean[cut] - thresh) / (hi[cut] - lo[cut])
+    if cut.any():
+        # the corner mean, summed in corner order, on the cut cells only
+        mean = (((c[:-1, :-1][cut] + c[:-1, 1:][cut]) + c[1:, :-1][cut])
+                + c[1:, 1:][cut]) / 4.0
+        lin = 0.5 + (mean - thresh) / (hi[cut] - lo[cut])
         frac[cut] = np.clip(lin, 0.0, 1.0)
-    return float(np.sum(frac * mesh.cell_volumes))
+    frac *= mesh.cell_volumes
+    return float(frac.sum())
 
 
 def dose_fractions(ledger) -> tuple[float, float, float]:

@@ -169,7 +169,13 @@ class StaggeredStepper:
         t_new = state.t + dt
 
         if self.flow_active:
-            q_p = self._source_shape * self.protocol.flow_rate(t_new)
+            rate = self.protocol.flow_rate(t_new)
+            if rate == 0.0 and self.protocol.flow_rate(state.t) > 0.0:
+                # the flow stops in this step: an ILU built under flow fails
+                # on the operator without it, so each species builds afresh
+                for solver in self._species_solvers:
+                    solver.drop_preconditioner()
+            q_p = self._source_shape * rate
             p = self.pressure_at(t_new)
             u_r, u_z = fl.velocity_from_pressure(mesh, self._mobility, p)
             flow = (u_r, u_z, q_p)  # what the species transport carries

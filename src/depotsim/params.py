@@ -261,9 +261,10 @@ def recover_chloride(c_na, c_h, c_mab, z_mab):
     reported, not fatal.
     """
     c_cl = _electroneutral_chloride(c_na, c_h, c_mab, z_mab)
-    n_neg = int(np.sum(np.asarray(c_cl) < 0.0))
-    if n_neg:
-        logger.warning("chloride recovery produced %d negative node(s)", n_neg)
+    if not np.min(c_cl) >= 0.0:  # a NaN takes the masked path too
+        n_neg = np.count_nonzero(np.asarray(c_cl) < 0.0)
+        if n_neg:
+            logger.warning("chloride recovery produced %d negative node(s)", n_neg)
     return c_cl
 
 

@@ -52,7 +52,9 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
     mu_cl = species.chloride.mobility(constants)
     d_cl = species.chloride.diffusivity
 
-    sigma = np.zeros((mesh.nz1, mesh.nr1))
+    # sigma, g_r and g_z start as 0.0, which the first species' term turns
+    # into an array (0.0 + x is x), so no zero array is filled and added
+    sigma = 0.0
     triples = (
         (species.sodium, c_na, Z_NA),
         (species.hydrogen, c_h, Z_H),
@@ -62,13 +64,12 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
         mu = spec.mobility(constants)
         sigma += z * f_const * n * (z * mu - Z_CL * mu_cl) * c
 
-    if np.min(sigma) <= 0.0:
+    if sigma.min() <= 0.0:
         raise SolverError("effective conductivity lost positivity; "
-                          f"min sigma = {np.min(sigma):.3e}")
+                          f"min sigma = {sigma.min():.3e}")
 
     # concentration-driven part: face fluxes of sum_i z_i n (D_i - D_Cl) grad c_i
-    g_r = np.zeros((mesh.nz1, mesh.nr))
-    g_z = np.zeros((mesh.nz, mesh.nr1))
+    g_r = g_z = 0.0
     dg_r, dg_z = fv.face_gradients(mesh, np.stack([c_na, c_h, c_mab]))
     for (spec, _, z), dc_r, dc_z in zip(triples, dg_r, dg_z):
         coef = n * (spec.diffusivity - d_cl)
@@ -77,9 +78,10 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
         g_z += z_z * coef * dc_z
     div_g = fv.divergence_of_face_flux(mesh, g_r, g_z)
 
-    rhs = np.asarray(z_mab, dtype=float) * (
-        np.asarray(j_l) * c_mab + np.asarray(binding_rate))
-    rhs = np.broadcast_to(rhs, (mesh.nz1, mesh.nr1)).copy()
+    # written into a full nodal array, even from scalar inputs
+    rhs = np.multiply(np.asarray(z_mab, dtype=float),
+                      np.asarray(j_l) * c_mab + np.asarray(binding_rate),
+                      out=np.empty((mesh.nz1, mesh.nr1)))
     return PotentialCoefficients(sigma=sigma, rhs=rhs, div_g=div_g)
 
 
@@ -120,7 +122,7 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     except RuntimeError as exc:
         raise SolverError(f"potential factorization failed: {exc}") from exc
     phi = lu.solve(b)
-    if not np.all(np.isfinite(phi)):
+    if not np.isfinite(phi).all():
         raise SolverError("potential solve produced non-finite values")
     phi -= np.dot(w, phi) / mesh.integration_total
     return phi.reshape(mesh.nz1, mesh.nr1)

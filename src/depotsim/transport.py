@@ -76,8 +76,9 @@ def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivities,
     for k, (diffusivity, valence) in enumerate(zip(diffusivities, valences)):
         coef = diffusivity * constants.faraday / constants.rt * porosity
         z_r, z_z = fv.face_averages(valence)
-        np.multiply(-z_r * coef, g_r, out=w_r[k])
-        np.multiply(-z_z * coef, g_z, out=w_z[k])
+        # z * -coef is -z * coef to the bit, one array operation fewer
+        np.multiply(z_r * -coef, g_r, out=w_r[k])
+        np.multiply(z_z * -coef, g_z, out=w_z[k])
     return w_r, w_z
 
 
@@ -125,7 +126,7 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
             c_new = solver.solve(a, b.ravel())
         except RuntimeError as exc:
             raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc
-        if not np.all(np.isfinite(c_new)):
+        if not np.isfinite(c_new).all():
             raise SolverError(f"{spec.name} transport produced non-finite values")
         new.append(c_new.reshape(mesh.nz1, mesh.nr1))
 
@@ -144,8 +145,9 @@ def tissue_ph(c_h: np.ndarray) -> np.ndarray:
     when a solve has effectively zeroed the hydrogen field.
     """
     c = np.asarray(c_h, dtype=float)
-    floored = c <= H_FLOOR
-    if np.any(floored):
-        logger.warning("hydrogen floor applied at %d node(s)", int(floored.sum()))
-        c = np.maximum(c, H_FLOOR)
+    if not c.min() > H_FLOOR:  # a NaN takes the masked path too
+        floored = np.count_nonzero(c <= H_FLOOR)
+        if floored:
+            logger.warning("hydrogen floor applied at %d node(s)", floored)
+            c = np.maximum(c, H_FLOOR)
     return -np.log10(MOL_PER_CM3_TO_MOL_PER_L * c)

@@ -128,6 +128,17 @@ class TestMetricsCommand:
         assert " phase: " not in captured.out
         assert "Traceback" not in captured.err
 
+    def test_malformed_timeseries_row_exits_1_naming_the_line(self, finished_run,
+                                                              tmp_path, capsys):
+        (tmp_path / "ledger.json").write_bytes((finished_run / "ledger.json").read_bytes())
+        lines = (finished_run / "timeseries.csv").read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 1)[0] + ",n/a"
+        (tmp_path / "timeseries.csv").write_text("\n".join(lines) + "\n")
+        assert main(["metrics", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "timeseries.csv, line 3: could not convert" in err
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def test_self_similar_reference_scores_well(self, finished_run, tmp_path,

@@ -237,6 +237,19 @@ class TestTimeseriesCsv:
         for name in CHANNELS:
             assert back.channels[name] == series.channels[name]
 
+    @pytest.mark.parametrize("row, message", [
+        ("9,0,0,0,7.4,0,0,0,0,x", "could not convert string to float: 'x'"),
+        ("9,0,0,0,7.4,0,0,0,0", "expected 10 values, found 9"),
+        ("9,0,0,0,7.4,0,0,0,0,0,0", "expected 10 values, found 11"),
+    ], ids=["non-numeric", "short", "long"])
+    def test_malformed_row_names_the_file_and_line(self, tmp_path, row, message):
+        path = write_timeseries(self.make_series(2), tmp_path / "ts.csv")
+        # header and two rows, a blank line 4, the bad row on line 5
+        path.write_text(path.read_text() + "\n" + row + "\n")
+        with pytest.raises(ConfigurationError) as info:
+            read_timeseries(path)
+        assert str(info.value) == f"{path}, line 5: {message}"
+
 
 def small_state():
     mesh = build_graded_mesh(5, 5, 10, 10, focus=(0, 4.2), grading=1.0)

@@ -5,15 +5,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depotsim.mesh import build_graded_mesh
-from depotsim.metrics import (MetricSeries, ball_average, domain_average,
-                              dose_fractions, net_charge_density, plume_volume)
+from depotsim.mesh import build_graded_mesh, integrate
+from depotsim.metrics import (PLUME_FLOOR, MetricSeries, ball_average,
+                              domain_average, dose_fractions, net_charge_density,
+                              plume_volume)
 from depotsim.orchestrator import DoseLedger
 
 
 @pytest.fixture(scope="module")
 def mesh():
     return build_graded_mesh(5, 5, 40, 40, focus=(0, 4.2), grading=1.0)
+
+
+@pytest.fixture(scope="module")
+def oblong():
+    """A graded mesh 17 nodes wide and 25 high, so a transposed field fits no axis."""
+    return build_graded_mesh(3, 5, 16, 24, focus=(0, 4.2), grading=1.1)
+
+
+def stacked_plume_volume(c, mesh):
+    """`plume_volume` as it was written before its corners were taken pairwise:
+    the four corner arrays stacked and reduced along the stack."""
+    c = np.asarray(c, dtype=float)
+    c_max = float(c.max(initial=0.0))
+    if c_max <= PLUME_FLOOR:
+        return 0.0
+    thresh = 0.5 * c_max
+    corners = np.stack([c[:-1, :-1], c[:-1, 1:], c[1:, :-1], c[1:, 1:]])
+    lo = corners.min(axis=0)
+    hi = corners.max(axis=0)
+    mean = corners.mean(axis=0)
+    frac = np.where(lo >= thresh, 1.0, 0.0)
+    cut = (lo < thresh) & (hi > thresh)
+    if np.any(cut):
+        lin = 0.5 + (mean[cut] - thresh) / (hi[cut] - lo[cut])
+        frac[cut] = np.clip(lin, 0.0, 1.0)
+    return float(np.sum(frac * mesh.cell_volumes))
 
 
 class TestDomainAverage:
@@ -33,6 +60,17 @@ class TestDomainAverage:
         f = np.random.default_rng(seed).normal(size=(mesh.nz1, mesh.nr1))
         avg = domain_average(f, mesh)
         assert f.min() - 1e-12 <= avg <= f.max() + 1e-12
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_is_the_primal_integral_over_the_cylinder_volume(self, oblong, seed):
+        f = np.random.default_rng(seed).lognormal(size=(oblong.nz1, oblong.nr1))
+        expected = integrate(f, oblong) / oblong.domain_volume
+        assert domain_average(f, oblong) == pytest.approx(expected, rel=1e-15)
+
+    def test_transposed_field_is_rejected(self, oblong):
+        f = np.ones((oblong.nz1, oblong.nr1))
+        with pytest.raises(ValueError, match="does not match mesh"):
+            domain_average(f.T, oblong)
 
 
 class TestNetChargeDensity:
@@ -87,6 +125,21 @@ class TestPlumeVolume:
         rho2 = mesh.rr**2 + (mesh.zz - 3.0) ** 2
         c = 1e-6 * np.exp(-rho2 / (2 * s**2))
         assert plume_volume(c, mesh) == pytest.approx(4 * np.pi / 3, rel=0.02)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_stacked_corner_formula_bit_for_bit(self, oblong, seed):
+        rng = np.random.default_rng(seed)
+        shape = (oblong.nz1, oblong.nr1)
+        fields = {
+            "uniform noise, cut cells": rng.random(shape) * 1e-7,
+            "a plume over noise": 1e-7 * np.exp(-rng.uniform(1, 4) * (
+                oblong.rr**2 + (oblong.zz - 4.2) ** 2)) + 1e-12 * rng.random(shape),
+            "all above half the maximum": rng.uniform(0.5, 1.0, shape),
+            "some at half the maximum": rng.choice([0.5, 1.0], shape),
+            "zero, half or the maximum": rng.choice([0.0, 0.5, 1.0], shape),
+        }
+        for name, c in fields.items():
+            assert plume_volume(c, oblong) == stacked_plume_volume(c, oblong), name
 
     def test_floor_means_no_plume(self, mesh):
         c = np.full((mesh.nz1, mesh.nr1), 1e-19)

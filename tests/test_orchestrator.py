@@ -240,6 +240,35 @@ class TestWideFineMesh:
             assert sys.getrefcount(ilu) == 2  # the local name and the call's argument
 
 
+class TestFlowStop:
+    def test_no_kept_ilu_fails_in_the_step_where_the_flow_stops(self, tiny_sim,
+                                                                 monkeypatch):
+        # every species solve takes the kept-ILU GMRES path, even on this narrow mesh
+        monkeypatch.setattr(_assembly, "_BAND_MAX_WIDTH", 0)
+        config = tiny_sim.config
+        stepper = StaggeredStepper(config.fine_mesh(), config)
+        state = Simulation._prime_state(
+            FieldState.rest_state(stepper.mesh, stepper.species),
+            stepper.charge_curve)
+        ledger, dt, end = DoseLedger(), 0.25, stepper.protocol.duration
+        while state.t + dt < end:
+            state, _ = stepper.step(state, ledger, dt)
+        assert stepper.protocol.flow_rate(state.t) > 0.0
+        runs = []
+        gmres = _assembly.SpeciesSolver._gmres
+
+        def spying(self, a, b):
+            runs.append(gmres(self, a, b))
+            return runs[-1]
+
+        monkeypatch.setattr(_assembly.SpeciesSolver, "_gmres", spying)
+        state, _ = stepper.step(state, ledger, dt)
+        assert state.t == end and stepper.protocol.flow_rate(end) == 0.0
+        assert len(runs) == 3  # one run a species, each on a fresh ILU
+        assert all(x is not None for x in runs)
+        assert stepper.krylov.direct_fallbacks == 0
+
+
 class TestNearSourceAverage:
     """`Simulation._near_source_average` on both of its branches, called twice
     so that the second call reads the ball the first one cached on the mesh."""

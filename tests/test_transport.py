@@ -325,3 +325,11 @@ class TestTissuePh:
 
     def test_below_floor_clipped_to_13(self):
         assert tissue_ph(np.array([[1e-22]]))[0, 0] == pytest.approx(13.0)
+
+    def test_takes_scalars(self, caplog):
+        assert tissue_ph(4e-11) == pytest.approx(7.39794, abs=1e-5)
+        assert np.ndim(tissue_ph(4e-11)) == 0
+        with caplog.at_level("WARNING"):
+            assert tissue_ph(0.0) == pytest.approx(13.0)
+        assert [r.getMessage() for r in caplog.records] == [
+            "hydrogen floor applied at 1 node(s)"]
