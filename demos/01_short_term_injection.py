@@ -21,7 +21,7 @@ config = ds.default_config().with_values({
 print("injecting 1 mL over 5 s at 8 mm depth (buffer pH "
       f"{config['formulation.buffer_ph']}, "
       f"{config['formulation.mg_per_ml']:.0f} mg/mL) ...")
-result = Simulation(config).run_short_term()
+result = Simulation(config).run_short_term(ds.MetricSeries(), ds.DoseLedger())
 series = result.series
 t = np.asarray(series.time)
 p = series.column("pressure_ball_avg")

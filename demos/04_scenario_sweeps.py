@@ -18,9 +18,12 @@ config = ds.default_config().with_values({
     "output.long_cadence_s": 1800.0,
 })
 
-outdir = Path(tempfile.mkdtemp(prefix="depotsim_sweep_"))
-print(f"sweeping buffer pH into {outdir} (coarse profile, a few minutes)")
-entries = run_sweep(config, "buffer_ph", [5.0, 7.4, 9.0], outdir)
+# the run directories go to a temporary directory removed at the end
+with tempfile.TemporaryDirectory(prefix="depotsim_sweep_") as tmp:
+    outdir = Path(tmp)
+    print(f"sweeping buffer pH into {outdir} (coarse profile, a few minutes)")
+    entries = run_sweep(config, "buffer_ph", [5.0, 7.4, 9.0], outdir)
+    summary = (outdir / "sweep_summary.csv").read_text()
 
 print(f"\n{'buffer pH':>9s} {'free %':>8s} {'bound %':>8s} {'absorbed %':>11s}")
 for e in entries:
@@ -29,6 +32,6 @@ for e in entries:
               f"{e.absorbed_pct:11.2f}")
     else:
         print(f"{e.value:9.1f}  failed: {e.error}")
-print(f"\ncombined summary: {outdir / 'sweep_summary.csv'}")
+print(f"\ncombined summary, sweep_summary.csv:\n{summary}", end="")
 print("equivalent CLI:  depotsim sweep <config> --axis buffer_ph "
       "--values 5,7.4,9")

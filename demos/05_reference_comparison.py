@@ -28,13 +28,15 @@ t_h = np.asarray(series.time) / 3600.0
 remaining = (series.column("free_pct") + series.column("bound_pct")) / 100.0
 
 # stand-in for digitized experimental clearance data
-ref_path = Path(tempfile.mkdtemp(prefix="depotsim_ref_")) / "clearance.csv"
 t_ref = np.arange(1.0, 33.0, 2.0)
 ref_vals = np.exp(-t_ref / 40.0)
-ref_path.write_text("time_h,remaining_fraction\n" + "\n".join(
-    f"{t},{v:.4f}" for t, v in zip(t_ref, ref_vals)) + "\n")
+with tempfile.TemporaryDirectory(prefix="depotsim_ref_") as tmp:
+    ref_path = Path(tmp) / "clearance.csv"
+    ref_path.write_text("time_h,remaining_fraction\n" + "\n".join(
+        f"{t},{v:.4f}" for t, v in zip(t_ref, ref_vals)) + "\n")
+    reference = load_reference_csv(ref_path)
 
-report = compare_reference(t_h, remaining, load_reference_csv(ref_path))
+report = compare_reference(t_h, remaining, reference)
 print(f"\nreference: {report.label} ({report.time_h.size} points)")
 print(f"RMSE of remaining-depot fraction: {report.rmse:.4f}")
 print(f"max deviation:                    {report.max_deviation:.4f}")

@@ -7,8 +7,8 @@ graded (r, z) grid, with a coarse-mesh reduced model for multi-hour horizons.
 
 from .config import SimulationConfig, default_config, load_config, load_config_text
 from .flow import (InjectionProtocol, PressureSolver, SolverError,
-                   darcy_mobility, injection_source, node_speed, solve_pressure,
-                   starling_lymph, velocity_from_pressure)
+                   darcy_mobility, injection_source, node_speed, starling_lymph,
+                   tissue_pressure, velocity_from_pressure)
 from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
                    project_field)
 from .metrics import (MetricSeries, ball_average, domain_average,

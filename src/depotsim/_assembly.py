@@ -7,7 +7,7 @@ problems read ``A x = V * source``.
 
 This is the only module that knows the sparse layout. Every operator on a
 mesh lives on one 5-point CSR pattern (each node coupled to itself and its
-r and z neighbours), built once per mesh and cached on it by `csr_pattern`.
+r and z neighbours), built once per mesh and kept on it by `csr_pattern`.
 An operator is plain data on that pattern, an `Operator`: the pattern and
 one ``data`` array. Operators on one mesh therefore add by their ``data``
 arrays, and Dirichlet rows are imposed in place by `pin_rows`. The
@@ -39,21 +39,21 @@ A band factor costs O(n nr1²) and the minimum-degree fill of SuperLU grows
 more slowly with the width, so the band wins only up to a width;
 `_BAND_MAX_WIDTH` and `_CHOLESKY_MAX_WIDTH` record where each stops winning.
 
-Per-mesh caches. Each depends on the mesh alone, is built on first use,
-stored on the mesh as a private attribute, lives as long as the mesh, and
-holds only read-only arrays; none holds an operator or a factor:
+Per-mesh caches. Each depends on the mesh alone, is built on first use by
+`AxiMesh.derived`, lives as long as the mesh, and holds only read-only
+arrays; none holds an operator or a factor:
 
-- `csr_pattern` (``mesh._csr_pattern``): the 5-point CSR layout, the face
-  node arrays and the ``data`` slots every fill scatters into.
-- `face_geometry` (``mesh._face_geometry``): the area and node distance of
-  every face in `CsrPattern` face order, which every operator fill and
-  `divergence_of_face_flux` read instead of rebuilding them from the mesh
-  each call.
-- `_band_layout` and `_cholesky_layout` (``mesh._band_layout``,
-  ``mesh._cholesky_layout``): the maps from CSR ``data`` slots to LAPACK band
-  storage.
-- ``mesh._lu_order``: the minimum-degree order and permuted CSC layout of
-  the first SuperLU factorization on a wide mesh (`_superlu`).
+- `csr_pattern`: the 5-point CSR layout, the face node arrays and the
+  ``data`` slots every fill scatters into.
+- `face_geometry`: the area and node distance of every face in `CsrPattern`
+  face order, which every operator fill and `divergence_of_face_flux` read
+  instead of rebuilding them from the mesh each call.
+- `_band_layout` and `_cholesky_layout`: the maps from CSR ``data`` slots to
+  LAPACK band storage.
+
+``mesh._lu_order``, the minimum-degree order and permuted CSC layout of the
+first SuperLU factorization on a wide mesh (`_superlu`), comes from that
+factor, not from the mesh alone, so `_superlu` sets it on the mesh.
 
 Species transport on a wide mesh does not factor every step. A
 `SpeciesSolver` per species keeps an incomplete LU (``spilu``, drop
@@ -100,10 +100,11 @@ class CsrPattern:
 
 
 def csr_pattern(mesh: AxiMesh) -> CsrPattern:
-    """The mesh's operator pattern, built on first use and cached on the mesh."""
-    cached = getattr(mesh, "_csr_pattern", None)
-    if cached is not None:
-        return cached
+    """The mesh's operator pattern, built on first use and kept on the mesh."""
+    return mesh.derived("csr_pattern", _build_csr_pattern)
+
+
+def _build_csr_pattern(mesh: AxiMesh) -> CsrPattern:
     n = mesh.n_nodes
     idx = np.arange(n).reshape(mesh.nz1, mesh.nr1)
     lo = np.concatenate([idx[:, :-1].ravel(), idx[:-1, :].ravel()])
@@ -115,12 +116,8 @@ def csr_pattern(mesh: AxiMesh) -> CsrPattern:
     slot[order] = np.arange(order.size)
     diag, lo_hi, hi_lo = np.split(slot, [n, n + lo.size])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
-    pattern = CsrPattern(indptr.astype(np.int32), cols[order].astype(np.int32),
-                         diag, lo, hi, np.concatenate([diag[lo], lo_hi, hi_lo, diag[hi], diag]))
-    for arr in vars(pattern).values():
-        arr.flags.writeable = False
-    mesh._csr_pattern = pattern
-    return pattern
+    return CsrPattern(indptr.astype(np.int32), cols[order].astype(np.int32),
+                      diag, lo, hi, np.concatenate([diag[lo], lo_hi, hi_lo, diag[hi], diag]))
 
 
 @dataclass(slots=True)
@@ -237,21 +234,15 @@ class BandLayout:
 
 
 def _band_layout(mesh: AxiMesh) -> BandLayout:
-    """The mesh's band layout, built on first use and cached on the mesh."""
-    cached = getattr(mesh, "_band_layout", None)
-    if cached is not None:
-        return cached
+    """The mesh's band layout; `factorize` keeps it on the mesh."""
     pattern = csr_pattern(mesh)
     n, w = mesh.n_nodes, mesh.nr1
     rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
     cols = pattern.indices.astype(np.intp)
     slots = cols * (3 * w + 1) + 2 * w + rows - cols
-    slots.flags.writeable = False
     k = np.arange(n)
-    band = BandLayout(w, slots, int(np.minimum(k, w).sum()),
+    return BandLayout(w, slots, int(np.minimum(k, w).sum()),
                       int(np.minimum(k, 2 * w).sum()) + n)
-    mesh._band_layout = band
-    return band
 
 
 @dataclass(frozen=True)
@@ -322,20 +313,13 @@ class CholeskyLayout:
 
 
 def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
-    """The mesh's lower band layout, built on first use and cached on the mesh."""
-    cached = getattr(mesh, "_cholesky_layout", None)
-    if cached is not None:
-        return cached
+    """The mesh's lower band layout; `factorize` keeps it on the mesh."""
     pattern = csr_pattern(mesh)
     n, w, faces = mesh.n_nodes, mesh.nr1, pattern.lo.size
     lower = np.concatenate([pattern.diag, pattern.scatter[2 * faces:3 * faces]])
     slots = np.concatenate([np.arange(n) * (w + 1),
                             pattern.lo * (w + 1) + pattern.hi - pattern.lo])
-    for arr in (lower, slots):
-        arr.flags.writeable = False
-    layout = CholeskyLayout(lower, slots, int(np.minimum(np.arange(n), w).sum()) + n)
-    mesh._cholesky_layout = layout
-    return layout
+    return CholeskyLayout(lower, slots, int(np.minimum(np.arange(n), w).sum()) + n)
 
 
 class BandCholesky:
@@ -397,7 +381,7 @@ def factorize(mesh: AxiMesh, a: Operator):
     if a.data.size != pattern.indices.size:
         raise ValueError("factorize needs an operator on the mesh's 5-point pattern")
     if mesh.nr1 <= _BAND_MAX_WIDTH:
-        band = _band_layout(mesh)
+        band = mesh.derived("band_layout", _band_layout)
         w = band.width
         # the transpose of this C-ordered array is LAPACK's column-major band array
         ab = np.zeros((mesh.n_nodes, 3 * w + 1))
@@ -407,7 +391,7 @@ def factorize(mesh: AxiMesh, a: Operator):
             raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
         return BandLU(lu, piv, band)
     if mesh.nr1 <= _CHOLESKY_MAX_WIDTH and _is_symmetric(a):
-        band = _cholesky_layout(mesh)
+        band = mesh.derived("cholesky_layout", _cholesky_layout)
         ab = np.zeros((mesh.n_nodes, mesh.nr1 + 1))
         ab.reshape(-1)[band.slots] = a.data[band.lower]
         factor, info = lapack.dpbtrf(ab.T, lower=1, overwrite_ab=1)
@@ -659,18 +643,15 @@ class FaceGeometry:
 
 
 def face_geometry(mesh: AxiMesh) -> FaceGeometry:
-    """The mesh's face geometry, built on first use and cached on the mesh."""
-    cached = getattr(mesh, "_face_geometry", None)
-    if cached is not None:
-        return cached
-    geometry = FaceGeometry(
+    """The mesh's face geometry, built on first use and kept on the mesh."""
+    return mesh.derived("face_geometry", _build_face_geometry)
+
+
+def _build_face_geometry(mesh: AxiMesh) -> FaceGeometry:
+    return FaceGeometry(
         _per_face(mesh, mesh.area_r, mesh.area_z),
         _per_face(mesh, np.broadcast_to(mesh.dr, (mesh.nz1, mesh.nr)),
                   np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))))
-    for arr in vars(geometry).values():
-        arr.flags.writeable = False
-    mesh._face_geometry = geometry
-    return geometry
 
 
 def _per_face(mesh: AxiMesh, x_r, x_z) -> np.ndarray:

@@ -16,6 +16,7 @@ default_config().starling(), l_pb=2e-6)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -103,7 +104,7 @@ def _parse_value(key: str, raw: str, lineno: int):
         if typ is float:
             return float(raw)
         return raw
-    except ValueError:
+    except (ValueError, OverflowError):  # int(float("inf")) overflows
         raise ConfigurationError(
             f"line {lineno}: cannot parse {raw!r} as {typ.__name__} for {key}"
         ) from None
@@ -180,12 +181,10 @@ class SimulationConfig:
         for key, (typ, _) in SCHEMA.items():
             if typ not in (int, float):
                 continue
-            x = float(v[key])
-            if key in non_negative:
-                if x < 0:
-                    raise ConfigurationError(f"{key} must be >= 0, got {v[key]}")
-            elif x <= 0:
-                raise ConfigurationError(f"{key} must be > 0, got {v[key]}")
+            x = float(v[key])  # NaN fails every comparison, so test it apart
+            bound = ">= 0" if key in non_negative else "> 0"
+            if not math.isfinite(x) or (x < 0 if key in non_negative else x <= 0):
+                raise ConfigurationError(f"{key} must be finite and {bound}, got {v[key]}")
         if v["scenario.bmi"] not in ("", *_BMI_PRESETS):
             raise ConfigurationError(
                 f"scenario.bmi must be 'high' or 'low', got {v['scenario.bmi']!r}")

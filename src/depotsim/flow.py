@@ -7,9 +7,9 @@ The pore pressure solves the quasi-static balance
 with p = 0 on the outer rim (r = R) and no-flux everywhere else. Both
 exchange terms are linear in p and kept implicit, and the source is a fixed
 shape scaled by the flow rate Q(t), so the pressure is affine in Q(t):
-p(t) = p_rest + Q(t) p_unit. The injection-phase stepper solves for p_rest
-and p_unit once at its start and keeps no factorization. The long phase
-freezes the drainage of one steady solve without the source (`solve_pressure`).
+p(t) = p_rest + Q(t) p_unit. The injection-phase stepper solves the
+`tissue_pressure` solver for p_rest and p_unit once and keeps no factor; the
+long phase freezes the drainage of one steady solve of it without the source.
 """
 
 from __future__ import annotations
@@ -100,11 +100,11 @@ def exchange_coefficients(mesh: AxiMesh, layers: TissueLayers,
     """Split J_b - J_l into `const - reaction * p` on the nodes.
 
     Blood filtration is J_b = n L_pb (S_b/V) (p_b - p - sigma_r (pi_b - pi_i))
-    and lymphatic drainage J_l = n L_pl (S_l/V) (p - p_l).
+    and lymphatic drainage J_l = n L_pl (S_l/V) (p - p_l), in ``(nz1, 1)`` columns.
     """
     n = layers.porosity
     blood = n * params.l_pb * params.sbv
-    lymph = n * params.l_pl * layers.slv_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
+    lymph = n * params.l_pl * layers.slv_at(mesh.z)[:, None]
     reaction = blood + lymph
     const = (blood * (params.p_b - params.sigma_r * (params.pi_b - params.pi_i))
              + lymph * params.p_l)
@@ -155,12 +155,12 @@ class PressureSolver:
         return p.reshape(self.mesh.nz1, self.mesh.nr1)
 
 
-def solve_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParams,
-                   q_p: np.ndarray | float, viscosity: float) -> np.ndarray:
-    """One-shot pressure solve with layered permeability and vascular exchange."""
-    kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
-    reaction, const = exchange_coefficients(mesh, layers, starling)
-    return PressureSolver(mesh, kappa, viscosity, reaction, const).solve(q_p)
+def tissue_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParams,
+                    viscosity: float) -> PressureSolver:
+    """The pressure solver of the layered tissue: its permeability and its
+    vascular exchange, both ``(nz1, 1)`` columns the solver broadcasts."""
+    return PressureSolver(mesh, layers.permeability_at(mesh.z)[:, None], viscosity,
+                          *exchange_coefficients(mesh, layers, starling))
 
 
 def darcy_mobility(mesh: AxiMesh, kappa_nodes: np.ndarray | float, viscosity: float):

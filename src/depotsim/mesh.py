@@ -101,6 +101,7 @@ class AxiMesh:
                 raise MeshError(
                     f"{name} spacing ratio exceeds {MAX_NEIGHBOR_RATIO} between neighbors"
                 )
+        self._derived = {}
         self._build_geometry()
 
     def _build_geometry(self):
@@ -145,6 +146,19 @@ class AxiMesh:
         rr, zz = np.meshgrid(r, z)
         self.rr = rr  # (nz1, nr1) node radii
         self.zz = zz  # (nz1, nr1) node heights
+
+    def derived(self, key, build):
+        """The dataclass ``build(mesh)``, built on the first call for ``key``, kept
+        while the mesh lives and shared by every caller: its arrays are read-only."""
+        try:
+            return self._derived[key]
+        except KeyError:
+            pass
+        value = self._derived[key] = build(self)
+        for arr in vars(value).values():
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
+        return value
 
     @property
     def radius(self) -> float:

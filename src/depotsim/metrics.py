@@ -2,7 +2,7 @@
 
 Everything here is a pure function of a state; the only running totals live
 in the orchestrator's dose ledger. The nodes of a ball (`ball`) depend only on
-the mesh, so they are cached on it, keyed on the ball's centre and radius.
+the mesh, so `AxiMesh.derived` keeps them on it, keyed on centre and radius.
 
 The two averages use different measures. `domain_average` integrates in the
 primal measure of `mesh.integrate` (bilinear cell averages times the primal
@@ -65,23 +65,19 @@ class Ball:
 
 
 def ball(mesh: AxiMesh, center: tuple[float, float], radius: float) -> Ball:
-    """The sphere's nodes on the mesh, built on first use and cached on the
+    """The sphere's nodes on the mesh, built on first use and kept on the
     mesh for each (centre, radius) asked for; it lives as long as the mesh."""
     if radius <= 0:
         raise ValueError("ball radius must be positive")
-    balls = getattr(mesh, "_balls", None)
-    if balls is None:
-        balls = mesh._balls = {}
-    key = (float(center[0]), float(center[1]), float(radius))
-    cached = balls.get(key)
-    if cached is None:
+
+    def build(mesh):
         mask = mesh.ball_mask(center, radius)
         weights = mesh.node_volumes[mask]
-        for arr in (mask, weights):
-            arr.flags.writeable = False
-        cached = balls[key] = Ball(mask, weights, np.sum(weights),
-                                   int(np.argmin(mesh.distance_to(center))))
-    return cached
+        return Ball(mask, weights, np.sum(weights),
+                    int(np.argmin(mesh.distance_to(center))))
+
+    return mesh.derived(("ball", float(center[0]), float(center[1]), float(radius)),
+                        build)
 
 
 def ball_average(fld: np.ndarray, mesh: AxiMesh, center: tuple[float, float],

@@ -15,7 +15,12 @@ After the injection phase the problem is reduced: fields are projected onto
 a coarse uniform mesh (with an exact drug-mass rescale), convection and
 sources are dropped, and the lymphatic drainage field is frozen from one
 steady pressure solve without the injection source. The reduced phase starts
-from that coarse `FieldState`, whose ``j_l`` is the frozen drainage.
+from that coarse `FieldState`, whose ``p`` and ``j_l`` are the steady
+pressure and the frozen drainage; each reduced step passes both arrays on.
+
+Both phases take one dt policy (`Simulation._run_phase`): dt grows by
+`DT_GROWTH` a step from a minimum to a maximum. The injection phase passes
+``phases.short_dt_s`` as both, so its steps stay constant.
 
 Every accepted state carries its pH, drug charge and recovered chloride
 (`_refresh_derived`); a step reads the lagged values from there.
@@ -23,17 +28,16 @@ Every accepted state carries its pH, drug charge and recovered chloride
 A `StaggeredStepper` computes what its phase never changes once, when it is
 built, and keeps it for as long as it lives: one phase. No step writes to
 these arrays; the face mobilities and the zero velocities are marked
-read-only. A stepper built with a frozen drainage field is a reduced-phase
-one; without it, an injection-phase one.
+read-only. Its ``flow`` flag says which phase it steps: the injection phase
+(True) or the reduced one (False).
 
 - Injection phase: the source shape, the two pressure fields ``p_rest`` and
   ``p_unit`` whose Q(t) combination is the pressure at any time, and the
   face mobilities kappa/eta the pressure solver harmonically averaged, from
   which each step takes the Darcy velocity.
-- Reduced phase: the frozen drainage field and one pair of zero face
-  velocities that every state of the phase shares. Without flow a step
-  passes no velocity and no injection source to the species transport, and
-  books no injected dose.
+- Reduced phase: one pair of zero face velocities that every state of the
+  phase shares. Without flow a step passes no velocity and no injection
+  source to the species transport, and books no injected dose.
 
 The stepper counts its phase's dt-halving ``retries``, ``clipped`` round-off
 negatives and kept-ILU ``krylov`` work; the phase's end copies them into
@@ -72,8 +76,8 @@ PRESSURE_BALL_RADIUS = 0.1  # cm
 
 MAX_DT_RETRIES = 5
 
-#: geometric growth of the long-phase step from its minimum to its maximum
-LONG_DT_GROWTH = 1.2
+#: geometric growth of a phase's step from its minimum to its maximum
+DT_GROWTH = 1.2
 
 
 @dataclass
@@ -102,18 +106,17 @@ class DoseLedger:
 class StaggeredStepper:
     """One-phase stepping engine bound to a mesh and a parameter set.
 
+    ``flow`` is True for the injection phase and False for the reduced one.
     ``step(state, ledger, dt)`` returns the next state and the dt it took,
     and never writes to ``state``. It keeps one `fv.SpeciesSolver` per
     species, and with them their preconditioners, for as long as it lives:
     one phase. ``retries``, ``clipped`` and ``krylov`` count its work.
     """
 
-    def __init__(self, mesh: AxiMesh, config: SimulationConfig,
-                 j_l_frozen: np.ndarray | None = None):
+    def __init__(self, mesh: AxiMesh, config: SimulationConfig, flow: bool):
         self.mesh = mesh
         self.config = config
-        self.j_l_frozen = j_l_frozen
-        self.flow_active = j_l_frozen is None
+        self.flow = flow
         self.constants = config.constants()
         self.species = config.species()
         self.layers = config.layers()
@@ -122,19 +125,16 @@ class StaggeredStepper:
         self.charge_curve = config.charge_curve()
         self.protocol = config.protocol()
         self.porosity = self.layers.porosity
-        self.viscosity = config["flow.viscosity"]
         syr = config.syringe()
         self.c_max = {"na": syr["na"], "h": syr["h"], "mab": syr["mab"]}
 
-        self.kappa = (self.layers.permeability_at(mesh.z)[:, None]
-                      * np.ones((1, mesh.nr1)))
         self.retries = 0
         self.clipped = 0
         self.krylov = fv.KrylovCounts()
         self._species_solvers = tuple(fv.SpeciesSolver(mesh, self.krylov)
                                       for _ in range(3))
-        if self.flow_active:
-            self.slv = self.layers.slv_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
+        if flow:
+            self.slv = self.layers.slv_at(mesh.z)[:, None]
             # the source shape never changes; only Q(t) rescales it
             shape = fl.injection_source(mesh, self.protocol,
                                         0.5 * self.protocol.duration)
@@ -142,10 +142,8 @@ class StaggeredStepper:
             self._source_shape = shape / q_ref
             # the pressure is affine in Q(t), so two solves serve the phase
             # and no factor outlives the constructor
-            reaction, const = fl.exchange_coefficients(mesh, self.layers,
-                                                       self.starling)
-            pressure = fl.PressureSolver(mesh, self.kappa, self.viscosity,
-                                         reaction, const)
+            pressure = fl.tissue_pressure(mesh, self.layers, self.starling,
+                                          config["flow.viscosity"])
             self._p_rest = pressure.solve(0.0)
             self._p_unit = pressure.solve(self._source_shape) - self._p_rest
             self._mobility = pressure.mobility
@@ -156,6 +154,13 @@ class StaggeredStepper:
             self._still = (np.zeros((mesh.nz1, mesh.nr)), np.zeros((mesh.nz, mesh.nr1)))
             for arr in self._still:
                 arr.flags.writeable = False
+
+    def rest_state(self) -> FieldState:
+        """The tissue at rest at t = 0, with its derived fields and no drainage."""
+        state = FieldState.rest_state(self.mesh, self.species)
+        _refresh_derived(state, self.charge_curve)
+        state.j_l = np.zeros_like(state.p)
+        return state
 
     def pressure_at(self, t: float) -> np.ndarray:
         """Pore pressure at time t of the injection phase, p_rest + Q(t) p_unit."""
@@ -168,7 +173,7 @@ class StaggeredStepper:
         mesh = self.mesh
         t_new = state.t + dt
 
-        if self.flow_active:
+        if self.flow:
             rate = self.protocol.flow_rate(t_new)
             if rate == 0.0 and self.protocol.flow_rate(state.t) > 0.0:
                 # the flow stops in this step: an ILU built under flow fails
@@ -178,14 +183,13 @@ class StaggeredStepper:
             q_p = self._source_shape * rate
             p = self.pressure_at(t_new)
             u_r, u_z = fl.velocity_from_pressure(mesh, self._mobility, p)
-            flow = (u_r, u_z, q_p)  # what the species transport carries
+            carried = (u_r, u_z, q_p)  # what the species transport carries
             j_l = fl.starling_lymph(p, self.starling, self.porosity, self.slv)
             injected = dt * nodal_integral(q_p, mesh) * self.c_max["mab"]
         else:
-            p = state.p
+            p, j_l = state.p, state.j_l
             u_r, u_z = self._still
-            flow = (None, None, None)
-            j_l = self.j_l_frozen
+            carried = (None, None, None)
             injected = 0.0
 
         # lagged fields for the staggered substeps
@@ -200,7 +204,7 @@ class StaggeredStepper:
         phi = solve_potential(coeffs, mesh)
 
         inputs = tr.TransportStepInputs(
-            dt=dt, u_r=flow[0], u_z=flow[1], phi=phi, q_p=flow[2], c_max=self.c_max,
+            dt=dt, u_r=carried[0], u_z=carried[1], phi=phi, q_p=carried[2], c_max=self.c_max,
             j_l=j_l, binding_assoc=assoc, binding_release=release,
             porosity=self.porosity)
         c_na, c_h, c_mab = tr.advance_species(
@@ -314,7 +318,7 @@ class Simulation:
             free_pct = bound_pct = absorbed_pct = 0.0
         # without flow every face velocity of the phase is zero
         speed = (float(fl.node_speed(mesh, state.u_r, state.u_z).max())
-                 if stepper.flow_active else 0.0)
+                 if stepper.flow else 0.0)
         series.append(
             state.t,
             pressure_ball_avg=self._near_source_average(state.p, mesh, center),
@@ -327,25 +331,20 @@ class Simulation:
             free_pct=free_pct, bound_pct=bound_pct, absorbed_pct=absorbed_pct,
         )
 
-    @staticmethod
-    def _prime_state(state: FieldState, charge_curve) -> FieldState:
-        """Attach the derived nodal fields the metrics need at t = 0."""
-        _refresh_derived(state, charge_curve)
-        state.j_l = np.zeros_like(state.p)
-        return state
-
     def _run_phase(self, stepper: StaggeredStepper, state: FieldState,
-                   ledger: DoseLedger, t_end: float, dt_schedule,
+                   ledger: DoseLedger, t_end: float, dt_min: float, dt_max: float,
                    cadence: float, series: mt.MetricSeries) -> PhaseResult:
+        """Step to ``t_end``, dt growing from ``dt_min`` by `DT_GROWTH` to ``dt_max``."""
         closure_max = 0.0
         chloride_min = np.inf
         dts = []
         t0 = _time.perf_counter()
         next_mark = state.t + cadence
+        dt = dt_min
         while state.t < t_end - 1e-9:
-            dt = min(dt_schedule(state.t), t_end - state.t)
-            state, dt = stepper.step(state, ledger, dt)
-            dts.append(dt)
+            state, taken = stepper.step(state, ledger, min(dt, t_end - state.t))
+            dts.append(taken)
+            dt = min(dt * DT_GROWTH, dt_max)
             chloride_min = min(chloride_min, float(state.c_cl.min()))
             if state.t >= next_mark - 1e-9 or state.t >= t_end - 1e-9:
                 self._emit(series, state, ledger, stepper)
@@ -358,18 +357,14 @@ class Simulation:
                            _time.perf_counter() - t0, dts)
 
     # -- public phases -------------------------------------------------------
-    def run_short_term(self, series: mt.MetricSeries | None = None,
-                       ledger: DoseLedger | None = None) -> PhaseResult:
-        mesh = self.config.fine_mesh()
-        stepper = StaggeredStepper(mesh, self.config)
-        state = self._prime_state(FieldState.rest_state(mesh, stepper.species),
-                                  stepper.charge_curve)
-        series = series if series is not None else mt.MetricSeries()
-        ledger = ledger if ledger is not None else DoseLedger()
+    def run_short_term(self, series: mt.MetricSeries, ledger: DoseLedger) -> PhaseResult:
+        """Run the injection phase from the rest state, at a constant dt."""
+        stepper = StaggeredStepper(self.config.fine_mesh(), self.config, flow=True)
+        state = stepper.rest_state()
         self._emit(series, state, ledger, stepper)
         dt = self.config["phases.short_dt_s"]
         return self._run_phase(stepper, state, ledger,
-                               self.config["phases.short_horizon_s"], lambda t: dt,
+                               self.config["phases.short_horizon_s"], dt, dt,
                                self.config["output.cadence_s"], series)
 
     def reduce_to_long_term(self, short_state: FieldState) -> FieldState:
@@ -396,10 +391,10 @@ class Simulation:
         fields["c_b"] *= scale
 
         # steady post-injection pressure fixes the drainage for the whole phase
-        p_steady = fl.solve_pressure(coarse, layers, self.config.starling(),
-                                     q_p=0.0, viscosity=self.config["flow.viscosity"])
-        slv = layers.slv_at(coarse.z)[:, None] * np.ones((1, coarse.nr1))
-        j_l = fl.starling_lymph(p_steady, self.config.starling(), porosity, slv)
+        p_steady = fl.tissue_pressure(coarse, layers, self.config.starling(),
+                                      self.config["flow.viscosity"]).solve(0.0)
+        j_l = fl.starling_lymph(p_steady, self.config.starling(), porosity,
+                                layers.slv_at(coarse.z)[:, None])
 
         state = FieldState(
             mesh=coarse, c_na=fields["c_na"], c_h=fields["c_h"],
@@ -410,26 +405,14 @@ class Simulation:
         _refresh_derived(state, self.config.charge_curve())
         return state
 
-    def run_long_term(self, state: FieldState,
-                      series: mt.MetricSeries | None = None,
-                      ledger: DoseLedger | None = None) -> PhaseResult:
+    def run_long_term(self, state: FieldState, series: mt.MetricSeries,
+                      ledger: DoseLedger) -> PhaseResult:
         """Run the reduced phase from the coarse state of `reduce_to_long_term`."""
-        stepper = StaggeredStepper(state.mesh, self.config, j_l_frozen=state.j_l)
-        series = series if series is not None else mt.MetricSeries()
-        ledger = ledger if ledger is not None else DoseLedger()
-        t_end = state.t + self.config["phases.long_horizon_h"] * 3600.0
-
-        # dt ramps geometrically from dt_min to dt_max over the first steps
-        ramp = {"dt": self.config["phases.long_dt_min_s"]}
-        dt_max = self.config["phases.long_dt_max_s"]
-
-        def schedule(t):
-            dt = ramp["dt"]
-            ramp["dt"] = min(ramp["dt"] * LONG_DT_GROWTH, dt_max)
-            return dt
-
-        return self._run_phase(stepper, state, ledger, t_end, schedule,
-                               self.config["output.long_cadence_s"], series)
+        c = self.config
+        stepper = StaggeredStepper(state.mesh, c, flow=False)
+        t_end = state.t + c["phases.long_horizon_h"] * 3600.0
+        return self._run_phase(stepper, state, ledger, t_end, c["phases.long_dt_min_s"],
+                               c["phases.long_dt_max_s"], c["output.long_cadence_s"], series)
 
     # -- full pipeline -------------------------------------------------------
     def run_pipeline(self) -> PipelineResult:

@@ -64,8 +64,8 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
 
     Each run writes into its own subdirectory; a combined CSV of the dose
     splits at t = 30 h lands next to them. Two values that name one
-    subdirectory are a `ConfigurationError`, raised before any run. With
-    ``DEPOTSIM_WORKERS`` above 1 the runs share a process pool of that size.
+    subdirectory are a `ConfigurationError`, raised before any run. The runs
+    share a pool of min(``DEPOTSIM_WORKERS``, runs) processes if that is > 1.
     """
     if axis not in AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; "
@@ -84,7 +84,8 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
                                      f"runs would both write {entry.outdir.name}/")
     outdir.mkdir(parents=True, exist_ok=True)
 
-    workers = _worker_count()
+    # a fork pool starts all its workers at the first submit
+    workers = min(_worker_count(), len(entries))
     with (ProcessPoolExecutor(max_workers=workers) if workers > 1
           else nullcontext()) as pool:
         jobs = [(_run_one, base, key, e.value, str(e.outdir)) for e in entries]

@@ -1,10 +1,13 @@
 """Command line subcommands and the scenario sweep runner."""
 
 import json
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from depotsim import sweep
 from depotsim.cli import main
 from depotsim.config import load_config, load_config_text
 from depotsim.io import read_timeseries
@@ -88,6 +91,13 @@ class TestRunCommand:
     def test_bad_key_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("protocol.dept_cm = 1\n")
+        assert main(["run", str(bad)]) == 1
+
+    @pytest.mark.parametrize("line", ["phases.long_horizon_h = inf",
+                                      "starling.p_l = nan"])
+    def test_non_finite_value_is_validation_error(self, tmp_path, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(line + "\n")
         assert main(["run", str(bad)]) == 1
 
 
@@ -278,6 +288,32 @@ class TestSweep:
                                     "--values", "6,6.0", "--outdir", str(outdir)],
                            "buffer_ph_6.0")
         assert not outdir.exists()
+
+    def test_workers_are_capped_at_the_number_of_runs(self, tmp_path, monkeypatch):
+        # a fork pool starts every worker at its first submit; this one starts none
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                return SimpleNamespace(result=partial(fn, *args))
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sweep, "_run_one", lambda *args: (1.0, 2.0, 3.0))
+        monkeypatch.setenv("DEPOTSIM_WORKERS", "64")
+        config = load_config_text(TINY)
+        entries = run_sweep(config, "buffer_ph", [5.0, 6.0, 7.0], tmp_path / "three")
+        assert pools == [3] and all(e.ok for e in entries)
+        assert run_sweep(config, "buffer_ph", [6.0], tmp_path / "one")[0].ok
+        assert pools == [3]  # one run opens no pool
 
     def test_pool_sweep_matches_the_serial_one(self, tmp_path, monkeypatch):
         config = load_config_text(TINY)

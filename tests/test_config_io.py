@@ -1,6 +1,7 @@
 """Configuration format, serialization round-trips, snapshots, references."""
 
 import ast
+import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
                          save_checkpoint, write_snapshot, write_timeseries)
 from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
-from depotsim.orchestrator import DoseLedger, Simulation, StaggeredStepper
+from depotsim.orchestrator import DoseLedger, StaggeredStepper
 from depotsim.flow import InjectionProtocol
 from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
                              PhysicalConstants, StarlingParams, TissueLayers)
@@ -77,6 +78,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigurationError, match="line 1"):
             load_config_text("protocol.depth_cm = shallow\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["phases.short_dt_s", "starling.p_l"])
+    def test_non_finite_value_rejected_naming_its_key(self, key, raw):
+        # NaN fails both `x <= 0` and `x < 0`, and inf passes them
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            load_config_text(f"{key} = {raw}\n")
+        with pytest.raises(ConfigurationError, match=re.escape(key)):
+            default_config().with_values({key: float(raw)})
+
+    def test_infinite_integer_rejected_naming_its_key(self):
+        with pytest.raises(ConfigurationError, match="mesh.fine_nr"):
+            load_config_text("mesh.fine_nr = inf\n")
+
     def test_comments_and_blank_lines_ignored(self):
         config = load_config_text(
             "\n# a comment\nprotocol.depth_cm = 0.9  # inline\n\n")
@@ -128,11 +142,9 @@ class TestConfigParsing:
             raise AssertionError("curve CSV parsed after the config was built")
 
         monkeypatch.setattr(PhCurve, "from_csv", no_parse)
-        stepper = StaggeredStepper(config.fine_mesh(), config)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
         assert stepper.charge_curve is charge
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        state = stepper.rest_state()
         ledger = DoseLedger()
         state, _ = stepper.step(state, ledger, 0.25)
         assert state.t == pytest.approx(0.25)
@@ -173,16 +185,6 @@ class TestConfigParsing:
         ("_assembly", "diffusion_matrix", "speeds"):
             "the pressure and potential operators carry no advection",
         ("cli", "main", "argv"): "the console script calls main() to read sys.argv",
-        ("orchestrator", "StaggeredStepper.__init__", "j_l_frozen"):
-            "only the long phase steps on a frozen drainage field",
-        ("orchestrator", "Simulation.run_short_term", "series"):
-            "a phase run on its own starts its own series",
-        ("orchestrator", "Simulation.run_short_term", "ledger"):
-            "a phase run on its own starts its own ledger",
-        ("orchestrator", "Simulation.run_long_term", "series"):
-            "a phase run on its own starts its own series",
-        ("orchestrator", "Simulation.run_long_term", "ledger"):
-            "a phase run on its own starts its own ledger",
     }
 
     def test_package_functions_default_only_the_listed_parameters(self):

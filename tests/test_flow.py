@@ -8,8 +8,8 @@ from scipy.integrate import quad
 
 from depotsim.config import default_config
 from depotsim.flow import (PressureSolver, darcy_mobility, exchange_coefficients,
-                           injection_source, node_speed, solve_pressure,
-                           starling_lymph, velocity_from_pressure)
+                           injection_source, node_speed, starling_lymph,
+                           tissue_pressure, velocity_from_pressure)
 from depotsim.mesh import build_graded_mesh, integrate
 from depotsim.params import ConfigurationError, TissueLayer, TissueLayers
 
@@ -145,10 +145,10 @@ class TestSolvePressure:
         layers = DEFAULTS.layers()
         params = STARLING
         peaks = []
+        solver = tissue_pressure(mesh, layers, params, ETA)
         for volume in (0.5, 1.0, 2.0):
             proto = replace(PROTOCOL, volume=volume)
-            q = injection_source(mesh, proto, t=2.5)
-            p = solve_pressure(mesh, layers, params, q, ETA)
+            p = solver.solve(injection_source(mesh, proto, t=2.5))
             peaks.append(ball_average(p, mesh, proto.center(5.0), 0.1))
         assert peaks[0] < peaks[1] < peaks[2]
 

@@ -1,13 +1,16 @@
 """Mesh construction, axisymmetric quadrature, and field projection."""
 
 import logging
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from depotsim._assembly import csr_pattern
 from depotsim.config import default_config
 from depotsim.mesh import (AxiMesh, FieldState, MeshError, build_graded_mesh,
                            integrate, nodal_integral, project_field)
+from depotsim.metrics import ball
 
 CYLINDER_VOLUME = np.pi * 25.0 * 5.0  # R = H = 5
 
@@ -126,6 +129,42 @@ class TestProjectField:
         f = np.ones((self.fine.nz1, self.fine.nr1))
         with pytest.raises(MeshError):
             project_field(self.fine, f, other)
+
+
+@dataclass(frozen=True)
+class Table:
+    values: np.ndarray
+    size: int
+
+
+class TestDerived:
+    """`AxiMesh.derived`, the one per-mesh cache."""
+
+    def test_built_once_per_key_read_only_and_per_mesh(self):
+        mesh = build_graded_mesh(5, 5, 10, 10, focus=(0, 4.2), grading=1.0)
+        built = []
+
+        def build(m):
+            built.append(m)
+            return Table(np.arange(3.0), 3)
+
+        first = mesh.derived("table", build)
+        assert mesh.derived("table", build) is first and built == [mesh]
+        with pytest.raises(ValueError):
+            first.values[0] = 1.0
+        other = build_graded_mesh(5, 5, 10, 10, focus=(0, 4.2), grading=1.0)
+        assert other.derived("table", build) is not first
+        assert built == [mesh, other]
+        assert csr_pattern(other) is not csr_pattern(mesh)
+
+    def test_two_balls_on_one_mesh_stay_distinct(self):
+        mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
+        small, large = ball(mesh, (0.0, 4.2), 0.5), ball(mesh, (0.0, 4.2), 1.0)
+        assert 0 < small.weights.size < large.weights.size
+        assert ball(mesh, (0.0, 4.2), 0.5) is small
+        assert ball(mesh, (0.0, 4.2), 1.0) is large
+        for arr in (small.mask, small.weights, large.mask, large.weights):
+            assert not arr.flags.writeable
 
 
 class TestFieldState:

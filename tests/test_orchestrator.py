@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
 from depotsim.config import load_config_text
-from depotsim.flow import (PressureSolver, SolverError, exchange_coefficients,
-                           injection_source)
+from depotsim.flow import (PressureSolver, SolverError, injection_source,
+                           tissue_pressure)
 from depotsim.mesh import FieldState, nodal_integral, project_field
 from depotsim.metrics import MetricSeries, domain_average, net_charge_density
 from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, DoseLedger, Simulation,
@@ -70,10 +70,8 @@ class TestStepStaggered:
         # no source and no vascular exchange: the rest state must not move
         config = tiny_sim.config.with_values(
             {"starling.l_pb": 0.0, "starling.l_pl": 0.0})
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
         state.t = 5.5  # past the end of the injection
         ledger = DoseLedger()
         state, _ = stepper.step(state, ledger, 0.25)
@@ -87,10 +85,8 @@ class TestStepStaggered:
         # with Starling exchange on, the rim drain concentrates leftover ions
         # at the 1e-4 relative level per quarter-second step and no faster
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
         state.t = 5.5
         state, _ = stepper.step(state, DoseLedger(), 0.25)
         assert np.allclose(state.c_na, 1.4e-4, rtol=3e-4)
@@ -98,10 +94,8 @@ class TestStepStaggered:
 
     def test_electroneutrality_after_step(self, tiny_sim):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
         ledger = DoseLedger()
         for _ in range(4):
             state, _ = stepper.step(state, ledger, 0.25)
@@ -109,10 +103,8 @@ class TestStepStaggered:
 
     def test_step_returns_the_next_state_and_leaves_its_input_untouched(self, tiny_sim):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
         arrays = {name: value.copy() for name, value in vars(state).items()
                   if isinstance(value, np.ndarray)}
         assert len(arrays) == 12
@@ -125,10 +117,8 @@ class TestStepStaggered:
 
     def test_retry_halves_dt_then_succeeds(self, tiny_sim, monkeypatch):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
         real_attempt = StaggeredStepper.attempt
         calls = {"n": 0}
 
@@ -146,11 +136,9 @@ class TestStepStaggered:
     def test_narrow_attempt_builds_no_scipy_matrix(self, tiny_sim, monkeypatch):
         # on a mesh within the band limit every operator stays plain data
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
         assert stepper.mesh.nr1 <= _assembly._BAND_MAX_WIDTH
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        state = stepper.rest_state()
 
         def refuse(*args, **kwargs):
             raise AssertionError("a scipy.sparse matrix was built")
@@ -163,10 +151,8 @@ class TestStepStaggered:
 
     def test_persistent_failure_aborts(self, tiny_sim, monkeypatch):
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
 
         def always_fails(self, st, dt):
             raise NegativeConcentrationError("synthetic")
@@ -180,11 +166,10 @@ class TestAffinePressure:
     def test_pressure_matches_a_solve_through_the_injection(self, tiny_sim):
         config = tiny_sim.config
         mesh = config.fine_mesh()
-        stepper = StaggeredStepper(mesh, config)
-        layers, protocol = config.layers(), config.protocol()
-        kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
-        solver = PressureSolver(mesh, kappa, config["flow.viscosity"],
-                                *exchange_coefficients(mesh, layers, config.starling()))
+        stepper = StaggeredStepper(mesh, config, flow=True)
+        protocol = config.protocol()
+        solver = tissue_pressure(mesh, config.layers(), config.starling(),
+                                 config["flow.viscosity"])
         ramp, end = protocol.ramp_time, protocol.duration
         # ramp-up, plateau, ramp-down, after the flow stops
         for t in (0.5 * ramp, 0.5 * end, end - 0.5 * ramp, end + 0.5):
@@ -202,7 +187,7 @@ class TestAffinePressure:
 
         monkeypatch.setattr(_assembly, "factorize", keeping)
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
         (lu,) = factors
         factors.clear()
         assert sys.getrefcount(lu) == 2  # the local name and the call's argument
@@ -233,7 +218,8 @@ class TestWideFineMesh:
 
         monkeypatch.setattr(spla, "spilu", keeping)
         # the result holds the fine mesh past the phase
-        short = Simulation(load_config_text(WIDE_FINE)).run_short_term()
+        config = load_config_text(WIDE_FINE)
+        short = Simulation(config).run_short_term(MetricSeries(), DoseLedger())
         assert short.counters["ilu_builds"] == len(ilus) > 0
         while ilus:
             ilu = ilus.pop()
@@ -246,10 +232,8 @@ class TestFlowStop:
         # every species solve takes the kept-ILU GMRES path, even on this narrow mesh
         monkeypatch.setattr(_assembly, "_BAND_MAX_WIDTH", 0)
         config = tiny_sim.config
-        stepper = StaggeredStepper(config.fine_mesh(), config)
-        state = Simulation._prime_state(
-            FieldState.rest_state(stepper.mesh, stepper.species),
-            stepper.charge_curve)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()
         ledger, dt, end = DoseLedger(), 0.25, stepper.protocol.duration
         while state.t + dt < end:
             state, _ = stepper.step(state, ledger, dt)
@@ -439,6 +423,26 @@ class TestDeterminism:
 
 class TestPhasePlan:
     """The phases run on the `phases.*` keys read straight from the config."""
+
+    def test_injection_steps_are_constant_and_long_steps_ramp_to_the_horizon(self,
+                                                                               tiny_sim):
+        config, series, ledger = tiny_sim.config, MetricSeries(), DoseLedger()
+        short = tiny_sim.run_short_term(series, ledger)
+        assert short.dts == [config["phases.short_dt_s"]] * 24
+        reduced = tiny_sim.reduce_to_long_term(short.state)
+        long = tiny_sim.run_long_term(reduced, series, ledger)
+        # every reduced step passes the frozen fields on as they are
+        assert long.state.p is reduced.p and long.state.j_l is reduced.j_l
+        # step k is min(dt_min 1.2^k, dt_max), by the loop's own multiplications
+        dt, ramp = config["phases.long_dt_min_s"], []
+        for _ in long.dts[:-1]:
+            ramp.append(dt)
+            dt = min(dt * 1.2, config["phases.long_dt_max_s"])
+        assert long.dts[:-1] == ramp and ramp[-1] == config["phases.long_dt_max_s"]
+        # the last step is cut short to end on the horizon
+        assert 0.0 < long.dts[-1] <= dt
+        assert long.state.t == pytest.approx(
+            short.state.t + config["phases.long_horizon_h"] * 3600.0, abs=1e-9)
 
     def test_from_config(self):
         config = load_config_text(TINY).with_values({"phases.long_horizon_h": 0.05})

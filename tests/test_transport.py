@@ -149,14 +149,12 @@ class TestAdvanceSpecies:
         # the operating envelope: a post-injection Darcy field whose
         # divergence is only the (tiny) vascular exchange; extrema stay
         # bounded up to that compression
-        from depotsim.flow import darcy_mobility, solve_pressure, velocity_from_pressure
+        from depotsim.flow import tissue_pressure, velocity_from_pressure
         species = DEFAULTS.species()
-        layers = DEFAULTS.layers()
         shape = (mesh.nz1, mesh.nr1)
-        eta = DEFAULTS["flow.viscosity"]
-        p = solve_pressure(mesh, layers, DEFAULTS.starling(), 0.0, eta)
-        kappa = layers.permeability_at(mesh.z)[:, None] * np.ones((1, mesh.nr1))
-        u = velocity_from_pressure(mesh, darcy_mobility(mesh, kappa, eta), p)
+        solver = tissue_pressure(mesh, DEFAULTS.layers(), DEFAULTS.starling(),
+                                 DEFAULTS["flow.viscosity"])
+        u = velocity_from_pressure(mesh, solver.mobility, solver.solve(0.0))
         rng = np.random.default_rng(11)
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
