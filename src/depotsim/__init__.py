@@ -11,7 +11,7 @@ from .flow import (InjectionProtocol, PressureSolver, SolverError,
                    tissue_pressure, velocity_from_pressure)
 from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
                    project_field)
-from .metrics import (MetricSeries, ball_average, domain_average,
+from .metrics import (MetricSeries, ball, ball_average, domain_average,
                       dose_fractions, net_charge_density, plume_volume)
 from .orchestrator import (DoseLedger, PipelineResult, Simulation,
                            StaggeredStepper)

@@ -589,16 +589,21 @@ class SpeciesSolver:
         return None
 
 
-def _fill(mesh: AxiMesh, aa, ab, ba, bb, diag) -> Operator:
-    """Operator on the mesh pattern from per-face entries in `CsrPattern` order
-    and a diagonal, scalar or per node, added after them in the same
-    ``bincount``."""
+def _weights(mesh: AxiMesh, diag):
+    """The ``bincount`` weights of one fill in `CsrPattern` scatter order, with
+    the diagonal (scalar or per node) written, and a (4, faces) view of the
+    per-face entry blocks (aa, ab, ba, bb) for the caller to write."""
     pattern = csr_pattern(mesh)
     faces = pattern.lo.size
     weights = np.empty(pattern.scatter.size)
-    for k, entries in enumerate((aa, ab, ba, bb)):
-        weights[k * faces:(k + 1) * faces] = entries
     weights[4 * faces:] = np.ravel(diag)
+    return weights, weights[:4 * faces].reshape(4, faces)
+
+
+def _fill(mesh: AxiMesh, weights: np.ndarray) -> Operator:
+    """Operator on the mesh pattern from the weights `_weights` laid out,
+    summed into their slots by one ``bincount``."""
+    pattern = csr_pattern(mesh)
     return Operator(pattern, np.bincount(pattern.scatter, weights=weights,
                                          minlength=pattern.indices.size))
 
@@ -654,9 +659,12 @@ def _build_face_geometry(mesh: AxiMesh) -> FaceGeometry:
                   np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))))
 
 
-def _per_face(mesh: AxiMesh, x_r, x_z) -> np.ndarray:
+def _per_face(mesh: AxiMesh, x_r, x_z) -> np.ndarray | float:
     """One value per face in `CsrPattern` face order from the two face
-    families; a scalar holds on every face of its family."""
+    families; a scalar holds on every face of its family, and one scalar of
+    both families is returned as it is, for the caller to broadcast."""
+    if not isinstance(x_r, np.ndarray) and not isinstance(x_z, np.ndarray) and x_r == x_z:
+        return x_r
     n_r = mesh.nz1 * mesh.nr
     out = np.empty(n_r + mesh.nz * mesh.nr1)
     out[:n_r] = np.ravel(x_r)
@@ -677,21 +685,31 @@ def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
     is then no longer symmetric.
     """
     geometry = face_geometry(mesh)
+    weights, blocks = _weights(mesh, diag)
+    aa, ab, ba, bb = blocks
     # face transmissibilities T = area * coef / distance
-    t = geometry.area * _per_face(mesh, coef_r, coef_z) / geometry.dist
+    t = geometry.area * _per_face(mesh, coef_r, coef_z)
+    t /= geometry.dist
     if speeds is None:
-        minus_t = -t
-        return _fill(mesh, t, minus_t, minus_t, t, diag)
-    pos, neg = _upwind_face_fluxes(mesh, *speeds)
-    t_pos = t + pos  # -(t + pos) is -t - pos to the bit: rounding is sign-symmetric
-    return _fill(mesh, t_pos, neg - t, -t_pos, t - neg, diag)
+        blocks[::3] = t  # aa and bb
+        blocks[1:3] = -t  # ab and ba
+        return _fill(mesh, weights)
+    _upwind_face_fluxes(mesh, *speeds, pos=aa, neg=ab)
+    aa += t  # pos + t is t + pos to the bit: addition commutes
+    np.subtract(t, ab, out=bb)
+    ab -= t
+    np.negative(aa, out=ba)  # -(t + pos) is -t - pos to the bit: rounding is sign-symmetric
+    return _fill(mesh, weights)
 
 
-def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray):
-    """Area-weighted face speeds, split into flow toward each face's upper node
-    (>= 0, carried by the lower node) and toward its lower node (<= 0)."""
+def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray, *,
+                        pos: np.ndarray, neg: np.ndarray):
+    """Write the area-weighted face speeds, split into flow toward each face's
+    upper node (>= 0, carried by the lower node) and toward its lower node
+    (<= 0), into ``pos`` and ``neg``."""
     f = face_geometry(mesh).area * _per_face(mesh, s_r, s_z)
-    return np.maximum(f, 0.0), np.minimum(f, 0.0)
+    np.maximum(f, 0.0, out=pos)
+    np.minimum(f, 0.0, out=neg)
 
 
 def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> Operator:
@@ -701,8 +719,11 @@ def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> 
     families (positive toward growing r / z). Boundary faces do not exist in
     the dual tessellation, so the operator is flux-free by construction.
     """
-    pos, neg = _upwind_face_fluxes(mesh, s_r, s_z)
-    return _fill(mesh, pos, neg, -pos, -neg, 0.0)
+    weights, (aa, ab, ba, bb) = _weights(mesh, 0.0)
+    _upwind_face_fluxes(mesh, s_r, s_z, pos=aa, neg=ab)
+    np.negative(aa, out=ba)
+    np.negative(ab, out=bb)
+    return _fill(mesh, weights)
 
 
 def divergence_of_face_flux(mesh: AxiMesh, flux_r: np.ndarray,

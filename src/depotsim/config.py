@@ -92,22 +92,21 @@ SCHEMA: dict[str, tuple[type, object]] = {
 }
 
 
-def _parse_value(key: str, raw: str, lineno: int):
+def _convert(key: str, value):
+    """``value`` as its key's schema type, in config text and in
+    `SimulationConfig.with_values` alike: an integer key takes only a finite
+    whole number."""
     typ, _ = SCHEMA[key]
-    raw = raw.strip()
     try:
         if typ is int:
-            as_float = float(raw)
+            as_float = float(value)
             if as_float != int(as_float):
                 raise ValueError
             return int(as_float)
-        if typ is float:
-            return float(raw)
-        return raw
-    except (ValueError, OverflowError):  # int(float("inf")) overflows
+        return typ(value)
+    except (TypeError, ValueError, OverflowError):  # int(float("inf")) overflows
         raise ConfigurationError(
-            f"line {lineno}: cannot parse {raw!r} as {typ.__name__} for {key}"
-        ) from None
+            f"cannot parse {value!r} as {typ.__name__} for {key}") from None
 
 
 def parse_config_text(text: str) -> dict:
@@ -124,7 +123,10 @@ def parse_config_text(text: str) -> dict:
             raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
         if key in explicit:
             raise ConfigurationError(f"line {lineno}: duplicate key {key!r}")
-        explicit[key] = _parse_value(key, raw, lineno)
+        try:
+            explicit[key] = _convert(key, raw)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"line {lineno}: {exc}") from None
 
     return _updated({k: default for k, (_, default) in SCHEMA.items()}, explicit)
 
@@ -160,7 +162,7 @@ class SimulationConfig:
             if key not in SCHEMA:
                 raise ConfigurationError(f"unknown key {key!r}")
         return SimulationConfig(_updated(
-            self.values, {k: SCHEMA[k][0](v) for k, v in updates.items()}))
+            self.values, {k: _convert(k, v) for k, v in updates.items()}))
 
     # -- validation --------------------------------------------------------
     def validate(self):

@@ -2,8 +2,12 @@
 
 The timeseries header is frozen; downstream tooling keys on the exact column
 order. Snapshots, which the package writes but never reads, use the legacy
-ASCII structured-grid dialect readable by standard scientific viewers, with
-17 significant digits so a reader recovers every double exactly. Checkpoints
+ASCII structured-grid dialect readable by standard scientific viewers.
+
+Both text formats render every float as ``"%.17g"``: 17 significant digits,
+so a reader recovers every double exactly. A whole column or field is
+rendered in one ``%``-format (`_render`), which gives the same bytes as
+formatting each value on its own; `_fmt` is kept for single scalars. Checkpoints
 round-trip through `save_checkpoint` and `load_checkpoint`; reference curves
 are parsed by `params.read_two_column_csv`.
 """
@@ -26,9 +30,19 @@ CHECKPOINT_FORMAT_VERSION = 1
 
 TIMESERIES_HEADER = "t_s," + ",".join(CHANNELS)
 
+FLOAT_FORMAT = "%.17g"
+
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % x
+
+
+def _render(values, width: int) -> str:
+    """The values of an array in C order as text lines of ``width``
+    comma-separated `FLOAT_FORMAT` renderings, each line ending in a newline."""
+    values = np.asarray(values, dtype=float).ravel().tolist()
+    line = ",".join([FLOAT_FORMAT] * width) + "\n"
+    return line * (len(values) // width) % tuple(values)
 
 
 # ---------------------------------------------------------------------------
@@ -38,11 +52,9 @@ def _fmt(x: float) -> str:
 def write_timeseries(series: MetricSeries, path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [TIMESERIES_HEADER]
-    for k, t in enumerate(series.time):
-        row = [t] + [series.channels[name][k] for name in CHANNELS]
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    columns = [series.time] + [series.channels[name] for name in CHANNELS]
+    rows = np.array(columns, dtype=float).T  # (samples, 1 + channels)
+    path.write_text(TIMESERIES_HEADER + "\n" + _render(rows, len(columns)))
     return path
 
 
@@ -107,22 +119,21 @@ def write_snapshot(state: FieldState, path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     fields = snapshot_fields(state)
 
-    out = []
-    out.append("# vtk DataFile Version 3.0")
-    out.append(f"depotsim snapshot t={_fmt(state.t)} s")
-    out.append("ASCII")
-    out.append("DATASET STRUCTURED_GRID")
-    out.append(f"DIMENSIONS {mesh.nr1} {mesh.nz1} 1")
-    out.append(f"POINTS {mesh.n_nodes} double")
-    for j in range(mesh.nz1):
-        for i in range(mesh.nr1):
-            out.append(f"{_fmt(mesh.r[i])} {_fmt(mesh.z[j])} 0")
-    out.append(f"POINT_DATA {mesh.n_nodes}")
-    for name, arr in fields.items():
-        out.append(f"SCALARS {name} double")
-        out.append("LOOKUP_TABLE default")
-        out.extend(_fmt(v) for v in np.asarray(arr).ravel())
-    path.write_text("\n".join(out) + "\n")
+    with path.open("w") as out:
+        out.write("# vtk DataFile Version 3.0\n"
+                  f"depotsim snapshot t={_fmt(state.t)} s\n"
+                  "ASCII\n"
+                  "DATASET STRUCTURED_GRID\n"
+                  f"DIMENSIONS {mesh.nr1} {mesh.nz1} 1\n"
+                  f"POINTS {mesh.n_nodes} double\n")
+        # each mesh axis is rendered once; a point line pairs r_i with z_j
+        r_text = _render(mesh.r, 1).split()
+        for z in _render(mesh.z, 1).split():
+            out.write("".join([f"{r} {z} 0\n" for r in r_text]))
+        out.write(f"POINT_DATA {mesh.n_nodes}\n")
+        for name, arr in fields.items():
+            out.write(f"SCALARS {name} double\nLOOKUP_TABLE default\n")
+            out.write(_render(arr, 1))
     return path
 
 

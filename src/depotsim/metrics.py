@@ -80,10 +80,8 @@ def ball(mesh: AxiMesh, center: tuple[float, float], radius: float) -> Ball:
                         build)
 
 
-def ball_average(fld: np.ndarray, mesh: AxiMesh, center: tuple[float, float],
-                 radius: float) -> float:
-    """Volume-weighted average over nodes inside a sphere about `center`."""
-    nodes = ball(mesh, center, radius)
+def ball_average(fld: np.ndarray, nodes: Ball) -> float:
+    """Volume-weighted average of a nodal field over the nodes of a `ball`."""
     if not nodes.weights.size:
         raise ValueError("ball contains no mesh nodes; mesh too coarse")
     return float((np.asarray(fld)[nodes.mask] * nodes.weights).sum() / nodes.total)

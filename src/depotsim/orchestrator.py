@@ -194,13 +194,15 @@ class StaggeredStepper:
 
         # lagged fields for the staggered substeps
         z_old = state.z_mab
+        z_old_faces = fv.face_averages(z_old)
         assoc, release = bd.exchange_rates(state.c_b, state.ph, self.binding,
                                            self.porosity)
         s_b_estimate = assoc * state.c_mab - release  # charge source estimate
 
         coeffs = assemble_potential(mesh, self.species, self.constants,
                                     self.porosity, state.c_na, state.c_h,
-                                    state.c_mab, z_old, j_l, s_b_estimate)
+                                    state.c_mab, z_old, z_old_faces, j_l,
+                                    s_b_estimate)
         phi = solve_potential(coeffs, mesh)
 
         inputs = tr.TransportStepInputs(
@@ -208,7 +210,7 @@ class StaggeredStepper:
             j_l=j_l, binding_assoc=assoc, binding_release=release,
             porosity=self.porosity)
         c_na, c_h, c_mab = tr.advance_species(
-            mesh, state.c_na, state.c_h, state.c_mab, z_old,
+            mesh, state.c_na, state.c_h, state.c_mab, z_old_faces,
             self.species, self.constants, inputs, self._species_solvers)
 
         c_b = bd.advance_bound(state.c_b, c_mab, assoc, release, dt,
@@ -305,7 +307,7 @@ class Simulation:
         """Ball average that degrades to the nearest node on coarse meshes."""
         nodes = mt.ball(mesh, center, PRESSURE_BALL_RADIUS)
         if nodes.weights.size:
-            return mt.ball_average(fld, mesh, center, PRESSURE_BALL_RADIUS)
+            return mt.ball_average(fld, nodes)
         return float(fld.ravel()[nodes.nearest])
 
     def _emit(self, series: mt.MetricSeries, state: FieldState,

@@ -39,9 +39,14 @@ class PotentialCoefficients:
 def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
                        constants: PhysicalConstants, porosity: float,
                        c_na: np.ndarray, c_h: np.ndarray, c_mab: np.ndarray,
-                       z_mab: np.ndarray, j_l: np.ndarray | float,
+                       z_mab: np.ndarray, z_mab_faces: tuple[np.ndarray, np.ndarray],
+                       j_l: np.ndarray | float,
                        binding_rate: np.ndarray | float) -> PotentialCoefficients:
     """Build sigma, the charge source, and the concentration-flux divergence.
+
+    ``z_mab_faces`` is the drug's valence ``z_mab`` on the two face families,
+    `_assembly.face_averages` of it, which the caller also hands to the
+    drug's transport.
 
     ``binding_rate`` is the net free-to-bound exchange rate (association minus
     dissociation, mol/cm^3/s); together with the lymphatic sink it is the only
@@ -71,9 +76,9 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
     # concentration-driven part: face fluxes of sum_i z_i n (D_i - D_Cl) grad c_i
     g_r = g_z = 0.0
     dg_r, dg_z = fv.face_gradients(mesh, np.stack([c_na, c_h, c_mab]))
-    for (spec, _, z), dc_r, dc_z in zip(triples, dg_r, dg_z):
+    face_valences = ((Z_NA, Z_NA), (Z_H, Z_H), z_mab_faces)
+    for (spec, _, _), (z_r, z_z), dc_r, dc_z in zip(triples, face_valences, dg_r, dg_z):
         coef = n * (spec.diffusivity - d_cl)
-        z_r, z_z = fv.face_averages(z)
         g_r += z_r * coef * dc_r
         g_z += z_z * coef * dc_z
     div_g = fv.divergence_of_face_flux(mesh, g_r, g_z)

@@ -60,22 +60,22 @@ class TransportStepInputs:
 
 
 def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivities,
-                          valences, porosity: float,
+                          face_valences, porosity: float,
                           constants: PhysicalConstants):
     """Electromigration drift speeds -z (D F / R T) n dPhi/dn on both face sets.
 
     One speed per species, for species k of diffusivity ``diffusivities[k]``
-    and valence ``valences[k]``, stacked on a leading axis: ``(w_r, w_z)`` of
-    shapes (k, nz1, nr) and (k, nz, nr1). The potential's gradient is taken
-    once for all of them. A spatially varying valence (the drug) is averaged
-    onto faces.
+    and valence ``face_valences[k]`` on the two face families, a pair
+    ``(z_r, z_z)`` (`_assembly.face_averages` of a nodal valence; an ion's
+    constant valence is a pair of scalars), stacked on a leading axis:
+    ``(w_r, w_z)`` of shapes (k, nz1, nr) and (k, nz, nr1). The potential's
+    gradient is taken once for all of them.
     """
     g_r, g_z = fv.face_gradients(mesh, phi)
     w_r = np.empty((len(diffusivities),) + g_r.shape)
     w_z = np.empty((len(diffusivities),) + g_z.shape)
-    for k, (diffusivity, valence) in enumerate(zip(diffusivities, valences)):
+    for k, (diffusivity, (z_r, z_z)) in enumerate(zip(diffusivities, face_valences)):
         coef = diffusivity * constants.faraday / constants.rt * porosity
-        z_r, z_z = fv.face_averages(valence)
         # z * -coef is -z * coef to the bit, one array operation fewer
         np.multiply(z_r * -coef, g_r, out=w_r[k])
         np.multiply(z_z * -coef, g_z, out=w_z[k])
@@ -83,7 +83,7 @@ def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivities,
 
 
 def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
-                    c_mab: np.ndarray, z_mab: np.ndarray,
+                    c_mab: np.ndarray, z_mab_faces: tuple[np.ndarray, np.ndarray],
                     species, constants: PhysicalConstants,
                     inputs: TransportStepInputs,
                     solvers: tuple[fv.SpeciesSolver, ...]):
@@ -95,14 +95,17 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
     round-off; with non-negative sources that can only come from degenerate
     inputs, not from the scheme.
 
-    ``solvers`` holds the Na+, H+ and drug solvers that a caller stepping a
-    whole phase keeps across steps.
+    ``z_mab_faces`` is the drug's valence on the two face families,
+    `_assembly.face_averages` of the nodal valence. ``solvers`` holds the
+    Na+, H+ and drug solvers that a caller stepping a whole phase keeps
+    across steps.
     """
     n = inputs.porosity
     specs = (species.sodium, species.hydrogen, species.drug)
     s_r, s_z = migration_face_speeds(mesh, inputs.phi,
                                      [spec.diffusivity for spec in specs],
-                                     [Z_NA, Z_H, z_mab], n, constants)
+                                     [(Z_NA, Z_NA), (Z_H, Z_H), z_mab_faces], n,
+                                     constants)
     if inputs.u_r is not None:
         s_r += inputs.u_r
         s_z += inputs.u_z

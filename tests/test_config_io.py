@@ -14,7 +14,8 @@ from depotsim.config import (SCHEMA, default_config, load_config,
 from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
                          compare_reference, load_checkpoint,
                          load_reference_csv, read_timeseries,
-                         save_checkpoint, write_snapshot, write_timeseries)
+                         save_checkpoint, snapshot_fields, write_snapshot,
+                         write_timeseries)
 from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
 from depotsim.orchestrator import DoseLedger, StaggeredStepper
@@ -90,6 +91,16 @@ class TestConfigParsing:
     def test_infinite_integer_rejected_naming_its_key(self):
         with pytest.raises(ConfigurationError, match="mesh.fine_nr"):
             load_config_text("mesh.fine_nr = inf\n")
+
+    @pytest.mark.parametrize("raw", ["24.7", "inf", "nan"])
+    def test_with_values_converts_an_integer_key_as_config_text_does(self, raw):
+        # a fractional value was truncated and an infinite one raised OverflowError
+        with pytest.raises(ConfigurationError, match="as int for mesh.fine_nr"):
+            load_config_text(f"mesh.fine_nr = {raw}\n")
+        with pytest.raises(ConfigurationError, match="as int for mesh.fine_nr"):
+            default_config().with_values({"mesh.fine_nr": float(raw)})
+        whole = default_config().with_values({"mesh.fine_nr": 24.0})["mesh.fine_nr"]
+        assert whole == 24 and type(whole) is int
 
     def test_comments_and_blank_lines_ignored(self):
         config = load_config_text(
@@ -211,6 +222,46 @@ class TestConfigParsing:
         assert found == set(self.ALLOWED_DEFAULTS)
 
 
+#: doubles whose text is easy to get wrong: signed zero, the smallest
+#: subnormal, extremes of the exponent, inexact decimals, non-finite values
+AWKWARD = (-0.0, 5e-324, 1e-300, 0.1, 1e16, 1.7976931348623157e308,
+           float("nan"), float("inf"))
+
+
+def reference_fmt(x) -> str:
+    """The per-value renderer the writers used before rendering whole
+    columns; the byte-identity reference of `write_timeseries` and
+    `write_snapshot`."""
+    return format(float(x), ".17g")
+
+
+def reference_timeseries_text(series: MetricSeries) -> str:
+    lines = [TIMESERIES_HEADER]
+    for k, t in enumerate(series.time):
+        row = [t] + [series.channels[name][k] for name in CHANNELS]
+        lines.append(",".join(reference_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def reference_snapshot_text(state: FieldState) -> str:
+    mesh = state.mesh
+    out = ["# vtk DataFile Version 3.0",
+           f"depotsim snapshot t={reference_fmt(state.t)} s",
+           "ASCII",
+           "DATASET STRUCTURED_GRID",
+           f"DIMENSIONS {mesh.nr1} {mesh.nz1} 1",
+           f"POINTS {mesh.n_nodes} double"]
+    for j in range(mesh.nz1):
+        for i in range(mesh.nr1):
+            out.append(f"{reference_fmt(mesh.r[i])} {reference_fmt(mesh.z[j])} 0")
+    out.append(f"POINT_DATA {mesh.n_nodes}")
+    for name, arr in snapshot_fields(state).items():
+        out.append(f"SCALARS {name} double")
+        out.append("LOOKUP_TABLE default")
+        out.extend(reference_fmt(v) for v in np.asarray(arr).ravel())
+    return "\n".join(out) + "\n"
+
+
 class TestTimeseriesCsv:
     def make_series(self, n=3):
         series = MetricSeries()
@@ -230,6 +281,16 @@ class TestTimeseriesCsv:
     def test_empty_series_writes_header_only(self, tmp_path):
         path = write_timeseries(MetricSeries(), tmp_path / "empty.csv")
         assert path.read_text() == TIMESERIES_HEADER + "\n"
+        assert path.read_text() == reference_timeseries_text(MetricSeries())
+
+    def test_bytes_equal_the_per_value_renderer(self, tmp_path):
+        series = self.make_series(5)
+        for k, x in enumerate(AWKWARD):
+            series.append(5.0 + 0.1 * k, **{name: (x if name == "pressure_ball_avg"
+                                                   else 0.1 * k)
+                                            for name in CHANNELS})
+        path = write_timeseries(series, tmp_path / "ts.csv")
+        assert path.read_bytes() == reference_timeseries_text(series).encode()
 
     def test_round_trip(self, tmp_path):
         series = self.make_series(5)
@@ -287,6 +348,24 @@ class TestSnapshot:
         for name in ("c_na", "c_cl", "ph", "phi", "phi_grad_mag",
                      "speed", "log10_speed", "rho_mab", "c_mab", "c_b"):
             assert name in fields, name
+
+    def test_bytes_equal_the_per_value_renderer(self, tmp_path):
+        state = small_state()
+        path = write_snapshot(state, tmp_path / "snap.vtk")
+        assert path.read_bytes() == reference_snapshot_text(state).encode()
+
+    def test_awkward_doubles_render_as_the_per_value_renderer(self, tmp_path):
+        state = small_state()
+        state.c_b = np.resize(np.array(AWKWARD), state.c_b.shape)
+        state.t = 0.1
+        path = write_snapshot(state, tmp_path / "snap.vtk")
+        text = path.read_text()
+        assert text.encode() == reference_snapshot_text(state).encode()
+        block = text.split("SCALARS c_b double\nLOOKUP_TABLE default\n")[1]
+        assert block.split("\n")[:len(AWKWARD)] == [
+            "-0", "4.9406564584124654e-324", "1e-300",
+            "0.10000000000000001", "10000000000000000",
+            "1.7976931348623157e+308", "nan", "inf"]
 
     def test_header_is_legacy_vtk(self, tmp_path):
         path = write_snapshot(small_state(), tmp_path / "snap.vtk")

@@ -141,7 +141,7 @@ class TestSolvePressure:
         assert pressure_order() >= 1.9
 
     def test_monotone_in_flow_rate(self, mesh):
-        from depotsim.metrics import ball_average
+        from depotsim.metrics import ball, ball_average
         layers = DEFAULTS.layers()
         params = STARLING
         peaks = []
@@ -149,7 +149,7 @@ class TestSolvePressure:
         for volume in (0.5, 1.0, 2.0):
             proto = replace(PROTOCOL, volume=volume)
             p = solver.solve(injection_source(mesh, proto, t=2.5))
-            peaks.append(ball_average(p, mesh, proto.center(5.0), 0.1))
+            peaks.append(ball_average(p, ball(mesh, proto.center(5.0), 0.1)))
         assert peaks[0] < peaks[1] < peaks[2]
 
 

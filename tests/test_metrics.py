@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depotsim.mesh import build_graded_mesh, integrate
-from depotsim.metrics import (PLUME_FLOOR, MetricSeries, ball_average,
+from depotsim.metrics import (PLUME_FLOOR, MetricSeries, ball, ball_average,
                               domain_average, dose_fractions, net_charge_density,
                               plume_volume)
 from depotsim.orchestrator import DoseLedger
@@ -92,15 +92,15 @@ class TestNetChargeDensity:
 class TestBallAverage:
     def test_constant_field(self, mesh):
         f = np.full((mesh.nz1, mesh.nr1), 4.2)
-        assert ball_average(f, mesh, (0.0, 4.2), 0.3) == pytest.approx(4.2)
+        assert ball_average(f, ball(mesh, (0.0, 4.2), 0.3)) == pytest.approx(4.2)
 
     def test_ball_outside_compact_support(self, mesh):
         f = np.where(mesh.zz > 4.0, 1.0, 0.0)
-        assert ball_average(f, mesh, (3.0, 1.0), 0.4) == 0.0
+        assert ball_average(f, ball(mesh, (3.0, 1.0), 0.4)) == 0.0
 
     def test_empty_ball_raises(self, mesh):
         with pytest.raises(ValueError):
-            ball_average(mesh.zz, mesh, (2.03, 2.03), 1e-6)
+            ball_average(mesh.zz, ball(mesh, (2.03, 2.03), 1e-6))
 
 
 class TestPlumeVolume:

@@ -38,7 +38,8 @@ class TestAssemble:
     def test_uniform_neutral_state(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    j_l=0.0, binding_rate=0.0)
         assert np.allclose(coeffs.div_g, 0.0)
         assert np.allclose(coeffs.rhs, 0.0)
 
@@ -48,7 +49,8 @@ class TestAssemble:
         species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    j_l=0.0, binding_rate=0.0)
         mu_na = species.sodium.mobility(CONSTANTS)
         mu_h = species.hydrogen.mobility(CONSTANTS)
         mu_cl = species.chloride.mobility(CONSTANTS)
@@ -64,7 +66,8 @@ class TestAssemble:
         species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_h=0.0)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    j_l=0.0, binding_rate=0.0)
         expected = (CONSTANTS.faraday * 0.1 * 1.4e-4
                     * (species.sodium.mobility(CONSTANTS)
                        + species.chloride.mobility(CONSTANTS)))
@@ -75,14 +78,16 @@ class TestAssemble:
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_na=0.0, c_h=0.0)
         with pytest.raises(SolverError):
             assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                               c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                               c_na, c_h, c_mab, z, fv.face_averages(z),
+                               j_l=0.0, binding_rate=0.0)
 
 
 class TestSolve:
     def test_uniform_state_gives_zero_potential(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
         assert np.max(np.abs(phi)) < 1e-12
 
@@ -90,7 +95,8 @@ class TestSolve:
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + 0.5 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4) ** 2)))
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
         assert abs(domain_average(phi, mesh)) < 1e-12 * np.max(np.abs(phi))
 
@@ -98,7 +104,8 @@ class TestSolve:
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + np.exp(-((mesh.rr - 1) ** 2 + (mesh.zz - 3) ** 2)))
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, j_l=0.0, binding_rate=0.0)
+                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    j_l=0.0, binding_rate=0.0)
         a = solve_potential(coeffs, mesh)
         b = solve_potential(coeffs, mesh)
         assert np.array_equal(a, b)
@@ -111,14 +118,15 @@ class TestSolve:
         base = uniform_fields(mesh)[0] * (
             1.0 + 0.4 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4.2) ** 2) / 0.5))
         shape = (mesh.nz1, mesh.nr1)
+        zero = np.zeros(shape)
         for lam in (0.5, 2.0):
             phi_ref = solve_potential(assemble_potential(
                 mesh, species, CONSTANTS, 0.1, base, np.full(shape, 4e-11),
-                np.zeros(shape), np.zeros(shape), j_l=0.0, binding_rate=0.0), mesh)
+                zero, zero, fv.face_averages(zero), j_l=0.0, binding_rate=0.0), mesh)
             phi_lam = solve_potential(assemble_potential(
                 mesh, species, CONSTANTS, 0.1, lam * base,
-                np.full(shape, lam * 4e-11), np.zeros(shape),
-                np.zeros(shape), j_l=0.0, binding_rate=0.0), mesh)
+                np.full(shape, lam * 4e-11), zero, zero, fv.face_averages(zero),
+                j_l=0.0, binding_rate=0.0), mesh)
             assert np.allclose(phi_lam, phi_ref, atol=1e-14 + 1e-10 * np.abs(phi_ref).max())
 
     def test_wide_graded_solve_matches_a_refined_bordered_solve(self):
@@ -167,9 +175,10 @@ class TestJunctionOracle:
         species = DEFAULTS.species()
         c = 1.4e-4 * (1.0 + 2.0 / (1.0 + np.exp((mesh.zz - 2.5) / 0.3)))
         shape = (mesh.nz1, mesh.nr1)
-        coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c, np.zeros(shape), np.zeros(shape),
-                                    np.zeros(shape), j_l=0.0, binding_rate=0.0)
+        zero = np.zeros(shape)
+        coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1, c, zero, zero,
+                                    zero, fv.face_averages(zero), j_l=0.0,
+                                    binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
 
         d_na, d_cl = species.sodium.diffusivity, species.chloride.diffusivity
@@ -195,7 +204,7 @@ class TestJunctionOracle:
         rate = 1e-9 * blob  # mol/cm^3/s of drug binding
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1, c_na,
                                     np.full(shape, 4e-11), c_mab, z,
-                                    j_l=0.0, binding_rate=rate)
+                                    fv.face_averages(z), j_l=0.0, binding_rate=rate)
         phi = solve_potential(coeffs, mesh)
         inside = phi[mesh.ball_mask((0, 2.5), 0.4)].mean()
         outside = phi[mesh.ball_mask((4.0, 0.8), 0.5)].mean()

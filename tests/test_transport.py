@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from depotsim._assembly import (KrylovCounts, SpeciesSolver, diffusion_matrix,
-                                upwind_advection_matrix)
+                                face_averages, upwind_advection_matrix)
 from depotsim.mesh import build_graded_mesh, nodal_integral
 from depotsim.config import default_config
 from depotsim.transport import (TransportStepInputs, advance_species,
@@ -45,8 +45,8 @@ def fresh_solvers(mesh):
 
 def transport_operator(mesh, diffusivity, valence, phi, u_r, u_z):
     """Diffusion plus upwind advection-migration, summed as the solver sums them."""
-    (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [diffusivity], [valence], N,
-                                           CONSTANTS)
+    (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [diffusivity],
+                                           [face_averages(valence)], N, CONSTANTS)
     a = diffusion_matrix(mesh, diffusivity * N, diffusivity * N)
     a.data += upwind_advection_matrix(mesh, u_r + w_r, u_z + w_z).data
     return a
@@ -79,7 +79,8 @@ class TestSpeciesFlux:
         c = np.full((mesh.nz1, mesh.nr1), 1e-4)
         phi = -0.01 * mesh.rr
         u_r, u_z = zero_velocity(mesh)
-        (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [1.33e-5], [+1.0], N, CONSTANTS)
+        (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [1.33e-5], [(+1.0, +1.0)], N,
+                                               CONSTANTS)
         assert np.all(w_r > 0) and np.all(w_z == 0)
         out = net_outflow(mesh, scipy_csr(upwind_advection_matrix(mesh, w_r, w_z)), c)
         # what leaves the columns up to i crosses the r-face between i and i+1
@@ -102,7 +103,7 @@ class TestAdvanceSpecies:
         c_na = np.full(shape, 1.4e-4)
         c_h = np.full(shape, 4e-11)
         c_mab = np.full(shape, 1e-7)
-        out = advance_species(mesh, c_na, c_h, c_mab, np.zeros(shape),
+        out = advance_species(mesh, c_na, c_h, c_mab, face_averages(np.zeros(shape)),
                               species, CONSTANTS, make_inputs(mesh),
                               fresh_solvers(mesh))
         for old, new in zip((c_na, c_h, c_mab), out):
@@ -121,7 +122,8 @@ class TestAdvanceSpecies:
         c_na = np.full(shape, 1.4e-4)
         c_h = np.full(shape, 4e-11)
         c_mab = np.zeros(shape)
-        new_na, _, _ = advance_species(mesh, c_na, c_h, c_mab, np.zeros(shape),
+        new_na, _, _ = advance_species(mesh, c_na, c_h, c_mab,
+                                       face_averages(np.zeros(shape)),
                                        species, CONSTANTS, inputs,
                                        fresh_solvers(mesh))
         gained = N * (nodal_integral(new_na, mesh) - nodal_integral(c_na, mesh))
@@ -140,7 +142,7 @@ class TestAdvanceSpecies:
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
         new, _, _ = advance_species(mesh, c, c_h, np.zeros(shape),
-                                    np.zeros(shape), species, CONSTANTS,
+                                    face_averages(np.zeros(shape)), species, CONSTANTS,
                                     make_inputs(mesh, dt=5.0), fresh_solvers(mesh))
         assert new.max() <= c.max() * (1 + 1e-12)
         assert new.min() >= min(0.0, c.min())
@@ -159,7 +161,7 @@ class TestAdvanceSpecies:
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
         new, _, _ = advance_species(mesh, c, c_h, np.zeros(shape),
-                                    np.zeros(shape), species, CONSTANTS,
+                                    face_averages(np.zeros(shape)), species, CONSTANTS,
                                     make_inputs(mesh, dt=0.5, u=u), fresh_solvers(mesh))
         assert new.max() <= c.max() * (1 + 1e-5)
         assert new.min() >= 0.0
@@ -180,7 +182,7 @@ class TestAdvanceSpecies:
         for z_val, expect_drop in ((+10.0, True), (0.0, False)):
             inputs = make_inputs(mesh, dt=50.0, phi=phi)
             _, _, new = advance_species(mesh, c_na, c_h, blob.copy(),
-                                        np.full(shape, z_val), species,
+                                        face_averages(np.full(shape, z_val)), species,
                                         CONSTANTS, inputs, fresh_solvers(mesh))
             shift = center_of_mass(new) - center_of_mass(blob)
             if expect_drop:
@@ -203,7 +205,7 @@ class TestAdvanceSpecies:
         dt = 2.0
         inputs = make_inputs(mesh, dt=dt, j_l=j_l, binding_assoc=assoc,
                              binding_release=release)
-        _, _, new = advance_species(mesh, c_na, c_h, c_mab, np.zeros(shape),
+        _, _, new = advance_species(mesh, c_na, c_h, c_mab, face_averages(np.zeros(shape)),
                                     species, CONSTANTS, inputs, fresh_solvers(mesh))
         gained = N * (nodal_integral(new, mesh) - nodal_integral(c_mab, mesh))
         expected = dt * (nodal_integral(release, mesh)
@@ -288,7 +290,8 @@ class TestSpeciesSystems:
                 c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7}, porosity=N,
                 j_l=j_l, binding_assoc=assoc, binding_release=release)
         solvers = tuple(RecordingSolver(mesh) for _ in range(3))
-        advance_species(mesh, c_na, c_h, c_mab, z_mab, species, CONSTANTS, inputs, solvers)
+        advance_species(mesh, c_na, c_h, c_mab, face_averages(z_mab), species, CONSTANTS,
+                        inputs, solvers)
 
         c_max = inputs.c_max
         expected = [

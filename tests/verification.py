@@ -9,7 +9,7 @@ subdominant.
 
 import numpy as np
 
-from depotsim._assembly import KrylovCounts, SpeciesSolver
+from depotsim._assembly import KrylovCounts, SpeciesSolver, face_averages
 from depotsim.binding import advance_bound, exchange_rates
 from depotsim.config import default_config
 from depotsim.flow import PressureSolver
@@ -99,7 +99,7 @@ def diffusion_order(sizes=(24, 32, 48, 64)) -> float:
         c_h = np.full(shape, 4e-11)
         for _ in range(steps):
             solvers = tuple(SpeciesSolver(mesh, KrylovCounts()) for _ in range(3))
-            _, _, c = advance_species(mesh, c_na, c_h, c, np.zeros(shape),
+            _, _, c = advance_species(mesh, c_na, c_h, c, face_averages(np.zeros(shape)),
                                       species, CONSTANTS, inputs, solvers)
         errors.append(_l2(c - exact(mesh, t1), exact(mesh, t1), mesh))
         spacings.append(5 / n)
