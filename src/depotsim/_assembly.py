@@ -5,9 +5,10 @@ Sign convention: ``diffusion_matrix(coef)`` applied to x is the discrete
 form of ``-div(coef * grad x)`` integrated over each dual cell, so elliptic
 problems read ``A x = V * source``.
 
-This is the only module that knows the sparse layout. Every operator on a
-mesh lives on one 5-point CSR pattern (each node coupled to itself and its
-r and z neighbours), built once per mesh and kept on it by `csr_pattern`.
+This is the only module that knows the sparse layout and the face layout.
+Every operator on a mesh lives on one 5-point CSR pattern (each node coupled
+to itself and its r and z neighbours), built once per mesh and kept on it by
+`csr_pattern`.
 An operator is plain data on that pattern, an `Operator`: the pattern and
 one ``data`` array. Operators on one mesh therefore add by their ``data``
 arrays, and Dirichlet rows are imposed in place by `pin_rows`. The
@@ -50,6 +51,12 @@ arrays; none holds an operator or a factor:
   instead of rebuilding them from the mesh each call.
 - `_band_layout` and `_cholesky_layout`: the maps from CSR ``data`` slots to
   LAPACK band storage.
+
+Face fields. A coefficient, speed or flux on the dual faces is one array of
+``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
+row by row and then the (nz, nr1) z faces; a stacked field puts its species
+axis first. `face_families` gives the two family views to a caller that
+needs the (r, z) shapes.
 
 ``mesh._lu_order``, the minimum-degree order and permuted CSC layout of the
 first SuperLU factorization on a wide mesh (`_superlu`), comes from that
@@ -616,27 +623,46 @@ def pin_rows(a: Operator, rows) -> Operator:
     return a
 
 
-def harmonic_face_coefficients(coef: np.ndarray):
-    """Harmonic mean of a positive nodal coefficient on both face families."""
+def face_families(mesh: AxiMesh, x: np.ndarray):
+    """Views of a face field's r faces, (..., nz1, nr), and z faces, (..., nz, nr1);
+    leading axes of ``x`` stack fields."""
+    n_r, lead = mesh.nz1 * mesh.nr, x.shape[:-1]
+    return (x[..., :n_r].reshape(lead + (mesh.nz1, mesh.nr)),
+            x[..., n_r:].reshape(lead + (mesh.nz, mesh.nr1)))
+
+
+def _empty_faces(mesh: AxiMesh, lead: tuple):
+    """An empty face field with leading axes ``lead`` and its two family views."""
+    out = np.empty(lead + (mesh.n_faces,))
+    return (out, *face_families(mesh, out))
+
+
+def harmonic_face_coefficients(mesh: AxiMesh, coef: np.ndarray) -> np.ndarray:
+    """Harmonic mean of a positive nodal coefficient on every face."""
+    out, out_r, out_z = _empty_faces(mesh, ())
     a, b = coef[:, :-1], coef[:, 1:]
-    coef_r = 2.0 * a * b / (a + b)
+    np.divide(2.0 * a * b, a + b, out=out_r)
     a, b = coef[:-1, :], coef[1:, :]
-    coef_z = 2.0 * a * b / (a + b)
-    return coef_r, coef_z
+    np.divide(2.0 * a * b, a + b, out=out_z)
+    return out
 
 
-def face_averages(x):
-    """Arithmetic mean of a nodal field on both face families; a scalar is its own mean."""
+def face_averages(mesh: AxiMesh, x):
+    """Arithmetic mean of a nodal field on every face; a scalar is its own mean."""
     if not (isinstance(x, np.ndarray) and x.ndim):
-        return x, x
-    return 0.5 * (x[:, :-1] + x[:, 1:]), 0.5 * (x[:-1, :] + x[1:, :])
+        return x
+    out, out_r, out_z = _empty_faces(mesh, ())
+    np.multiply(0.5, x[:, :-1] + x[:, 1:], out=out_r)
+    np.multiply(0.5, x[:-1, :] + x[1:, :], out=out_z)
+    return out
 
 
-def face_gradients(mesh: AxiMesh, f: np.ndarray):
-    """(df/dr on r-faces, df/dz on z-faces); leading axes of ``f`` stack fields."""
-    g_r = (f[..., 1:] - f[..., :-1]) / mesh.dr
-    g_z = (f[..., 1:, :] - f[..., :-1, :]) / mesh.dz[:, None]
-    return g_r, g_z
+def face_gradients(mesh: AxiMesh, f: np.ndarray) -> np.ndarray:
+    """df/dr on r faces and df/dz on z faces; leading axes of ``f`` stack fields."""
+    out, g_r, g_z = _empty_faces(mesh, f.shape[:-2])
+    np.divide(f[..., 1:] - f[..., :-1], mesh.dr, out=g_r)
+    np.divide(f[..., 1:, :] - f[..., :-1, :], mesh.dz[:, None], out=g_z)
+    return out
 
 
 @dataclass(frozen=True)
@@ -653,48 +679,36 @@ def face_geometry(mesh: AxiMesh) -> FaceGeometry:
 
 
 def _build_face_geometry(mesh: AxiMesh) -> FaceGeometry:
-    return FaceGeometry(
-        _per_face(mesh, mesh.area_r, mesh.area_z),
-        _per_face(mesh, np.broadcast_to(mesh.dr, (mesh.nz1, mesh.nr)),
-                  np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))))
+    area, area_r, area_z = _empty_faces(mesh, ())
+    area_r[...], area_z[...] = mesh.area_r, mesh.area_z
+    dist, dist_r, dist_z = _empty_faces(mesh, ())
+    dist_r[...], dist_z[...] = mesh.dr, mesh.dz[:, None]
+    return FaceGeometry(area, dist)
 
 
-def _per_face(mesh: AxiMesh, x_r, x_z) -> np.ndarray | float:
-    """One value per face in `CsrPattern` face order from the two face
-    families; a scalar holds on every face of its family, and one scalar of
-    both families is returned as it is, for the caller to broadcast."""
-    if not isinstance(x_r, np.ndarray) and not isinstance(x_z, np.ndarray) and x_r == x_z:
-        return x_r
-    n_r = mesh.nz1 * mesh.nr
-    out = np.empty(n_r + mesh.nz * mesh.nr1)
-    out[:n_r] = np.ravel(x_r)
-    out[n_r:] = np.ravel(x_z)
-    return out
-
-
-def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
-                     coef_z: np.ndarray | float,
+def diffusion_matrix(mesh: AxiMesh, coef: np.ndarray | float, *,
                      diag: np.ndarray | float = 0.0,
-                     speeds: tuple[np.ndarray, np.ndarray] | None = None) -> Operator:
+                     speeds: np.ndarray | None = None) -> Operator:
     """Dual-volume discretization of -div(coef grad x); SPD with Neumann faces.
 
-    ``diag`` (scalar or per node) is added to the diagonal. It is already
-    integrated over the dual cells, e.g. a storage term times node volumes.
-    ``speeds``, face-normal speeds ``(s_r, s_z)``, adds the upwind advection
-    ``div(s x)`` of `upwind_advection_matrix` in the same fill; the operator
-    is then no longer symmetric.
+    ``coef`` is one value for every face or one per face. ``diag`` (scalar or
+    per node) is added to the diagonal. It is already integrated over the
+    dual cells, e.g. a storage term times node volumes. ``speeds``, the
+    face-normal speeds, adds the upwind advection ``div(s x)`` of
+    `upwind_advection_matrix` in the same fill; the operator is then no
+    longer symmetric.
     """
     geometry = face_geometry(mesh)
     weights, blocks = _weights(mesh, diag)
     aa, ab, ba, bb = blocks
     # face transmissibilities T = area * coef / distance
-    t = geometry.area * _per_face(mesh, coef_r, coef_z)
+    t = geometry.area * coef
     t /= geometry.dist
     if speeds is None:
         blocks[::3] = t  # aa and bb
         blocks[1:3] = -t  # ab and ba
         return _fill(mesh, weights)
-    _upwind_face_fluxes(mesh, *speeds, pos=aa, neg=ab)
+    _upwind_face_fluxes(mesh, speeds, pos=aa, neg=ab)
     aa += t  # pos + t is t + pos to the bit: addition commutes
     np.subtract(t, ab, out=bb)
     ab -= t
@@ -702,35 +716,35 @@ def diffusion_matrix(mesh: AxiMesh, coef_r: np.ndarray | float,
     return _fill(mesh, weights)
 
 
-def _upwind_face_fluxes(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray, *,
+def _upwind_face_fluxes(mesh: AxiMesh, speeds: np.ndarray, *,
                         pos: np.ndarray, neg: np.ndarray):
     """Write the area-weighted face speeds, split into flow toward each face's
     upper node (>= 0, carried by the lower node) and toward its lower node
     (<= 0), into ``pos`` and ``neg``."""
-    f = face_geometry(mesh).area * _per_face(mesh, s_r, s_z)
+    f = face_geometry(mesh).area * speeds
     np.maximum(f, 0.0, out=pos)
     np.minimum(f, 0.0, out=neg)
 
 
-def upwind_advection_matrix(mesh: AxiMesh, s_r: np.ndarray, s_z: np.ndarray) -> Operator:
+def upwind_advection_matrix(mesh: AxiMesh, speeds: np.ndarray) -> Operator:
     """First-order upwind discretization of div(s x) from face-normal speeds.
 
-    ``s_r``/``s_z`` are the characteristic speeds normal to the two face
-    families (positive toward growing r / z). Boundary faces do not exist in
-    the dual tessellation, so the operator is flux-free by construction.
+    ``speeds`` are the characteristic speeds normal to each face (positive
+    toward growing r on r faces and growing z on z faces). Boundary faces do
+    not exist in the dual tessellation, so the operator is flux-free by
+    construction.
     """
     weights, (aa, ab, ba, bb) = _weights(mesh, 0.0)
-    _upwind_face_fluxes(mesh, s_r, s_z, pos=aa, neg=ab)
+    _upwind_face_fluxes(mesh, speeds, pos=aa, neg=ab)
     np.negative(aa, out=ba)
     np.negative(ab, out=bb)
     return _fill(mesh, weights)
 
 
-def divergence_of_face_flux(mesh: AxiMesh, flux_r: np.ndarray,
-                            flux_z: np.ndarray) -> np.ndarray:
+def divergence_of_face_flux(mesh: AxiMesh, flux: np.ndarray) -> np.ndarray:
     """Net outward flux per dual cell from per-area face fluxes (2-D output)."""
     pattern = csr_pattern(mesh)
-    f = face_geometry(mesh).area * _per_face(mesh, flux_r, flux_z)
+    f = face_geometry(mesh).area * flux
     out = np.bincount(np.concatenate([pattern.lo, pattern.hi]),
                       weights=np.concatenate([f, -f]), minlength=mesh.n_nodes)
     return out.reshape(mesh.nz1, mesh.nr1)

@@ -133,7 +133,7 @@ class PressureSolver:
 
         #: face mobilities kappa/eta, the operator's and the velocity's coefficients
         self.mobility = darcy_mobility(mesh, self.kappa, viscosity)
-        a = fv.diffusion_matrix(mesh, *self.mobility,
+        a = fv.diffusion_matrix(mesh, self.mobility,
                                 diag=self.reaction * mesh.node_volumes)
 
         # Dirichlet p = 0 on the outer rim
@@ -164,25 +164,25 @@ def tissue_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParam
 
 
 def darcy_mobility(mesh: AxiMesh, kappa_nodes: np.ndarray | float, viscosity: float):
-    """Face mobilities kappa/eta on both face families.
+    """Face mobilities kappa/eta, one per face.
 
     Permeability is harmonically averaged across faces, which keeps the
     normal flux continuous across layer interfaces.
     """
     kappa = np.broadcast_to(np.asarray(kappa_nodes, dtype=float),
                             (mesh.nz1, mesh.nr1))
-    return fv.harmonic_face_coefficients(kappa / viscosity)
+    return fv.harmonic_face_coefficients(mesh, kappa / viscosity)
 
 
-def velocity_from_pressure(mesh: AxiMesh, mobility, p: np.ndarray):
+def velocity_from_pressure(mesh: AxiMesh, mobility: np.ndarray, p: np.ndarray):
     """Face-normal Darcy velocities u = -(kappa/eta) grad p from the face
     mobilities of `darcy_mobility`."""
-    g_r, g_z = fv.face_gradients(mesh, p)
-    return -mobility[0] * g_r, -mobility[1] * g_z
+    return -mobility * fv.face_gradients(mesh, p)
 
 
-def node_speed(mesh: AxiMesh, u_r: np.ndarray, u_z: np.ndarray) -> np.ndarray:
-    """Velocity magnitude interpolated to nodes from the face components."""
+def node_speed(mesh: AxiMesh, u: np.ndarray) -> np.ndarray:
+    """Velocity magnitude interpolated to nodes from the face velocities."""
+    u_r, u_z = fv.face_families(mesh, u)
     ur_n = np.zeros((mesh.nz1, mesh.nr1))
     ur_n[:, 1:-1] = 0.5 * (u_r[:, :-1] + u_r[:, 1:])
     ur_n[:, 0] = u_r[:, 0]

@@ -45,30 +45,20 @@ def _graded_axis(length: float, n: int, focus: float, ratio: float) -> np.ndarra
     if not 0.0 <= focus <= length:
         raise MeshError("focus must lie inside the domain")
     if ratio == 1.0 or focus <= 0.0 or focus >= length:
-        side = focus if focus > 0 else length
-        if ratio == 1.0:
-            spacings = np.full(n, length / n)
-        elif focus <= 0.0:
-            spacings = _graded_side(length, n, ratio)
-        else:  # focus at the far end: grade toward it
-            spacings = _graded_side(length, n, ratio)[::-1]
-        nodes = np.concatenate([[0.0], np.cumsum(spacings)])
-        nodes[-1] = length
-        return nodes
+        spacings = _graded_side(length, n, ratio)
+        if focus > 0.0:  # focus at the far end: grade toward it (uniform stays uniform)
+            spacings = spacings[::-1]
+    else:
+        la, lb = focus, length - focus
 
-    la, lb = focus, length - focus
-    best = None
-    for na in range(1, n):
-        nb = n - na
-        da = la * (ratio - 1.0) / (ratio**na - 1.0) if ratio > 1 else la / na
-        db = lb * (ratio - 1.0) / (ratio**nb - 1.0) if ratio > 1 else lb / nb
-        mismatch = abs(np.log(da / db))
-        if best is None or mismatch < best[0]:
-            best = (mismatch, na, nb)
-    _, na, nb = best
-    below = _graded_side(la, na, ratio)[::-1]  # shrink toward the focus
-    above = _graded_side(lb, nb, ratio)
-    spacings = np.concatenate([below, above])
+        def mismatch(na):  # of the smallest spacings with na cells below the focus
+            da = la * (ratio - 1.0) / (ratio**na - 1.0)
+            db = lb * (ratio - 1.0) / (ratio**(n - na) - 1.0)
+            return abs(np.log(da / db))
+
+        na = min(range(1, n), key=mismatch)
+        below = _graded_side(la, na, ratio)[::-1]  # shrink toward the focus
+        spacings = np.concatenate([below, _graded_side(lb, n - na, ratio)])
     nodes = np.concatenate([[0.0], np.cumsum(spacings)])
     nodes[-1] = length
     return nodes
@@ -111,6 +101,8 @@ class AxiMesh:
         self.nr1 = r.size
         self.nz1 = z.size
         self.n_nodes = self.nr1 * self.nz1
+        #: dual faces: nz1 * nr between radial neighbours, nz * nr1 between vertical ones
+        self.n_faces = self.nz1 * self.nr + self.nz * self.nr1
 
         # dual-cell boundaries: spacing midpoints, domain edges at the ends
         self.r_dual = np.concatenate([[r[0]], 0.5 * (r[:-1] + r[1:]), [r[-1]]])
@@ -254,7 +246,8 @@ class FieldState:
     """All nodal unknowns plus the face-normal Darcy velocity at time t.
 
     Concentrations are mol/cm^3 of pore fluid; bound drug c_b is mol/cm^3 of
-    tissue. Velocities live on dual faces: u_r (nz1, nr), u_z (nz, nr1).
+    tissue. The velocity ``u`` has one value per dual face, in the face order
+    of `_assembly.CsrPattern` (r faces, then z faces), positive toward growing r or z.
     """
 
     mesh: AxiMesh
@@ -264,8 +257,7 @@ class FieldState:
     c_b: np.ndarray
     p: np.ndarray
     phi: np.ndarray
-    u_r: np.ndarray
-    u_z: np.ndarray
+    u: np.ndarray
     t: float = 0.0
     # derived nodal fields, refreshed by the stepper after each accepted step
     c_cl: np.ndarray | None = None
@@ -284,8 +276,7 @@ class FieldState:
             c_b=np.zeros(shape),
             p=np.zeros(shape),
             phi=np.zeros(shape),
-            u_r=np.zeros((mesh.nz1, mesh.nr)),
-            u_z=np.zeros((mesh.nz, mesh.nr1)),
+            u=np.zeros(mesh.n_faces),
             t=0.0,
         )
 

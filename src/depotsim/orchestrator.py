@@ -27,7 +27,7 @@ Every accepted state carries its pH, drug charge and recovered chloride
 
 A `StaggeredStepper` computes what its phase never changes once, when it is
 built, and keeps it for as long as it lives: one phase. No step writes to
-these arrays; the face mobilities and the zero velocities are marked
+these arrays; the face mobilities and the zero velocity are marked
 read-only. Its ``flow`` flag says which phase it steps: the injection phase
 (True) or the reduced one (False).
 
@@ -35,8 +35,8 @@ read-only. Its ``flow`` flag says which phase it steps: the injection phase
   ``p_unit`` whose Q(t) combination is the pressure at any time, and the
   face mobilities kappa/eta the pressure solver harmonically averaged, from
   which each step takes the Darcy velocity.
-- Reduced phase: one pair of zero face velocities that every state of the
-  phase shares. Without flow a step passes no velocity and no injection
+- Reduced phase: one zero face velocity that every state of the phase
+  shares. Without flow a step passes no velocity and no injection
   source to the species transport, and books no injected dose.
 
 The stepper counts its phase's dt-halving ``retries``, ``clipped`` round-off
@@ -147,13 +147,11 @@ class StaggeredStepper:
             self._p_rest = pressure.solve(0.0)
             self._p_unit = pressure.solve(self._source_shape) - self._p_rest
             self._mobility = pressure.mobility
-            for arr in self._mobility:
-                arr.flags.writeable = False
+            self._mobility.flags.writeable = False
         else:
-            # every state of the phase shares these zero face velocities
-            self._still = (np.zeros((mesh.nz1, mesh.nr)), np.zeros((mesh.nz, mesh.nr1)))
-            for arr in self._still:
-                arr.flags.writeable = False
+            # every state of the phase shares this zero face velocity
+            self._still = np.zeros(mesh.n_faces)
+            self._still.flags.writeable = False
 
     def rest_state(self) -> FieldState:
         """The tissue at rest at t = 0, with its derived fields and no drainage."""
@@ -182,19 +180,18 @@ class StaggeredStepper:
                     solver.drop_preconditioner()
             q_p = self._source_shape * rate
             p = self.pressure_at(t_new)
-            u_r, u_z = fl.velocity_from_pressure(mesh, self._mobility, p)
-            carried = (u_r, u_z, q_p)  # what the species transport carries
+            u = fl.velocity_from_pressure(mesh, self._mobility, p)
+            carried = (u, q_p)  # what the species transport carries
             j_l = fl.starling_lymph(p, self.starling, self.porosity, self.slv)
             injected = dt * nodal_integral(q_p, mesh) * self.c_max["mab"]
         else:
-            p, j_l = state.p, state.j_l
-            u_r, u_z = self._still
-            carried = (None, None, None)
+            p, j_l, u = state.p, state.j_l, self._still
+            carried = (None, None)
             injected = 0.0
 
         # lagged fields for the staggered substeps
         z_old = state.z_mab
-        z_old_faces = fv.face_averages(z_old)
+        z_old_faces = fv.face_averages(mesh, z_old)
         assoc, release = bd.exchange_rates(state.c_b, state.ph, self.binding,
                                            self.porosity)
         s_b_estimate = assoc * state.c_mab - release  # charge source estimate
@@ -206,7 +203,7 @@ class StaggeredStepper:
         phi = solve_potential(coeffs, mesh)
 
         inputs = tr.TransportStepInputs(
-            dt=dt, u_r=carried[0], u_z=carried[1], phi=phi, q_p=carried[2], c_max=self.c_max,
+            dt=dt, u=carried[0], phi=phi, q_p=carried[1], c_max=self.c_max,
             j_l=j_l, binding_assoc=assoc, binding_release=release,
             porosity=self.porosity)
         c_na, c_h, c_mab = tr.advance_species(
@@ -217,7 +214,7 @@ class StaggeredStepper:
                                self.binding)
 
         new = FieldState(mesh=mesh, c_na=c_na, c_h=c_h, c_mab=c_mab, c_b=c_b,
-                         p=p, phi=phi, u_r=u_r, u_z=u_z, t=t_new, j_l=j_l)
+                         p=p, phi=phi, u=u, t=t_new, j_l=j_l)
         return new, (injected,
                      dt * nodal_integral(j_l * c_mab, mesh),
                      dt * self.binding.k_e * nodal_integral(state.c_b, mesh))
@@ -319,7 +316,7 @@ class Simulation:
         else:
             free_pct = bound_pct = absorbed_pct = 0.0
         # without flow every face velocity of the phase is zero
-        speed = (float(fl.node_speed(mesh, state.u_r, state.u_z).max())
+        speed = (float(fl.node_speed(mesh, state.u).max())
                  if stepper.flow else 0.0)
         series.append(
             state.t,
@@ -401,9 +398,8 @@ class Simulation:
         state = FieldState(
             mesh=coarse, c_na=fields["c_na"], c_h=fields["c_h"],
             c_mab=fields["c_mab"], c_b=fields["c_b"], p=p_steady,
-            phi=np.zeros((coarse.nz1, coarse.nr1)),
-            u_r=np.zeros((coarse.nz1, coarse.nr)),
-            u_z=np.zeros((coarse.nz, coarse.nr1)), t=short_state.t, j_l=j_l)
+            phi=np.zeros((coarse.nz1, coarse.nr1)), u=np.zeros(coarse.n_faces),
+            t=short_state.t, j_l=j_l)
         _refresh_derived(state, self.config.charge_curve())
         return state
 

@@ -231,9 +231,8 @@ class TissueLayers:
 
     def layer_index(self, z) -> np.ndarray:
         """Index of the layer containing each z (interfaces belong to the upper layer)."""
-        z = np.asarray(z, dtype=float)
-        idx = np.searchsorted(self._bounds[1:-1], z, side="left")
-        return idx
+        return np.searchsorted(self._bounds[1:-1], np.asarray(z, dtype=float),
+                               side="right")
 
     def permeability_at(self, z) -> np.ndarray:
         kappa = np.array([l.permeability for l in self.layers])

@@ -39,12 +39,12 @@ class PotentialCoefficients:
 def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
                        constants: PhysicalConstants, porosity: float,
                        c_na: np.ndarray, c_h: np.ndarray, c_mab: np.ndarray,
-                       z_mab: np.ndarray, z_mab_faces: tuple[np.ndarray, np.ndarray],
+                       z_mab: np.ndarray, z_mab_faces: np.ndarray,
                        j_l: np.ndarray | float,
                        binding_rate: np.ndarray | float) -> PotentialCoefficients:
     """Build sigma, the charge source, and the concentration-flux divergence.
 
-    ``z_mab_faces`` is the drug's valence ``z_mab`` on the two face families,
+    ``z_mab_faces`` is the drug's valence ``z_mab`` on every face,
     `_assembly.face_averages` of it, which the caller also hands to the
     drug's transport.
 
@@ -57,7 +57,7 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
     mu_cl = species.chloride.mobility(constants)
     d_cl = species.chloride.diffusivity
 
-    # sigma, g_r and g_z start as 0.0, which the first species' term turns
+    # sigma and g start as 0.0, which the first species' term turns
     # into an array (0.0 + x is x), so no zero array is filled and added
     sigma = 0.0
     triples = (
@@ -74,14 +74,12 @@ def assemble_potential(mesh: AxiMesh, species: SpeciesTable,
                           f"min sigma = {sigma.min():.3e}")
 
     # concentration-driven part: face fluxes of sum_i z_i n (D_i - D_Cl) grad c_i
-    g_r = g_z = 0.0
-    dg_r, dg_z = fv.face_gradients(mesh, np.stack([c_na, c_h, c_mab]))
-    face_valences = ((Z_NA, Z_NA), (Z_H, Z_H), z_mab_faces)
-    for (spec, _, _), (z_r, z_z), dc_r, dc_z in zip(triples, face_valences, dg_r, dg_z):
+    g = 0.0
+    dg = fv.face_gradients(mesh, np.stack([c_na, c_h, c_mab]))
+    for (spec, _, _), z, dc in zip(triples, (Z_NA, Z_H, z_mab_faces), dg):
         coef = n * (spec.diffusivity - d_cl)
-        g_r += z_r * coef * dc_r
-        g_z += z_z * coef * dc_z
-    div_g = fv.divergence_of_face_flux(mesh, g_r, g_z)
+        g += z * coef * dc
+    div_g = fv.divergence_of_face_flux(mesh, g)
 
     # written into a full nodal array, even from scalar inputs
     rhs = np.multiply(np.asarray(z_mab, dtype=float),
@@ -115,8 +113,7 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     near 1e-13 instead of 1e-11 of a refined solve on random 48x12 and 56x8
     operators.
     """
-    coef_r, coef_z = fv.harmonic_face_coefficients(sigma)
-    a = fv.diffusion_matrix(mesh, coef_r, coef_z)
+    a = fv.diffusion_matrix(mesh, fv.harmonic_face_coefficients(mesh, sigma))
     a.data[a.pattern.diag[-1]] *= 2.0
 
     w = mesh.integration_weights.ravel()

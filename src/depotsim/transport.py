@@ -44,8 +44,7 @@ class TransportStepInputs:
     """
 
     dt: float
-    u_r: np.ndarray | None  # face velocities, (nz1, nr)
-    u_z: np.ndarray | None  # face velocities, (nz, nr1)
+    u: np.ndarray | None  # face velocities
     phi: np.ndarray  # nodal potential
     q_p: np.ndarray | None  # nodal injection source density, 1/s
     c_max: dict[str, float]  # syringe concentrations keyed 'na', 'h', 'mab'
@@ -62,28 +61,25 @@ class TransportStepInputs:
 def migration_face_speeds(mesh: AxiMesh, phi: np.ndarray, diffusivities,
                           face_valences, porosity: float,
                           constants: PhysicalConstants):
-    """Electromigration drift speeds -z (D F / R T) n dPhi/dn on both face sets.
+    """Electromigration drift speeds -z (D F / R T) n dPhi/dn on every face.
 
     One speed per species, for species k of diffusivity ``diffusivities[k]``
-    and valence ``face_valences[k]`` on the two face families, a pair
-    ``(z_r, z_z)`` (`_assembly.face_averages` of a nodal valence; an ion's
-    constant valence is a pair of scalars), stacked on a leading axis:
-    ``(w_r, w_z)`` of shapes (k, nz1, nr) and (k, nz, nr1). The potential's
-    gradient is taken once for all of them.
+    and face valence ``face_valences[k]`` (`_assembly.face_averages` of a
+    nodal valence; an ion's constant valence is a scalar), stacked on a
+    leading axis: shape (k, faces). The potential's gradient is taken once
+    for all of them.
     """
-    g_r, g_z = fv.face_gradients(mesh, phi)
-    w_r = np.empty((len(diffusivities),) + g_r.shape)
-    w_z = np.empty((len(diffusivities),) + g_z.shape)
-    for k, (diffusivity, (z_r, z_z)) in enumerate(zip(diffusivities, face_valences)):
+    g = fv.face_gradients(mesh, phi)
+    w = np.empty((len(diffusivities),) + g.shape)
+    for k, (diffusivity, z) in enumerate(zip(diffusivities, face_valences)):
         coef = diffusivity * constants.faraday / constants.rt * porosity
         # z * -coef is -z * coef to the bit, one array operation fewer
-        np.multiply(z_r * -coef, g_r, out=w_r[k])
-        np.multiply(z_z * -coef, g_z, out=w_z[k])
-    return w_r, w_z
+        np.multiply(z * -coef, g, out=w[k])
+    return w
 
 
 def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
-                    c_mab: np.ndarray, z_mab_faces: tuple[np.ndarray, np.ndarray],
+                    c_mab: np.ndarray, z_mab_faces: np.ndarray,
                     species, constants: PhysicalConstants,
                     inputs: TransportStepInputs,
                     solvers: tuple[fv.SpeciesSolver, ...]):
@@ -95,20 +91,18 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
     round-off; with non-negative sources that can only come from degenerate
     inputs, not from the scheme.
 
-    ``z_mab_faces`` is the drug's valence on the two face families,
+    ``z_mab_faces`` is the drug's valence on every face,
     `_assembly.face_averages` of the nodal valence. ``solvers`` holds the
     Na+, H+ and drug solvers that a caller stepping a whole phase keeps
     across steps.
     """
     n = inputs.porosity
     specs = (species.sodium, species.hydrogen, species.drug)
-    s_r, s_z = migration_face_speeds(mesh, inputs.phi,
-                                     [spec.diffusivity for spec in specs],
-                                     [(Z_NA, Z_NA), (Z_H, Z_H), z_mab_faces], n,
-                                     constants)
-    if inputs.u_r is not None:
-        s_r += inputs.u_r
-        s_z += inputs.u_z
+    speeds = migration_face_speeds(mesh, inputs.phi,
+                                   [spec.diffusivity for spec in specs],
+                                   [Z_NA, Z_H, z_mab_faces], n, constants)
+    if inputs.u is not None:
+        speeds += inputs.u
 
     v = mesh.node_volumes
     cap = n * v / inputs.dt
@@ -120,10 +114,9 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
                    inputs.q_p * inputs.c_max["mab"] + sources[2])
 
     new = []
-    for spec, c_old, diag, source, solver, speeds in zip(
-            specs, (c_na, c_h, c_mab), diags, sources, solvers, zip(s_r, s_z)):
-        dn = spec.diffusivity * n
-        a = fv.diffusion_matrix(mesh, dn, dn, diag=diag, speeds=speeds)
+    for spec, c_old, diag, source, solver, s in zip(
+            specs, (c_na, c_h, c_mab), diags, sources, solvers, speeds):
+        a = fv.diffusion_matrix(mesh, spec.diffusivity * n, diag=diag, speeds=s)
         b = cap * c_old if source is None else cap * c_old + v * source
         try:
             c_new = solver.solve(a, b.ravel())

@@ -10,7 +10,9 @@ import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
 from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, SpeciesSolver,
-                                csr_pattern, diffusion_matrix, factorize, pin_rows,
+                                csr_pattern, diffusion_matrix, face_averages,
+                                face_families, face_geometry, face_gradients, factorize,
+                                harmonic_face_coefficients, pin_rows,
                                 upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
@@ -65,27 +67,25 @@ def dense(a):
 
 
 def random_faces(mesh, rng, low, high):
-    return (rng.uniform(low, high, (mesh.nz1, mesh.nr)),
-            rng.uniform(low, high, (mesh.nz, mesh.nr1)))
+    """One uniform random value per face."""
+    return rng.uniform(low, high, mesh.n_faces)
 
 
 def faces(mesh):
-    """(lower node, upper node, area, distance, r-or-z index) of every dual face."""
+    """(lower node, upper node, area, distance) of every dual face, in face
+    order: the r faces row by row, then the z faces row by row."""
     for j in range(mesh.nz1):
         for i in range(mesh.nr):
-            yield (j * mesh.nr1 + i, j * mesh.nr1 + i + 1,
-                   mesh.area_r[j, i], mesh.dr[i], ("r", j, i))
+            yield j * mesh.nr1 + i, j * mesh.nr1 + i + 1, mesh.area_r[j, i], mesh.dr[i]
     for j in range(mesh.nz):
         for i in range(mesh.nr1):
-            yield (j * mesh.nr1 + i, (j + 1) * mesh.nr1 + i,
-                   mesh.area_z[j, i], mesh.dz[j], ("z", j, i))
+            yield j * mesh.nr1 + i, (j + 1) * mesh.nr1 + i, mesh.area_z[j, i], mesh.dz[j]
 
 
-def dense_diffusion(mesh, coef_r, coef_z, diag):
+def dense_diffusion(mesh, coef, diag):
     a = np.diag(diag.ravel().astype(float))
-    for lo, hi, area, dist, (family, j, i) in faces(mesh):
-        coef = coef_r[j, i] if family == "r" else coef_z[j, i]
-        t = area * coef / dist
+    for (lo, hi, area, dist), c in zip(faces(mesh), coef):
+        t = area * c / dist
         a[lo, lo] += t
         a[hi, hi] += t
         a[lo, hi] -= t
@@ -93,10 +93,10 @@ def dense_diffusion(mesh, coef_r, coef_z, diag):
     return a
 
 
-def dense_upwind(mesh, s_r, s_z):
+def dense_upwind(mesh, speeds):
     a = np.zeros((mesh.n_nodes, mesh.n_nodes))
-    for lo, hi, area, _, (family, j, i) in faces(mesh):
-        flux = area * (s_r[j, i] if family == "r" else s_z[j, i])
+    for (lo, hi, area, _), s in zip(faces(mesh), speeds):
+        flux = area * s
         upwind = lo if flux >= 0.0 else hi
         a[lo, upwind] += flux
         a[hi, upwind] -= flux
@@ -108,10 +108,10 @@ class TestSharedPattern:
         rng = np.random.default_rng(0)
         pattern = csr_pattern(mesh)
         ops = [
-            diffusion_matrix(mesh, *random_faces(mesh, rng, 0.5, 2.0)),
-            diffusion_matrix(mesh, 1.0, 1.0, diag=mesh.node_volumes),
-            upwind_advection_matrix(mesh, *random_faces(mesh, rng, -1.0, 1.0)),
-            pin_rows(diffusion_matrix(mesh, 1.0, 1.0),
+            diffusion_matrix(mesh, random_faces(mesh, rng, 0.5, 2.0)),
+            diffusion_matrix(mesh, 1.0, diag=mesh.node_volumes),
+            upwind_advection_matrix(mesh, random_faces(mesh, rng, -1.0, 1.0)),
+            pin_rows(diffusion_matrix(mesh, 1.0),
                      np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]),
         ]
         for a in ops:
@@ -131,56 +131,121 @@ class TestSharedPattern:
         for arr in (pattern.indptr, pattern.indices, pattern.diag, pattern.scatter):
             with pytest.raises(ValueError):
                 arr[0] = 1
-        a = diffusion_matrix(mesh, 1.0, 1.0)
+        a = diffusion_matrix(mesh, 1.0)
         with pytest.raises(ValueError):
             a.indices[0] = 1
+
+
+def joined(x_r, x_z):
+    """One face field from its r-face and z-face families; leading axes stack fields."""
+    lead = x_r.shape[:-2]
+    return np.concatenate([x_r.reshape(lead + (-1,)), x_z.reshape(lead + (-1,))], axis=-1)
+
+
+# the per-family formulas the face functions were written as before every face
+# field became one array; the layout must reproduce them bit for bit
+def family_gradients(mesh, f):
+    return ((f[..., 1:] - f[..., :-1]) / mesh.dr,
+            (f[..., 1:, :] - f[..., :-1, :]) / mesh.dz[:, None])
+
+
+def family_averages(x):
+    return 0.5 * (x[:, :-1] + x[:, 1:]), 0.5 * (x[:-1, :] + x[1:, :])
+
+
+def family_harmonic_means(coef):
+    a, b = coef[:, :-1], coef[:, 1:]
+    coef_r = 2.0 * a * b / (a + b)
+    a, b = coef[:-1, :], coef[1:, :]
+    return coef_r, 2.0 * a * b / (a + b)
+
+
+class TestFaceLayout:
+    def test_face_gradients_match_the_family_formulas(self, mesh):
+        rng = np.random.default_rng(30)
+        single = rng.normal(size=(mesh.nz1, mesh.nr1))
+        stacked = rng.normal(size=(3, mesh.nz1, mesh.nr1))
+        for f in (single, stacked):
+            g = face_gradients(mesh, f)
+            assert g.shape == f.shape[:-2] + (mesh.n_faces,)
+            assert np.array_equal(g, joined(*family_gradients(mesh, f)))
+
+    def test_face_averages_and_harmonic_means_match_the_family_formulas(self, mesh):
+        rng = np.random.default_rng(31)
+        x = rng.uniform(0.1, 3.0, (mesh.nz1, mesh.nr1))
+        assert np.array_equal(face_averages(mesh, x), joined(*family_averages(x)))
+        assert np.array_equal(harmonic_face_coefficients(mesh, x),
+                              joined(*family_harmonic_means(x)))
+        assert face_averages(mesh, 2.5) == 2.5
+
+    def test_face_families_are_views_of_the_face_field(self, mesh):
+        for lead in ((), (3,)):
+            x = np.zeros(lead + (mesh.n_faces,))
+            x_r, x_z = face_families(mesh, x)
+            assert x_r.shape == lead + (mesh.nz1, mesh.nr)
+            assert x_z.shape == lead + (mesh.nz, mesh.nr1)
+            assert np.shares_memory(x_r, x) and np.shares_memory(x_z, x)
+            x_r[...], x_z[...] = 1.0, 2.0
+            assert np.array_equal(x, joined(np.ones(x_r.shape), np.full(x_z.shape, 2.0)))
+
+    def test_face_f_joins_the_pattern_nodes_lo_f_and_hi_f(self, mesh):
+        pattern = csr_pattern(mesh)
+        nodes = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)
+        lo_r, lo_z = face_families(mesh, pattern.lo)
+        hi_r, hi_z = face_families(mesh, pattern.hi)
+        assert np.array_equal(lo_r, nodes[:, :-1]) and np.array_equal(hi_r, nodes[:, 1:])
+        assert np.array_equal(lo_z, nodes[:-1, :]) and np.array_equal(hi_z, nodes[1:, :])
+        geometry = face_geometry(mesh)
+        assert np.array_equal(geometry.area, joined(mesh.area_r, mesh.area_z))
+        assert np.array_equal(geometry.dist, joined(
+            np.broadcast_to(mesh.dr, (mesh.nz1, mesh.nr)),
+            np.broadcast_to(mesh.dz[:, None], (mesh.nz, mesh.nr1))))
 
 
 class TestOperators:
     def test_diffusion_matches_dense_reference(self, mesh):
         rng = np.random.default_rng(1)
-        coef_r, coef_z = random_faces(mesh, rng, 0.1, 3.0)
+        coef = random_faces(mesh, rng, 0.1, 3.0)
         diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
-        a = diffusion_matrix(mesh, coef_r, coef_z, diag=diag)
-        expected = dense_diffusion(mesh, coef_r, coef_z, diag)
+        a = diffusion_matrix(mesh, coef, diag=diag)
+        expected = dense_diffusion(mesh, coef, diag)
         assert np.allclose(dense(a), expected, rtol=1e-14, atol=0.0)
 
     def test_diffusion_rows_sum_to_diag(self, mesh):
         rng = np.random.default_rng(2)
         diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
-        a = scipy_csr(diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0), diag=diag))
+        a = scipy_csr(diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0), diag=diag))
         scale = np.abs(a).sum(axis=1).A1
         assert np.all(np.abs(a.sum(axis=1).A1 - diag.ravel()) <= 1e-14 * scale)
 
     def test_upwind_matches_dense_reference(self, mesh):
         rng = np.random.default_rng(3)
-        s_r, s_z = random_faces(mesh, rng, -1.0, 1.0)
-        a = upwind_advection_matrix(mesh, s_r, s_z)
-        assert np.allclose(dense(a), dense_upwind(mesh, s_r, s_z),
+        s = random_faces(mesh, rng, -1.0, 1.0)
+        a = upwind_advection_matrix(mesh, s)
+        assert np.allclose(dense(a), dense_upwind(mesh, s),
                            rtol=1e-14, atol=0.0)
 
     def test_upwind_columns_sum_to_zero(self, mesh):
         # whatever leaves one dual cell enters its neighbour: flux-free, conservative
         rng = np.random.default_rng(4)
-        a = scipy_csr(upwind_advection_matrix(mesh, *random_faces(mesh, rng, -1.0, 1.0)))
+        a = scipy_csr(upwind_advection_matrix(mesh, random_faces(mesh, rng, -1.0, 1.0)))
         scale = np.abs(a).sum(axis=0).A1
         assert np.all(np.abs(a.sum(axis=0).A1) <= 1e-14 * scale)
 
     def test_speeds_add_the_upwind_operator_in_one_fill(self, mesh):
         rng = np.random.default_rng(16)
-        coef_r, coef_z = random_faces(mesh, rng, 0.1, 3.0)
-        s_r, s_z = random_faces(mesh, rng, -2.0, 2.0)
+        coef = random_faces(mesh, rng, 0.1, 3.0)
+        s = random_faces(mesh, rng, -2.0, 2.0)
         diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
-        a = diffusion_matrix(mesh, coef_r, coef_z, diag=diag, speeds=(s_r, s_z))
-        expected = (dense_diffusion(mesh, coef_r, coef_z, diag)
-                    + dense_upwind(mesh, s_r, s_z))
+        a = diffusion_matrix(mesh, coef, diag=diag, speeds=s)
+        expected = dense_diffusion(mesh, coef, diag) + dense_upwind(mesh, s)
         assert np.shares_memory(a.indices, csr_pattern(mesh).indices)
         assert np.allclose(dense(a), expected, rtol=1e-14,
                            atol=1e-14 * np.abs(expected).max())
 
     def test_pin_rows_gives_identity_rows_and_keeps_the_rest(self, mesh):
         rng = np.random.default_rng(5)
-        a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+        a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
                              diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)))
         before = dense(a)
         rows = np.array([0, 7, mesh.n_nodes - 1])
@@ -196,26 +261,26 @@ def rim(mesh):
 
 
 def transport_operator(mesh, rng):
-    a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
                          diag=mesh.node_volumes / 0.1)
-    a.data += upwind_advection_matrix(mesh, *random_faces(mesh, rng, -2.0, 2.0)).data
+    a.data += upwind_advection_matrix(mesh, random_faces(mesh, rng, -2.0, 2.0)).data
     return a
 
 
 def pressure_operator(mesh, rng):
-    a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
                          diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)) * mesh.node_volumes)
     return pin_rows(a, rim(mesh))
 
 
 def potential_operator(mesh, rng):
-    return pin_rows(diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0)), 0)
+    return pin_rows(diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0)), 0)
 
 
 def pivoting_operator(mesh, rng):
     # the pinned row keeps a 1 on the diagonal while its column holds
     # transmissibilities far above 1, so partial pivoting leaves the diagonal
-    return pin_rows(diffusion_matrix(mesh, *random_faces(mesh, rng, 1e3, 3e3)), 7)
+    return pin_rows(diffusion_matrix(mesh, random_faces(mesh, rng, 1e3, 3e3)), 7)
 
 
 OPERATORS = [transport_operator, pressure_operator, potential_operator, pivoting_operator]
@@ -318,7 +383,7 @@ class TestFactorize:
         assert np.any(lu.piv != np.arange(m.n_nodes))
 
     def test_singular_operator_raises(self, fresh_mesh):
-        singular = diffusion_matrix(fresh_mesh, 0.0, 0.0)
+        singular = diffusion_matrix(fresh_mesh, 0.0)
         with pytest.raises(RuntimeError):
             factorize(fresh_mesh, singular)
         # and again once a regular operator has set the mesh's layout up
@@ -339,14 +404,14 @@ WIDE = pytest.mark.parametrize("superlu_mesh", [(56, 8, 1.02)], ids=["56x8"], in
 
 def grounded_potential_operator(mesh, rng):
     # as `potential._solve_neumann` builds it: the last node's diagonal doubled
-    a = diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0))
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0))
     a.data[a.pattern.diag[-1]] *= 2.0
     return a
 
 
 def capacity_operator(mesh, rng):
     # storage V / dt plus diffusion, as a species operator with the flow stopped
-    return diffusion_matrix(mesh, *random_faces(mesh, rng, 0.1, 3.0),
+    return diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
                             diag=mesh.node_volumes / 0.1)
 
 
@@ -384,7 +449,7 @@ class TestBandCholesky:
     @WIDE
     def test_symmetric_indefinite_operator_falls_back_to_lu(self, superlu_mesh, splu_calls):
         rng = np.random.default_rng(23)
-        a = diffusion_matrix(superlu_mesh, *random_faces(superlu_mesh, rng, 0.1, 3.0))
+        a = diffusion_matrix(superlu_mesh, random_faces(superlu_mesh, rng, 0.1, 3.0))
         a.data[a.pattern.diag] -= 0.5 * a.data[a.pattern.diag].mean()
         b = rng.normal(size=superlu_mesh.n_nodes)
         expected = np.linalg.solve(dense(a), b)
@@ -411,10 +476,9 @@ def species_operator(mesh, dt, speed):
     storage-dominated; large dt makes it diffusion-dominated.
     """
     rng = np.random.default_rng(17)
-    coef_r, coef_z = random_faces(mesh, rng, 0.5e-3, 1.5e-3)
-    s_r, s_z = random_faces(mesh, rng, -1.0, 1.0)
-    return diffusion_matrix(mesh, coef_r, coef_z, diag=mesh.node_volumes / dt,
-                            speeds=(speed * s_r, speed * s_z))
+    coef = random_faces(mesh, rng, 0.5e-3, 1.5e-3)
+    s = random_faces(mesh, rng, -1.0, 1.0)
+    return diffusion_matrix(mesh, coef, diag=mesh.node_volumes / dt, speeds=speed * s)
 
 
 def species_rhs(mesh):

@@ -172,6 +172,14 @@ class TestCompareCommand:
         ref.write_text("time_h,remaining_fraction\n100,0.5\n200,0.2\n")
         assert main(["compare", str(finished_run), str(ref)]) == 1
 
+    def test_reference_with_no_sample_inside_the_run_fails_cleanly(
+            self, finished_run, tmp_path, capsys):
+        # the ranges overlap, but both reference samples lie outside the run's
+        ref = tmp_path / "around.csv"
+        ref.write_text("time_h,remaining_fraction\n-1,1.0\n48,0.2\n")
+        assert_clean_error(capsys, ["compare", str(finished_run), str(ref)],
+                           "no reference sample")
+
 
 class TestSnapshotCommand:
     def test_export_from_checkpoint(self, finished_run, tmp_path):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import depotsim
+from depotsim._assembly import face_families
 from depotsim.config import (SCHEMA, default_config, load_config,
                              load_config_text)
 from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
@@ -320,7 +321,8 @@ def small_state():
     rng = np.random.default_rng(1)
     state.c_mab = rng.random(state.c_na.shape) * 1e-7
     state.phi = rng.normal(0, 1e-3, state.c_na.shape)
-    state.u_r = rng.normal(0, 0.1, (mesh.nz1, mesh.nr))
+    u_r, _ = face_families(mesh, state.u)
+    u_r[...] = rng.normal(0, 0.1, u_r.shape)
     state.ph = np.full(state.c_na.shape, 7.4)
     state.z_mab = np.full(state.c_na.shape, 11.0)
     state.c_cl = state.c_na + state.c_h + state.z_mab * state.c_mab
@@ -387,7 +389,7 @@ class TestCheckpoint:
         assert text == "x = 1"
         assert state2.t == state.t
         assert np.array_equal(state2.c_mab, state.c_mab)
-        assert np.array_equal(state2.u_r, state.u_r)
+        assert np.array_equal(state2.u, state.u)
         assert ledger2.injected == ledger.injected
         assert ledger2.closure_residual() == pytest.approx(0.0, abs=1e-12)
 
@@ -405,9 +407,39 @@ class TestCheckpoint:
         assert (phase2, text2, ledger2, state2.t) == (phase, text, ledger, state.t)
         assert np.array_equal(state2.mesh.r, state.mesh.r)
         assert np.array_equal(state2.mesh.z, state.mesh.z)
-        for name in ("c_na", "c_h", "c_mab", "c_b", "p", "phi", "u_r", "u_z",
+        for name in ("c_na", "c_h", "c_mab", "c_b", "p", "phi", "u",
                      "c_cl", "ph", "z_mab", "j_l"):
             assert np.array_equal(getattr(state2, name), getattr(state, name)), name
+
+    def test_the_velocity_is_stored_in_its_two_face_families(self, tmp_path):
+        # checkpoint format 1 stores u_r (nz1, nr) and u_z (nz, nr1)
+        state = small_state()
+        mesh = state.mesh
+        state.u = np.random.default_rng(2).normal(size=mesh.n_faces)
+        path = save_checkpoint(state, DoseLedger(), "final", tmp_path / "chk.npz",
+                               config_text="")
+        n_r = mesh.nz1 * mesh.nr
+        with np.load(path) as data:
+            assert np.array_equal(data["u_r"], state.u[:n_r].reshape(mesh.nz1, mesh.nr))
+            assert np.array_equal(data["u_z"], state.u[n_r:].reshape(mesh.nz, mesh.nr1))
+
+    def test_a_checkpoint_in_the_frozen_layout_loads_to_the_same_u(self, tmp_path):
+        # written as the format was written when the face velocity was two
+        # arrays: the r faces row by row, then the z faces row by row
+        path = save_checkpoint(small_state(), DoseLedger(), "final",
+                               tmp_path / "chk.npz", config_text="")
+        with np.load(path) as data:
+            arrays = dict(data)
+        rng = np.random.default_rng(3)
+        arrays["u_r"] = rng.normal(size=arrays["u_r"].shape)
+        arrays["u_z"] = rng.normal(size=arrays["u_z"].shape)
+        frozen = tmp_path / "frozen.npz"
+        np.savez(frozen, **arrays)
+        state, _, _, _ = load_checkpoint(frozen)
+        assert np.array_equal(state.u, np.concatenate([arrays["u_r"].ravel(),
+                                                       arrays["u_z"].ravel()]))
+        u_r, u_z = face_families(state.mesh, state.u)
+        assert np.array_equal(u_r, arrays["u_r"]) and np.array_equal(u_z, arrays["u_z"])
 
 
 class TestReferenceComparison:

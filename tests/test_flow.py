@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from depotsim._assembly import face_families
 from depotsim.config import default_config
 from depotsim.flow import (PressureSolver, darcy_mobility, exchange_coefficients,
                            injection_source, node_speed, starling_lymph,
@@ -156,15 +157,17 @@ class TestSolvePressure:
 class TestVelocity:
     def test_constant_pressure_gives_zero(self, mesh):
         p = np.full((mesh.nz1, mesh.nr1), 3.0)
-        u_r, u_z = velocity_from_pressure(mesh, darcy_mobility(mesh, 1e-9, ETA), p)
-        assert np.max(np.abs(u_r)) == 0.0
-        assert np.max(np.abs(u_z)) == 0.0
+        u = velocity_from_pressure(mesh, darcy_mobility(mesh, 1e-9, ETA), p)
+        assert u.shape == (mesh.n_faces,)
+        assert np.max(np.abs(u)) == 0.0
 
     def test_linear_column_darcy_law(self):
         mesh = build_graded_mesh(5, 5, 16, 16, focus=(0, 2.5), grading=1.0)
         kappa, dp, height = 1e-9, 2.0, 5.0
         p = dp * (1.0 - mesh.zz / height)
-        _, u_z = velocity_from_pressure(mesh, darcy_mobility(mesh, kappa, ETA), p)
+        u = velocity_from_pressure(mesh, darcy_mobility(mesh, kappa, ETA), p)
+        u_r, u_z = face_families(mesh, u)
+        assert np.max(np.abs(u_r)) == 0.0
         assert np.allclose(u_z, (kappa / ETA) * dp / height, rtol=1e-12)
 
     def test_harmonic_mean_flux_continuity(self):
@@ -179,12 +182,14 @@ class TestVelocity:
         p = np.where(mesh.zz < 1.0,
                      1.0 - (g / (1e-9 / ETA)) * mesh.zz,
                      (g / (1e-11 / ETA)) * (2.0 - mesh.zz))
-        _, u_z = velocity_from_pressure(mesh, darcy_mobility(mesh, kappa, ETA), p)
+        u = velocity_from_pressure(mesh, darcy_mobility(mesh, kappa, ETA), p)
+        _, u_z = face_families(mesh, u)
         assert np.allclose(u_z, g, rtol=1e-10)
 
     def test_node_speed_shape(self, mesh):
-        u_r = np.ones((mesh.nz1, mesh.nr))
-        u_z = np.zeros((mesh.nz, mesh.nr1))
-        speed = node_speed(mesh, u_r, u_z)
+        u = np.zeros(mesh.n_faces)
+        u_r, _ = face_families(mesh, u)
+        u_r[...] = 1.0
+        speed = node_speed(mesh, u)
         assert speed.shape == (mesh.nz1, mesh.nr1)
         assert np.allclose(speed, 1.0)

@@ -174,8 +174,8 @@ class TestFieldState:
         assert state.c_na.shape == (13, 13)
         assert np.all(state.c_na == 1.4e-4)
         assert np.all(state.c_mab == 0.0)
-        assert state.u_r.shape == (13, 12)
-        assert state.u_z.shape == (12, 13)
+        assert state.u.shape == (mesh.n_faces,) == (13 * 12 + 12 * 13,)
+        assert np.all(state.u == 0.0)
 
     def test_clip_concentrations(self):
         mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)

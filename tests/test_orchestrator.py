@@ -107,7 +107,7 @@ class TestStepStaggered:
         state = stepper.rest_state()
         arrays = {name: value.copy() for name, value in vars(state).items()
                   if isinstance(value, np.ndarray)}
-        assert len(arrays) == 12
+        assert len(arrays) == 11  # every nodal field and the face velocity
         new, dt = stepper.step(state, DoseLedger(), 0.25)
         assert new is not state and new.t == dt == 0.25
         assert state.t == 0.0

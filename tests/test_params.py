@@ -184,6 +184,11 @@ class TestSpeciesAndLayers:
         assert list(layers.permeability_at(z)) == [1e-11, 1e-9, 1e-10]
         assert list(layers.slv_at(z)) == [0.0, 3.5, 70.0]
 
+    def test_interfaces_belong_to_the_upper_layer(self):
+        layers = DEFAULTS.layers()
+        assert list(layers.layer_index([3.3, 4.8])) == [1, 2]
+        assert list(layers.slv_at([3.3, 4.8])) == [3.5, 70.0]
+
     def test_layers_reject_overfull_stack(self):
         with pytest.raises(ConfigurationError):
             load_config_text("layers.adipose_cm = 4.9")

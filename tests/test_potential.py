@@ -38,7 +38,7 @@ class TestAssemble:
     def test_uniform_neutral_state(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                     j_l=0.0, binding_rate=0.0)
         assert np.allclose(coeffs.div_g, 0.0)
         assert np.allclose(coeffs.rhs, 0.0)
@@ -49,7 +49,7 @@ class TestAssemble:
         species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                     j_l=0.0, binding_rate=0.0)
         mu_na = species.sodium.mobility(CONSTANTS)
         mu_h = species.hydrogen.mobility(CONSTANTS)
@@ -66,7 +66,7 @@ class TestAssemble:
         species = DEFAULTS.species()
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_h=0.0)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                     j_l=0.0, binding_rate=0.0)
         expected = (CONSTANTS.faraday * 0.1 * 1.4e-4
                     * (species.sodium.mobility(CONSTANTS)
@@ -78,7 +78,7 @@ class TestAssemble:
         c_na, c_h, c_mab, z = uniform_fields(mesh, c_na=0.0, c_h=0.0)
         with pytest.raises(SolverError):
             assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                               c_na, c_h, c_mab, z, fv.face_averages(z),
+                               c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                j_l=0.0, binding_rate=0.0)
 
 
@@ -86,7 +86,7 @@ class TestSolve:
     def test_uniform_state_gives_zero_potential(self, mesh):
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                     j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
         assert np.max(np.abs(phi)) < 1e-12
@@ -95,7 +95,7 @@ class TestSolve:
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + 0.5 * np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4) ** 2)))
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                     j_l=0.0, binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
         assert abs(domain_average(phi, mesh)) < 1e-12 * np.max(np.abs(phi))
@@ -104,7 +104,7 @@ class TestSolve:
         c_na, c_h, c_mab, z = uniform_fields(mesh)
         c_na = c_na * (1.0 + np.exp(-((mesh.rr - 1) ** 2 + (mesh.zz - 3) ** 2)))
         coeffs = assemble_potential(mesh, DEFAULTS.species(), CONSTANTS, 0.1,
-                                    c_na, c_h, c_mab, z, fv.face_averages(z),
+                                    c_na, c_h, c_mab, z, fv.face_averages(mesh, z),
                                     j_l=0.0, binding_rate=0.0)
         a = solve_potential(coeffs, mesh)
         b = solve_potential(coeffs, mesh)
@@ -122,10 +122,10 @@ class TestSolve:
         for lam in (0.5, 2.0):
             phi_ref = solve_potential(assemble_potential(
                 mesh, species, CONSTANTS, 0.1, base, np.full(shape, 4e-11),
-                zero, zero, fv.face_averages(zero), j_l=0.0, binding_rate=0.0), mesh)
+                zero, zero, fv.face_averages(mesh, zero), j_l=0.0, binding_rate=0.0), mesh)
             phi_lam = solve_potential(assemble_potential(
                 mesh, species, CONSTANTS, 0.1, lam * base,
-                np.full(shape, lam * 4e-11), zero, zero, fv.face_averages(zero),
+                np.full(shape, lam * 4e-11), zero, zero, fv.face_averages(mesh, zero),
                 j_l=0.0, binding_rate=0.0), mesh)
             assert np.allclose(phi_lam, phi_ref, atol=1e-14 + 1e-10 * np.abs(phi_ref).max())
 
@@ -145,7 +145,7 @@ class TestSolve:
                                        div_g=rng.normal(size=shape))
         phi = solve_potential(coeffs, wide).ravel()
 
-        a = fv.diffusion_matrix(wide, *fv.harmonic_face_coefficients(coeffs.sigma))
+        a = fv.diffusion_matrix(wide, fv.harmonic_face_coefficients(wide, coeffs.sigma))
         n = wide.n_nodes
         w = wide.integration_weights.ravel()
         b = (coeffs.div_g - coeffs.rhs * wide.node_volumes).ravel()
@@ -177,7 +177,7 @@ class TestJunctionOracle:
         shape = (mesh.nz1, mesh.nr1)
         zero = np.zeros(shape)
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1, c, zero, zero,
-                                    zero, fv.face_averages(zero), j_l=0.0,
+                                    zero, fv.face_averages(mesh, zero), j_l=0.0,
                                     binding_rate=0.0)
         phi = solve_potential(coeffs, mesh)
 
@@ -204,7 +204,7 @@ class TestJunctionOracle:
         rate = 1e-9 * blob  # mol/cm^3/s of drug binding
         coeffs = assemble_potential(mesh, species, CONSTANTS, 0.1, c_na,
                                     np.full(shape, 4e-11), c_mab, z,
-                                    fv.face_averages(z), j_l=0.0, binding_rate=rate)
+                                    fv.face_averages(mesh, z), j_l=0.0, binding_rate=rate)
         phi = solve_potential(coeffs, mesh)
         inside = phi[mesh.ball_mask((0, 2.5), 0.4)].mean()
         outside = phi[mesh.ball_mask((4.0, 0.8), 0.5)].mean()

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from depotsim._assembly import (KrylovCounts, SpeciesSolver, diffusion_matrix,
-                                face_averages, upwind_advection_matrix)
+                                face_averages, face_families, upwind_advection_matrix)
 from depotsim.mesh import build_graded_mesh, nodal_integral
 from depotsim.config import default_config
 from depotsim.transport import (TransportStepInputs, advance_species,
@@ -21,16 +21,11 @@ def mesh():
     return build_graded_mesh(5, 5, 32, 32, focus=(0, 4.2), grading=1.0)
 
 
-def zero_velocity(mesh):
-    return np.zeros((mesh.nz1, mesh.nr)), np.zeros((mesh.nz, mesh.nr1))
-
-
 def make_inputs(mesh, dt=0.1, phi=None, u=None, q=None, j_l=0.0,
                 binding_assoc=0.0, binding_release=0.0):
-    u_r, u_z = u if u is not None else zero_velocity(mesh)
     shape = (mesh.nz1, mesh.nr1)
     return TransportStepInputs(
-        dt=dt, u_r=u_r, u_z=u_z,
+        dt=dt, u=u if u is not None else np.zeros(mesh.n_faces),
         phi=phi if phi is not None else np.zeros(shape),
         q_p=q if q is not None else np.zeros(shape),
         c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7},
@@ -43,12 +38,12 @@ def fresh_solvers(mesh):
     return tuple(SpeciesSolver(mesh, KrylovCounts()) for _ in range(3))
 
 
-def transport_operator(mesh, diffusivity, valence, phi, u_r, u_z):
+def transport_operator(mesh, diffusivity, valence, phi, u):
     """Diffusion plus upwind advection-migration, summed as the solver sums them."""
-    (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [diffusivity],
-                                           [face_averages(valence)], N, CONSTANTS)
-    a = diffusion_matrix(mesh, diffusivity * N, diffusivity * N)
-    a.data += upwind_advection_matrix(mesh, u_r + w_r, u_z + w_z).data
+    (w,) = migration_face_speeds(mesh, phi, [diffusivity],
+                                 [face_averages(mesh, valence)], N, CONSTANTS)
+    a = diffusion_matrix(mesh, diffusivity * N)
+    a.data += upwind_advection_matrix(mesh, u + w).data
     return a
 
 
@@ -68,9 +63,8 @@ class TestSpeciesFlux:
 
     def test_uniform_still_state_has_no_flux(self, mesh):
         c = np.full((mesh.nz1, mesh.nr1), 1.4e-4)
-        u_r, u_z = zero_velocity(mesh)
         phi = np.zeros((mesh.nz1, mesh.nr1))
-        a = scipy_csr(transport_operator(mesh, 1.33e-5, 1.0, phi, u_r, u_z))
+        a = scipy_csr(transport_operator(mesh, 1.33e-5, 1.0, phi, np.zeros(mesh.n_faces)))
         gross = net_outflow(mesh, abs(a), c)
         assert np.all(np.abs(net_outflow(mesh, a, c)) <= 1e-12 * gross)
 
@@ -78,11 +72,10 @@ class TestSpeciesFlux:
         # Phi decreasing in r: the flux of a z=+1 species points toward +r
         c = np.full((mesh.nz1, mesh.nr1), 1e-4)
         phi = -0.01 * mesh.rr
-        u_r, u_z = zero_velocity(mesh)
-        (w_r,), (w_z,) = migration_face_speeds(mesh, phi, [1.33e-5], [(+1.0, +1.0)], N,
-                                               CONSTANTS)
+        (w,) = migration_face_speeds(mesh, phi, [1.33e-5], [+1.0], N, CONSTANTS)
+        w_r, w_z = face_families(mesh, w)
         assert np.all(w_r > 0) and np.all(w_z == 0)
-        out = net_outflow(mesh, scipy_csr(upwind_advection_matrix(mesh, w_r, w_z)), c)
+        out = net_outflow(mesh, scipy_csr(upwind_advection_matrix(mesh, w)), c)
         # what leaves the columns up to i crosses the r-face between i and i+1
         assert np.all(np.cumsum(out, axis=1)[:, :-1] > 0)
 
@@ -90,7 +83,7 @@ class TestSpeciesFlux:
         # 1-D column: D = 1e-6, n = 0.1, dc/dz = 1 -> flux -1e-7 per unit area
         mesh = build_graded_mesh(1, 1, 8, 8, focus=(0, 0.5), grading=1.0)
         c = mesh.zz.copy()  # slope 1 mol/cm^4
-        out = net_outflow(mesh, scipy_csr(diffusion_matrix(mesh, 1e-6 * N, 1e-6 * N)), c)
+        out = net_outflow(mesh, scipy_csr(diffusion_matrix(mesh, 1e-6 * N)), c)
         # what leaves the rows up to j crosses the z-face between j and j+1
         f_z = np.cumsum(out.sum(axis=1))[:-1] / mesh.area_z.sum(axis=1)
         assert np.allclose(f_z, -1e-7)
@@ -103,7 +96,7 @@ class TestAdvanceSpecies:
         c_na = np.full(shape, 1.4e-4)
         c_h = np.full(shape, 4e-11)
         c_mab = np.full(shape, 1e-7)
-        out = advance_species(mesh, c_na, c_h, c_mab, face_averages(np.zeros(shape)),
+        out = advance_species(mesh, c_na, c_h, c_mab, face_averages(mesh, np.zeros(shape)),
                               species, CONSTANTS, make_inputs(mesh),
                               fresh_solvers(mesh))
         for old, new in zip((c_na, c_h, c_mab), out):
@@ -115,15 +108,14 @@ class TestAdvanceSpecies:
         shape = (mesh.nz1, mesh.nr1)
         rng = np.random.default_rng(3)
         q = np.exp(-((mesh.rr) ** 2 + (mesh.zz - 4.2) ** 2) / 0.05)
-        u_r = rng.normal(0, 0.2, (mesh.nz1, mesh.nr))
-        u_z = rng.normal(0, 0.2, (mesh.nz, mesh.nr1))
+        u = rng.normal(0, 0.2, mesh.n_faces)
         phi = 1e-3 * np.cos(np.pi * mesh.rr / 5)
-        inputs = make_inputs(mesh, dt=0.05, phi=phi, u=(u_r, u_z), q=q)
+        inputs = make_inputs(mesh, dt=0.05, phi=phi, u=u, q=q)
         c_na = np.full(shape, 1.4e-4)
         c_h = np.full(shape, 4e-11)
         c_mab = np.zeros(shape)
         new_na, _, _ = advance_species(mesh, c_na, c_h, c_mab,
-                                       face_averages(np.zeros(shape)),
+                                       face_averages(mesh, np.zeros(shape)),
                                        species, CONSTANTS, inputs,
                                        fresh_solvers(mesh))
         gained = N * (nodal_integral(new_na, mesh) - nodal_integral(c_na, mesh))
@@ -142,7 +134,7 @@ class TestAdvanceSpecies:
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
         new, _, _ = advance_species(mesh, c, c_h, np.zeros(shape),
-                                    face_averages(np.zeros(shape)), species, CONSTANTS,
+                                    face_averages(mesh, np.zeros(shape)), species, CONSTANTS,
                                     make_inputs(mesh, dt=5.0), fresh_solvers(mesh))
         assert new.max() <= c.max() * (1 + 1e-12)
         assert new.min() >= min(0.0, c.min())
@@ -161,7 +153,7 @@ class TestAdvanceSpecies:
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
         c_h = np.full(shape, 4e-11)
         new, _, _ = advance_species(mesh, c, c_h, np.zeros(shape),
-                                    face_averages(np.zeros(shape)), species, CONSTANTS,
+                                    face_averages(mesh, np.zeros(shape)), species, CONSTANTS,
                                     make_inputs(mesh, dt=0.5, u=u), fresh_solvers(mesh))
         assert new.max() <= c.max() * (1 + 1e-5)
         assert new.min() >= 0.0
@@ -182,7 +174,7 @@ class TestAdvanceSpecies:
         for z_val, expect_drop in ((+10.0, True), (0.0, False)):
             inputs = make_inputs(mesh, dt=50.0, phi=phi)
             _, _, new = advance_species(mesh, c_na, c_h, blob.copy(),
-                                        face_averages(np.full(shape, z_val)), species,
+                                        face_averages(mesh, np.full(shape, z_val)), species,
                                         CONSTANTS, inputs, fresh_solvers(mesh))
             shift = center_of_mass(new) - center_of_mass(blob)
             if expect_drop:
@@ -205,7 +197,7 @@ class TestAdvanceSpecies:
         dt = 2.0
         inputs = make_inputs(mesh, dt=dt, j_l=j_l, binding_assoc=assoc,
                              binding_release=release)
-        _, _, new = advance_species(mesh, c_na, c_h, c_mab, face_averages(np.zeros(shape)),
+        _, _, new = advance_species(mesh, c_na, c_h, c_mab, face_averages(mesh, np.zeros(shape)),
                                     species, CONSTANTS, inputs, fresh_solvers(mesh))
         gained = N * (nodal_integral(new, mesh) - nodal_integral(c_mab, mesh))
         expected = dt * (nodal_integral(release, mesh)
@@ -233,8 +225,8 @@ def per_species_system(mesh, c_old, spec, valence, inputs, source, sink_rate):
     gradient and the face valences taken afresh, zero arrays without flow."""
     n = inputs.porosity
     shape = (mesh.nz1, mesh.nr1)
-    u_r = inputs.u_r if inputs.u_r is not None else np.zeros((mesh.nz1, mesh.nr))
-    u_z = inputs.u_z if inputs.u_z is not None else np.zeros((mesh.nz, mesh.nr1))
+    u_r, u_z = face_families(mesh, inputs.u if inputs.u is not None
+                             else np.zeros(mesh.n_faces))
     q_p = inputs.q_p if inputs.q_p is not None else np.zeros(shape)
     coef = spec.diffusivity * CONSTANTS.faraday / CONSTANTS.rt * n
     g_r = (inputs.phi[:, 1:] - inputs.phi[:, :-1]) / mesh.dr[None, :]
@@ -249,9 +241,9 @@ def per_species_system(mesh, c_old, spec, valence, inputs, source, sink_rate):
     s_z = u_z + -z_z * coef * g_z
     v = mesh.node_volumes
     cap = n * v / inputs.dt
-    dn = spec.diffusivity * n
-    a = diffusion_matrix(mesh, dn, dn, diag=cap + np.asarray(sink_rate, dtype=float) * v,
-                         speeds=(s_r, s_z))
+    a = diffusion_matrix(mesh, spec.diffusivity * n,
+                         diag=cap + np.asarray(sink_rate, dtype=float) * v,
+                         speeds=np.concatenate([s_r.ravel(), s_z.ravel()]))
     b = (cap * c_old + v * source(q_p)).ravel()
     return a.data, b
 
@@ -280,17 +272,16 @@ class TestSpeciesSystems:
         release = 1e-11 * smooth
         phi = 1e-3 * np.cos(np.pi * mesh.rr / 5) * np.sin(np.pi * mesh.zz / 10)
         if flow:
-            u = (rng.normal(0, 1e-3, (mesh.nz1, mesh.nr)),
-                 rng.normal(0, 1e-3, (mesh.nz, mesh.nr1)))
+            u = rng.normal(0, 1e-3, mesh.n_faces)
             inputs = make_inputs(mesh, dt=0.1, phi=phi, u=u, q=1e-3 * smooth, j_l=j_l,
                                  binding_assoc=assoc, binding_release=release)
         else:
             inputs = TransportStepInputs(
-                dt=60.0, u_r=None, u_z=None, phi=phi, q_p=None,
+                dt=60.0, u=None, phi=phi, q_p=None,
                 c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7}, porosity=N,
                 j_l=j_l, binding_assoc=assoc, binding_release=release)
         solvers = tuple(RecordingSolver(mesh) for _ in range(3))
-        advance_species(mesh, c_na, c_h, c_mab, face_averages(z_mab), species, CONSTANTS,
+        advance_species(mesh, c_na, c_h, c_mab, face_averages(mesh, z_mab), species, CONSTANTS,
                         inputs, solvers)
 
         c_max = inputs.c_max

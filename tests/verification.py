@@ -90,8 +90,7 @@ def diffusion_order(sizes=(24, 32, 48, 64)) -> float:
         steps = max(4, round(8 * (n / sizes[0]) ** 2))
         inputs = TransportStepInputs(
             dt=(t1 - t0) / steps,
-            u_r=np.zeros((mesh.nz1, mesh.nr)), u_z=np.zeros((mesh.nz, mesh.nr1)),
-            phi=np.zeros(shape), q_p=np.zeros(shape),
+            u=np.zeros(mesh.n_faces), phi=np.zeros(shape), q_p=np.zeros(shape),
             c_max={"na": 4.2e-4, "h": 1e-9, "mab": 6.67e-7}, porosity=0.1,
             j_l=0.0, binding_assoc=0.0, binding_release=0.0)
         c = exact(mesh, t0)
@@ -99,7 +98,7 @@ def diffusion_order(sizes=(24, 32, 48, 64)) -> float:
         c_h = np.full(shape, 4e-11)
         for _ in range(steps):
             solvers = tuple(SpeciesSolver(mesh, KrylovCounts()) for _ in range(3))
-            _, _, c = advance_species(mesh, c_na, c_h, c, face_averages(np.zeros(shape)),
+            _, _, c = advance_species(mesh, c_na, c_h, c, face_averages(mesh, np.zeros(shape)),
                                       species, CONSTANTS, inputs, solvers)
         errors.append(_l2(c - exact(mesh, t1), exact(mesh, t1), mesh))
         spacings.append(5 / n)
