@@ -11,7 +11,7 @@ to itself and its r and z neighbours), built once per mesh and kept on it by
 `csr_pattern`.
 An operator is plain data on that pattern, an `Operator`: the pattern and
 one ``data`` array. Operators on one mesh therefore add by their ``data``
-arrays, and Dirichlet rows are imposed in place by `pin_rows`. The
+arrays, and Dirichlet nodes are imposed in place by `pin_nodes`. The
 pattern's ``indptr`` and ``indices`` are read-only and shared by every
 operator built on the mesh. A scipy matrix is built only where SuperLU,
 ``spilu`` or a matrix-vector product needs one.
@@ -30,11 +30,10 @@ operator on the pattern lies in a band of half-width nr1:
   band LU and without pivoting. An operator that is not positive definite
   goes on to SuperLU.
 - **Other wide-mesh operators** use SuperLU in one fill-reducing order per
-  mesh, taken from the first SuperLU factorization on the mesh (AT+A minimum
-  degree) and cached on it. The order depends only on the pattern, so it
-  serves every operator on the mesh, pinned ones included. Every later
-  factorization gathers the operator's ``data`` straight into the permuted
-  CSC layout and factors it in natural order.
+  mesh, `lu_order`: SuperLU's AT+A minimum-degree order of the pattern. It
+  depends only on the pattern, so it serves every operator on the mesh,
+  pinned ones included. A factorization gathers the operator's ``data``
+  straight into the permuted CSC layout and factors it in natural order.
 
 A band factor costs O(n nr1²) and the minimum-degree fill of SuperLU grows
 more slowly with the width, so the band wins only up to a width;
@@ -51,6 +50,8 @@ arrays; none holds an operator or a factor:
   instead of rebuilding them from the mesh each call.
 - `_band_layout` and `_cholesky_layout`: the maps from CSR ``data`` slots to
   LAPACK band storage.
+- `lu_order`: the minimum-degree order of the wide-mesh SuperLU factors and
+  the permuted CSC layout it gives the pattern.
 
 Face fields. A coefficient, speed or flux on the dual faces is one array of
 ``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
@@ -58,14 +59,10 @@ row by row and then the (nz, nr1) z faces; a stacked field puts its species
 axis first. `face_families` gives the two family views to a caller that
 needs the (r, z) shapes.
 
-``mesh._lu_order``, the minimum-degree order and permuted CSC layout of the
-first SuperLU factorization on a wide mesh (`_superlu`), comes from that
-factor, not from the mesh alone, so `_superlu` sets it on the mesh.
-
 Species transport on a wide mesh does not factor every step. A
 `SpeciesSolver` per species keeps an incomplete LU (``spilu``, drop
 tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
-operator in the mesh's minimum-degree layout, and solves each step by
+operator in SuperLU's own minimum-degree order, and solves each step by
 GMRES(`_GMRES_RESTART`) preconditioned by it. The species operators change
 slowly from step to step, so the kept ILU usually serves until the flow
 stops. The potential keeps a fresh `factorize` each step, a banded
@@ -145,14 +142,14 @@ class Operator:
 
 
 def _csr(a: Operator) -> sp.csr_matrix:
-    """The operator as a scipy CSR matrix, for SuperLU's first order and matvecs."""
+    """The operator as a scipy CSR matrix, for ``spilu`` and matvecs."""
     n = a.pattern.indptr.size - 1
     return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
 
 
 @dataclass(frozen=True)
 class LuOrder:
-    """A mesh's fill-reducing order and its permuted CSC layout; read-only.
+    """A mesh's fill-reducing order and its permuted CSC layout; arrays read-only.
 
     ``order`` lists the mesh nodes in elimination order and ``rank`` is its
     inverse. ``P A Pᵀ`` in CSC form has ``data = a.data[gather]`` for any
@@ -193,19 +190,28 @@ class PermutedLU:
 _SMALL_SYSTEM = {"relax": 1, "panel_size": 1}  # see `_superlu`
 
 
-def _permuted_layout(mesh: AxiMesh, perm_c: np.ndarray) -> LuOrder:
-    """The permuted layout of the mesh pattern for SuperLU's column order."""
+def lu_order(mesh: AxiMesh) -> LuOrder:
+    """The mesh's minimum-degree order for SuperLU, built on first use and kept
+    on the mesh: SuperLU's AT+A ``perm_c``, which depends on the pattern alone.
+
+    An ILU with drop tolerance 1 of a fixed operator is the cheapest factor
+    that makes SuperLU compute it: 6.8, 6.6 and 46.7 ms on 73-, 81- and
+    201-wide meshes, and the layout 5.0, 4.5 and 26.1 ms more.
+    """
+    return mesh.derived("lu_order", _build_lu_order)
+
+
+def _build_lu_order(mesh: AxiMesh) -> LuOrder:
+    probe = spla.spilu(_csr(diffusion_matrix(mesh, 1.0, diag=1.0)).tocsc(), drop_tol=1.0,
+                       fill_factor=1, permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
+    perm_c = probe.perm_c.copy()  # a view that would keep the probe alive
     pattern = csr_pattern(mesh)
     rows = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
     new_rows, new_cols = perm_c[rows], perm_c[pattern.indices]
     gather = np.lexsort((new_rows, new_cols))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(new_cols, minlength=mesh.n_nodes))])
-    # copy: SuperLU's perm_c is a view that would keep the first factor alive
-    lu_order = LuOrder(np.argsort(perm_c), perm_c.copy(), gather,
-                       indptr.astype(np.int32), new_rows[gather].astype(np.int32))
-    for arr in vars(lu_order).values():
-        arr.flags.writeable = False
-    return lu_order
+    return LuOrder(np.argsort(perm_c), perm_c, gather,
+                   indptr.astype(np.int32), new_rows[gather].astype(np.int32))
 
 
 #: Widest mesh (nodes per row, nr1) that `factorize` factors as a band.
@@ -408,31 +414,21 @@ def factorize(mesh: AxiMesh, a: Operator):
     return _superlu(mesh, a)
 
 
-def _superlu(mesh: AxiMesh, a: Operator):
-    """SuperLU factor of an operator on a wide mesh, in the mesh's one
-    fill-reducing order.
+def _superlu(mesh: AxiMesh, a: Operator) -> PermutedLU:
+    """SuperLU factor of an operator on a wide mesh, in the mesh's `lu_order`.
 
-    The first call on a mesh builds the operator's CSC form, uses SuperLU's
-    AT+A minimum-degree order, which roughly halves the factorization cost
-    against the default column order on tensor-product grids, and caches that
-    order on the mesh. Later calls gather ``data`` into ``P A Pᵀ``
-    (`_permuted`) and factor it with ``NATURAL``: the order is already
-    applied, so SuperLU skips recomputing it. ``relax=1, panel_size=1``
-    because SuperLU's defaults are tuned for large matrices: relaxed
-    supernodes and wide panels only add work on columns with a few dozen
-    nonzeros. Measured on 16² and 72² meshes, they factor 1.3-2.5x faster
-    than the defaults. The fill can differ by a few entries from that of
-    stock ``splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")``: on a uniform
-    48×12-cell mesh the first factor of the pinned-rim pressure operator
-    holds 8 entries more.
+    The AT+A minimum-degree order roughly halves the factorization cost
+    against the default column order on tensor-product grids. ``data`` is
+    gathered into ``P A Pᵀ`` (`_permuted`) and factored with ``NATURAL``: the
+    order is already applied, so SuperLU skips recomputing it.
+    ``relax=1, panel_size=1`` because SuperLU's defaults are tuned for large
+    matrices: relaxed supernodes and wide panels only add work on columns
+    with a few dozen nonzeros. Measured on 16² and 72² meshes, they factor
+    1.3-2.5x faster than the defaults.
     """
-    lu_order = getattr(mesh, "_lu_order", None)
-    if lu_order is None:
-        lu = spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
-        mesh._lu_order = _permuted_layout(mesh, lu.perm_c)
-        return lu
-    return PermutedLU(spla.splu(_permuted(a, lu_order), permc_spec="NATURAL",
-                                **_SMALL_SYSTEM), lu_order)
+    order = lu_order(mesh)
+    return PermutedLU(spla.splu(_permuted(a, order), permc_spec="NATURAL",
+                                **_SMALL_SYSTEM), order)
 
 
 def _permuted(a: Operator, lu_order: LuOrder) -> sp.csc_matrix:
@@ -484,7 +480,7 @@ class SpeciesSolver:
 
     On a mesh at most `_BAND_MAX_WIDTH` wide every solve is a fresh
     `factorize`. On a wider mesh the solver keeps an incomplete LU of an
-    earlier operator, built by ``spilu`` on the mesh's minimum-degree layout,
+    earlier operator, built by ``spilu`` in SuperLU's own minimum-degree order,
     and answers ``A x = b`` by GMRES right-preconditioned by it, started from
     ``M⁻¹ b`` (`_gmres`). A result counts only when the explicitly computed
     residual ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is
@@ -526,18 +522,14 @@ class SpeciesSolver:
             x = self._gmres(matrix, b)
             if x is not None:
                 return x
-        self._ilu = self._build_ilu(a)
+        self._ilu = self._build_ilu(matrix)
         return self._gmres(matrix, b)
 
-    def _build_ilu(self, a: Operator) -> PermutedLU:
-        if getattr(self.mesh, "_lu_order", None) is None:
-            _superlu(self.mesh, a)  # takes the mesh's minimum-degree order
-        lu_order = self.mesh._lu_order
+    def _build_ilu(self, matrix: sp.csr_matrix):
         self.counts.ilu_builds += 1
-        ilu = spla.spilu(_permuted(a, lu_order), drop_tol=_ILU_DROP_TOL,
-                         fill_factor=_ILU_FILL_FACTOR, permc_spec="NATURAL",
-                         **_SMALL_SYSTEM)
-        return PermutedLU(ilu, lu_order)
+        return spla.spilu(matrix.tocsc(), drop_tol=_ILU_DROP_TOL,
+                          fill_factor=_ILU_FILL_FACTOR, permc_spec="MMD_AT_PLUS_A",
+                          **_SMALL_SYSTEM)
 
     def _gmres(self, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
         """Restarted GMRES(`_GMRES_RESTART`) on ``A M⁻¹``, from ``x0 = M⁻¹ b``.
@@ -615,11 +607,15 @@ def _fill(mesh: AxiMesh, weights: np.ndarray) -> Operator:
                                          minlength=pattern.indices.size))
 
 
-def pin_rows(a: Operator, rows) -> Operator:
-    """Make the given rows identity rows in place, keeping their other entries as zeros."""
-    for row in np.atleast_1d(rows):
-        lo, hi = a.indptr[row], a.indptr[row + 1]
-        a.data[lo:hi] = a.indices[lo:hi] == row
+def pin_nodes(a: Operator, nodes) -> Operator:
+    """Make the given nodes' rows and columns those of the identity in place,
+    which imposes x = 0 there for a right-hand side that is 0 there; a
+    symmetric operator stays symmetric."""
+    pattern = a.pattern
+    faces = pattern.lo.size
+    touched = np.isin(pattern.lo, nodes) | np.isin(pattern.hi, nodes)
+    a.data[pattern.scatter[faces:3 * faces].reshape(2, faces)[:, touched]] = 0.0
+    a.data[pattern.diag[nodes]] = 1.0
     return a
 
 

@@ -209,6 +209,8 @@ class SimulationConfig:
         self.protocol()
         self._curves = self._load_curves()
         self.syringe()
+        self.fine_mesh()
+        self.coarse_mesh()
 
     # -- factories ---------------------------------------------------------
     def constants(self) -> PhysicalConstants:

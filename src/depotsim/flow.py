@@ -4,12 +4,14 @@ The pore pressure solves the quasi-static balance
 
     -div( (kappa/eta) grad p ) = q_p + J_b(p) - J_l(p)
 
-with p = 0 on the outer rim (r = R) and no-flux everywhere else. Both
-exchange terms are linear in p and kept implicit, and the source is a fixed
-shape scaled by the flow rate Q(t), so the pressure is affine in Q(t):
-p(t) = p_rest + Q(t) p_unit. The injection-phase stepper solves the
-`tissue_pressure` solver for p_rest and p_unit once and keeps no factor; the
-long phase freezes the drainage of one steady solve of it without the source.
+with p = 0 on the outer rim (r = R) and no-flux everywhere else. The rim
+nodes are pinned symmetrically, row and column, so the discrete operator is
+symmetric positive definite. Both exchange terms are linear in p and kept
+implicit, and the source is a fixed shape scaled by the flow rate Q(t), so
+the pressure is affine in Q(t): p(t) = p_rest + Q(t) p_unit. The
+injection-phase stepper solves the `tissue_pressure` solver for p_rest and
+p_unit once and keeps no factor; the long phase freezes the drainage of one
+steady solve of it without the source.
 """
 
 from __future__ import annotations
@@ -115,30 +117,25 @@ class PressureSolver:
     """Factorized elliptic solver for the pressure equation on one mesh.
 
     ``reaction`` and ``const`` are the linearized exchange terms of
-    `exchange_coefficients`.
+    `exchange_coefficients`. The rim is pinned symmetrically (`pin_nodes`),
+    so `factorize` may take its band Cholesky.
     """
 
     def __init__(self, mesh: AxiMesh, kappa_nodes: np.ndarray, viscosity: float,
                  reaction: np.ndarray | float, const: np.ndarray | float):
         self.mesh = mesh
-        self.viscosity = viscosity
-        self.kappa = np.broadcast_to(np.asarray(kappa_nodes, dtype=float),
-                                     (mesh.nz1, mesh.nr1)).copy()
-        if np.any(self.kappa <= 0):
+        shape = (mesh.nz1, mesh.nr1)
+        if np.any(np.asarray(kappa_nodes) <= 0):
             raise ConfigurationError("permeability must be positive everywhere")
-        self.reaction = np.broadcast_to(np.asarray(reaction, dtype=float),
-                                        (mesh.nz1, mesh.nr1)).copy()
-        self.const = np.broadcast_to(np.asarray(const, dtype=float),
-                                     (mesh.nz1, mesh.nr1)).copy()
+        self.const = np.broadcast_to(np.asarray(const, dtype=float), shape).copy()
 
         #: face mobilities kappa/eta, the operator's and the velocity's coefficients
-        self.mobility = darcy_mobility(mesh, self.kappa, viscosity)
-        a = fv.diffusion_matrix(mesh, self.mobility,
-                                diag=self.reaction * mesh.node_volumes)
+        self.mobility = darcy_mobility(mesh, kappa_nodes, viscosity)
+        a = fv.diffusion_matrix(mesh, self.mobility, diag=reaction * mesh.node_volumes)
 
         # Dirichlet p = 0 on the outer rim
-        self._rim = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
-        fv.pin_rows(a, self._rim)
+        self._rim = np.arange(mesh.n_nodes).reshape(shape)[:, -1]
+        fv.pin_nodes(a, self._rim)
         try:
             self._lu = fv.factorize(mesh, a)
         except RuntimeError as exc:  # pragma: no cover - singular only if misconfigured

@@ -14,13 +14,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .params import ConfigurationError
+
 __all__ = ["AxiMesh", "FieldState", "build_graded_mesh", "project_field", "integrate"]
 
 MAX_NEIGHBOR_RATIO = 1.3  # hard cap on adjacent cell-size ratio
 
 
-class MeshError(ValueError):
-    pass
+class MeshError(ConfigurationError):
+    """The mesh settings describe no valid mesh."""
 
 
 def _graded_side(length: float, n: int, ratio: float) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python tests/compare_run_dirs.py SRC_A SRC_B [--profile {tiny,bench,all}]
+    python tests/compare_run_dirs.py SRC_A SRC_B [--profile {tiny,bench,all}] [--rtol R]
 
 Each SRC is a directory holding the ``depotsim`` package, such as a
 checkout's ``src``. For each tree a separate Python process, with one BLAS
@@ -15,6 +15,15 @@ a summary, and exits 1 if a run fails or a file differs or is missing on one
 side. ``SRC_A`` and ``SRC_B`` may be the same tree: the check is then
 that reruns in separate processes are bit-identical.
 
+With ``--rtol R`` a file that differs is compared by its numbers instead,
+and the worst relative difference of each such file is printed:
+
+- each ``.npz`` float array, each CSV column and each VTK block of numbers
+  (the points, or one field) passes if ``max|a - b| <= R max|a|``;
+- ``ledger.json`` numbers pass if ``|a - b| <= R |a|``, except its residual
+  keys, which must be at most `RESIDUAL_BOUND` on both sides;
+- strings, integers, array shapes and everything else must be equal.
+
 pytest does not collect this file; it is a script.
 """
 
@@ -22,14 +31,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+#: ``ledger.json`` residuals are checked against this bound, not each other
+RESIDUAL_BOUND = 1e-12
 
 
 def write_runs(src: Path, outdir: Path, profiles: list[str]) -> None:
@@ -59,22 +73,123 @@ def _ledger_without_wall_times(path: Path) -> dict:
     return ledger
 
 
-def compare(root_a: Path, root_b: Path) -> tuple[int, int, list[str]]:
-    """(run directories, files compared, differences) of two output roots."""
+def relative_difference(a, b) -> float:
+    """``max|a - b| / max|a|`` of two float arrays or numbers; 0 if they are
+    equal, NaNs included, and inf if their shapes or NaNs differ."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        return math.inf
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    if same.all():
+        return 0.0
+    worst = np.abs(a - b)[~same].max()
+    scale = np.abs(a[np.isfinite(a)]).max(initial=0.0)
+    return float(worst / scale) if np.isfinite(worst) and scale > 0.0 else math.inf
+
+
+def _ledger_differences(a, b, key=""):
+    """Relative differences of two ledgers' numbers; inf for anything else
+    that differs and for a residual above `RESIDUAL_BOUND`."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            yield from _ledger_differences(a[k], b[k], k)
+    elif key.endswith("residual"):
+        yield 0.0 if max(abs(a), abs(b)) <= RESIDUAL_BOUND else math.inf
+    elif type(a) is float and type(b) is float:
+        yield relative_difference(a, b)
+    else:
+        yield 0.0 if type(a) is type(b) and a == b else math.inf
+
+
+def _npz_differences(a: Path, b: Path):
+    with np.load(a) as x, np.load(b) as y:
+        if x.files != y.files:
+            yield math.inf
+            return
+        for name in x.files:
+            xa, ya = x[name], y[name]
+            if xa.dtype.kind == ya.dtype.kind == "f":
+                yield relative_difference(xa, ya)
+            else:
+                yield 0.0 if np.array_equal(xa, ya) else math.inf
+
+
+def _text_blocks(path: Path) -> list[tuple[str, list[str]]]:
+    """(label, number tokens) of a CSV's columns or of a VTK file's blocks;
+    a VTK block is labelled by the text lines before it."""
+    lines = path.read_text().splitlines()
+    if path.suffix == ".csv":
+        header, *rows = (line.split(",") for line in lines)
+        if any(len(row) != len(header) for row in rows):
+            return [("ragged rows", lines)]
+        return [(name, [row[i] for row in rows]) for i, name in enumerate(header)]
+    blocks, label = [], []
+    for line in lines:
+        try:
+            [float(token) for token in line.split()]
+        except ValueError:
+            label.append(line)
+            continue
+        if label or not blocks:
+            blocks.append(("\n".join(label), []))
+            label = []
+        blocks[-1][1].extend(line.split())
+    return blocks + [("\n".join(label), [])]
+
+
+def _text_differences(a: Path, b: Path):
+    blocks_a, blocks_b = _text_blocks(a), _text_blocks(b)
+    if [label for label, _ in blocks_a] != [label for label, _ in blocks_b]:
+        yield math.inf
+        return
+    for (_, x), (_, y) in zip(blocks_a, blocks_b):
+        try:
+            yield relative_difference(np.array(x, dtype=float), np.array(y, dtype=float))
+        except ValueError:  # a column of strings
+            yield 0.0 if x == y else math.inf
+
+
+def worst_relative_difference(a: Path, b: Path) -> float:
+    """The worst relative difference of two output files' numbers, as the
+    module docstring sets out; inf where they differ in anything else."""
+    if a.name == "ledger.json":
+        differences = _ledger_differences(_ledger_without_wall_times(a),
+                                          _ledger_without_wall_times(b))
+    elif a.suffix == ".npz":
+        differences = _npz_differences(a, b)
+    elif a.suffix in (".csv", ".vtk"):
+        differences = _text_differences(a, b)
+    else:
+        return math.inf
+    return max(differences, default=0.0)
+
+
+def compare(root_a: Path, root_b: Path,
+            rtol: float | None) -> tuple[int, int, list[str], list[str]]:
+    """(run directories, files compared, differences, files within ``rtol``)
+    of two output roots; with ``rtol`` None every file must be identical."""
     files = {p.relative_to(root) for root in (root_a, root_b)
              for p in root.rglob("*") if p.is_file()}
-    differences = []
+    differences, close = [], []
     for rel in sorted(files):
         a, b = root_a / rel, root_b / rel
         if not (a.is_file() and b.is_file()):
             differences.append(f"{rel}: only under {root_a if a.is_file() else root_b}")
-        elif rel.name == "ledger.json":
-            if _ledger_without_wall_times(a) != _ledger_without_wall_times(b):
-                differences.append(f"{rel}: values differ")
-        elif a.read_bytes() != b.read_bytes():
-            differences.append(f"{rel}: bytes differ")
+            continue
+        if rel.name == "ledger.json":
+            same, what = _ledger_without_wall_times(a) == _ledger_without_wall_times(b), "values"
+        else:
+            same, what = a.read_bytes() == b.read_bytes(), "bytes"
+        if same:
+            continue
+        if rtol is None:
+            differences.append(f"{rel}: {what} differ")
+            continue
+        worst = worst_relative_difference(a, b)
+        line = f"{rel}: worst relative difference {worst:.3g}"
+        (close if worst <= rtol else differences).append(line)
     run_dirs = {rel.parent for rel in files}
-    return len(run_dirs), len(files), differences
+    return len(run_dirs), len(files), differences, close
 
 
 def main(argv=None) -> int:
@@ -82,6 +197,9 @@ def main(argv=None) -> int:
     parser.add_argument("src_a", type=Path)
     parser.add_argument("src_b", type=Path)
     parser.add_argument("--profile", choices=("tiny", "bench", "all"), default="all")
+    parser.add_argument("--rtol", type=float,
+                        help="compare differing files by their numbers to this relative "
+                             "tolerance (default: byte for byte)")
     parser.add_argument("--write-to", type=Path, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     profiles = ["tiny", "bench"] if args.profile == "all" else [args.profile]
@@ -101,10 +219,14 @@ def main(argv=None) -> int:
                 print(f"error: the runs of {src} failed")
                 return 1
             roots.append(root)
-        n_dirs, n_files, differences = compare(*roots)
+        n_dirs, n_files, differences, close = compare(*roots, args.rtol)
+    for line in close:
+        print(f"within rtol: {line}")
     for line in differences:
         print(f"differs: {line}")
     verdict = "identical" if not differences else f"{len(differences)} differ"
+    if close and not differences:
+        verdict = f"identical, or within rtol {args.rtol:g} ({len(close)} files)"
     print(f"{n_files} files in {n_dirs} run directories of {args.src_a} and "
           f"{args.src_b}: {verdict}")
     return 1 if differences else 0

@@ -1,7 +1,6 @@
 """Finite-volume operators on the shared 5-point pattern, against dense references."""
 
 import sys
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,10 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
-from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, SpeciesSolver,
+from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, PermutedLU, SpeciesSolver,
                                 csr_pattern, diffusion_matrix, face_averages,
                                 face_families, face_geometry, face_gradients, factorize,
-                                harmonic_face_coefficients, pin_rows,
+                                harmonic_face_coefficients, lu_order, pin_nodes,
                                 upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
@@ -111,8 +110,8 @@ class TestSharedPattern:
             diffusion_matrix(mesh, random_faces(mesh, rng, 0.5, 2.0)),
             diffusion_matrix(mesh, 1.0, diag=mesh.node_volumes),
             upwind_advection_matrix(mesh, random_faces(mesh, rng, -1.0, 1.0)),
-            pin_rows(diffusion_matrix(mesh, 1.0),
-                     np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]),
+            pin_nodes(diffusion_matrix(mesh, 1.0),
+                      np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]),
         ]
         for a in ops:
             assert np.array_equal(a.indptr, pattern.indptr)
@@ -243,21 +242,33 @@ class TestOperators:
         assert np.allclose(dense(a), expected, rtol=1e-14,
                            atol=1e-14 * np.abs(expected).max())
 
-    def test_pin_rows_gives_identity_rows_and_keeps_the_rest(self, mesh):
+    def test_pin_nodes_gives_identity_rows_and_columns_and_keeps_the_rest(self, mesh):
         rng = np.random.default_rng(5)
         a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
                              diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)))
         before = dense(a)
-        rows = np.array([0, 7, mesh.n_nodes - 1])
-        assert pin_rows(a, rows) is a
+        nodes = np.array([0, 7, mesh.n_nodes - 1])
+        assert pin_nodes(a, nodes) is a
         after = dense(a)
-        assert np.array_equal(after[rows], np.eye(mesh.n_nodes)[rows])
-        kept = np.setdiff1d(np.arange(mesh.n_nodes), rows)
-        assert np.array_equal(after[kept], before[kept])
+        identity = np.eye(mesh.n_nodes)
+        assert np.array_equal(after[nodes], identity[nodes])
+        assert np.array_equal(after[:, nodes], identity[:, nodes])
+        kept = np.setdiff1d(np.arange(mesh.n_nodes), nodes)
+        assert np.array_equal(after[np.ix_(kept, kept)], before[np.ix_(kept, kept)])
+        assert np.array_equal(after, after.T)
 
 
 def rim(mesh):
     return np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
+
+
+def pin_rows(a, rows):
+    """Make the given rows identity rows in place, keeping their other entries as
+    zeros: the operator loses its symmetry, so `factorize` takes an LU."""
+    for row in np.atleast_1d(rows):
+        lo, hi = a.indptr[row], a.indptr[row + 1]
+        a.data[lo:hi] = a.indices[lo:hi] == row
+    return a
 
 
 def transport_operator(mesh, rng):
@@ -296,16 +307,31 @@ def fill(lu):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Counts `spla.splu` calls by column-order spec."""
-    calls = Counter()
+    """Counts `spla.splu` calls; `factorize` makes them in the natural order only."""
+    calls = []
     splu = spla.splu
 
     def counting(a, permc_spec=None, **kwargs):
-        calls[permc_spec] += 1
+        assert permc_spec == "NATURAL"
+        calls.append(a.shape)
         return splu(a, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
     return calls
+
+
+@pytest.fixture
+def order_builds(monkeypatch):
+    """Lists the meshes `lu_order` computes an order for."""
+    meshes = []
+    build = _assembly._build_lu_order
+
+    def counting(mesh):
+        meshes.append(mesh)
+        return build(mesh)
+
+    monkeypatch.setattr(_assembly, "_build_lu_order", counting)
+    return meshes
 
 
 def mesh_of_width(nr1):
@@ -319,7 +345,7 @@ class TestFactorize:
         a = build(fresh_mesh, rng)
         b = rng.normal(size=fresh_mesh.n_nodes)
         expected = np.linalg.solve(dense(a), b)
-        # on SuperLU, the first factorization takes the order, the second reuses it
+        # on SuperLU, the first factorization builds the mesh's order, the second reuses it
         for lu in (factorize(fresh_mesh, a), factorize(fresh_mesh, a)):
             x = lu.solve(b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -331,22 +357,21 @@ class TestFactorize:
 
     @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
     def test_fill_matches_stock_minimum_degree_lu(self, superlu_mesh, build):
-        # holds on these three meshes only: the first factor's fill can differ
-        # by a few entries from stock splu, e.g. +8 for the pressure operator
-        # on a uniform 48x12 mesh (see `factorize`)
         rng = np.random.default_rng(7)
         first = build(superlu_mesh, rng)
         later = build(superlu_mesh, rng)
         assert fill(factorize(superlu_mesh, first)) == fill(stock_lu(first))
         assert fill(factorize(superlu_mesh, later)) == fill(stock_lu(later))
 
-    def test_minimum_degree_order_is_computed_once_per_mesh(self, superlu_mesh, splu_calls):
+    def test_minimum_degree_order_is_computed_once_per_mesh(self, superlu_mesh, splu_calls,
+                                                           order_builds):
         rng = np.random.default_rng(8)
         for build in OPERATORS + OPERATORS:
             factorize(superlu_mesh, build(superlu_mesh, rng))
-        assert splu_calls == {"MMD_AT_PLUS_A": 1, "NATURAL": 2 * len(OPERATORS) - 1}
+        assert order_builds == [superlu_mesh]
+        assert len(splu_calls) == 2 * len(OPERATORS)
 
-    def test_meshes_never_share_an_order(self, superlu_mesh, splu_calls):
+    def test_meshes_never_share_an_order(self, superlu_mesh, splu_calls, order_builds):
         rng = np.random.default_rng(9)
         shorter = AxiMesh(r=superlu_mesh.r, z=superlu_mesh.z[:-1])
         twin = AxiMesh(r=superlu_mesh.r, z=superlu_mesh.z)
@@ -355,7 +380,22 @@ class TestFactorize:
             a = transport_operator(m, rng)
             b = rng.normal(size=m.n_nodes)
             assert np.allclose(scipy_csr(a) @ factorize(m, a).solve(b), b, rtol=0.0, atol=1e-12)
-        assert splu_calls == {"MMD_AT_PLUS_A": 3, "NATURAL": 3}
+        assert order_builds == meshes
+        assert len({id(lu_order(m)) for m in meshes}) == 3
+        assert len(splu_calls) == 6
+
+    def test_one_read_only_order_per_mesh_from_its_pattern(self, superlu_mesh):
+        rng = np.random.default_rng(26)
+        order = lu_order(superlu_mesh)
+        assert lu_order(superlu_mesh) is order
+        for arr in vars(order).values():
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        # SuperLU's own order of two operators of the pattern, one of them pinned
+        for a in (transport_operator(superlu_mesh, rng), pressure_operator(superlu_mesh, rng)):
+            assert np.array_equal(order.rank, stock_lu(a).perm_c)
+            factorize(superlu_mesh, a)
+        assert not hasattr(superlu_mesh, "_lu_order")
 
     def test_mesh_keeps_no_reference_to_the_first_factor(self, superlu_mesh):
         lu = factorize(superlu_mesh, potential_operator(superlu_mesh, np.random.default_rng(10)))
@@ -365,16 +405,17 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(fresh_mesh, sp.identity(fresh_mesh.n_nodes, format="csr"))
 
-    def test_mesh_width_picks_the_layout(self, splu_calls):
+    def test_mesh_width_picks_the_layout(self, splu_calls, order_builds):
         rng = np.random.default_rng(11)
         narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
         wide = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
         for _ in range(2):
             assert isinstance(factorize(narrow, transport_operator(narrow, rng)), BandLU)
-        assert not splu_calls
+        assert not splu_calls and not order_builds
         for _ in range(2):
-            assert not isinstance(factorize(wide, transport_operator(wide, rng)), BandLU)
-        assert splu_calls == {"MMD_AT_PLUS_A": 1, "NATURAL": 1}
+            assert isinstance(factorize(wide, transport_operator(wide, rng)), PermutedLU)
+        assert len(splu_calls) == 2
+        assert order_builds == [wide]
 
     def test_band_path_pivots_off_the_diagonal(self):
         m = mesh_of_width(17)
@@ -419,20 +460,20 @@ SPD_OPERATORS = [grounded_potential_operator, capacity_operator]
 
 
 class TestBandCholesky:
-    def test_width_and_symmetry_pick_the_layout(self, splu_calls):
+    def test_width_and_symmetry_pick_the_layout(self, splu_calls, order_builds):
         rng = np.random.default_rng(21)
         narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
         assert isinstance(factorize(narrow, capacity_operator(narrow, rng)), BandLU)
         for nr1 in (_assembly._BAND_MAX_WIDTH + 1, _assembly._CHOLESKY_MAX_WIDTH):
             m = mesh_of_width(nr1)
             assert isinstance(factorize(m, capacity_operator(m, rng)), BandCholesky)
-        assert not splu_calls
+        assert not splu_calls and not order_builds
         # asymmetric, or above the cap: SuperLU as before
         m = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
-        assert not isinstance(factorize(m, transport_operator(m, rng)), (BandLU, BandCholesky))
+        assert isinstance(factorize(m, transport_operator(m, rng)), PermutedLU)
         m = mesh_of_width(_assembly._CHOLESKY_MAX_WIDTH + 1)
-        assert not isinstance(factorize(m, capacity_operator(m, rng)), (BandLU, BandCholesky))
-        assert splu_calls == {"MMD_AT_PLUS_A": 2}
+        assert isinstance(factorize(m, capacity_operator(m, rng)), PermutedLU)
+        assert len(splu_calls) == len(order_builds) == 2
 
     @WIDE
     @pytest.mark.parametrize("build", SPD_OPERATORS, ids=lambda f: f.__name__)
@@ -455,8 +496,8 @@ class TestBandCholesky:
         expected = np.linalg.solve(dense(a), b)
         assert np.linalg.eigvalsh(dense(a)).min() < 0.0
         lu = factorize(superlu_mesh, a)
-        assert not isinstance(lu, BandCholesky)
-        assert splu_calls == {"MMD_AT_PLUS_A": 1}
+        assert isinstance(lu, PermutedLU)
+        assert len(splu_calls) == 1
         assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_cholesky_factor_counts_its_band(self):
@@ -487,12 +528,14 @@ def species_rhs(mesh):
 
 @pytest.fixture
 def spilu_calls(monkeypatch):
-    """Counts `spla.spilu` calls."""
+    """Lists the `spla.spilu` calls of species ILUs; `lu_order`'s probe, the
+    other caller, drops at tolerance 1."""
     calls = []
     spilu = spla.spilu
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        if kwargs["drop_tol"] == _assembly._ILU_DROP_TOL:
+            calls.append(args)
         return spilu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "spilu", counting)
@@ -500,7 +543,7 @@ def spilu_calls(monkeypatch):
 
 
 def assert_solves(solver, mesh, a, b):
-    x = solver.solve(a, b)  # first: on a fresh mesh the solver takes the order itself
+    x = solver.solve(a, b)  # first: on a fresh mesh no order is built yet
     expected = factorize(mesh, a).solve(b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -519,6 +562,14 @@ class TestSpeciesSolver:
         assert krylov_work(solver.counts) == (3, 1, 0)
         assert solver.counts.gmres_iterations > 0
         assert len(spilu_calls) == 1
+
+    @WIDE
+    def test_the_kept_ilu_is_in_the_mesh_order(self, superlu_mesh):
+        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
+        solver.solve(species_operator(superlu_mesh, 0.01, 10.0), species_rhs(superlu_mesh))
+        assert solver.counts.ilu_builds == 1
+        assert np.array_equal(solver._ilu.perm_c, lu_order(superlu_mesh).rank)
+        assert not hasattr(superlu_mesh, "_lu_order")
 
     @WIDE
     def test_switching_the_speeds_off_rebuilds_the_ilu(self, superlu_mesh, spilu_calls):

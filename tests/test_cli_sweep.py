@@ -219,6 +219,11 @@ class TestBadInputFiles:
             for kind in ("charge", "ka", "kd")))
         assert_clean_error(capsys, ["run", str(cfg)], "charge.csv:3")
 
+    def test_run_with_a_mesh_the_mesh_builder_rejects(self, tmp_path, capsys):
+        cfg = tmp_path / "mesh.cfg"
+        cfg.write_text("mesh.fine_grading = 1.5\n")
+        assert_clean_error(capsys, ["run", str(cfg)], "grading ratio")
+
     def test_compare_with_a_non_numeric_reference_row(self, finished_run, tmp_path,
                                                        capsys):
         ref = tmp_path / "ref.csv"

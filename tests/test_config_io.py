@@ -103,6 +103,14 @@ class TestConfigParsing:
         whole = default_config().with_values({"mesh.fine_nr": 24.0})["mesh.fine_nr"]
         assert whole == 24 and type(whole) is int
 
+    def test_mesh_settings_the_mesh_builder_rejects_fail_validation(self):
+        with pytest.raises(ConfigurationError, match="grading ratio"):
+            load_config_text("mesh.fine_grading = 1.5\n")
+        with pytest.raises(ConfigurationError, match="8 cells"):
+            default_config().with_values({"mesh.fine_nr": 4})
+        with pytest.raises(ConfigurationError, match="8 cells"):
+            load_config_text("mesh.coarse_nz = 7\n")
+
     def test_comments_and_blank_lines_ignored(self):
         config = load_config_text(
             "\n# a comment\nprotocol.depth_cm = 0.9  # inline\n\n")

@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
 
-from depotsim._assembly import face_families
+from depotsim import _assembly
+from depotsim._assembly import BandCholesky, BandLU, diffusion_matrix, face_families
 from depotsim.config import default_config
 from depotsim.flow import (PressureSolver, darcy_mobility, exchange_coefficients,
                            injection_source, node_speed, starling_lymph,
@@ -152,6 +154,42 @@ class TestSolvePressure:
             p = solver.solve(injection_source(mesh, proto, t=2.5))
             peaks.append(ball_average(p, ball(mesh, proto.center(5.0), 0.1)))
         assert peaks[0] < peaks[1] < peaks[2]
+
+
+class TestPressureOperator:
+    @pytest.mark.parametrize("nr, layout", [(16, BandLU), (48, BandCholesky),
+                                            (120, BandCholesky)])
+    def test_pinned_rim_keeps_the_operator_symmetric(self, nr, layout, monkeypatch):
+        factored = []
+        factorize = _assembly.factorize
+
+        def keeping(mesh, a):
+            factored.append((a, factorize(mesh, a)))
+            return factored[-1][1]
+
+        monkeypatch.setattr(_assembly, "factorize", keeping)
+        mesh = build_graded_mesh(5, 5, nr, 8, focus=(0, 4.2), grading=1.0)
+        solver = tissue_pressure(mesh, DEFAULTS.layers(), STARLING, ETA)
+        (a, lu), = factored
+        a = sp.csr_matrix((a.data, a.indices, a.indptr)).toarray()
+        assert np.array_equal(a, a.T)
+        assert isinstance(lu, layout)
+
+        # the same solve with the rim pinned by rows only
+        rim = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
+        reaction, const = exchange_coefficients(mesh, DEFAULTS.layers(), STARLING)
+        row_pinned = diffusion_matrix(mesh, solver.mobility,
+                                      diag=np.broadcast_to(reaction, (mesh.nz1, mesh.nr1))
+                                      * mesh.node_volumes)
+        row_pinned = sp.csr_matrix((row_pinned.data, row_pinned.indices,
+                                    row_pinned.indptr)).toarray()
+        row_pinned[rim] = np.eye(mesh.n_nodes)[rim]
+        q = np.random.default_rng(40).uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
+        b = ((q + const) * mesh.node_volumes).ravel()
+        b[rim] = 0.0
+        expected = np.linalg.solve(row_pinned, b)
+        p = solver.solve(q).ravel()
+        assert np.linalg.norm(p - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestVelocity:

@@ -208,6 +208,21 @@ class TestWideFineMesh:
             assert np.array_equal(getattr(a.final_state, name), getattr(b.final_state, name))
         assert a.phase_counters == b.phase_counters
 
+    def test_pipeline_makes_no_full_superlu_factorization(self, monkeypatch):
+        # the pressure and the potential take the band Cholesky, the species
+        # their kept ILUs
+        calls = []
+        splu = spla.splu
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        result = Simulation(load_config_text(WIDE_FINE)).run_pipeline()
+        assert result.phase_counters["injection"]["ilu_builds"] > 0
+        assert not calls
+
     def test_phase_end_drops_the_preconditioners(self, monkeypatch):
         ilus = []
         spilu = spla.spilu
