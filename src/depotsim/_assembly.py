@@ -132,14 +132,6 @@ class Operator:
     pattern: CsrPattern
     data: np.ndarray
 
-    @property
-    def indptr(self) -> np.ndarray:
-        return self.pattern.indptr
-
-    @property
-    def indices(self) -> np.ndarray:
-        return self.pattern.indices
-
 
 def _csr(a: Operator) -> sp.csr_matrix:
     """The operator as a scipy CSR matrix, for ``spilu`` and matvecs."""

@@ -78,7 +78,10 @@ def _cmd_metrics(args) -> int:
           f"  absorbed {last['absorbed_pct']:.2f}%")
     if not (run_dir / "ledger.json").exists():
         return 0
-    ledger = json.loads((run_dir / "ledger.json").read_text())
+    try:
+        ledger = json.loads((run_dir / "ledger.json").read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{run_dir / 'ledger.json'}: not JSON ({exc})") from None
     print(f"ledger closure residual: {ledger['closure_residual']:+.2e}")
     print(f"retries: {ledger['retries']}")
     if "chloride_min" in ledger:  # absent from reports written before it existed

@@ -9,6 +9,8 @@ alike, so those keys always win.
 `SCHEMA` holds the only default of every parameter: the parameter types have
 no field defaults, and every parameter object is built by a
 `SimulationConfig` factory (`constants()`, `layers()`, `species()`, ...).
+The two meshes are built once, at validation, and the phases share them:
+`fine_mesh()` and `coarse_mesh()` return those objects, with their caches.
 Build a variant from config text, ``load_config_text("layers.adipose_cm =
 4.9")``, or from a built object, ``dataclasses.replace(
 default_config().starling(), l_pb=2e-6)``.
@@ -209,8 +211,11 @@ class SimulationConfig:
         self.protocol()
         self._curves = self._load_curves()
         self.syringe()
-        self.fine_mesh()
-        self.coarse_mesh()
+        height = v["geometry.height_cm"]
+        self._fine_mesh, self._coarse_mesh = (build_graded_mesh(
+            v["geometry.radius_cm"], height, v[f"mesh.{kind}_nr"], v[f"mesh.{kind}_nz"],
+            focus=self.protocol().center(height), grading=grading)
+            for kind, grading in (("fine", v["mesh.fine_grading"]), ("coarse", 1.0)))
 
     # -- factories ---------------------------------------------------------
     def constants(self) -> PhysicalConstants:
@@ -295,21 +300,12 @@ class SimulationConfig:
         )
 
     def fine_mesh(self) -> AxiMesh:
-        v = self.values
-        proto = self.protocol()
-        return build_graded_mesh(
-            v["geometry.radius_cm"], v["geometry.height_cm"],
-            v["mesh.fine_nr"], v["mesh.fine_nz"],
-            focus=proto.center(v["geometry.height_cm"]),
-            grading=v["mesh.fine_grading"])
+        """The injection phase's mesh, graded toward the needle tip."""
+        return self._fine_mesh
 
     def coarse_mesh(self) -> AxiMesh:
-        v = self.values
-        proto = self.protocol()
-        return build_graded_mesh(
-            v["geometry.radius_cm"], v["geometry.height_cm"],
-            v["mesh.coarse_nr"], v["mesh.coarse_nz"],
-            focus=proto.center(v["geometry.height_cm"]), grading=1.0)
+        """The reduced phase's uniform mesh."""
+        return self._coarse_mesh
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
@@ -330,7 +326,7 @@ def load_config_text(text: str) -> SimulationConfig:
 def load_config(path) -> SimulationConfig:
     """Load and fully validate a scenario file; empty file = all defaults."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
     return load_config_text(path.read_text())
 

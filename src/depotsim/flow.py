@@ -11,7 +11,8 @@ implicit, and the source is a fixed shape scaled by the flow rate Q(t), so
 the pressure is affine in Q(t): p(t) = p_rest + Q(t) p_unit. The
 injection-phase stepper solves the `tissue_pressure` solver for p_rest and
 p_unit once and keeps no factor; the long phase freezes the drainage of one
-steady solve of it without the source.
+steady solve of it without the source. This is the only module that
+samples the `TissueLayers` on a mesh (`tissue_pressure`).
 """
 
 from __future__ import annotations
@@ -92,9 +93,10 @@ def injection_source(mesh: AxiMesh, protocol: InjectionProtocol, t: float) -> np
     return shape * (q_total / total)
 
 
-def starling_lymph(p, params: StarlingParams, porosity: float, slv):
-    """Lymphatic drainage rate J_l = n L_pl (S_l/V) (p - p_l); zero where S_l/V = 0."""
-    return porosity * params.l_pl * np.asarray(slv) * (np.asarray(p) - params.p_l)
+def starling_lymph(p, params: StarlingParams, lymph):
+    """Lymphatic drainage rate J_l = n L_pl (S_l/V) (p - p_l) from the ``lymph``
+    coefficient n L_pl S_l/V of `exchange_coefficients`; zero where S_l/V = 0."""
+    return lymph * (np.asarray(p) - params.p_l)
 
 
 def exchange_coefficients(mesh: AxiMesh, layers: TissueLayers,
@@ -102,7 +104,8 @@ def exchange_coefficients(mesh: AxiMesh, layers: TissueLayers,
     """Split J_b - J_l into `const - reaction * p` on the nodes.
 
     Blood filtration is J_b = n L_pb (S_b/V) (p_b - p - sigma_r (pi_b - pi_i))
-    and lymphatic drainage J_l = n L_pl (S_l/V) (p - p_l), in ``(nz1, 1)`` columns.
+    and lymphatic drainage J_l = n L_pl (S_l/V) (p - p_l). Returns the
+    ``(nz1, 1)`` columns ``(reaction, const, lymph)``; lymph = n L_pl S_l/V.
     """
     n = layers.porosity
     blood = n * params.l_pb * params.sbv
@@ -110,7 +113,7 @@ def exchange_coefficients(mesh: AxiMesh, layers: TissueLayers,
     reaction = blood + lymph
     const = (blood * (params.p_b - params.sigma_r * (params.pi_b - params.pi_i))
              + lymph * params.p_l)
-    return reaction, const
+    return reaction, const, lymph
 
 
 class PressureSolver:
@@ -153,11 +156,12 @@ class PressureSolver:
 
 
 def tissue_pressure(mesh: AxiMesh, layers: TissueLayers, starling: StarlingParams,
-                    viscosity: float) -> PressureSolver:
-    """The pressure solver of the layered tissue: its permeability and its
-    vascular exchange, both ``(nz1, 1)`` columns the solver broadcasts."""
+                    viscosity: float) -> tuple[PressureSolver, np.ndarray]:
+    """The pressure solver of the layered tissue, from its permeability and its
+    `exchange_coefficients`, and their ``lymph`` column for `starling_lymph`."""
+    reaction, const, lymph = exchange_coefficients(mesh, layers, starling)
     return PressureSolver(mesh, layers.permeability_at(mesh.z)[:, None], viscosity,
-                          *exchange_coefficients(mesh, layers, starling))
+                          reaction, const), lymph
 
 
 def darcy_mobility(mesh: AxiMesh, kappa_nodes: np.ndarray | float, viscosity: float):

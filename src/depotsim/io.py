@@ -16,6 +16,7 @@ Reference curves are parsed by `params.read_two_column_csv`.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,28 +176,38 @@ def save_checkpoint(state: FieldState, ledger: DoseLedger, phase: str,
 
 
 def load_checkpoint(path) -> tuple[FieldState, DoseLedger, str, str]:
-    """Returns (state, ledger, phase, config_text)."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        version = int(data["format_version"][0])
-        if version > CHECKPOINT_FORMAT_VERSION:
-            raise ConfigurationError(
-                f"checkpoint format {version} is newer than supported")
-        mesh = AxiMesh(r=data["r_nodes"], z=data["z_nodes"],
-                       injection_point=(float(data["injection_r"][0]),
-                                        float(data["injection_z"][0])))
-        state = FieldState(
-            mesh=mesh, c_na=data["c_na"], c_h=data["c_h"], c_mab=data["c_mab"],
-            c_b=data["c_b"], p=data["p"], phi=data["phi"],
-            u=np.concatenate([data["u_r"], data["u_z"]], axis=None),
-            t=float(data["t_s"][0]),
-            c_cl=data["c_cl"], ph=data["ph"], z_mab=data["z_mab"],
-            j_l=data["j_l"])
-        lg = data["ledger"]
-        ledger = DoseLedger(injected=float(lg[0]), free=float(lg[1]),
-                            bound=float(lg[2]), absorbed_lymph=float(lg[3]),
-                            eliminated=float(lg[4]))
-        phase = str(data["phase"][0])
-        config_text = str(data["config_text"][0])
+    """Returns (state, ledger, phase, config_text); a file that is not an
+    ``.npz`` archive of every checkpoint array raises `ConfigurationError`."""
+    try:
+        data = np.load(path, allow_pickle=False)  # an array if the file is .npy
+    except (ValueError, EOFError, zipfile.BadZipFile):  # neither .npy nor .npz
+        data = None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigurationError(f"{path} is not an .npz checkpoint")
+    try:
+        with data:
+            version = int(data["format_version"][0])
+            if version > CHECKPOINT_FORMAT_VERSION:
+                raise ConfigurationError(
+                    f"checkpoint format {version} is newer than supported")
+            mesh = AxiMesh(r=data["r_nodes"], z=data["z_nodes"],
+                           injection_point=(float(data["injection_r"][0]),
+                                            float(data["injection_z"][0])))
+            state = FieldState(
+                mesh=mesh, c_na=data["c_na"], c_h=data["c_h"], c_mab=data["c_mab"],
+                c_b=data["c_b"], p=data["p"], phi=data["phi"],
+                u=np.concatenate([data["u_r"], data["u_z"]], axis=None),
+                t=float(data["t_s"][0]),
+                c_cl=data["c_cl"], ph=data["ph"], z_mab=data["z_mab"],
+                j_l=data["j_l"])
+            lg = data["ledger"]
+            ledger = DoseLedger(injected=float(lg[0]), free=float(lg[1]),
+                                bound=float(lg[2]), absorbed_lymph=float(lg[3]),
+                                eliminated=float(lg[4]))
+            phase = str(data["phase"][0])
+            config_text = str(data["config_text"][0])
+    except KeyError as exc:  # an archive without every checkpoint array
+        raise ConfigurationError(f"{path} is not a depotsim checkpoint: {exc}") from None
     return state, ledger, phase, config_text
 
 

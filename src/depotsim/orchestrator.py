@@ -17,6 +17,8 @@ sources are dropped, and the lymphatic drainage field is frozen from one
 steady pressure solve without the injection source. The reduced phase starts
 from that coarse `FieldState`, whose ``p`` and ``j_l`` are the steady
 pressure and the frozen drainage; each reduced step passes both arrays on.
+The phases run on the config's two meshes and take their drainage from
+`flow`, the only module that samples the tissue layers.
 
 Both phases take one dt policy (`Simulation._run_phase`): dt grows by
 `DT_GROWTH` a step from a minimum to a maximum. The injection phase passes
@@ -33,8 +35,8 @@ read-only. Its ``flow`` flag says which phase it steps: the injection phase
 
 - Injection phase: the source shape, the two pressure fields ``p_rest`` and
   ``p_unit`` whose Q(t) combination is the pressure at any time, and the
-  face mobilities kappa/eta the pressure solver harmonically averaged, from
-  which each step takes the Darcy velocity.
+  face mobilities kappa/eta the pressure solver harmonically averaged and
+  the drainage coefficient, from which each step takes u and J_l.
 - Reduced phase: one zero face velocity that every state of the phase
   shares. Without flow a step passes no velocity and no injection
   source to the species transport, and books no injected dose.
@@ -134,7 +136,6 @@ class StaggeredStepper:
         self._species_solvers = tuple(fv.SpeciesSolver(mesh, self.krylov)
                                       for _ in range(3))
         if flow:
-            self.slv = self.layers.slv_at(mesh.z)[:, None]
             # the source shape never changes; only Q(t) rescales it
             shape = fl.injection_source(mesh, self.protocol,
                                         0.5 * self.protocol.duration)
@@ -142,8 +143,8 @@ class StaggeredStepper:
             self._source_shape = shape / q_ref
             # the pressure is affine in Q(t), so two solves serve the phase
             # and no factor outlives the constructor
-            pressure = fl.tissue_pressure(mesh, self.layers, self.starling,
-                                          config["flow.viscosity"])
+            pressure, self._lymph = fl.tissue_pressure(
+                mesh, self.layers, self.starling, config["flow.viscosity"])
             self._p_rest = pressure.solve(0.0)
             self._p_unit = pressure.solve(self._source_shape) - self._p_rest
             self._mobility = pressure.mobility
@@ -182,7 +183,7 @@ class StaggeredStepper:
             p = self.pressure_at(t_new)
             u = fl.velocity_from_pressure(mesh, self._mobility, p)
             carried = (u, q_p)  # what the species transport carries
-            j_l = fl.starling_lymph(p, self.starling, self.porosity, self.slv)
+            j_l = fl.starling_lymph(p, self.starling, self._lymph)
             injected = dt * nodal_integral(q_p, mesh) * self.c_max["mab"]
         else:
             p, j_l, u = state.p, state.j_l, self._still
@@ -284,7 +285,6 @@ class PipelineResult:
     final_state: FieldState
     chloride_min: float  # over every accepted step of both phases, mol/cm^3
     retries: int
-    max_closure_residual: float
     short_wall_s: float
     long_wall_s: float
     phase_counters: dict[str, dict[str, int]]  # "injection" and "long"
@@ -390,10 +390,10 @@ class Simulation:
         fields["c_b"] *= scale
 
         # steady post-injection pressure fixes the drainage for the whole phase
-        p_steady = fl.tissue_pressure(coarse, layers, self.config.starling(),
-                                      self.config["flow.viscosity"]).solve(0.0)
-        j_l = fl.starling_lymph(p_steady, self.config.starling(), porosity,
-                                layers.slv_at(coarse.z)[:, None])
+        pressure, lymph = fl.tissue_pressure(coarse, layers, self.config.starling(),
+                                             self.config["flow.viscosity"])
+        p_steady = pressure.solve(0.0)
+        j_l = fl.starling_lymph(p_steady, self.config.starling(), lymph)
 
         state = FieldState(
             mesh=coarse, c_na=fields["c_na"], c_h=fields["c_h"],
@@ -429,8 +429,6 @@ class Simulation:
             short_state=short_state, final_state=long.state,
             chloride_min=min(short.chloride_min, long.chloride_min),
             retries=short.counters["retries"] + long.counters["retries"],
-            max_closure_residual=max(short.max_closure_residual,
-                                     long.max_closure_residual),
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,
             phase_counters={"injection": short.counters, "long": long.counters},
             phase_report={"injection": short.report(), "long": long.report()})

@@ -225,10 +225,6 @@ class TissueLayers:
         bounds = np.concatenate([[0.0], np.cumsum([l.thickness for l in self.layers])])
         self._bounds = bounds
 
-    @property
-    def height(self) -> float:
-        return float(self._bounds[-1])
-
     def layer_index(self, z) -> np.ndarray:
         """Index of the layer containing each z (interfaces belong to the upper layer)."""
         return np.searchsorted(self._bounds[1:-1], np.asarray(z, dtype=float),

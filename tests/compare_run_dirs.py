@@ -19,7 +19,9 @@ With ``--rtol R`` a file that differs is compared by its numbers instead,
 and the worst relative difference of each such file is printed:
 
 - each ``.npz`` float array, each CSV column and each VTK block of numbers
-  (the points, or one field) passes if ``max|a - b| <= R max|a|``;
+  (the points, or one field) passes if ``max|a - b| <= R max|a|``, except
+  the CSV columns of `FIELD_SCALES`, which pass if ``max|a - b| <= R`` times
+  the largest ``|field|`` in the checkpoints of ``a``'s run directory;
 - ``ledger.json`` numbers pass if ``|a - b| <= R |a|``, except its residual
   keys, which must be at most `RESIDUAL_BOUND` on both sides;
 - strings, integers, array shapes and everything else must be equal.
@@ -44,6 +46,10 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 #: ``ledger.json`` residuals are checked against this bound, not each other
 RESIDUAL_BOUND = 1e-12
+#: CSV column -> the checkpoint field whose scale it is judged on. The
+#: potential's gauge fixes its domain average at zero, so ``phi_avg`` holds
+#: only round-off, and its own scale would make any change a 100% difference.
+FIELD_SCALES = {"phi_avg": "phi"}
 
 
 def write_runs(src: Path, outdir: Path, profiles: list[str]) -> None:
@@ -73,8 +79,8 @@ def _ledger_without_wall_times(path: Path) -> dict:
     return ledger
 
 
-def relative_difference(a, b) -> float:
-    """``max|a - b| / max|a|`` of two float arrays or numbers; 0 if they are
+def scaled_difference(a, b, scale: float) -> float:
+    """``max|a - b| / scale`` of two float arrays or numbers; 0 if they are
     equal, NaNs included, and inf if their shapes or NaNs differ."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -83,8 +89,22 @@ def relative_difference(a, b) -> float:
     if same.all():
         return 0.0
     worst = np.abs(a - b)[~same].max()
-    scale = np.abs(a[np.isfinite(a)]).max(initial=0.0)
     return float(worst / scale) if np.isfinite(worst) and scale > 0.0 else math.inf
+
+
+def relative_difference(a, b) -> float:
+    """`scaled_difference` on the scale of ``a``: ``max|a|`` over its finite values."""
+    a = np.asarray(a, dtype=float)
+    return scaled_difference(a, b, np.abs(a[np.isfinite(a)]).max(initial=0.0))
+
+
+def field_scale(run_dir: Path, field: str) -> float:
+    """The largest ``|field|`` in the checkpoints of a run directory."""
+    scale = 0.0
+    for path in run_dir.glob("checkpoint_*.npz"):
+        with np.load(path) as data:
+            scale = max(scale, float(np.abs(data[field]).max()))
+    return scale
 
 
 def _ledger_differences(a, b, key=""):
@@ -142,11 +162,16 @@ def _text_differences(a: Path, b: Path):
     if [label for label, _ in blocks_a] != [label for label, _ in blocks_b]:
         yield math.inf
         return
-    for (_, x), (_, y) in zip(blocks_a, blocks_b):
+    for (label, x), (_, y) in zip(blocks_a, blocks_b):
         try:
-            yield relative_difference(np.array(x, dtype=float), np.array(y, dtype=float))
+            x, y = np.array(x, dtype=float), np.array(y, dtype=float)
         except ValueError:  # a column of strings
             yield 0.0 if x == y else math.inf
+            continue
+        if a.suffix == ".csv" and label in FIELD_SCALES:
+            yield scaled_difference(x, y, field_scale(a.parent, FIELD_SCALES[label]))
+        else:
+            yield relative_difference(x, y)
 
 
 def worst_relative_difference(a: Path, b: Path) -> float:

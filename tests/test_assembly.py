@@ -57,8 +57,8 @@ def superlu_mesh(request, monkeypatch):
 
 def scipy_csr(a):
     """An operator's scipy CSR form, built from its ``data``, ``indices`` and ``indptr``."""
-    n = a.indptr.size - 1
-    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n))
+    n = a.pattern.indptr.size - 1
+    return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
 
 
 def dense(a):
@@ -114,9 +114,7 @@ class TestSharedPattern:
                       np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]),
         ]
         for a in ops:
-            assert np.array_equal(a.indptr, pattern.indptr)
-            assert np.array_equal(a.indices, pattern.indices)
-            assert np.shares_memory(a.indices, pattern.indices)
+            assert a.pattern is pattern
         assert csr_pattern(mesh) is pattern
 
     def test_pattern_is_five_point(self, mesh):
@@ -132,7 +130,7 @@ class TestSharedPattern:
                 arr[0] = 1
         a = diffusion_matrix(mesh, 1.0)
         with pytest.raises(ValueError):
-            a.indices[0] = 1
+            a.pattern.indices[0] = 1
 
 
 def joined(x_r, x_z):
@@ -238,7 +236,7 @@ class TestOperators:
         diag = rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
         a = diffusion_matrix(mesh, coef, diag=diag, speeds=s)
         expected = dense_diffusion(mesh, coef, diag) + dense_upwind(mesh, s)
-        assert np.shares_memory(a.indices, csr_pattern(mesh).indices)
+        assert a.pattern is csr_pattern(mesh)
         assert np.allclose(dense(a), expected, rtol=1e-14,
                            atol=1e-14 * np.abs(expected).max())
 
@@ -266,8 +264,8 @@ def pin_rows(a, rows):
     """Make the given rows identity rows in place, keeping their other entries as
     zeros: the operator loses its symmetry, so `factorize` takes an LU."""
     for row in np.atleast_1d(rows):
-        lo, hi = a.indptr[row], a.indptr[row + 1]
-        a.data[lo:hi] = a.indices[lo:hi] == row
+        lo, hi = a.pattern.indptr[row], a.pattern.indptr[row + 1]
+        a.data[lo:hi] = a.pattern.indices[lo:hi] == row
     return a
 
 

@@ -1,12 +1,14 @@
 """Command line subcommands and the scenario sweep runner."""
 
 import json
+import shutil
 from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import compare_run_dirs
 from depotsim import sweep
 from depotsim.cli import main
 from depotsim.config import load_config, load_config_text
@@ -241,6 +243,34 @@ class TestBadInputFiles:
                                     "--values", "abc", "--outdir", str(tmp_path)],
                            "'abc'")
 
+    def test_run_with_a_directory_for_the_config(self, tmp_path, capsys):
+        config_dir = tmp_path / "scenario.cfg"
+        config_dir.mkdir()
+        assert_clean_error(capsys, ["run", str(config_dir)], "scenario.cfg")
+
+    def test_snapshot_of_a_file_that_is_not_an_npz(self, tmp_path, capsys):
+        text = tmp_path / "notes.npz"
+        text.write_text("not an archive\n")
+        assert_clean_error(capsys, ["snapshot", str(text)], "notes.npz")
+
+    def test_snapshot_of_an_npz_without_the_checkpoint_arrays(self, tmp_path, capsys):
+        foreign = tmp_path / "foreign.npz"
+        np.savez(foreign, x=np.zeros(3))
+        assert_clean_error(capsys, ["snapshot", str(foreign)], "foreign.npz")
+
+    def test_snapshot_at_a_time_in_a_run_dir_holding_a_foreign_npz(self, tmp_path,
+                                                                   capsys):
+        np.savez(tmp_path / "checkpoint_foreign.npz", x=np.zeros(3))
+        assert_clean_error(capsys, ["snapshot", str(tmp_path), "--time", "5"],
+                           "checkpoint_foreign.npz")
+
+    def test_metrics_with_a_ledger_that_is_not_json(self, finished_run, tmp_path,
+                                                    capsys):
+        (tmp_path / "timeseries.csv").write_bytes(
+            (finished_run / "timeseries.csv").read_bytes())
+        (tmp_path / "ledger.json").write_text("{truncated")
+        assert_clean_error(capsys, ["metrics", str(tmp_path)], "ledger.json")
+
 
 class TestSweep:
     def test_single_value_sweep_is_single_run(self, tmp_path):
@@ -336,3 +366,27 @@ class TestSweep:
         assert all(e.ok for e in serial + pooled)
         assert ((tmp_path / "pool" / "sweep_summary.csv").read_bytes()
                 == (tmp_path / "serial" / "sweep_summary.csv").read_bytes())
+
+
+class TestCompareRunDirs:
+    def test_phi_avg_is_judged_on_the_potential_scale(self, finished_run, tmp_path):
+        a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
+        for root in (a, b):
+            shutil.copytree(finished_run, root)
+        phi_max = 0.0
+        for path in finished_run.glob("checkpoint_*.npz"):
+            with np.load(path) as data:
+                phi_max = max(phi_max, float(np.abs(data["phi"]).max()))
+        header, *rows = (b / "timeseries.csv").read_text().splitlines()
+        column = header.split(",").index("phi_avg")
+        cells = rows[-1].split(",")
+        cells[column] = "%.17g" % (float(cells[column]) + 1e-12 * phi_max)
+        rows[-1] = ",".join(cells)
+        (b / "timeseries.csv").write_text("\n".join([header, *rows]) + "\n")
+
+        _, _, differences, close = compare_run_dirs.compare(a.parent, b.parent, 1e-11)
+        assert differences == [] and len(close) == 1
+        _, _, differences, _ = compare_run_dirs.compare(a.parent, b.parent, 1e-13)
+        assert len(differences) == 1
+        _, _, differences, _ = compare_run_dirs.compare(a.parent, b.parent, None)
+        assert differences == ["run/timeseries.csv: bytes differ"]

@@ -124,7 +124,7 @@ class TestConfigParsing:
         assert low["layers.adipose_cm"] == 0.6
         assert low["protocol.depth_cm"] == 0.5
         # the stack keeps the domain height by growing the muscle layer
-        assert low.layers().height == pytest.approx(5.0)
+        assert sum(l.thickness for l in low.layers().layers) == pytest.approx(5.0)
 
     def test_with_values_applies_and_checks_the_bmi_preset(self):
         low = default_config().with_values({"scenario.bmi": "low"})

@@ -80,9 +80,14 @@ def uniform_tissue(height, slv):
 def blood_rate(p, params, mesh):
     """J_b at pressure p as the pressure solve books it: `exchange_coefficients`'
     const - reaction * p on tissue without lymphatics."""
-    reaction, const = exchange_coefficients(mesh, uniform_tissue(mesh.height, 0.0),
-                                            params)
+    reaction, const, _ = exchange_coefficients(mesh, uniform_tissue(mesh.height, 0.0),
+                                               params)
     return const - reaction * p
+
+
+def lymph_coefficient(mesh, layers):
+    """`exchange_coefficients`' drainage coefficient n L_pl S_l/V, an ``(nz1, 1)`` column."""
+    return exchange_coefficients(mesh, layers, STARLING)[2]
 
 
 class TestStarling:
@@ -101,18 +106,22 @@ class TestStarling:
         doubled = replace(STARLING, l_pb=2e-6)
         assert blood_rate(0.0, doubled, mesh) == pytest.approx(2 * 2.03e-6)
 
-    def test_lymph_zero_at_lymph_pressure(self):
-        assert starling_lymph(0.0, STARLING, 0.1, slv=70.0) == 0.0
+    def test_lymph_zero_at_lymph_pressure(self, mesh):
+        lymph = lymph_coefficient(mesh, uniform_tissue(mesh.height, 70.0))
+        assert np.all(starling_lymph(0.0, STARLING, lymph) == 0.0)
 
-    def test_lymph_dermis_value(self):
+    def test_lymph_dermis_value(self, mesh):
         # 0.1 * 6e-5 * 70 * 0.01 = 4.2e-6
-        jl = starling_lymph(0.01, STARLING, 0.1, slv=70.0)
-        assert jl == pytest.approx(4.2e-6)
+        lymph = lymph_coefficient(mesh, uniform_tissue(mesh.height, 70.0))
+        jl = starling_lymph(0.01, STARLING, lymph)
+        assert jl.shape == (mesh.nz1, 1)
+        assert jl == pytest.approx(np.full(jl.shape, 4.2e-6))
 
-    def test_lymph_vanishes_in_muscle(self):
-        layers = DEFAULTS.layers()
-        slv = layers.slv_at(np.array([1.0]))  # muscle
-        assert starling_lymph(5.0, STARLING, 0.1, slv=slv)[0] == 0.0
+    def test_lymph_vanishes_in_muscle(self, mesh):
+        jl = starling_lymph(5.0, STARLING, lymph_coefficient(mesh, DEFAULTS.layers()))
+        muscle = mesh.z < 3.3
+        assert np.all(jl[muscle] == 0.0)
+        assert np.all(jl[~muscle] > 0.0)
 
 
 class TestSolvePressure:
@@ -128,8 +137,8 @@ class TestSolvePressure:
         # The healing length sqrt((kappa/eta)/a) is ~4.8 cm, so the domain
         # must dwarf it for the pointwise balance to show.
         mesh = build_graded_mesh(60, 60, 48, 48, focus=(0, 30), grading=1.0)
-        reaction, const = exchange_coefficients(mesh, uniform_tissue(60.0, 70.0),
-                                                STARLING)
+        reaction, const, _ = exchange_coefficients(mesh, uniform_tissue(60.0, 70.0),
+                                                   STARLING)
         solver = PressureSolver(mesh, 1e-9, ETA, reaction=reaction, const=const)
         p = solver.solve(0.0)
         p_star = 7e-6 * 0.29 / (4.2e-4 + 7e-6)
@@ -148,7 +157,7 @@ class TestSolvePressure:
         layers = DEFAULTS.layers()
         params = STARLING
         peaks = []
-        solver = tissue_pressure(mesh, layers, params, ETA)
+        solver, _ = tissue_pressure(mesh, layers, params, ETA)
         for volume in (0.5, 1.0, 2.0):
             proto = replace(PROTOCOL, volume=volume)
             p = solver.solve(injection_source(mesh, proto, t=2.5))
@@ -169,20 +178,20 @@ class TestPressureOperator:
 
         monkeypatch.setattr(_assembly, "factorize", keeping)
         mesh = build_graded_mesh(5, 5, nr, 8, focus=(0, 4.2), grading=1.0)
-        solver = tissue_pressure(mesh, DEFAULTS.layers(), STARLING, ETA)
+        solver, _ = tissue_pressure(mesh, DEFAULTS.layers(), STARLING, ETA)
         (a, lu), = factored
-        a = sp.csr_matrix((a.data, a.indices, a.indptr)).toarray()
+        a = sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr)).toarray()
         assert np.array_equal(a, a.T)
         assert isinstance(lu, layout)
 
         # the same solve with the rim pinned by rows only
         rim = np.arange(mesh.n_nodes).reshape(mesh.nz1, mesh.nr1)[:, -1]
-        reaction, const = exchange_coefficients(mesh, DEFAULTS.layers(), STARLING)
+        reaction, const, _ = exchange_coefficients(mesh, DEFAULTS.layers(), STARLING)
         row_pinned = diffusion_matrix(mesh, solver.mobility,
                                       diag=np.broadcast_to(reaction, (mesh.nz1, mesh.nr1))
                                       * mesh.node_volumes)
-        row_pinned = sp.csr_matrix((row_pinned.data, row_pinned.indices,
-                                    row_pinned.indptr)).toarray()
+        row_pinned = sp.csr_matrix((row_pinned.data, row_pinned.pattern.indices,
+                                    row_pinned.pattern.indptr)).toarray()
         row_pinned[rim] = np.eye(mesh.n_nodes)[rim]
         q = np.random.default_rng(40).uniform(0.0, 1.0, (mesh.nz1, mesh.nr1))
         b = ((q + const) * mesh.node_volumes).ravel()

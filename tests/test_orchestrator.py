@@ -7,13 +7,15 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
+from depotsim import config as config_module
 from depotsim.config import load_config_text
 from depotsim.flow import (PressureSolver, SolverError, injection_source,
                            tissue_pressure)
-from depotsim.mesh import FieldState, nodal_integral, project_field
+from depotsim.mesh import FieldState, build_graded_mesh, nodal_integral, project_field
 from depotsim.metrics import MetricSeries, domain_average, net_charge_density
 from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, DoseLedger, Simulation,
                                    StaggeredStepper)
+from depotsim.params import TissueLayers
 from depotsim.transport import NegativeConcentrationError
 
 TINY = """
@@ -53,6 +55,11 @@ def electroneutrality_residual(state: FieldState) -> float:
 
 def net_charge_average(state: FieldState) -> float:
     return domain_average(net_charge_density(state.c_mab, state.z_mab), state.mesh)
+
+
+def max_closure_residual(result):
+    """The largest |ledger closure| at an emitted sample of either phase."""
+    return max(rep["max_closure_residual"] for rep in result.phase_report.values())
 
 
 @pytest.fixture(scope="module")
@@ -168,8 +175,8 @@ class TestAffinePressure:
         mesh = config.fine_mesh()
         stepper = StaggeredStepper(mesh, config, flow=True)
         protocol = config.protocol()
-        solver = tissue_pressure(mesh, config.layers(), config.starling(),
-                                 config["flow.viscosity"])
+        solver, _ = tissue_pressure(mesh, config.layers(), config.starling(),
+                                    config["flow.viscosity"])
         ramp, end = protocol.ramp_time, protocol.duration
         # ramp-up, plateau, ramp-down, after the flow stops
         for t in (0.5 * ramp, 0.5 * end, end - 0.5 * ramp, end + 0.5):
@@ -201,7 +208,7 @@ class TestWideFineMesh:
         a = Simulation(config).run_pipeline()
         b = Simulation(config).run_pipeline()
         assert a.phase_counters["injection"]["krylov_solves"] > 0
-        assert a.max_closure_residual <= 1e-12
+        assert max_closure_residual(a) <= 1e-12
         assert a.series.channels == b.series.channels
         for name in ("p", "phi", "c_na", "c_h", "c_mab", "c_b"):
             assert np.array_equal(getattr(a.short_state, name), getattr(b.short_state, name))
@@ -390,7 +397,7 @@ class TestLongTerm:
         assert np.all(np.diff(absorbed) >= -1e-12)
 
     def test_ledger_closure_everywhere(self, tiny_pipeline):
-        assert tiny_pipeline.max_closure_residual < 1e-10
+        assert max_closure_residual(tiny_pipeline) < 1e-10
 
     def test_electroneutrality_both_phases(self, tiny_pipeline):
         for state in (tiny_pipeline.short_state, tiny_pipeline.final_state):
@@ -417,10 +424,37 @@ class TestLongTerm:
         with caplog.at_level("WARNING", logger="depotsim"):
             result = Simulation(config).run_pipeline()
         messages = [r.getMessage() for r in caplog.records]
-        assert result.max_closure_residual <= 1e-12
+        assert max_closure_residual(result) <= 1e-12
         assert result.retries > 0
         assert sum("rejected" in m for m in messages) == result.retries
         assert not any("clamped" in m for m in messages)
+
+
+class TestScenarioSetUp:
+    def test_each_mesh_is_built_once_and_the_phases_run_on_it(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(build_graded_mesh(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(config_module, "build_graded_mesh", counting)
+        config = load_config_text(TINY)
+        result = Simulation(config).run_pipeline()
+        assert len(built) == 2
+        assert result.short_state.mesh is config.fine_mesh()
+        assert result.final_state.mesh is config.coarse_mesh()
+
+    def test_only_flow_samples_the_tissue_layers(self, monkeypatch):
+        callers = []
+        for name in ("slv_at", "permeability_at"):
+            def spy(layers, z, _name=name, _sample=getattr(TissueLayers, name)):
+                callers.append((_name, sys._getframe(1).f_globals["__name__"]))
+                return _sample(layers, z)
+            monkeypatch.setattr(TissueLayers, name, spy)
+        Simulation(load_config_text(TINY)).run_pipeline()
+        assert set(callers) == {("slv_at", "depotsim.flow"),
+                                ("permeability_at", "depotsim.flow")}
 
 
 class TestDeterminism:

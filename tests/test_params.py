@@ -172,7 +172,7 @@ class TestSpeciesAndLayers:
 
     def test_default_layer_stack(self):
         layers = DEFAULTS.layers()
-        assert layers.height == pytest.approx(5.0)
+        assert sum(l.thickness for l in layers.layers) == pytest.approx(5.0)
         names = [l.name for l in layers.layers]
         assert names == ["muscle", "adipose", "dermis-epidermis"]
         assert [l.thickness for l in layers.layers] == [3.3, 1.5, 0.2]

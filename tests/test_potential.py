@@ -151,7 +151,7 @@ class TestSolve:
         b = (coeffs.div_g - coeffs.rhs * wide.node_volumes).ravel()
         b = b - w * (b.sum() / w.sum())
         bordered = np.zeros((n + 1, n + 1))
-        bordered[:n, :n] = sp.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n)).toarray()
+        bordered[:n, :n] = sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n)).toarray()
         bordered[:n, n] = bordered[n, :n] = w
         rhs = np.append(b, 0.0).astype(np.longdouble)
         x = np.linalg.solve(bordered, rhs.astype(float)).astype(np.longdouble)

@@ -49,8 +49,8 @@ def transport_operator(mesh, diffusivity, valence, phi, u):
 
 def scipy_csr(a):
     """An operator's scipy CSR form, built from its ``data``, ``indices`` and ``indptr``."""
-    n = a.indptr.size - 1
-    return sp.csr_matrix((a.data, a.indices, a.indptr), shape=(n, n))
+    n = a.pattern.indptr.size - 1
+    return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
 
 
 def net_outflow(mesh, a, c):
@@ -146,8 +146,8 @@ class TestAdvanceSpecies:
         from depotsim.flow import tissue_pressure, velocity_from_pressure
         species = DEFAULTS.species()
         shape = (mesh.nz1, mesh.nr1)
-        solver = tissue_pressure(mesh, DEFAULTS.layers(), DEFAULTS.starling(),
-                                 DEFAULTS["flow.viscosity"])
+        solver, _ = tissue_pressure(mesh, DEFAULTS.layers(), DEFAULTS.starling(),
+                                    DEFAULTS["flow.viscosity"])
         u = velocity_from_pressure(mesh, solver.mobility, solver.solve(0.0))
         rng = np.random.default_rng(11)
         c = np.abs(rng.normal(1e-4, 5e-5, shape))
