@@ -9,8 +9,7 @@ from .config import SimulationConfig, default_config, load_config, load_config_t
 from .flow import (InjectionProtocol, PressureSolver, SolverError,
                    darcy_mobility, injection_source, node_speed, starling_lymph,
                    tissue_pressure, velocity_from_pressure)
-from .mesh import (AxiMesh, FieldState, build_graded_mesh, integrate,
-                   project_field)
+from .mesh import AxiMesh, FieldState, build_graded_mesh, project_field
 from .metrics import (MetricSeries, ball, ball_average, domain_average,
                       dose_fractions, net_charge_density, plume_volume)
 from .orchestrator import (DoseLedger, PipelineResult, Simulation,

@@ -696,22 +696,16 @@ def diffusion_matrix(mesh: AxiMesh, coef: np.ndarray | float, *,
         blocks[::3] = t  # aa and bb
         blocks[1:3] = -t  # ab and ba
         return _fill(mesh, weights)
-    _upwind_face_fluxes(mesh, speeds, pos=aa, neg=ab)
+    # area-weighted face speeds, split into flow toward each face's upper node
+    # (>= 0, carried by the lower node) and toward its lower node (<= 0)
+    f = geometry.area * speeds
+    np.maximum(f, 0.0, out=aa)
+    np.minimum(f, 0.0, out=ab)
     aa += t  # pos + t is t + pos to the bit: addition commutes
     np.subtract(t, ab, out=bb)
     ab -= t
     np.negative(aa, out=ba)  # -(t + pos) is -t - pos to the bit: rounding is sign-symmetric
     return _fill(mesh, weights)
-
-
-def _upwind_face_fluxes(mesh: AxiMesh, speeds: np.ndarray, *,
-                        pos: np.ndarray, neg: np.ndarray):
-    """Write the area-weighted face speeds, split into flow toward each face's
-    upper node (>= 0, carried by the lower node) and toward its lower node
-    (<= 0), into ``pos`` and ``neg``."""
-    f = face_geometry(mesh).area * speeds
-    np.maximum(f, 0.0, out=pos)
-    np.minimum(f, 0.0, out=neg)
 
 
 def upwind_advection_matrix(mesh: AxiMesh, speeds: np.ndarray) -> Operator:
@@ -720,13 +714,9 @@ def upwind_advection_matrix(mesh: AxiMesh, speeds: np.ndarray) -> Operator:
     ``speeds`` are the characteristic speeds normal to each face (positive
     toward growing r on r faces and growing z on z faces). Boundary faces do
     not exist in the dual tessellation, so the operator is flux-free by
-    construction.
+    construction. It is `diffusion_matrix` without diffusion.
     """
-    weights, (aa, ab, ba, bb) = _weights(mesh, 0.0)
-    _upwind_face_fluxes(mesh, speeds, pos=aa, neg=ab)
-    np.negative(aa, out=ba)
-    np.negative(ab, out=bb)
-    return _fill(mesh, weights)
+    return diffusion_matrix(mesh, 0.0, speeds=speeds)
 
 
 def divergence_of_face_flux(mesh: AxiMesh, flux: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .flow import SolverError
 from .io import (compare_reference, load_checkpoint, load_reference_csv,
                  read_timeseries, write_run_outputs, write_snapshot)
 from .orchestrator import Simulation
-from .params import ConfigurationError
+from .params import ConfigurationError, read_text
 from .sweep import run_sweep
 
 
@@ -76,12 +76,15 @@ def _cmd_metrics(args) -> int:
     last = series.at_time(t[-1])
     print(f"final split: free {last['free_pct']:.2f}%  bound {last['bound_pct']:.2f}%"
           f"  absorbed {last['absorbed_pct']:.2f}%")
-    if not (run_dir / "ledger.json").exists():
+    path = run_dir / "ledger.json"
+    if not path.exists():
         return 0
     try:
-        ledger = json.loads((run_dir / "ledger.json").read_text())
+        ledger = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ConfigurationError(f"{run_dir / 'ledger.json'}: not JSON ({exc})") from None
+        raise ConfigurationError(f"{path}: not JSON ({exc})") from None
+    if not (isinstance(ledger, dict) and {"closure_residual", "retries"} <= ledger.keys()):
+        raise ConfigurationError(f"{path}: not a depotsim ledger")
     print(f"ledger closure residual: {ledger['closure_residual']:+.2e}")
     print(f"retries: {ledger['retries']}")
     if "chloride_min" in ledger:  # absent from reports written before it existed

@@ -328,7 +328,7 @@ def load_config(path) -> SimulationConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
-    return load_config_text(path.read_text())
+    return load_config_text(pr.read_text(path))
 
 
 def default_config() -> SimulationConfig:

@@ -7,12 +7,13 @@ The pore pressure solves the quasi-static balance
 with p = 0 on the outer rim (r = R) and no-flux everywhere else. The rim
 nodes are pinned symmetrically, row and column, so the discrete operator is
 symmetric positive definite. Both exchange terms are linear in p and kept
-implicit, and the source is a fixed shape scaled by the flow rate Q(t), so
-the pressure is affine in Q(t): p(t) = p_rest + Q(t) p_unit. The
-injection-phase stepper solves the `tissue_pressure` solver for p_rest and
-p_unit once and keeps no factor; the long phase freezes the drainage of one
-steady solve of it without the source. This is the only module that
-samples the `TissueLayers` on a mesh (`tissue_pressure`).
+implicit, and the source is the fixed unit-rate shape of `injection_source`
+scaled by the flow rate Q(t), so the pressure is affine in Q(t):
+p(t) = p_rest + Q(t) p_unit. The injection-phase stepper solves the
+`tissue_pressure` solver for p_rest and p_unit once and keeps no factor; the
+long phase freezes the drainage of one steady solve of it without the
+source. This is the only module that samples the `TissueLayers` on a mesh
+(`tissue_pressure`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _assembly as fv
-from .mesh import AxiMesh, integrate
+from .mesh import AxiMesh
 from .params import ConfigurationError, StarlingParams, TissueLayers
 
 class SolverError(RuntimeError):
@@ -67,30 +68,30 @@ class InjectionProtocol:
         return (0.0, domain_height - self.depth)
 
 
-def injection_source(mesh: AxiMesh, protocol: InjectionProtocol, t: float) -> np.ndarray:
-    """Volumetric source density q_p (1/s) at time t, normalized in the primal measure.
+def injection_source(mesh: AxiMesh, protocol: InjectionProtocol) -> np.ndarray:
+    """Volumetric source density q_p (1/s) per unit flow rate: q_p = Q(t) times it.
 
     Spatial profile: exp(-d^2 / (2 sigma^2)) truncated at 3 sigma around the
-    needle tip, rescaled every evaluation so that `integrate(q_p)`, the
-    primal-cell quadrature, equals Q(t). The solvers and the dose ledger book
-    the source in the dual measure, ``sum(node_volumes * q_p)``, which differs
-    from Q(t) by the quadrature error on a coarse or graded mesh, so the dose
-    they inject is not exactly the protocol's.
+    needle tip, scaled so that its primal-cell quadrature (bilinear cell
+    averages times ``mesh.cell_volumes``) is 1. This is the package's last
+    primal integral, and ROADMAP item 1's cause 1: the solvers and the dose
+    ledger book the source in the dual measure, ``sum(node_volumes * q_p)``,
+    which differs from Q(t) by the quadrature error on a coarse or graded
+    mesh, so the dose they inject is not exactly the protocol's.
     """
     r0, z0 = protocol.center(mesh.height)
     if not (0.0 <= r0 <= mesh.radius and 0.0 <= z0 <= mesh.height):
         raise ConfigurationError("injection point lies outside the domain")
-    q_total = protocol.flow_rate(t)
-    if q_total == 0.0:
-        return np.zeros((mesh.nz1, mesh.nr1))
     sigma = 0.5 * protocol.source_radius
     d2 = (mesh.rr - r0) ** 2 + (mesh.zz - z0) ** 2
     shape = np.exp(-d2 / (2.0 * sigma**2))
     shape[d2 > (3.0 * sigma) ** 2] = 0.0
-    total = integrate(shape, mesh)
+    cell_avg = 0.25 * (shape[:-1, :-1] + shape[:-1, 1:]
+                       + shape[1:, :-1] + shape[1:, 1:])
+    total = float(np.sum(cell_avg * mesh.cell_volumes))
     if total <= 0.0:
         raise ConfigurationError("mesh cannot resolve the injection source")
-    return shape * (q_total / total)
+    return shape / total
 
 
 def starling_lymph(p, params: StarlingParams, lymph):

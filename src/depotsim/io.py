@@ -27,7 +27,7 @@ from .flow import node_speed
 from .mesh import AxiMesh, FieldState
 from .metrics import CHANNELS, MetricSeries
 from .orchestrator import DoseLedger
-from .params import ConfigurationError, read_two_column_csv
+from .params import ConfigurationError, read_text, read_two_column_csv
 
 CHECKPOINT_FORMAT_VERSION = 1
 
@@ -62,10 +62,11 @@ def write_timeseries(series: MetricSeries, path) -> Path:
 
 
 def read_timeseries(path) -> MetricSeries:
-    """The series of a timeseries CSV; a malformed row raises
-    `ConfigurationError` naming the file and its 1-based line."""
+    """The series of a timeseries CSV; a file that is not UTF-8 raises
+    `ConfigurationError` naming it, and a malformed row one naming the file
+    and its 1-based line."""
     path = Path(path)
-    rows = [(number, ln) for number, ln in enumerate(path.read_text().splitlines(), 1)
+    rows = [(number, ln) for number, ln in enumerate(read_text(path).splitlines(), 1)
             if ln.strip()]
     if not rows or rows[0][1] != TIMESERIES_HEADER:
         raise ConfigurationError(f"{path}: not a depotsim timeseries file")

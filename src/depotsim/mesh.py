@@ -6,6 +6,11 @@ axisymmetric measure of a dual cell is pi*(rR^2 - rL^2)*(zT - zB). Fluxes are
 exchanged across dual faces, which makes every transport operator built here
 conservative by construction. The r = 0 axis needs no special casing: the
 innermost dual face has zero area.
+
+The dual cells are the package's one integration measure: totals are
+`nodal_integral`s and averages divide them by the domain volume. The primal
+cells' volumes ``cell_volumes`` are geometry, like the face areas, read by
+the cut cells of `metrics.plume_volume` and by `flow.injection_source`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 
 from .params import ConfigurationError
 
-__all__ = ["AxiMesh", "FieldState", "build_graded_mesh", "project_field", "integrate"]
+__all__ = ["AxiMesh", "FieldState", "build_graded_mesh", "project_field"]
 
 MAX_NEIGHBOR_RATIO = 1.3  # hard cap on adjacent cell-size ratio
 
@@ -122,20 +127,10 @@ class AxiMesh:
         # face between vertically adjacent nodes (j, j+1): annulus of the dual cell
         self.area_z = np.broadcast_to(ring[None, :], (self.nz, self.nr1)).copy()
 
-        # primal-cell quadrature (integration measure of `integrate`)
+        #: exact axisymmetric volume of each primal cell
         r_c = 0.5 * (r[:-1] + r[1:])
         self.cell_volumes = (2.0 * np.pi * r_c[None, :] * self.dr[None, :]
                              * self.dz[:, None])  # (nz, nr)
-
-        # nodal weights reproducing `integrate` as a linear functional
-        w = np.zeros((self.nz1, self.nr1))
-        quarter = 0.25 * self.cell_volumes
-        w[:-1, :-1] += quarter
-        w[:-1, 1:] += quarter
-        w[1:, :-1] += quarter
-        w[1:, 1:] += quarter
-        self.integration_weights = w
-        self.integration_total = float(w.sum())
 
         rr, zz = np.meshgrid(r, z)
         self.rr = rr  # (nz1, nr1) node radii
@@ -195,16 +190,6 @@ def build_graded_mesh(radius: float, height: float, n_r: int, n_z: int,
     r = _graded_axis(radius, n_r, fr, grading)
     z = _graded_axis(height, n_z, fz, grading)
     return AxiMesh(r=r, z=z, injection_point=(fr, fz))
-
-
-def integrate(field: np.ndarray, mesh: AxiMesh) -> float:
-    """Axisymmetric integral: sum over primal cells of cell-average x volume."""
-    f = np.asarray(field)
-    if f.shape != (mesh.nz1, mesh.nr1):
-        raise ValueError(f"field shape {f.shape} does not match mesh "
-                         f"({mesh.nz1}, {mesh.nr1})")
-    cell_avg = 0.25 * (f[:-1, :-1] + f[:-1, 1:] + f[1:, :-1] + f[1:, 1:])
-    return float(np.sum(cell_avg * mesh.cell_volumes))
 
 
 def nodal_integral(field: np.ndarray, mesh: AxiMesh) -> float:

@@ -4,12 +4,11 @@ Everything here is a pure function of a state; the only running totals live
 in the orchestrator's dose ledger. The nodes of a ball (`ball`) depend only on
 the mesh, so `AxiMesh.derived` keeps them on it, keyed on centre and radius.
 
-The two averages use different measures. `domain_average` integrates in the
-primal measure of `mesh.integrate` (bilinear cell averages times the primal
-cell volumes), written as the nodal weights ``mesh.integration_weights``, and
-divides by the cylinder's volume. `ball_average` weights the nodes inside
-the ball by their dual-cell volumes ``mesh.node_volumes``, the conservation
-measure of the solvers and the ledger.
+Both averages weight nodes by their dual-cell volumes ``mesh.node_volumes``,
+the conservation measure of the solvers and the ledger: `domain_average`
+over the whole cylinder, `ball_average` over the nodes inside the ball.
+`plume_volume` alone reads the primal cells, whose threshold crossings it
+interpolates.
 """
 
 from __future__ import annotations
@@ -40,13 +39,13 @@ CHANNELS = (
 
 
 def domain_average(fld: np.ndarray, mesh: AxiMesh) -> float:
-    """Volume average over the whole cylinder: `mesh.integrate` of the field,
-    taken as one dot with the mesh's nodal integration weights."""
+    """Volume average over the whole cylinder: the field's `nodal_integral`,
+    taken as one dot with the node volumes, over the cylinder's volume."""
     f = np.asarray(fld)
     if f.shape != (mesh.nz1, mesh.nr1):
         raise ValueError(f"field shape {f.shape} does not match mesh "
                          f"({mesh.nz1}, {mesh.nr1})")
-    return float(np.dot(mesh.integration_weights.ravel(), f.ravel())) / mesh.domain_volume
+    return float(np.dot(mesh.node_volumes.ravel(), f.ravel())) / mesh.domain_volume
 
 
 def net_charge_density(c_mab: np.ndarray, z_mab: np.ndarray) -> np.ndarray:

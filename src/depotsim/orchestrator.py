@@ -33,10 +33,11 @@ these arrays; the face mobilities and the zero velocity are marked
 read-only. Its ``flow`` flag says which phase it steps: the injection phase
 (True) or the reduced one (False).
 
-- Injection phase: the source shape, the two pressure fields ``p_rest`` and
-  ``p_unit`` whose Q(t) combination is the pressure at any time, and the
-  face mobilities kappa/eta the pressure solver harmonically averaged and
-  the drainage coefficient, from which each step takes u and J_l.
+- Injection phase: the unit-rate source shape of `flow.injection_source`,
+  which Q(t) scales, the two pressure fields ``p_rest`` and ``p_unit``
+  whose Q(t) combination is the pressure at any time, and the face
+  mobilities kappa/eta the pressure solver harmonically averaged and the
+  drainage coefficient, from which each step takes u and J_l.
 - Reduced phase: one zero face velocity that every state of the phase
   shares. Without flow a step passes no velocity and no injection
   source to the species transport, and books no injected dose.
@@ -137,10 +138,7 @@ class StaggeredStepper:
                                       for _ in range(3))
         if flow:
             # the source shape never changes; only Q(t) rescales it
-            shape = fl.injection_source(mesh, self.protocol,
-                                        0.5 * self.protocol.duration)
-            q_ref = self.protocol.flow_rate(0.5 * self.protocol.duration)
-            self._source_shape = shape / q_ref
+            self._source_shape = fl.injection_source(mesh, self.protocol)
             # the pressure is affine in Q(t), so two solves serve the phase
             # and no factor outlives the constructor
             pressure, self._lymph = fl.tissue_pressure(

@@ -33,6 +33,15 @@ class ConfigurationError(ValueError):
     """A parameter or configuration value violates its invariants."""
 
 
+def read_text(path: Path) -> str:
+    """The text of a UTF-8 file; a file that is not UTF-8 raises
+    `ConfigurationError` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 @dataclass(frozen=True)
 class PhysicalConstants:
     faraday: float  # C/mol
@@ -82,33 +91,32 @@ class PhCurve:
 def read_two_column_csv(path, header: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     """The two numeric columns of a CSV whose first line is ``header``.
 
-    Blank lines and ``#`` comments are skipped. A wrong header, a row that is
-    not two finite numbers, or a file without data rows raises
-    `ConfigurationError` naming the file and line.
+    Blank lines and ``#`` comments are skipped. A file that is not UTF-8, a
+    wrong header, a row that is not two finite numbers, or a file without
+    data rows raises `ConfigurationError` naming the file and line.
     """
     path = Path(path)
     rows = []
     seen_header = False
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            cols = line.split(",")
-            if not seen_header:
-                if [c.strip().lower() for c in cols] != list(header):
-                    raise ConfigurationError(f"{path}:{lineno}: expected header "
-                                             f"{','.join(header)!r}, got {line!r}")
-                seen_header = True
-                continue
-            try:
-                x, y = map(float, cols)  # also raises on a row of the wrong width
-            except ValueError:
-                x = y = math.nan
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ConfigurationError(f"{path}:{lineno}: expected two finite "
-                                         f"numbers, got {line!r}")
-            rows.append((x, y))
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        cols = line.split(",")
+        if not seen_header:
+            if [c.strip().lower() for c in cols] != list(header):
+                raise ConfigurationError(f"{path}:{lineno}: expected header "
+                                         f"{','.join(header)!r}, got {line!r}")
+            seen_header = True
+            continue
+        try:
+            x, y = map(float, cols)  # also raises on a row of the wrong width
+        except ValueError:
+            x = y = math.nan
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ConfigurationError(f"{path}:{lineno}: expected two finite "
+                                     f"numbers, got {line!r}")
+        rows.append((x, y))
     if not rows:
         raise ConfigurationError(f"{path}: no data rows")
     arr = np.array(rows)

@@ -10,9 +10,10 @@ elliptic equation for the potential:
     sigma = sum_i z_i F n (z_i mu_i - z_Cl mu_Cl) c_i
 
 All boundaries are flux-free, so Phi is defined up to a constant. The solve
-subtracts the mean of the discrete residual (compatibility), grounds the
-operator at one node so that it is regular and stays symmetric positive
-definite, and then shifts Phi to a zero domain average.
+removes the discrete residual's total as a uniform volumetric source in the
+dual-cell measure the balance rows are written in (compatibility), grounds
+the operator at one node so that it is regular and stays symmetric positive
+definite, and then shifts Phi to a zero domain average in the same measure.
 """
 
 from __future__ import annotations
@@ -102,22 +103,23 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     """Solve A phi = b for the flux-free operator A = -div(sigma grad ./).
 
     The operator's nullspace is the constants, so b is first shifted to zero
-    total (discrete compatibility; the residual mean is what gets removed).
-    The last node is then grounded: its own diagonal is added to its
-    diagonal, which makes the operator regular and keeps it symmetric
-    positive definite (Bochev & Lehoucq, SIAM Rev. 47, 2005). The columns of
-    A sum to zero, so for a compatible b the grounded solution has phi = 0
-    at that node and solves every equation exactly. The gauge
-    integrate(phi) = 0 then fixes the constant. The last node is the last
-    pivot of the band order; grounding it rather than node 0 left errors
-    near 1e-13 instead of 1e-11 of a refined solve on random 48x12 and 56x8
-    operators.
+    total (discrete compatibility): its total is taken out as the uniform
+    volumetric source b.sum() / V of the domain volume V, integrated over
+    each dual cell, the measure of the balance rows. The last node is then
+    grounded: its own diagonal is added to its diagonal, which makes the
+    operator regular and keeps it symmetric positive definite (Bochev &
+    Lehoucq, SIAM Rev. 47, 2005). The columns of A sum to zero, so for a
+    compatible b the grounded solution has phi = 0 at that node and solves
+    every equation exactly. The gauge sum(node_volumes * phi) = 0 then
+    fixes the constant. The last node is the last pivot of the band order;
+    grounding it rather than node 0 left errors near 1e-13 instead of 1e-11
+    of a refined solve on random 48x12 and 56x8 operators.
     """
     a = fv.diffusion_matrix(mesh, fv.harmonic_face_coefficients(mesh, sigma))
     a.data[a.pattern.diag[-1]] *= 2.0
 
-    w = mesh.integration_weights.ravel()
-    b = b.ravel() - w * (b.sum() / mesh.integration_total)  # now sums to zero exactly
+    w = mesh.node_volumes.ravel()
+    b = b.ravel() - w * (b.sum() / mesh.domain_volume)  # sums to zero to round-off
 
     try:
         lu = fv.factorize(mesh, a)
@@ -126,5 +128,5 @@ def _solve_neumann(mesh: AxiMesh, sigma: np.ndarray, b: np.ndarray) -> np.ndarra
     phi = lu.solve(b)
     if not np.isfinite(phi).all():
         raise SolverError("potential solve produced non-finite values")
-    phi -= np.dot(w, phi) / mesh.integration_total
+    phi -= np.dot(w, phi) / mesh.domain_volume
     return phi.reshape(mesh.nz1, mesh.nr1)

@@ -202,6 +202,10 @@ class TestSnapshotCommand:
         assert t == pytest.approx(6.0, abs=1.0)
 
 
+#: the UTF-16 byte-order mark, which no UTF-8 text starts with
+NOT_UTF8 = b"\xff\xfe"
+
+
 def assert_clean_error(capsys, argv, where):
     """The command exits 1 with one ``error:`` line naming ``where``."""
     assert main(argv) == 1
@@ -270,6 +274,34 @@ class TestBadInputFiles:
             (finished_run / "timeseries.csv").read_bytes())
         (tmp_path / "ledger.json").write_text("{truncated")
         assert_clean_error(capsys, ["metrics", str(tmp_path)], "ledger.json")
+
+    @pytest.mark.parametrize("text", ["{}", "[1, 2]", '{"closure_residual": 0.0}',
+                                      '{"retries": 0}'])
+    def test_metrics_with_a_ledger_that_is_not_a_depotsim_ledger(
+            self, finished_run, tmp_path, capsys, text):
+        (tmp_path / "timeseries.csv").write_bytes(
+            (finished_run / "timeseries.csv").read_bytes())
+        (tmp_path / "ledger.json").write_text(text)
+        assert_clean_error(capsys, ["metrics", str(tmp_path)], "not a depotsim ledger")
+
+    def test_run_with_a_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.cfg"
+        cfg.write_bytes(NOT_UTF8 + b"mesh.fine_nr = 20\n")
+        assert_clean_error(capsys, ["run", str(cfg)], "utf16.cfg")
+
+    @pytest.mark.parametrize("name", ["timeseries.csv", "ledger.json"])
+    def test_metrics_with_a_file_that_is_not_utf8(self, finished_run, tmp_path, capsys,
+                                                  name):
+        for kept in ("timeseries.csv", "ledger.json"):
+            shutil.copy(finished_run / kept, tmp_path / kept)
+        (tmp_path / name).write_bytes(NOT_UTF8 + (finished_run / name).read_bytes())
+        assert_clean_error(capsys, ["metrics", str(tmp_path)], name)
+
+    def test_compare_with_a_reference_that_is_not_utf8(self, finished_run, tmp_path,
+                                                       capsys):
+        ref = tmp_path / "ref.csv"
+        ref.write_bytes(NOT_UTF8 + b"time_h,remaining_fraction\n0,1.0\n")
+        assert_clean_error(capsys, ["compare", str(finished_run), str(ref)], "ref.csv")
 
 
 class TestSweep:

@@ -13,7 +13,7 @@ from depotsim.config import default_config
 from depotsim.flow import (PressureSolver, darcy_mobility, exchange_coefficients,
                            injection_source, node_speed, starling_lymph,
                            tissue_pressure, velocity_from_pressure)
-from depotsim.mesh import build_graded_mesh, integrate
+from depotsim.mesh import build_graded_mesh
 from depotsim.params import ConfigurationError, TissueLayer, TissueLayers
 
 DEFAULTS = default_config()
@@ -49,17 +49,36 @@ class TestInjectionProtocol:
             replace(PROTOCOL, ramp_time=3.0)
 
 
+def primal_quadrature(f, mesh):
+    """Bilinear cell averages of a nodal field times the primal cell volumes."""
+    cell_avg = 0.25 * (f[:-1, :-1] + f[:-1, 1:] + f[1:, :-1] + f[1:, 1:])
+    return float(np.sum(cell_avg * mesh.cell_volumes))
+
+
 class TestInjectionSource:
     def test_zero_after_injection(self, mesh):
-        q = injection_source(mesh, PROTOCOL, t=7.0)
+        q = injection_source(mesh, PROTOCOL) * PROTOCOL.flow_rate(7.0)
         assert np.all(q == 0.0)
 
     def test_plateau_normalization(self, mesh):
+        # the shape is per unit rate: its primal quadrature is 1
         proto = PROTOCOL
-        q = injection_source(mesh, proto, t=2.5)
-        q_expected = proto.flow_rate(2.5)
-        assert integrate(q, mesh) == pytest.approx(q_expected, rel=1e-8)
-        assert q_expected == pytest.approx(0.2, rel=0.025)
+        q = injection_source(mesh, proto)
+        assert primal_quadrature(q, mesh) == pytest.approx(1.0, rel=1e-14)
+        assert proto.flow_rate(2.5) == pytest.approx(0.2, rel=0.025)
+
+    def test_scaled_shape_is_the_time_dependent_source(self, mesh):
+        # the reference: the bump rescaled at each time t to a primal
+        # quadrature of Q(t)
+        proto = PROTOCOL
+        sigma = 0.5 * proto.source_radius
+        d2 = mesh.rr**2 + (mesh.zz - proto.center(mesh.height)[1]) ** 2
+        bump = np.where(d2 > (3.0 * sigma) ** 2, 0.0, np.exp(-d2 / (2.0 * sigma**2)))
+        shape = injection_source(mesh, proto)
+        for t in (0.05, 0.5 * proto.ramp_time, 2.5, proto.duration - 0.05):
+            expected = bump * (proto.flow_rate(t) / primal_quadrature(bump, mesh))
+            q = shape * proto.flow_rate(t)
+            assert np.abs(q - expected).max() <= 1e-15 * expected.max()
 
     def test_mean_exit_speed_matches_needle_area_estimate(self):
         # Q / (pi a^2) for a ~ 0.225 cm reproduces the nominal needle speed
@@ -70,7 +89,7 @@ class TestInjectionSource:
 
     def test_center_outside_domain_rejected(self, mesh):
         with pytest.raises(ConfigurationError):
-            injection_source(mesh, replace(PROTOCOL, depth=7.0), t=1.0)
+            injection_source(mesh, replace(PROTOCOL, depth=7.0))
 
 
 def uniform_tissue(height, slv):
@@ -160,7 +179,7 @@ class TestSolvePressure:
         solver, _ = tissue_pressure(mesh, layers, params, ETA)
         for volume in (0.5, 1.0, 2.0):
             proto = replace(PROTOCOL, volume=volume)
-            p = solver.solve(injection_source(mesh, proto, t=2.5))
+            p = solver.solve(injection_source(mesh, proto) * proto.flow_rate(2.5))
             peaks.append(ball_average(p, ball(mesh, proto.center(5.0), 0.1)))
         assert peaks[0] < peaks[1] < peaks[2]
 

@@ -9,7 +9,7 @@ import pytest
 from depotsim._assembly import csr_pattern
 from depotsim.config import default_config
 from depotsim.mesh import (AxiMesh, FieldState, MeshError, build_graded_mesh,
-                           integrate, nodal_integral, project_field)
+                           nodal_integral, project_field)
 from depotsim.metrics import ball
 
 CYLINDER_VOLUME = np.pi * 25.0 * 5.0  # R = H = 5
@@ -52,35 +52,40 @@ class TestBuildGradedMesh:
 
 
 class TestIntegrate:
+    """`nodal_integral`, the dual-cell measure: the trapezoid rule in z, and in r
+    the exact volume of each node's ring."""
+
     def setup_method(self):
         self.mesh = build_graded_mesh(5, 5, 32, 32, focus=(0, 4.2), grading=1.05)
 
     def test_constant_one(self):
-        ones = np.ones((self.mesh.nz1, self.mesh.nr1))
-        assert integrate(ones, self.mesh) == pytest.approx(392.699, abs=1e-2)
+        mesh = build_graded_mesh(5, 5, 20, 12, focus=(0, 4.2), grading=1.0)
+        ones = np.ones((mesh.nz1, mesh.nr1))
+        assert nodal_integral(ones, mesh) == pytest.approx(392.699, abs=1e-2)
 
     def test_zero(self):
-        assert integrate(np.zeros((self.mesh.nz1, self.mesh.nr1)), self.mesh) == 0.0
+        assert nodal_integral(np.zeros((self.mesh.nz1, self.mesh.nr1)), self.mesh) == 0.0
 
     def test_radial_field_closed_form(self):
         # 2 pi int r^2 dr dz = (2 pi / 3) R^3 H = 1308.997
         mesh = build_graded_mesh(5, 5, 64, 16, focus=(0, 4.2), grading=1.0)
-        val = integrate(mesh.rr, mesh)
+        val = nodal_integral(mesh.rr, mesh)
         assert val == pytest.approx(2 * np.pi / 3 * 125 * 5, rel=2e-4)
 
     def test_linearity_with_random_fields(self):
         rng = np.random.default_rng(7)
         f = rng.normal(size=(self.mesh.nz1, self.mesh.nr1))
         g = rng.normal(size=(self.mesh.nz1, self.mesh.nr1))
-        lhs = integrate(f + g, self.mesh)
-        rhs = integrate(f, self.mesh) + integrate(g, self.mesh)
+        lhs = nodal_integral(f + g, self.mesh)
+        rhs = nodal_integral(f, self.mesh) + nodal_integral(g, self.mesh)
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_weights_reproduce_integral(self):
-        rng = np.random.default_rng(8)
-        f = rng.normal(size=(self.mesh.nz1, self.mesh.nr1))
-        assert np.sum(f * self.mesh.integration_weights) == pytest.approx(
-            integrate(f, self.mesh), rel=1e-12, abs=1e-12)
+        # the node volumes integrate a field linear in z exactly on a graded
+        # mesh: pi R^2 (a H + b H^2 / 2)
+        f = 1.5 - 0.25 * self.mesh.zz
+        assert nodal_integral(f, self.mesh) == pytest.approx(
+            np.pi * 25.0 * (1.5 * 5.0 - 0.25 * 12.5), rel=1e-12)
 
     def test_nodal_integral_of_one(self):
         ones = np.ones((self.mesh.nz1, self.mesh.nr1))
@@ -89,9 +94,9 @@ class TestIntegrate:
 
 
 def mass_change(src_mesh, src_field, dst_mesh, dst_field):
-    """Relative change of the axisymmetric integral across a projection."""
-    m_src = integrate(src_field, src_mesh)
-    return (integrate(dst_field, dst_mesh) - m_src) / abs(m_src)
+    """Relative change of the dual-cell integral across a projection."""
+    m_src = nodal_integral(src_field, src_mesh)
+    return (nodal_integral(dst_field, dst_mesh) - m_src) / abs(m_src)
 
 
 class TestProjectField:

@@ -180,7 +180,8 @@ class TestAffinePressure:
         ramp, end = protocol.ramp_time, protocol.duration
         # ramp-up, plateau, ramp-down, after the flow stops
         for t in (0.5 * ramp, 0.5 * end, end - 0.5 * ramp, end + 0.5):
-            expected = solver.solve(injection_source(mesh, protocol, t))
+            expected = solver.solve(injection_source(mesh, protocol)
+                                    * protocol.flow_rate(t))
             assert (np.linalg.norm(stepper.pressure_at(t) - expected)
                     <= 1e-12 * np.linalg.norm(expected))
 

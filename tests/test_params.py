@@ -61,6 +61,12 @@ class TestPhCurve:
         with pytest.raises(ConfigurationError):
             PhCurve([5.0, 5.0, 9.0], [1.0, 0.5, 0.0])
 
+    def test_csv_that_is_not_utf8_is_rejected(self, tmp_path):
+        path = tmp_path / "charge.csv"
+        path.write_bytes(b"\xff\xfeph,value\n5,10\n9,-2\n")
+        with pytest.raises(ConfigurationError, match="charge.csv: not UTF-8"):
+            PhCurve.from_csv(path)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(3.0, 12.0), min_size=2, max_size=8, unique=True),
            st.lists(st.floats(-40.0, 40.0), min_size=8, max_size=8),

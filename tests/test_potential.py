@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from depotsim import _assembly as fv
 from depotsim.flow import SolverError
-from depotsim.mesh import AxiMesh, build_graded_mesh, integrate
+from depotsim.mesh import AxiMesh, build_graded_mesh, nodal_integral
 from depotsim.metrics import domain_average
 from depotsim.config import default_config
 from depotsim.potential import (PotentialCoefficients, _solve_neumann,
@@ -130,11 +130,12 @@ class TestSolve:
             assert np.allclose(phi_lam, phi_ref, atol=1e-14 + 1e-10 * np.abs(phi_ref).max())
 
     def test_wide_graded_solve_matches_a_refined_bordered_solve(self):
-        # the reference solves the bordered system [[A, w], [w^T, 0]] and
-        # refines it with residuals in long double, so it shares neither the
-        # gauge nor the factorization of the solve under test. The parent's
-        # solve, pinning node 0's row and factoring by SuperLU, was 6.3e-12
-        # of max|Phi| away; grounding the last node and banded Cholesky 3.1e-14
+        # the reference solves the bordered system [[A, w], [w^T, 0]] with
+        # the node volumes w, and refines it with residuals in long double,
+        # so it shares neither the gauge nor the factorization of the solve
+        # under test. Pinning node 0's row and factoring by SuperLU left the
+        # solve 6.3e-12 of max|Phi| away; grounding the last node and banded
+        # Cholesky 3.1e-14
         nodes = np.concatenate([[0.0], np.cumsum(0.1 * 1.02 ** np.arange(56))])
         wide = AxiMesh(r=nodes, z=nodes[:9])
         assert wide.nr1 > fv._BAND_MAX_WIDTH
@@ -147,7 +148,7 @@ class TestSolve:
 
         a = fv.diffusion_matrix(wide, fv.harmonic_face_coefficients(wide, coeffs.sigma))
         n = wide.n_nodes
-        w = wide.integration_weights.ravel()
+        w = wide.node_volumes.ravel()
         b = (coeffs.div_g - coeffs.rhs * wide.node_volumes).ravel()
         b = b - w * (b.sum() / w.sum())
         bordered = np.zeros((n + 1, n + 1))
@@ -159,6 +160,8 @@ class TestSolve:
             x += np.linalg.solve(bordered, (rhs - bordered.astype(np.longdouble) @ x).astype(float))
         reference = x[:n].astype(float)
         assert np.abs(phi - reference).max() <= 1e-13 * np.abs(reference).max()
+        # the gauge: zero total in the dual-cell measure
+        assert abs(np.dot(w, phi)) <= 1e-14 * np.dot(w, np.abs(phi))
 
     def test_manufactured_solution_order(self):
         # Phi* = cos(pi r / R) cos(pi z / H) is flux-free on every boundary
@@ -184,7 +187,7 @@ class TestJunctionOracle:
         d_na, d_cl = species.sodium.diffusivity, species.chloride.diffusivity
         ratio = (d_na - d_cl) / (d_na + d_cl)
         expected = -(CONSTANTS.rt / CONSTANTS.faraday) * ratio * np.log(c)
-        expected -= integrate(expected, mesh) / mesh.domain_volume
+        expected -= nodal_integral(expected, mesh) / mesh.domain_volume
         assert np.allclose(phi, expected, atol=2e-5)
         # concentrated bottom sits above the dilute top
         assert phi[0, 0] > phi[-1, 0]
