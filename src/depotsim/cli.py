@@ -79,24 +79,46 @@ def _cmd_metrics(args) -> int:
     path = run_dir / "ledger.json"
     if not path.exists():
         return 0
+    ledger = _read_ledger(path)
+    print(f"ledger closure residual: {ledger['closure_residual']:+.2e}")
+    print(f"retries: {ledger['retries']}")
+    if "chloride_min" in ledger:
+        print(f"minimum chloride: {ledger['chloride_min']:.4e} mol/cm^3")
+    for phase, counters in ledger.get("phases", {}).items():
+        print(f"{phase} phase: " + "  ".join(f"{k} {v}" for k, v in counters.items()))
+    for phase, rep in ledger.get("phase_report", {}).items():
+        print(f"{phase} report: steps {rep['steps']}  dt min/median/max "
+              f"{rep['dt_min_s']:.4g}/{rep['dt_median_s']:.4g}/{rep['dt_max_s']:.4g} s  "
+              f"wall {rep['wall_s']:.3f} s  "
+              f"max closure residual {rep['max_closure_residual']:.2e}")
+    return 0
+
+
+def _read_ledger(path) -> dict:
+    """A run's ledger.json, in which every field `metrics` prints is a number;
+    older ledgers lack ``chloride_min``, ``phases`` and ``phase_report``."""
     try:
         ledger = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"{path}: not JSON ({exc})") from None
     if not (isinstance(ledger, dict) and {"closure_residual", "retries"} <= ledger.keys()):
         raise ConfigurationError(f"{path}: not a depotsim ledger")
-    print(f"ledger closure residual: {ledger['closure_residual']:+.2e}")
-    print(f"retries: {ledger['retries']}")
-    if "chloride_min" in ledger:  # absent from reports written before it existed
-        print(f"minimum chloride: {ledger['chloride_min']:.4e} mol/cm^3")
-    for phase, counters in ledger.get("phases", {}).items():  # likewise
-        print(f"{phase} phase: " + "  ".join(f"{k} {v}" for k, v in counters.items()))
-    for phase, rep in ledger.get("phase_report", {}).items():  # likewise
-        print(f"{phase} report: steps {rep['steps']}  dt min/median/max "
-              f"{rep['dt_min_s']:.4g}/{rep['dt_median_s']:.4g}/{rep['dt_max_s']:.4g} s  "
-              f"wall {rep['wall_s']:.3f} s  "
-              f"max closure residual {rep['max_closure_residual']:.2e}")
-    return 0
+    printed = {k: ledger[k] for k in ("closure_residual", "retries", "chloride_min")
+               if k in ledger}
+    report = ("steps", "dt_min_s", "dt_median_s", "dt_max_s", "wall_s",
+              "max_closure_residual")
+    for block, keys in (("phases", None), ("phase_report", report)):
+        phases = ledger.get(block, {})
+        if not isinstance(phases, dict):
+            raise ConfigurationError(f"{path}: {block} is {phases!r}, not a dict")
+        for phase, entries in phases.items():
+            if not isinstance(entries, dict):
+                raise ConfigurationError(f"{path}: {block}.{phase} is {entries!r}, not a dict")
+            printed.update({f"{block}.{phase}.{k}": entries.get(k) for k in keys or entries})
+    for where, value in printed.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigurationError(f"{path}: {where} is {value!r}, not a number")
+    return ledger
 
 
 def _cmd_compare(args) -> int:

@@ -309,13 +309,9 @@ class SimulationConfig:
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:
+        # a float's str is its repr, which parses back to the same float
         lines = ["# depotsim scenario (all keys explicit)"]
-        for key in sorted(SCHEMA):
-            val = self.values[key]
-            if isinstance(val, float):
-                lines.append(f"{key} = {val!r}")
-            else:
-                lines.append(f"{key} = {val}")
+        lines += [f"{key} = {self.values[key]}" for key in sorted(SCHEMA)]
         return "\n".join(lines) + "\n"
 
 

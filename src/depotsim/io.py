@@ -7,8 +7,8 @@ ASCII structured-grid dialect readable by standard scientific viewers.
 Both text formats render every float as ``"%.17g"``: 17 significant digits,
 so a reader recovers every double exactly. A whole column or field is
 rendered in one ``%``-format (`_render`), which gives the same bytes as
-formatting each value on its own; `_fmt` is kept for single scalars. Checkpoints
-round-trip through `save_checkpoint` and `load_checkpoint`; the frozen format
+formatting each value on its own. Checkpoints round-trip through
+`save_checkpoint` and `load_checkpoint`; the frozen format
 stores the face velocity as ``u_r`` (nz1, nr) and ``u_z`` (nz, nr1).
 Reference curves are parsed by `params.read_two_column_csv`.
 """
@@ -36,10 +36,6 @@ TIMESERIES_HEADER = "t_s," + ",".join(CHANNELS)
 FLOAT_FORMAT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FORMAT % x
-
-
 def _render(values, width: int) -> str:
     """The values of an array in C order as text lines of ``width``
     comma-separated `FLOAT_FORMAT` renderings, each line ending in a newline."""
@@ -62,14 +58,16 @@ def write_timeseries(series: MetricSeries, path) -> Path:
 
 
 def read_timeseries(path) -> MetricSeries:
-    """The series of a timeseries CSV; a file that is not UTF-8 raises
-    `ConfigurationError` naming it, and a malformed row one naming the file
-    and its 1-based line."""
+    """The series of a timeseries CSV; a file that is not UTF-8 or holds no
+    data rows raises `ConfigurationError` naming it, and a malformed row one
+    naming the file and its 1-based line."""
     path = Path(path)
     rows = [(number, ln) for number, ln in enumerate(read_text(path).splitlines(), 1)
             if ln.strip()]
     if not rows or rows[0][1] != TIMESERIES_HEADER:
         raise ConfigurationError(f"{path}: not a depotsim timeseries file")
+    if len(rows) == 1:
+        raise ConfigurationError(f"{path}: no data rows")
     series = MetricSeries()
     for number, ln in rows[1:]:
         cells = ln.split(",")
@@ -125,7 +123,7 @@ def write_snapshot(state: FieldState, path) -> Path:
 
     with path.open("w") as out:
         out.write("# vtk DataFile Version 3.0\n"
-                  f"depotsim snapshot t={_fmt(state.t)} s\n"
+                  f"depotsim snapshot t={FLOAT_FORMAT % state.t} s\n"
                   "ASCII\n"
                   "DATASET STRUCTURED_GRID\n"
                   f"DIMENSIONS {mesh.nr1} {mesh.nz1} 1\n"

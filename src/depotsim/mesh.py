@@ -11,6 +11,8 @@ The dual cells are the package's one integration measure: totals are
 `nodal_integral`s and averages divide them by the domain volume. The primal
 cells' volumes ``cell_volumes`` are geometry, like the face areas, read by
 the cut cells of `metrics.plume_volume` and by `flow.injection_source`.
+A `FieldState` holds no bound: `orchestrator._admit` alone admits a step's
+state and zeroes its round-off negatives.
 """
 
 from __future__ import annotations
@@ -266,20 +268,3 @@ class FieldState:
             u=np.zeros(mesh.n_faces),
             t=0.0,
         )
-
-    def clip_concentrations(self, logger) -> int:
-        """Zero out tiny negative concentrations left over from linear solves.
-
-        Overshoot large enough to reject the step is the stepper's business;
-        by the time a state is accepted only round-off negatives remain.
-        """
-        n_clipped = 0
-        for name in ("c_na", "c_h", "c_mab", "c_b"):
-            arr = getattr(self, name)
-            if not arr.min() >= 0.0:  # a NaN takes the masked path too
-                neg = arr < 0.0
-                n_clipped += int(np.count_nonzero(neg))
-                arr[neg] = 0.0
-        if n_clipped:
-            logger.debug("clipped %d tiny negative nodal values", n_clipped)
-        return n_clipped

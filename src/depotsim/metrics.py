@@ -134,8 +134,8 @@ class MetricSeries:
         default_factory=lambda: {name: [] for name in CHANNELS})
 
     def append(self, t: float, **values):
-        if self.time and t <= self.time[-1]:
-            raise ValueError("metric samples must have strictly increasing time")
+        if not np.isfinite(t) or self.time and t <= self.time[-1]:
+            raise ValueError("metric samples must have finite, strictly increasing time")
         missing = set(CHANNELS) - set(values)
         if missing:
             raise ValueError(f"missing channels: {sorted(missing)}")

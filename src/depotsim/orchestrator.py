@@ -3,13 +3,15 @@
 Each step runs the substeps in a fixed order: (1) pressure + velocity and
 potential (with concentrations lagged), (2) implicit species transport,
 (3) binding exchange (`binding.py`), (4) pH update, chloride recovery and
-ledger update. A step whose species overshoot below zero, or whose bound
-field leaves [0, B_max], is rejected and retried with halved dt up to five
-times.
+ledger update.
 
 A step is state in, state out: `StaggeredStepper.attempt` builds a candidate
 `FieldState` and leaves its input alone, `StaggeredStepper.step` returns the
 accepted one and books the dose ledger, the one thing it changes in place.
+`_admit` alone accepts a candidate: a non-finite species fails the run; a
+species below zero, or c_B outside [0, B_max], by more than `ROUND_OFF` of its
+scale is retried with halved dt up to five times; the round-off negatives
+left are zeroed and counted.
 
 After the injection phase the problem is reduced: fields are projected onto
 a coarse uniform mesh (with an exact drug-mass rescale), convection and
@@ -29,9 +31,7 @@ Every accepted state carries its pH, drug charge and recovered chloride
 
 A `StaggeredStepper` computes what its phase never changes once, when it is
 built, and keeps it for as long as it lives: one phase. No step writes to
-these arrays; the face mobilities and the zero velocity are marked
-read-only. Its ``flow`` flag says which phase it steps: the injection phase
-(True) or the reduced one (False).
+these arrays; the face mobilities and the zero velocity are marked read-only.
 
 - Injection phase: the unit-rate source shape of `flow.injection_source`,
   which Q(t) scales, the two pressure fields ``p_rest`` and ``p_unit``
@@ -41,13 +41,6 @@ read-only. Its ``flow`` flag says which phase it steps: the injection phase
 - Reduced phase: one zero face velocity that every state of the phase
   shares. Without flow a step passes no velocity and no injection
   source to the species transport, and books no injected dose.
-
-The stepper counts its phase's dt-halving ``retries``, ``clipped`` round-off
-negatives and kept-ILU ``krylov`` work; the phase's end copies them into
-`PhaseResult.counters`, the ``phases`` block of ``ledger.json``.
-
-The near-source ball of the emitted pressure channel is cached on the mesh
-by `metrics.ball`, keyed on its centre and radius.
 """
 
 from __future__ import annotations
@@ -79,8 +72,40 @@ PRESSURE_BALL_RADIUS = 0.1  # cm
 
 MAX_DT_RETRIES = 5
 
+#: a field may leave its bounds by this share of its scale and be admitted
+ROUND_OFF = 1e-12
+
 #: geometric growth of a phase's step from its minimum to its maximum
 DT_GROWTH = 1.2
+
+
+class NegativeConcentrationError(SolverError):
+    """A field left its bounds beyond round-off; the stepper retries at half the dt."""
+
+
+def _admit(candidate: FieldState, b_max: float) -> int:
+    """Raise unless a step's candidate state is admitted (see the module
+    docstring); zero its round-off negatives in place and return how many."""
+    species = {"Na+": candidate.c_na, "H+": candidate.c_h, "mAb": candidate.c_mab}
+    for name, arr in species.items():
+        if not np.isfinite(arr).all():
+            raise SolverError(f"{name} transport produced non-finite values")
+    for name, arr in species.items():
+        floor = -ROUND_OFF * max(float(arr.max(initial=0.0)), 1e-300)
+        if float(arr.min()) < floor:
+            raise NegativeConcentrationError(
+                f"{name} overshot to {float(arr.min()):.3e} (floor {floor:.3e})")
+    low, high = float(candidate.c_b.min()), float(candidate.c_b.max())
+    if low < -ROUND_OFF * b_max or high - b_max > ROUND_OFF * b_max:
+        raise NegativeConcentrationError(
+            f"bound field left [0, B_max = {b_max:.3e}]: min {low:.3e}, max {high:.3e}")
+    clipped = 0
+    for arr in (*species.values(), candidate.c_b):
+        if not arr.min() >= 0.0:  # a NaN takes the masked path too
+            neg = arr < 0.0
+            clipped += int(np.count_nonzero(neg))
+            arr[neg] = 0.0
+    return clipped
 
 
 @dataclass
@@ -110,10 +135,11 @@ class StaggeredStepper:
     """One-phase stepping engine bound to a mesh and a parameter set.
 
     ``flow`` is True for the injection phase and False for the reduced one.
-    ``step(state, ledger, dt)`` returns the next state and the dt it took,
-    and never writes to ``state``. It keeps one `fv.SpeciesSolver` per
-    species, and with them their preconditioners, for as long as it lives:
-    one phase. ``retries``, ``clipped`` and ``krylov`` count its work.
+    It keeps one `fv.SpeciesSolver` per species, and with them their
+    preconditioners, for as long as it lives: one phase. It counts its
+    dt-halving ``retries``, the ``clipped`` round-off negatives and the
+    kept-ILU ``krylov`` work; the phase's end copies them into
+    `PhaseResult.counters`, the ``phases`` block of ``ledger.json``.
     """
 
     def __init__(self, mesh: AxiMesh, config: SimulationConfig, flow: bool):
@@ -165,8 +191,9 @@ class StaggeredStepper:
 
     # -- one attempted step (pure: commits nothing) -------------------------
     def attempt(self, state: FieldState, dt: float):
-        """The candidate state at ``state.t + dt``, without its derived fields,
-        and the step's (injected, absorbed, eliminated) drug increments."""
+        """The admitted state at ``state.t + dt``, without its derived fields,
+        the step's (injected, absorbed, eliminated) drug increments and the
+        count of round-off negatives `_admit` zeroed."""
         mesh = self.mesh
         t_new = state.t + dt
 
@@ -214,9 +241,10 @@ class StaggeredStepper:
 
         new = FieldState(mesh=mesh, c_na=c_na, c_h=c_h, c_mab=c_mab, c_b=c_b,
                          p=p, phi=phi, u=u, t=t_new, j_l=j_l)
-        return new, (injected,
-                     dt * nodal_integral(j_l * c_mab, mesh),
-                     dt * self.binding.k_e * nodal_integral(state.c_b, mesh))
+        increments = (injected,
+                      dt * nodal_integral(j_l * c_mab, mesh),
+                      dt * self.binding.k_e * nodal_integral(state.c_b, mesh))
+        return new, increments, _admit(new, self.binding.b_max)
 
     def step(self, state: FieldState, ledger: DoseLedger,
              dt: float) -> tuple[FieldState, float]:
@@ -224,9 +252,9 @@ class StaggeredStepper:
         dt_eff = dt
         for attempt in range(MAX_DT_RETRIES + 1):
             try:
-                new, (injected, absorbed, eliminated) = self.attempt(state, dt_eff)
+                new, (injected, absorbed, eliminated), clipped = self.attempt(state, dt_eff)
                 break
-            except tr.NegativeConcentrationError as exc:
+            except NegativeConcentrationError as exc:
                 self.retries += 1
                 dt_eff *= 0.5
                 logger.warning("step at t=%.3f rejected (%s); retrying with dt=%g",
@@ -235,7 +263,7 @@ class StaggeredStepper:
             raise SolverError(
                 f"step at t={state.t:.3f} failed after {MAX_DT_RETRIES} dt halvings")
 
-        self.clipped += new.clip_concentrations(logger)
+        self.clipped += clipped
         _refresh_derived(new, self.charge_curve)
         ledger.injected += injected
         ledger.absorbed_lymph += absorbed

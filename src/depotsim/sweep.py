@@ -101,11 +101,8 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
                 logger.error("sweep value %r failed: %s", entry.value, exc)
 
     lines = [f"{axis},free_pct,bound_pct,absorbed_pct,status"]
-    for entry in entries:
-        if entry.ok:
-            lines.append(f"{entry.value},{entry.free_pct:.17g},"
-                         f"{entry.bound_pct:.17g},{entry.absorbed_pct:.17g},ok")
-        else:
-            lines.append(f"{entry.value},nan,nan,nan,failed")
+    for entry in entries:  # a failed entry keeps its NaN splits
+        lines.append(f"{entry.value},{entry.free_pct:.17g},{entry.bound_pct:.17g},"
+                     f"{entry.absorbed_pct:.17g},{'ok' if entry.ok else 'failed'}")
     (outdir / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
     return entries

@@ -8,7 +8,8 @@ on the dual cells. Advection and electromigration share one first-order
 upwind flux built on the combined face-normal characteristic speed; diffusion
 is central. All boundaries are flux-free, so the discrete operator conserves
 mass to solver precision and the implicit matrix is an M-matrix (no spurious
-negative concentrations from the transport terms themselves).
+negative concentrations from the transport terms themselves). A step returns
+what it solves; `orchestrator._admit` alone accepts, rejects or clips it.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ logger = logging.getLogger(__name__)
 
 #: hydrogen concentrations below this floor are clipped before taking a log
 H_FLOOR = 1.0e-16  # mol/cm^3
-
-
-class NegativeConcentrationError(SolverError):
-    """A step left a field outside its bounds beyond round-off; the stepper
-    retries it with half the dt."""
 
 
 @dataclass
@@ -87,9 +83,7 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
 
     Na+ and H+ see only the injection source; the drug additionally carries
     the implicit lymphatic and association sinks plus the explicit release
-    source. Rejects the step (for dt halving) on negative overshoot beyond
-    round-off; with non-negative sources that can only come from degenerate
-    inputs, not from the scheme.
+    source.
 
     ``z_mab_faces`` is the drug's valence on every face,
     `_assembly.face_averages` of the nodal valence. ``solvers`` holds the
@@ -122,15 +116,7 @@ def advance_species(mesh: AxiMesh, c_na: np.ndarray, c_h: np.ndarray,
             c_new = solver.solve(a, b.ravel())
         except RuntimeError as exc:
             raise SolverError(f"{spec.name} transport solve failed: {exc}") from exc
-        if not np.isfinite(c_new).all():
-            raise SolverError(f"{spec.name} transport produced non-finite values")
         new.append(c_new.reshape(mesh.nz1, mesh.nr1))
-
-    for name, arr in zip(("Na+", "H+", "mAb"), new):
-        floor = -1.0e-12 * max(float(arr.max(initial=0.0)), 1e-300)
-        if float(arr.min()) < floor:
-            raise NegativeConcentrationError(
-                f"{name} overshot to {float(arr.min()):.3e} (floor {floor:.3e})")
     return tuple(new)
 
 

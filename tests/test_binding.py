@@ -1,4 +1,5 @@
-"""Matrix-binding exchange as the stepper runs it: rates, bound update, order."""
+"""Matrix-binding exchange as the stepper runs it: rates, bound update, order,
+and the stepper's acceptance of the bound field."""
 
 import numpy as np
 import pytest
@@ -6,11 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depotsim.binding import advance_bound, exchange_rates
+from depotsim.config import default_config
+from depotsim.mesh import FieldState, build_graded_mesh
+from depotsim.orchestrator import ROUND_OFF, NegativeConcentrationError, _admit
 from depotsim.params import BindingParams, PhCurve
-from depotsim.transport import NegativeConcentrationError
 
 N = 0.1
 B_MAX = 1e-9
+MESH = build_graded_mesh(5, 5, 8, 8, focus=(0, 4.2), grading=1.0)
 
 
 def flat_binding(ka=5e4, kd=1e-4, k_e=0.0):
@@ -27,6 +31,15 @@ def uptake(c, cb, binding, ph=7.0):
 def step(cb, c, dt, binding, ph=7.0):
     assoc, release = exchange_rates(cb, ph, binding, N)
     return advance_bound(cb, c, assoc, release, dt, binding)
+
+
+def admitted(cb):
+    """The bound field ``cb`` as `orchestrator._admit` admits it in a resting
+    candidate state, and the count of negatives it zeroed."""
+    state = FieldState.rest_state(MESH, default_config().species())
+    state.c_b = np.full_like(state.c_b, cb)
+    clipped = _admit(state, B_MAX)
+    return state.c_b, clipped
 
 
 class TestBindingSink:
@@ -77,7 +90,7 @@ class TestAdvanceBinding:
         # rejected for the stepper to retry with half the dt
         binding = flat_binding(ka=5e4, kd=1e-4)
         with pytest.raises(NegativeConcentrationError, match="B_max"):
-            step(0.0, 3e-7, 1e9, binding)
+            admitted(step(0.0, 3e-7, 1e9, binding))
 
     def test_temporal_order_against_exact_solution(self):
         # dc_B/dt = a (B - c_B) - d c_B has the exact solution
@@ -107,17 +120,21 @@ class TestAdvanceBinding:
     @given(st.floats(0, B_MAX), st.floats(0, 1e-6), st.floats(1e-3, 1e5),
            st.floats(4.0, 10.0))
     def test_clamp_never_needed_for_valid_inputs(self, cb0, c, dt, ph):
-        # the update is returned as computed, inside [0, B_max] up to
-        # round-off, or the step is rejected; it is never clamped
+        # the update is returned as computed; the stepper admits it inside
+        # [0, B_max] up to round-off, zeroing only a round-off negative, or
+        # rejects the step; it never clamps it
         binding = flat_binding()
         assoc, release = exchange_rates(cb0, ph, binding, N)
         raw = cb0 + dt * (assoc * c - release)
-        inside = -1e-12 * B_MAX <= raw and raw - B_MAX <= 1e-12 * B_MAX
+        assert advance_bound(cb0, c, assoc, release, dt, binding) == raw
+        inside = -ROUND_OFF * B_MAX <= raw and raw - B_MAX <= ROUND_OFF * B_MAX
         if not inside:
             with pytest.raises(NegativeConcentrationError):
-                advance_bound(cb0, c, assoc, release, dt, binding)
+                admitted(raw)
             return
-        assert advance_bound(cb0, c, assoc, release, dt, binding) == raw
+        cb, clipped = admitted(raw)
+        assert np.all(cb == max(raw, 0.0))
+        assert clipped == (cb.size if raw < 0.0 else 0)
 
     def test_monotone_response_to_ph_on_decreasing_ka(self):
         # along a k_a-decreasing curve, raising pH never increases the

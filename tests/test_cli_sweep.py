@@ -284,6 +284,37 @@ class TestBadInputFiles:
         (tmp_path / "ledger.json").write_text(text)
         assert_clean_error(capsys, ["metrics", str(tmp_path)], "not a depotsim ledger")
 
+    @pytest.mark.parametrize("where, value", [
+        ("closure_residual", "x"), ("retries", "3"), ("chloride_min", None),
+        ("phases", []), ("phases.injection", 3), ("phases.long.clipped", "2"),
+        ("phase_report", "x"), ("phase_report.injection", {}),
+        ("phase_report.long.steps", True), ("phase_report.long.dt_min_s", "x"),
+        ("phase_report.long.dt_median_s", [1.0]), ("phase_report.long.dt_max_s", {}),
+        ("phase_report.long.wall_s", "fast"),
+        ("phase_report.long.max_closure_residual", None),
+    ])
+    def test_metrics_with_a_ledger_field_it_cannot_print(self, finished_run, tmp_path,
+                                                          capsys, where, value):
+        (tmp_path / "timeseries.csv").write_bytes(
+            (finished_run / "timeseries.csv").read_bytes())
+        ledger = json.loads((finished_run / "ledger.json").read_text())
+        *parents, key = where.split(".")
+        block = ledger
+        for parent in parents:
+            block = block[parent]
+        block[key] = value
+        (tmp_path / "ledger.json").write_text(json.dumps(ledger))
+        assert_clean_error(capsys, ["metrics", str(tmp_path)], f"ledger.json: {where}")
+
+    @pytest.mark.parametrize("command", ["metrics", "compare"])
+    def test_timeseries_without_data_rows(self, finished_run, tmp_path, capsys, command):
+        (tmp_path / "timeseries.csv").write_text(
+            (finished_run / "timeseries.csv").read_text().splitlines()[0] + "\n")
+        ref = tmp_path / "ref.csv"
+        ref.write_text("time_h,remaining_fraction\n0,1.0\n1,0.9\n")
+        argv = [command, str(tmp_path)] + ([str(ref)] if command == "compare" else [])
+        assert_clean_error(capsys, argv, "timeseries.csv: no data rows")
+
     def test_run_with_a_config_that_is_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.cfg"
         cfg.write_bytes(NOT_UTF8 + b"mesh.fine_nr = 20\n")

@@ -323,6 +323,19 @@ class TestTimeseriesCsv:
         assert str(info.value) == f"{path}, line 5: {message}"
 
 
+    def test_header_without_rows_names_the_file(self, tmp_path):
+        path = write_timeseries(MetricSeries(), tmp_path / "ts.csv")
+        with pytest.raises(ConfigurationError) as info:
+            read_timeseries(path)
+        assert str(info.value) == f"{path}: no data rows"
+
+    def test_row_with_a_time_that_is_not_finite_names_the_line(self, tmp_path):
+        path = write_timeseries(self.make_series(2), tmp_path / "ts.csv")
+        path.write_text(path.read_text() + "nan,0,0,0,7.4,0,0,0,0,0\n")
+        with pytest.raises(ConfigurationError, match=", line 4: .*finite"):
+            read_timeseries(path)
+
+
 def small_state():
     mesh = build_graded_mesh(5, 5, 10, 10, focus=(0, 4.2), grading=1.0)
     state = FieldState.rest_state(mesh, default_config().species())

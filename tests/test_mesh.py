@@ -1,6 +1,5 @@
 """Mesh construction, axisymmetric quadrature, and field projection."""
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,32 +180,3 @@ class TestFieldState:
         assert np.all(state.c_mab == 0.0)
         assert state.u.shape == (mesh.n_faces,) == (13 * 12 + 12 * 13,)
         assert np.all(state.u == 0.0)
-
-    def test_clip_concentrations(self):
-        mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
-        state = FieldState.rest_state(mesh, default_config().species())
-        state.c_mab[3, 3] = -1e-16
-        n = state.clip_concentrations(logging.getLogger(__name__))
-        assert n == 1
-        assert state.c_mab[3, 3] == 0.0
-
-    def test_clean_state_clips_nothing_and_keeps_its_arrays(self):
-        mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
-        state = FieldState.rest_state(mesh, default_config().species())
-        before = {name: getattr(state, name) for name in ("c_na", "c_h", "c_mab", "c_b")}
-        copies = {name: arr.copy() for name, arr in before.items()}
-        assert state.clip_concentrations(logging.getLogger(__name__)) == 0
-        for name, arr in before.items():
-            assert getattr(state, name) is arr
-            assert np.array_equal(arr, copies[name]), name
-
-    def test_every_negative_of_every_field_is_zeroed_and_counted(self):
-        mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
-        state = FieldState.rest_state(mesh, default_config().species())
-        state.c_na[0, :3] = -1e-20
-        state.c_h[5, 5] = -0.0  # not below zero, so kept
-        state.c_b[2:4, 7:9] = -1e-18
-        n = state.clip_concentrations(logging.getLogger(__name__))
-        assert n == 3 + 4
-        assert state.c_na.min() == 0.0 and state.c_b.min() == 0.0
-        assert np.all(state.c_na[0, 3:] == 1.4e-4)

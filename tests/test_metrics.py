@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depotsim.mesh import build_graded_mesh, nodal_integral
-from depotsim.metrics import (PLUME_FLOOR, MetricSeries, ball, ball_average,
+from depotsim.metrics import (CHANNELS, PLUME_FLOOR, MetricSeries, ball, ball_average,
                               domain_average, dose_fractions, net_charge_density,
                               plume_volume)
 from depotsim.orchestrator import DoseLedger
@@ -180,6 +180,16 @@ class TestMetricSeries:
         series.append(1.0, **row)
         with pytest.raises(ValueError):
             series.append(1.0, **row)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_time_that_is_not_finite(self, t):
+        # a NaN fails every comparison, so it would pass an ordering check
+        series = MetricSeries()
+        row = dict.fromkeys(CHANNELS, 0.0)
+        series.append(0.0, **row)
+        with pytest.raises(ValueError, match="finite"):
+            series.append(t, **row)
+        assert series.time == [0.0]
 
     def test_rejects_out_of_range_percentage(self):
         series = MetricSeries()

@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from depotsim import _assembly
+from depotsim import _assembly, binding, transport
 from depotsim import config as config_module
 from depotsim.config import load_config_text
 from depotsim.flow import (PressureSolver, SolverError, injection_source,
                            tissue_pressure)
 from depotsim.mesh import FieldState, build_graded_mesh, nodal_integral, project_field
 from depotsim.metrics import MetricSeries, domain_average, net_charge_density
-from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, DoseLedger, Simulation,
-                                   StaggeredStepper)
+from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, ROUND_OFF, DoseLedger,
+                                   NegativeConcentrationError, Simulation,
+                                   StaggeredStepper, _admit)
 from depotsim.params import TissueLayers
-from depotsim.transport import NegativeConcentrationError
 
 TINY = """
 mesh.fine_nr = 24
@@ -152,7 +152,7 @@ class TestStepStaggered:
 
         for constructor in ("csr_matrix", "csc_matrix"):
             monkeypatch.setattr(_assembly.sp, constructor, refuse)
-        new, increments = stepper.attempt(state, 0.25)
+        new, increments, _ = stepper.attempt(state, 0.25)
         assert increments[0] > 0.0
         assert np.all(np.isfinite(new.c_mab))
 
@@ -167,6 +167,110 @@ class TestStepStaggered:
         monkeypatch.setattr(StaggeredStepper, "attempt", always_fails)
         with pytest.raises(SolverError, match="halvings"):
             stepper.step(state, DoseLedger(), 0.2)
+
+
+def rest_candidate(tiny_sim):
+    """A clean candidate state: the tissue at rest on the tiny fine mesh."""
+    return FieldState.rest_state(tiny_sim.config.fine_mesh(), tiny_sim.config.species())
+
+
+def first_call_changed(monkeypatch, module, name, change):
+    """Make ``module.name`` pass its first result through ``change``."""
+    real = getattr(module, name)
+    calls = []
+
+    def changed(*args):
+        out = real(*args)
+        if not calls:
+            change(out)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, changed)
+
+
+class TestAdmit:
+    """`_admit`, the one acceptance rule, directly and through `StaggeredStepper.step`."""
+
+    def test_round_off_negative_is_zeroed_and_counted(self, tiny_sim):
+        state = rest_candidate(tiny_sim)
+        state.c_mab[:] = 1e-7
+        state.c_mab[3, 3] = -1e-20  # within 1e-12 of the drug's maximum
+        assert _admit(state, 1e-9) == 1
+        assert state.c_mab[3, 3] == 0.0
+
+    def test_clean_state_clips_nothing_and_keeps_its_arrays(self, tiny_sim):
+        state = rest_candidate(tiny_sim)
+        before = {name: getattr(state, name) for name in ("c_na", "c_h", "c_mab", "c_b")}
+        copies = {name: arr.copy() for name, arr in before.items()}
+        assert _admit(state, 1e-9) == 0
+        for name, arr in before.items():
+            assert getattr(state, name) is arr
+            assert np.array_equal(arr, copies[name]), name
+
+    def test_every_negative_of_every_field_is_zeroed_and_counted(self, tiny_sim):
+        state = rest_candidate(tiny_sim)
+        state.c_na[0, :3] = -1e-20
+        state.c_h[5, 5] = -0.0  # not below zero, so kept
+        state.c_b[2:4, 7:9] = -1e-22  # within 1e-12 of B_max
+        assert _admit(state, 1e-9) == 3 + 4
+        assert state.c_na.min() == 0.0 and state.c_b.min() == 0.0
+        assert np.all(state.c_na[0, 3:] == 1.4e-4)
+
+    def test_finiteness_is_checked_first_and_fails_the_run(self, tiny_sim):
+        state = rest_candidate(tiny_sim)
+        state.c_na[0, 0] = -1.0  # an overshoot, but H+ is not finite
+        state.c_h[1, 1] = np.nan
+        with pytest.raises(SolverError, match="H\\+ transport produced non-finite") as exc:
+            _admit(state, 1e-9)
+        assert not isinstance(exc.value, NegativeConcentrationError)
+
+    @pytest.mark.parametrize("share, retried", [(0.5, False), (2.0, True)])
+    def test_species_below_zero_is_zeroed_within_round_off_else_retried(
+            self, tiny_sim, monkeypatch, caplog, share, retried):
+        config = tiny_sim.config
+        node = (0, -1)  # the far rim, where Na+ stays at its rest level
+
+        def dip(fields):
+            c_na = fields[0]
+            c_na[node] = -share * ROUND_OFF * c_na.max()
+
+        clean = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        clean.step(clean.rest_state(), DoseLedger(), 0.2)
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        first_call_changed(monkeypatch, transport, "advance_species", dip)
+        with caplog.at_level("WARNING", logger="depotsim"):
+            new, dt = stepper.step(stepper.rest_state(), DoseLedger(), 0.2)
+        rejected = [r for r in caplog.records if "rejected" in r.getMessage()]
+        if retried:
+            assert stepper.retries == len(rejected) == 1
+            assert dt == 0.1 and new.c_na[node] > 0.0
+        else:
+            assert stepper.retries == 0 and not rejected
+            assert new.c_na[node] == 0.0 and stepper.clipped == clean.clipped + 1
+
+    @pytest.mark.parametrize("share, retried", [(0.5, False), (2.0, True)])
+    def test_bound_above_b_max_is_admitted_unchanged_within_round_off_else_retried(
+            self, tiny_sim, monkeypatch, caplog, share, retried):
+        config = tiny_sim.config
+        b_max = config.binding().b_max
+        node = (3, 3)
+        over = b_max + share * ROUND_OFF * b_max
+
+        def overfill(c_b):
+            c_b[node] = over
+
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        first_call_changed(monkeypatch, binding, "advance_bound", overfill)
+        with caplog.at_level("WARNING", logger="depotsim"):
+            new, dt = stepper.step(stepper.rest_state(), DoseLedger(), 0.2)
+        rejected = [r for r in caplog.records if "rejected" in r.getMessage()]
+        if retried:
+            assert stepper.retries == len(rejected) == 1
+            assert dt == 0.1 and new.c_b[node] < b_max
+        else:
+            assert stepper.retries == 0 and not rejected
+            assert new.c_b[node] == over
 
 
 class TestAffinePressure:
