@@ -24,11 +24,13 @@ operator on the pattern lies in a band of half-width nr1:
   matrix by LAPACK's partial-pivoting ``dgbtrf`` and solved by ``dgbtrs``.
   A read-only map from CSR ``data`` slots to band storage is cached on the
   mesh, so a factorization is one scatter and one LAPACK call.
-- **Symmetric operators on wide meshes** up to `_CHOLESKY_MAX_WIDTH`, such
-  as the grounded potential, are factored by LAPACK's banded Cholesky
-  ``dpbtrf`` from a cached lower-band map, in about half the flops of the
-  band LU and without pivoting. An operator that is not positive definite
-  goes on to SuperLU.
+- **Symmetric operators on wide meshes** up to `_CHOLESKY_MAX_WIDTH`, the
+  grounded potential and the rim-pinned pressure, are condensed red-black
+  (`CholeskyLayout`): one colour of the checkerboard is eliminated exactly,
+  and LAPACK's banded Cholesky ``dpbtrf`` factors the Schur complement on
+  the other half of the nodes at the same half-width nr1, about half the
+  flops of a Cholesky of the full band, without pivoting. An operator that
+  is not positive definite goes on to SuperLU.
 - **Other wide-mesh operators** use SuperLU in one fill-reducing order per
   mesh, `lu_order`: SuperLU's AT+A minimum-degree order of the pattern. It
   depends only on the pattern, so it serves every operator on the mesh,
@@ -37,7 +39,8 @@ operator on the pattern lies in a band of half-width nr1:
 
 A band factor costs O(n nr1²) and the minimum-degree fill of SuperLU grows
 more slowly with the width, so the band wins only up to a width;
-`_BAND_MAX_WIDTH` and `_CHOLESKY_MAX_WIDTH` record where each stops winning.
+`_BAND_MAX_WIDTH` records where the band LU stops winning, and
+`_CHOLESKY_MAX_WIDTH` where the condensed band outgrows its storage bound.
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -48,8 +51,9 @@ arrays; none holds an operator or a factor:
 - `face_geometry`: the area and node distance of every face in `CsrPattern`
   face order, which every operator fill and `divergence_of_face_flux` read
   instead of rebuilding them from the mesh each call.
-- `_band_layout` and `_cholesky_layout`: the maps from CSR ``data`` slots to
-  LAPACK band storage.
+- `_band_layout`: the map from CSR ``data`` slots to LAPACK band storage.
+- `_cholesky_layout`: the red-black condensation map, from faces to kept and
+  eliminated nodes and from pair products to reduced band storage.
 - `lu_order`: the minimum-degree order of the wide-mesh SuperLU factors and
   the permuted CSC layout it gives the pattern.
 
@@ -65,8 +69,8 @@ tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
 operator in SuperLU's own minimum-degree order, and solves each step by
 GMRES(`_GMRES_RESTART`) preconditioned by it. The species operators change
 slowly from step to step, so the kept ILU usually serves until the flow
-stops. The potential keeps a fresh `factorize` each step, a banded
-Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
+stops. The potential keeps a fresh `factorize` each step, a condensed
+banded Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
 first operator needed 21-23 GMRES iterations to precondition the later
 ones. Narrow meshes keep a fresh band LU for the species too: on uniform
 17- and 25-wide meshes its factor and solve take 53 and 191 us, a GMRES run
@@ -284,60 +288,118 @@ class BandLU:
         return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
 
 
-#: Widest mesh on which `factorize` factors a symmetric operator by banded
-#: Cholesky. Factor plus solve of a grounded potential operator on uniform
-#: n x n meshes, SuperLU in the cached order against `BandCholesky`,
-#: interleaved, median of 30 rounds (6 from 161 on), one BLAS thread, 2-core
-#: Xeon:
+#: Widest mesh on which `factorize` factors a symmetric operator by condensed
+#: banded Cholesky (`BandCholesky`). Factor plus solve of a grounded potential
+#: operator on uniform n x n meshes, SuperLU in the cached order against
+#: `BandCholesky`, interleaved, median of 30 rounds (8 from 151 on), one BLAS
+#: thread, 2-core Xeon; the reduced band's storage against SuperLU's L + U
+#: values and row indices:
 #:
-#:   nr1        49      65      73      85     101     121     141     161     201
-#:   SuperLU  4.05    7.57    9.67    14.1    22.0    34.9    52.0    66.2     120 ms
-#:   Cholesky 2.55    4.63    6.68    9.01    16.7    28.9    48.1    63.4     130 ms
+#:   nr1        49      73     101     121     141     151     161     201
+#:   SuperLU   2.7     6.5    14.3    23.3    33.7    40.5    48.0     104 ms
+#:   Cholesky  1.2     3.7    10.1    12.7    19.5    25.1    28.3    65.2 ms
+#:   band      0.5     1.6     4.2     7.1    11.3    13.9    16.8    32.6 MB
+#:   L + U     0.8     2.1     4.6     7.1    10.1    11.8    14.0    23.5 MB
 #:
-#: The margin falls from 17% at 121 to 8% at 141 and 4% at 161, inside the
-#: box's run-to-run noise, and the band factor's n (w + 1) doubles grow as
-#: nr1³ (14 MB at 121), so the limit sits at 121.
-_CHOLESKY_MAX_WIDTH = 121
+#: The condensed factor wins at every width, but its band grows as nr1³ / 2
+#: and outgrows SuperLU's fill from about 121 on. The limit keeps the band
+#: within the 14 MB that a Cholesky of the full band took at 121 wide.
+_CHOLESKY_MAX_WIDTH = 151
 
 
 @dataclass(frozen=True)
 class CholeskyLayout:
-    """LAPACK lower band storage of a mesh's symmetric operators; arrays read-only.
+    """Red-black condensation of a mesh's symmetric operators; arrays read-only.
 
-    With half-width w = nr1, entry (i, j), i >= j, of an operator sits at
-    ``ab[i - j, j]`` of the column-major ``(w + 1, n)`` array that ``dpbtrf``
-    factors in place. ``lower`` holds the CSR ``data`` slots of the diagonal
-    and of the (hi, lo) entry of every face, and ``slots`` their flat
-    positions in that array's memory. ``l_nnz`` counts the entries the
-    factor stores: the diagonal and up to w below it.
+    The 5-point pattern couples each node only to nodes of the other colour
+    of a checkerboard. The colour of the mesh's last node is kept, in mesh
+    order (``kept``); the other colour, ``red``, is eliminated. Its block
+    ``D`` is diagonal, so the Schur complement ``S = A_KK - A_KR D⁻¹ A_RK``
+    on the kept nodes is exact (Buzbee, Golub & Nielson, SIAM J. Numer.
+    Anal. 7, 1970). S couples kept nodes through a shared red neighbour, so
+    it lies in a band of half-width ``width`` (nr1 on a mesh of three rows
+    or more), and its lower band sits in the column-major ``(width + 1, n_kept)``
+    array that ``dpbtrf`` factors: entry (i, j), i >= j, at ``ab[i - j, j]``.
+
+    Face f joins kept node ``kept[face_kept[f]]`` to red node
+    ``red[face_red[f]]``; ``coupling[f]`` is the CSR ``data`` slot of its
+    (hi, lo) entry. ``pair_f`` and ``pair_g`` list every pair of distinct
+    faces that share a red node, once each, the face of the earlier kept
+    node first. ``slots`` holds the flat positions in the band array's
+    memory of the kept nodes' diagonal, then of each face's product with
+    itself (on its kept node's diagonal), then of each pair's product.
+    ``l_nnz`` counts the entries the reduced factor stores: the diagonal and
+    up to ``width`` below it.
     """
 
-    lower: np.ndarray
+    kept: np.ndarray
+    red: np.ndarray
+    coupling: np.ndarray
+    face_kept: np.ndarray
+    face_red: np.ndarray
+    pair_f: np.ndarray
+    pair_g: np.ndarray
     slots: np.ndarray
+    width: int
     l_nnz: int
 
 
 def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
-    """The mesh's lower band layout; `factorize` keeps it on the mesh."""
+    """The mesh's condensation map; `factorize` keeps it on the mesh."""
     pattern = csr_pattern(mesh)
-    n, w, faces = mesh.n_nodes, mesh.nr1, pattern.lo.size
-    lower = np.concatenate([pattern.diag, pattern.scatter[2 * faces:3 * faces]])
-    slots = np.concatenate([np.arange(n) * (w + 1),
-                            pattern.lo * (w + 1) + pattern.hi - pattern.lo])
-    return CholeskyLayout(lower, slots, int(np.minimum(np.arange(n), w).sum()) + n)
+    nz1, nr1, faces = mesh.nz1, mesh.nr1, pattern.lo.size
+    is_kept = np.zeros((nz1, nr1), dtype=bool)
+    first = (nz1 + nr1) % 2  # the first kept column of row 0
+    is_kept[::2, first::2] = is_kept[1::2, 1 - first::2] = True
+    is_kept = is_kept.ravel()
+    kept, red = np.flatnonzero(is_kept), np.flatnonzero(~is_kept)
+    index = np.empty(mesh.n_nodes, dtype=np.intp)
+    index[kept], index[red] = np.arange(kept.size), np.arange(red.size)
+    lo_kept = is_kept[pattern.lo]
+    face_kept = index[np.where(lo_kept, pattern.lo, pattern.hi)]
+    face_red = index[np.where(lo_kept, pattern.hi, pattern.lo)]
+    # the faces of each red node toward -r, +r, -z and +z, and which it has;
+    # in each pair below, the first face's kept node comes first in mesh order
+    j, i = np.divmod(red, nr1)
+    r_face = j * mesh.nr + i
+    z_face = nz1 * mesh.nr + red
+    around = (r_face - 1, r_face, z_face - nr1, z_face)
+    has = (i > 0, i < nr1 - 1, j > 0, j < nz1 - 1)
+    f, g = [], []
+    for one, other in ((0, 1), (2, 3), (2, 0), (0, 3), (2, 1), (1, 3)):
+        both = has[one] & has[other]
+        f.append(around[one][both])
+        g.append(around[other][both])
+    f, g = np.concatenate(f), np.concatenate(g)
+    col = face_kept[f]
+    below = face_kept[g] - col
+    width = int(below.max(initial=0))
+    slots = np.concatenate([np.arange(kept.size) * (width + 1), face_kept * (width + 1),
+                            col * (width + 1) + below])
+    return CholeskyLayout(kept, red, pattern.scatter[2 * faces:3 * faces], face_kept,
+                          face_red, f, g, slots, width,
+                          int(np.minimum(np.arange(kept.size), width).sum()) + kept.size)
 
 
 class BandCholesky:
-    """Banded Cholesky ``A = L Lᵀ``; ``solve`` answers ``A x = b`` in mesh numbering.
+    """Condensed banded Cholesky; ``solve`` answers ``A x = b`` in mesh numbering.
 
-    ``L.nnz`` is the entries the factor stores. ``U`` is ``Lᵀ``, read from the
-    same storage, so ``U.nnz`` is 0.
+    Holds ``S = L Lᵀ`` of the Schur complement on the kept colour of the mesh's
+    `CholeskyLayout`, the eliminated colour's diagonal ``d`` and, per face,
+    ``v = c / d`` of its coupling c and its red node's diagonal. ``solve``
+    reduces b to ``b_K - A_KR D⁻¹ b_R``, solves S by ``dpbtrs`` and
+    back-substitutes ``x_R = D⁻¹ (b_R - A_RK x_K)``.
+
+    ``L.nnz`` is the entries the reduced factor stores. ``U`` is ``Lᵀ``, read
+    from the same storage, so ``U.nnz`` is 0.
     """
 
-    __slots__ = ("_ab", "_band")
+    __slots__ = ("_ab", "_d", "_v", "_band")
 
-    def __init__(self, ab: np.ndarray, band: CholeskyLayout):
+    def __init__(self, ab: np.ndarray, d: np.ndarray, v: np.ndarray, band: CholeskyLayout):
         self._ab = ab
+        self._d = d
+        self._v = v
         self._band = band
 
     @property
@@ -349,7 +411,16 @@ class BandCholesky:
         return StoredEntries(0)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return lapack.dpbtrs(self._ab, b, lower=1)[0]
+        band = self._band
+        b_red = b[band.red]
+        b_kept = b[band.kept] - np.bincount(band.face_kept, self._v * b_red[band.face_red],
+                                            minlength=band.kept.size)
+        x_kept = lapack.dpbtrs(self._ab, b_kept, lower=1)[0]
+        x = np.empty(b.size)
+        x[band.kept] = x_kept
+        x[band.red] = b_red / self._d - np.bincount(
+            band.face_red, self._v * x_kept[band.face_kept], minlength=band.red.size)
+        return x
 
 
 def _is_symmetric(a: Operator) -> bool:
@@ -369,18 +440,19 @@ def factorize(mesh: AxiMesh, a: Operator):
     No scipy matrix is built, and the solve is ``dgbtrs``.
 
     On a wider mesh up to `_CHOLESKY_MAX_WIDTH`, an operator whose face
-    blocks are exactly symmetric is scattered into lower band storage through
-    the mesh's cached `CholeskyLayout` and factored by ``dpbtrf``, about half
-    the flops of the band LU and no pivoting; the solve is ``dpbtrs``. If the
-    operator is not positive definite, ``dpbtrf`` stops and the operator goes
-    to SuperLU below.
+    blocks are exactly symmetric is condensed through the mesh's cached
+    `CholeskyLayout`: its Schur complement on the kept colour is summed into
+    lower band storage by one ``bincount`` and factored by ``dpbtrf``. An
+    operator with an eliminated pivot that is not positive and finite goes
+    to SuperLU below, before any division, and so does one whose Schur
+    complement ``dpbtrf`` finds not positive definite.
 
     Every other operator on a wide mesh goes to SuperLU (`_superlu`).
 
     The returned object's ``solve`` works in mesh numbering on every path,
     and its ``L.nnz + U.nnz`` is the entries the factors store (for Cholesky,
-    ``L`` alone). Raises ``RuntimeError`` for an exactly singular operator on
-    either LU path.
+    ``L`` alone, the reduced band). Raises ``RuntimeError`` for an exactly
+    singular operator on either LU path.
     """
     pattern = csr_pattern(mesh)
     if a.data.size != pattern.indices.size:
@@ -397,12 +469,21 @@ def factorize(mesh: AxiMesh, a: Operator):
         return BandLU(lu, piv, band)
     if mesh.nr1 <= _CHOLESKY_MAX_WIDTH and _is_symmetric(a):
         band = mesh.derived("cholesky_layout", _cholesky_layout)
-        ab = np.zeros((mesh.n_nodes, mesh.nr1 + 1))
-        ab.reshape(-1)[band.slots] = a.data[band.lower]
-        factor, info = lapack.dpbtrf(ab.T, lower=1, overwrite_ab=1)
-        if info == 0:
-            return BandCholesky(factor, band)
-        # not positive definite: SuperLU pivots, or reports it singular
+        diag = a.data[pattern.diag]
+        d = diag[band.red]
+        # a red pivot that is not positive (or not finite) leaves A not positive
+        # definite: SuperLU pivots, or reports it singular
+        if (d > 0.0).all() and np.isfinite(d).all():
+            c = a.data[band.coupling]
+            v = c / d[band.face_red]
+            ab = np.bincount(band.slots, np.concatenate([diag[band.kept], -c * v,
+                                                         -c[band.pair_f] * v[band.pair_g]]),
+                             minlength=band.kept.size * (band.width + 1))
+            factor, info = lapack.dpbtrf(ab.reshape(-1, band.width + 1).T, lower=1,
+                                         overwrite_ab=1)
+            if info == 0:
+                return BandCholesky(factor, d, v, band)
+            # S, and so A, is not positive definite: on to SuperLU as well
     return _superlu(mesh, a)
 
 

@@ -139,6 +139,9 @@ class MetricSeries:
         missing = set(CHANNELS) - set(values)
         if missing:
             raise ValueError(f"missing channels: {sorted(missing)}")
+        for name in CHANNELS:
+            if not np.isfinite(values[name]):
+                raise ValueError(f"{name} is not finite: {values[name]}")
         for name in ("free_pct", "bound_pct", "absorbed_pct"):
             if not -1e-9 <= values[name] <= 101.0:
                 raise ValueError(f"{name} out of range: {values[name]}")

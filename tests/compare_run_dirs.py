@@ -16,7 +16,8 @@ side. ``SRC_A`` and ``SRC_B`` may be the same tree: the check is then
 that reruns in separate processes are bit-identical.
 
 With ``--rtol R`` a file that differs is compared by its numbers instead,
-and the worst relative difference of each such file is printed:
+and the worst relative difference of each such file is printed with where it
+is: the ``.npz`` array, CSV column, VTK block or ledger key that holds it:
 
 - each ``.npz`` float array, each CSV column and each VTK block of numbers
   (the points, or one field) passes if ``max|a - b| <= R max|a|``, except
@@ -108,30 +109,30 @@ def field_scale(run_dir: Path, field: str) -> float:
 
 
 def _ledger_differences(a, b, key=""):
-    """Relative differences of two ledgers' numbers; inf for anything else
-    that differs and for a residual above `RESIDUAL_BOUND`."""
+    """(relative difference, dotted key) of two ledgers' numbers; inf for
+    anything else that differs and for a residual above `RESIDUAL_BOUND`."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
         for k in a:
-            yield from _ledger_differences(a[k], b[k], k)
+            yield from _ledger_differences(a[k], b[k], f"{key}.{k}" if key else k)
     elif key.endswith("residual"):
-        yield 0.0 if max(abs(a), abs(b)) <= RESIDUAL_BOUND else math.inf
+        yield 0.0 if max(abs(a), abs(b)) <= RESIDUAL_BOUND else math.inf, key
     elif type(a) is float and type(b) is float:
-        yield relative_difference(a, b)
+        yield relative_difference(a, b), key
     else:
-        yield 0.0 if type(a) is type(b) and a == b else math.inf
+        yield 0.0 if type(a) is type(b) and a == b else math.inf, key or "the ledger"
 
 
 def _npz_differences(a: Path, b: Path):
     with np.load(a) as x, np.load(b) as y:
         if x.files != y.files:
-            yield math.inf
+            yield math.inf, "the array names"
             return
         for name in x.files:
             xa, ya = x[name], y[name]
             if xa.dtype.kind == ya.dtype.kind == "f":
-                yield relative_difference(xa, ya)
+                yield relative_difference(xa, ya), f"array {name}"
             else:
-                yield 0.0 if np.array_equal(xa, ya) else math.inf
+                yield 0.0 if np.array_equal(xa, ya) else math.inf, f"array {name}"
 
 
 def _text_blocks(path: Path) -> list[tuple[str, list[str]]]:
@@ -157,26 +158,37 @@ def _text_blocks(path: Path) -> list[tuple[str, list[str]]]:
     return blocks + [("\n".join(label), [])]
 
 
+def _block_name(path: Path, label: str) -> str:
+    """A CSV column's name, or the line that names a VTK block (its
+    ``POINTS`` or ``SCALARS`` line, not the ``LOOKUP_TABLE`` after it)."""
+    if path.suffix == ".csv":
+        return f"column {label}"
+    lines = [line for line in label.splitlines() if not line.startswith("LOOKUP_TABLE")]
+    return f"block {lines[-1]}" if lines else f"block {label!r}"
+
+
 def _text_differences(a: Path, b: Path):
     blocks_a, blocks_b = _text_blocks(a), _text_blocks(b)
     if [label for label, _ in blocks_a] != [label for label, _ in blocks_b]:
-        yield math.inf
+        yield math.inf, "the column names" if a.suffix == ".csv" else "the block labels"
         return
     for (label, x), (_, y) in zip(blocks_a, blocks_b):
+        where = _block_name(a, label)
         try:
             x, y = np.array(x, dtype=float), np.array(y, dtype=float)
         except ValueError:  # a column of strings
-            yield 0.0 if x == y else math.inf
+            yield 0.0 if x == y else math.inf, where
             continue
         if a.suffix == ".csv" and label in FIELD_SCALES:
-            yield scaled_difference(x, y, field_scale(a.parent, FIELD_SCALES[label]))
+            yield scaled_difference(x, y, field_scale(a.parent, FIELD_SCALES[label])), where
         else:
-            yield relative_difference(x, y)
+            yield relative_difference(x, y), where
 
 
-def worst_relative_difference(a: Path, b: Path) -> float:
+def worst_relative_difference(a: Path, b: Path) -> tuple[float, str]:
     """The worst relative difference of two output files' numbers, as the
-    module docstring sets out; inf where they differ in anything else."""
+    module docstring sets out, and where it is; inf where they differ in
+    anything else."""
     if a.name == "ledger.json":
         differences = _ledger_differences(_ledger_without_wall_times(a),
                                           _ledger_without_wall_times(b))
@@ -185,8 +197,8 @@ def worst_relative_difference(a: Path, b: Path) -> float:
     elif a.suffix in (".csv", ".vtk"):
         differences = _text_differences(a, b)
     else:
-        return math.inf
-    return max(differences, default=0.0)
+        return math.inf, "a file of unknown kind"
+    return max(differences, key=lambda found: found[0], default=(0.0, "no number"))
 
 
 def compare(root_a: Path, root_b: Path,
@@ -210,8 +222,8 @@ def compare(root_a: Path, root_b: Path,
         if rtol is None:
             differences.append(f"{rel}: {what} differ")
             continue
-        worst = worst_relative_difference(a, b)
-        line = f"{rel}: worst relative difference {worst:.3g}"
+        worst, where = worst_relative_difference(a, b)
+        line = f"{rel}: worst relative difference {worst:.3g} in {where}"
         (close if worst <= rtol else differences).append(line)
     run_dirs = {rel.parent for rel in files}
     return len(run_dirs), len(files), differences, close

@@ -454,7 +454,24 @@ def capacity_operator(mesh, rng):
                             diag=mesh.node_volumes / 0.1)
 
 
+def pinned_pressure_operator(mesh, rng):
+    # as `flow.PressureSolver` builds it: the rim pinned in rows and columns
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
+                         diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)) * mesh.node_volumes)
+    return pin_nodes(a, rim(mesh))
+
+
 SPD_OPERATORS = [grounded_potential_operator, capacity_operator]
+
+#: wide meshes with nr1 + nz1 even and odd, so that the last node, which keeps
+#: its colour, falls on either colour of the checkerboard; nr1 odd and even
+CONDENSED = {"56x8": (56, 8, 1.02), "56x9": (56, 9, 1.02), "49x6": (49, 6, 1.05),
+             "49x7": (49, 7, 1.05)}
+
+
+def colours(mesh):
+    """Each node's colour on the checkerboard, (i + j) mod 2."""
+    return (np.arange(mesh.nz1)[:, None] + np.arange(mesh.nr1)).ravel() % 2
 
 
 class TestBandCholesky:
@@ -485,6 +502,44 @@ class TestBandCholesky:
         x = lu.solve(b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("shape", list(CONDENSED.values()), ids=list(CONDENSED))
+    @pytest.mark.parametrize("build", [grounded_potential_operator, pinned_pressure_operator],
+                             ids=lambda f: f.__name__)
+    def test_condensed_solve_matches_dense_solve_on_either_colour(self, shape, build):
+        nr, nz, ratio = shape
+        m = AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
+        rng = np.random.default_rng(27)
+        a = build(m, rng)
+        b = rng.normal(size=m.n_nodes)
+        expected = np.linalg.solve(dense(a), b)
+        lu = factorize(m, a)
+        assert isinstance(lu, BandCholesky)
+        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+        # the last node's colour is kept, so the grounded node stays the last pivot
+        layout = m.derived("cholesky_layout", _assembly._cholesky_layout)
+        colour = colours(m)
+        assert layout.kept[-1] == m.n_nodes - 1
+        assert np.all(colour[layout.kept] == colour[-1])
+        assert np.all(colour[layout.red] != colour[-1])
+        assert layout.kept.size + layout.red.size == m.n_nodes
+
+    @WIDE
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf])
+    def test_a_red_pivot_not_positive_and_finite_goes_to_superlu(self, superlu_mesh,
+                                                                splu_calls, value):
+        # checked before the division, which would warn under -W error
+        rng = np.random.default_rng(28)
+        a = grounded_potential_operator(superlu_mesh, rng)
+        red = superlu_mesh.derived("cholesky_layout", _assembly._cholesky_layout).red
+        a.data[a.pattern.diag[red[red.size // 2]]] = value
+        b = rng.normal(size=superlu_mesh.n_nodes)
+        lu = factorize(superlu_mesh, a)
+        assert isinstance(lu, PermutedLU)
+        assert len(splu_calls) == 1
+        if np.isfinite(value):
+            expected = np.linalg.solve(dense(a), b)
+            assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @WIDE
     def test_symmetric_indefinite_operator_falls_back_to_lu(self, superlu_mesh, splu_calls):
         rng = np.random.default_rng(23)
@@ -499,9 +554,11 @@ class TestBandCholesky:
         assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_cholesky_factor_counts_its_band(self):
+        # the band of the Schur complement on the last node's colour, half-width nr1
         m = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
         lu = factorize(m, capacity_operator(m, np.random.default_rng(24)))
-        w, ones = m.nr1, np.ones((m.n_nodes, m.n_nodes))
+        kept = np.count_nonzero(colours(m) == colours(m)[-1])
+        w, ones = m.nr1, np.ones((kept, kept))
         assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w)))
         assert lu.U.nnz == 0  # U is L transposed, in the same storage
 

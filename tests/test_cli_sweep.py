@@ -315,6 +315,18 @@ class TestBadInputFiles:
         argv = [command, str(tmp_path)] + ([str(ref)] if command == "compare" else [])
         assert_clean_error(capsys, argv, "timeseries.csv: no data rows")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_metrics_with_a_timeseries_value_that_is_not_finite(self, finished_run, tmp_path,
+                                                                capsys, raw):
+        shutil.copy(finished_run / "ledger.json", tmp_path / "ledger.json")
+        header, first, *rest = (finished_run / "timeseries.csv").read_text().splitlines()
+        cells = first.split(",")
+        cells[1] = raw  # pressure_ball_avg
+        (tmp_path / "timeseries.csv").write_text(
+            "\n".join([header, ",".join(cells), *rest]) + "\n")
+        assert_clean_error(capsys, ["metrics", str(tmp_path)],
+                           f"timeseries.csv, line 2: pressure_ball_avg is not finite: {raw}")
+
     def test_run_with_a_config_that_is_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "utf16.cfg"
         cfg.write_bytes(NOT_UTF8 + b"mesh.fine_nr = 20\n")
@@ -453,3 +465,42 @@ class TestCompareRunDirs:
         assert len(differences) == 1
         _, _, differences, _ = compare_run_dirs.compare(a.parent, b.parent, None)
         assert differences == ["run/timeseries.csv: bytes differ"]
+
+    def test_names_the_array_column_block_and_key_of_each_worst_difference(
+            self, finished_run, tmp_path):
+        a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
+        for root in (a, b):
+            shutil.copytree(finished_run, root)
+        # in each file a small change, and a larger one where the worst should be named
+        path = b / "checkpoint_final.npz"
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["c_na"] = arrays["c_na"] * (1.0 + 1e-14)
+        arrays["c_mab"] = arrays["c_mab"] * (1.0 + 1e-12)
+        np.savez(path, **arrays)
+        header, *rows = (b / "timeseries.csv").read_text().splitlines()
+        cells = rows[-1].split(",")
+        for name, scale in (("ph_avg", 1.0 + 1e-14), ("free_pct", 1.0 + 1e-12)):
+            column = header.split(",").index(name)
+            cells[column] = "%.17g" % (float(cells[column]) * scale)
+        rows[-1] = ",".join(cells)
+        (b / "timeseries.csv").write_text("\n".join([header, *rows]) + "\n")
+        lines = (b / "snapshot_short_end.vtk").read_text().splitlines()
+        for name, scale in (("c_na", 1.0 + 1e-14), ("c_mab", 1.0 + 1e-12)):
+            k = lines.index(f"SCALARS {name} double") + 2  # past LOOKUP_TABLE
+            while k < len(lines) and not lines[k][:1].isalpha():
+                lines[k] = " ".join("%.17g" % (float(x) * scale) for x in lines[k].split())
+                k += 1
+        (b / "snapshot_short_end.vtk").write_text("\n".join(lines) + "\n")
+        ledger = json.loads((b / "ledger.json").read_text())
+        ledger["free_mol"] *= 1.0 + 1e-12
+        ledger["bound_mol"] *= 1.0 + 1e-14
+        (b / "ledger.json").write_text(json.dumps(ledger))
+
+        _, _, differences, close = compare_run_dirs.compare(a.parent, b.parent, 1e-10)
+        assert differences == []
+        where = {line.split(":")[0]: line.rsplit(" in ", 1)[1] for line in close}
+        assert where == {"run/checkpoint_final.npz": "array c_mab",
+                         "run/timeseries.csv": "column free_pct",
+                         "run/snapshot_short_end.vtk": "block SCALARS c_mab double",
+                         "run/ledger.json": "free_mol"}

@@ -294,10 +294,12 @@ class TestTimeseriesCsv:
 
     def test_bytes_equal_the_per_value_renderer(self, tmp_path):
         series = self.make_series(5)
+        # written into the lists, since `append` takes no NaN or inf: the
+        # writer still renders whatever a series holds
         for k, x in enumerate(AWKWARD):
-            series.append(5.0 + 0.1 * k, **{name: (x if name == "pressure_ball_avg"
-                                                   else 0.1 * k)
-                                            for name in CHANNELS})
+            series.time.append(5.0 + 0.1 * k)
+            for name in CHANNELS:
+                series.channels[name].append(x if name == "pressure_ball_avg" else 0.1 * k)
         path = write_timeseries(series, tmp_path / "ts.csv")
         assert path.read_bytes() == reference_timeseries_text(series).encode()
 
@@ -334,6 +336,14 @@ class TestTimeseriesCsv:
         path.write_text(path.read_text() + "nan,0,0,0,7.4,0,0,0,0,0\n")
         with pytest.raises(ConfigurationError, match=", line 4: .*finite"):
             read_timeseries(path)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    def test_row_with_a_value_that_is_not_finite_names_the_line(self, tmp_path, raw):
+        path = write_timeseries(self.make_series(2), tmp_path / "ts.csv")
+        path.write_text(path.read_text() + f"9,{raw},0,0,7.4,0,0,0,0,0\n")
+        with pytest.raises(ConfigurationError) as info:
+            read_timeseries(path)
+        assert str(info.value) == f"{path}, line 4: pressure_ball_avg is not finite: {raw}"
 
 
 def small_state():

@@ -185,8 +185,11 @@ class TestSolvePressure:
 
 
 class TestPressureOperator:
+    # 8 rows of cells: nr1 + nz1 is even at nr 48 and 120 and odd at 49 and 119,
+    # so the condensed factor keeps either colour of the checkerboard
     @pytest.mark.parametrize("nr, layout", [(16, BandLU), (48, BandCholesky),
-                                            (120, BandCholesky)])
+                                            (120, BandCholesky), (49, BandCholesky),
+                                            (119, BandCholesky)])
     def test_pinned_rim_keeps_the_operator_symmetric(self, nr, layout, monkeypatch):
         factored = []
         factorize = _assembly.factorize

@@ -191,6 +191,17 @@ class TestMetricSeries:
             series.append(t, **row)
         assert series.time == [0.0]
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", CHANNELS)
+    def test_rejects_a_value_that_is_not_finite_in_any_channel(self, name, value):
+        series = MetricSeries()
+        row = dict.fromkeys(CHANNELS, 0.0)
+        series.append(0.0, **row)
+        with pytest.raises(ValueError, match=f"{name} is not finite"):
+            series.append(1.0, **{**row, name: value})
+        assert series.time == [0.0]
+        assert all(len(column) == 1 for column in series.channels.values())
+
     def test_rejects_out_of_range_percentage(self):
         series = MetricSeries()
         row = {name: 0.0 for name in

@@ -134,8 +134,9 @@ class TestSolve:
         # the node volumes w, and refines it with residuals in long double,
         # so it shares neither the gauge nor the factorization of the solve
         # under test. Pinning node 0's row and factoring by SuperLU left the
-        # solve 6.3e-12 of max|Phi| away; grounding the last node and banded
-        # Cholesky 3.1e-14
+        # solve 6.3e-12 of max|Phi| away; grounding the last node and a
+        # Cholesky of the full band 3.1e-14, and the red-black condensed
+        # Cholesky 1.8e-15
         nodes = np.concatenate([[0.0], np.cumsum(0.1 * 1.02 ** np.arange(56))])
         wide = AxiMesh(r=nodes, z=nodes[:9])
         assert wide.nr1 > fv._BAND_MAX_WIDTH
