@@ -387,8 +387,8 @@ class BandCholesky:
     Holds ``S = L Lᵀ`` of the Schur complement on the kept colour of the mesh's
     `CholeskyLayout`, the eliminated colour's diagonal ``d`` and, per face,
     ``v = c / d`` of its coupling c and its red node's diagonal. ``solve``
-    reduces b to ``b_K - A_KR D⁻¹ b_R``, solves S by ``dpbtrs`` and
-    back-substitutes ``x_R = D⁻¹ (b_R - A_RK x_K)``.
+    reduces one right-hand side b to ``b_K - A_KR D⁻¹ b_R``, solves S by
+    ``dpbtrs`` and back-substitutes ``x_R = D⁻¹ (b_R - A_RK x_K)``.
 
     ``L.nnz`` is the entries the reduced factor stores. ``U`` is ``Lᵀ``, read
     from the same storage, so ``U.nnz`` is 0.

@@ -13,6 +13,7 @@ interpolates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,13 +135,13 @@ class MetricSeries:
         default_factory=lambda: {name: [] for name in CHANNELS})
 
     def append(self, t: float, **values):
-        if not np.isfinite(t) or self.time and t <= self.time[-1]:
+        if not math.isfinite(t) or self.time and t <= self.time[-1]:
             raise ValueError("metric samples must have finite, strictly increasing time")
         missing = set(CHANNELS) - set(values)
         if missing:
             raise ValueError(f"missing channels: {sorted(missing)}")
         for name in CHANNELS:
-            if not np.isfinite(values[name]):
+            if not math.isfinite(values[name]):
                 raise ValueError(f"{name} is not finite: {values[name]}")
         for name in ("free_pct", "bound_pct", "absorbed_pct"):
             if not -1e-9 <= values[name] <= 101.0:
