@@ -36,7 +36,8 @@ def mesh_fixture(meshes):
 @mesh_fixture({**NARROW, "48x12": (48, 12, 1.0)})
 def fresh_mesh(request):
     # a new mesh per test, so no factorization layout is cached on it yet;
-    # the narrow meshes take the band LU, 48x12 takes SuperLU
+    # the narrow meshes take the band LU, 48x12 takes SuperLU, or the condensed
+    # Cholesky for a symmetric positive definite operator
     nr, nz, ratio = request.param
     return AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
 
