@@ -96,7 +96,7 @@ def snapshot_fields(state: FieldState) -> dict[str, np.ndarray]:
         mesh.r[2:] - mesh.r[:-2])[None, :]
     gphi_z[1:-1, :] = (state.phi[2:, :] - state.phi[:-2, :]) / (
         mesh.z[2:] - mesh.z[:-2])[:, None]
-    fields = {
+    return {
         "c_na": state.c_na,
         "c_cl": state.c_cl,
         "c_h": state.c_h,
@@ -111,7 +111,6 @@ def snapshot_fields(state: FieldState) -> dict[str, np.ndarray]:
         "z_mab": state.z_mab,
         "rho_mab": state.z_mab * state.c_mab,
     }
-    return {k: v for k, v in fields.items() if v is not None}
 
 
 def write_snapshot(state: FieldState, path) -> Path:
@@ -163,10 +162,7 @@ def save_checkpoint(state: FieldState, ledger: DoseLedger, phase: str,
         injection_z=np.array([mesh.injection_point[1]]),
         c_na=state.c_na, c_h=state.c_h, c_mab=state.c_mab, c_b=state.c_b,
         p=state.p, phi=state.phi, u_r=u_r, u_z=u_z,
-        c_cl=state.c_cl if state.c_cl is not None else np.zeros_like(state.p),
-        ph=state.ph if state.ph is not None else np.zeros_like(state.p),
-        z_mab=state.z_mab if state.z_mab is not None else np.zeros_like(state.p),
-        j_l=state.j_l if state.j_l is not None else np.zeros_like(state.p),
+        c_cl=state.c_cl, ph=state.ph, z_mab=state.z_mab, j_l=state.j_l,
         ledger=np.array([ledger.injected, ledger.free, ledger.bound,
                          ledger.absorbed_lymph, ledger.eliminated]),
         config_text=np.array([config_text]),
@@ -281,7 +277,7 @@ def write_run_outputs(result, outdir) -> Path:
     write_timeseries(result.series, outdir / "timeseries.csv")
     config_text = result.config.to_text()
     (outdir / "config.cfg").write_text(config_text)
-    save_checkpoint(result.short_state, result.ledger, "short_end",
+    save_checkpoint(result.short_state, result.short_ledger, "short_end",
                     outdir / "checkpoint_short_end.npz", config_text)
     save_checkpoint(result.final_state, result.ledger, "final",
                     outdir / "checkpoint_final.npz", config_text)

@@ -11,8 +11,9 @@ The dual cells are the package's one integration measure: totals are
 `nodal_integral`s and averages divide them by the domain volume. The primal
 cells' volumes ``cell_volumes`` are geometry, like the face areas, read by
 the cut cells of `metrics.plume_volume` and by `flow.injection_source`.
-A `FieldState` holds no bound: `orchestrator._admit` alone admits a step's
-state and zeroes its round-off negatives.
+A `FieldState` is complete when it is built, its derived fields included,
+and holds no bound: `orchestrator._admit` alone admits a step's fields, zeroes
+their round-off negatives, and computes and judges their derived fields.
 """
 
 from __future__ import annotations
@@ -247,24 +248,10 @@ class FieldState:
     p: np.ndarray
     phi: np.ndarray
     u: np.ndarray
-    t: float = 0.0
-    # derived nodal fields, refreshed by the stepper after each accepted step
-    c_cl: np.ndarray | None = None
-    ph: np.ndarray | None = None
-    z_mab: np.ndarray | None = None
-    j_l: np.ndarray | None = None
-
-    @classmethod
-    def rest_state(cls, mesh: AxiMesh, species) -> "FieldState":
-        shape = (mesh.nz1, mesh.nr1)
-        return cls(
-            mesh=mesh,
-            c_na=np.full(shape, species.sodium.c_init),
-            c_h=np.full(shape, species.hydrogen.c_init),
-            c_mab=np.full(shape, species.drug.c_init),
-            c_b=np.zeros(shape),
-            p=np.zeros(shape),
-            phi=np.zeros(shape),
-            u=np.zeros(mesh.n_faces),
-            t=0.0,
-        )
+    t: float
+    # derived nodal fields: chloride, pH and drug charge follow from the
+    # concentrations (`orchestrator._derived`), j_l is the lymphatic drainage
+    c_cl: np.ndarray
+    ph: np.ndarray
+    z_mab: np.ndarray
+    j_l: np.ndarray

@@ -81,9 +81,11 @@ def ball(mesh: AxiMesh, center: tuple[float, float], radius: float) -> Ball:
 
 
 def ball_average(fld: np.ndarray, nodes: Ball) -> float:
-    """Volume-weighted average of a nodal field over the nodes of a `ball`."""
+    """Volume-weighted average of a nodal field over the nodes of a `ball`;
+    on a mesh too coarse for the ball to hold a node, the field at the node
+    nearest its centre."""
     if not nodes.weights.size:
-        raise ValueError("ball contains no mesh nodes; mesh too coarse")
+        return float(np.asarray(fld).ravel()[nodes.nearest])
     return float((np.asarray(fld)[nodes.mask] * nodes.weights).sum() / nodes.total)
 
 
@@ -118,9 +120,10 @@ def plume_volume(c_mab: np.ndarray, mesh: AxiMesh) -> float:
 
 
 def dose_fractions(ledger) -> tuple[float, float, float]:
-    """(free, bound, absorbed) each as a percentage of the injected dose."""
+    """(free, bound, absorbed) each as a percentage of the injected dose;
+    (0, 0, 0) before any dose."""
     if ledger.injected <= 0.0:
-        raise ValueError("no dose injected yet; fractions undefined")
+        return (0.0, 0.0, 0.0)
     scale = 100.0 / ledger.injected
     return (ledger.free * scale, ledger.bound * scale,
             ledger.absorbed_lymph * scale)

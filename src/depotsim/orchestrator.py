@@ -5,13 +5,17 @@ potential (with concentrations lagged), (2) implicit species transport,
 (3) binding exchange (`binding.py`), (4) pH update, chloride recovery and
 ledger update.
 
-A step is state in, state out: `StaggeredStepper.attempt` builds a candidate
-`FieldState` and leaves its input alone, `StaggeredStepper.step` returns the
-accepted one and books the dose ledger, the one thing it changes in place.
-`_admit` alone accepts a candidate: a non-finite species fails the run; a
+A step is state in, state out: `StaggeredStepper.attempt` computes a step's
+fields and leaves its input alone, `StaggeredStepper.step` returns the
+accepted state and books the dose ledger, the one thing it changes in place.
+`_admit` alone accepts a step's fields: a non-finite species fails the run; a
 species below zero, or c_B outside [0, B_max], by more than `ROUND_OFF` of its
 scale is retried with halved dt up to five times; the round-off negatives
-left are zeroed and counted.
+left are zeroed and counted. Then `_admit` computes the admitted fields' pH,
+drug charge and chloride (`_derived`), and retries likewise a chloride below
+zero by more than `ROUND_OFF` of its largest value. Only then is the step's
+`FieldState` built. Every `FieldState` is complete (the rest and the reduced
+states take `_derived` too); a step reads its lagged derived fields there.
 
 After the injection phase the problem is reduced: fields are projected onto
 a coarse uniform mesh (with an exact drug-mass rescale), convection and
@@ -25,9 +29,6 @@ The phases run on the config's two meshes and take their drainage from
 Both phases take one dt policy (`Simulation._run_phase`): dt grows by
 `DT_GROWTH` a step from a minimum to a maximum. The injection phase passes
 ``phases.short_dt_s`` as both, so its steps stay constant.
-
-Every accepted state carries its pH, drug charge and recovered chloride
-(`_refresh_derived`); a step reads the lagged values from there.
 
 A `StaggeredStepper` computes what its phase never changes once, when it is
 built, and keeps it for as long as it lives: one phase. No step writes to
@@ -47,7 +48,7 @@ from __future__ import annotations
 
 import logging
 import time as _time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -83,29 +84,46 @@ class NegativeConcentrationError(SolverError):
     """A field left its bounds beyond round-off; the stepper retries at half the dt."""
 
 
-def _admit(candidate: FieldState, b_max: float) -> int:
-    """Raise unless a step's candidate state is admitted (see the module
-    docstring); zero its round-off negatives in place and return how many."""
-    species = {"Na+": candidate.c_na, "H+": candidate.c_h, "mAb": candidate.c_mab}
+def _derived(c_na, c_h, c_mab, charge_curve) -> dict[str, np.ndarray]:
+    """The pH, drug charge and chloride that follow from the concentrations."""
+    ph = tr.tissue_ph(c_h)
+    z_mab = charge_curve(ph)
+    return {"ph": ph, "z_mab": z_mab,
+            "c_cl": recover_chloride(c_na, c_h, c_mab, z_mab)}
+
+
+def _check_floor(name: str, arr: np.ndarray):
+    """Raise unless ``arr`` stays above -`ROUND_OFF` times its largest value."""
+    floor = -ROUND_OFF * max(float(arr.max(initial=0.0)), 1e-300)
+    if float(arr.min()) < floor:
+        raise NegativeConcentrationError(
+            f"{name} overshot to {float(arr.min()):.3e} (floor {floor:.3e})")
+
+
+def _admit(c_na, c_h, c_mab, c_b, b_max: float,
+           charge_curve) -> tuple[dict[str, np.ndarray], int]:
+    """Raise unless a step's fields are admitted (see the module docstring);
+    zero their round-off negatives in place and return the derived fields of
+    the admitted arrays and how many negatives were zeroed."""
+    species = {"Na+": c_na, "H+": c_h, "mAb": c_mab}
     for name, arr in species.items():
         if not np.isfinite(arr).all():
             raise SolverError(f"{name} transport produced non-finite values")
     for name, arr in species.items():
-        floor = -ROUND_OFF * max(float(arr.max(initial=0.0)), 1e-300)
-        if float(arr.min()) < floor:
-            raise NegativeConcentrationError(
-                f"{name} overshot to {float(arr.min()):.3e} (floor {floor:.3e})")
-    low, high = float(candidate.c_b.min()), float(candidate.c_b.max())
+        _check_floor(name, arr)
+    low, high = float(c_b.min()), float(c_b.max())
     if low < -ROUND_OFF * b_max or high - b_max > ROUND_OFF * b_max:
         raise NegativeConcentrationError(
             f"bound field left [0, B_max = {b_max:.3e}]: min {low:.3e}, max {high:.3e}")
     clipped = 0
-    for arr in (*species.values(), candidate.c_b):
+    for arr in (*species.values(), c_b):
         if not arr.min() >= 0.0:  # a NaN takes the masked path too
             neg = arr < 0.0
             clipped += int(np.count_nonzero(neg))
             arr[neg] = 0.0
-    return clipped
+    derived = _derived(c_na, c_h, c_mab, charge_curve)
+    _check_floor("recovered Cl-", derived["c_cl"])
+    return derived, clipped
 
 
 @dataclass
@@ -180,10 +198,16 @@ class StaggeredStepper:
 
     def rest_state(self) -> FieldState:
         """The tissue at rest at t = 0, with its derived fields and no drainage."""
-        state = FieldState.rest_state(self.mesh, self.species)
-        _refresh_derived(state, self.charge_curve)
-        state.j_l = np.zeros_like(state.p)
-        return state
+        mesh, species = self.mesh, self.species
+        shape = (mesh.nz1, mesh.nr1)
+        c_na = np.full(shape, species.sodium.c_init)
+        c_h = np.full(shape, species.hydrogen.c_init)
+        c_mab = np.full(shape, species.drug.c_init)
+        return FieldState(
+            mesh=mesh, c_na=c_na, c_h=c_h, c_mab=c_mab, c_b=np.zeros(shape),
+            p=np.zeros(shape), phi=np.zeros(shape), u=np.zeros(mesh.n_faces),
+            t=0.0, j_l=np.zeros(shape),
+            **_derived(c_na, c_h, c_mab, self.charge_curve))
 
     def pressure_at(self, t: float) -> np.ndarray:
         """Pore pressure at time t of the injection phase, p_rest + Q(t) p_unit."""
@@ -191,9 +215,9 @@ class StaggeredStepper:
 
     # -- one attempted step (pure: commits nothing) -------------------------
     def attempt(self, state: FieldState, dt: float):
-        """The admitted state at ``state.t + dt``, without its derived fields,
-        the step's (injected, absorbed, eliminated) drug increments and the
-        count of round-off negatives `_admit` zeroed."""
+        """The admitted state at ``state.t + dt``, the step's (injected,
+        absorbed, eliminated) drug increments and the count of round-off
+        negatives `_admit` zeroed."""
         mesh = self.mesh
         t_new = state.t + dt
 
@@ -239,12 +263,14 @@ class StaggeredStepper:
         c_b = bd.advance_bound(state.c_b, c_mab, assoc, release, dt,
                                self.binding)
 
-        new = FieldState(mesh=mesh, c_na=c_na, c_h=c_h, c_mab=c_mab, c_b=c_b,
-                         p=p, phi=phi, u=u, t=t_new, j_l=j_l)
         increments = (injected,
                       dt * nodal_integral(j_l * c_mab, mesh),
                       dt * self.binding.k_e * nodal_integral(state.c_b, mesh))
-        return new, increments, _admit(new, self.binding.b_max)
+        derived, clipped = _admit(c_na, c_h, c_mab, c_b, self.binding.b_max,
+                                  self.charge_curve)
+        new = FieldState(mesh=mesh, c_na=c_na, c_h=c_h, c_mab=c_mab, c_b=c_b,
+                         p=p, phi=phi, u=u, t=t_new, j_l=j_l, **derived)
+        return new, increments, clipped
 
     def step(self, state: FieldState, ledger: DoseLedger,
              dt: float) -> tuple[FieldState, float]:
@@ -264,19 +290,11 @@ class StaggeredStepper:
                 f"step at t={state.t:.3f} failed after {MAX_DT_RETRIES} dt halvings")
 
         self.clipped += clipped
-        _refresh_derived(new, self.charge_curve)
         ledger.injected += injected
         ledger.absorbed_lymph += absorbed
         ledger.eliminated += eliminated
         ledger.count_stock(new, self.porosity)
         return new, dt_eff
-
-
-def _refresh_derived(state: FieldState, charge_curve):
-    """Set the pH, drug charge and chloride that follow from the concentrations."""
-    state.ph = tr.tissue_ph(state.c_h)
-    state.z_mab = charge_curve(state.ph)
-    state.c_cl = recover_chloride(state.c_na, state.c_h, state.c_mab, state.z_mab)
 
 
 @dataclass
@@ -288,6 +306,7 @@ class PhaseResult:
     chloride_min: float  # minimum recovered chloride over every accepted step
     wall_time_s: float
     dts: list[float]  # the dt of every accepted step, in order
+    ledger: DoseLedger  # a copy of the ledger as the last step left it
 
     def report(self) -> dict[str, float]:
         """The phase's accepted steps, their dt range and median, its wall time
@@ -308,6 +327,7 @@ class PipelineResult:
     series: mt.MetricSeries
     ledger: DoseLedger
     short_state: FieldState
+    short_ledger: DoseLedger  # the ledger of short_state, before the reduction
     final_state: FieldState
     chloride_min: float  # over every accepted step of both phases, mol/cm^3
     retries: int
@@ -324,29 +344,18 @@ class Simulation:
         self.config = config
 
     # -- helpers -------------------------------------------------------------
-    @staticmethod
-    def _near_source_average(fld: np.ndarray, mesh: AxiMesh,
-                             center: tuple[float, float]) -> float:
-        """Ball average that degrades to the nearest node on coarse meshes."""
-        nodes = mt.ball(mesh, center, PRESSURE_BALL_RADIUS)
-        if nodes.weights.size:
-            return mt.ball_average(fld, nodes)
-        return float(fld.ravel()[nodes.nearest])
-
     def _emit(self, series: mt.MetricSeries, state: FieldState,
               ledger: DoseLedger, stepper: StaggeredStepper):
         mesh = stepper.mesh
         center = stepper.protocol.center(mesh.height)
-        if ledger.injected > 0:
-            free_pct, bound_pct, absorbed_pct = mt.dose_fractions(ledger)
-        else:
-            free_pct = bound_pct = absorbed_pct = 0.0
+        free_pct, bound_pct, absorbed_pct = mt.dose_fractions(ledger)
         # without flow every face velocity of the phase is zero
         speed = (float(fl.node_speed(mesh, state.u).max())
                  if stepper.flow else 0.0)
         series.append(
             state.t,
-            pressure_ball_avg=self._near_source_average(state.p, mesh, center),
+            pressure_ball_avg=mt.ball_average(
+                state.p, mt.ball(mesh, center, PRESSURE_BALL_RADIUS)),
             velocity_ball_max=speed,
             phi_avg=mt.domain_average(state.phi, mesh),
             ph_avg=mt.domain_average(state.ph, mesh),
@@ -379,7 +388,7 @@ class Simulation:
         counters = {"retries": stepper.retries, "clipped": stepper.clipped,
                     **asdict(stepper.krylov)}
         return PhaseResult(series, state, counters, closure_max, chloride_min,
-                           _time.perf_counter() - t0, dts)
+                           _time.perf_counter() - t0, dts, replace(ledger))
 
     # -- public phases -------------------------------------------------------
     def run_short_term(self, series: mt.MetricSeries, ledger: DoseLedger) -> PhaseResult:
@@ -421,13 +430,12 @@ class Simulation:
         p_steady = pressure.solve(0.0)
         j_l = fl.starling_lymph(p_steady, self.config.starling(), lymph)
 
-        state = FieldState(
-            mesh=coarse, c_na=fields["c_na"], c_h=fields["c_h"],
-            c_mab=fields["c_mab"], c_b=fields["c_b"], p=p_steady,
+        return FieldState(
+            mesh=coarse, **fields, p=p_steady,
             phi=np.zeros((coarse.nz1, coarse.nr1)), u=np.zeros(coarse.n_faces),
-            t=short_state.t, j_l=j_l)
-        _refresh_derived(state, self.config.charge_curve())
-        return state
+            t=short_state.t, j_l=j_l,
+            **_derived(fields["c_na"], fields["c_h"], fields["c_mab"],
+                       self.config.charge_curve()))
 
     def run_long_term(self, state: FieldState, series: mt.MetricSeries,
                       ledger: DoseLedger) -> PhaseResult:
@@ -452,7 +460,8 @@ class Simulation:
 
         return PipelineResult(
             config=self.config, series=series, ledger=ledger,
-            short_state=short_state, final_state=long.state,
+            short_state=short_state, short_ledger=short.ledger,
+            final_state=long.state,
             chloride_min=min(short.chloride_min, long.chloride_min),
             retries=short.counters["retries"] + long.counters["retries"],
             short_wall_s=short.wall_time_s, long_wall_s=long.wall_time_s,

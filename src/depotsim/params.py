@@ -6,19 +6,22 @@ Unit system (CGS-pressure hybrid, used everywhere without conversion layers):
 
 The only unit conversion in the whole model is the pH one:
     c_H [mol/L] = 1000 * c_H [mol/cm^3]
+
+Chloride is not transported: `recover_chloride`, the package's one chloride
+formula, closes the electroneutral balance. `orchestrator._admit` computes it,
+with the pH and drug charge, from each step's admitted fields and retries a
+step whose chloride is negative beyond round-off; every `FieldState` is
+built complete.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 #: Conversion factor between mol/cm^3 and mol/L, used by every pH computation.
 MOL_PER_CM3_TO_MOL_PER_L = 1000.0
@@ -251,24 +254,16 @@ class TissueLayers:
 # Operations
 # ---------------------------------------------------------------------------
 
-def _electroneutral_chloride(c_na, c_h, c_mab, z_mab):
-    """c_Cl = -(1/z_Cl) * (z_Na c_Na + z_H c_H + z_mAb c_mAb)."""
+def recover_chloride(c_na, c_h, c_mab, z_mab):
+    """Chloride closing the electroneutrality constraint,
+    c_Cl = -(1/z_Cl) * (z_Na c_Na + z_H c_H + z_mAb c_mAb).
+
+    A negative result (possible only for strongly negative drug charge) is
+    returned as it is, for the caller to judge: `orchestrator._admit` retries
+    a step with one, `syringe_composition` rejects the formulation.
+    """
     return -(Z_NA * np.asarray(c_na) + Z_H * np.asarray(c_h)
              + np.asarray(z_mab) * np.asarray(c_mab)) / Z_CL
-
-
-def recover_chloride(c_na, c_h, c_mab, z_mab):
-    """Chloride concentration closing the electroneutrality constraint.
-
-    Negative results (possible only for strongly negative drug charge) are
-    reported, not fatal.
-    """
-    c_cl = _electroneutral_chloride(c_na, c_h, c_mab, z_mab)
-    if not np.min(c_cl) >= 0.0:  # a NaN takes the masked path too
-        n_neg = np.count_nonzero(np.asarray(c_cl) < 0.0)
-        if n_neg:
-            logger.warning("chloride recovery produced %d negative node(s)", n_neg)
-    return c_cl
 
 
 def syringe_composition(buffer_ph: float, mg_per_ml: float, molar_mass: float,
@@ -287,7 +282,7 @@ def syringe_composition(buffer_ph: float, mg_per_ml: float, molar_mass: float,
     c_na = 3.0 * c_na_tissue
     c_h = 10.0 ** (-buffer_ph) / MOL_PER_CM3_TO_MOL_PER_L
     c_mab = (mg_per_ml * 1.0e-3) / molar_mass
-    c_cl = float(_electroneutral_chloride(c_na, c_h, c_mab, z_drug_at_buffer))
+    c_cl = float(recover_chloride(c_na, c_h, c_mab, z_drug_at_buffer))
     if c_cl < 0:
         raise ConfigurationError(
             "unbalanced formulation: electroneutral chloride would be negative"

@@ -27,7 +27,7 @@ AXES = {
     "concentration": "formulation.mg_per_ml",
 }
 
-SUMMARY_TIME_H = 30.0  # dose splits reported at this time since injection
+SUMMARY_TIME_H = 30.0  # dose splits reported at the sample nearest this time
 
 
 @dataclass
@@ -35,6 +35,7 @@ class SweepEntry:
     value: object
     outdir: Path
     ok: bool
+    t_h: float = float("nan")  # time of the sample the splits are taken at
     free_pct: float = float("nan")
     bound_pct: float = float("nan")
     absorbed_pct: float = float("nan")
@@ -55,7 +56,7 @@ def _run_one(base: SimulationConfig, key: str, value, outdir: str):
     result = Simulation(config).run_pipeline()
     write_run_outputs(result, outdir)
     at = result.series.at_time(SUMMARY_TIME_H * 3600.0)
-    return at["free_pct"], at["bound_pct"], at["absorbed_pct"]
+    return at["t_s"] / 3600.0, at["free_pct"], at["bound_pct"], at["absorbed_pct"]
 
 
 def run_sweep(base: SimulationConfig, axis: str, values: list,
@@ -63,9 +64,10 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
     """Run one pipeline per axis value; failures are recorded, not fatal.
 
     Each run writes into its own subdirectory; a combined CSV of the dose
-    splits at t = 30 h lands next to them. Two values that name one
-    subdirectory are a `ConfigurationError`, raised before any run. The runs
-    share a pool of min(``DEPOTSIM_WORKERS``, runs) processes if that is > 1.
+    splits at the sample nearest t = 30 h, and that sample's time ``t_h``,
+    lands next to them. Two values that name one subdirectory are a
+    `ConfigurationError`, raised before any run. The runs share a pool of
+    min(``DEPOTSIM_WORKERS``, runs) processes if that is > 1.
     """
     if axis not in AXES:
         raise ConfigurationError(f"unknown sweep axis {axis!r}; "
@@ -94,15 +96,17 @@ def run_sweep(base: SimulationConfig, axis: str, values: list,
                 else [partial(*job) for job in jobs])
         for entry, run in zip(entries, runs):
             try:
-                entry.free_pct, entry.bound_pct, entry.absorbed_pct = run()
+                (entry.t_h, entry.free_pct, entry.bound_pct,
+                 entry.absorbed_pct) = run()
                 entry.ok = True
             except Exception as exc:  # keep sweeping past individual failures
                 entry.error = str(exc)
                 logger.error("sweep value %r failed: %s", entry.value, exc)
 
-    lines = [f"{axis},free_pct,bound_pct,absorbed_pct,status"]
-    for entry in entries:  # a failed entry keeps its NaN splits
-        lines.append(f"{entry.value},{entry.free_pct:.17g},{entry.bound_pct:.17g},"
-                     f"{entry.absorbed_pct:.17g},{'ok' if entry.ok else 'failed'}")
+    lines = [f"{axis},t_h,free_pct,bound_pct,absorbed_pct,status"]
+    for entry in entries:  # a failed entry keeps its NaN time and splits
+        lines.append(f"{entry.value},{entry.t_h:.17g},{entry.free_pct:.17g},"
+                     f"{entry.bound_pct:.17g},{entry.absorbed_pct:.17g},"
+                     f"{'ok' if entry.ok else 'failed'}")
     (outdir / "sweep_summary.csv").write_text("\n".join(lines) + "\n")
     return entries

@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from depotsim.binding import advance_bound, exchange_rates
 from depotsim.config import default_config
-from depotsim.mesh import FieldState, build_graded_mesh
-from depotsim.orchestrator import ROUND_OFF, NegativeConcentrationError, _admit
+from depotsim.mesh import build_graded_mesh
+from depotsim.orchestrator import (ROUND_OFF, NegativeConcentrationError,
+                                   StaggeredStepper, _admit)
 from depotsim.params import BindingParams, PhCurve
 
 N = 0.1
 B_MAX = 1e-9
 MESH = build_graded_mesh(5, 5, 8, 8, focus=(0, 4.2), grading=1.0)
+CONFIG = default_config()
+REST = StaggeredStepper(MESH, CONFIG, flow=False).rest_state()
 
 
 def flat_binding(ka=5e4, kd=1e-4, k_e=0.0):
@@ -34,12 +37,12 @@ def step(cb, c, dt, binding, ph=7.0):
 
 
 def admitted(cb):
-    """The bound field ``cb`` as `orchestrator._admit` admits it in a resting
-    candidate state, and the count of negatives it zeroed."""
-    state = FieldState.rest_state(MESH, default_config().species())
-    state.c_b = np.full_like(state.c_b, cb)
-    clipped = _admit(state, B_MAX)
-    return state.c_b, clipped
+    """The bound field ``cb`` as `orchestrator._admit` admits it beside the
+    ions and drug of the tissue at rest, and the count of negatives it zeroed."""
+    c_b = np.full_like(REST.c_b, cb)
+    _, clipped = _admit(REST.c_na.copy(), REST.c_h.copy(), REST.c_mab.copy(), c_b,
+                        B_MAX, CONFIG.charge_curve())
+    return c_b, clipped
 
 
 class TestBindingSink:

@@ -12,7 +12,8 @@ import compare_run_dirs
 from depotsim import sweep
 from depotsim.cli import main
 from depotsim.config import load_config, load_config_text
-from depotsim.io import read_timeseries
+from depotsim.io import load_checkpoint, read_timeseries
+from depotsim.mesh import nodal_integral
 from depotsim.sweep import run_sweep
 from snapshot_reader import read_snapshot
 
@@ -64,6 +65,17 @@ class TestRunCommand:
             assert counters["krylov_solves"] == counters["gmres_iterations"] == 0
             assert counters["ilu_builds"] == counters["direct_fallbacks"] == 0
         assert sum(c["retries"] for c in phases.values()) == ledger["retries"]
+
+    @pytest.mark.parametrize("name", ["checkpoint_short_end.npz", "checkpoint_final.npz"])
+    def test_each_checkpoint_ledger_counts_the_drug_of_its_own_fields(self, finished_run,
+                                                                       name):
+        state, ledger, _, config_text = load_checkpoint(finished_run / name)
+        porosity = load_config_text(config_text).layers().porosity
+        scale = 1e-12 * ledger.injected
+        assert ledger.injected > 0.0
+        assert abs(porosity * nodal_integral(state.c_mab, state.mesh)
+                   - ledger.free) <= scale
+        assert abs(nodal_integral(state.c_b, state.mesh) - ledger.bound) <= scale
 
     def test_ledger_reports_each_phase_steps_dt_wall_and_closure(self, finished_run):
         ledger = json.loads((finished_run / "ledger.json").read_text())
@@ -355,8 +367,11 @@ class TestSweep:
         assert entries[0].ok
         assert (tmp_path / "buffer_ph_6.0" / "timeseries.csv").exists()
         summary = (tmp_path / "sweep_summary.csv").read_text().splitlines()
-        assert summary[0] == "buffer_ph,free_pct,bound_pct,absorbed_pct,status"
+        assert summary[0] == "buffer_ph,t_h,free_pct,bound_pct,absorbed_pct,status"
         assert summary[1].startswith("6.0,")
+        # a run shorter than 30 h splits at its last sample, and says when
+        series = read_timeseries(tmp_path / "buffer_ph_6.0" / "timeseries.csv")
+        assert float(summary[1].split(",")[1]) == series.time[-1] / 3600.0 < 30.0
 
     def test_order_independence(self, tmp_path):
         config = load_config_text(TINY)
@@ -425,7 +440,7 @@ class TestSweep:
                 return SimpleNamespace(result=partial(fn, *args))
 
         monkeypatch.setattr(sweep, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sweep, "_run_one", lambda *args: (1.0, 2.0, 3.0))
+        monkeypatch.setattr(sweep, "_run_one", lambda *args: (30.0, 1.0, 2.0, 3.0))
         monkeypatch.setenv("DEPOTSIM_WORKERS", "64")
         config = load_config_text(TINY)
         entries = run_sweep(config, "buffer_ph", [5.0, 6.0, 7.0], tmp_path / "three")

@@ -348,7 +348,7 @@ class TestTimeseriesCsv:
 
 def small_state():
     mesh = build_graded_mesh(5, 5, 10, 10, focus=(0, 4.2), grading=1.0)
-    state = FieldState.rest_state(mesh, default_config().species())
+    state = StaggeredStepper(mesh, default_config(), flow=False).rest_state()
     rng = np.random.default_rng(1)
     state.c_mab = rng.random(state.c_na.shape) * 1e-7
     state.phi = rng.normal(0, 1e-3, state.c_na.shape)

@@ -7,9 +7,10 @@ import pytest
 
 from depotsim._assembly import csr_pattern
 from depotsim.config import default_config
-from depotsim.mesh import (AxiMesh, FieldState, MeshError, build_graded_mesh,
-                           nodal_integral, project_field)
+from depotsim.mesh import (AxiMesh, MeshError, build_graded_mesh, nodal_integral,
+                           project_field)
 from depotsim.metrics import ball
+from depotsim.orchestrator import StaggeredStepper
 
 CYLINDER_VOLUME = np.pi * 25.0 * 5.0  # R = H = 5
 
@@ -174,9 +175,13 @@ class TestDerived:
 class TestFieldState:
     def test_rest_state_shapes_and_values(self):
         mesh = build_graded_mesh(5, 5, 12, 12, focus=(0, 4.2), grading=1.0)
-        state = FieldState.rest_state(mesh, default_config().species())
+        state = StaggeredStepper(mesh, default_config(), flow=False).rest_state()
         assert state.c_na.shape == (13, 13)
         assert np.all(state.c_na == 1.4e-4)
         assert np.all(state.c_mab == 0.0)
         assert state.u.shape == (mesh.n_faces,) == (13 * 12 + 12 * 13,)
         assert np.all(state.u == 0.0)
+        # built complete: its derived fields and its drainage are set
+        assert np.all(state.c_cl == 1.4e-4 + 4e-11)
+        assert np.all(state.ph == state.ph[0, 0]) and np.all(state.j_l == 0.0)
+        assert state.z_mab.shape == (13, 13)

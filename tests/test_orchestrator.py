@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from depotsim import _assembly, binding, transport
+from depotsim import _assembly, binding, orchestrator, transport
 from depotsim import config as config_module
 from depotsim.config import load_config_text
 from depotsim.flow import (PressureSolver, SolverError, injection_source,
                            tissue_pressure)
 from depotsim.mesh import FieldState, build_graded_mesh, nodal_integral, project_field
-from depotsim.metrics import MetricSeries, domain_average, net_charge_density
+from depotsim.metrics import (MetricSeries, ball, ball_average, domain_average,
+                              net_charge_density)
 from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, ROUND_OFF, DoseLedger,
                                    NegativeConcentrationError, Simulation,
                                    StaggeredStepper, _admit)
-from depotsim.params import TissueLayers
+from depotsim.params import TissueLayers, recover_chloride
 
 TINY = """
 mesh.fine_nr = 24
@@ -169,9 +170,17 @@ class TestStepStaggered:
             stepper.step(state, DoseLedger(), 0.2)
 
 
-def rest_candidate(tiny_sim):
-    """A clean candidate state: the tissue at rest on the tiny fine mesh."""
-    return FieldState.rest_state(tiny_sim.config.fine_mesh(), tiny_sim.config.species())
+def rest_fields(tiny_sim):
+    """Clean fields of a step: the four transported fields of the tissue at
+    rest on the tiny fine mesh."""
+    config = tiny_sim.config
+    state = StaggeredStepper(config.fine_mesh(), config, flow=False).rest_state()
+    return {name: getattr(state, name) for name in ("c_na", "c_h", "c_mab", "c_b")}
+
+
+def admit(tiny_sim, fields):
+    """`_admit` on ``fields`` with B_max 1e-9 and the tiny scenario's charge curve."""
+    return _admit(**fields, b_max=1e-9, charge_curve=tiny_sim.config.charge_curve())
 
 
 def first_call_changed(monkeypatch, module, name, change):
@@ -193,37 +202,52 @@ class TestAdmit:
     """`_admit`, the one acceptance rule, directly and through `StaggeredStepper.step`."""
 
     def test_round_off_negative_is_zeroed_and_counted(self, tiny_sim):
-        state = rest_candidate(tiny_sim)
-        state.c_mab[:] = 1e-7
-        state.c_mab[3, 3] = -1e-20  # within 1e-12 of the drug's maximum
-        assert _admit(state, 1e-9) == 1
-        assert state.c_mab[3, 3] == 0.0
+        fields = rest_fields(tiny_sim)
+        fields["c_mab"][:] = 1e-7
+        fields["c_mab"][3, 3] = -1e-20  # within 1e-12 of the drug's maximum
+        _, clipped = admit(tiny_sim, fields)
+        assert clipped == 1
+        assert fields["c_mab"][3, 3] == 0.0
 
     def test_clean_state_clips_nothing_and_keeps_its_arrays(self, tiny_sim):
-        state = rest_candidate(tiny_sim)
-        before = {name: getattr(state, name) for name in ("c_na", "c_h", "c_mab", "c_b")}
-        copies = {name: arr.copy() for name, arr in before.items()}
-        assert _admit(state, 1e-9) == 0
-        for name, arr in before.items():
-            assert getattr(state, name) is arr
+        fields = rest_fields(tiny_sim)
+        copies = {name: arr.copy() for name, arr in fields.items()}
+        _, clipped = admit(tiny_sim, fields)
+        assert clipped == 0
+        for name, arr in fields.items():
             assert np.array_equal(arr, copies[name]), name
 
     def test_every_negative_of_every_field_is_zeroed_and_counted(self, tiny_sim):
-        state = rest_candidate(tiny_sim)
-        state.c_na[0, :3] = -1e-20
-        state.c_h[5, 5] = -0.0  # not below zero, so kept
-        state.c_b[2:4, 7:9] = -1e-22  # within 1e-12 of B_max
-        assert _admit(state, 1e-9) == 3 + 4
-        assert state.c_na.min() == 0.0 and state.c_b.min() == 0.0
-        assert np.all(state.c_na[0, 3:] == 1.4e-4)
+        fields = rest_fields(tiny_sim)
+        fields["c_na"][0, :3] = -1e-20
+        fields["c_h"][5, 5] = -0.0  # not below zero, so kept
+        fields["c_b"][2:4, 7:9] = -1e-22  # within 1e-12 of B_max
+        _, clipped = admit(tiny_sim, fields)
+        assert clipped == 3 + 4
+        assert fields["c_na"].min() == 0.0 and fields["c_b"].min() == 0.0
+        assert np.all(fields["c_na"][0, 3:] == 1.4e-4)
 
     def test_finiteness_is_checked_first_and_fails_the_run(self, tiny_sim):
-        state = rest_candidate(tiny_sim)
-        state.c_na[0, 0] = -1.0  # an overshoot, but H+ is not finite
-        state.c_h[1, 1] = np.nan
+        fields = rest_fields(tiny_sim)
+        fields["c_na"][0, 0] = -1.0  # an overshoot, but H+ is not finite
+        fields["c_h"][1, 1] = np.nan
         with pytest.raises(SolverError, match="H\\+ transport produced non-finite") as exc:
-            _admit(state, 1e-9)
+            admit(tiny_sim, fields)
         assert not isinstance(exc.value, NegativeConcentrationError)
+
+    def test_derived_fields_are_those_of_the_admitted_arrays(self, tiny_sim):
+        fields = rest_fields(tiny_sim)
+        fields["c_mab"][:] = 1e-7
+        fields["c_mab"][3, 3] = -1e-20  # zeroed before the chloride is recovered
+        derived, _ = admit(tiny_sim, fields)
+        assert set(derived) == {"ph", "z_mab", "c_cl"}
+        ph = transport.tissue_ph(fields["c_h"])
+        z_mab = tiny_sim.config.charge_curve()(ph)
+        assert np.array_equal(derived["ph"], ph)
+        assert np.array_equal(derived["z_mab"], z_mab)
+        assert np.array_equal(derived["c_cl"], recover_chloride(
+            fields["c_na"], fields["c_h"], fields["c_mab"], z_mab))
+        assert derived["c_cl"][3, 3] == fields["c_na"][3, 3] + fields["c_h"][3, 3]
 
     @pytest.mark.parametrize("share, retried", [(0.5, False), (2.0, True)])
     def test_species_below_zero_is_zeroed_within_round_off_else_retried(
@@ -271,6 +295,31 @@ class TestAdmit:
         else:
             assert stepper.retries == 0 and not rejected
             assert new.c_b[node] == over
+
+
+    @pytest.mark.parametrize("share, retried", [(0.5, False), (2.0, True)])
+    def test_chloride_below_zero_is_admitted_unchanged_within_round_off_else_retried(
+            self, tiny_sim, monkeypatch, caplog, share, retried):
+        config = tiny_sim.config
+        node, dipped = (3, 3), []
+
+        def dip(c_cl):
+            c_cl[node] = -share * ROUND_OFF * c_cl.max()
+            dipped.append(c_cl[node])
+
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        state = stepper.rest_state()  # before the first recovery is changed
+        first_call_changed(monkeypatch, orchestrator, "recover_chloride", dip)
+        with caplog.at_level("WARNING", logger="depotsim"):
+            new, dt = stepper.step(state, DoseLedger(), 0.2)
+        rejected = [r for r in caplog.records if "rejected" in r.getMessage()]
+        if retried:
+            assert stepper.retries == len(rejected) == 1
+            assert "Cl-" in rejected[0].getMessage()
+            assert dt == 0.1 and new.c_cl.min() > 0.0
+        else:
+            assert stepper.retries == 0 and not rejected
+            assert dt == 0.2 and new.c_cl[node] == dipped[0] < 0.0
 
 
 class TestAffinePressure:
@@ -381,8 +430,9 @@ class TestFlowStop:
 
 
 class TestNearSourceAverage:
-    """`Simulation._near_source_average` on both of its branches, called twice
-    so that the second call reads the ball the first one cached on the mesh."""
+    """`metrics.ball_average` over the near-source ball that `Simulation` reports,
+    on both of its branches, with the ball asked for twice so that the second
+    call reads the one the first cached on the mesh."""
 
     @staticmethod
     def explicit_ball(mesh, center):
@@ -398,7 +448,7 @@ class TestNearSourceAverage:
         w = mesh.node_volumes[mask]
         expected = float(np.sum(fld[mask] * w) / np.sum(w))
         for _ in range(2):
-            assert Simulation._near_source_average(fld, mesh, center) == expected
+            assert ball_average(fld, ball(mesh, center, PRESSURE_BALL_RADIUS)) == expected
 
     def test_empty_ball_falls_back_to_the_nearest_node(self, tiny_sim):
         # no node of the 16x16 coarse mesh lies within 0.1 cm of the needle tip
@@ -408,7 +458,8 @@ class TestNearSourceAverage:
         assert not mask.any()
         fld = np.random.default_rng(3).random((mesh.nz1, mesh.nr1))
         for _ in range(2):
-            assert Simulation._near_source_average(fld, mesh, center) == fld.ravel()[nearest]
+            nodes = ball(mesh, center, PRESSURE_BALL_RADIUS)
+            assert ball_average(fld, nodes) == fld.ravel()[nearest]
 
 
 class TestShortTerm:
