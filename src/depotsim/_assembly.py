@@ -24,23 +24,23 @@ operator on the pattern lies in a band of half-width nr1:
   matrix by LAPACK's partial-pivoting ``dgbtrf`` and solved by ``dgbtrs``.
   A read-only map from CSR ``data`` slots to band storage is cached on the
   mesh, so a factorization is one scatter and one LAPACK call.
-- **Symmetric operators on wide meshes** up to `_CHOLESKY_MAX_WIDTH`, the
-  grounded potential and the rim-pinned pressure, are condensed red-black
-  (`CholeskyLayout`): one colour of the checkerboard is eliminated exactly,
-  and LAPACK's banded Cholesky ``dpbtrf`` factors the Schur complement on
-  the other half of the nodes at the same half-width nr1, about half the
-  flops of a Cholesky of the full band, without pivoting. An operator that
-  is not positive definite goes on to SuperLU.
-- **Other wide-mesh operators** use SuperLU in one fill-reducing order per
-  mesh, `lu_order`: SuperLU's AT+A minimum-degree order of the pattern. It
-  depends only on the pattern, so it serves every operator on the mesh,
-  pinned ones included. A factorization gathers the operator's ``data``
-  straight into the permuted CSC layout and factors it in natural order.
+- **Symmetric operators on wide meshes**, the grounded potential and the
+  rim-pinned pressure, are condensed red-black (`CholeskyLayout`) at any
+  width: one colour of the checkerboard is eliminated exactly, and LAPACK's
+  banded Cholesky ``dpbtrf`` factors the Schur complement on the other half
+  of the nodes at the same half-width nr1, about half the flops of a
+  Cholesky of the full band, without pivoting.
+- **Other wide-mesh operators**, and a symmetric one that is not positive
+  definite, go to SuperLU, which computes its own AT+A minimum-degree order
+  for each factor.
 
-A band factor costs O(n nr1²) and the minimum-degree fill of SuperLU grows
-more slowly with the width, so the band wins only up to a width;
-`_BAND_MAX_WIDTH` records where the band LU stops winning, and
-`_CHOLESKY_MAX_WIDTH` where the condensed band outgrows its storage bound.
+A band LU costs O(n nr1²) and the minimum-degree fill of SuperLU grows more
+slowly with the width, so `_BAND_MAX_WIDTH` records where the band LU stops
+winning. The condensed Cholesky won at every width measured: factor plus
+solve of a grounded potential operator on uniform meshes 49, 101, 151 and
+201 wide took 1.2, 10.1, 25.1 and 65.2 ms, against 2.7, 14.3, 40.5 and
+104 ms for SuperLU in an order computed once per mesh (one BLAS thread,
+2-core Xeon).
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -54,8 +54,6 @@ arrays; none holds an operator or a factor:
 - `_band_layout`: the map from CSR ``data`` slots to LAPACK band storage.
 - `_cholesky_layout`: the red-black condensation map, from faces to kept and
   eliminated nodes and from pair products to reduced band storage.
-- `lu_order`: the minimum-degree order of the wide-mesh SuperLU factors and
-  the permuted CSC layout it gives the pattern.
 
 Face fields. A coefficient, speed or flux on the dual faces is one array of
 ``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
@@ -138,76 +136,9 @@ class Operator:
 
 
 def _csr(a: Operator) -> sp.csr_matrix:
-    """The operator as a scipy CSR matrix, for ``spilu`` and matvecs."""
+    """The operator as a scipy CSR matrix, for SuperLU, ``spilu`` and matvecs."""
     n = a.pattern.indptr.size - 1
     return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
-
-
-@dataclass(frozen=True)
-class LuOrder:
-    """A mesh's fill-reducing order and its permuted CSC layout; arrays read-only.
-
-    ``order`` lists the mesh nodes in elimination order and ``rank`` is its
-    inverse. ``P A Pᵀ`` in CSC form has ``data = a.data[gather]`` for any
-    operator ``a`` on the mesh pattern, with the fixed ``indptr``/``indices``.
-    """
-
-    order: np.ndarray
-    rank: np.ndarray
-    gather: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-
-
-class PermutedLU:
-    """LU of ``P A Pᵀ`` whose ``solve`` answers ``A x = b`` in mesh numbering.
-
-    ``L`` and ``U`` are the factors of ``P A Pᵀ``; their nnz is the fill.
-    """
-
-    __slots__ = ("_lu", "_layout")
-
-    def __init__(self, lu, layout: LuOrder):
-        self._lu = lu
-        self._layout = layout
-
-    @property
-    def L(self):
-        return self._lu.L
-
-    @property
-    def U(self):
-        return self._lu.U
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._lu.solve(b[self._layout.order])[self._layout.rank]
-
-
-_SMALL_SYSTEM = {"relax": 1, "panel_size": 1}  # see `_superlu`
-
-
-def lu_order(mesh: AxiMesh) -> LuOrder:
-    """The mesh's minimum-degree order for SuperLU, built on first use and kept
-    on the mesh: SuperLU's AT+A ``perm_c``, which depends on the pattern alone.
-
-    An ILU with drop tolerance 1 of a fixed operator is the cheapest factor
-    that makes SuperLU compute it: 6.8, 6.6 and 46.7 ms on 73-, 81- and
-    201-wide meshes, and the layout 5.0, 4.5 and 26.1 ms more.
-    """
-    return mesh.derived("lu_order", _build_lu_order)
-
-
-def _build_lu_order(mesh: AxiMesh) -> LuOrder:
-    probe = spla.spilu(_csr(diffusion_matrix(mesh, 1.0, diag=1.0)).tocsc(), drop_tol=1.0,
-                       fill_factor=1, permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
-    perm_c = probe.perm_c.copy()  # a view that would keep the probe alive
-    pattern = csr_pattern(mesh)
-    rows = np.repeat(np.arange(mesh.n_nodes), np.diff(pattern.indptr))
-    new_rows, new_cols = perm_c[rows], perm_c[pattern.indices]
-    gather = np.lexsort((new_rows, new_cols))
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(new_cols, minlength=mesh.n_nodes))])
-    return LuOrder(np.argsort(perm_c), perm_c, gather,
-                   indptr.astype(np.int32), new_rows[gather].astype(np.int32))
 
 
 #: Widest mesh (nodes per row, nr1) that `factorize` factors as a band.
@@ -286,25 +217,6 @@ class BandLU:
     def solve(self, b: np.ndarray) -> np.ndarray:
         w = self._band.width
         return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
-
-
-#: Widest mesh on which `factorize` factors a symmetric operator by condensed
-#: banded Cholesky (`BandCholesky`). Factor plus solve of a grounded potential
-#: operator on uniform n x n meshes, SuperLU in the cached order against
-#: `BandCholesky`, interleaved, median of 30 rounds (8 from 151 on), one BLAS
-#: thread, 2-core Xeon; the reduced band's storage against SuperLU's L + U
-#: values and row indices:
-#:
-#:   nr1        49      73     101     121     141     151     161     201
-#:   SuperLU   2.7     6.5    14.3    23.3    33.7    40.5    48.0     104 ms
-#:   Cholesky  1.2     3.7    10.1    12.7    19.5    25.1    28.3    65.2 ms
-#:   band      0.5     1.6     4.2     7.1    11.3    13.9    16.8    32.6 MB
-#:   L + U     0.8     2.1     4.6     7.1    10.1    11.8    14.0    23.5 MB
-#:
-#: The condensed factor wins at every width, but its band grows as nr1³ / 2
-#: and outgrows SuperLU's fill from about 121 on. The limit keeps the band
-#: within the 14 MB that a Cholesky of the full band took at 121 wide.
-_CHOLESKY_MAX_WIDTH = 151
 
 
 @dataclass(frozen=True)
@@ -430,6 +342,13 @@ def _is_symmetric(a: Operator) -> bool:
                           a.data[scatter[2 * faces:3 * faces]])
 
 
+#: SuperLU options for the 5-point operators: its defaults are tuned for large
+#: matrices, and relaxed supernodes and wide panels only add work on columns
+#: with a few dozen nonzeros. Measured on 16² and 72² meshes, ``relax=1,
+#: panel_size=1`` factor 1.3-2.5x faster than the defaults.
+_SMALL_SYSTEM = {"relax": 1, "panel_size": 1}
+
+
 def factorize(mesh: AxiMesh, a: Operator):
     """Factor of an operator on the mesh pattern, in the layout the mesh's width
     and the operator's symmetry pick.
@@ -439,15 +358,17 @@ def factorize(mesh: AxiMesh, a: Operator):
     `BandLayout` and factored in place by ``dgbtrf``, with partial pivoting.
     No scipy matrix is built, and the solve is ``dgbtrs``.
 
-    On a wider mesh up to `_CHOLESKY_MAX_WIDTH`, an operator whose face
-    blocks are exactly symmetric is condensed through the mesh's cached
-    `CholeskyLayout`: its Schur complement on the kept colour is summed into
-    lower band storage by one ``bincount`` and factored by ``dpbtrf``. An
-    operator with an eliminated pivot that is not positive and finite goes
-    to SuperLU below, before any division, and so does one whose Schur
-    complement ``dpbtrf`` finds not positive definite.
+    On a wider mesh, an operator whose face blocks are exactly symmetric is
+    condensed through the mesh's cached `CholeskyLayout`, at any width: its
+    Schur complement on the kept colour is summed into lower band storage by
+    one ``bincount`` and factored by ``dpbtrf``. The reduced band grows as
+    nr1³ / 2: 32.6 MB at 201 wide, the widest mesh of any config, demo or
+    workload, against 23.5 MB for SuperLU's L + U of the same operator.
 
-    Every other operator on a wide mesh goes to SuperLU (`_superlu`).
+    Every other operator on a wide mesh goes to SuperLU, which computes its
+    own AT+A minimum-degree order: a nonsymmetric one, one with an eliminated
+    pivot that is not positive and finite (checked before any division), and
+    one whose Schur complement ``dpbtrf`` finds not positive definite.
 
     The returned object's ``solve`` works in mesh numbering on every path,
     and its ``L.nnz + U.nnz`` is the entries the factors store (for Cholesky,
@@ -467,7 +388,7 @@ def factorize(mesh: AxiMesh, a: Operator):
         if info > 0:
             raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
         return BandLU(lu, piv, band)
-    if mesh.nr1 <= _CHOLESKY_MAX_WIDTH and _is_symmetric(a):
+    if _is_symmetric(a):
         band = mesh.derived("cholesky_layout", _cholesky_layout)
         diag = a.data[pattern.diag]
         d = diag[band.red]
@@ -484,31 +405,7 @@ def factorize(mesh: AxiMesh, a: Operator):
             if info == 0:
                 return BandCholesky(factor, d, v, band)
             # S, and so A, is not positive definite: on to SuperLU as well
-    return _superlu(mesh, a)
-
-
-def _superlu(mesh: AxiMesh, a: Operator) -> PermutedLU:
-    """SuperLU factor of an operator on a wide mesh, in the mesh's `lu_order`.
-
-    The AT+A minimum-degree order roughly halves the factorization cost
-    against the default column order on tensor-product grids. ``data`` is
-    gathered into ``P A Pᵀ`` (`_permuted`) and factored with ``NATURAL``: the
-    order is already applied, so SuperLU skips recomputing it.
-    ``relax=1, panel_size=1`` because SuperLU's defaults are tuned for large
-    matrices: relaxed supernodes and wide panels only add work on columns
-    with a few dozen nonzeros. Measured on 16² and 72² meshes, they factor
-    1.3-2.5x faster than the defaults.
-    """
-    order = lu_order(mesh)
-    return PermutedLU(spla.splu(_permuted(a, order), permc_spec="NATURAL",
-                                **_SMALL_SYSTEM), order)
-
-
-def _permuted(a: Operator, lu_order: LuOrder) -> sp.csc_matrix:
-    """``P A Pᵀ`` of an operator on the mesh pattern, in CSC form."""
-    n = lu_order.order.size
-    return sp.csc_matrix((a.data[lu_order.gather], lu_order.indices, lu_order.indptr),
-                         shape=(n, n))
+    return spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
 
 
 #: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. Measured on
@@ -716,10 +613,8 @@ def harmonic_face_coefficients(mesh: AxiMesh, coef: np.ndarray) -> np.ndarray:
     return out
 
 
-def face_averages(mesh: AxiMesh, x):
-    """Arithmetic mean of a nodal field on every face; a scalar is its own mean."""
-    if not (isinstance(x, np.ndarray) and x.ndim):
-        return x
+def face_averages(mesh: AxiMesh, x: np.ndarray) -> np.ndarray:
+    """Arithmetic mean of a nodal field on every face."""
     out, out_r, out_z = _empty_faces(mesh, ())
     np.multiply(0.5, x[:, :-1] + x[:, 1:], out=out_r)
     np.multiply(0.5, x[:-1, :] + x[1:, :], out=out_z)

@@ -11,6 +11,8 @@ no field defaults, and every parameter object is built by a
 `SimulationConfig` factory (`constants()`, `layers()`, `species()`, ...).
 The two meshes are built once, at validation, and the phases share them:
 `fine_mesh()` and `coarse_mesh()` return those objects, with their caches.
+So is the injection source on the fine mesh, `injection_source()`, so that
+a fine mesh that cannot resolve the source fails at load.
 Build a variant from config text, ``load_config_text("layers.adipose_cm =
 4.9")``, or from a built object, ``dataclasses.replace(
 default_config().starling(), l_pb=2e-6)``.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import params as pr
-from .flow import InjectionProtocol
+from .flow import InjectionProtocol, injection_source
 from .mesh import AxiMesh, build_graded_mesh
 from .params import ConfigurationError, PhCurve, PhysicalConstants
 
@@ -216,6 +218,8 @@ class SimulationConfig:
             v["geometry.radius_cm"], height, v[f"mesh.{kind}_nr"], v[f"mesh.{kind}_nz"],
             focus=self.protocol().center(height), grading=grading)
             for kind, grading in (("fine", v["mesh.fine_grading"]), ("coarse", 1.0)))
+        self._injection_source = injection_source(self._fine_mesh, self.protocol())
+        self._injection_source.flags.writeable = False
 
     # -- factories ---------------------------------------------------------
     def constants(self) -> PhysicalConstants:
@@ -306,6 +310,10 @@ class SimulationConfig:
     def coarse_mesh(self) -> AxiMesh:
         """The reduced phase's uniform mesh."""
         return self._coarse_mesh
+
+    def injection_source(self):
+        """`flow.injection_source` on the fine mesh, read-only."""
+        return self._injection_source
 
     # -- serialization -----------------------------------------------------
     def to_text(self) -> str:

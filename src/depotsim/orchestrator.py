@@ -152,7 +152,9 @@ class DoseLedger:
 class StaggeredStepper:
     """One-phase stepping engine bound to a mesh and a parameter set.
 
-    ``flow`` is True for the injection phase and False for the reduced one.
+    ``flow`` is True for the injection phase, on the config's fine mesh,
+    whose source `SimulationConfig.injection_source` built at load, and
+    False for the reduced one.
     It keeps one `fv.SpeciesSolver` per species, and with them their
     preconditioners, for as long as it lives: one phase. It counts its
     dt-halving ``retries``, the ``clipped`` round-off negatives and the
@@ -182,7 +184,7 @@ class StaggeredStepper:
                                       for _ in range(3))
         if flow:
             # the source shape never changes; only Q(t) rescales it
-            self._source_shape = fl.injection_source(mesh, self.protocol)
+            self._source_shape = config.injection_source()
             # the pressure is affine in Q(t), so two solves serve the phase
             # and no factor outlives the constructor
             pressure, self._lymph = fl.tissue_pressure(

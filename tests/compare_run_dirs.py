@@ -3,12 +3,17 @@
 Usage, from the root of a checkout:
 
     python tests/compare_run_dirs.py SRC_A SRC_B [--profile {tiny,bench,all}] [--rtol R]
+    python tests/compare_run_dirs.py HEAD~1 src --rtol 1e-9
 
 Each SRC is a directory holding the ``depotsim`` package, such as a
-checkout's ``src``. For each tree a separate Python process, with one BLAS
-thread, runs every case of every workload of ``perfbench/workloads.PROFILES``
-(every profile, or the one named) as one pipeline and writes its run
-directory. The two sets of run directories are then compared file by file:
+checkout's ``src``, or else a git revision of this checkout, such as
+``HEAD~1``, whose ``src`` is exported by ``git archive`` into a temporary
+directory; so ``python tests/compare_run_dirs.py HEAD~1 src`` compares the
+working tree with its parent commit. An existing directory wins over a
+revision of the same name. For each tree a separate Python process, with
+one BLAS thread, runs every case of every workload of
+``perfbench/workloads.PROFILES`` (every profile, or the one named) as one
+pipeline and writes its run directory. The two sets of run directories are then compared file by file:
 byte for byte, except ``ledger.json``, which is compared by value without the
 ``phase_report.*.wall_s`` wall times. The script prints each difference and
 a summary, and exits 1 if a run fails or a file differs or is missing on one
@@ -43,7 +48,8 @@ from pathlib import Path
 
 import numpy as np
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+CHECKOUT = Path(__file__).resolve().parent.parent
+PERFBENCH = CHECKOUT / "perfbench"
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 #: ``ledger.json`` residuals are checked against this bound, not each other
 RESIDUAL_BOUND = 1e-12
@@ -71,6 +77,21 @@ def write_runs(src: Path, outdir: Path, profiles: list[str]) -> None:
                 config = load_config_text(workload.config_text(overrides))
                 result = Simulation(config).run_pipeline()
                 write_run_outputs(result, outdir / profile / name / label)
+
+
+def source_tree(src: str, work: Path) -> Path:
+    """The package directory that ``src`` names: the directory itself, or the
+    ``src`` tree of the git revision ``src``, exported under ``work``."""
+    if Path(src).is_dir():
+        return Path(src).resolve()
+    archive = subprocess.run(["git", "-C", str(CHECKOUT), "archive", "--format=tar", src,
+                              "src"], capture_output=True)
+    if archive.returncode:
+        raise SystemExit(f"error: {src} is neither a directory nor a git revision "
+                         f"with a src tree: {archive.stderr.decode().strip()}")
+    work.mkdir(parents=True)
+    subprocess.run(["tar", "-x", "-C", str(work)], input=archive.stdout, check=True)
+    return work / "src"
 
 
 def _ledger_without_wall_times(path: Path) -> dict:
@@ -231,8 +252,8 @@ def compare(root_a: Path, root_b: Path,
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src_a", type=Path)
-    parser.add_argument("src_b", type=Path)
+    parser.add_argument("src_a", help="a directory holding depotsim, or a git revision")
+    parser.add_argument("src_b", help="a directory holding depotsim, or a git revision")
     parser.add_argument("--profile", choices=("tiny", "bench", "all"), default="all")
     parser.add_argument("--rtol", type=float,
                         help="compare differing files by their numbers to this relative "
@@ -241,19 +262,20 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     profiles = ["tiny", "bench"] if args.profile == "all" else [args.profile]
     if args.write_to is not None:  # the child process of one tree
-        write_runs(args.src_a, args.write_to, profiles)
+        write_runs(Path(args.src_a), args.write_to, profiles)
         return 0
 
     env = {**os.environ, **dict.fromkeys(THREAD_VARS, "1")}
     with tempfile.TemporaryDirectory() as work:
         roots = []
-        for side, src in (("a", args.src_a), ("b", args.src_b)):
+        for side, name in (("a", args.src_a), ("b", args.src_b)):
+            src = source_tree(name, Path(work) / f"src_{side}")
             root = Path(work) / side
-            child = subprocess.run([sys.executable, __file__, str(src.resolve()),
-                                    str(src.resolve()), "--profile", args.profile,
-                                    "--write-to", str(root)], env=env)
+            child = subprocess.run([sys.executable, __file__, str(src), str(src),
+                                    "--profile", args.profile, "--write-to", str(root)],
+                                   env=env)
             if child.returncode:
-                print(f"error: the runs of {src} failed")
+                print(f"error: the runs of {name} failed")
                 return 1
             roots.append(root)
         n_dirs, n_files, differences, close = compare(*roots, args.rtol)

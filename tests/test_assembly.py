@@ -8,10 +8,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
-from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, PermutedLU, SpeciesSolver,
+from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, SpeciesSolver,
                                 csr_pattern, diffusion_matrix, face_averages,
                                 face_families, face_geometry, face_gradients, factorize,
-                                harmonic_face_coefficients, lu_order, pin_nodes,
+                                harmonic_face_coefficients, pin_nodes,
                                 upwind_advection_matrix)
 from depotsim.mesh import AxiMesh
 
@@ -174,7 +174,6 @@ class TestFaceLayout:
         assert np.array_equal(face_averages(mesh, x), joined(*family_averages(x)))
         assert np.array_equal(harmonic_face_coefficients(mesh, x),
                               joined(*family_harmonic_means(x)))
-        assert face_averages(mesh, 2.5) == 2.5
 
     def test_face_families_are_views_of_the_face_field(self, mesh):
         for lead in ((), (3,)):
@@ -306,31 +305,17 @@ def fill(lu):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Counts `spla.splu` calls; `factorize` makes them in the natural order only."""
+    """Counts `spla.splu` calls; `factorize` lets SuperLU order every factor itself."""
     calls = []
     splu = spla.splu
 
     def counting(a, permc_spec=None, **kwargs):
-        assert permc_spec == "NATURAL"
+        assert permc_spec == "MMD_AT_PLUS_A"
         calls.append(a.shape)
         return splu(a, permc_spec=permc_spec, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
     return calls
-
-
-@pytest.fixture
-def order_builds(monkeypatch):
-    """Lists the meshes `lu_order` computes an order for."""
-    meshes = []
-    build = _assembly._build_lu_order
-
-    def counting(mesh):
-        meshes.append(mesh)
-        return build(mesh)
-
-    monkeypatch.setattr(_assembly, "_build_lu_order", counting)
-    return meshes
 
 
 def mesh_of_width(nr1):
@@ -344,7 +329,7 @@ class TestFactorize:
         a = build(fresh_mesh, rng)
         b = rng.normal(size=fresh_mesh.n_nodes)
         expected = np.linalg.solve(dense(a), b)
-        # on SuperLU, the first factorization builds the mesh's order, the second reuses it
+        # the first factorization builds the mesh's layout, the second reuses it
         for lu in (factorize(fresh_mesh, a), factorize(fresh_mesh, a)):
             x = lu.solve(b)
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -362,40 +347,6 @@ class TestFactorize:
         assert fill(factorize(superlu_mesh, first)) == fill(stock_lu(first))
         assert fill(factorize(superlu_mesh, later)) == fill(stock_lu(later))
 
-    def test_minimum_degree_order_is_computed_once_per_mesh(self, superlu_mesh, splu_calls,
-                                                           order_builds):
-        rng = np.random.default_rng(8)
-        for build in OPERATORS + OPERATORS:
-            factorize(superlu_mesh, build(superlu_mesh, rng))
-        assert order_builds == [superlu_mesh]
-        assert len(splu_calls) == 2 * len(OPERATORS)
-
-    def test_meshes_never_share_an_order(self, superlu_mesh, splu_calls, order_builds):
-        rng = np.random.default_rng(9)
-        shorter = AxiMesh(r=superlu_mesh.r, z=superlu_mesh.z[:-1])
-        twin = AxiMesh(r=superlu_mesh.r, z=superlu_mesh.z)
-        meshes = [shorter, superlu_mesh, twin]
-        for m in meshes + meshes:
-            a = transport_operator(m, rng)
-            b = rng.normal(size=m.n_nodes)
-            assert np.allclose(scipy_csr(a) @ factorize(m, a).solve(b), b, rtol=0.0, atol=1e-12)
-        assert order_builds == meshes
-        assert len({id(lu_order(m)) for m in meshes}) == 3
-        assert len(splu_calls) == 6
-
-    def test_one_read_only_order_per_mesh_from_its_pattern(self, superlu_mesh):
-        rng = np.random.default_rng(26)
-        order = lu_order(superlu_mesh)
-        assert lu_order(superlu_mesh) is order
-        for arr in vars(order).values():
-            with pytest.raises(ValueError):
-                arr[0] = 0
-        # SuperLU's own order of two operators of the pattern, one of them pinned
-        for a in (transport_operator(superlu_mesh, rng), pressure_operator(superlu_mesh, rng)):
-            assert np.array_equal(order.rank, stock_lu(a).perm_c)
-            factorize(superlu_mesh, a)
-        assert not hasattr(superlu_mesh, "_lu_order")
-
     def test_mesh_keeps_no_reference_to_the_first_factor(self, superlu_mesh):
         lu = factorize(superlu_mesh, potential_operator(superlu_mesh, np.random.default_rng(10)))
         assert sys.getrefcount(lu) == 2  # the local name and the call's argument
@@ -404,17 +355,17 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(fresh_mesh, sp.identity(fresh_mesh.n_nodes, format="csr"))
 
-    def test_mesh_width_picks_the_layout(self, splu_calls, order_builds):
+    def test_mesh_width_picks_the_layout(self, splu_calls):
+        # nonsymmetric operators: the band LU up to the limit, SuperLU above
         rng = np.random.default_rng(11)
         narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
         wide = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
         for _ in range(2):
             assert isinstance(factorize(narrow, transport_operator(narrow, rng)), BandLU)
-        assert not splu_calls and not order_builds
+        assert not splu_calls
         for _ in range(2):
-            assert isinstance(factorize(wide, transport_operator(wide, rng)), PermutedLU)
+            assert isinstance(factorize(wide, transport_operator(wide, rng)), spla.SuperLU)
         assert len(splu_calls) == 2
-        assert order_builds == [wide]
 
     def test_band_path_pivots_off_the_diagonal(self):
         m = mesh_of_width(17)
@@ -476,20 +427,32 @@ def colours(mesh):
 
 
 class TestBandCholesky:
-    def test_width_and_symmetry_pick_the_layout(self, splu_calls, order_builds):
+    @pytest.mark.parametrize("nr1", [49, 151, 152, 201])
+    def test_width_and_symmetry_pick_the_layout(self, splu_calls, nr1):
         rng = np.random.default_rng(21)
         narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
         assert isinstance(factorize(narrow, capacity_operator(narrow, rng)), BandLU)
-        for nr1 in (_assembly._BAND_MAX_WIDTH + 1, _assembly._CHOLESKY_MAX_WIDTH):
-            m = mesh_of_width(nr1)
-            assert isinstance(factorize(m, capacity_operator(m, rng)), BandCholesky)
-        assert not splu_calls and not order_builds
-        # asymmetric, or above the cap: SuperLU as before
-        m = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
-        assert isinstance(factorize(m, transport_operator(m, rng)), PermutedLU)
-        m = mesh_of_width(_assembly._CHOLESKY_MAX_WIDTH + 1)
-        assert isinstance(factorize(m, capacity_operator(m, rng)), PermutedLU)
-        assert len(splu_calls) == len(order_builds) == 2
+        # symmetric on a wide mesh: the condensed Cholesky, however wide
+        m = mesh_of_width(nr1)
+        assert isinstance(factorize(m, capacity_operator(m, rng)), BandCholesky)
+        assert not splu_calls
+        # nonsymmetric on a wide mesh: SuperLU
+        assert isinstance(factorize(m, transport_operator(m, rng)), spla.SuperLU)
+        assert len(splu_calls) == 1
+
+    @pytest.mark.parametrize("build", [grounded_potential_operator, pinned_pressure_operator],
+                             ids=lambda f: f.__name__)
+    def test_widest_default_mesh_solve_matches_dense_solve(self, build):
+        # 201 wide, as the default fine mesh
+        m = AxiMesh(r=graded_nodes(200, 1.01), z=graded_nodes(7, 1.2))
+        assert m.nr1 == 201
+        rng = np.random.default_rng(29)
+        a = build(m, rng)
+        b = rng.normal(size=m.n_nodes)
+        expected = np.linalg.solve(dense(a), b)
+        lu = factorize(m, a)
+        assert isinstance(lu, BandCholesky)
+        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @WIDE
     @pytest.mark.parametrize("build", SPD_OPERATORS, ids=lambda f: f.__name__)
@@ -535,7 +498,7 @@ class TestBandCholesky:
         a.data[a.pattern.diag[red[red.size // 2]]] = value
         b = rng.normal(size=superlu_mesh.n_nodes)
         lu = factorize(superlu_mesh, a)
-        assert isinstance(lu, PermutedLU)
+        assert isinstance(lu, spla.SuperLU)
         assert len(splu_calls) == 1
         if np.isfinite(value):
             expected = np.linalg.solve(dense(a), b)
@@ -550,7 +513,7 @@ class TestBandCholesky:
         expected = np.linalg.solve(dense(a), b)
         assert np.linalg.eigvalsh(dense(a)).min() < 0.0
         lu = factorize(superlu_mesh, a)
-        assert isinstance(lu, PermutedLU)
+        assert isinstance(lu, spla.SuperLU)
         assert len(splu_calls) == 1
         assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -584,14 +547,12 @@ def species_rhs(mesh):
 
 @pytest.fixture
 def spilu_calls(monkeypatch):
-    """Lists the `spla.spilu` calls of species ILUs; `lu_order`'s probe, the
-    other caller, drops at tolerance 1."""
+    """Lists the `spla.spilu` calls, which only species ILUs make."""
     calls = []
     spilu = spla.spilu
 
     def counting(*args, **kwargs):
-        if kwargs["drop_tol"] == _assembly._ILU_DROP_TOL:
-            calls.append(args)
+        calls.append(args)
         return spilu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "spilu", counting)
@@ -599,7 +560,7 @@ def spilu_calls(monkeypatch):
 
 
 def assert_solves(solver, mesh, a, b):
-    x = solver.solve(a, b)  # first: on a fresh mesh no order is built yet
+    x = solver.solve(a, b)  # first: on a fresh mesh no factor layout is built yet
     expected = factorize(mesh, a).solve(b)
     assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -620,12 +581,12 @@ class TestSpeciesSolver:
         assert len(spilu_calls) == 1
 
     @WIDE
-    def test_the_kept_ilu_is_in_the_mesh_order(self, superlu_mesh):
+    def test_the_kept_ilu_is_in_superlus_minimum_degree_order(self, superlu_mesh):
         solver = SpeciesSolver(superlu_mesh, KrylovCounts())
-        solver.solve(species_operator(superlu_mesh, 0.01, 10.0), species_rhs(superlu_mesh))
+        a = species_operator(superlu_mesh, 0.01, 10.0)
+        solver.solve(a, species_rhs(superlu_mesh))
         assert solver.counts.ilu_builds == 1
-        assert np.array_equal(solver._ilu.perm_c, lu_order(superlu_mesh).rank)
-        assert not hasattr(superlu_mesh, "_lu_order")
+        assert np.array_equal(solver._ilu.perm_c, stock_lu(a).perm_c)
 
     @WIDE
     def test_switching_the_speeds_off_rebuilds_the_ilu(self, superlu_mesh, spilu_calls):

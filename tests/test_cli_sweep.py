@@ -242,6 +242,14 @@ class TestBadInputFiles:
         cfg.write_text("mesh.fine_grading = 1.5\n")
         assert_clean_error(capsys, ["run", str(cfg)], "grading ratio")
 
+    def test_run_with_a_fine_mesh_that_cannot_resolve_the_source(self, tmp_path, capsys):
+        cfg = tmp_path / "mesh.cfg"
+        cfg.write_text("mesh.fine_nr = 8\nmesh.fine_nz = 8\nmesh.fine_grading = 1.0\n")
+        outdir = tmp_path / "out"
+        assert_clean_error(capsys, ["run", str(cfg), "--outdir", str(outdir)],
+                           "cannot resolve the injection source")
+        assert not outdir.exists()
+
     def test_compare_with_a_non_numeric_reference_row(self, finished_run, tmp_path,
                                                        capsys):
         ref = tmp_path / "ref.csv"
@@ -459,6 +467,10 @@ class TestSweep:
 
 
 class TestCompareRunDirs:
+    def test_a_git_revision_reruns_identically_on_the_tiny_profile(self, capsys):
+        assert compare_run_dirs.main(["HEAD", "HEAD", "--profile", "tiny"]) == 0
+        assert "in 5 run directories of HEAD and HEAD: identical" in capsys.readouterr().out
+
     def test_phi_avg_is_judged_on_the_potential_scale(self, finished_run, tmp_path):
         a, b = tmp_path / "a" / "run", tmp_path / "b" / "run"
         for root in (a, b):

@@ -20,10 +20,14 @@ from depotsim.io import (TIMESERIES_HEADER, ComparisonReport, ReferenceCurve,
 from depotsim.mesh import FieldState, build_graded_mesh
 from depotsim.metrics import CHANNELS, MetricSeries
 from depotsim.orchestrator import DoseLedger, StaggeredStepper
-from depotsim.flow import InjectionProtocol
+from depotsim.flow import InjectionProtocol, injection_source
 from depotsim.params import (BindingParams, ConfigurationError, PhCurve,
                              PhysicalConstants, StarlingParams, TissueLayers)
 from snapshot_reader import read_snapshot
+
+
+#: a fine mesh none of whose nodes lies in the default source's 3 sigma ball
+UNRESOLVED_SOURCE = "mesh.fine_nr = 8\nmesh.fine_nz = 8\nmesh.fine_grading = 1.0\n"
 
 
 def curve_config_text(tmp_path, charge_header="ph,value"):
@@ -110,6 +114,19 @@ class TestConfigParsing:
             default_config().with_values({"mesh.fine_nr": 4})
         with pytest.raises(ConfigurationError, match="8 cells"):
             load_config_text("mesh.coarse_nz = 7\n")
+
+    def test_a_fine_mesh_that_cannot_resolve_the_source_fails_validation(self):
+        with pytest.raises(ConfigurationError, match="cannot resolve the injection source"):
+            load_config_text(UNRESOLVED_SOURCE)
+
+    def test_the_injection_phase_takes_the_read_only_source_built_at_load(self):
+        config = load_config_text("mesh.fine_nr = 20\nmesh.fine_nz = 20\n")
+        source = config.injection_source()
+        assert np.array_equal(source, injection_source(config.fine_mesh(), config.protocol()))
+        with pytest.raises(ValueError):
+            source[0, 0] = 1.0
+        stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
+        assert stepper._source_shape is source
 
     def test_comments_and_blank_lines_ignored(self):
         config = load_config_text(

@@ -19,7 +19,6 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from depotsim.config import default_config
-from depotsim.flow import injection_source
 from depotsim.io import load_checkpoint, save_checkpoint
 from depotsim.orchestrator import ROUND_OFF, Simulation, StaggeredStepper
 from depotsim.params import ConfigurationError
@@ -57,7 +56,6 @@ def scenarios(draw):
     }
     try:
         config = default_config().with_values(values)
-        injection_source(config.fine_mesh(), config.protocol())
     except ConfigurationError:
         reject()
     return config

@@ -40,8 +40,8 @@ def fresh_solvers(mesh):
 
 def transport_operator(mesh, diffusivity, valence, phi, u):
     """Diffusion plus upwind advection-migration, summed as the solver sums them."""
-    (w,) = migration_face_speeds(mesh, phi, [diffusivity],
-                                 [face_averages(mesh, valence)], N, CONSTANTS)
+    # an ion's constant valence is its own face valence, as the pipeline passes it
+    (w,) = migration_face_speeds(mesh, phi, [diffusivity], [valence], N, CONSTANTS)
     a = diffusion_matrix(mesh, diffusivity * N)
     a.data += upwind_advection_matrix(mesh, u + w).data
     return a
