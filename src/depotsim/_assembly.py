@@ -20,27 +20,27 @@ operator built on the mesh. A scipy matrix is built only where SuperLU,
 the operator's symmetry. Node k couples to k ± 1 and k ± nr1, so every
 operator on the pattern lies in a band of half-width nr1:
 
-- **Narrow meshes** (``nr1 <= _BAND_MAX_WIDTH``) are factored as a band
-  matrix by LAPACK's partial-pivoting ``dgbtrf`` and solved by ``dgbtrs``.
-  A read-only map from CSR ``data`` slots to band storage is cached on the
-  mesh, so a factorization is one scatter and one LAPACK call.
-- **Symmetric operators on wide meshes**, the grounded potential and the
-  rim-pinned pressure, are condensed red-black (`CholeskyLayout`) at any
-  width: one colour of the checkerboard is eliminated exactly, and LAPACK's
-  banded Cholesky ``dpbtrf`` factors the Schur complement on the other half
-  of the nodes at the same half-width nr1, about half the flops of a
-  Cholesky of the full band, without pivoting.
-- **Other wide-mesh operators**, and a symmetric one that is not positive
-  definite, go to SuperLU, which computes its own AT+A minimum-degree order
-  for each factor.
+- **Narrow meshes** (``nr1 <= _BAND_MAX_WIDTH``, every long phase of the
+  benchmark) are factored as a band by LAPACK's partial-pivoting ``dgbtrf``,
+  through a map from CSR ``data`` slots to band storage cached on the mesh.
+- **Condensed red-black** (`CondensedLayout`): one colour of the
+  checkerboard is eliminated exactly, and the Schur complement on the other
+  half of the nodes, a band of the same half-width, is factored by
+  ``dpbtrf`` if the operator is symmetric and by ``dgbtrf`` if not, about
+  half the work of the full band. Symmetric operators (the grounded
+  potential, the rim-pinned pressure) are condensed on every wider mesh,
+  nonsymmetric ones (species transport) up to `_DIRECT_MAX_WIDTH`.
+- **SuperLU**, in its own AT+A minimum-degree order, takes the rest on
+  meshes wider than `_DIRECT_MAX_WIDTH`; narrower ones fall back to the
+  band LU, so they never call SuperLU.
 
 A band LU costs O(n nr1²) and the minimum-degree fill of SuperLU grows more
-slowly with the width, so `_BAND_MAX_WIDTH` records where the band LU stops
-winning. The condensed Cholesky won at every width measured: factor plus
-solve of a grounded potential operator on uniform meshes 49, 101, 151 and
-201 wide took 1.2, 10.1, 25.1 and 65.2 ms, against 2.7, 14.3, 40.5 and
-104 ms for SuperLU in an order computed once per mesh (one BLAS thread,
-2-core Xeon).
+slowly with the width; the tables at `_BAND_MAX_WIDTH` and
+`_DIRECT_MAX_WIDTH` record where each layout wins. The condensed Cholesky
+won at every width measured: factor plus solve of a grounded potential
+operator on uniform meshes 49, 101, 151 and 201 wide took 1.2, 10.1, 25.1
+and 65.2 ms, against 2.7, 14.3, 40.5 and 104 ms for SuperLU in an order
+computed once per mesh (one BLAS thread, 2-core Xeon).
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -52,8 +52,8 @@ arrays; none holds an operator or a factor:
   face order, which every operator fill and `divergence_of_face_flux` read
   instead of rebuilding them from the mesh each call.
 - `_band_layout`: the map from CSR ``data`` slots to LAPACK band storage.
-- `_cholesky_layout`: the red-black condensation map, from faces to kept and
-  eliminated nodes and from pair products to reduced band storage.
+- `_condensed_layout`: the red-black condensation map, from faces to kept and
+  eliminated nodes and from pair products to either reduced band storage.
 
 Face fields. A coefficient, speed or flux on the dual faces is one array of
 ``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
@@ -61,18 +61,18 @@ row by row and then the (nz, nr1) z faces; a stacked field puts its species
 axis first. `face_families` gives the two family views to a caller that
 needs the (r, z) shapes.
 
-Species transport on a wide mesh does not factor every step. A
-`SpeciesSolver` per species keeps an incomplete LU (``spilu``, drop
-tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
+Species transport on a mesh wider than `_DIRECT_MAX_WIDTH` does not factor
+every step. A `SpeciesSolver` per species keeps an incomplete LU (``spilu``,
+drop tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
 operator in SuperLU's own minimum-degree order, and solves each step by
 GMRES(`_GMRES_RESTART`) preconditioned by it. The species operators change
 slowly from step to step, so the kept ILU usually serves until the flow
 stops. The potential keeps a fresh `factorize` each step, a condensed
 banded Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
 first operator needed 21-23 GMRES iterations to precondition the later
-ones. Narrow meshes keep a fresh band LU for the species too: on uniform
-17- and 25-wide meshes its factor and solve take 53 and 191 us, a GMRES run
-on a kept ILU 292 and 352 us (1.2 ms against 2.2 ms at 49 wide).
+ones. Narrower meshes keep a fresh direct factor for the species too: on
+uniform 17- and 25-wide meshes its factor and solve took 72 and 214 us (the
+band LU and the condensed LU), a GMRES run on a kept ILU 292 and 352 us.
 """
 
 from __future__ import annotations
@@ -141,17 +141,39 @@ def _csr(a: Operator) -> sp.csr_matrix:
     return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
 
 
-#: Widest mesh (nodes per row, nr1) that `factorize` factors as a band.
-#: Factor plus solve of a transport operator on uniform n x n meshes through
-#: `factorize`, best of three rounds, one BLAS thread, 2-core Xeon (4 MiB L2):
+#: Widest mesh (nodes per row, nr1) that `factorize` factors as a plain band.
+#: Factor plus solve through `factorize` of a transport operator, by the
+#: band LU and by the condensed LU, and of its symmetric part, by the
+#: condensed Cholesky, on uniform n x n meshes; best of 30 interleaved
+#: rounds, one BLAS thread, 2-core Xeon, in us:
 #:
-#:   nr1       17      25      41      49      53      57      65      73
-#:   SuperLU  297 us  708 us  2.01 ms 2.89 ms 3.51 ms 3.87 ms 5.28 ms 8.26 ms
-#:   band      84 us  340 us  1.38 ms 2.12 ms 3.03 ms 4.52 ms 6.32 ms 8.92 ms
+#:   nr1                   17     21     25     33     41     48
+#:   band LU               72    141    256    435   1479   1891
+#:   condensed LU          90    145    214    357    731   1101
+#:   condensed Cholesky    76    105    159    323    596    879
 #:
-#: The band loses from 57 on; its margin shrinks from 49, and run-to-run
-#: noise on the shared box is about 20%, so the limit sits below 49.
-_BAND_MAX_WIDTH = 48
+#: At 17 wide the gathers of the reduce and the back-substitution cost more
+#: than the halved band saves, and at 21 the condensed LU breaks even;
+#: condensing wins from 25 wide on.
+_BAND_MAX_WIDTH = 24
+#: Widest mesh on which `factorize` never calls SuperLU and a `SpeciesSolver`
+#: solves directly at every step. Wider meshes send nonsymmetric operators to
+#: SuperLU and the species to GMRES on a kept ILU. Factor plus solve of each
+#: species' operator as a pipeline on n x n meshes graded 1.03 builds it, at
+#: the 8th injection step (inj, t = 2 s, flow on) and the last step of a 1 h
+#: long phase (long); best of five rounds, as above, in ms, condensed LU /
+#: SuperLU:
+#:
+#:   nr1                 49            65            81
+#:   Na+   inj      1.6 /  5.9    5.2 / 10.9    9.3 / 15.9
+#:   H+    inj      1.9 /  4.0    5.2 /  9.9    7.3 / 15.8
+#:   drug  inj      1.5 /  5.2    5.0 / 10.1   23.6 / 19.2
+#:   Na+   long     1.9 /  5.5    4.7 /  7.0   10.7 / 17.5
+#:   H+    long     1.8 /  6.0    4.5 /  7.1    7.4 / 16.2
+#:   drug  long     1.8 /  6.0    3.5 /  7.8   10.4 / 16.2
+#:
+#: The drug's injection operator loses at 81 wide, so the condensed LU stops here.
+_DIRECT_MAX_WIDTH = 48
 
 
 @dataclass(frozen=True)
@@ -173,6 +195,11 @@ class BandLayout:
     u_nnz: int
 
 
+def _below(n: int, w: int) -> int:
+    """Entries within ``w`` below the diagonal of an n x n matrix."""
+    return int(np.minimum(np.arange(n), w).sum())
+
+
 def _band_layout(mesh: AxiMesh) -> BandLayout:
     """The mesh's band layout; `factorize` keeps it on the mesh."""
     pattern = csr_pattern(mesh)
@@ -180,9 +207,7 @@ def _band_layout(mesh: AxiMesh) -> BandLayout:
     rows = np.repeat(np.arange(n), np.diff(pattern.indptr))
     cols = pattern.indices.astype(np.intp)
     slots = cols * (3 * w + 1) + 2 * w + rows - cols
-    k = np.arange(n)
-    return BandLayout(w, slots, int(np.minimum(k, w).sum()),
-                      int(np.minimum(k, 2 * w).sum()) + n)
+    return BandLayout(w, slots, _below(n, w), _below(n, 2 * w) + n)
 
 
 @dataclass(frozen=True)
@@ -192,6 +217,7 @@ class StoredEntries:
     nnz: int
 
 
+@dataclass(slots=True, eq=False)
 class BandLU:
     """Banded LU of an operator; ``solve`` answers ``A x = b`` in mesh numbering.
 
@@ -199,12 +225,9 @@ class BandLU:
     and ``piv[i]``. ``L`` and ``U`` report only ``nnz``, their stored entries.
     """
 
-    __slots__ = ("_ab", "piv", "_band")
-
-    def __init__(self, ab: np.ndarray, piv: np.ndarray, band: BandLayout):
-        self._ab = ab
-        self.piv = piv
-        self._band = band
+    _ab: np.ndarray
+    piv: np.ndarray
+    _band: BandLayout
 
     @property
     def L(self) -> StoredEntries:
@@ -220,43 +243,46 @@ class BandLU:
 
 
 @dataclass(frozen=True)
-class CholeskyLayout:
-    """Red-black condensation of a mesh's symmetric operators; arrays read-only.
+class CondensedLayout:
+    """Red-black condensation of a mesh's operators; arrays read-only.
 
     The 5-point pattern couples each node only to nodes of the other colour
     of a checkerboard. The colour of the mesh's last node is kept, in mesh
     order (``kept``); the other colour, ``red``, is eliminated. Its block
     ``D`` is diagonal, so the Schur complement ``S = A_KK - A_KR D⁻¹ A_RK``
     on the kept nodes is exact (Buzbee, Golub & Nielson, SIAM J. Numer.
-    Anal. 7, 1970). S couples kept nodes through a shared red neighbour, so
-    it lies in a band of half-width ``width`` (nr1 on a mesh of three rows
-    or more), and its lower band sits in the column-major ``(width + 1, n_kept)``
-    array that ``dpbtrf`` factors: entry (i, j), i >= j, at ``ab[i - j, j]``.
+    Anal. 7, 1970; Elman & Golub, Math. Comp. 54, 1990, if A is not
+    symmetric), a band of half-width ``width`` (nr1 from three rows on).
 
     Face f joins kept node ``kept[face_kept[f]]`` to red node
-    ``red[face_red[f]]``; ``coupling[f]`` is the CSR ``data`` slot of its
-    (hi, lo) entry. ``pair_f`` and ``pair_g`` list every pair of distinct
-    faces that share a red node, once each, the face of the earlier kept
-    node first. ``slots`` holds the flat positions in the band array's
-    memory of the kept nodes' diagonal, then of each face's product with
-    itself (on its kept node's diagonal), then of each pair's product.
-    ``l_nnz`` counts the entries the reduced factor stores: the diagonal and
-    up to ``width`` below it.
+    ``red[face_red[f]]``; ``rk[f]`` and ``kr[f]`` are the CSR ``data`` slots
+    of its entries in A_RK and A_KR. ``pair_f`` and ``pair_g`` list every
+    pair of distinct faces that share a red node, once each, the face of the
+    earlier kept node first. ``slots`` are the flat positions, in the
+    column-major ``(width + 1, n_kept)`` array ``dpbtrf`` factors (entry
+    (i, j), i >= j, at ``ab[i - j, j]``), of the kept nodes' diagonal, of
+    each face's product with itself and of each pair's product below the
+    diagonal; ``lu_slots`` are those positions in the ``(3 width + 1,
+    n_kept)`` array ``dgbtrf`` factors (at ``ab[2 width + i - j, j]``), and
+    then of each pair's product above the diagonal. A mesh wider than
+    `_DIRECT_MAX_WIDTH` condenses symmetric operators only, and keeps
+    neither ``kr`` nor ``lu_slots``.
     """
 
     kept: np.ndarray
     red: np.ndarray
-    coupling: np.ndarray
+    rk: np.ndarray
+    kr: np.ndarray | None
     face_kept: np.ndarray
     face_red: np.ndarray
     pair_f: np.ndarray
     pair_g: np.ndarray
     slots: np.ndarray
+    lu_slots: np.ndarray | None
     width: int
-    l_nnz: int
 
 
-def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
+def _condensed_layout(mesh: AxiMesh) -> CondensedLayout:
     """The mesh's condensation map; `factorize` keeps it on the mesh."""
     pattern = csr_pattern(mesh)
     nz1, nr1, faces = mesh.nz1, mesh.nr1, pattern.lo.size
@@ -270,6 +296,7 @@ def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
     lo_kept = is_kept[pattern.lo]
     face_kept = index[np.where(lo_kept, pattern.lo, pattern.hi)]
     face_red = index[np.where(lo_kept, pattern.hi, pattern.lo)]
+    lo_hi, hi_lo = pattern.scatter[faces:3 * faces].reshape(2, faces)
     # the faces of each red node toward -r, +r, -z and +z, and which it has;
     # in each pair below, the first face's kept node comes first in mesh order
     j, i = np.divmod(red, nr1)
@@ -286,52 +313,63 @@ def _cholesky_layout(mesh: AxiMesh) -> CholeskyLayout:
     col = face_kept[f]
     below = face_kept[g] - col
     width = int(below.max(initial=0))
-    slots = np.concatenate([np.arange(kept.size) * (width + 1), face_kept * (width + 1),
-                            col * (width + 1) + below])
-    return CholeskyLayout(kept, red, pattern.scatter[2 * faces:3 * faces], face_kept,
-                          face_red, f, g, slots, width,
-                          int(np.minimum(np.arange(kept.size), width).sum()) + kept.size)
+    diag = np.arange(kept.size)
+    slots = np.concatenate([diag * (width + 1), face_kept * (width + 1), col * (width + 1) + below])
+    kr = lu_slots = None
+    if nr1 <= _DIRECT_MAX_WIDTH:
+        kr = np.where(lo_kept, lo_hi, hi_lo)
+        ld = 3 * width + 1
+        lu_slots = 2 * width + np.concatenate([diag * ld, face_kept * ld, col * ld + below,
+                                               (col + below) * ld - below])
+    return CondensedLayout(kept, red, np.where(lo_kept, hi_lo, lo_hi), kr, face_kept, face_red,
+                           f, g, slots, lu_slots, width)
 
 
-class BandCholesky:
-    """Condensed banded Cholesky; ``solve`` answers ``A x = b`` in mesh numbering.
+@dataclass(slots=True, eq=False)
+class CondensedFactor:
+    """Red-black condensed factor; ``solve`` answers ``A x = b`` in mesh numbering.
 
-    Holds ``S = L Lᵀ`` of the Schur complement on the kept colour of the mesh's
-    `CholeskyLayout`, the eliminated colour's diagonal ``d`` and, per face,
-    ``v = c / d`` of its coupling c and its red node's diagonal. ``solve``
-    reduces one right-hand side b to ``b_K - A_KR D⁻¹ b_R``, solves S by
-    ``dpbtrs`` and back-substitutes ``x_R = D⁻¹ (b_R - A_RK x_K)``.
-
-    ``L.nnz`` is the entries the reduced factor stores. ``U`` is ``Lᵀ``, read
-    from the same storage, so ``U.nnz`` is 0.
+    Holds ``S = L Lᵀ`` by ``dpbtrf`` (``piv`` None) or ``P S = L U`` by
+    ``dgbtrf`` (0-based row interchanges ``piv``) of the Schur complement of
+    the mesh's `CondensedLayout`, the eliminated diagonal ``d`` and, per face,
+    its couplings over its red node's d, ``reduce`` of A_KR and ``back`` of
+    A_RK: one array if A is symmetric. ``solve`` reduces b to
+    ``b_K - A_KR D⁻¹ b_R``, solves S and back-substitutes
+    ``x_R = D⁻¹ (b_R - A_RK x_K)``. ``L.nnz`` and ``U.nnz`` are the entries the
+    reduced factor stores; a Cholesky's ``U`` is ``Lᵀ`` in the same storage,
+    so its ``U.nnz`` is 0.
     """
 
-    __slots__ = ("_ab", "_d", "_v", "_band")
-
-    def __init__(self, ab: np.ndarray, d: np.ndarray, v: np.ndarray, band: CholeskyLayout):
-        self._ab = ab
-        self._d = d
-        self._v = v
-        self._band = band
+    _ab: np.ndarray
+    piv: np.ndarray | None
+    _d: np.ndarray
+    _reduce: np.ndarray
+    _back: np.ndarray
+    _band: CondensedLayout
 
     @property
     def L(self) -> StoredEntries:
-        return StoredEntries(self._band.l_nnz)
+        n, w = self._band.kept.size, self._band.width
+        return StoredEntries(_below(n, w) + n * (self.piv is None))
 
     @property
     def U(self) -> StoredEntries:
-        return StoredEntries(0)
+        n, w = self._band.kept.size, self._band.width
+        return StoredEntries(0 if self.piv is None else _below(n, 2 * w) + n)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         band = self._band
         b_red = b[band.red]
-        b_kept = b[band.kept] - np.bincount(band.face_kept, self._v * b_red[band.face_red],
+        b_kept = b[band.kept] - np.bincount(band.face_kept, self._reduce * b_red[band.face_red],
                                             minlength=band.kept.size)
-        x_kept = lapack.dpbtrs(self._ab, b_kept, lower=1)[0]
+        if self.piv is None:
+            x_kept = lapack.dpbtrs(self._ab, b_kept, lower=1)[0]
+        else:
+            x_kept = lapack.dgbtrs(self._ab, band.width, band.width, b_kept, self.piv)[0]
         x = np.empty(b.size)
         x[band.kept] = x_kept
         x[band.red] = b_red / self._d - np.bincount(
-            band.face_red, self._v * x_kept[band.face_kept], minlength=band.red.size)
+            band.face_red, self._back * x_kept[band.face_kept], minlength=band.red.size)
         return x
 
 
@@ -358,54 +396,77 @@ def factorize(mesh: AxiMesh, a: Operator):
     `BandLayout` and factored in place by ``dgbtrf``, with partial pivoting.
     No scipy matrix is built, and the solve is ``dgbtrs``.
 
-    On a wider mesh, an operator whose face blocks are exactly symmetric is
-    condensed through the mesh's cached `CholeskyLayout`, at any width: its
-    Schur complement on the kept colour is summed into lower band storage by
-    one ``bincount`` and factored by ``dpbtrf``. The reduced band grows as
-    nr1³ / 2: 32.6 MB at 201 wide, the widest mesh of any config, demo or
-    workload, against 23.5 MB for SuperLU's L + U of the same operator.
-
-    Every other operator on a wide mesh goes to SuperLU, which computes its
-    own AT+A minimum-degree order: a nonsymmetric one, one with an eliminated
-    pivot that is not positive and finite (checked before any division), and
-    one whose Schur complement ``dpbtrf`` finds not positive definite.
+    On a wider mesh, `_condense` condenses an operator whose face blocks are
+    exactly symmetric at any width, and any other up to `_DIRECT_MAX_WIDTH`.
+    The Cholesky's reduced band grows as nr1³ / 2: 32.6 MB at 201 wide, the
+    widest mesh of any config, demo or workload, against 23.5 MB for
+    SuperLU's L + U of the same operator. An operator not condensed goes to
+    the band LU up to `_DIRECT_MAX_WIDTH` wide, and to SuperLU past it.
 
     The returned object's ``solve`` works in mesh numbering on every path,
     and its ``L.nnz + U.nnz`` is the entries the factors store (for Cholesky,
     ``L`` alone, the reduced band). Raises ``RuntimeError`` for an exactly
-    singular operator on either LU path.
+    singular operator on every LU path.
     """
     pattern = csr_pattern(mesh)
     if a.data.size != pattern.indices.size:
         raise ValueError("factorize needs an operator on the mesh's 5-point pattern")
-    if mesh.nr1 <= _BAND_MAX_WIDTH:
-        band = mesh.derived("band_layout", _band_layout)
-        w = band.width
-        # the transpose of this C-ordered array is LAPACK's column-major band array
-        ab = np.zeros((mesh.n_nodes, 3 * w + 1))
-        ab.reshape(-1)[band.slots] = a.data
-        lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
-        if info > 0:
-            raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
-        return BandLU(lu, piv, band)
-    if _is_symmetric(a):
-        band = mesh.derived("cholesky_layout", _cholesky_layout)
-        diag = a.data[pattern.diag]
-        d = diag[band.red]
-        # a red pivot that is not positive (or not finite) leaves A not positive
-        # definite: SuperLU pivots, or reports it singular
-        if (d > 0.0).all() and np.isfinite(d).all():
-            c = a.data[band.coupling]
-            v = c / d[band.face_red]
-            ab = np.bincount(band.slots, np.concatenate([diag[band.kept], -c * v,
-                                                         -c[band.pair_f] * v[band.pair_g]]),
-                             minlength=band.kept.size * (band.width + 1))
-            factor, info = lapack.dpbtrf(ab.reshape(-1, band.width + 1).T, lower=1,
-                                         overwrite_ab=1)
-            if info == 0:
-                return BandCholesky(factor, d, v, band)
-            # S, and so A, is not positive definite: on to SuperLU as well
-    return spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
+    if mesh.nr1 > _BAND_MAX_WIDTH:
+        symmetric = _is_symmetric(a)
+        if symmetric or mesh.nr1 <= _DIRECT_MAX_WIDTH:
+            factor = _condense(mesh, a, symmetric)
+            if factor is not None:
+                return factor
+        if mesh.nr1 > _DIRECT_MAX_WIDTH:
+            return spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
+    band = mesh.derived("band_layout", _band_layout)
+    w = band.width
+    # the transpose of this C-ordered array is LAPACK's column-major band array
+    ab = np.zeros((mesh.n_nodes, 3 * w + 1))
+    ab.reshape(-1)[band.slots] = a.data
+    lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
+    if info > 0:
+        raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
+    return BandLU(lu, piv, band)
+
+
+def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | None:
+    """The red-black condensed factor of an operator, or None where condensing
+    is not safe: where an eliminated pivot is zero or not finite (or, if the
+    operator is symmetric, not positive), checked before any division; where
+    a nonsymmetric operator's eliminated columns are not diagonally dominant,
+    so that eliminating them without pivoting may grow S's entries (transport
+    operators are M-matrices and pass); and where ``dpbtrf`` finds S, and so
+    A, not positive definite. Raises ``RuntimeError`` if ``dgbtrf`` finds S
+    exactly singular.
+    """
+    band = mesh.derived("condensed_layout", _condensed_layout)
+    diag = a.data[a.pattern.diag]
+    d = diag[band.red]
+    if not (np.isfinite(d).all() and ((d > 0.0) if symmetric else (d != 0.0)).all()):
+        return None
+    c_rk = a.data[band.rk]
+    c_kr = c_rk if symmetric else a.data[band.kr]
+    if not symmetric and not (np.bincount(band.face_red, np.abs(c_kr), minlength=band.red.size)
+                              <= np.abs(d)).all():
+        return None
+    d_face = d[band.face_red]
+    reduce = c_kr / d_face
+    back = reduce if symmetric else c_rk / d_face
+    f, g, n, w = band.pair_f, band.pair_g, band.kept.size, band.width
+    # S: the kept diagonal, each face's own product, then each pair's lower
+    # entry and, for the LU, its upper one
+    parts = [diag[band.kept], -c_rk * reduce, -c_rk[f] * reduce[g]]
+    if symmetric:
+        ab = np.bincount(band.slots, np.concatenate(parts), minlength=n * (w + 1))
+        factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, lower=1, overwrite_ab=1)
+        return CondensedFactor(factor, None, d, reduce, back, band) if info == 0 else None
+    ab = np.bincount(band.lu_slots, np.concatenate(parts + [-c_rk[g] * reduce[f]]),
+                     minlength=n * (3 * w + 1))
+    factor, piv, info = lapack.dgbtrf(ab.reshape(n, 3 * w + 1).T, w, w, overwrite_ab=1)
+    if info > 0:
+        raise RuntimeError(f"Factor is exactly singular: zero pivot in kept column {info - 1}")
+    return CondensedFactor(factor, piv, d, reduce, back, band)
 
 
 #: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. Measured on
@@ -448,12 +509,13 @@ class KrylovCounts:
 class SpeciesSolver:
     """Solves one species' transport operator at each step of a phase.
 
-    On a mesh at most `_BAND_MAX_WIDTH` wide every solve is a fresh
-    `factorize`. On a wider mesh the solver keeps an incomplete LU of an
-    earlier operator, built by ``spilu`` in SuperLU's own minimum-degree order,
-    and answers ``A x = b`` by GMRES right-preconditioned by it, started from
-    ``M⁻¹ b`` (`_gmres`). A result counts only when the explicitly computed
-    residual ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is
+    On a mesh at most `_DIRECT_MAX_WIDTH` wide every solve is a fresh
+    `factorize`, past `_BAND_MAX_WIDTH` a condensed LU (see its table). On a
+    wider mesh the solver keeps an incomplete LU of an earlier operator,
+    built by ``spilu`` in SuperLU's own minimum-degree order, and answers
+    ``A x = b`` by GMRES right-preconditioned by it, started from ``M⁻¹ b``
+    (`_gmres`). A result counts only when the explicitly computed residual
+    ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is
     rebuilt on the current operator and GMRES runs once more; if a fresh ILU
     fails too, the solve goes to `factorize` and so does every later one of
     this solver. The ILU lives as long as the solver: its owner, the stepper
@@ -466,7 +528,7 @@ class SpeciesSolver:
         self.mesh = mesh
         self.counts = counts
         self._ilu = None
-        self._direct = mesh.nr1 <= _BAND_MAX_WIDTH
+        self._direct = mesh.nr1 <= _DIRECT_MAX_WIDTH
 
     def solve(self, a: Operator, b: np.ndarray) -> np.ndarray:
         if not self._direct:
@@ -475,7 +537,7 @@ class SpeciesSolver:
                 self.counts.krylov_solves += 1
                 return x
             self._direct, self._ilu = True, None
-        if self.mesh.nr1 > _BAND_MAX_WIDTH:
+        if self.mesh.nr1 > _DIRECT_MAX_WIDTH:
             self.counts.direct_fallbacks += 1
         return factorize(self.mesh, a).solve(b)
 

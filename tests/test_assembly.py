@@ -1,6 +1,7 @@
 """Finite-volume operators on the shared 5-point pattern, against dense references."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from depotsim import _assembly
-from depotsim._assembly import (BandCholesky, BandLU, KrylovCounts, SpeciesSolver,
+from depotsim._assembly import (BandLU, CondensedFactor, KrylovCounts, SpeciesSolver,
                                 csr_pattern, diffusion_matrix, face_averages,
                                 face_families, face_geometry, face_gradients, factorize,
                                 harmonic_face_coefficients, pin_nodes,
@@ -46,13 +47,14 @@ def fresh_mesh(request):
 def superlu_mesh(request, monkeypatch):
     """A fresh mesh that `factorize` sends to SuperLU.
 
-    56x8 is wider than the band limit; the narrow meshes are sent to SuperLU
-    by lowering the limit for the test.
+    56x8 is wider than the direct limit; the narrow meshes are sent to
+    SuperLU by lowering the band and direct limits for the test.
     """
     nr, nz, ratio = request.param
     mesh = AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
-    if mesh.nr1 <= _assembly._BAND_MAX_WIDTH:
+    if mesh.nr1 <= _assembly._DIRECT_MAX_WIDTH:
         monkeypatch.setattr(_assembly, "_BAND_MAX_WIDTH", 0)
+        monkeypatch.setattr(_assembly, "_DIRECT_MAX_WIDTH", 0)
     return mesh
 
 
@@ -355,17 +357,22 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(fresh_mesh, sp.identity(fresh_mesh.n_nodes, format="csr"))
 
-    def test_mesh_width_picks_the_layout(self, splu_calls):
-        # nonsymmetric operators: the band LU up to the limit, SuperLU above
+    @pytest.mark.parametrize("nr1, symmetric, nonsymmetric", [
+        (24, BandLU, BandLU), (25, CondensedFactor, CondensedFactor),
+        (48, CondensedFactor, CondensedFactor), (49, CondensedFactor, spla.SuperLU)])
+    def test_mesh_width_picks_the_layout(self, splu_calls, nr1, symmetric, nonsymmetric):
+        # the band LU up to the band limit; condensed up to the direct limit and,
+        # if symmetric, above it; SuperLU only above it
         rng = np.random.default_rng(11)
-        narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
-        wide = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
+        m = mesh_of_width(nr1)
         for _ in range(2):
-            assert isinstance(factorize(narrow, transport_operator(narrow, rng)), BandLU)
-        assert not splu_calls
-        for _ in range(2):
-            assert isinstance(factorize(wide, transport_operator(wide, rng)), spla.SuperLU)
-        assert len(splu_calls) == 2
+            sym = factorize(m, capacity_operator(m, rng))
+            assert isinstance(sym, symmetric)
+            assert not isinstance(sym, CondensedFactor) or sym.piv is None  # Cholesky
+            nonsym = factorize(m, transport_operator(m, rng))
+            assert isinstance(nonsym, nonsymmetric)
+            assert not isinstance(nonsym, CondensedFactor) or nonsym.piv is not None  # LU
+        assert len(splu_calls) == (0 if nr1 <= _assembly._DIRECT_MAX_WIDTH else 2)
 
     def test_band_path_pivots_off_the_diagonal(self):
         m = mesh_of_width(17)
@@ -434,7 +441,7 @@ class TestBandCholesky:
         assert isinstance(factorize(narrow, capacity_operator(narrow, rng)), BandLU)
         # symmetric on a wide mesh: the condensed Cholesky, however wide
         m = mesh_of_width(nr1)
-        assert isinstance(factorize(m, capacity_operator(m, rng)), BandCholesky)
+        assert isinstance(factorize(m, capacity_operator(m, rng)), CondensedFactor)
         assert not splu_calls
         # nonsymmetric on a wide mesh: SuperLU
         assert isinstance(factorize(m, transport_operator(m, rng)), spla.SuperLU)
@@ -451,7 +458,7 @@ class TestBandCholesky:
         b = rng.normal(size=m.n_nodes)
         expected = np.linalg.solve(dense(a), b)
         lu = factorize(m, a)
-        assert isinstance(lu, BandCholesky)
+        assert isinstance(lu, CondensedFactor)
         assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @WIDE
@@ -462,7 +469,7 @@ class TestBandCholesky:
         b = rng.normal(size=superlu_mesh.n_nodes)
         expected = np.linalg.solve(dense(a), b)
         lu = factorize(superlu_mesh, a)
-        assert isinstance(lu, BandCholesky)
+        assert isinstance(lu, CondensedFactor)
         x = lu.solve(b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -477,10 +484,10 @@ class TestBandCholesky:
         b = rng.normal(size=m.n_nodes)
         expected = np.linalg.solve(dense(a), b)
         lu = factorize(m, a)
-        assert isinstance(lu, BandCholesky)
+        assert isinstance(lu, CondensedFactor)
         assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
         # the last node's colour is kept, so the grounded node stays the last pivot
-        layout = m.derived("cholesky_layout", _assembly._cholesky_layout)
+        layout = m.derived("condensed_layout", _assembly._condensed_layout)
         colour = colours(m)
         assert layout.kept[-1] == m.n_nodes - 1
         assert np.all(colour[layout.kept] == colour[-1])
@@ -494,7 +501,7 @@ class TestBandCholesky:
         # checked before the division, which would warn under -W error
         rng = np.random.default_rng(28)
         a = grounded_potential_operator(superlu_mesh, rng)
-        red = superlu_mesh.derived("cholesky_layout", _assembly._cholesky_layout).red
+        red = superlu_mesh.derived("condensed_layout", _assembly._condensed_layout).red
         a.data[a.pattern.diag[red[red.size // 2]]] = value
         b = rng.normal(size=superlu_mesh.n_nodes)
         lu = factorize(superlu_mesh, a)
@@ -519,12 +526,109 @@ class TestBandCholesky:
 
     def test_cholesky_factor_counts_its_band(self):
         # the band of the Schur complement on the last node's colour, half-width nr1
-        m = mesh_of_width(_assembly._BAND_MAX_WIDTH + 1)
+        m = mesh_of_width(_assembly._DIRECT_MAX_WIDTH + 1)
         lu = factorize(m, capacity_operator(m, np.random.default_rng(24)))
         kept = np.count_nonzero(colours(m) == colours(m)[-1])
         w, ones = m.nr1, np.ones((kept, kept))
         assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w)))
         assert lu.U.nnz == 0  # U is L transposed, in the same storage
+
+
+#: meshes between the band and direct limits, (nr1, nz1) in nodes: nr1 + nz1
+#: odd and even, so that the kept colour is either one, and nr1 odd and even
+BETWEEN = {"25x6": (25, 6), "25x7": (25, 7), "26x6": (26, 6), "48x7": (48, 7)}
+
+
+def mesh_of_nodes(nr1, nz1):
+    return AxiMesh(r=graded_nodes(nr1 - 1, 1.03), z=graded_nodes(nz1 - 1, 1.1))
+
+
+def assert_band_lu_solves(m, a, b):
+    # the values checked and set aside before any division: no warning either
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lu = factorize(m, a)
+        assert isinstance(lu, BandLU)
+        if np.isfinite(a.data).all():
+            expected = np.linalg.solve(dense(a), b)
+            assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+class TestCondensedLU:
+    @pytest.mark.parametrize("shape", list(BETWEEN.values()), ids=list(BETWEEN))
+    @pytest.mark.parametrize("build", [transport_operator, capacity_operator],
+                             ids=lambda f: f.__name__)
+    def test_condensed_solve_matches_dense_solve(self, shape, build, splu_calls):
+        m = mesh_of_nodes(*shape)
+        rng = np.random.default_rng(40)
+        a = build(m, rng)
+        b = rng.normal(size=m.n_nodes)
+        expected = np.linalg.solve(dense(a), b)
+        lu = factorize(m, a)
+        assert isinstance(lu, CondensedFactor)
+        # the capacity operator is symmetric: the condensed Cholesky, no pivots
+        assert (lu.piv is None) == (build is capacity_operator)
+        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert not splu_calls
+
+    def test_lu_factor_counts_its_band(self):
+        # an LU of the Schur complement, half-width nr1: up to nr1 below the
+        # diagonal in L, the diagonal and up to 2 nr1 above it in U
+        m = mesh_of_width(30)
+        lu = factorize(m, transport_operator(m, np.random.default_rng(41)))
+        kept = np.count_nonzero(colours(m) == colours(m)[-1])
+        w, ones = m.nr1, np.ones((kept, kept))
+        assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w), -1))
+        assert lu.U.nnz == np.count_nonzero(np.triu(np.tril(ones, 2 * w)))
+
+    @pytest.mark.parametrize("shape", [BETWEEN["25x7"], BETWEEN["26x6"]], ids=["25x7", "26x6"])
+    # a symmetric operator's eliminated pivots must be positive as well
+    @pytest.mark.parametrize("build, value", [
+        (transport_operator, 0.0), (transport_operator, np.inf), (capacity_operator, 0.0),
+        (capacity_operator, -1.0), (capacity_operator, np.inf)],
+        ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_an_eliminated_pivot_zero_or_not_finite_takes_the_band_lu(self, shape, build,
+                                                                      value):
+        m = mesh_of_nodes(*shape)
+        rng = np.random.default_rng(42)
+        a = build(m, rng)
+        red = m.derived("condensed_layout", _assembly._condensed_layout).red
+        a.data[a.pattern.diag[red[red.size // 2]]] = value
+        assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
+
+    def test_non_dominant_eliminated_columns_take_the_band_lu(self):
+        m = mesh_of_width(26)
+        a = pivoting_operator(m, np.random.default_rng(6))
+        # its pinned row 7 is red: its column holds transmissibilities far
+        # above the 1 on its diagonal
+        assert 7 in m.derived("condensed_layout", _assembly._condensed_layout).red
+        assert not _assembly._is_symmetric(a)
+        assert_band_lu_solves(m, a, np.random.default_rng(43).normal(size=m.n_nodes))
+        assert np.any(factorize(m, a).piv != np.arange(m.n_nodes))
+
+    def test_symmetric_indefinite_operator_takes_the_band_lu(self):
+        # positive eliminated pivots, but kept diagonals lowered until S is
+        # indefinite: dpbtrf turns it down
+        m = mesh_of_nodes(*BETWEEN["26x6"])
+        rng = np.random.default_rng(45)
+        a = diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0))
+        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        a.data[a.pattern.diag[kept]] -= 0.5 * a.data[a.pattern.diag].mean()
+        assert _assembly._is_symmetric(a) and np.linalg.eigvalsh(dense(a)).min() < 0.0
+        assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
+
+    @pytest.mark.parametrize("shape", list(BETWEEN.values()), ids=list(BETWEEN))
+    def test_singular_operator_raises(self, shape):
+        m = mesh_of_nodes(*shape)
+        a = transport_operator(m, np.random.default_rng(44))
+        # a kept node's row all zero: S's row is zero, and dgbtrf finds it singular
+        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        row = kept[kept.size // 2]
+        a.data[a.pattern.indptr[row]:a.pattern.indptr[row + 1]] = 0.0
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            factorize(m, a)
+        with pytest.raises(RuntimeError, match="exactly singular"):
+            factorize(m, diffusion_matrix(m, 0.0))
 
 
 
@@ -636,7 +740,7 @@ class TestSpeciesSolver:
         assert solver.counts.gmres_iterations > 0
 
     def test_narrow_meshes_never_build_an_ilu(self, spilu_calls):
-        m = mesh_of_width(_assembly._BAND_MAX_WIDTH)
+        m = mesh_of_width(_assembly._DIRECT_MAX_WIDTH)
         solver = SpeciesSolver(m, KrylovCounts())
         b = species_rhs(m)
         for dt, speed in ((0.01, 10.0), (0.01, 0.0), (1e4, 0.0)):

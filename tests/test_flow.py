@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.integrate import quad
 
 from depotsim import _assembly
-from depotsim._assembly import BandCholesky, BandLU, diffusion_matrix, face_families
+from depotsim._assembly import CondensedFactor, BandLU, diffusion_matrix, face_families
 from depotsim.config import default_config
 from depotsim.flow import (PressureSolver, darcy_mobility, exchange_coefficients,
                            injection_source, node_speed, starling_lymph,
@@ -187,9 +187,9 @@ class TestSolvePressure:
 class TestPressureOperator:
     # 8 rows of cells: nr1 + nz1 is even at nr 48 and 120 and odd at 49 and 119,
     # so the condensed factor keeps either colour of the checkerboard
-    @pytest.mark.parametrize("nr, layout", [(16, BandLU), (48, BandCholesky),
-                                            (120, BandCholesky), (49, BandCholesky),
-                                            (119, BandCholesky)])
+    @pytest.mark.parametrize("nr, layout", [(16, BandLU), (48, CondensedFactor),
+                                            (120, CondensedFactor), (49, CondensedFactor),
+                                            (119, CondensedFactor)])
     def test_pinned_rim_keeps_the_operator_symmetric(self, nr, layout, monkeypatch):
         factored = []
         factorize = _assembly.factorize

@@ -33,7 +33,7 @@ output.long_cadence_s = 60
 """
 
 
-#: a fine mesh 49 nodes wide, past the band limit, so species take the kept-ILU path
+#: a fine mesh 49 nodes wide, past the direct limit, so species take the kept-ILU path
 WIDE_FINE = """
 mesh.fine_nr = 48
 mesh.fine_nz = 12
@@ -142,10 +142,10 @@ class TestStepStaggered:
         assert dt_used == pytest.approx(0.05)
 
     def test_narrow_attempt_builds_no_scipy_matrix(self, tiny_sim, monkeypatch):
-        # on a mesh within the band limit every operator stays plain data
+        # on a mesh within the direct limit every operator stays plain data
         config = tiny_sim.config
         stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
-        assert stepper.mesh.nr1 <= _assembly._BAND_MAX_WIDTH
+        assert stepper.mesh.nr1 <= _assembly._DIRECT_MAX_WIDTH
         state = stepper.rest_state()
 
         def refuse(*args, **kwargs):
@@ -355,10 +355,38 @@ class TestAffinePressure:
         assert not any(isinstance(v, PressureSolver) for v in vars(stepper).values())
 
 
+class TestCondensedFineMesh:
+    def test_every_fine_mesh_factor_is_condensed_and_superlu_never_runs(self, monkeypatch):
+        # TINY's 24 x 24 fine mesh is 25 nodes wide, past the band limit and
+        # within the direct limit; its 16 x 16 coarse mesh takes the band LU
+        factors, calls = [], []
+        factorize, splu = _assembly.factorize, spla.splu
+
+        def keeping(mesh, a):
+            lu = factorize(mesh, a)
+            factors.append((mesh.nr1, type(lu), getattr(lu, "piv", None) is None))
+            return lu
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(_assembly, "factorize", keeping)
+        monkeypatch.setattr(spla, "splu", counting)
+        config = load_config_text(TINY).with_values({"phases.long_horizon_h": 0.05})
+        assert config.fine_mesh().nr1 == 25 > _assembly._BAND_MAX_WIDTH
+        Simulation(config).run_pipeline()
+        fine = {(kind, cholesky) for nr1, kind, cholesky in factors if nr1 == 25}
+        # the pressure and the potential by Cholesky, the species by LU
+        assert fine == {(_assembly.CondensedFactor, True), (_assembly.CondensedFactor, False)}
+        assert {(nr1, kind) for nr1, kind, _ in factors if nr1 != 25} == {(17, _assembly.BandLU)}
+        assert not calls
+
+
 class TestWideFineMesh:
     def test_pipeline_closes_its_budget_and_reruns_bit_identically(self):
         config = load_config_text(WIDE_FINE)
-        assert config.fine_mesh().nr1 > _assembly._BAND_MAX_WIDTH
+        assert config.fine_mesh().nr1 > _assembly._DIRECT_MAX_WIDTH
         a = Simulation(config).run_pipeline()
         b = Simulation(config).run_pipeline()
         assert a.phase_counters["injection"]["krylov_solves"] > 0
@@ -406,7 +434,7 @@ class TestFlowStop:
     def test_no_kept_ilu_fails_in_the_step_where_the_flow_stops(self, tiny_sim,
                                                                  monkeypatch):
         # every species solve takes the kept-ILU GMRES path, even on this narrow mesh
-        monkeypatch.setattr(_assembly, "_BAND_MAX_WIDTH", 0)
+        monkeypatch.setattr(_assembly, "_DIRECT_MAX_WIDTH", 0)
         config = tiny_sim.config
         stepper = StaggeredStepper(config.fine_mesh(), config, flow=True)
         state = stepper.rest_state()

@@ -139,7 +139,7 @@ class TestSolve:
         # Cholesky 1.8e-15
         nodes = np.concatenate([[0.0], np.cumsum(0.1 * 1.02 ** np.arange(56))])
         wide = AxiMesh(r=nodes, z=nodes[:9])
-        assert wide.nr1 > fv._BAND_MAX_WIDTH
+        assert wide.nr1 > fv._DIRECT_MAX_WIDTH
         rng = np.random.default_rng(3)
         shape = (wide.nz1, wide.nr1)
         coeffs = PotentialCoefficients(sigma=rng.uniform(0.1, 3.0, shape),
