@@ -71,7 +71,7 @@ stops. The potential keeps a fresh `factorize` each step, a condensed
 banded Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
 first operator needed 21-23 GMRES iterations to precondition the later
 ones. Narrower meshes keep a fresh direct factor for the species too: on
-uniform 17- and 25-wide meshes its factor and solve took 72 and 214 us (the
+uniform 17- and 25-wide meshes its factor and solve took 102 and 205 us (the
 band LU and the condensed LU), a GMRES run on a kept ILU 292 and 352 us.
 """
 
@@ -145,12 +145,12 @@ def _csr(a: Operator) -> sp.csr_matrix:
 #: Factor plus solve through `factorize` of a transport operator, by the
 #: band LU and by the condensed LU, and of its symmetric part, by the
 #: condensed Cholesky, on uniform n x n meshes; best of 30 interleaved
-#: rounds, one BLAS thread, 2-core Xeon, in us:
+#: rounds in two runs, one BLAS thread, 2-core Xeon, in us:
 #:
 #:   nr1                   17     21     25     33     41     48
-#:   band LU               72    141    256    435   1479   1891
-#:   condensed LU          90    145    214    357    731   1101
-#:   condensed Cholesky    76    105    159    323    596    879
+#:   band LU              102    130    244    387    965   1558
+#:   condensed LU         141    136    205    310    688   1002
+#:   condensed Cholesky   107     95    145    269    496    764
 #:
 #: At 17 wide the gathers of the reduce and the back-substitution cost more
 #: than the halved band saves, and at 21 the condensed LU breaks even;
@@ -161,16 +161,16 @@ _BAND_MAX_WIDTH = 24
 #: SuperLU and the species to GMRES on a kept ILU. Factor plus solve of each
 #: species' operator as a pipeline on n x n meshes graded 1.03 builds it, at
 #: the 8th injection step (inj, t = 2 s, flow on) and the last step of a 1 h
-#: long phase (long); best of five rounds, as above, in ms, condensed LU /
-#: SuperLU:
+#: long phase (long); best of five rounds in two runs, as above, in ms,
+#: condensed LU / SuperLU:
 #:
 #:   nr1                 49            65            81
-#:   Na+   inj      1.6 /  5.9    5.2 / 10.9    9.3 / 15.9
-#:   H+    inj      1.9 /  4.0    5.2 /  9.9    7.3 / 15.8
-#:   drug  inj      1.5 /  5.2    5.0 / 10.1   23.6 / 19.2
-#:   Na+   long     1.9 /  5.5    4.7 /  7.0   10.7 / 17.5
-#:   H+    long     1.8 /  6.0    4.5 /  7.1    7.4 / 16.2
-#:   drug  long     1.8 /  6.0    3.5 /  7.8   10.4 / 16.2
+#:   Na+   inj      1.9 /  4.8    4.0 /  9.3    7.9 / 13.3
+#:   H+    inj      1.2 /  4.4    3.9 /  9.7    8.4 / 13.6
+#:   drug  inj      1.6 /  4.1    3.9 /  9.3   21.6 / 18.9
+#:   Na+   long     1.9 /  4.0    3.6 /  7.3   11.0 / 16.0
+#:   H+    long     1.2 /  3.9    3.7 /  7.1   10.8 / 15.2
+#:   drug  long     1.5 /  4.4    5.1 /  7.4   10.7 / 15.9
 #:
 #: The drug's injection operator loses at 81 wide, so the condensed LU stops here.
 _DIRECT_MAX_WIDTH = 48
@@ -256,17 +256,15 @@ class CondensedLayout:
 
     Face f joins kept node ``kept[face_kept[f]]`` to red node
     ``red[face_red[f]]``; ``rk[f]`` and ``kr[f]`` are the CSR ``data`` slots
-    of its entries in A_RK and A_KR. ``pair_f`` and ``pair_g`` list every
-    pair of distinct faces that share a red node, once each, the face of the
-    earlier kept node first. ``slots`` are the flat positions, in the
-    column-major ``(width + 1, n_kept)`` array ``dpbtrf`` factors (entry
-    (i, j), i >= j, at ``ab[i - j, j]``), of the kept nodes' diagonal, of
-    each face's product with itself and of each pair's product below the
-    diagonal; ``lu_slots`` are those positions in the ``(3 width + 1,
-    n_kept)`` array ``dgbtrf`` factors (at ``ab[2 width + i - j, j]``), and
-    then of each pair's product above the diagonal. A mesh wider than
-    `_DIRECT_MAX_WIDTH` condenses symmetric operators only, and keeps
-    neither ``kr`` nor ``lu_slots``.
+    of its entries in A_RK and A_KR. ``pair_f`` and ``pair_g`` list each pair
+    of distinct faces on one red node once, the earlier kept node's face
+    first. ``slots`` place the kept diagonal, each face's product with itself
+    and each pair's product below the diagonal in the column-major
+    ``(width + 1, n_kept)`` array ``dpbtrf`` factors, (i, j) at
+    ``ab[i - j, j]``; ``lu_slots`` place them, then each pair's product above
+    the diagonal, in the ``(3 width + 1, n_kept)`` one of ``dgbtrf``, at
+    ``ab[2 width + i - j, j]``. Past `_DIRECT_MAX_WIDTH` only symmetric
+    operators are condensed, and ``kr`` and ``lu_slots`` are None.
     """
 
     kept: np.ndarray
