@@ -13,34 +13,24 @@ An operator is plain data on that pattern, an `Operator`: the pattern and
 one ``data`` array. Operators on one mesh therefore add by their ``data``
 arrays, and Dirichlet nodes are imposed in place by `pin_nodes`. The
 pattern's ``indptr`` and ``indices`` are read-only and shared by every
-operator built on the mesh. A scipy matrix is built only where SuperLU,
-``spilu`` or a matrix-vector product needs one.
+operator built on the mesh. A scipy matrix is built only where ``spilu``
+or a matrix-vector product needs one.
 
-`factorize` picks one of three layouts from the mesh's half-bandwidth and
-the operator's symmetry. Node k couples to k ± 1 and k ± nr1, so every
+Two families of factor solve these operators. `factorize` makes direct
+factors in LAPACK band storage, in the layout the mesh's half-bandwidth and
+the operator's symmetry pick. Node k couples to k ± 1 and k ± nr1, so every
 operator on the pattern lies in a band of half-width nr1:
 
 - **Narrow meshes** (``nr1 <= _BAND_MAX_WIDTH``, every long phase of the
   benchmark) are factored as a band by LAPACK's partial-pivoting ``dgbtrf``,
   through a map from CSR ``data`` slots to band storage cached on the mesh.
-- **Condensed red-black** (`CondensedLayout`): one colour of the
-  checkerboard is eliminated exactly, and the Schur complement on the other
-  half of the nodes, a band of the same half-width, is factored by
+- **Wider meshes** are condensed red-black (`CondensedLayout`): one colour
+  of the checkerboard is eliminated exactly, and the Schur complement on the
+  other half of the nodes, a band of the same half-width, is factored by
   ``dpbtrf`` if the operator is symmetric and by ``dgbtrf`` if not, about
-  half the work of the full band. Symmetric operators (the grounded
-  potential, the rim-pinned pressure) are condensed on every wider mesh,
-  nonsymmetric ones (species transport) up to `_DIRECT_MAX_WIDTH`.
-- **SuperLU**, in its own AT+A minimum-degree order, takes the rest on
-  meshes wider than `_DIRECT_MAX_WIDTH`; narrower ones fall back to the
-  band LU, so they never call SuperLU.
-
-A band LU costs O(n nr1²) and the minimum-degree fill of SuperLU grows more
-slowly with the width; the tables at `_BAND_MAX_WIDTH` and
-`_DIRECT_MAX_WIDTH` record where each layout wins. The condensed Cholesky
-won at every width measured: factor plus solve of a grounded potential
-operator on uniform meshes 49, 101, 151 and 201 wide took 1.2, 10.1, 25.1
-and 65.2 ms, against 2.7, 14.3, 40.5 and 104 ms for SuperLU in an order
-computed once per mesh (one BLAS thread, 2-core Xeon).
+  half the work of the full band. An operator unsafe to condense takes the
+  band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record where
+  each wins; the other family, the species' kept ILU, is below.
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -53,7 +43,8 @@ arrays; none holds an operator or a factor:
   instead of rebuilding them from the mesh each call.
 - `_band_layout`: the map from CSR ``data`` slots to LAPACK band storage.
 - `_condensed_layout`: the red-black condensation map, from faces to kept and
-  eliminated nodes and from pair products to either reduced band storage.
+  eliminated nodes and from pair products to the Cholesky's reduced band;
+  `_condensed_lu_layout`, its copy into the LU's, only where one is needed.
 
 Face fields. A coefficient, speed or flux on the dual faces is one array of
 ``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
@@ -65,19 +56,17 @@ Species transport on a mesh wider than `_DIRECT_MAX_WIDTH` does not factor
 every step. A `SpeciesSolver` per species keeps an incomplete LU (``spilu``,
 drop tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
 operator in SuperLU's own minimum-degree order, and solves each step by
-GMRES(`_GMRES_RESTART`) preconditioned by it. The species operators change
+GMRES(`_GMRES_RESTART`) preconditioned by it; the species operators change
 slowly from step to step, so the kept ILU usually serves until the flow
-stops. The potential keeps a fresh `factorize` each step, a condensed
-banded Cholesky on injection_fine's 73-wide mesh: there even the full LU of its
-first operator needed 21-23 GMRES iterations to precondition the later
-ones. Narrower meshes keep a fresh direct factor for the species too: on
-uniform 17- and 25-wide meshes its factor and solve took 102 and 205 us (the
-band LU and the condensed LU), a GMRES run on a kept ILU 292 and 352 us.
+stops. Narrower meshes factor the species afresh each step. The potential
+keeps a fresh `factorize` each step at every width: on injection_fine's
+73-wide mesh even the full LU of its first operator needed 21-23 GMRES
+iterations to precondition the later ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -136,7 +125,7 @@ class Operator:
 
 
 def _csr(a: Operator) -> sp.csr_matrix:
-    """The operator as a scipy CSR matrix, for SuperLU, ``spilu`` and matvecs."""
+    """The operator as a scipy CSR matrix, for ``spilu`` and matvecs."""
     n = a.pattern.indptr.size - 1
     return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
 
@@ -156,23 +145,25 @@ def _csr(a: Operator) -> sp.csr_matrix:
 #: than the halved band saves, and at 21 the condensed LU breaks even;
 #: condensing wins from 25 wide on.
 _BAND_MAX_WIDTH = 24
-#: Widest mesh on which `factorize` never calls SuperLU and a `SpeciesSolver`
-#: solves directly at every step. Wider meshes send nonsymmetric operators to
-#: SuperLU and the species to GMRES on a kept ILU. Factor plus solve of each
-#: species' operator as a pipeline on n x n meshes graded 1.03 builds it, at
-#: the 8th injection step (inj, t = 2 s, flow on) and the last step of a 1 h
-#: long phase (long); best of five rounds in two runs, as above, in ms,
-#: condensed LU / SuperLU:
+#: Widest mesh on which a `SpeciesSolver` factors its operator afresh each
+#: step; wider ones run GMRES on a kept ILU. Mean ms a solve, fresh condensed
+#: LU / kept ILU with its builds and any fallback, over whole phases of a
+#: pipeline on n x n meshes (fine graded 1.03): 500 injection steps of 0.02 s
+#: or 40 of 0.25 s, and a 1 h long phase of 78; best of two runs, as above:
 #:
-#:   nr1                 49            65            81
-#:   Na+   inj      1.9 /  4.8    4.0 /  9.3    7.9 / 13.3
-#:   H+    inj      1.2 /  4.4    3.9 /  9.7    8.4 / 13.6
-#:   drug  inj      1.6 /  4.1    3.9 /  9.3   21.6 / 18.9
-#:   Na+   long     1.9 /  4.0    3.6 /  7.3   11.0 / 16.0
-#:   H+    long     1.2 /  3.9    3.7 /  7.1   10.8 / 15.2
-#:   drug  long     1.5 /  4.4    5.1 /  7.4   10.7 / 15.9
+#:   nr1                  25       33       41       49       65       73
+#:   Na+  inj .02    .23/.58  .36/.38  .70/.75  1.2/1.3  4.2/2.3  7.5/3.2
+#:   H+   inj .02    .23/.57  .36/.60  .69/.99  1.2/1.5  3.8/2.5  6.2/3.4
+#:   drug inj .02    .22/.55  .35/.52  .69/.86  1.2/1.2   10/1.7   21/2.3
+#:   Na+  inj .25    .24/.40  .55/.63  1.2/1.1  1.2/.87  3.7/1.3  6.8/1.9
+#:   H+   inj .25    .23/.32  .47/.52  1.1/.99  1.1/.78  3.2/1.5  6.1/2.4
+#:   drug inj .25    .23/.30  .43/.48  1.1/.85  1.1/.69  3.7/1.2  8.6/1.9
+#:   Na+  long       .24/.61  .41/.85  .70/1.2  1.1/1.7  3.4/3.2  5.6/4.6
+#:   H+   long       .23/.94  .38/1.1  .69/1.8  1.2/2.4  3.2/3.7  5.3/6.0
+#:   drug long       .24/.40  .35/.46  .69/.65  1.1/.85  3.2/1.9  5.5/2.7
 #:
-#: The drug's injection operator loses at 81 wide, so the condensed LU stops here.
+#: Each ILU was built 1-6 times a phase; only the long H+ one failed for good
+#: (65, 73). Direct wins to 33, and at 49 on 0.02 s and long steps.
 _DIRECT_MAX_WIDTH = 48
 
 
@@ -223,11 +214,16 @@ class BandLU:
 
     ``piv`` holds LAPACK's row interchanges, 0-based: step i swapped rows i
     and ``piv[i]``. ``L`` and ``U`` report only ``nnz``, their stored entries.
+    Given ``_refine``, A in extended precision, ``solve`` refines once on a
+    residual summed in extended precision (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 12): the error falls to round-off unless A is
+    near singular.
     """
 
     _ab: np.ndarray
     piv: np.ndarray
     _band: BandLayout
+    _refine: sp.csr_matrix | None
 
     @property
     def L(self) -> StoredEntries:
@@ -239,7 +235,10 @@ class BandLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         w = self._band.width
-        return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
+        x = lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
+        if self._refine is not None:
+            x += lapack.dgbtrs(self._ab, w, w, (b - self._refine @ x).astype(float), self.piv)[0]
+        return x
 
 
 @dataclass(frozen=True)
@@ -261,22 +260,20 @@ class CondensedLayout:
     first. ``slots`` place the kept diagonal, each face's product with itself
     and each pair's product below the diagonal in the column-major
     ``(width + 1, n_kept)`` array ``dpbtrf`` factors, (i, j) at
-    ``ab[i - j, j]``; ``lu_slots`` place them, then each pair's product above
-    the diagonal, in the ``(3 width + 1, n_kept)`` one of ``dgbtrf``, at
-    ``ab[2 width + i - j, j]``. Past `_DIRECT_MAX_WIDTH` only symmetric
-    operators are condensed, and ``kr`` and ``lu_slots`` are None.
+    ``ab[i - j, j]``; in `_condensed_lu_layout`'s copy they place them, then
+    each pair's product above the diagonal, in the ``(3 width + 1, n_kept)``
+    one of ``dgbtrf``, at ``ab[2 width + i - j, j]``.
     """
 
     kept: np.ndarray
     red: np.ndarray
     rk: np.ndarray
-    kr: np.ndarray | None
+    kr: np.ndarray
     face_kept: np.ndarray
     face_red: np.ndarray
     pair_f: np.ndarray
     pair_g: np.ndarray
     slots: np.ndarray
-    lu_slots: np.ndarray | None
     width: int
 
 
@@ -313,14 +310,19 @@ def _condensed_layout(mesh: AxiMesh) -> CondensedLayout:
     width = int(below.max(initial=0))
     diag = np.arange(kept.size)
     slots = np.concatenate([diag * (width + 1), face_kept * (width + 1), col * (width + 1) + below])
-    kr = lu_slots = None
-    if nr1 <= _DIRECT_MAX_WIDTH:
-        kr = np.where(lo_kept, lo_hi, hi_lo)
-        ld = 3 * width + 1
-        lu_slots = 2 * width + np.concatenate([diag * ld, face_kept * ld, col * ld + below,
-                                               (col + below) * ld - below])
-    return CondensedLayout(kept, red, np.where(lo_kept, hi_lo, lo_hi), kr, face_kept, face_red,
-                           f, g, slots, lu_slots, width)
+    return CondensedLayout(kept, red, np.where(lo_kept, hi_lo, lo_hi),
+                           np.where(lo_kept, lo_hi, hi_lo), face_kept, face_red, f, g, slots, width)
+
+
+def _condensed_lu_layout(mesh: AxiMesh) -> CondensedLayout:
+    """The mesh's condensation map with ``slots`` into the LU's band, kept on
+    the mesh by the first nonsymmetric operator `_condense` takes there."""
+    band = mesh.derived("condensed_layout", _condensed_layout)
+    col = band.face_kept[band.pair_f]
+    below, ld = band.face_kept[band.pair_g] - col, 3 * band.width + 1
+    return replace(band, slots=2 * band.width + np.concatenate(
+        [np.arange(band.kept.size) * ld, band.face_kept * ld, col * ld + below,
+         (col + below) * ld - below]))
 
 
 @dataclass(slots=True, eq=False)
@@ -378,45 +380,46 @@ def _is_symmetric(a: Operator) -> bool:
                           a.data[scatter[2 * faces:3 * faces]])
 
 
-#: SuperLU options for the 5-point operators: its defaults are tuned for large
+#: ``spilu`` options for the kept ILUs: SuperLU's defaults are tuned for large
 #: matrices, and relaxed supernodes and wide panels only add work on columns
-#: with a few dozen nonzeros. Measured on 16² and 72² meshes, ``relax=1,
-#: panel_size=1`` factor 1.3-2.5x faster than the defaults.
+#: with a few dozen nonzeros. With ``relax=1, panel_size=1`` the ILU of a
+#: species operator built 1.36, 1.38 and 1.45x faster at 49, 73 and 201 wide.
 _SMALL_SYSTEM = {"relax": 1, "panel_size": 1}
 
 
 def factorize(mesh: AxiMesh, a: Operator):
-    """Factor of an operator on the mesh pattern, in the layout the mesh's width
-    and the operator's symmetry pick.
+    """Factor of an operator on the mesh pattern in LAPACK band storage, in the
+    layout the mesh's width and the operator's symmetry pick.
 
     Only ``a.data`` is read. On a mesh at most `_BAND_MAX_WIDTH` nodes wide,
-    it is scattered into LAPACK band storage through the mesh's cached
-    `BandLayout` and factored in place by ``dgbtrf``, with partial pivoting.
-    No scipy matrix is built, and the solve is ``dgbtrs``.
+    it is scattered into band storage through the mesh's cached `BandLayout`
+    and factored in place by ``dgbtrf``, with partial pivoting; no scipy
+    matrix is built, and the solve is ``dgbtrs``. On a wider mesh, at any
+    width, `_condense` takes it: by Cholesky if its face blocks are exactly
+    symmetric, by LU if not. An operator it turns down takes the band LU,
+    refined (`BandLU`).
 
-    On a wider mesh, `_condense` condenses an operator whose face blocks are
-    exactly symmetric at any width, and any other up to `_DIRECT_MAX_WIDTH`.
-    The Cholesky's reduced band grows as nr1³ / 2: 32.6 MB at 201 wide, the
-    widest mesh of any config, demo or workload, against 23.5 MB for
-    SuperLU's L + U of the same operator. An operator not condensed goes to
-    the band LU up to `_DIRECT_MAX_WIDTH` wide, and to SuperLU past it.
+    Past `_DIRECT_MAX_WIDTH` a species factor is the fallback of a failed
+    kept ILU. Factor plus solve of each species' operator at the 8th
+    injection step and the last step of a 1 h long phase of a pipeline on an
+    81 x 81 mesh graded 1.03, condensed LU / the SuperLU factor it replaced,
+    best of five, in ms: Na+, H+ and drug 11.0 / 16.0, 10.8 / 15.2 and
+    10.7 / 15.9 (long); 7.9 / 13.3, 8.4 / 13.6 and 21.6 / 18.9 (injection).
+    No config, demo or workload factors the drug's injection operator past
+    48 wide; at 201 wide it took 1280 / 250 ms, with a 97.6 MB band. The
+    Cholesky's band grows as nr1³ / 2, to 32.6 MB there.
 
-    The returned object's ``solve`` works in mesh numbering on every path,
-    and its ``L.nnz + U.nnz`` is the entries the factors store (for Cholesky,
-    ``L`` alone, the reduced band). Raises ``RuntimeError`` for an exactly
-    singular operator on every LU path.
+    ``solve`` works in mesh numbering, and ``L.nnz + U.nnz`` is the entries
+    the factors store (for Cholesky, ``L`` alone). Raises ``RuntimeError``
+    for an exactly singular operator on every LU path.
     """
     pattern = csr_pattern(mesh)
     if a.data.size != pattern.indices.size:
         raise ValueError("factorize needs an operator on the mesh's 5-point pattern")
     if mesh.nr1 > _BAND_MAX_WIDTH:
-        symmetric = _is_symmetric(a)
-        if symmetric or mesh.nr1 <= _DIRECT_MAX_WIDTH:
-            factor = _condense(mesh, a, symmetric)
-            if factor is not None:
-                return factor
-        if mesh.nr1 > _DIRECT_MAX_WIDTH:
-            return spla.splu(_csr(a).tocsc(), permc_spec="MMD_AT_PLUS_A", **_SMALL_SYSTEM)
+        factor = _condense(mesh, a, _is_symmetric(a))
+        if factor is not None:
+            return factor
     band = mesh.derived("band_layout", _band_layout)
     w = band.width
     # the transpose of this C-ordered array is LAPACK's column-major band array
@@ -425,20 +428,24 @@ def factorize(mesh: AxiMesh, a: Operator):
     lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
-    return BandLU(lu, piv, band)
+    refine = None  # past the band limit, the fallback for an operator unsafe to condense
+    if mesh.nr1 > _BAND_MAX_WIDTH:
+        refine = _csr(Operator(pattern, a.data.astype(np.longdouble)))
+    return BandLU(lu, piv, band, refine)
 
 
 def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | None:
-    """The red-black condensed factor of an operator, or None where condensing
-    is not safe: where an eliminated pivot is zero or not finite (or, if the
-    operator is symmetric, not positive), checked before any division; where
-    a nonsymmetric operator's eliminated columns are not diagonally dominant,
-    so that eliminating them without pivoting may grow S's entries (transport
-    operators are M-matrices and pass); and where ``dpbtrf`` finds S, and so
-    A, not positive definite. Raises ``RuntimeError`` if ``dgbtrf`` finds S
-    exactly singular.
+    """The red-black condensed factor of an operator at any width, or None
+    where condensing is not safe: where an eliminated pivot is zero or not
+    finite (or, if the operator is symmetric, not positive), checked before
+    any division; where a nonsymmetric operator's eliminated columns are not
+    diagonally dominant, so that eliminating them without pivoting may grow
+    S's entries (transport operators are M-matrices and pass); and where
+    ``dpbtrf`` finds S, and so A, not positive definite. Raises
+    ``RuntimeError`` if ``dgbtrf`` finds S exactly singular.
     """
-    band = mesh.derived("condensed_layout", _condensed_layout)
+    band = (mesh.derived("condensed_layout", _condensed_layout) if symmetric
+            else mesh.derived("condensed_lu_layout", _condensed_lu_layout))
     diag = a.data[a.pattern.diag]
     d = diag[band.red]
     if not (np.isfinite(d).all() and ((d > 0.0) if symmetric else (d != 0.0)).all()):
@@ -459,7 +466,7 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
         ab = np.bincount(band.slots, np.concatenate(parts), minlength=n * (w + 1))
         factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, lower=1, overwrite_ab=1)
         return CondensedFactor(factor, None, d, reduce, back, band) if info == 0 else None
-    ab = np.bincount(band.lu_slots, np.concatenate(parts + [-c_rk[g] * reduce[f]]),
+    ab = np.bincount(band.slots, np.concatenate(parts + [-c_rk[g] * reduce[f]]),
                      minlength=n * (3 * w + 1))
     factor, piv, info = lapack.dgbtrf(ab.reshape(n, 3 * w + 1).T, w, w, overwrite_ab=1)
     if info > 0:
@@ -467,14 +474,11 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
     return CondensedFactor(factor, piv, d, reduce, back, band)
 
 
-#: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. Measured on
-#: the 73-wide graded fine mesh of the benchmark's injection_fine workload,
-#: one BLAS thread, 2-core Xeon: the ILU of a transport operator stores 40k
-#: entries against 176k for its full LU, builds in 4.4 ms against 6.0 ms for
-#: the LU, and solves in 0.18 ms against 0.43 ms. Over that workload's 6 s
-#: injection phase (72 species solves at dt 0.25 s) the solvers build 6 ILUs,
-#: at the first step and at flow stop, and take 3.9 GMRES iterations a solve,
-#: with no direct fallback.
+#: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. On the 73-wide
+#: mesh of the benchmark's injection_fine workload, the ILU of a transport
+#: operator stores 40k entries. Over that workload's 6 s injection phase (72
+#: species solves at dt 0.25 s) the solvers build 6 ILUs, at the first step
+#: and at flow stop, and take 3.9 GMRES iterations a solve, with no fallback.
 _ILU_DROP_TOL = 1e-4
 _ILU_FILL_FACTOR = 2
 _GMRES_RESTART = 8
@@ -508,16 +512,16 @@ class SpeciesSolver:
     """Solves one species' transport operator at each step of a phase.
 
     On a mesh at most `_DIRECT_MAX_WIDTH` wide every solve is a fresh
-    `factorize`, past `_BAND_MAX_WIDTH` a condensed LU (see its table). On a
-    wider mesh the solver keeps an incomplete LU of an earlier operator,
-    built by ``spilu`` in SuperLU's own minimum-degree order, and answers
-    ``A x = b`` by GMRES right-preconditioned by it, started from ``M⁻¹ b``
-    (`_gmres`). A result counts only when the explicitly computed residual
-    ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is
-    rebuilt on the current operator and GMRES runs once more; if a fresh ILU
-    fails too, the solve goes to `factorize` and so does every later one of
-    this solver. The ILU lives as long as the solver: its owner, the stepper
-    of one phase, holds it, and the mesh does not.
+    `factorize`, past `_BAND_MAX_WIDTH` a condensed LU. On a wider mesh the
+    solver keeps an incomplete LU of an earlier operator, cheaper there (the
+    table at `_DIRECT_MAX_WIDTH`), built by ``spilu`` in SuperLU's own
+    minimum-degree order, and answers ``A x = b`` by GMRES right-preconditioned
+    by it, started from ``M⁻¹ b`` (`_gmres`). A result counts only when the
+    explicitly computed residual ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it
+    fails, the ILU is rebuilt on the current operator and GMRES runs once
+    more; if a fresh ILU fails too, the solve goes to `factorize`, a
+    condensed LU, and so does every later one of this solver. The ILU lives
+    as long as the solver: its owner, the stepper of one phase, holds it, not the mesh.
     """
 
     __slots__ = ("mesh", "counts", "_ilu", "_direct")

@@ -20,7 +20,7 @@ from .io import (compare_reference, load_checkpoint, load_reference_csv,
                  read_timeseries, write_run_outputs, write_snapshot)
 from .orchestrator import Simulation
 from .params import ConfigurationError, read_text
-from .sweep import run_sweep
+from .sweep import AXES, run_sweep
 
 
 def _cmd_run(args) -> int:
@@ -177,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run a scenario sweep over one axis")
     p.add_argument("config")
-    p.add_argument("--axis", required=True,
-                   choices=["buffer_ph", "bmi", "depth", "concentration"])
+    p.add_argument("--axis", required=True, choices=list(AXES))
     p.add_argument("--values", required=True,
                    help="comma-separated axis values")
     p.add_argument("--outdir", default="")

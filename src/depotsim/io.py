@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import zipfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -163,8 +163,7 @@ def save_checkpoint(state: FieldState, ledger: DoseLedger, phase: str,
         c_na=state.c_na, c_h=state.c_h, c_mab=state.c_mab, c_b=state.c_b,
         p=state.p, phi=state.phi, u_r=u_r, u_z=u_z,
         c_cl=state.c_cl, ph=state.ph, z_mab=state.z_mab, j_l=state.j_l,
-        ledger=np.array([ledger.injected, ledger.free, ledger.bound,
-                         ledger.absorbed_lymph, ledger.eliminated]),
+        ledger=np.array(astuple(ledger)),
         config_text=np.array([config_text]),
     )
     return path
@@ -195,10 +194,7 @@ def load_checkpoint(path) -> tuple[FieldState, DoseLedger, str, str]:
                 t=float(data["t_s"][0]),
                 c_cl=data["c_cl"], ph=data["ph"], z_mab=data["z_mab"],
                 j_l=data["j_l"])
-            lg = data["ledger"]
-            ledger = DoseLedger(injected=float(lg[0]), free=float(lg[1]),
-                                bound=float(lg[2]), absorbed_lymph=float(lg[3]),
-                                eliminated=float(lg[4]))
+            ledger = DoseLedger(*data["ledger"].tolist())
             phase = str(data["phase"][0])
             config_text = str(data["config_text"][0])
     except KeyError as exc:  # an archive without every checkpoint array

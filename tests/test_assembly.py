@@ -37,23 +37,22 @@ def mesh_fixture(meshes):
 @mesh_fixture({**NARROW, "48x12": (48, 12, 1.0)})
 def fresh_mesh(request):
     # a new mesh per test, so no factorization layout is cached on it yet;
-    # the narrow meshes take the band LU, 48x12 takes SuperLU, or the condensed
-    # Cholesky for a symmetric positive definite operator
+    # the narrow meshes take the band LU, 48x12 the condensed LU, or the
+    # condensed Cholesky for a symmetric positive definite operator
     nr, nz, ratio = request.param
     return AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
 
 
 @mesh_fixture({**NARROW, "56x8": (56, 8, 1.02)})
-def superlu_mesh(request, monkeypatch):
-    """A fresh mesh that `factorize` sends to SuperLU.
+def kept_ilu_mesh(request, monkeypatch):
+    """A fresh mesh on which a `SpeciesSolver` keeps an ILU.
 
-    56x8 is wider than the direct limit; the narrow meshes are sent to
-    SuperLU by lowering the band and direct limits for the test.
+    56x8 is wider than `_DIRECT_MAX_WIDTH`; the narrow meshes take the kept
+    ILU with that limit lowered for the test.
     """
     nr, nz, ratio = request.param
     mesh = AxiMesh(r=graded_nodes(nr, ratio), z=graded_nodes(nz, ratio))
     if mesh.nr1 <= _assembly._DIRECT_MAX_WIDTH:
-        monkeypatch.setattr(_assembly, "_BAND_MAX_WIDTH", 0)
         monkeypatch.setattr(_assembly, "_DIRECT_MAX_WIDTH", 0)
     return mesh
 
@@ -307,17 +306,24 @@ def fill(lu):
 
 @pytest.fixture
 def splu_calls(monkeypatch):
-    """Counts `spla.splu` calls; `factorize` lets SuperLU order every factor itself."""
+    """Lists `spla.splu` calls, which `factorize` must not make."""
     calls = []
     splu = spla.splu
 
-    def counting(a, permc_spec=None, **kwargs):
-        assert permc_spec == "MMD_AT_PLUS_A"
+    def counting(a, **kwargs):
         calls.append(a.shape)
-        return splu(a, permc_spec=permc_spec, **kwargs)
+        return splu(a, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting)
     return calls
+
+
+def refined_dense_solve(a, b):
+    """The solution of a dense system refined with residuals in extended precision."""
+    x = np.linalg.solve(a, b).astype(np.longdouble)
+    for _ in range(6):
+        x += np.linalg.solve(a, (b - a.astype(np.longdouble) @ x).astype(float))
+    return x.astype(float)
 
 
 def mesh_of_width(nr1):
@@ -337,42 +343,49 @@ class TestFactorize:
             assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
             assert fill(lu) > 0  # the benchmark's tracer reads L.nnz + U.nnz
 
-    def test_pivoting_operator_pivots_off_the_diagonal(self, superlu_mesh):
-        lu = stock_lu(pivoting_operator(superlu_mesh, np.random.default_rng(6)))
+    def test_pivoting_operator_pivots_off_the_diagonal(self, kept_ilu_mesh):
+        lu = stock_lu(pivoting_operator(kept_ilu_mesh, np.random.default_rng(6)))
         assert np.any(lu.perm_r != lu.perm_c)
 
-    @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
-    def test_fill_matches_stock_minimum_degree_lu(self, superlu_mesh, build):
-        rng = np.random.default_rng(7)
-        first = build(superlu_mesh, rng)
-        later = build(superlu_mesh, rng)
-        assert fill(factorize(superlu_mesh, first)) == fill(stock_lu(first))
-        assert fill(factorize(superlu_mesh, later)) == fill(stock_lu(later))
-
-    def test_mesh_keeps_no_reference_to_the_first_factor(self, superlu_mesh):
-        lu = factorize(superlu_mesh, potential_operator(superlu_mesh, np.random.default_rng(10)))
+    def test_mesh_keeps_no_reference_to_the_first_factor(self, kept_ilu_mesh):
+        lu = factorize(kept_ilu_mesh, potential_operator(kept_ilu_mesh, np.random.default_rng(10)))
         assert sys.getrefcount(lu) == 2  # the local name and the call's argument
 
     def test_rejects_an_operator_off_the_mesh_pattern(self, fresh_mesh):
         with pytest.raises(ValueError):
             factorize(fresh_mesh, sp.identity(fresh_mesh.n_nodes, format="csr"))
 
-    @pytest.mark.parametrize("nr1, symmetric, nonsymmetric", [
-        (24, BandLU, BandLU), (25, CondensedFactor, CondensedFactor),
-        (48, CondensedFactor, CondensedFactor), (49, CondensedFactor, spla.SuperLU)])
-    def test_mesh_width_picks_the_layout(self, splu_calls, nr1, symmetric, nonsymmetric):
-        # the band LU up to the band limit; condensed up to the direct limit and,
-        # if symmetric, above it; SuperLU only above it
+    @pytest.mark.parametrize("nr1, layout", [
+        (17, BandLU), (24, BandLU), (25, CondensedFactor), (48, CondensedFactor),
+        (49, CondensedFactor), (81, CondensedFactor), (151, CondensedFactor),
+        (152, CondensedFactor), (201, CondensedFactor)],
+        ids=lambda x: getattr(x, "__name__", str(x)))
+    def test_mesh_width_picks_the_layout(self, splu_calls, nr1, layout):
+        # the band LU up to the band limit; past it, at any width, the condensed
+        # Cholesky if the operator is symmetric and the condensed LU if not
         rng = np.random.default_rng(11)
         m = mesh_of_width(nr1)
-        for _ in range(2):
-            sym = factorize(m, capacity_operator(m, rng))
-            assert isinstance(sym, symmetric)
-            assert not isinstance(sym, CondensedFactor) or sym.piv is None  # Cholesky
-            nonsym = factorize(m, transport_operator(m, rng))
-            assert isinstance(nonsym, nonsymmetric)
-            assert not isinstance(nonsym, CondensedFactor) or nonsym.piv is not None  # LU
-        assert len(splu_calls) == (0 if nr1 <= _assembly._DIRECT_MAX_WIDTH else 2)
+        for build, cholesky in ((capacity_operator, True), (transport_operator, False)):
+            for _ in range(2):  # the first factor builds the mesh's layout
+                a = build(m, rng)
+                lu = factorize(m, a)
+                assert isinstance(lu, layout)
+                assert layout is BandLU or (lu.piv is None) == cholesky
+                b = rng.normal(size=m.n_nodes)
+                expected = np.linalg.solve(dense(a), b)
+                assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert not splu_calls
+
+    def test_only_a_nonsymmetric_operator_builds_the_lu_layout(self):
+        # a mesh whose species never factor keeps the Cholesky's map alone
+        m = mesh_of_width(49)
+        rng = np.random.default_rng(12)
+        factorize(m, capacity_operator(m, rng))
+        assert "condensed_layout" in m._derived and "condensed_lu_layout" not in m._derived
+        factorize(m, transport_operator(m, rng))
+        cholesky, lu = m._derived["condensed_layout"], m._derived["condensed_lu_layout"]
+        assert lu.kept is cholesky.kept and lu.kr is cholesky.kr  # one map, two slot sets
+        assert lu.slots.size > cholesky.slots.size
 
     def test_band_path_pivots_off_the_diagonal(self):
         m = mesh_of_width(17)
@@ -389,6 +402,24 @@ class TestFactorize:
         with pytest.raises(RuntimeError):
             factorize(fresh_mesh, singular)
 
+    @pytest.mark.parametrize("nr", [48, 80])
+    def test_the_band_lu_past_the_band_limit_refines_to_round_off(self, nr):
+        # the row-pinned Neumann operator is not condensed (its red columns are
+        # dominant only to round-off) and its condition number is near 1e6:
+        # the unrefined band solve is 2.8e-12 off at 49 wide, and the dense one
+        # 2.4e-12 there and 8.8e-12 at 81 wide
+        m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
+        rng = np.random.default_rng(7)
+        a = potential_operator(m, rng)
+        b = rng.normal(size=m.n_nodes)
+        lu = factorize(m, a)
+        assert isinstance(lu, BandLU)
+        exact = refined_dense_solve(dense(a), b)
+        assert np.linalg.norm(lu.solve(b) - exact) <= 1e-14 * np.linalg.norm(exact)
+        # the band LU of a narrow mesh is the plain one
+        narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
+        assert factorize(narrow, potential_operator(narrow, rng))._refine is None
+
     def test_band_factor_counts_its_band(self):
         m = mesh_of_width(9)
         lu = factorize(m, transport_operator(m, np.random.default_rng(15)))
@@ -397,7 +428,7 @@ class TestFactorize:
         assert lu.U.nnz == np.count_nonzero(np.triu(np.tril(ones, 2 * w)))
 
 
-WIDE = pytest.mark.parametrize("superlu_mesh", [(56, 8, 1.02)], ids=["56x8"], indirect=True)
+WIDE = pytest.mark.parametrize("kept_ilu_mesh", [(56, 8, 1.02)], ids=["56x8"], indirect=True)
 
 
 def grounded_potential_operator(mesh, rng):
@@ -434,19 +465,6 @@ def colours(mesh):
 
 
 class TestBandCholesky:
-    @pytest.mark.parametrize("nr1", [49, 151, 152, 201])
-    def test_width_and_symmetry_pick_the_layout(self, splu_calls, nr1):
-        rng = np.random.default_rng(21)
-        narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
-        assert isinstance(factorize(narrow, capacity_operator(narrow, rng)), BandLU)
-        # symmetric on a wide mesh: the condensed Cholesky, however wide
-        m = mesh_of_width(nr1)
-        assert isinstance(factorize(m, capacity_operator(m, rng)), CondensedFactor)
-        assert not splu_calls
-        # nonsymmetric on a wide mesh: SuperLU
-        assert isinstance(factorize(m, transport_operator(m, rng)), spla.SuperLU)
-        assert len(splu_calls) == 1
-
     @pytest.mark.parametrize("build", [grounded_potential_operator, pinned_pressure_operator],
                              ids=lambda f: f.__name__)
     def test_widest_default_mesh_solve_matches_dense_solve(self, build):
@@ -463,12 +481,12 @@ class TestBandCholesky:
 
     @WIDE
     @pytest.mark.parametrize("build", SPD_OPERATORS, ids=lambda f: f.__name__)
-    def test_spd_operator_solve_matches_dense_solve(self, superlu_mesh, build):
+    def test_spd_operator_solve_matches_dense_solve(self, kept_ilu_mesh, build):
         rng = np.random.default_rng(22)
-        a = build(superlu_mesh, rng)
-        b = rng.normal(size=superlu_mesh.n_nodes)
+        a = build(kept_ilu_mesh, rng)
+        b = rng.normal(size=kept_ilu_mesh.n_nodes)
         expected = np.linalg.solve(dense(a), b)
-        lu = factorize(superlu_mesh, a)
+        lu = factorize(kept_ilu_mesh, a)
         assert isinstance(lu, CondensedFactor)
         x = lu.solve(b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -494,39 +512,9 @@ class TestBandCholesky:
         assert np.all(colour[layout.red] != colour[-1])
         assert layout.kept.size + layout.red.size == m.n_nodes
 
-    @WIDE
-    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf])
-    def test_a_red_pivot_not_positive_and_finite_goes_to_superlu(self, superlu_mesh,
-                                                                splu_calls, value):
-        # checked before the division, which would warn under -W error
-        rng = np.random.default_rng(28)
-        a = grounded_potential_operator(superlu_mesh, rng)
-        red = superlu_mesh.derived("condensed_layout", _assembly._condensed_layout).red
-        a.data[a.pattern.diag[red[red.size // 2]]] = value
-        b = rng.normal(size=superlu_mesh.n_nodes)
-        lu = factorize(superlu_mesh, a)
-        assert isinstance(lu, spla.SuperLU)
-        assert len(splu_calls) == 1
-        if np.isfinite(value):
-            expected = np.linalg.solve(dense(a), b)
-            assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    @WIDE
-    def test_symmetric_indefinite_operator_falls_back_to_lu(self, superlu_mesh, splu_calls):
-        rng = np.random.default_rng(23)
-        a = diffusion_matrix(superlu_mesh, random_faces(superlu_mesh, rng, 0.1, 3.0))
-        a.data[a.pattern.diag] -= 0.5 * a.data[a.pattern.diag].mean()
-        b = rng.normal(size=superlu_mesh.n_nodes)
-        expected = np.linalg.solve(dense(a), b)
-        assert np.linalg.eigvalsh(dense(a)).min() < 0.0
-        lu = factorize(superlu_mesh, a)
-        assert isinstance(lu, spla.SuperLU)
-        assert len(splu_calls) == 1
-        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
-
     def test_cholesky_factor_counts_its_band(self):
         # the band of the Schur complement on the last node's colour, half-width nr1
-        m = mesh_of_width(_assembly._DIRECT_MAX_WIDTH + 1)
+        m = mesh_of_width(49)
         lu = factorize(m, capacity_operator(m, np.random.default_rng(24)))
         kept = np.count_nonzero(colours(m) == colours(m)[-1])
         w, ones = m.nr1, np.ones((kept, kept))
@@ -534,9 +522,11 @@ class TestBandCholesky:
         assert lu.U.nnz == 0  # U is L transposed, in the same storage
 
 
-#: meshes between the band and direct limits, (nr1, nz1) in nodes: nr1 + nz1
-#: odd and even, so that the kept colour is either one, and nr1 odd and even
-BETWEEN = {"25x6": (25, 6), "25x7": (25, 7), "26x6": (26, 6), "48x7": (48, 7)}
+#: meshes past the band limit, (nr1, nz1) in nodes: nr1 + nz1 odd and even, so
+#: that the kept colour is either one, and nr1 odd and even; 58x6 is wider than
+#: any `SpeciesSolver` factors directly
+PAST_BAND = {"25x6": (25, 6), "25x7": (25, 7), "26x6": (26, 6), "48x7": (48, 7),
+             "58x6": (58, 6)}
 
 
 def mesh_of_nodes(nr1, nz1):
@@ -555,7 +545,7 @@ def assert_band_lu_solves(m, a, b):
 
 
 class TestCondensedLU:
-    @pytest.mark.parametrize("shape", list(BETWEEN.values()), ids=list(BETWEEN))
+    @pytest.mark.parametrize("shape", list(PAST_BAND.values()), ids=list(PAST_BAND))
     @pytest.mark.parametrize("build", [transport_operator, capacity_operator],
                              ids=lambda f: f.__name__)
     def test_condensed_solve_matches_dense_solve(self, shape, build, splu_calls):
@@ -581,7 +571,8 @@ class TestCondensedLU:
         assert lu.L.nnz == np.count_nonzero(np.tril(np.triu(ones, -w), -1))
         assert lu.U.nnz == np.count_nonzero(np.triu(np.tril(ones, 2 * w)))
 
-    @pytest.mark.parametrize("shape", [BETWEEN["25x7"], BETWEEN["26x6"]], ids=["25x7", "26x6"])
+    @pytest.mark.parametrize("shape", [PAST_BAND[k] for k in ("25x7", "26x6", "58x6")],
+                             ids=["25x7", "26x6", "58x6"])
     # a symmetric operator's eliminated pivots must be positive as well
     @pytest.mark.parametrize("build, value", [
         (transport_operator, 0.0), (transport_operator, np.inf), (capacity_operator, 0.0),
@@ -596,8 +587,9 @@ class TestCondensedLU:
         a.data[a.pattern.diag[red[red.size // 2]]] = value
         assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
 
-    def test_non_dominant_eliminated_columns_take_the_band_lu(self):
-        m = mesh_of_width(26)
+    @pytest.mark.parametrize("nr1", [26, 58])
+    def test_non_dominant_eliminated_columns_take_the_band_lu(self, nr1):
+        m = mesh_of_width(nr1)
         a = pivoting_operator(m, np.random.default_rng(6))
         # its pinned row 7 is red: its column holds transmissibilities far
         # above the 1 on its diagonal
@@ -606,10 +598,11 @@ class TestCondensedLU:
         assert_band_lu_solves(m, a, np.random.default_rng(43).normal(size=m.n_nodes))
         assert np.any(factorize(m, a).piv != np.arange(m.n_nodes))
 
-    def test_symmetric_indefinite_operator_takes_the_band_lu(self):
+    @pytest.mark.parametrize("shape", [PAST_BAND["26x6"], PAST_BAND["58x6"]], ids=["26x6", "58x6"])
+    def test_symmetric_indefinite_operator_takes_the_band_lu(self, shape):
         # positive eliminated pivots, but kept diagonals lowered until S is
         # indefinite: dpbtrf turns it down
-        m = mesh_of_nodes(*BETWEEN["26x6"])
+        m = mesh_of_nodes(*shape)
         rng = np.random.default_rng(45)
         a = diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0))
         kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
@@ -617,7 +610,7 @@ class TestCondensedLU:
         assert _assembly._is_symmetric(a) and np.linalg.eigvalsh(dense(a)).min() < 0.0
         assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
 
-    @pytest.mark.parametrize("shape", list(BETWEEN.values()), ids=list(BETWEEN))
+    @pytest.mark.parametrize("shape", list(PAST_BAND.values()), ids=list(PAST_BAND))
     def test_singular_operator_raises(self, shape):
         m = mesh_of_nodes(*shape)
         a = transport_operator(m, np.random.default_rng(44))
@@ -675,46 +668,46 @@ def krylov_work(counts):
 
 class TestSpeciesSolver:
     @WIDE
-    def test_kept_ilu_solve_matches_factorize(self, superlu_mesh, spilu_calls):
-        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
-        b = species_rhs(superlu_mesh)
+    def test_kept_ilu_solve_matches_factorize(self, kept_ilu_mesh, spilu_calls):
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        b = species_rhs(kept_ilu_mesh)
         for speed in (10.0, 10.2, 10.4):
-            assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, speed), b)
+            assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, 0.01, speed), b)
         assert krylov_work(solver.counts) == (3, 1, 0)
         assert solver.counts.gmres_iterations > 0
         assert len(spilu_calls) == 1
 
     @WIDE
-    def test_the_kept_ilu_is_in_superlus_minimum_degree_order(self, superlu_mesh):
-        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
-        a = species_operator(superlu_mesh, 0.01, 10.0)
-        solver.solve(a, species_rhs(superlu_mesh))
+    def test_the_kept_ilu_is_in_superlus_minimum_degree_order(self, kept_ilu_mesh):
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        a = species_operator(kept_ilu_mesh, 0.01, 10.0)
+        solver.solve(a, species_rhs(kept_ilu_mesh))
         assert solver.counts.ilu_builds == 1
         assert np.array_equal(solver._ilu.perm_c, stock_lu(a).perm_c)
 
     @WIDE
-    def test_switching_the_speeds_off_rebuilds_the_ilu(self, superlu_mesh, spilu_calls):
-        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
-        b = species_rhs(superlu_mesh)
+    def test_switching_the_speeds_off_rebuilds_the_ilu(self, kept_ilu_mesh, spilu_calls):
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        b = species_rhs(kept_ilu_mesh)
         for speed in (10.0, 0.0):
-            assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, speed), b)
+            assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, 0.01, speed), b)
         assert krylov_work(solver.counts) == (2, 2, 0)
         assert len(spilu_calls) == 2
 
     @WIDE
-    def test_a_failing_fresh_ilu_falls_back_and_stays_direct(self, superlu_mesh, spilu_calls):
-        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
-        b = species_rhs(superlu_mesh)
-        assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 1e4, 0.0), b)
+    def test_a_failing_fresh_ilu_falls_back_and_stays_direct(self, kept_ilu_mesh, spilu_calls):
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        b = species_rhs(kept_ilu_mesh)
+        assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, 1e4, 0.0), b)
         assert krylov_work(solver.counts) == (0, 1, 1)
         # an operator a fresh ILU would solve still goes to the direct solve
-        assert_solves(solver, superlu_mesh, species_operator(superlu_mesh, 0.01, 10.0), b)
+        assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, 0.01, 10.0), b)
         assert krylov_work(solver.counts) == (0, 1, 2)
         assert len(spilu_calls) == 1
 
     @WIDE
     def test_a_solve_applies_the_ilu_once_per_iteration_and_once_for_x0(
-            self, superlu_mesh, monkeypatch):
+            self, kept_ilu_mesh, monkeypatch):
         applications = []
         spilu = spla.spilu
 
@@ -727,10 +720,10 @@ class TestSpeciesSolver:
                 return self._ilu.solve(b)
 
         monkeypatch.setattr(spla, "spilu", lambda *args, **kw: CountedIlu(spilu(*args, **kw)))
-        solver = SpeciesSolver(superlu_mesh, KrylovCounts())
-        b = species_rhs(superlu_mesh)
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        b = species_rhs(kept_ilu_mesh)
         for speed in (10.0, 10.2):  # a fresh ILU, then the kept one
-            a = species_operator(superlu_mesh, 0.01, speed)
+            a = species_operator(kept_ilu_mesh, 0.01, speed)
             iterations, applied = solver.counts.gmres_iterations, len(applications)
             x = solver.solve(a, b)
             assert (len(applications) - applied

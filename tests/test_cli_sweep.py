@@ -10,7 +10,7 @@ import pytest
 
 import compare_run_dirs
 from depotsim import sweep
-from depotsim.cli import main
+from depotsim.cli import build_parser, main
 from depotsim.config import load_config, load_config_text
 from depotsim.io import load_checkpoint, read_timeseries
 from depotsim.mesh import nodal_integral
@@ -403,6 +403,20 @@ class TestSweep:
         from depotsim.params import ConfigurationError
         with pytest.raises(ConfigurationError):
             run_sweep(load_config_text(TINY), "temperature", [1], tmp_path)
+
+    def test_the_parser_takes_its_axes_from_the_sweep(self, capsys):
+        parser = build_parser()
+        for axis in sweep.AXES:
+            args = parser.parse_args(["sweep", "x.cfg", "--axis", axis, "--values", "1"])
+            assert args.axis == axis
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(["sweep", "x.cfg", "--axis", "temperature", "--values", "1"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        # every axis is offered, in the order of `sweep.AXES`
+        offered = err[err.index("choose from"):]
+        assert [offered.index(axis) for axis in sweep.AXES] == sorted(
+            offered.index(axis) for axis in sweep.AXES)
 
     def test_cli_sweep_bmi(self, tiny_cfg_file, tmp_path):
         rc = main(["sweep", str(tiny_cfg_file), "--axis", "bmi",

@@ -441,6 +441,16 @@ class TestCheckpoint:
         assert ledger2.injected == ledger.injected
         assert ledger2.closure_residual() == pytest.approx(0.0, abs=1e-12)
 
+    def test_the_ledger_is_stored_in_its_field_order(self, tmp_path):
+        ledger = DoseLedger(injected=1e-7, free=5e-8, bound=2e-8, absorbed_lymph=2.5e-8,
+                            eliminated=5e-9)
+        path = save_checkpoint(small_state(), ledger, "final", tmp_path / "chk.npz",
+                               config_text="")
+        with np.load(path) as data:
+            assert data["ledger"].dtype == np.float64
+            assert data["ledger"].tolist() == [1e-7, 5e-8, 2e-8, 2.5e-8, 5e-9]
+        assert load_checkpoint(path)[1] == ledger
+
     def test_a_compressed_checkpoint_loads_identically(self, tmp_path):
         # checkpoints were written by np.savez_compressed before; those still load
         ledger = DoseLedger(injected=1e-7, free=6e-8, bound=1e-8, absorbed_lymph=3e-8)

@@ -13,7 +13,7 @@ from depotsim.flow import (PressureSolver, SolverError, injection_source,
                            tissue_pressure)
 from depotsim.mesh import FieldState, build_graded_mesh, nodal_integral, project_field
 from depotsim.metrics import (MetricSeries, ball, ball_average, domain_average,
-                              net_charge_density)
+                              dose_fractions, net_charge_density)
 from depotsim.orchestrator import (PRESSURE_BALL_RADIUS, ROUND_OFF, DoseLedger,
                                    NegativeConcentrationError, Simulation,
                                    StaggeredStepper, _admit)
@@ -411,6 +411,41 @@ class TestWideFineMesh:
         result = Simulation(load_config_text(WIDE_FINE)).run_pipeline()
         assert result.phase_counters["injection"]["ilu_builds"] > 0
         assert not calls
+
+    def test_forced_direct_species_solves_are_condensed_and_keep_the_split(self,
+                                                                           monkeypatch):
+        # every kept-ILU GMRES run fails, so each injection species solve goes
+        # to `factorize`, which must not reach for SuperLU
+        config = load_config_text(WIDE_FINE)
+        unpatched = Simulation(config).run_pipeline()
+        solves, factors = [], set()
+        solve, factorize = _assembly.SpeciesSolver.solve, _assembly.factorize
+
+        def counting(self, a, b):
+            solves.append(self.mesh.nr1)
+            return solve(self, a, b)
+
+        def keeping(mesh, a):
+            lu = factorize(mesh, a)
+            factors.add((mesh.nr1, type(lu)))
+            return lu
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("SuperLU factor")
+
+        monkeypatch.setattr(_assembly.SpeciesSolver, "solve", counting)
+        monkeypatch.setattr(_assembly.SpeciesSolver, "_gmres", lambda self, a, b: None)
+        monkeypatch.setattr(_assembly, "factorize", keeping)
+        monkeypatch.setattr(spla, "splu", refuse)
+        forced = Simulation(config).run_pipeline()
+        nr1 = config.fine_mesh().nr1
+        injection = forced.phase_counters["injection"]
+        assert injection["krylov_solves"] == 0
+        assert injection["direct_fallbacks"] == solves.count(nr1) > 0
+        assert {kind for width, kind in factors if width == nr1} == {_assembly.CondensedFactor}
+        assert max_closure_residual(forced) <= 1e-12
+        assert np.allclose(dose_fractions(forced.ledger), dose_fractions(unpatched.ledger),
+                           rtol=0.0, atol=1e-9)
 
     def test_phase_end_drops_the_preconditioners(self, monkeypatch):
         ilus = []
