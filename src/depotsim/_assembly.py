@@ -13,8 +13,8 @@ An operator is plain data on that pattern, an `Operator`: the pattern and
 one ``data`` array. Operators on one mesh therefore add by their ``data``
 arrays, and Dirichlet nodes are imposed in place by `pin_nodes`. The
 pattern's ``indptr`` and ``indices`` are read-only and shared by every
-operator built on the mesh. A scipy matrix is built only where ``spilu``
-or a matrix-vector product needs one.
+operator built on the mesh. A scipy matrix is built only where ``spilu``,
+a matrix-vector product or an extended-precision residual needs one.
 
 Two families of factor solve these operators. `factorize` makes direct
 factors in LAPACK band storage, in the layout the mesh's half-bandwidth and
@@ -30,7 +30,8 @@ operator on the pattern lies in a band of half-width nr1:
   ``dpbtrf`` if the operator is symmetric and by ``dgbtrf`` if not, about
   half the work of the full band. An operator unsafe to condense takes the
   band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record where
-  each wins; the other family, the species' kept ILU, is below.
+  each wins; the other family, the species' kept ILU of the same reduced
+  system, is below.
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -45,6 +46,9 @@ arrays; none holds an operator or a factor:
 - `_condensed_layout`: the red-black condensation map, from faces to kept and
   eliminated nodes and from pair products to the Cholesky's reduced band;
   `_condensed_lu_layout`, its copy into the LU's, only where one is needed.
+- `_reduced_layout`: the CSR patterns of the coupling blocks A_KR and A_RK
+  of that condensation and the ``data`` slots that fill them, only on a mesh
+  where a `SpeciesSolver` runs GMRES.
 
 Face fields. A coefficient, speed or flux on the dual faces is one array of
 ``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
@@ -53,9 +57,11 @@ axis first. `face_families` gives the two family views to a caller that
 needs the (r, z) shapes.
 
 Species transport on a mesh wider than `_DIRECT_MAX_WIDTH` does not factor
-every step. A `SpeciesSolver` per species keeps an incomplete LU (``spilu``,
-drop tolerance `_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier
-operator in SuperLU's own minimum-degree order, and solves each step by
+every step. A `SpeciesSolver` per species condenses each operator red-black
+as `factorize` does, keeps an incomplete LU (``spilu``, drop tolerance
+`_ILU_DROP_TOL`, fill factor `_ILU_FILL_FACTOR`) of an earlier Schur
+complement in SuperLU's own minimum-degree order, and solves each step's
+reduced system, applied matrix-free (`ReducedSystem`), by
 GMRES(`_GMRES_RESTART`) preconditioned by it; the species operators change
 slowly from step to step, so the kept ILU usually serves until the flow
 stops. Narrower meshes factor the species afresh each step. The potential
@@ -124,10 +130,12 @@ class Operator:
     data: np.ndarray
 
 
-def _csr(a: Operator) -> sp.csr_matrix:
-    """The operator as a scipy CSR matrix, for ``spilu`` and matvecs."""
+def _extended(a: Operator) -> sp.csr_matrix:
+    """The operator in extended precision as a scipy CSR matrix, for the
+    residual of a refined solve."""
     n = a.pattern.indptr.size - 1
-    return sp.csr_matrix((a.data, a.pattern.indices, a.pattern.indptr), shape=(n, n))
+    return sp.csr_matrix((a.data.astype(np.longdouble), a.pattern.indices, a.pattern.indptr),
+                         shape=(n, n))
 
 
 #: Widest mesh (nodes per row, nr1) that `factorize` factors as a plain band.
@@ -146,24 +154,26 @@ def _csr(a: Operator) -> sp.csr_matrix:
 #: condensing wins from 25 wide on.
 _BAND_MAX_WIDTH = 24
 #: Widest mesh on which a `SpeciesSolver` factors its operator afresh each
-#: step; wider ones run GMRES on a kept ILU. Mean ms a solve, fresh condensed
-#: LU / kept ILU with its builds and any fallback, over whole phases of a
-#: pipeline on n x n meshes (fine graded 1.03): 500 injection steps of 0.02 s
-#: or 40 of 0.25 s, and a 1 h long phase of 78; best of two runs, as above:
+#: step; wider ones run GMRES on a kept ILU of the reduced system. Mean ms a
+#: solve, fresh condensed LU / kept ILU with its builds and any fallback (the
+#: Krylov path forced up to 48 wide), over whole phases of a pipeline on
+#: n x n meshes (fine graded 1.03): 500 injection steps of 0.02 s or 40 of
+#: 0.25 s, and a 1 h long phase of 78; best of two runs, as above:
 #:
 #:   nr1                  25       33       41       49       65       73
-#:   Na+  inj .02    .23/.58  .36/.38  .70/.75  1.2/1.3  4.2/2.3  7.5/3.2
-#:   H+   inj .02    .23/.57  .36/.60  .69/.99  1.2/1.5  3.8/2.5  6.2/3.4
-#:   drug inj .02    .22/.55  .35/.52  .69/.86  1.2/1.2   10/1.7   21/2.3
-#:   Na+  inj .25    .24/.40  .55/.63  1.2/1.1  1.2/.87  3.7/1.3  6.8/1.9
-#:   H+   inj .25    .23/.32  .47/.52  1.1/.99  1.1/.78  3.2/1.5  6.1/2.4
-#:   drug inj .25    .23/.30  .43/.48  1.1/.85  1.1/.69  3.7/1.2  8.6/1.9
-#:   Na+  long       .24/.61  .41/.85  .70/1.2  1.1/1.7  3.4/3.2  5.6/4.6
-#:   H+   long       .23/.94  .38/1.1  .69/1.8  1.2/2.4  3.2/3.7  5.3/6.0
-#:   drug long       .24/.40  .35/.46  .69/.65  1.1/.85  3.2/1.9  5.5/2.7
+#:   Na+  inj .02    .21/.43  .36/.72  .69/.43  1.1/.84  3.4/1.7  6.7/2.1
+#:   H+   inj .02    .20/.41  .34/.66  .67/.66  1.1/.81  3.0/1.6  5.1/2.0
+#:   drug inj .02    .20/.41  .34/.65  .67/.61  1.0/.89  8.6/1.5   18/1.9
+#:   Na+  inj .25    .20/.31  .35/.38  .72/.53  1.0/.62  3.1/1.0  5.3/1.2
+#:   H+   inj .25    .19/.30  .33/.33  .68/.51  1.0/.60  2.9/1.1  4.4/1.4
+#:   drug inj .25    .19/.27  .32/.30  .68/.44  1.0/.52  3.3/.85  6.8/1.0
+#:   Na+  long       .21/.43  .33/.63  .68/.76  1.1/.96  3.1/1.7  4.7/2.2
+#:   H+   long       .19/.61  .32/.89  .66/1.2  1.1/1.6  3.0/3.1  4.2/3.9
+#:   drug long       .20/.35  .32/.47  .67/.59  1.1/.71  3.0/1.1  4.3/1.4
 #:
-#: Each ILU was built 1-6 times a phase; only the long H+ one failed for good
-#: (65, 73). Direct wins to 33, and at 49 on 0.02 s and long steps.
+#: Each ILU was built 3-15 times a phase and none failed for good. Direct
+#: wins or ties to 33 wide, and in the long phase of Na+ to 41 and of H+ to
+#: 65; the kept ILU wins on injection steps from 41 wide on.
 _DIRECT_MAX_WIDTH = 48
 
 
@@ -335,9 +345,10 @@ class CondensedFactor:
     its couplings over its red node's d, ``reduce`` of A_KR and ``back`` of
     A_RK: one array if A is symmetric. ``solve`` reduces b to
     ``b_K - A_KR D⁻¹ b_R``, solves S and back-substitutes
-    ``x_R = D⁻¹ (b_R - A_RK x_K)``. ``L.nnz`` and ``U.nnz`` are the entries the
-    reduced factor stores; a Cholesky's ``U`` is ``Lᵀ`` in the same storage,
-    so its ``U.nnz`` is 0.
+    ``x_R = D⁻¹ (b_R - A_RK x_K)``; given ``_refine``, A in extended
+    precision, it refines once as `BandLU` does. ``L.nnz`` and ``U.nnz`` are
+    the entries the reduced factor stores; a Cholesky's ``U`` is ``Lᵀ`` in
+    the same storage, so its ``U.nnz`` is 0.
     """
 
     _ab: np.ndarray
@@ -346,6 +357,7 @@ class CondensedFactor:
     _reduce: np.ndarray
     _back: np.ndarray
     _band: CondensedLayout
+    _refine: sp.csr_matrix | None
 
     @property
     def L(self) -> StoredEntries:
@@ -358,6 +370,12 @@ class CondensedFactor:
         return StoredEntries(0 if self.piv is None else _below(n, 2 * w) + n)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        x = self._solve(b)
+        if self._refine is not None:
+            x += self._solve((b - self._refine @ x).astype(float))
+        return x
+
+    def _solve(self, b: np.ndarray) -> np.ndarray:
         band = self._band
         b_red = b[band.red]
         b_kept = b[band.kept] - np.bincount(band.face_kept, self._reduce * b_red[band.face_red],
@@ -430,30 +448,60 @@ def factorize(mesh: AxiMesh, a: Operator):
         raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
     refine = None  # past the band limit, the fallback for an operator unsafe to condense
     if mesh.nr1 > _BAND_MAX_WIDTH:
-        refine = _csr(Operator(pattern, a.data.astype(np.longdouble)))
+        refine = _extended(a)
     return BandLU(lu, piv, band, refine)
+
+
+#: Slack of the dominance check on eliminated columns: a column sum and its
+#: diagonal add the same face terms in different orders, so a column dominant
+#: by equality, as in a transport operator without storage, exceeds its
+#: diagonal by up to 1.5 eps on 49- to 73-wide meshes.
+_DOMINANCE_SLACK = 1.0 + 8.0 * np.finfo(float).eps
+
+
+def _eliminable(d: np.ndarray, c_kr: np.ndarray, red_of: np.ndarray,
+                symmetric: bool) -> bool | None:
+    """Whether the red nodes of an operator can be eliminated without
+    pivoting: None where they cannot, else whether an eliminated column is
+    dominant only to round-off.
+
+    ``d`` holds the red pivots and ``c_kr`` the entries of A_KR, entry i in
+    red node ``red_of[i]``'s column. Elimination is not safe where a pivot is zero or not finite, or, if the
+    operator is symmetric, not positive; and where a nonsymmetric operator's
+    eliminated columns are not diagonally dominant to within
+    `_DOMINANCE_SLACK`, so that eliminating them may grow S's entries
+    (transport operators are M-matrices and pass). A column dominant only to
+    round-off has no storage at its node, the mark of an operator near
+    singular, such as a row-pinned Neumann one.
+    """
+    if not (np.isfinite(d).all() and ((d > 0.0) if symmetric else (d != 0.0)).all()):
+        return None
+    if symmetric:
+        return False
+    column, bound = np.bincount(red_of, np.abs(c_kr), minlength=d.size), np.abs(d)
+    if (_DOMINANCE_SLACK * column < bound).all():
+        return False
+    if (column <= _DOMINANCE_SLACK * bound).all():
+        return True
+    return None
 
 
 def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | None:
     """The red-black condensed factor of an operator at any width, or None
-    where condensing is not safe: where an eliminated pivot is zero or not
-    finite (or, if the operator is symmetric, not positive), checked before
-    any division; where a nonsymmetric operator's eliminated columns are not
-    diagonally dominant, so that eliminating them without pivoting may grow
-    S's entries (transport operators are M-matrices and pass); and where
-    ``dpbtrf`` finds S, and so A, not positive definite. Raises
+    where condensing is not safe: where `_eliminable` turns its red nodes
+    down, and where ``dpbtrf`` finds S, and so A, not positive definite. An
+    LU whose eliminated columns are dominant only to round-off refines its
+    solves, as the band LU past `_BAND_MAX_WIDTH` does. Raises
     ``RuntimeError`` if ``dgbtrf`` finds S exactly singular.
     """
     band = (mesh.derived("condensed_layout", _condensed_layout) if symmetric
             else mesh.derived("condensed_lu_layout", _condensed_lu_layout))
     diag = a.data[a.pattern.diag]
     d = diag[band.red]
-    if not (np.isfinite(d).all() and ((d > 0.0) if symmetric else (d != 0.0)).all()):
-        return None
     c_rk = a.data[band.rk]
     c_kr = c_rk if symmetric else a.data[band.kr]
-    if not symmetric and not (np.bincount(band.face_red, np.abs(c_kr), minlength=band.red.size)
-                              <= np.abs(d)).all():
+    weak = _eliminable(d, c_kr, band.face_red, symmetric)
+    if weak is None:
         return None
     d_face = d[band.face_red]
     reduce = c_kr / d_face
@@ -465,20 +513,22 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
     if symmetric:
         ab = np.bincount(band.slots, np.concatenate(parts), minlength=n * (w + 1))
         factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, lower=1, overwrite_ab=1)
-        return CondensedFactor(factor, None, d, reduce, back, band) if info == 0 else None
+        return CondensedFactor(factor, None, d, reduce, back, band, None) if info == 0 else None
     ab = np.bincount(band.slots, np.concatenate(parts + [-c_rk[g] * reduce[f]]),
                      minlength=n * (3 * w + 1))
     factor, piv, info = lapack.dgbtrf(ab.reshape(n, 3 * w + 1).T, w, w, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"Factor is exactly singular: zero pivot in kept column {info - 1}")
-    return CondensedFactor(factor, piv, d, reduce, back, band)
+    refine = _extended(a) if weak else None
+    return CondensedFactor(factor, piv, d, reduce, back, band, refine)
 
 
 #: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. On the 73-wide
 #: mesh of the benchmark's injection_fine workload, the ILU of a transport
-#: operator stores 40k entries. Over that workload's 6 s injection phase (72
+#: operator's Schur complement stores 6-23k entries, where that of the full
+#: operator stored 23-49k. Over that workload's 6 s injection phase (72
 #: species solves at dt 0.25 s) the solvers build 6 ILUs, at the first step
-#: and at flow stop, and take 3.9 GMRES iterations a solve, with no fallback.
+#: and at flow stop, and take 3.1 GMRES iterations a solve, with no fallback.
 _ILU_DROP_TOL = 1e-4
 _ILU_FILL_FACTOR = 2
 _GMRES_RESTART = 8
@@ -508,28 +558,123 @@ class KrylovCounts:
     direct_fallbacks: int = 0
 
 
+@dataclass(frozen=True)
+class ReducedLayout:
+    """The fixed patterns of a mesh's red-black reduced system; arrays read-only.
+
+    On the mesh's `CondensedLayout` (``kept`` and ``red`` are its arrays),
+    A_KR (rows kept, columns red) and A_RK (rows red, columns kept) are CSR
+    blocks given by ``indptr`` and ``indices``, each row's entries in face
+    order; ``kr_slots`` and ``rk_slots`` are the CSR ``data`` slots of A's
+    entries in each block's order, and ``kept_diag`` and ``red_diag`` the
+    slots of A_KK and D.
+    """
+
+    kept: np.ndarray
+    red: np.ndarray
+    kr_slots: np.ndarray
+    kr_indptr: np.ndarray
+    kr_indices: np.ndarray
+    rk_slots: np.ndarray
+    rk_indptr: np.ndarray
+    rk_indices: np.ndarray
+    kept_diag: np.ndarray
+    red_diag: np.ndarray
+
+
+def _reduced_layout(mesh: AxiMesh) -> ReducedLayout:
+    """The mesh's reduced-system patterns; a `SpeciesSolver` keeps them on the mesh."""
+    band = mesh.derived("condensed_layout", _condensed_layout)
+
+    def block(rows, cols, slots, n_rows):
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+        return slots[order], indptr.astype(np.int32), cols[order].astype(np.int32)
+
+    kr = block(band.face_kept, band.face_red, band.kr, band.kept.size)
+    rk = block(band.face_red, band.face_kept, band.rk, band.red.size)
+    diag = csr_pattern(mesh).diag
+    return ReducedLayout(band.kept, band.red, *kr, *rk, diag[band.kept], diag[band.red])
+
+
+@dataclass(slots=True, eq=False)
+class ReducedSystem:
+    """One operator A condensed red-black for a Krylov solve: the Schur
+    complement ``S = A_KK - A_KR D⁻¹ A_RK`` on the kept nodes, applied
+    matrix-free by ``S @ x``.
+
+    ``diag`` is A_KK, diagonal on the 5-point pattern, ``d`` the eliminated
+    diagonal D, and ``kr`` and ``rk`` the CSR blocks A_KR and A_RK; together
+    they are every entry of A.
+    """
+
+    layout: ReducedLayout
+    diag: np.ndarray
+    d: np.ndarray
+    kr: sp.csr_matrix
+    rk: sp.csr_matrix
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return self.diag * x - self.kr @ (self.rk @ x / self.d)
+
+    def matrix(self) -> sp.csc_matrix:
+        """S formed explicitly, for ``spilu``."""
+        scaled = self.rk.copy()
+        scaled.data /= np.repeat(self.d, np.diff(scaled.indptr))
+        return (sp.diags(self.diag) - self.kr @ scaled).tocsc()
+
+    def reduce(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``b_R`` and the reduced right-hand side ``b_K - A_KR D⁻¹ b_R``."""
+        b_red = b[self.layout.red]
+        return b_red, b[self.layout.kept] - self.kr @ (b_red / self.d)
+
+    def back_substitute(self, b_red: np.ndarray, x_kept: np.ndarray) -> np.ndarray:
+        """x in mesh numbering from x_K, with ``x_R = D⁻¹ (b_R - A_RK x_K)``."""
+        x = np.empty(b_red.size + x_kept.size)
+        x[self.layout.kept] = x_kept
+        x[self.layout.red] = (b_red - self.rk @ x_kept) / self.d
+        return x
+
+    def residual_norm(self, b: np.ndarray, x: np.ndarray) -> float:
+        """``‖b - A x‖``, the kept rows' and the eliminated rows' parts summed
+        from A's blocks."""
+        kept, red = self.layout.kept, self.layout.red
+        x_kept, x_red = x[kept], x[red]
+        return float(np.hypot(np.linalg.norm(b[kept] - self.diag * x_kept - self.kr @ x_red),
+                              np.linalg.norm(b[red] - self.d * x_red - self.rk @ x_kept)))
+
+
 class SpeciesSolver:
     """Solves one species' transport operator at each step of a phase.
 
     On a mesh at most `_DIRECT_MAX_WIDTH` wide every solve is a fresh
     `factorize`, past `_BAND_MAX_WIDTH` a condensed LU. On a wider mesh the
-    solver keeps an incomplete LU of an earlier operator, cheaper there (the
-    table at `_DIRECT_MAX_WIDTH`), built by ``spilu`` in SuperLU's own
-    minimum-degree order, and answers ``A x = b`` by GMRES right-preconditioned
-    by it, started from ``M⁻¹ b`` (`_gmres`). A result counts only when the
-    explicitly computed residual ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it
-    fails, the ILU is rebuilt on the current operator and GMRES runs once
-    more; if a fresh ILU fails too, the solve goes to `factorize`, a
-    condensed LU, and so does every later one of this solver. The ILU lives
-    as long as the solver: its owner, the stepper of one phase, holds it, not the mesh.
+    solver condenses each operator red-black, as `factorize` does, into its
+    `ReducedSystem`: the Schur complement S on the kept nodes, the reduced
+    system of Elman & Golub (Math. Comp. 54, 1990). It solves S by GMRES
+    right-preconditioned by an incomplete LU of an earlier S, started from
+    ``M⁻¹ b̃`` (`_gmres`), and back-substitutes the eliminated colour. S is
+    applied matrix-free and formed only for ``spilu``, which keeps its ILU
+    in SuperLU's own minimum-degree order; on the benchmark's 73-wide mesh
+    ILU(S) stores 2-4x fewer entries than the ILU of A did (the comment at
+    `_ILU_DROP_TOL`) and applies 25-30% faster. A result counts only when
+    the explicitly computed residual of the full system
+    ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is rebuilt on
+    the current S and GMRES runs once more; if a fresh ILU fails too (or
+    ``spilu`` meets a zero pivot), or if the operator is unsafe to condense
+    (`_eliminable`), the solve goes to `factorize`, and so does every later
+    one of this solver. The ILU lives as long as the solver: its owner, the
+    stepper of one phase, holds it, not the mesh; so do the CSR blocks of
+    A_KR and A_RK, whose ``data`` each solve refills.
     """
 
-    __slots__ = ("mesh", "counts", "_ilu", "_direct")
+    __slots__ = ("mesh", "counts", "_ilu", "_blocks", "_direct")
 
     def __init__(self, mesh: AxiMesh, counts: KrylovCounts):
         self.mesh = mesh
         self.counts = counts
         self._ilu = None
+        self._blocks = None
         self._direct = mesh.nr1 <= _DIRECT_MAX_WIDTH
 
     def solve(self, a: Operator, b: np.ndarray) -> np.ndarray:
@@ -538,7 +683,7 @@ class SpeciesSolver:
             if x is not None:
                 self.counts.krylov_solves += 1
                 return x
-            self._direct, self._ilu = True, None
+            self._direct, self._ilu, self._blocks = True, None, None
         if self.mesh.nr1 > _DIRECT_MAX_WIDTH:
             self.counts.direct_fallbacks += 1
         return factorize(self.mesh, a).solve(b)
@@ -550,51 +695,74 @@ class SpeciesSolver:
         self._ilu = None
 
     def _krylov(self, a: Operator, b: np.ndarray) -> np.ndarray | None:
-        """GMRES on the kept ILU, then on a fresh one; None if both fail."""
-        matrix = _csr(a)  # the one scipy matrix of the solve, for its matvecs
+        """GMRES on the reduced system with the kept ILU, then with a fresh
+        one; None if both fail or if the operator is unsafe to condense."""
+        layout = self.mesh.derived("reduced_layout", _reduced_layout)
+        if self._blocks is None:
+            n_kept, n_red = layout.kept.size, layout.red.size
+            self._blocks = (
+                sp.csr_matrix((np.empty(layout.kr_slots.size), layout.kr_indices,
+                               layout.kr_indptr), shape=(n_kept, n_red)),
+                sp.csr_matrix((np.empty(layout.rk_slots.size), layout.rk_indices,
+                               layout.rk_indptr), shape=(n_red, n_kept)))
+        kr, rk = self._blocks
+        d = a.data[layout.red_diag]
+        kr.data = a.data[layout.kr_slots]
+        if _eliminable(d, kr.data, kr.indices, symmetric=False) is None:
+            return None
+        rk.data = a.data[layout.rk_slots]
+        system = ReducedSystem(layout, a.data[layout.kept_diag], d, kr, rk)
         if self._ilu is not None:
-            x = self._gmres(matrix, b)
+            x = self._gmres(system, b)
             if x is not None:
                 return x
-        self._ilu = self._build_ilu(matrix)
-        return self._gmres(matrix, b)
+        try:
+            self._ilu = self._build_ilu(system)
+        except RuntimeError:  # spilu met a zero pivot: the fresh ILU fails
+            return None
+        return self._gmres(system, b)
 
-    def _build_ilu(self, matrix: sp.csr_matrix):
+    def _build_ilu(self, system: ReducedSystem):
         self.counts.ilu_builds += 1
-        return spla.spilu(matrix.tocsc(), drop_tol=_ILU_DROP_TOL,
+        return spla.spilu(system.matrix(), drop_tol=_ILU_DROP_TOL,
                           fill_factor=_ILU_FILL_FACTOR, permc_spec="MMD_AT_PLUS_A",
                           **_SMALL_SYSTEM)
 
-    def _gmres(self, a: sp.csr_matrix, b: np.ndarray) -> np.ndarray | None:
-        """Restarted GMRES(`_GMRES_RESTART`) on ``A M⁻¹``, from ``x0 = M⁻¹ b``.
+    def _gmres(self, system: ReducedSystem, b: np.ndarray) -> np.ndarray | None:
+        """Restarted GMRES(`_GMRES_RESTART`) on ``S M⁻¹``, from ``M⁻¹ b̃``;
+        the solution of ``A x = b`` in mesh numbering, or None.
 
         Saad & Schultz, SISC 7 (1986), preconditioned on the right, so the
-        Arnoldi residual is that of ``A x = b`` itself. Each cycle keeps its
-        preconditioned basis vectors ``z_j = M⁻¹ v_j`` and updates
-        ``x += Z y`` from them, so a run applies the ILU once for ``x0`` and
-        once per iteration. The basis is orthogonalised by classical
-        Gram-Schmidt applied twice. A cycle ends when the Arnoldi residual
-        reaches ``_GMRES_RTOL ‖b‖``; the next one starts only if the explicit
-        residual has not. Returns None if the explicit residual misses
-        ``_KRYLOV_RTOL ‖b‖`` after `_GMRES_CYCLES` cycles.
+        Arnoldi residual is that of the reduced system ``S x_K = b̃`` itself,
+        ``b̃ = b_K - A_KR D⁻¹ b_R``. Each cycle keeps its preconditioned basis
+        vectors ``z_j = M⁻¹ v_j`` and updates ``x_K += Z y`` from them, so a
+        run applies the ILU once for ``x0`` and once per iteration. The basis
+        is orthogonalised by classical Gram-Schmidt applied twice. A cycle
+        ends when the Arnoldi residual reaches ``_GMRES_RTOL ‖b‖``, of the
+        full b; the next one starts only if the explicit reduced residual has
+        not. After `_GMRES_CYCLES` cycles at most, ``x_R`` is
+        back-substituted, and None returned if the explicit residual of the
+        full system misses ``_KRYLOV_RTOL ‖b‖``.
         """
         precondition = self._ilu.solve
         m = _GMRES_RESTART
-        target = _GMRES_RTOL * np.linalg.norm(b)
-        x = precondition(b)
-        r = b - a @ x
+        b_norm = np.linalg.norm(b)
+        target = _GMRES_RTOL * b_norm
+        b_red, b_kept = system.reduce(b)
+        x = precondition(b_kept)
+        r = b_kept - system @ x
         r_norm = np.linalg.norm(r)
         for _ in range(_GMRES_CYCLES):
             if r_norm <= target:
                 break
-            v, z = np.empty((m + 1, b.size)), np.empty((m, b.size))
+            v, z = np.empty((m + 1, x.size)), np.empty((m, x.size))
             hess = np.zeros((m, m))  # the triangle the rotations leave of H
             g = np.zeros(m + 1)  # Qᵀ (‖r‖ e_1), last entry the residual
             cs, sn = np.zeros(m), np.zeros(m)
             v[0], g[0] = r / r_norm, r_norm
             for j in range(m):
                 z[j] = precondition(v[j])
-                w = a @ z[j]
+                w = system @ z[j]
                 h = v[:j + 1] @ w
                 w -= h @ v[:j + 1]
                 again = v[:j + 1] @ w
@@ -615,9 +783,10 @@ class SpeciesSolver:
                 v[j + 1] = w / h_next
             k = j + 1
             x = x + np.linalg.solve(hess[:k, :k], g[:k]) @ z[:k]
-            r = b - a @ x
+            r = b_kept - system @ x
             r_norm = np.linalg.norm(r)
-        if r_norm <= _KRYLOV_RTOL * np.linalg.norm(b):
+        x = system.back_substitute(b_red, x)
+        if system.residual_norm(b, x) <= _KRYLOV_RTOL * b_norm:
             return x
         return None
 

@@ -404,13 +404,15 @@ class TestFactorize:
 
     @pytest.mark.parametrize("nr", [48, 80])
     def test_the_band_lu_past_the_band_limit_refines_to_round_off(self, nr):
-        # the row-pinned Neumann operator is not condensed (its red columns are
-        # dominant only to round-off) and its condition number is near 1e6:
-        # the unrefined band solve is 2.8e-12 off at 49 wide, and the dense one
-        # 2.4e-12 there and 8.8e-12 at 81 wide
+        # the Neumann operator with a red row pinned is not condensed (the pin
+        # leaves that column's transmissibilities far above the 1 on its
+        # diagonal) and its condition number is near 1e6: the unrefined band
+        # solve is 2.5e-12 off at 49 wide and 2.1e-12 at 81 wide, the dense
+        # one 1.9e-12 there
         m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
         rng = np.random.default_rng(7)
-        a = potential_operator(m, rng)
+        red = m.derived("condensed_layout", _assembly._condensed_layout).red
+        a = pin_rows(diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0)), red[0])
         b = rng.normal(size=m.n_nodes)
         lu = factorize(m, a)
         assert isinstance(lu, BandLU)
@@ -419,6 +421,24 @@ class TestFactorize:
         # the band LU of a narrow mesh is the plain one
         narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
         assert factorize(narrow, potential_operator(narrow, rng))._refine is None
+
+    @pytest.mark.parametrize("nr", [48, 80])
+    def test_a_condensed_lu_dominant_only_to_round_off_refines_to_round_off(self, nr):
+        # the Neumann operator with its kept row 0 pinned: its red columns are
+        # dominant only to round-off, and the unrefined condensed solve is
+        # 1.9e-13 off at 49 wide and 1.9e-12 at 81 wide, the dense one 1.1e-12
+        # and 8.8e-12
+        m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
+        assert 0 in m.derived("condensed_layout", _assembly._condensed_layout).kept
+        rng = np.random.default_rng(7)
+        a = potential_operator(m, rng)
+        b = rng.normal(size=m.n_nodes)
+        lu = factorize(m, a)
+        assert isinstance(lu, CondensedFactor) and lu._refine is not None
+        exact = refined_dense_solve(dense(a), b)
+        assert np.linalg.norm(lu.solve(b) - exact) <= 1e-14 * np.linalg.norm(exact)
+        # an operator with storage on every node is dominant strictly: no refinement
+        assert factorize(m, transport_operator(m, rng))._refine is None
 
     def test_band_factor_counts_its_band(self):
         m = mesh_of_width(9)
@@ -544,6 +564,13 @@ def assert_band_lu_solves(m, a, b):
             assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
+def storage_free_transport_operator(mesh, rng):
+    """Diffusion and upwind advection without storage, the mesh's last row pinned."""
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
+                         speeds=random_faces(mesh, rng, -2.0, 2.0))
+    return pin_rows(a, mesh.n_nodes - 1)
+
+
 class TestCondensedLU:
     @pytest.mark.parametrize("shape", list(PAST_BAND.values()), ids=list(PAST_BAND))
     @pytest.mark.parametrize("build", [transport_operator, capacity_operator],
@@ -586,6 +613,23 @@ class TestCondensedLU:
         red = m.derived("condensed_layout", _assembly._condensed_layout).red
         a.data[a.pattern.diag[red[red.size // 2]]] = value
         assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
+
+    @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
+    def test_columns_dominant_by_equality_take_the_condensed_lu(self, cells):
+        # without storage every column of a diffusion-plus-upwind operator sums
+        # to 0; pinning the last row, which is kept, makes it regular
+        m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
+        a = storage_free_transport_operator(m, np.random.default_rng(46))
+        band = m.derived("condensed_layout", _assembly._condensed_layout)
+        # a red column's sum and its diagonal add the same terms in different
+        # orders: some exceed the diagonal by round-off
+        column = np.bincount(band.face_red, np.abs(a.data[band.kr]), minlength=band.red.size)
+        assert (column > np.abs(a.data[a.pattern.diag[band.red]])).any()
+        b = np.random.default_rng(47).normal(size=m.n_nodes)
+        lu = factorize(m, a)
+        assert isinstance(lu, CondensedFactor) and lu.piv is not None
+        expected = np.linalg.solve(dense(a), b)
+        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("nr1", [26, 58])
     def test_non_dominant_eliminated_columns_take_the_band_lu(self, nr1):
@@ -656,6 +700,20 @@ def spilu_calls(monkeypatch):
     return calls
 
 
+#: meshes past the direct limit, (nr1, nz1) in nodes: nr1 + nz1 odd and even,
+#: so that the kept colour is either one, and nr1 odd and even
+REDUCED = {"49x8": (49, 8), "49x9": (49, 9), "50x8": (50, 8), "65x7": (65, 7),
+           "81x6": (81, 6), "81x7": (81, 7)}
+
+
+def dense_schur(mesh, a):
+    """The Schur complement of an operator on its mesh's kept nodes, dense."""
+    band = mesh.derived("condensed_layout", _assembly._condensed_layout)
+    full, kept, red = dense(a), band.kept, band.red
+    return (full[np.ix_(kept, kept)]
+            - full[np.ix_(kept, red)] @ (full[np.ix_(red, kept)] / np.diag(full)[red, None]))
+
+
 def assert_solves(solver, mesh, a, b):
     x = solver.solve(a, b)  # first: on a fresh mesh no factor layout is built yet
     expected = factorize(mesh, a).solve(b)
@@ -679,11 +737,100 @@ class TestSpeciesSolver:
 
     @WIDE
     def test_the_kept_ilu_is_in_superlus_minimum_degree_order(self, kept_ilu_mesh):
+        # of the Schur complement on the kept nodes, not of the full operator
         solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
         a = species_operator(kept_ilu_mesh, 0.01, 10.0)
         solver.solve(a, species_rhs(kept_ilu_mesh))
         assert solver.counts.ilu_builds == 1
-        assert np.array_equal(solver._ilu.perm_c, stock_lu(a).perm_c)
+        schur = sp.csc_matrix(dense_schur(kept_ilu_mesh, a))
+        assert solver._ilu.shape == schur.shape
+        assert np.array_equal(solver._ilu.perm_c,
+                              spla.splu(schur, permc_spec="MMD_AT_PLUS_A").perm_c)
+
+    @pytest.mark.parametrize("shape", list(REDUCED.values()), ids=list(REDUCED))
+    def test_reduced_solve_matches_dense_solve(self, shape, spilu_calls):
+        m = mesh_of_nodes(*shape)
+        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        assert m.nr1 > _assembly._DIRECT_MAX_WIDTH
+        solver = SpeciesSolver(m, KrylovCounts())
+        b = species_rhs(m)
+        for speed in (10.0, 10.2):  # a fresh ILU, then the kept one
+            a = species_operator(m, 0.01, speed)
+            expected = np.linalg.solve(dense(a), b)
+            assert np.linalg.norm(solver.solve(a, b) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert krylov_work(solver.counts) == (2, 1, 0)
+        # the kept ILU is of the system on the kept nodes, about half of them
+        assert solver._ilu.shape == (kept.size, kept.size)
+        assert [args[0].shape for args in spilu_calls] == [(kept.size, kept.size)]
+
+    @WIDE
+    def test_one_ilu_is_built_per_flow_regime(self, kept_ilu_mesh, spilu_calls):
+        # the stepper drops the preconditioners where the flow stops
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        b = species_rhs(kept_ilu_mesh)
+        for step, speed in enumerate((10.0, 10.2, 10.4, 0.0, 0.0, 0.0)):
+            if step == 3:
+                solver.drop_preconditioner()
+            dt = 0.01 * (1.0 + 0.02 * step)
+            assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, dt, speed), b)
+        assert krylov_work(solver.counts) == (6, 2, 0)
+        assert len(spilu_calls) == 2
+
+    @WIDE
+    @pytest.mark.parametrize("unsafe", ["non-dominant column", "zero red pivot"])
+    def test_an_operator_unsafe_to_condense_goes_direct(self, kept_ilu_mesh, spilu_calls,
+                                                        unsafe):
+        m = kept_ilu_mesh
+        red = m.derived("condensed_layout", _assembly._condensed_layout).red
+        if unsafe == "non-dominant column":
+            # its pinned row 7 is red: its column holds transmissibilities far
+            # above the 1 on its diagonal
+            assert 7 in red
+            a = pivoting_operator(m, np.random.default_rng(6))
+        else:
+            a = species_operator(m, 0.01, 10.0)
+            a.data[a.pattern.diag[red[red.size // 2]]] = 0.0
+        b = species_rhs(m)
+        solver = SpeciesSolver(m, KrylovCounts())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # set aside before any division
+            x = solver.solve(a, b)
+        expected = np.linalg.solve(dense(a), b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert krylov_work(solver.counts) == (0, 0, 1)
+        assert not spilu_calls
+
+    @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
+    def test_columns_dominant_by_equality_take_the_reduced_path(self, cells):
+        # storage on the kept nodes alone: every red column of the transport
+        # operator sums to 0, to round-off
+        m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
+        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        storage = np.zeros(m.n_nodes)
+        storage[kept] = m.node_volumes.ravel()[kept] / 0.01
+        rng = np.random.default_rng(48)
+        a = diffusion_matrix(m, random_faces(m, rng, 0.5e-3, 1.5e-3),
+                             diag=storage.reshape(m.nz1, m.nr1),
+                             speeds=random_faces(m, rng, -1.0, 1.0))
+        b = species_rhs(m)
+        solver = SpeciesSolver(m, KrylovCounts())
+        x = solver.solve(a, b)
+        assert krylov_work(solver.counts) == (1, 1, 0)
+        expected = np.linalg.solve(dense(a), b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
+    def test_a_storage_free_operator_goes_direct_and_solves(self, cells):
+        # a fresh ILU of its reduced system either misses in GMRES or meets a
+        # zero pivot in spilu; either way the solve goes direct
+        m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
+        a = storage_free_transport_operator(m, np.random.default_rng(46))
+        b = np.random.default_rng(47).normal(size=m.n_nodes)
+        solver = SpeciesSolver(m, KrylovCounts())
+        x = solver.solve(a, b)
+        assert krylov_work(solver.counts) == (0, 1, 1)
+        expected = np.linalg.solve(dense(a), b)
+        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @WIDE
     def test_switching_the_speeds_off_rebuilds_the_ilu(self, kept_ilu_mesh, spilu_calls):
