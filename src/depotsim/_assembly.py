@@ -43,12 +43,8 @@ arrays; none holds an operator or a factor:
   face order, which every operator fill and `divergence_of_face_flux` read
   instead of rebuilding them from the mesh each call.
 - `_band_layout`: the map from CSR ``data`` slots to LAPACK band storage.
-- `_condensed_layout`: the red-black condensation map, from faces to kept and
-  eliminated nodes and from pair products to the Cholesky's reduced band;
-  `_condensed_lu_layout`, its copy into the LU's, only where one is needed.
-- `_reduced_layout`: the CSR patterns of the coupling blocks A_KR and A_RK
-  of that condensation and the ``data`` slots that fill them, only on a mesh
-  where a `SpeciesSolver` runs GMRES.
+- `condensed_layout`: the red-black condensation map of a mesh wider than
+  `_BAND_MAX_WIDTH`, read by both families of factor below.
 
 Face fields. A coefficient, speed or flux on the dual faces is one array of
 ``mesh.n_faces`` values in `CsrPattern` face order, the (nz1, nr) r faces
@@ -72,7 +68,7 @@ iterations to precondition the later ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,14 +261,15 @@ class CondensedLayout:
 
     Face f joins kept node ``kept[face_kept[f]]`` to red node
     ``red[face_red[f]]``; ``rk[f]`` and ``kr[f]`` are the CSR ``data`` slots
-    of its entries in A_RK and A_KR. ``pair_f`` and ``pair_g`` list each pair
-    of distinct faces on one red node once, the earlier kept node's face
-    first. ``slots`` place the kept diagonal, each face's product with itself
-    and each pair's product below the diagonal in the column-major
-    ``(width + 1, n_kept)`` array ``dpbtrf`` factors, (i, j) at
-    ``ab[i - j, j]``; in `_condensed_lu_layout`'s copy they place them, then
-    each pair's product above the diagonal, in the ``(3 width + 1, n_kept)``
-    one of ``dgbtrf``, at ``ab[2 width + i - j, j]``.
+    of its entries in A_RK and A_KR. ``pair_f`` and ``pair_g`` list each
+    pair of distinct faces on one red node once, the earlier kept node's
+    face first. S's entries (`_schur_entries`) go by ``lu_slots`` to the
+    column-major ``(3 width + 1, n_kept)`` array ``dgbtrf`` factors, (i, j)
+    at ``ab[2 width + i - j, j]``, and by ``csc_slots`` to S's CSC pattern
+    for ``spilu``; all but the pairs' upper ones go by ``slots`` to the
+    ``(width + 1, n_kept)`` one of ``dpbtrf``, at ``ab[i - j, j]``. The
+    ``kr_`` and ``rk_`` arrays are A_KR and A_RK as CSR blocks, each row in
+    face order, with the ``data`` slots of A's entries.
     """
 
     kept: np.ndarray
@@ -284,11 +281,25 @@ class CondensedLayout:
     pair_f: np.ndarray
     pair_g: np.ndarray
     slots: np.ndarray
+    lu_slots: np.ndarray
+    csc_slots: np.ndarray
+    csc_indptr: np.ndarray
+    csc_indices: np.ndarray
+    kr_slots: np.ndarray
+    kr_indptr: np.ndarray
+    kr_indices: np.ndarray
+    rk_slots: np.ndarray
+    rk_indptr: np.ndarray
+    rk_indices: np.ndarray
     width: int
 
 
-def _condensed_layout(mesh: AxiMesh) -> CondensedLayout:
-    """The mesh's condensation map; `factorize` keeps it on the mesh."""
+def condensed_layout(mesh: AxiMesh) -> CondensedLayout:
+    """The mesh's condensation map, built on first use and kept on the mesh."""
+    return mesh.derived("condensed_layout", _build_condensed_layout)
+
+
+def _build_condensed_layout(mesh: AxiMesh) -> CondensedLayout:
     pattern = csr_pattern(mesh)
     nz1, nr1, faces = mesh.nz1, mesh.nr1, pattern.lo.size
     is_kept = np.zeros((nz1, nr1), dtype=bool)
@@ -302,37 +313,50 @@ def _condensed_layout(mesh: AxiMesh) -> CondensedLayout:
     face_kept = index[np.where(lo_kept, pattern.lo, pattern.hi)]
     face_red = index[np.where(lo_kept, pattern.hi, pattern.lo)]
     lo_hi, hi_lo = pattern.scatter[faces:3 * faces].reshape(2, faces)
-    # the faces of each red node toward -r, +r, -z and +z, and which it has;
-    # in each pair below, the first face's kept node comes first in mesh order
-    j, i = np.divmod(red, nr1)
-    r_face = j * mesh.nr + i
-    z_face = nz1 * mesh.nr + red
-    around = (r_face - 1, r_face, z_face - nr1, z_face)
-    has = (i > 0, i < nr1 - 1, j > 0, j < nz1 - 1)
+    rk, kr = np.where(lo_kept, hi_lo, lo_hi), np.where(lo_kept, lo_hi, hi_lo)
+
+    def around(nodes):
+        # each node's faces toward -r, +r, -z and +z, in face order, and which it has
+        j, i = np.divmod(nodes, nr1)
+        r_face, z_face = j * mesh.nr + i, nz1 * mesh.nr + nodes
+        return (np.array([r_face - 1, r_face, z_face - nr1, z_face]),
+                np.array([i > 0, i < nr1 - 1, j > 0, j < nz1 - 1]))
+
+    def csr(nodes, slots, cols):
+        # a coupling block, row by row of ``nodes``
+        near, has = around(nodes)
+        near, indptr = near.T[has.T], np.concatenate([[0], np.cumsum(has.sum(axis=0))])
+        return slots[near], indptr.astype(np.int32), cols[near].astype(np.int32)
+
+    # each pair of a red node's faces, the earlier kept node's face first
+    near, has = around(red)
     f, g = [], []
     for one, other in ((0, 1), (2, 3), (2, 0), (0, 3), (2, 1), (1, 3)):
         both = has[one] & has[other]
-        f.append(around[one][both])
-        g.append(around[other][both])
+        f.append(near[one][both])
+        g.append(near[other][both])
     f, g = np.concatenate(f), np.concatenate(g)
-    col = face_kept[f]
-    below = face_kept[g] - col
+    col, row = face_kept[f], face_kept[g]
+    below = row - col
     width = int(below.max(initial=0))
-    diag = np.arange(kept.size)
+    diag, ld = np.arange(kept.size), 3 * width + 1
     slots = np.concatenate([diag * (width + 1), face_kept * (width + 1), col * (width + 1) + below])
-    return CondensedLayout(kept, red, np.where(lo_kept, hi_lo, lo_hi),
-                           np.where(lo_kept, lo_hi, hi_lo), face_kept, face_red, f, g, slots, width)
-
-
-def _condensed_lu_layout(mesh: AxiMesh) -> CondensedLayout:
-    """The mesh's condensation map with ``slots`` into the LU's band, kept on
-    the mesh by the first nonsymmetric operator `_condense` takes there."""
-    band = mesh.derived("condensed_layout", _condensed_layout)
-    col = band.face_kept[band.pair_f]
-    below, ld = band.face_kept[band.pair_g] - col, 3 * band.width + 1
-    return replace(band, slots=2 * band.width + np.concatenate(
-        [np.arange(band.kept.size) * ld, band.face_kept * ld, col * ld + below,
-         (col + below) * ld - below]))
+    lu_slots = np.concatenate([diag * ld, face_kept * ld, col * ld + below, row * ld - below])
+    lu_slots += 2 * width
+    # S's CSC pattern: column k holds the kept nodes on the mesh at these (z, r)
+    # offsets from node k, rows sorted; at[9 k + o] is offset o's slot (8 - o is -o)
+    k_z, k_r = np.divmod(kept, nr1)
+    dz, dr = np.array([[-2, -1, -1, 0, 0, 0, 1, 1, 2], [0, -1, 1, -2, 0, 2, -1, 1, 0]])
+    z, r = k_z[:, None] + dz, k_r[:, None] + dr
+    on_mesh = (z >= 0) & (z < nz1) & (r >= 0) & (r < nr1)
+    at = np.cumsum(on_mesh, dtype=np.int32) - 1
+    o = np.searchsorted(dz * 5 + dr, (k_z[row] - k_z[col]) * 5 + k_r[row] - k_r[col])
+    csc_slots = at[np.concatenate([9 * diag + 4, 9 * face_kept + 4, 9 * col + o, 9 * row + 8 - o])]
+    csc_indptr = np.concatenate([[0], np.cumsum(on_mesh.sum(axis=1))]).astype(np.int32)
+    return CondensedLayout(
+        kept, red, rk, kr, face_kept, face_red, f, g, slots, lu_slots, csc_slots, csc_indptr,
+        index[(z * nr1 + r)[on_mesh]].astype(np.int32),
+        *csr(kept, kr, face_red), *csr(red, rk, face_kept), width)
 
 
 @dataclass(slots=True, eq=False)
@@ -466,13 +490,13 @@ def _eliminable(d: np.ndarray, c_kr: np.ndarray, red_of: np.ndarray,
     dominant only to round-off.
 
     ``d`` holds the red pivots and ``c_kr`` the entries of A_KR, entry i in
-    red node ``red_of[i]``'s column. Elimination is not safe where a pivot is zero or not finite, or, if the
-    operator is symmetric, not positive; and where a nonsymmetric operator's
-    eliminated columns are not diagonally dominant to within
-    `_DOMINANCE_SLACK`, so that eliminating them may grow S's entries
-    (transport operators are M-matrices and pass). A column dominant only to
-    round-off has no storage at its node, the mark of an operator near
-    singular, such as a row-pinned Neumann one.
+    red node ``red_of[i]``'s column. Elimination is not safe where a pivot
+    is zero or not finite, or, if the operator is symmetric, not positive;
+    and where a nonsymmetric operator's eliminated columns are not
+    diagonally dominant to within `_DOMINANCE_SLACK`, so that eliminating
+    them may grow S's entries (transport operators are M-matrices and pass).
+    A column dominant only to round-off has no storage at its node, the mark
+    of an operator near singular, such as a row-pinned Neumann one.
     """
     if not (np.isfinite(d).all() and ((d > 0.0) if symmetric else (d != 0.0)).all()):
         return None
@@ -486,6 +510,16 @@ def _eliminable(d: np.ndarray, c_kr: np.ndarray, red_of: np.ndarray,
     return None
 
 
+def _schur_entries(band: CondensedLayout, kept_diag: np.ndarray, c_rk: np.ndarray,
+                   reduce: np.ndarray, upper: bool) -> np.ndarray:
+    """S's entries from A_KK's diagonal, and A_RK and A_KR / D in face order:
+    the kept diagonal, each face's own product, then each pair's product below
+    the diagonal and, if ``upper``, above it; every sum of S adds them so."""
+    f, g = band.pair_f, band.pair_g
+    parts = [kept_diag, -c_rk * reduce, -c_rk[f] * reduce[g]]
+    return np.concatenate(parts + [-c_rk[g] * reduce[f]] if upper else parts)
+
+
 def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | None:
     """The red-black condensed factor of an operator at any width, or None
     where condensing is not safe: where `_eliminable` turns its red nodes
@@ -494,8 +528,7 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
     solves, as the band LU past `_BAND_MAX_WIDTH` does. Raises
     ``RuntimeError`` if ``dgbtrf`` finds S exactly singular.
     """
-    band = (mesh.derived("condensed_layout", _condensed_layout) if symmetric
-            else mesh.derived("condensed_lu_layout", _condensed_lu_layout))
+    band = condensed_layout(mesh)
     diag = a.data[a.pattern.diag]
     d = diag[band.red]
     c_rk = a.data[band.rk]
@@ -506,16 +539,13 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
     d_face = d[band.face_red]
     reduce = c_kr / d_face
     back = reduce if symmetric else c_rk / d_face
-    f, g, n, w = band.pair_f, band.pair_g, band.kept.size, band.width
-    # S: the kept diagonal, each face's own product, then each pair's lower
-    # entry and, for the LU, its upper one
-    parts = [diag[band.kept], -c_rk * reduce, -c_rk[f] * reduce[g]]
+    n, w = band.kept.size, band.width
+    entries = _schur_entries(band, diag[band.kept], c_rk, reduce, upper=not symmetric)
     if symmetric:
-        ab = np.bincount(band.slots, np.concatenate(parts), minlength=n * (w + 1))
+        ab = np.bincount(band.slots, entries, minlength=n * (w + 1))
         factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, lower=1, overwrite_ab=1)
         return CondensedFactor(factor, None, d, reduce, back, band, None) if info == 0 else None
-    ab = np.bincount(band.slots, np.concatenate(parts + [-c_rk[g] * reduce[f]]),
-                     minlength=n * (3 * w + 1))
+    ab = np.bincount(band.lu_slots, entries, minlength=n * (3 * w + 1))
     factor, piv, info = lapack.dgbtrf(ab.reshape(n, 3 * w + 1).T, w, w, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"Factor is exactly singular: zero pivot in kept column {info - 1}")
@@ -558,45 +588,6 @@ class KrylovCounts:
     direct_fallbacks: int = 0
 
 
-@dataclass(frozen=True)
-class ReducedLayout:
-    """The fixed patterns of a mesh's red-black reduced system; arrays read-only.
-
-    On the mesh's `CondensedLayout` (``kept`` and ``red`` are its arrays),
-    A_KR (rows kept, columns red) and A_RK (rows red, columns kept) are CSR
-    blocks given by ``indptr`` and ``indices``, each row's entries in face
-    order; ``kr_slots`` and ``rk_slots`` are the CSR ``data`` slots of A's
-    entries in each block's order, and ``kept_diag`` and ``red_diag`` the
-    slots of A_KK and D.
-    """
-
-    kept: np.ndarray
-    red: np.ndarray
-    kr_slots: np.ndarray
-    kr_indptr: np.ndarray
-    kr_indices: np.ndarray
-    rk_slots: np.ndarray
-    rk_indptr: np.ndarray
-    rk_indices: np.ndarray
-    kept_diag: np.ndarray
-    red_diag: np.ndarray
-
-
-def _reduced_layout(mesh: AxiMesh) -> ReducedLayout:
-    """The mesh's reduced-system patterns; a `SpeciesSolver` keeps them on the mesh."""
-    band = mesh.derived("condensed_layout", _condensed_layout)
-
-    def block(rows, cols, slots, n_rows):
-        order = np.argsort(rows, kind="stable")
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
-        return slots[order], indptr.astype(np.int32), cols[order].astype(np.int32)
-
-    kr = block(band.face_kept, band.face_red, band.kr, band.kept.size)
-    rk = block(band.face_red, band.face_kept, band.rk, band.red.size)
-    diag = csr_pattern(mesh).diag
-    return ReducedLayout(band.kept, band.red, *kr, *rk, diag[band.kept], diag[band.red])
-
-
 @dataclass(slots=True, eq=False)
 class ReducedSystem:
     """One operator A condensed red-black for a Krylov solve: the Schur
@@ -604,11 +595,20 @@ class ReducedSystem:
     matrix-free by ``S @ x``.
 
     ``diag`` is A_KK, diagonal on the 5-point pattern, ``d`` the eliminated
-    diagonal D, and ``kr`` and ``rk`` the CSR blocks A_KR and A_RK; together
-    they are every entry of A.
+    diagonal D, and ``kr`` and ``rk`` the CSR blocks A_KR and A_RK of the
+    mesh's `CondensedLayout`; together they are every entry of A.
+
+    A_KR and A_RK are applied here by scipy's CSR products and in
+    `CondensedFactor` by ``bincount`` over the faces, each the faster where
+    it runs. Best of 7, one BLAS thread, in µs, CSR / ``bincount``: at 73
+    wide the reduce 20.1 / 36.9, the back-substitution 23.5 / 43.6 and an S
+    product 27.9 / 64.2 (37.1 for A_KR by ``np.add.reduceat``); at 25 wide a
+    condensed solve 26.6 / 27.3, but building the two CSR blocks costs 28.4
+    against 130 for the whole `factorize`: a `SpeciesSolver` refills its
+    kept blocks, and a fresh factor could not.
     """
 
-    layout: ReducedLayout
+    layout: CondensedLayout
     diag: np.ndarray
     d: np.ndarray
     kr: sp.csr_matrix
@@ -617,11 +617,13 @@ class ReducedSystem:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return self.diag * x - self.kr @ (self.rk @ x / self.d)
 
-    def matrix(self) -> sp.csc_matrix:
-        """S formed explicitly, for ``spilu``."""
-        scaled = self.rk.copy()
-        scaled.data /= np.repeat(self.d, np.diff(scaled.indptr))
-        return (sp.diags(self.diag) - self.kr @ scaled).tocsc()
+    def matrix(self, a: Operator) -> sp.csc_matrix:
+        """S formed from A for ``spilu``, exactly as the condensed LU's band holds it."""
+        layout, n = self.layout, self.diag.size
+        entries = _schur_entries(layout, self.diag, a.data[layout.rk],
+                                 a.data[layout.kr] / self.d[layout.face_red], upper=True)
+        data = np.bincount(layout.csc_slots, entries, minlength=layout.csc_indices.size)
+        return sp.csc_matrix((data, layout.csc_indices, layout.csc_indptr), shape=(n, n))
 
     def reduce(self, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``b_R`` and the reduced right-hand side ``b_K - A_KR D⁻¹ b_R``."""
@@ -654,18 +656,19 @@ class SpeciesSolver:
     system of Elman & Golub (Math. Comp. 54, 1990). It solves S by GMRES
     right-preconditioned by an incomplete LU of an earlier S, started from
     ``M⁻¹ b̃`` (`_gmres`), and back-substitutes the eliminated colour. S is
-    applied matrix-free and formed only for ``spilu``, which keeps its ILU
-    in SuperLU's own minimum-degree order; on the benchmark's 73-wide mesh
-    ILU(S) stores 2-4x fewer entries than the ILU of A did (the comment at
-    `_ILU_DROP_TOL`) and applies 25-30% faster. A result counts only when
-    the explicitly computed residual of the full system
-    ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it fails, the ILU is rebuilt on
-    the current S and GMRES runs once more; if a fresh ILU fails too (or
-    ``spilu`` meets a zero pivot), or if the operator is unsafe to condense
-    (`_eliminable`), the solve goes to `factorize`, and so does every later
-    one of this solver. The ILU lives as long as the solver: its owner, the
-    stepper of one phase, holds it, not the mesh; so do the CSR blocks of
-    A_KR and A_RK, whose ``data`` each solve refills.
+    applied matrix-free and formed only for ``spilu``, exactly the S that
+    the condensed LU's band holds; ``spilu`` keeps its ILU in SuperLU's own
+    minimum-degree order. On the benchmark's 73-wide mesh ILU(S) stores 2-4x
+    fewer entries than the ILU of A did (the comment at `_ILU_DROP_TOL`) and
+    applies 25-30% faster. A result counts only when the explicitly computed
+    residual of the full system ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it
+    fails, the ILU is rebuilt on the current S and GMRES runs once more; if
+    a fresh ILU fails too (or ``spilu`` meets a zero pivot), or if the
+    operator is unsafe to condense (`_eliminable`), the solve goes to
+    `factorize`, and so does every later one of this solver. The ILU lives
+    as long as the solver: its owner, the stepper of one phase, holds it,
+    not the mesh; so do the CSR blocks of A_KR and A_RK, whose ``data`` each
+    solve refills.
     """
 
     __slots__ = ("mesh", "counts", "_ilu", "_blocks", "_direct")
@@ -697,36 +700,32 @@ class SpeciesSolver:
     def _krylov(self, a: Operator, b: np.ndarray) -> np.ndarray | None:
         """GMRES on the reduced system with the kept ILU, then with a fresh
         one; None if both fail or if the operator is unsafe to condense."""
-        layout = self.mesh.derived("reduced_layout", _reduced_layout)
+        layout = condensed_layout(self.mesh)
         if self._blocks is None:
-            n_kept, n_red = layout.kept.size, layout.red.size
             self._blocks = (
                 sp.csr_matrix((np.empty(layout.kr_slots.size), layout.kr_indices,
-                               layout.kr_indptr), shape=(n_kept, n_red)),
+                               layout.kr_indptr), shape=(layout.kept.size, layout.red.size)),
                 sp.csr_matrix((np.empty(layout.rk_slots.size), layout.rk_indices,
-                               layout.rk_indptr), shape=(n_red, n_kept)))
+                               layout.rk_indptr), shape=(layout.red.size, layout.kept.size)))
         kr, rk = self._blocks
-        d = a.data[layout.red_diag]
-        kr.data = a.data[layout.kr_slots]
+        diag = a.data[a.pattern.diag]
+        d = diag[layout.red]
+        kr.data, rk.data = a.data[layout.kr_slots], a.data[layout.rk_slots]
         if _eliminable(d, kr.data, kr.indices, symmetric=False) is None:
             return None
-        rk.data = a.data[layout.rk_slots]
-        system = ReducedSystem(layout, a.data[layout.kept_diag], d, kr, rk)
+        system = ReducedSystem(layout, diag[layout.kept], d, kr, rk)
         if self._ilu is not None:
             x = self._gmres(system, b)
             if x is not None:
                 return x
+        self.counts.ilu_builds += 1
         try:
-            self._ilu = self._build_ilu(system)
+            self._ilu = spla.spilu(system.matrix(a), drop_tol=_ILU_DROP_TOL,
+                                   fill_factor=_ILU_FILL_FACTOR, permc_spec="MMD_AT_PLUS_A",
+                                   **_SMALL_SYSTEM)
         except RuntimeError:  # spilu met a zero pivot: the fresh ILU fails
             return None
         return self._gmres(system, b)
-
-    def _build_ilu(self, system: ReducedSystem):
-        self.counts.ilu_builds += 1
-        return spla.spilu(system.matrix(), drop_tol=_ILU_DROP_TOL,
-                          fill_factor=_ILU_FILL_FACTOR, permc_spec="MMD_AT_PLUS_A",
-                          **_SMALL_SYSTEM)
 
     def _gmres(self, system: ReducedSystem, b: np.ndarray) -> np.ndarray | None:
         """Restarted GMRES(`_GMRES_RESTART`) on ``S M⁻¹``, from ``M⁻¹ b̃``;

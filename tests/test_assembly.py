@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from depotsim import _assembly
 from depotsim._assembly import (BandLU, CondensedFactor, KrylovCounts, SpeciesSolver,
-                                csr_pattern, diffusion_matrix, face_averages,
+                                condensed_layout, csr_pattern, diffusion_matrix, face_averages,
                                 face_families, face_geometry, face_gradients, factorize,
                                 harmonic_face_coefficients, pin_nodes,
                                 upwind_advection_matrix)
@@ -376,16 +377,17 @@ class TestFactorize:
                 assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
         assert not splu_calls
 
-    def test_only_a_nonsymmetric_operator_builds_the_lu_layout(self):
-        # a mesh whose species never factor keeps the Cholesky's map alone
+    def test_one_condensation_map_serves_every_solve(self):
+        # the Cholesky, the LU and the reduced system of a Krylov solve all
+        # read the mesh's one condensed layout
         m = mesh_of_width(49)
         rng = np.random.default_rng(12)
-        factorize(m, capacity_operator(m, rng))
-        assert "condensed_layout" in m._derived and "condensed_lu_layout" not in m._derived
-        factorize(m, transport_operator(m, rng))
-        cholesky, lu = m._derived["condensed_layout"], m._derived["condensed_lu_layout"]
-        assert lu.kept is cholesky.kept and lu.kr is cholesky.kr  # one map, two slot sets
-        assert lu.slots.size > cholesky.slots.size
+        assert factorize(m, capacity_operator(m, rng)).piv is None
+        assert factorize(m, transport_operator(m, rng)).piv is not None
+        solver = SpeciesSolver(m, KrylovCounts())
+        solver.solve(species_operator(m, 0.01, 10.0), species_rhs(m))
+        assert solver.counts.krylov_solves == 1
+        assert set(m._derived) == {"csr_pattern", "face_geometry", "condensed_layout"}
 
     def test_band_path_pivots_off_the_diagonal(self):
         m = mesh_of_width(17)
@@ -411,7 +413,7 @@ class TestFactorize:
         # one 1.9e-12 there
         m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
         rng = np.random.default_rng(7)
-        red = m.derived("condensed_layout", _assembly._condensed_layout).red
+        red = condensed_layout(m).red
         a = pin_rows(diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0)), red[0])
         b = rng.normal(size=m.n_nodes)
         lu = factorize(m, a)
@@ -429,7 +431,7 @@ class TestFactorize:
         # 1.9e-13 off at 49 wide and 1.9e-12 at 81 wide, the dense one 1.1e-12
         # and 8.8e-12
         m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
-        assert 0 in m.derived("condensed_layout", _assembly._condensed_layout).kept
+        assert 0 in condensed_layout(m).kept
         rng = np.random.default_rng(7)
         a = potential_operator(m, rng)
         b = rng.normal(size=m.n_nodes)
@@ -525,7 +527,7 @@ class TestBandCholesky:
         assert isinstance(lu, CondensedFactor)
         assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
         # the last node's colour is kept, so the grounded node stays the last pivot
-        layout = m.derived("condensed_layout", _assembly._condensed_layout)
+        layout = condensed_layout(m)
         colour = colours(m)
         assert layout.kept[-1] == m.n_nodes - 1
         assert np.all(colour[layout.kept] == colour[-1])
@@ -610,7 +612,7 @@ class TestCondensedLU:
         m = mesh_of_nodes(*shape)
         rng = np.random.default_rng(42)
         a = build(m, rng)
-        red = m.derived("condensed_layout", _assembly._condensed_layout).red
+        red = condensed_layout(m).red
         a.data[a.pattern.diag[red[red.size // 2]]] = value
         assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
 
@@ -620,7 +622,7 @@ class TestCondensedLU:
         # to 0; pinning the last row, which is kept, makes it regular
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
         a = storage_free_transport_operator(m, np.random.default_rng(46))
-        band = m.derived("condensed_layout", _assembly._condensed_layout)
+        band = condensed_layout(m)
         # a red column's sum and its diagonal add the same terms in different
         # orders: some exceed the diagonal by round-off
         column = np.bincount(band.face_red, np.abs(a.data[band.kr]), minlength=band.red.size)
@@ -637,7 +639,7 @@ class TestCondensedLU:
         a = pivoting_operator(m, np.random.default_rng(6))
         # its pinned row 7 is red: its column holds transmissibilities far
         # above the 1 on its diagonal
-        assert 7 in m.derived("condensed_layout", _assembly._condensed_layout).red
+        assert 7 in condensed_layout(m).red
         assert not _assembly._is_symmetric(a)
         assert_band_lu_solves(m, a, np.random.default_rng(43).normal(size=m.n_nodes))
         assert np.any(factorize(m, a).piv != np.arange(m.n_nodes))
@@ -649,7 +651,7 @@ class TestCondensedLU:
         m = mesh_of_nodes(*shape)
         rng = np.random.default_rng(45)
         a = diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0))
-        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        kept = condensed_layout(m).kept
         a.data[a.pattern.diag[kept]] -= 0.5 * a.data[a.pattern.diag].mean()
         assert _assembly._is_symmetric(a) and np.linalg.eigvalsh(dense(a)).min() < 0.0
         assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
@@ -659,7 +661,7 @@ class TestCondensedLU:
         m = mesh_of_nodes(*shape)
         a = transport_operator(m, np.random.default_rng(44))
         # a kept node's row all zero: S's row is zero, and dgbtrf finds it singular
-        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        kept = condensed_layout(m).kept
         row = kept[kept.size // 2]
         a.data[a.pattern.indptr[row]:a.pattern.indptr[row + 1]] = 0.0
         with pytest.raises(RuntimeError, match="exactly singular"):
@@ -708,10 +710,16 @@ REDUCED = {"49x8": (49, 8), "49x9": (49, 9), "50x8": (50, 8), "65x7": (65, 7),
 
 def dense_schur(mesh, a):
     """The Schur complement of an operator on its mesh's kept nodes, dense."""
-    band = mesh.derived("condensed_layout", _assembly._condensed_layout)
+    band = condensed_layout(mesh)
     full, kept, red = dense(a), band.kept, band.red
     return (full[np.ix_(kept, kept)]
             - full[np.ix_(kept, red)] @ (full[np.ix_(red, kept)] / np.diag(full)[red, None]))
+
+
+#: 49 and 56 nodes wide with either colour kept, and a narrow mesh that takes
+#: the kept ILU with the direct limit lowered; (nr, nz, grading) in cells
+SCHUR = {"49x8": (48, 7, 1.03), "49x9": (48, 8, 1.03), "56x8": (55, 7, 1.03),
+         "56x9": (55, 8, 1.03), "10x8": (9, 7, 1.1)}
 
 
 def assert_solves(solver, mesh, a, b):
@@ -747,10 +755,40 @@ class TestSpeciesSolver:
         assert np.array_equal(solver._ilu.perm_c,
                               spla.splu(schur, permc_spec="MMD_AT_PLUS_A").perm_c)
 
+    @pytest.mark.parametrize("kept_ilu_mesh", list(SCHUR.values()), ids=list(SCHUR),
+                             indirect=True)
+    def test_the_ilu_factors_the_condensed_lus_schur_complement(self, kept_ilu_mesh,
+                                                                 spilu_calls, monkeypatch):
+        # S formed for spilu is, bit for bit, the S of the condensed LU's band;
+        # a sparse product A_KR (D⁻¹ A_RK) rounds about a third of it differently
+        m = kept_ilu_mesh
+        a = species_operator(m, 0.01, 10.0)
+        bands = []
+        dgbtrf = lapack.dgbtrf
+
+        def capturing(ab, *args, **kwargs):
+            bands.append(np.array(ab))
+            return dgbtrf(ab, *args, **kwargs)
+
+        monkeypatch.setattr(lapack, "dgbtrf", capturing)
+        assert _assembly._condense(m, a, symmetric=False) is not None
+        solver = SpeciesSolver(m, KrylovCounts())
+        solver.solve(a, species_rhs(m))
+        assert krylov_work(solver.counts) == (1, 1, 0)
+        (ab,), ((schur, *_),) = bands, spilu_calls
+        # the LU's band, (i, j) at ab[2 w + i - j, j], as a dense matrix
+        w, n = condensed_layout(m).width, schur.shape[0]
+        i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= w)
+        band = np.zeros((n, n))
+        band[i, j] = ab[2 * w + i - j, j]
+        assert np.array_equal(schur.toarray(), band)
+        exact = dense_schur(m, a)
+        assert np.abs(band - exact).max() <= 1e-14 * np.abs(exact).max()
+
     @pytest.mark.parametrize("shape", list(REDUCED.values()), ids=list(REDUCED))
     def test_reduced_solve_matches_dense_solve(self, shape, spilu_calls):
         m = mesh_of_nodes(*shape)
-        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        kept = condensed_layout(m).kept
         assert m.nr1 > _assembly._DIRECT_MAX_WIDTH
         solver = SpeciesSolver(m, KrylovCounts())
         b = species_rhs(m)
@@ -781,7 +819,7 @@ class TestSpeciesSolver:
     def test_an_operator_unsafe_to_condense_goes_direct(self, kept_ilu_mesh, spilu_calls,
                                                         unsafe):
         m = kept_ilu_mesh
-        red = m.derived("condensed_layout", _assembly._condensed_layout).red
+        red = condensed_layout(m).red
         if unsafe == "non-dominant column":
             # its pinned row 7 is red: its column holds transmissibilities far
             # above the 1 on its diagonal
@@ -805,7 +843,7 @@ class TestSpeciesSolver:
         # storage on the kept nodes alone: every red column of the transport
         # operator sums to 0, to round-off
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
-        kept = m.derived("condensed_layout", _assembly._condensed_layout).kept
+        kept = condensed_layout(m).kept
         storage = np.zeros(m.n_nodes)
         storage[kept] = m.node_volumes.ravel()[kept] / 0.01
         rng = np.random.default_rng(48)
