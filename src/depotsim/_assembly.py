@@ -28,8 +28,8 @@ operator on the pattern lies in a band of half-width nr1:
   of the checkerboard is eliminated exactly, and the Schur complement on the
   other half of the nodes, a band of the same half-width, is factored by
   ``dpbtrf`` if the operator is symmetric and by ``dgbtrf`` if not, about
-  half the work of the full band. An operator unsafe to condense takes the
-  band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record where
+  half the work of the full band. An operator condensation refuses takes
+  the band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record where
   each wins; the other family, the species' kept ILU of the same reduced
   system, is below.
 
@@ -59,11 +59,12 @@ as `factorize` does, keeps an incomplete LU (``spilu``, drop tolerance
 complement in SuperLU's own minimum-degree order, and solves each step's
 reduced system, applied matrix-free (`ReducedSystem`), by
 GMRES(`_GMRES_RESTART`) preconditioned by it; the species operators change
-slowly from step to step, so the kept ILU usually serves until the flow
-stops. Narrower meshes factor the species afresh each step. The potential
-keeps a fresh `factorize` each step at every width: on injection_fine's
-73-wide mesh even the full LU of its first operator needed 21-23 GMRES
-iterations to precondition the later ones.
+slowly from step to step, so the kept ILU serves until its couplings shift
+by most of their size (`_ILU_SHIFT`), as where the flow stops. Narrower
+meshes factor the species afresh each step. The potential keeps a fresh
+`factorize` each step at every width: on injection_fine's 73-wide mesh
+even the full LU of its first operator needed 21-23 GMRES iterations to
+precondition the later ones.
 """
 
 from __future__ import annotations
@@ -369,10 +370,9 @@ class CondensedFactor:
     its couplings over its red node's d, ``reduce`` of A_KR and ``back`` of
     A_RK: one array if A is symmetric. ``solve`` reduces b to
     ``b_K - A_KR D⁻¹ b_R``, solves S and back-substitutes
-    ``x_R = D⁻¹ (b_R - A_RK x_K)``; given ``_refine``, A in extended
-    precision, it refines once as `BandLU` does. ``L.nnz`` and ``U.nnz`` are
-    the entries the reduced factor stores; a Cholesky's ``U`` is ``Lᵀ`` in
-    the same storage, so its ``U.nnz`` is 0.
+    ``x_R = D⁻¹ (b_R - A_RK x_K)``. ``L.nnz`` and ``U.nnz`` are the entries
+    the reduced factor stores; a Cholesky's ``U`` is ``Lᵀ`` in the same
+    storage, so its ``U.nnz`` is 0.
     """
 
     _ab: np.ndarray
@@ -381,7 +381,6 @@ class CondensedFactor:
     _reduce: np.ndarray
     _back: np.ndarray
     _band: CondensedLayout
-    _refine: sp.csr_matrix | None
 
     @property
     def L(self) -> StoredEntries:
@@ -394,12 +393,6 @@ class CondensedFactor:
         return StoredEntries(0 if self.piv is None else _below(n, 2 * w) + n)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = self._solve(b)
-        if self._refine is not None:
-            x += self._solve((b - self._refine @ x).astype(float))
-        return x
-
-    def _solve(self, b: np.ndarray) -> np.ndarray:
         band = self._band
         b_red = b[band.red]
         b_kept = b[band.kept] - np.bincount(band.face_kept, self._reduce * b_red[band.face_red],
@@ -438,15 +431,16 @@ def factorize(mesh: AxiMesh, a: Operator):
     and factored in place by ``dgbtrf``, with partial pivoting; no scipy
     matrix is built, and the solve is ``dgbtrs``. On a wider mesh, at any
     width, `_condense` takes it: by Cholesky if its face blocks are exactly
-    symmetric, by LU if not. An operator it turns down takes the band LU,
-    refined (`BandLU`).
+    symmetric, by LU if not. Every operator it turns down takes the one
+    fallback, the band LU, refined (`BandLU`).
 
     Past `_DIRECT_MAX_WIDTH` a species factor is the fallback of a failed
-    kept ILU. Factor plus solve of each species' operator at the 8th
-    injection step and the last step of a 1 h long phase of a pipeline on an
-    81 x 81 mesh graded 1.03, condensed LU / the SuperLU factor it replaced,
-    best of five, in ms: Na+, H+ and drug 11.0 / 16.0, 10.8 / 15.2 and
-    10.7 / 15.9 (long); 7.9 / 13.3, 8.4 / 13.6 and 21.6 / 18.9 (injection).
+    kept ILU or of an operator `_eliminable` refuses. Factor plus solve of
+    each species' operator at the 8th injection step and the last step of a
+    1 h long phase of a pipeline on an 81 x 81 mesh graded 1.03, condensed
+    LU / the SuperLU factor it replaced, best of five, in ms: Na+, H+ and
+    drug 11.0 / 16.0, 10.8 / 15.2 and 10.7 / 15.9 (long); 7.9 / 13.3, 8.4 /
+    13.6 and 21.6 / 18.9 (injection).
     No config, demo or workload factors the drug's injection operator past
     48 wide; at 201 wide it took 1280 / 250 ms, with a 97.6 MB band. The
     Cholesky's band grows as nr1³ / 2, to 32.6 MB there.
@@ -476,38 +470,31 @@ def factorize(mesh: AxiMesh, a: Operator):
     return BandLU(lu, piv, band, refine)
 
 
-#: Slack of the dominance check on eliminated columns: a column sum and its
+#: Margin of the dominance check on eliminated columns: a column sum and its
 #: diagonal add the same face terms in different orders, so a column dominant
-#: by equality, as in a transport operator without storage, exceeds its
-#: diagonal by up to 1.5 eps on 49- to 73-wide meshes.
+#: by equality, as without storage, misses or exceeds its diagonal by up to
+#: 1.5 eps on 49- to 73-wide meshes; it must not pass as strictly dominant.
 _DOMINANCE_SLACK = 1.0 + 8.0 * np.finfo(float).eps
 
 
 def _eliminable(d: np.ndarray, c_kr: np.ndarray, red_of: np.ndarray,
-                symmetric: bool) -> bool | None:
+                symmetric: bool) -> bool:
     """Whether the red nodes of an operator can be eliminated without
-    pivoting: None where they cannot, else whether an eliminated column is
-    dominant only to round-off.
+    pivoting.
 
     ``d`` holds the red pivots and ``c_kr`` the entries of A_KR, entry i in
     red node ``red_of[i]``'s column. Elimination is not safe where a pivot
     is zero or not finite, or, if the operator is symmetric, not positive;
-    and where a nonsymmetric operator's eliminated columns are not
-    diagonally dominant to within `_DOMINANCE_SLACK`, so that eliminating
-    them may grow S's entries (transport operators are M-matrices and pass).
-    A column dominant only to round-off has no storage at its node, the mark
-    of an operator near singular, such as a row-pinned Neumann one.
+    and where a nonsymmetric operator's eliminated columns are not strictly
+    diagonally dominant beyond `_DOMINANCE_SLACK`, so that eliminating them
+    may grow S's entries (transport operators are M-matrices and pass). A
+    column dominant only to round-off, with no storage at its node, marks an
+    operator near singular, such as a row-pinned Neumann one.
     """
-    if not (np.isfinite(d).all() and ((d > 0.0) if symmetric else (d != 0.0)).all()):
-        return None
     if symmetric:
-        return False
-    column, bound = np.bincount(red_of, np.abs(c_kr), minlength=d.size), np.abs(d)
-    if (_DOMINANCE_SLACK * column < bound).all():
-        return False
-    if (column <= _DOMINANCE_SLACK * bound).all():
-        return True
-    return None
+        return bool(np.isfinite(d).all() and (d > 0.0).all())
+    column = np.bincount(red_of, np.abs(c_kr), minlength=d.size)
+    return bool(np.isfinite(d).all() and (_DOMINANCE_SLACK * column < np.abs(d)).all())
 
 
 def _schur_entries(band: CondensedLayout, kept_diag: np.ndarray, c_rk: np.ndarray,
@@ -523,18 +510,15 @@ def _schur_entries(band: CondensedLayout, kept_diag: np.ndarray, c_rk: np.ndarra
 def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | None:
     """The red-black condensed factor of an operator at any width, or None
     where condensing is not safe: where `_eliminable` turns its red nodes
-    down, and where ``dpbtrf`` finds S, and so A, not positive definite. An
-    LU whose eliminated columns are dominant only to round-off refines its
-    solves, as the band LU past `_BAND_MAX_WIDTH` does. Raises
-    ``RuntimeError`` if ``dgbtrf`` finds S exactly singular.
+    down, and where ``dpbtrf`` finds S, and so A, not positive definite.
+    Raises ``RuntimeError`` if ``dgbtrf`` finds S exactly singular.
     """
     band = condensed_layout(mesh)
     diag = a.data[a.pattern.diag]
     d = diag[band.red]
     c_rk = a.data[band.rk]
     c_kr = c_rk if symmetric else a.data[band.kr]
-    weak = _eliminable(d, c_kr, band.face_red, symmetric)
-    if weak is None:
+    if not _eliminable(d, c_kr, band.face_red, symmetric):
         return None
     d_face = d[band.face_red]
     reduce = c_kr / d_face
@@ -544,13 +528,12 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
     if symmetric:
         ab = np.bincount(band.slots, entries, minlength=n * (w + 1))
         factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, lower=1, overwrite_ab=1)
-        return CondensedFactor(factor, None, d, reduce, back, band, None) if info == 0 else None
+        return CondensedFactor(factor, None, d, reduce, back, band) if info == 0 else None
     ab = np.bincount(band.lu_slots, entries, minlength=n * (3 * w + 1))
     factor, piv, info = lapack.dgbtrf(ab.reshape(n, 3 * w + 1).T, w, w, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"Factor is exactly singular: zero pivot in kept column {info - 1}")
-    refine = _extended(a) if weak else None
-    return CondensedFactor(factor, piv, d, reduce, back, band, refine)
+    return CondensedFactor(factor, piv, d, reduce, back, band)
 
 
 #: Kept-ILU species solves on wide meshes; see `SpeciesSolver`. On the 73-wide
@@ -558,9 +541,18 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
 #: operator's Schur complement stores 6-23k entries, where that of the full
 #: operator stored 23-49k. Over that workload's 6 s injection phase (72
 #: species solves at dt 0.25 s) the solvers build 6 ILUs, at the first step
-#: and at flow stop, and take 3.1 GMRES iterations a solve, with no fallback.
+#: and where the flow stops (`_ILU_SHIFT`), and take 3.1 GMRES iterations a
+#: solve, with no fallback.
 _ILU_DROP_TOL = 1e-4
 _ILU_FILL_FACTOR = 2
+#: A kept ILU is rebuilt before GMRES once A_KR's couplings have moved since
+#: its build by more than this share of their largest magnitude then; the
+#: flow starting or stopping moves them by their whole size. On
+#: injection_fine the shift is at most 0.010 but at the flow stop (1.0, 0.9995
+#: and 1.0), and 0.02 to 0.99 all give its 6 builds and 222 iterations. The
+#: default fires it twice a species in the 0.1 s ramp-up and once at the stop;
+#: its long phase drifts one solver to 0.897, and 0.5 fired 3 times there.
+_ILU_SHIFT = 0.9
 _GMRES_RESTART = 8
 #: GMRES cycles before the ILU counts as failed. On a 65-wide long phase at
 #: 60 s steps, one cycle sent 241 of 414 solves to the direct fallback and
@@ -660,23 +652,25 @@ class SpeciesSolver:
     the condensed LU's band holds; ``spilu`` keeps its ILU in SuperLU's own
     minimum-degree order. On the benchmark's 73-wide mesh ILU(S) stores 2-4x
     fewer entries than the ILU of A did (the comment at `_ILU_DROP_TOL`) and
-    applies 25-30% faster. A result counts only when the explicitly computed
-    residual of the full system ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If it
-    fails, the ILU is rebuilt on the current S and GMRES runs once more; if
-    a fresh ILU fails too (or ``spilu`` meets a zero pivot), or if the
-    operator is unsafe to condense (`_eliminable`), the solve goes to
-    `factorize`, and so does every later one of this solver. The ILU lives
-    as long as the solver: its owner, the stepper of one phase, holds it,
-    not the mesh; so do the CSR blocks of A_KR and A_RK, whose ``data`` each
-    solve refills.
+    applies 25-30% faster. The solver alone decides when to rebuild its ILU
+    on the current S: before GMRES if A_KR's couplings have shifted by more
+    than `_ILU_SHIFT` since its build, and after a GMRES run on it fails. A
+    result counts only when the explicitly computed residual of the full
+    system ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If a fresh ILU fails too (or
+    ``spilu`` meets a zero pivot), or if `_eliminable` refuses the operator,
+    the solve goes to `factorize`, and so does every later one of this
+    solver. The ILU lives as long as the solver: its owner, the stepper of
+    one phase, holds it, not the mesh; so do the CSR blocks of A_KR and
+    A_RK, whose ``data`` each solve refills.
     """
 
-    __slots__ = ("mesh", "counts", "_ilu", "_blocks", "_direct")
+    __slots__ = ("mesh", "counts", "_ilu", "_built", "_blocks", "_direct")
 
     def __init__(self, mesh: AxiMesh, counts: KrylovCounts):
         self.mesh = mesh
         self.counts = counts
         self._ilu = None
+        self._built = None  # A_KR's couplings at the ILU's build, and their largest magnitude
         self._blocks = None
         self._direct = mesh.nr1 <= _DIRECT_MAX_WIDTH
 
@@ -691,15 +685,10 @@ class SpeciesSolver:
             self.counts.direct_fallbacks += 1
         return factorize(self.mesh, a).solve(b)
 
-    def drop_preconditioner(self):
-        """Forget the kept ILU, so that the next Krylov solve builds one on its
-        own operator; for a step whose operator is far from the last one's.
-        Whether the solver has gone direct is kept."""
-        self._ilu = None
-
     def _krylov(self, a: Operator, b: np.ndarray) -> np.ndarray | None:
-        """GMRES on the reduced system with the kept ILU, then with a fresh
-        one; None if both fail or if the operator is unsafe to condense."""
+        """GMRES on the reduced system with the kept ILU, unless its couplings
+        have shifted, then with a fresh one; None if both fail or if
+        `_eliminable` refuses the operator."""
         layout = condensed_layout(self.mesh)
         if self._blocks is None:
             self._blocks = (
@@ -711,13 +700,16 @@ class SpeciesSolver:
         diag = a.data[a.pattern.diag]
         d = diag[layout.red]
         kr.data, rk.data = a.data[layout.kr_slots], a.data[layout.rk_slots]
-        if _eliminable(d, kr.data, kr.indices, symmetric=False) is None:
+        if not _eliminable(d, kr.data, kr.indices, symmetric=False):
             return None
         system = ReducedSystem(layout, diag[layout.kept], d, kr, rk)
         if self._ilu is not None:
-            x = self._gmres(system, b)
-            if x is not None:
-                return x
+            built, largest = self._built
+            if np.abs(kr.data - built).max() <= _ILU_SHIFT * largest:
+                x = self._gmres(system, b)
+                if x is not None:
+                    return x
+        self._ilu = None  # freed before spilu builds its successor: a lower peak heap
         self.counts.ilu_builds += 1
         try:
             self._ilu = spla.spilu(system.matrix(a), drop_tol=_ILU_DROP_TOL,
@@ -725,6 +717,7 @@ class SpeciesSolver:
                                    **_SMALL_SYSTEM)
         except RuntimeError:  # spilu met a zero pivot: the fresh ILU fails
             return None
+        self._built = kr.data, np.abs(kr.data).max()
         return self._gmres(system, b)
 
     def _gmres(self, system: ReducedSystem, b: np.ndarray) -> np.ndarray | None:

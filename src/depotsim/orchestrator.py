@@ -155,10 +155,10 @@ class StaggeredStepper:
     ``flow`` is True for the injection phase, on the config's fine mesh,
     whose source `SimulationConfig.injection_source` built at load, and
     False for the reduced one.
-    It keeps one `fv.SpeciesSolver` per species, and with them their
-    preconditioners, for as long as it lives: one phase. It counts its
-    dt-halving ``retries``, the ``clipped`` round-off negatives and the
-    kept-ILU ``krylov`` work; the phase's end copies them into
+    It keeps one `fv.SpeciesSolver` per species, which decides alone how it
+    solves, for as long as it lives: one phase. It counts its dt-halving
+    ``retries``, the ``clipped`` round-off negatives and the species
+    solvers' ``krylov`` work; the phase's end copies them into
     `PhaseResult.counters`, the ``phases`` block of ``ledger.json``.
     """
 
@@ -225,11 +225,6 @@ class StaggeredStepper:
 
         if self.flow:
             rate = self.protocol.flow_rate(t_new)
-            if rate == 0.0 and self.protocol.flow_rate(state.t) > 0.0:
-                # the flow stops in this step: an ILU built under flow fails
-                # on the operator without it, so each species builds afresh
-                for solver in self._species_solvers:
-                    solver.drop_preconditioner()
             q_p = self._source_shape * rate
             p = self.pressure_at(t_new)
             u = fl.velocity_from_pressure(mesh, self._mobility, p)
@@ -303,7 +298,7 @@ class StaggeredStepper:
 class PhaseResult:
     series: mt.MetricSeries
     state: FieldState
-    counters: dict[str, int]  # retries, clipped nodal values, kept-ILU solve work
+    counters: dict[str, int]  # retries, clipped nodal values, species-solve work
     max_closure_residual: float  # largest |ledger closure| at an emitted sample
     chloride_min: float  # minimum recovered chloride over every accepted step
     wall_time_s: float

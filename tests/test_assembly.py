@@ -425,22 +425,22 @@ class TestFactorize:
         assert factorize(narrow, potential_operator(narrow, rng))._refine is None
 
     @pytest.mark.parametrize("nr", [48, 80])
-    def test_a_condensed_lu_dominant_only_to_round_off_refines_to_round_off(self, nr):
+    def test_an_operator_dominant_only_to_round_off_takes_the_refined_band_lu(self, nr):
         # the Neumann operator with its kept row 0 pinned: its red columns are
-        # dominant only to round-off, and the unrefined condensed solve is
-        # 1.9e-13 off at 49 wide and 1.9e-12 at 81 wide, the dense one 1.1e-12
-        # and 8.8e-12
+        # dominant only to round-off, so it is not condensed; the unrefined
+        # band solve is 2.4e-12 off at 49 wide and 8.7e-13 at 81 wide, the
+        # dense one 2.4e-12 and 8.8e-12
         m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
         assert 0 in condensed_layout(m).kept
         rng = np.random.default_rng(7)
         a = potential_operator(m, rng)
         b = rng.normal(size=m.n_nodes)
         lu = factorize(m, a)
-        assert isinstance(lu, CondensedFactor) and lu._refine is not None
+        assert isinstance(lu, BandLU) and lu._refine is not None
         exact = refined_dense_solve(dense(a), b)
         assert np.linalg.norm(lu.solve(b) - exact) <= 1e-14 * np.linalg.norm(exact)
-        # an operator with storage on every node is dominant strictly: no refinement
-        assert factorize(m, transport_operator(m, rng))._refine is None
+        # an operator with storage on every node is dominant strictly: condensed
+        assert isinstance(factorize(m, transport_operator(m, rng)), CondensedFactor)
 
     def test_band_factor_counts_its_band(self):
         m = mesh_of_width(9)
@@ -617,7 +617,7 @@ class TestCondensedLU:
         assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
 
     @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
-    def test_columns_dominant_by_equality_take_the_condensed_lu(self, cells):
+    def test_columns_dominant_by_equality_take_the_band_lu(self, cells):
         # without storage every column of a diffusion-plus-upwind operator sums
         # to 0; pinning the last row, which is kept, makes it regular
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
@@ -627,11 +627,7 @@ class TestCondensedLU:
         # orders: some exceed the diagonal by round-off
         column = np.bincount(band.face_red, np.abs(a.data[band.kr]), minlength=band.red.size)
         assert (column > np.abs(a.data[a.pattern.diag[band.red]])).any()
-        b = np.random.default_rng(47).normal(size=m.n_nodes)
-        lu = factorize(m, a)
-        assert isinstance(lu, CondensedFactor) and lu.piv is not None
-        expected = np.linalg.solve(dense(a), b)
-        assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
+        assert_band_lu_solves(m, a, np.random.default_rng(47).normal(size=m.n_nodes))
 
     @pytest.mark.parametrize("nr1", [26, 58])
     def test_non_dominant_eliminated_columns_take_the_band_lu(self, nr1):
@@ -700,6 +696,21 @@ def spilu_calls(monkeypatch):
 
     monkeypatch.setattr(spla, "spilu", counting)
     return calls
+
+
+@pytest.fixture
+def gmres_runs(monkeypatch):
+    """Lists, for each GMRES run of a `SpeciesSolver`, how many ILUs its
+    counts had built when it started."""
+    runs = []
+    gmres = SpeciesSolver._gmres
+
+    def spying(self, system, b):
+        runs.append(self.counts.ilu_builds)
+        return gmres(self, system, b)
+
+    monkeypatch.setattr(SpeciesSolver, "_gmres", spying)
+    return runs
 
 
 #: meshes past the direct limit, (nr1, nz1) in nodes: nr1 + nz1 odd and even,
@@ -802,16 +813,28 @@ class TestSpeciesSolver:
         assert [args[0].shape for args in spilu_calls] == [(kept.size, kept.size)]
 
     @WIDE
-    def test_one_ilu_is_built_per_flow_regime(self, kept_ilu_mesh, spilu_calls):
-        # the stepper drops the preconditioners where the flow stops
+    def test_one_ilu_is_built_per_flow_regime(self, kept_ilu_mesh, spilu_calls, gmres_runs):
+        # where the flow stops the couplings shift by their whole size: the
+        # first solve without it builds its ILU before it runs GMRES, once
         solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
         b = species_rhs(kept_ilu_mesh)
         for step, speed in enumerate((10.0, 10.2, 10.4, 0.0, 0.0, 0.0)):
-            if step == 3:
-                solver.drop_preconditioner()
             dt = 0.01 * (1.0 + 0.02 * step)
             assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, dt, speed), b)
+        assert gmres_runs == [1, 1, 1, 2, 2, 2]
         assert krylov_work(solver.counts) == (6, 2, 0)
+        assert len(spilu_calls) == 2
+
+    @WIDE
+    def test_a_fivefold_speed_jump_rebuilds_the_ilu_before_gmres(self, kept_ilu_mesh,
+                                                                  spilu_calls, gmres_runs):
+        # as in the ramp-up of the flow; the 2% steps after it keep that ILU
+        solver = SpeciesSolver(kept_ilu_mesh, KrylovCounts())
+        b = species_rhs(kept_ilu_mesh)
+        for speed in (2.0, 10.0, 10.2, 10.4):
+            assert_solves(solver, kept_ilu_mesh, species_operator(kept_ilu_mesh, 0.01, speed), b)
+        assert gmres_runs == [1, 2, 2, 2]
+        assert krylov_work(solver.counts) == (4, 2, 0)
         assert len(spilu_calls) == 2
 
     @WIDE
@@ -839,9 +862,9 @@ class TestSpeciesSolver:
         assert not spilu_calls
 
     @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
-    def test_columns_dominant_by_equality_take_the_reduced_path(self, cells):
+    def test_columns_dominant_by_equality_go_direct(self, cells, spilu_calls):
         # storage on the kept nodes alone: every red column of the transport
-        # operator sums to 0, to round-off
+        # operator sums to 0, to round-off, and `_eliminable` refuses it
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
         kept = condensed_layout(m).kept
         storage = np.zeros(m.n_nodes)
@@ -853,20 +876,22 @@ class TestSpeciesSolver:
         b = species_rhs(m)
         solver = SpeciesSolver(m, KrylovCounts())
         x = solver.solve(a, b)
-        assert krylov_work(solver.counts) == (1, 1, 0)
+        assert krylov_work(solver.counts) == (0, 0, 1)
+        assert not spilu_calls
         expected = np.linalg.solve(dense(a), b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
-    def test_a_storage_free_operator_goes_direct_and_solves(self, cells):
-        # a fresh ILU of its reduced system either misses in GMRES or meets a
-        # zero pivot in spilu; either way the solve goes direct
+    def test_a_storage_free_operator_goes_direct_and_solves(self, cells, spilu_calls):
+        # its red columns are dominant only by equality: `_eliminable` refuses
+        # it before any ILU is built, and the solve goes direct
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
         a = storage_free_transport_operator(m, np.random.default_rng(46))
         b = np.random.default_rng(47).normal(size=m.n_nodes)
         solver = SpeciesSolver(m, KrylovCounts())
         x = solver.solve(a, b)
-        assert krylov_work(solver.counts) == (0, 1, 1)
+        assert krylov_work(solver.counts) == (0, 0, 1)
+        assert not spilu_calls
         expected = np.linalg.solve(dense(a), b)
         assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
