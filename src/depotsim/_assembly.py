@@ -29,9 +29,9 @@ operator on the pattern lies in a band of half-width nr1:
   other half of the nodes, a band of the same half-width, is factored by
   ``dpbtrf`` if the operator is symmetric and by ``dgbtrf`` if not, about
   half the work of the full band. An operator condensation refuses takes
-  the band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record where
-  each wins; the other family, the species' kept ILU of the same reduced
-  system, is below.
+  the band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record
+  where each wins; the other family, the species' kept ILU of the same
+  reduced system, is below.
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -464,7 +464,7 @@ def factorize(mesh: AxiMesh, a: Operator):
     lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
-    refine = None  # past the band limit, the fallback for an operator unsafe to condense
+    refine = None  # past the band limit, the one fallback for an operator `_condense` refuses
     if mesh.nr1 > _BAND_MAX_WIDTH:
         refine = _extended(a)
     return BandLU(lu, piv, band, refine)
