@@ -345,15 +345,20 @@ def _build_condensed_layout(mesh: AxiMesh) -> CondensedLayout:
     lu_slots = np.concatenate([diag * ld, face_kept * ld, col * ld + below, row * ld - below])
     lu_slots += 2 * width
     # S's CSC pattern: column k holds the kept nodes on the mesh at these (z, r)
-    # offsets from node k, rows sorted; at[9 k + o] is offset o's slot (8 - o is -o)
-    k_z, k_r = np.divmod(kept, nr1)
-    dz, dr = np.array([[-2, -1, -1, 0, 0, 0, 1, 1, 2], [0, -1, 1, -2, 0, 2, -1, 1, 0]])
+    # offsets from node k, rows sorted; at[9 k + o] is offset o's slot (8 - o is -o).
+    # Its index temporaries are int32, half the pages of intp ones to touch
+    k_z, k_r = np.divmod(kept.astype(np.int32), np.int32(nr1))
+    dz, dr = np.array([[-2, -1, -1, 0, 0, 0, 1, 1, 2], [0, -1, 1, -2, 0, 2, -1, 1, 0]],
+                      dtype=np.int32)
     z, r = k_z[:, None] + dz, k_r[:, None] + dr
     on_mesh = (z >= 0) & (z < nz1) & (r >= 0) & (r < nr1)
     at = np.cumsum(on_mesh, dtype=np.int32) - 1
     o = np.searchsorted(dz * 5 + dr, (k_z[row] - k_z[col]) * 5 + k_r[row] - k_r[col])
-    csc_slots = at[np.concatenate([9 * diag + 4, 9 * face_kept + 4, 9 * col + o, 9 * row + 8 - o])]
-    csc_indptr = np.concatenate([[0], np.cumsum(on_mesh.sum(axis=1))]).astype(np.int32)
+    o, col9, row9 = o.astype(np.int32), 9 * col.astype(np.int32), 9 * row.astype(np.int32)
+    csc_slots = at[np.concatenate([np.arange(4, 9 * kept.size, 9, dtype=np.int32),
+                                   9 * face_kept.astype(np.int32) + 4, col9 + o, row9 + 8 - o])]
+    csc_indptr = np.zeros(kept.size + 1, dtype=np.int32)
+    np.cumsum(on_mesh.sum(axis=1, dtype=np.int32), out=csc_indptr[1:])
     return CondensedLayout(
         kept, red, rk, kr, face_kept, face_red, f, g, slots, lu_slots, csc_slots, csc_indptr,
         index[(z * nr1 + r)[on_mesh]].astype(np.int32),

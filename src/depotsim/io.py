@@ -169,9 +169,52 @@ def save_checkpoint(state: FieldState, ledger: DoseLedger, phase: str,
     return path
 
 
+#: the checkpoint arrays that hold one value each
+_CHECKPOINT_SCALARS = ("format_version", "phase", "t_s", "injection_r", "injection_z",
+                       "config_text")
+#: the nodal fields of a checkpoint, each (nz1, nr1) on its own mesh
+_CHECKPOINT_NODAL = ("c_na", "c_h", "c_mab", "c_b", "p", "phi", "c_cl", "ph", "z_mab",
+                     "j_l")
+
+
+def _checkpoint_arrays(data, path) -> dict[str, np.ndarray]:
+    """Every array of a checkpoint whose format this package reads, each
+    checked for its shape: one value per scalar, 1-D node axes of at least
+    two nodes, nodal fields (nz1, nr1) and face families ``u_r`` (nz1, nr)
+    and ``u_z`` (nz, nr1) on those axes, and one ledger value per
+    `DoseLedger` field; raises `ConfigurationError` naming the file and the
+    array that does not fit, and `KeyError` for a missing array."""
+    def misfit(name, shape, expected):
+        return ConfigurationError(f"{path}: checkpoint array {name} has shape "
+                                  f"{shape}, not {expected}")
+
+    arrays = {name: data[name] for name in _CHECKPOINT_SCALARS}
+    for name, arr in arrays.items():
+        if arr.size != 1:
+            raise misfit(name, arr.shape, "one value")
+    version = int(arrays["format_version"].ravel()[0])
+    if version > CHECKPOINT_FORMAT_VERSION:
+        raise ConfigurationError(f"checkpoint format {version} is newer than supported")
+    for name in ("r_nodes", "z_nodes"):
+        arrays[name] = data[name]
+        if arrays[name].ndim != 1 or arrays[name].size < 2:
+            raise misfit(name, arrays[name].shape, "(n,) with n >= 2")
+    nr1, nz1 = arrays["r_nodes"].size, arrays["z_nodes"].size
+    shapes = {**{name: (nz1, nr1) for name in _CHECKPOINT_NODAL},
+              "u_r": (nz1, nr1 - 1), "u_z": (nz1 - 1, nr1),
+              "ledger": (len(astuple(DoseLedger())),)}
+    for name, shape in shapes.items():
+        arrays[name] = data[name]
+        if arrays[name].shape != shape:
+            raise misfit(name, arrays[name].shape, shape)
+    return arrays
+
+
 def load_checkpoint(path) -> tuple[FieldState, DoseLedger, str, str]:
     """Returns (state, ledger, phase, config_text); a file that is not an
-    ``.npz`` archive of every checkpoint array raises `ConfigurationError`."""
+    ``.npz`` archive of every checkpoint array, each of the shape its mesh
+    and `DoseLedger` give it (`_checkpoint_arrays`), raises
+    `ConfigurationError`."""
     try:
         data = np.load(path, allow_pickle=False)  # an array if the file is .npy
     except (ValueError, EOFError, zipfile.BadZipFile):  # neither .npy nor .npz
@@ -180,26 +223,16 @@ def load_checkpoint(path) -> tuple[FieldState, DoseLedger, str, str]:
         raise ConfigurationError(f"{path} is not an .npz checkpoint")
     try:
         with data:
-            version = int(data["format_version"][0])
-            if version > CHECKPOINT_FORMAT_VERSION:
-                raise ConfigurationError(
-                    f"checkpoint format {version} is newer than supported")
-            mesh = AxiMesh(r=data["r_nodes"], z=data["z_nodes"],
-                           injection_point=(float(data["injection_r"][0]),
-                                            float(data["injection_z"][0])))
-            state = FieldState(
-                mesh=mesh, c_na=data["c_na"], c_h=data["c_h"], c_mab=data["c_mab"],
-                c_b=data["c_b"], p=data["p"], phi=data["phi"],
-                u=np.concatenate([data["u_r"], data["u_z"]], axis=None),
-                t=float(data["t_s"][0]),
-                c_cl=data["c_cl"], ph=data["ph"], z_mab=data["z_mab"],
-                j_l=data["j_l"])
-            ledger = DoseLedger(*data["ledger"].tolist())
-            phase = str(data["phase"][0])
-            config_text = str(data["config_text"][0])
+            a = _checkpoint_arrays(data, path)
     except KeyError as exc:  # an archive without every checkpoint array
         raise ConfigurationError(f"{path} is not a depotsim checkpoint: {exc}") from None
-    return state, ledger, phase, config_text
+    one = {name: a[name].ravel()[0] for name in _CHECKPOINT_SCALARS}
+    mesh = AxiMesh(r=a["r_nodes"], z=a["z_nodes"],
+                   injection_point=(float(one["injection_r"]), float(one["injection_z"])))
+    state = FieldState(
+        mesh=mesh, **{name: a[name] for name in _CHECKPOINT_NODAL},
+        u=np.concatenate([a["u_r"], a["u_z"]], axis=None), t=float(one["t_s"]))
+    return state, DoseLedger(*a["ledger"].tolist()), str(one["phase"]), str(one["config_text"])
 
 
 # ---------------------------------------------------------------------------

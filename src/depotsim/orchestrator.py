@@ -26,9 +26,12 @@ pressure and the frozen drainage; each reduced step passes both arrays on.
 The phases run on the config's two meshes and take their drainage from
 `flow`, the only module that samples the tissue layers.
 
-Both phases take one dt policy (`Simulation._run_phase`): dt grows by
-`DT_GROWTH` a step from a minimum to a maximum. The injection phase passes
-``phases.short_dt_s`` as both, so its steps stay constant.
+Both phases take one dt policy (`Simulation._run_phase`): dt stays at its
+minimum until a step lands on a hold time, then grows by `DT_GROWTH` a step
+to a maximum. The injection phase holds ``phases.short_dt_s`` until the flow
+stops at ``protocol.duration_s``; with no flow left, its step then grows to
+the long phase's first step, ``phases.long_dt_min_s``. The reduced phase
+holds until its own start, so its dt grows from the first step.
 
 A `StaggeredStepper` computes what its phase never changes once, when it is
 built, and keeps it for as long as it lives: one phase. No step writes to
@@ -364,8 +367,10 @@ class Simulation:
 
     def _run_phase(self, stepper: StaggeredStepper, state: FieldState,
                    ledger: DoseLedger, t_end: float, dt_min: float, dt_max: float,
-                   cadence: float, series: mt.MetricSeries) -> PhaseResult:
-        """Step to ``t_end``, dt growing from ``dt_min`` by `DT_GROWTH` to ``dt_max``."""
+                   hold: float, cadence: float, series: mt.MetricSeries) -> PhaseResult:
+        """Step to ``t_end`` at ``dt_min`` until a step lands on ``hold`` (the
+        step before it is cut short to end there), then with dt growing by
+        `DT_GROWTH` a step to ``dt_max``; ``hold`` lies in [``state.t``, ``t_end``]."""
         closure_max = 0.0
         chloride_min = np.inf
         dts = []
@@ -373,9 +378,11 @@ class Simulation:
         next_mark = state.t + cadence
         dt = dt_min
         while state.t < t_end - 1e-9:
-            state, taken = stepper.step(state, ledger, min(dt, t_end - state.t))
+            stop = hold if state.t < hold - 1e-9 else t_end
+            state, taken = stepper.step(state, ledger, min(dt, stop - state.t))
             dts.append(taken)
-            dt = min(dt * DT_GROWTH, dt_max)
+            if state.t >= hold - 1e-9:
+                dt = min(dt * DT_GROWTH, dt_max)
             chloride_min = min(chloride_min, float(state.c_cl.min()))
             if state.t >= next_mark - 1e-9 or state.t >= t_end - 1e-9:
                 self._emit(series, state, ledger, stepper)
@@ -389,14 +396,17 @@ class Simulation:
 
     # -- public phases -------------------------------------------------------
     def run_short_term(self, series: mt.MetricSeries, ledger: DoseLedger) -> PhaseResult:
-        """Run the injection phase from the rest state, at a constant dt."""
-        stepper = StaggeredStepper(self.config.fine_mesh(), self.config, flow=True)
+        """Run the injection phase from the rest state: at ``phases.short_dt_s``
+        until a step lands on the flow stop, ``protocol.duration_s``, then with
+        dt growing to the long phase's first step, if that is the longer."""
+        c = self.config
+        stepper = StaggeredStepper(c.fine_mesh(), c, flow=True)
         state = stepper.rest_state()
         self._emit(series, state, ledger, stepper)
-        dt = self.config["phases.short_dt_s"]
-        return self._run_phase(stepper, state, ledger,
-                               self.config["phases.short_horizon_s"], dt, dt,
-                               self.config["output.cadence_s"], series)
+        dt = c["phases.short_dt_s"]
+        return self._run_phase(stepper, state, ledger, c["phases.short_horizon_s"], dt,
+                               max(dt, c["phases.long_dt_min_s"]), c["protocol.duration_s"],
+                               c["output.cadence_s"], series)
 
     def reduce_to_long_term(self, short_state: FieldState) -> FieldState:
         """Project onto the coarse mesh, rescale drug mass, freeze drainage."""
@@ -441,7 +451,8 @@ class Simulation:
         stepper = StaggeredStepper(state.mesh, c, flow=False)
         t_end = state.t + c["phases.long_horizon_h"] * 3600.0
         return self._run_phase(stepper, state, ledger, t_end, c["phases.long_dt_min_s"],
-                               c["phases.long_dt_max_s"], c["output.long_cadence_s"], series)
+                               c["phases.long_dt_max_s"], state.t, c["output.long_cadence_s"],
+                               series)
 
     # -- full pipeline -------------------------------------------------------
     def run_pipeline(self) -> PipelineResult:

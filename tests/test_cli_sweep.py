@@ -86,10 +86,13 @@ class TestRunCommand:
                                 "max_closure_residual"}
             assert rep["steps"] >= 1 and rep["wall_s"] > 0
             assert 0 < rep["dt_min_s"] <= rep["dt_median_s"] <= rep["dt_max_s"]
-        # 6 s of 0.5 s steps, none retried
+        # 5 s of 0.5 s steps to the flow stop, then 0.5 * 1.2 and the 0.4 s left
+        # of the 6 s horizon, none retried
         assert ledger["phases"]["injection"]["retries"] == 0
         assert report["injection"]["steps"] == 12
-        assert report["injection"]["dt_min_s"] == report["injection"]["dt_max_s"] == 0.5
+        assert report["injection"]["dt_median_s"] == 0.5
+        assert report["injection"]["dt_max_s"] == 0.5 * 1.2
+        assert report["injection"]["dt_min_s"] == pytest.approx(0.4, abs=1e-12)
         assert report["long"]["dt_max_s"] <= 120.0
         # the last sample closes the run, so its residual is in the long phase's
         assert abs(ledger["closure_residual"]) <= report["long"]["max_closure_residual"]
@@ -281,6 +284,24 @@ class TestBadInputFiles:
         foreign = tmp_path / "foreign.npz"
         np.savez(foreign, x=np.zeros(3))
         assert_clean_error(capsys, ["snapshot", str(foreign)], "foreign.npz")
+
+    @pytest.mark.parametrize("name, edit", [
+        ("c_mab", lambda a: a[:-1]),           # a nodal field one row short
+        ("u_z", lambda a: a[:, :-1]),          # a face family one column short
+        ("ledger", lambda a: a[:3]),           # a ledger of 3 values
+        ("format_version", lambda a: a[:0]),   # an empty scalar
+    ])
+    def test_snapshot_of_a_checkpoint_with_a_misshapen_array(self, finished_run, tmp_path,
+                                                             capsys, name, edit):
+        with np.load(finished_run / "checkpoint_final.npz") as data:
+            arrays = dict(data)
+        arrays[name] = edit(arrays[name])
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        out = tmp_path / "edited.vtk"
+        assert_clean_error(capsys, ["snapshot", str(edited), "--out", str(out)],
+                           f"edited.npz: checkpoint array {name} has shape")
+        assert not out.exists()
 
     def test_snapshot_at_a_time_in_a_run_dir_holding_a_foreign_npz(self, tmp_path,
                                                                    capsys):

@@ -469,6 +469,36 @@ class TestCheckpoint:
                      "c_cl", "ph", "z_mab", "j_l"):
             assert np.array_equal(getattr(state2, name), getattr(state, name)), name
 
+    @pytest.mark.parametrize("name, shape", [
+        ("c_na", (10, 11)), ("j_l", (11, 12)), ("ph", (121,)), ("u_r", (11, 11)),
+        ("u_z", (11, 11)), ("ledger", (3,)), ("ledger", (6,)), ("r_nodes", (0,)),
+        ("t_s", (2,)), ("phase", (0,)), ("config_text", (2,)),
+    ])
+    def test_an_array_of_the_wrong_shape_is_named(self, tmp_path, name, shape):
+        # the 10x10 mesh of small_state: nodal fields (11, 11), u_r (11, 10),
+        # u_z (10, 11), a ledger of 5 values and one value per scalar
+        path = save_checkpoint(small_state(), DoseLedger(), "final", tmp_path / "chk.npz",
+                               config_text="")
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = np.resize(arrays[name], shape)
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        with pytest.raises(ConfigurationError,
+                           match=f"edited.npz: checkpoint array {name} has shape"):
+            load_checkpoint(edited)
+
+    def test_a_scalar_of_one_value_in_any_shape_loads(self, tmp_path):
+        path = save_checkpoint(small_state(), DoseLedger(), "final", tmp_path / "chk.npz",
+                               config_text="x = 1")
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays["t_s"] = arrays["t_s"].reshape(())
+        arrays["phase"] = arrays["phase"].reshape(1, 1)
+        np.savez(tmp_path / "reshaped.npz", **arrays)
+        state, _, phase, text = load_checkpoint(tmp_path / "reshaped.npz")
+        assert (state.t, phase, text) == (10.0, "final", "x = 1")
+
     def test_the_velocity_is_stored_in_its_two_face_families(self, tmp_path):
         # checkpoint format 1 stores u_r (nz1, nr) and u_z (nz, nr1)
         state = small_state()

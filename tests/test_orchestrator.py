@@ -692,11 +692,16 @@ class TestDeterminism:
 class TestPhasePlan:
     """The phases run on the `phases.*` keys read straight from the config."""
 
-    def test_injection_steps_are_constant_and_long_steps_ramp_to_the_horizon(self,
-                                                                               tiny_sim):
+    def test_injection_steps_hold_to_the_flow_stop_and_long_steps_ramp_to_the_horizon(
+            self, tiny_sim):
         config, series, ledger = tiny_sim.config, MetricSeries(), DoseLedger()
         short = tiny_sim.run_short_term(series, ledger)
-        assert short.dts == [config["phases.short_dt_s"]] * 24
+        # 5 s of 0.25 s steps to the flow stop, then 0.25 * 1.2 and 0.25 * 1.2^2
+        # (below the 1 s cap), and the rest of the 6 s horizon
+        assert short.dts[:20] == [config["phases.short_dt_s"]] * 20
+        assert short.dts[20:22] == [0.25 * 1.2, 0.25 * 1.2 * 1.2]
+        assert short.dts[22] == pytest.approx(6.0 - 5.0 - 0.3 - 0.36, abs=1e-12)
+        assert len(short.dts) == 23
         reduced = tiny_sim.reduce_to_long_term(short.state)
         long = tiny_sim.run_long_term(reduced, series, ledger)
         # every reduced step passes the frozen fields on as they are
@@ -711,6 +716,30 @@ class TestPhasePlan:
         assert 0.0 < long.dts[-1] <= dt
         assert long.state.t == pytest.approx(
             short.state.t + config["phases.long_horizon_h"] * 3600.0, abs=1e-9)
+
+    def test_the_injection_step_lands_on_the_flow_stop_then_grows_to_the_long_phases_first(
+            self):
+        # 0.3 s does not divide the 5 s injection; the 10 s horizon reaches the cap
+        config = load_config_text(TINY).with_values(
+            {"phases.short_dt_s": 0.3, "phases.short_horizon_s": 10.0})
+        short = Simulation(config).run_short_term(MetricSeries(), DoseLedger())
+        dt, stop = config["phases.short_dt_s"], config["protocol.duration_s"]
+        cap = max(dt, config["phases.long_dt_min_s"])
+        # a step ends at the sum of the steps before it, added in the same order
+        ends = np.cumsum(short.dts)
+        k = int(np.argmin(np.abs(ends - stop)))
+        assert abs(ends[k] - stop) <= 1e-12
+        assert short.dts[:k] == [dt] * k and 0.0 < short.dts[k] <= dt
+        # each later step is the one before it times DT_GROWTH, up to the cap
+        grown, step = [], dt
+        for _ in short.dts[k + 1:-1]:
+            step = min(step * orchestrator.DT_GROWTH, cap)
+            grown.append(step)
+        assert short.dts[k + 1:-1] == grown and grown[-1] == cap
+        # the last step is cut short to end on the horizon
+        assert 0.0 < short.dts[-1] <= cap
+        assert ends[-1] == short.state.t
+        assert short.state.t == pytest.approx(config["phases.short_horizon_s"], abs=1e-9)
 
     def test_from_config(self):
         config = load_config_text(TINY).with_values({"phases.long_horizon_h": 0.05})
