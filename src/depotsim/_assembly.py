@@ -555,8 +555,10 @@ _ILU_FILL_FACTOR = 2
 #: flow starting or stopping moves them by their whole size. On
 #: injection_fine the shift is at most 0.010 but at the flow stop (1.0, 0.9995
 #: and 1.0), and 0.02 to 0.99 all give its 6 builds and 222 iterations. The
-#: default fires it twice a species in the 0.1 s ramp-up and once at the stop;
-#: its long phase drifts one solver to 0.897, and 0.5 fired 3 times there.
+#: default fires it twice a species in the 0.1 s ramp-up and once at the stop:
+#: 9 of its injection phase's 18 builds, beside 3 first builds and 6 after a
+#: failed GMRES run, one of them while the step grows after the stop. Its
+#: long phase drifts one solver to 0.897, and 0.5 fired 3 times there.
 _ILU_SHIFT = 0.9
 _GMRES_RESTART = 8
 #: GMRES cycles before the ILU counts as failed. On a 65-wide long phase at

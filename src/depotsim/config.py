@@ -86,6 +86,8 @@ SCHEMA: dict[str, tuple[type, object]] = {
     "binding.k_e_per_s": (float, 0.0),
     "phases.short_dt_s": (float, 0.02),
     "phases.short_horizon_s": (float, 10.0),
+    # the long phase's first step; it also caps the injection step, which
+    # grows toward it once the flow stops (`Simulation.run_short_term`)
     "phases.long_dt_min_s": (float, 1.0),
     "phases.long_dt_max_s": (float, 60.0),
     "phases.long_horizon_h": (float, 36.0),

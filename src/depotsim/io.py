@@ -175,46 +175,50 @@ _CHECKPOINT_SCALARS = ("format_version", "phase", "t_s", "injection_r", "injecti
 #: the nodal fields of a checkpoint, each (nz1, nr1) on its own mesh
 _CHECKPOINT_NODAL = ("c_na", "c_h", "c_mab", "c_b", "p", "phi", "c_cl", "ph", "z_mab",
                      "j_l")
+#: the dtype kinds of the checkpoint arrays that are not real numbers
+_CHECKPOINT_KINDS = {"format_version": "iu", "phase": "U", "config_text": "U"}
 
 
 def _checkpoint_arrays(data, path) -> dict[str, np.ndarray]:
     """Every array of a checkpoint whose format this package reads, each
-    checked for its shape: one value per scalar, 1-D node axes of at least
-    two nodes, nodal fields (nz1, nr1) and face families ``u_r`` (nz1, nr)
-    and ``u_z`` (nz, nr1) on those axes, and one ledger value per
-    `DoseLedger` field; raises `ConfigurationError` naming the file and the
-    array that does not fit, and `KeyError` for a missing array."""
-    def misfit(name, shape, expected):
-        return ConfigurationError(f"{path}: checkpoint array {name} has shape "
-                                  f"{shape}, not {expected}")
+    checked for its dtype kind (`_CHECKPOINT_KINDS`, else a real number) and shape:
+    (1,) for a scalar, 1-D node axes of at least two nodes, nodal fields
+    (nz1, nr1) and face families ``u_r`` (nz1, nr) and ``u_z`` (nz, nr1) on
+    those axes, and one ledger value per `DoseLedger` field. Raises
+    `ConfigurationError` naming the file and the array that does not fit,
+    and `KeyError` for a missing array."""
+    arrays = {}
 
-    arrays = {name: data[name] for name in _CHECKPOINT_SCALARS}
-    for name, arr in arrays.items():
-        if arr.size != 1:
-            raise misfit(name, arr.shape, "one value")
-    version = int(arrays["format_version"].ravel()[0])
+    def take(name, shape):
+        # ``shape`` None: a node axis, 1-D of at least two nodes
+        arr = arrays[name] = data[name]
+        kind = _CHECKPOINT_KINDS.get(name, "iuf")
+        fits = arr.ndim == 1 and arr.size >= 2 if shape is None else arr.shape == shape
+        if not fits or arr.dtype.kind not in kind:
+            raise ConfigurationError(
+                f"{path}: checkpoint array {name} has shape {arr.shape} and dtype "
+                f"{arr.dtype}, not {shape or '(n,), n >= 2'} of dtype kind {kind!r}")
+
+    for name in _CHECKPOINT_SCALARS:
+        take(name, (1,))
+    version = int(arrays["format_version"][0])
     if version > CHECKPOINT_FORMAT_VERSION:
         raise ConfigurationError(f"checkpoint format {version} is newer than supported")
-    for name in ("r_nodes", "z_nodes"):
-        arrays[name] = data[name]
-        if arrays[name].ndim != 1 or arrays[name].size < 2:
-            raise misfit(name, arrays[name].shape, "(n,) with n >= 2")
+    take("r_nodes", None)
+    take("z_nodes", None)
     nr1, nz1 = arrays["r_nodes"].size, arrays["z_nodes"].size
-    shapes = {**{name: (nz1, nr1) for name in _CHECKPOINT_NODAL},
-              "u_r": (nz1, nr1 - 1), "u_z": (nz1 - 1, nr1),
-              "ledger": (len(astuple(DoseLedger())),)}
-    for name, shape in shapes.items():
-        arrays[name] = data[name]
-        if arrays[name].shape != shape:
-            raise misfit(name, arrays[name].shape, shape)
+    for name in _CHECKPOINT_NODAL:
+        take(name, (nz1, nr1))
+    take("u_r", (nz1, nr1 - 1))
+    take("u_z", (nz1 - 1, nr1))
+    take("ledger", (len(astuple(DoseLedger())),))
     return arrays
 
 
 def load_checkpoint(path) -> tuple[FieldState, DoseLedger, str, str]:
     """Returns (state, ledger, phase, config_text); a file that is not an
-    ``.npz`` archive of every checkpoint array, each of the shape its mesh
-    and `DoseLedger` give it (`_checkpoint_arrays`), raises
-    `ConfigurationError`."""
+    ``.npz`` archive of every checkpoint array, each of the shape and dtype
+    kind `_checkpoint_arrays` checks, raises `ConfigurationError`."""
     try:
         data = np.load(path, allow_pickle=False)  # an array if the file is .npy
     except (ValueError, EOFError, zipfile.BadZipFile):  # neither .npy nor .npz
@@ -226,7 +230,7 @@ def load_checkpoint(path) -> tuple[FieldState, DoseLedger, str, str]:
             a = _checkpoint_arrays(data, path)
     except KeyError as exc:  # an archive without every checkpoint array
         raise ConfigurationError(f"{path} is not a depotsim checkpoint: {exc}") from None
-    one = {name: a[name].ravel()[0] for name in _CHECKPOINT_SCALARS}
+    one = {name: a[name][0] for name in _CHECKPOINT_SCALARS}
     mesh = AxiMesh(r=a["r_nodes"], z=a["z_nodes"],
                    injection_point=(float(one["injection_r"]), float(one["injection_z"])))
     state = FieldState(

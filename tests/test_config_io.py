@@ -472,7 +472,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name, shape", [
         ("c_na", (10, 11)), ("j_l", (11, 12)), ("ph", (121,)), ("u_r", (11, 11)),
         ("u_z", (11, 11)), ("ledger", (3,)), ("ledger", (6,)), ("r_nodes", (0,)),
-        ("t_s", (2,)), ("phase", (0,)), ("config_text", (2,)),
+        ("t_s", (2,)), ("phase", (0,)), ("config_text", (1, 1)),
     ])
     def test_an_array_of_the_wrong_shape_is_named(self, tmp_path, name, shape):
         # the 10x10 mesh of small_state: nodal fields (11, 11), u_r (11, 10),
@@ -488,16 +488,23 @@ class TestCheckpoint:
                            match=f"edited.npz: checkpoint array {name} has shape"):
             load_checkpoint(edited)
 
-    def test_a_scalar_of_one_value_in_any_shape_loads(self, tmp_path):
+    @pytest.mark.parametrize("name, value", [
+        ("format_version", np.array(["1"])), ("phase", np.array([1.0])),
+        ("t_s", np.array(["10"])), ("c_h", np.full((11, 11), "1e-10")),
+        ("u_z", np.zeros((10, 11), dtype=complex)), ("ledger", np.zeros(5, dtype=bool)),
+    ])
+    def test_an_array_of_the_wrong_dtype_is_named(self, tmp_path, name, value):
         path = save_checkpoint(small_state(), DoseLedger(), "final", tmp_path / "chk.npz",
-                               config_text="x = 1")
+                               config_text="")
         with np.load(path) as data:
             arrays = dict(data)
-        arrays["t_s"] = arrays["t_s"].reshape(())
-        arrays["phase"] = arrays["phase"].reshape(1, 1)
-        np.savez(tmp_path / "reshaped.npz", **arrays)
-        state, _, phase, text = load_checkpoint(tmp_path / "reshaped.npz")
-        assert (state.t, phase, text) == (10.0, "final", "x = 1")
+        assert arrays[name].shape == value.shape
+        arrays[name] = value
+        edited = tmp_path / "edited.npz"
+        np.savez(edited, **arrays)
+        with pytest.raises(ConfigurationError,
+                           match=f"edited.npz: checkpoint array {name} has shape .* dtype"):
+            load_checkpoint(edited)
 
     def test_the_velocity_is_stored_in_its_two_face_families(self, tmp_path):
         # checkpoint format 1 stores u_r (nz1, nr) and u_z (nz, nr1)
