@@ -13,8 +13,8 @@ An operator is plain data on that pattern, an `Operator`: the pattern and
 one ``data`` array. Operators on one mesh therefore add by their ``data``
 arrays, and Dirichlet nodes are imposed in place by `pin_nodes`. The
 pattern's ``indptr`` and ``indices`` are read-only and shared by every
-operator built on the mesh. A scipy matrix is built only where ``spilu``,
-a matrix-vector product or an extended-precision residual needs one.
+operator built on the mesh. A scipy matrix is built only where ``spilu``
+or a matrix-vector product needs one.
 
 Two families of factor solve these operators. `factorize` makes direct
 factors in LAPACK band storage, in the layout the mesh's half-bandwidth and
@@ -28,10 +28,11 @@ operator on the pattern lies in a band of half-width nr1:
   of the checkerboard is eliminated exactly, and the Schur complement on the
   other half of the nodes, a band of the same half-width, is factored by
   ``dpbtrf`` if the operator is symmetric and by ``dgbtrf`` if not, about
-  half the work of the full band. An operator condensation refuses takes
-  the band LU. The tables at `_BAND_MAX_WIDTH` and in `factorize` record
-  where each wins; the other family, the species' kept ILU of the same
-  reduced system, is below.
+  half the work of the full band. Species storage and SPD pressure and
+  potential operators pass every check of `_eliminable`; an operator that
+  fails one is broken, and raises. The tables at `_BAND_MAX_WIDTH` and in
+  `factorize` record where each wins; the other family, the species' kept
+  ILU of the same reduced system, is below.
 
 Per-mesh caches. Each depends on the mesh alone, is built on first use by
 `AxiMesh.derived`, lives as long as the mesh, and holds only read-only
@@ -127,14 +128,6 @@ class Operator:
     data: np.ndarray
 
 
-def _extended(a: Operator) -> sp.csr_matrix:
-    """The operator in extended precision as a scipy CSR matrix, for the
-    residual of a refined solve."""
-    n = a.pattern.indptr.size - 1
-    return sp.csr_matrix((a.data.astype(np.longdouble), a.pattern.indices, a.pattern.indptr),
-                         shape=(n, n))
-
-
 #: Widest mesh (nodes per row, nr1) that `factorize` factors as a plain band.
 #: Factor plus solve through `factorize` of a transport operator, by the
 #: band LU and by the condensed LU, and of its symmetric part, by the
@@ -221,16 +214,12 @@ class BandLU:
 
     ``piv`` holds LAPACK's row interchanges, 0-based: step i swapped rows i
     and ``piv[i]``. ``L`` and ``U`` report only ``nnz``, their stored entries.
-    Given ``_refine``, A in extended precision, ``solve`` refines once on a
-    residual summed in extended precision (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 12): the error falls to round-off unless A is
-    near singular.
+    `factorize` makes it only on a mesh at most `_BAND_MAX_WIDTH` wide.
     """
 
     _ab: np.ndarray
     piv: np.ndarray
     _band: BandLayout
-    _refine: sp.csr_matrix | None
 
     @property
     def L(self) -> StoredEntries:
@@ -242,10 +231,7 @@ class BandLU:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         w = self._band.width
-        x = lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
-        if self._refine is not None:
-            x += lapack.dgbtrs(self._ab, w, w, (b - self._refine @ x).astype(float), self.piv)[0]
-        return x
+        return lapack.dgbtrs(self._ab, w, w, b, self.piv)[0]
 
 
 @dataclass(frozen=True)
@@ -436,31 +422,28 @@ def factorize(mesh: AxiMesh, a: Operator):
     and factored in place by ``dgbtrf``, with partial pivoting; no scipy
     matrix is built, and the solve is ``dgbtrs``. On a wider mesh, at any
     width, `_condense` takes it: by Cholesky if its face blocks are exactly
-    symmetric, by LU if not. Every operator it turns down takes the one
-    fallback, the band LU, refined (`BandLU`).
+    symmetric, by LU if not; an operator it refuses raises.
 
     Past `_DIRECT_MAX_WIDTH` a species factor is the fallback of a failed
-    kept ILU or of an operator `_eliminable` refuses. Factor plus solve of
-    each species' operator at the 8th injection step and the last step of a
-    1 h long phase of a pipeline on an 81 x 81 mesh graded 1.03, condensed
-    LU / the SuperLU factor it replaced, best of five, in ms: Na+, H+ and
-    drug 11.0 / 16.0, 10.8 / 15.2 and 10.7 / 15.9 (long); 7.9 / 13.3, 8.4 /
-    13.6 and 21.6 / 18.9 (injection).
+    kept ILU. Factor plus solve of each species' operator at the 8th
+    injection step and the last step of a 1 h long phase of a pipeline on an
+    81 x 81 mesh graded 1.03, condensed LU / the SuperLU factor it replaced,
+    best of five, in ms: Na+, H+ and drug 11.0 / 16.0, 10.8 / 15.2 and
+    10.7 / 15.9 (long); 7.9 / 13.3, 8.4 / 13.6 and 21.6 / 18.9 (injection).
     No config, demo or workload factors the drug's injection operator past
     48 wide; at 201 wide it took 1280 / 250 ms, with a 97.6 MB band. The
     Cholesky's band grows as nr1³ / 2, to 32.6 MB there.
 
     ``solve`` works in mesh numbering, and ``L.nnz + U.nnz`` is the entries
     the factors store (for Cholesky, ``L`` alone). Raises ``RuntimeError``
-    for an exactly singular operator on every LU path.
+    for an exactly singular operator on every LU path, and for an operator
+    condensation refuses, naming the check it failed.
     """
     pattern = csr_pattern(mesh)
     if a.data.size != pattern.indices.size:
         raise ValueError("factorize needs an operator on the mesh's 5-point pattern")
     if mesh.nr1 > _BAND_MAX_WIDTH:
-        factor = _condense(mesh, a, _is_symmetric(a))
-        if factor is not None:
-            return factor
+        return _condense(mesh, a, _is_symmetric(a))
     band = mesh.derived("band_layout", _band_layout)
     w = band.width
     # the transpose of this C-ordered array is LAPACK's column-major band array
@@ -469,10 +452,7 @@ def factorize(mesh: AxiMesh, a: Operator):
     lu, piv, info = lapack.dgbtrf(ab.T, w, w, overwrite_ab=1)
     if info > 0:
         raise RuntimeError(f"Factor is exactly singular: zero pivot in column {info - 1}")
-    refine = None  # past the band limit, the one fallback for an operator `_condense` refuses
-    if mesh.nr1 > _BAND_MAX_WIDTH:
-        refine = _extended(a)
-    return BandLU(lu, piv, band, refine)
+    return BandLU(lu, piv, band)
 
 
 #: Margin of the dominance check on eliminated columns: a column sum and its
@@ -483,9 +463,9 @@ _DOMINANCE_SLACK = 1.0 + 8.0 * np.finfo(float).eps
 
 
 def _eliminable(d: np.ndarray, c_kr: np.ndarray, red_of: np.ndarray,
-                symmetric: bool) -> bool:
-    """Whether the red nodes of an operator can be eliminated without
-    pivoting.
+                symmetric: bool) -> None:
+    """Raises ``RuntimeError``, naming the check that failed, unless the red
+    nodes of an operator can be eliminated without pivoting.
 
     ``d`` holds the red pivots and ``c_kr`` the entries of A_KR, entry i in
     red node ``red_of[i]``'s column. Elimination is not safe where a pivot
@@ -496,10 +476,14 @@ def _eliminable(d: np.ndarray, c_kr: np.ndarray, red_of: np.ndarray,
     column dominant only to round-off, with no storage at its node, marks an
     operator near singular, such as a row-pinned Neumann one.
     """
-    if symmetric:
-        return bool(np.isfinite(d).all() and (d > 0.0).all())
-    column = np.bincount(red_of, np.abs(c_kr), minlength=d.size)
-    return bool(np.isfinite(d).all() and (_DOMINANCE_SLACK * column < np.abs(d)).all())
+    column = None if symmetric else np.bincount(red_of, np.abs(c_kr), minlength=d.size)
+    for holds, check in (
+            (np.isfinite(d).all() and d.all(), "a red pivot is zero or not finite"),
+            (not symmetric or (d > 0.0).all(), "a symmetric operator's red pivot is not positive"),
+            (symmetric or (_DOMINANCE_SLACK * column < np.abs(d)).all(),
+             "the eliminated columns are not strictly dominant beyond _DOMINANCE_SLACK")):
+        if not holds:
+            raise RuntimeError(f"operator refused: {check}")
 
 
 def _schur_entries(band: CondensedLayout, kept_diag: np.ndarray, c_rk: np.ndarray,
@@ -512,19 +496,18 @@ def _schur_entries(band: CondensedLayout, kept_diag: np.ndarray, c_rk: np.ndarra
     return np.concatenate(parts + [-c_rk[g] * reduce[f]] if upper else parts)
 
 
-def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | None:
-    """The red-black condensed factor of an operator at any width, or None
-    where condensing is not safe: where `_eliminable` turns its red nodes
-    down, and where ``dpbtrf`` finds S, and so A, not positive definite.
-    Raises ``RuntimeError`` if ``dgbtrf`` finds S exactly singular.
+def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor:
+    """The red-black condensed factor of an operator at any width. Raises
+    ``RuntimeError``, naming the check, where condensing is not safe: where
+    `_eliminable` turns its red nodes down, and where ``dpbtrf`` finds S, and
+    so A, not positive definite; and if ``dgbtrf`` finds S exactly singular.
     """
     band = condensed_layout(mesh)
     diag = a.data[a.pattern.diag]
     d = diag[band.red]
     c_rk = a.data[band.rk]
     c_kr = c_rk if symmetric else a.data[band.kr]
-    if not _eliminable(d, c_kr, band.face_red, symmetric):
-        return None
+    _eliminable(d, c_kr, band.face_red, symmetric)
     d_face = d[band.face_red]
     reduce = c_kr / d_face
     back = reduce if symmetric else c_rk / d_face
@@ -533,7 +516,9 @@ def _condense(mesh: AxiMesh, a: Operator, symmetric: bool) -> CondensedFactor | 
     if symmetric:
         ab = np.bincount(band.slots, entries, minlength=n * (w + 1))
         factor, info = lapack.dpbtrf(ab.reshape(n, w + 1).T, lower=1, overwrite_ab=1)
-        return CondensedFactor(factor, None, d, reduce, back, band) if info == 0 else None
+        if info:
+            raise RuntimeError("operator refused: dpbtrf finds S not positive definite")
+        return CondensedFactor(factor, None, d, reduce, back, band)
     ab = np.bincount(band.lu_slots, entries, minlength=n * (3 * w + 1))
     factor, piv, info = lapack.dgbtrf(ab.reshape(n, 3 * w + 1).T, w, w, overwrite_ab=1)
     if info > 0:
@@ -664,9 +649,9 @@ class SpeciesSolver:
     than `_ILU_SHIFT` since its build, and after a GMRES run on it fails. A
     result counts only when the explicitly computed residual of the full
     system ``‖b - A x‖ <= _KRYLOV_RTOL ‖b‖``. If a fresh ILU fails too (or
-    ``spilu`` meets a zero pivot), or if `_eliminable` refuses the operator,
-    the solve goes to `factorize`, and so does every later one of this
-    solver. The ILU lives as long as the solver: its owner, the stepper of
+    ``spilu`` meets a zero pivot), the solve goes to `factorize`, and so does
+    every later one of this solver; an operator that `_eliminable` refuses
+    raises, as in `factorize`. The ILU lives as long as the solver: its owner, the stepper of
     one phase, holds it, not the mesh; so do the CSR blocks of A_KR and
     A_RK, whose ``data`` each solve refills.
     """
@@ -694,8 +679,8 @@ class SpeciesSolver:
 
     def _krylov(self, a: Operator, b: np.ndarray) -> np.ndarray | None:
         """GMRES on the reduced system with the kept ILU, unless its couplings
-        have shifted, then with a fresh one; None if both fail or if
-        `_eliminable` refuses the operator."""
+        have shifted, then with a fresh one; None if both fail. Raises
+        ``RuntimeError`` if `_eliminable` refuses the operator."""
         layout = condensed_layout(self.mesh)
         if self._blocks is None:
             self._blocks = (
@@ -707,8 +692,7 @@ class SpeciesSolver:
         diag = a.data[a.pattern.diag]
         d = diag[layout.red]
         kr.data, rk.data = a.data[layout.kr_slots], a.data[layout.rk_slots]
-        if not _eliminable(d, kr.data, kr.indices, symmetric=False):
-            return None
+        _eliminable(d, kr.data, kr.indices, symmetric=False)
         system = ReducedSystem(layout, diag[layout.kept], d, kr, rk)
         if self._ilu is not None:
             built, largest = self._built

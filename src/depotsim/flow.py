@@ -122,7 +122,7 @@ class PressureSolver:
 
     ``reaction`` and ``const`` are the linearized exchange terms of
     `exchange_coefficients`. The rim is pinned symmetrically (`pin_nodes`),
-    so `factorize` may take its band Cholesky.
+    so past the band limit `factorize` takes its condensed Cholesky.
     """
 
     def __init__(self, mesh: AxiMesh, kappa_nodes: np.ndarray, viscosity: float,
@@ -142,7 +142,7 @@ class PressureSolver:
         fv.pin_nodes(a, self._rim)
         try:
             self._lu = fv.factorize(mesh, a)
-        except RuntimeError as exc:  # pragma: no cover - singular only if misconfigured
+        except RuntimeError as exc:  # a singular or refused operator: misconfigured
             raise SolverError(f"pressure operator factorization failed: {exc}") from exc
 
     def solve(self, q_p: np.ndarray | float) -> np.ndarray:

@@ -294,7 +294,51 @@ def pivoting_operator(mesh, rng):
     return pin_rows(diffusion_matrix(mesh, random_faces(mesh, rng, 1e3, 3e3)), 7)
 
 
+def grounded_potential_operator(mesh, rng):
+    # as `potential._solve_neumann` builds it: the last node's diagonal doubled
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0))
+    a.data[a.pattern.diag[-1]] *= 2.0
+    return a
+
+
+def capacity_operator(mesh, rng):
+    # storage V / dt plus diffusion, as a species operator with the flow stopped
+    return diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
+                            diag=mesh.node_volumes / 0.1)
+
+
+def pinned_pressure_operator(mesh, rng):
+    # as `flow.PressureSolver` builds it: the rim pinned in rows and columns
+    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
+                         diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)) * mesh.node_volumes)
+    return pin_nodes(a, rim(mesh))
+
+
 OPERATORS = [transport_operator, pressure_operator, potential_operator, pivoting_operator]
+#: every operator on the narrow meshes, which take the band LU; past the band
+#: limit condensation refuses a row-pinned operator, so the 48x12 mesh takes
+#: the pipeline's own forms of the pressure and potential operators, and a
+#: species operator with the flow stopped
+FACTORED = [pytest.param(shape, build, id=f"{name}-{build.__name__}")
+            for name, shape in NARROW.items() for build in OPERATORS] + [
+    pytest.param((48, 12, 1.0), build, id=f"48x12-{build.__name__}")
+    for build in (transport_operator, pinned_pressure_operator, grounded_potential_operator,
+                  capacity_operator)]
+
+#: the checks that refuse an operator past the band limit, as the error names them
+ZERO_PIVOT = "a red pivot is zero or not finite"
+NEGATIVE_PIVOT = "a symmetric operator's red pivot is not positive"
+NOT_DOMINANT = "the eliminated columns are not strictly dominant"
+INDEFINITE = "dpbtrf finds S not positive definite"
+
+
+def assert_refused(mesh, a, check):
+    """`factorize` refuses the operator, naming ``check``, and sets the values
+    aside before any division: no warning either."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=f"operator refused: {check}"):
+            factorize(mesh, a)
 
 
 def stock_lu(a):
@@ -319,20 +363,12 @@ def splu_calls(monkeypatch):
     return calls
 
 
-def refined_dense_solve(a, b):
-    """The solution of a dense system refined with residuals in extended precision."""
-    x = np.linalg.solve(a, b).astype(np.longdouble)
-    for _ in range(6):
-        x += np.linalg.solve(a, (b - a.astype(np.longdouble) @ x).astype(float))
-    return x.astype(float)
-
-
 def mesh_of_width(nr1):
     return AxiMesh(r=graded_nodes(nr1 - 1, 1.02), z=graded_nodes(3, 1.2))
 
 
 class TestFactorize:
-    @pytest.mark.parametrize("build", OPERATORS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("fresh_mesh, build", FACTORED, indirect=["fresh_mesh"])
     def test_solve_matches_dense_solve(self, fresh_mesh, build):
         rng = np.random.default_rng(6)
         a = build(fresh_mesh, rng)
@@ -349,7 +385,8 @@ class TestFactorize:
         assert np.any(lu.perm_r != lu.perm_c)
 
     def test_mesh_keeps_no_reference_to_the_first_factor(self, kept_ilu_mesh):
-        lu = factorize(kept_ilu_mesh, potential_operator(kept_ilu_mesh, np.random.default_rng(10)))
+        a = grounded_potential_operator(kept_ilu_mesh, np.random.default_rng(10))
+        lu = factorize(kept_ilu_mesh, a)
         assert sys.getrefcount(lu) == 2  # the local name and the call's argument
 
     def test_rejects_an_operator_off_the_mesh_pattern(self, fresh_mesh):
@@ -405,40 +442,23 @@ class TestFactorize:
             factorize(fresh_mesh, singular)
 
     @pytest.mark.parametrize("nr", [48, 80])
-    def test_the_band_lu_past_the_band_limit_refines_to_round_off(self, nr):
-        # the Neumann operator with a red row pinned is not condensed (the pin
-        # leaves that column's transmissibilities far above the 1 on its
-        # diagonal) and its condition number is near 1e6: the unrefined band
-        # solve is 2.5e-12 off at 49 wide and 2.1e-12 at 81 wide, the dense
-        # one 1.9e-12 there
+    def test_a_red_row_pinned_operator_past_the_band_limit_is_refused(self, nr):
+        # the Neumann operator with a red row pinned: the pin leaves that
+        # column's transmissibilities far above the 1 on its diagonal
         m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
         rng = np.random.default_rng(7)
         red = condensed_layout(m).red
-        a = pin_rows(diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0)), red[0])
-        b = rng.normal(size=m.n_nodes)
-        lu = factorize(m, a)
-        assert isinstance(lu, BandLU)
-        exact = refined_dense_solve(dense(a), b)
-        assert np.linalg.norm(lu.solve(b) - exact) <= 1e-14 * np.linalg.norm(exact)
-        # the band LU of a narrow mesh is the plain one
-        narrow = mesh_of_width(_assembly._BAND_MAX_WIDTH)
-        assert factorize(narrow, potential_operator(narrow, rng))._refine is None
+        assert_refused(m, pin_rows(diffusion_matrix(m, random_faces(m, rng, 0.1, 3.0)), red[0]),
+                       NOT_DOMINANT)
 
     @pytest.mark.parametrize("nr", [48, 80])
-    def test_an_operator_dominant_only_to_round_off_takes_the_refined_band_lu(self, nr):
+    def test_an_operator_dominant_only_to_round_off_is_refused(self, nr):
         # the Neumann operator with its kept row 0 pinned: its red columns are
-        # dominant only to round-off, so it is not condensed; the unrefined
-        # band solve is 2.4e-12 off at 49 wide and 8.7e-13 at 81 wide, the
-        # dense one 2.4e-12 and 8.8e-12
+        # dominant only to round-off
         m = AxiMesh(r=graded_nodes(nr, 1.0), z=graded_nodes(12, 1.0))
         assert 0 in condensed_layout(m).kept
         rng = np.random.default_rng(7)
-        a = potential_operator(m, rng)
-        b = rng.normal(size=m.n_nodes)
-        lu = factorize(m, a)
-        assert isinstance(lu, BandLU) and lu._refine is not None
-        exact = refined_dense_solve(dense(a), b)
-        assert np.linalg.norm(lu.solve(b) - exact) <= 1e-14 * np.linalg.norm(exact)
+        assert_refused(m, potential_operator(m, rng), NOT_DOMINANT)
         # an operator with storage on every node is dominant strictly: condensed
         assert isinstance(factorize(m, transport_operator(m, rng)), CondensedFactor)
 
@@ -451,26 +471,6 @@ class TestFactorize:
 
 
 WIDE = pytest.mark.parametrize("kept_ilu_mesh", [(56, 8, 1.02)], ids=["56x8"], indirect=True)
-
-
-def grounded_potential_operator(mesh, rng):
-    # as `potential._solve_neumann` builds it: the last node's diagonal doubled
-    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0))
-    a.data[a.pattern.diag[-1]] *= 2.0
-    return a
-
-
-def capacity_operator(mesh, rng):
-    # storage V / dt plus diffusion, as a species operator with the flow stopped
-    return diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
-                            diag=mesh.node_volumes / 0.1)
-
-
-def pinned_pressure_operator(mesh, rng):
-    # as `flow.PressureSolver` builds it: the rim pinned in rows and columns
-    a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
-                         diag=rng.uniform(0.0, 1.0, (mesh.nz1, mesh.nr1)) * mesh.node_volumes)
-    return pin_nodes(a, rim(mesh))
 
 
 SPD_OPERATORS = [grounded_potential_operator, capacity_operator]
@@ -555,22 +555,21 @@ def mesh_of_nodes(nr1, nz1):
     return AxiMesh(r=graded_nodes(nr1 - 1, 1.03), z=graded_nodes(nz1 - 1, 1.1))
 
 
-def assert_band_lu_solves(m, a, b):
-    # the values checked and set aside before any division: no warning either
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        lu = factorize(m, a)
-        assert isinstance(lu, BandLU)
-        if np.isfinite(a.data).all():
-            expected = np.linalg.solve(dense(a), b)
-            assert np.linalg.norm(lu.solve(b) - expected) <= 1e-12 * np.linalg.norm(expected)
-
-
 def storage_free_transport_operator(mesh, rng):
     """Diffusion and upwind advection without storage, the mesh's last row pinned."""
     a = diffusion_matrix(mesh, random_faces(mesh, rng, 0.1, 3.0),
                          speeds=random_faces(mesh, rng, -2.0, 2.0))
     return pin_rows(a, mesh.n_nodes - 1)
+
+
+def kept_storage_transport_operator(mesh, rng):
+    """A species transport operator with storage V / dt on the kept nodes alone."""
+    kept = condensed_layout(mesh).kept
+    storage = np.zeros(mesh.n_nodes)
+    storage[kept] = mesh.node_volumes.ravel()[kept] / 0.01
+    return diffusion_matrix(mesh, random_faces(mesh, rng, 0.5e-3, 1.5e-3),
+                            diag=storage.reshape(mesh.nz1, mesh.nr1),
+                            speeds=random_faces(mesh, rng, -1.0, 1.0))
 
 
 class TestCondensedLU:
@@ -607,17 +606,15 @@ class TestCondensedLU:
         (transport_operator, 0.0), (transport_operator, np.inf), (capacity_operator, 0.0),
         (capacity_operator, -1.0), (capacity_operator, np.inf)],
         ids=lambda x: getattr(x, "__name__", str(x)))
-    def test_an_eliminated_pivot_zero_or_not_finite_takes_the_band_lu(self, shape, build,
-                                                                      value):
+    def test_an_eliminated_pivot_zero_or_not_finite_is_refused(self, shape, build, value):
         m = mesh_of_nodes(*shape)
-        rng = np.random.default_rng(42)
-        a = build(m, rng)
+        a = build(m, np.random.default_rng(42))
         red = condensed_layout(m).red
         a.data[a.pattern.diag[red[red.size // 2]]] = value
-        assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
+        assert_refused(m, a, NEGATIVE_PIVOT if value < 0.0 else ZERO_PIVOT)
 
     @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
-    def test_columns_dominant_by_equality_take_the_band_lu(self, cells):
+    def test_columns_dominant_by_equality_are_refused(self, cells):
         # without storage every column of a diffusion-plus-upwind operator sums
         # to 0; pinning the last row, which is kept, makes it regular
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
@@ -627,21 +624,20 @@ class TestCondensedLU:
         # orders: some exceed the diagonal by round-off
         column = np.bincount(band.face_red, np.abs(a.data[band.kr]), minlength=band.red.size)
         assert (column > np.abs(a.data[a.pattern.diag[band.red]])).any()
-        assert_band_lu_solves(m, a, np.random.default_rng(47).normal(size=m.n_nodes))
+        assert_refused(m, a, NOT_DOMINANT)
 
     @pytest.mark.parametrize("nr1", [26, 58])
-    def test_non_dominant_eliminated_columns_take_the_band_lu(self, nr1):
+    def test_non_dominant_eliminated_columns_are_refused(self, nr1):
         m = mesh_of_width(nr1)
         a = pivoting_operator(m, np.random.default_rng(6))
         # its pinned row 7 is red: its column holds transmissibilities far
         # above the 1 on its diagonal
         assert 7 in condensed_layout(m).red
         assert not _assembly._is_symmetric(a)
-        assert_band_lu_solves(m, a, np.random.default_rng(43).normal(size=m.n_nodes))
-        assert np.any(factorize(m, a).piv != np.arange(m.n_nodes))
+        assert_refused(m, a, NOT_DOMINANT)
 
     @pytest.mark.parametrize("shape", [PAST_BAND["26x6"], PAST_BAND["58x6"]], ids=["26x6", "58x6"])
-    def test_symmetric_indefinite_operator_takes_the_band_lu(self, shape):
+    def test_symmetric_indefinite_operator_is_refused(self, shape):
         # positive eliminated pivots, but kept diagonals lowered until S is
         # indefinite: dpbtrf turns it down
         m = mesh_of_nodes(*shape)
@@ -650,7 +646,7 @@ class TestCondensedLU:
         kept = condensed_layout(m).kept
         a.data[a.pattern.diag[kept]] -= 0.5 * a.data[a.pattern.diag].mean()
         assert _assembly._is_symmetric(a) and np.linalg.eigvalsh(dense(a)).min() < 0.0
-        assert_band_lu_solves(m, a, rng.normal(size=m.n_nodes))
+        assert_refused(m, a, INDEFINITE)
 
     @pytest.mark.parametrize("shape", list(PAST_BAND.values()), ids=list(PAST_BAND))
     def test_singular_operator_raises(self, shape):
@@ -662,8 +658,8 @@ class TestCondensedLU:
         a.data[a.pattern.indptr[row]:a.pattern.indptr[row + 1]] = 0.0
         with pytest.raises(RuntimeError, match="exactly singular"):
             factorize(m, a)
-        with pytest.raises(RuntimeError, match="exactly singular"):
-            factorize(m, diffusion_matrix(m, 0.0))
+        # without storage or any face, every eliminated pivot is zero
+        assert_refused(m, diffusion_matrix(m, 0.0), ZERO_PIVOT)
 
 
 
@@ -743,6 +739,17 @@ def krylov_work(counts):
     return counts.krylov_solves, counts.ilu_builds, counts.direct_fallbacks
 
 
+def assert_solver_refuses(mesh, a, check):
+    """A fresh `SpeciesSolver` refuses the operator, naming ``check``, before
+    any ILU or direct factor, and sets the values aside before any division."""
+    solver = SpeciesSolver(mesh, KrylovCounts())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match=f"operator refused: {check}"):
+            solver.solve(a, species_rhs(mesh))
+    assert krylov_work(solver.counts) == (0, 0, 0)
+
+
 class TestSpeciesSolver:
     @WIDE
     def test_kept_ilu_solve_matches_factorize(self, kept_ilu_mesh, spilu_calls):
@@ -782,7 +789,7 @@ class TestSpeciesSolver:
             return dgbtrf(ab, *args, **kwargs)
 
         monkeypatch.setattr(lapack, "dgbtrf", capturing)
-        assert _assembly._condense(m, a, symmetric=False) is not None
+        assert isinstance(_assembly._condense(m, a, symmetric=False), CondensedFactor)
         solver = SpeciesSolver(m, KrylovCounts())
         solver.solve(a, species_rhs(m))
         assert krylov_work(solver.counts) == (1, 1, 0)
@@ -839,61 +846,32 @@ class TestSpeciesSolver:
 
     @WIDE
     @pytest.mark.parametrize("unsafe", ["non-dominant column", "zero red pivot"])
-    def test_an_operator_unsafe_to_condense_goes_direct(self, kept_ilu_mesh, spilu_calls,
-                                                        unsafe):
+    def test_an_operator_unsafe_to_condense_is_refused(self, kept_ilu_mesh, spilu_calls,
+                                                       unsafe):
         m = kept_ilu_mesh
         red = condensed_layout(m).red
         if unsafe == "non-dominant column":
             # its pinned row 7 is red: its column holds transmissibilities far
             # above the 1 on its diagonal
             assert 7 in red
-            a = pivoting_operator(m, np.random.default_rng(6))
+            a, check = pivoting_operator(m, np.random.default_rng(6)), NOT_DOMINANT
         else:
-            a = species_operator(m, 0.01, 10.0)
+            a, check = species_operator(m, 0.01, 10.0), ZERO_PIVOT
             a.data[a.pattern.diag[red[red.size // 2]]] = 0.0
-        b = species_rhs(m)
-        solver = SpeciesSolver(m, KrylovCounts())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # set aside before any division
-            x = solver.solve(a, b)
-        expected = np.linalg.solve(dense(a), b)
-        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert krylov_work(solver.counts) == (0, 0, 1)
+        assert_solver_refuses(m, a, check)
         assert not spilu_calls
 
+    @pytest.mark.parametrize("build", [kept_storage_transport_operator,
+                                       storage_free_transport_operator],
+                             ids=lambda f: f.__name__)
     @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
-    def test_columns_dominant_by_equality_go_direct(self, cells, spilu_calls):
-        # storage on the kept nodes alone: every red column of the transport
-        # operator sums to 0, to round-off, and `_eliminable` refuses it
+    def test_columns_dominant_by_equality_are_refused_before_any_ilu(self, cells, build,
+                                                                     spilu_calls):
+        # every red column sums to its diagonal, to round-off
         m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
-        kept = condensed_layout(m).kept
-        storage = np.zeros(m.n_nodes)
-        storage[kept] = m.node_volumes.ravel()[kept] / 0.01
-        rng = np.random.default_rng(48)
-        a = diffusion_matrix(m, random_faces(m, rng, 0.5e-3, 1.5e-3),
-                             diag=storage.reshape(m.nz1, m.nr1),
-                             speeds=random_faces(m, rng, -1.0, 1.0))
-        b = species_rhs(m)
-        solver = SpeciesSolver(m, KrylovCounts())
-        x = solver.solve(a, b)
-        assert krylov_work(solver.counts) == (0, 0, 1)
+        assert m.nr1 > _assembly._DIRECT_MAX_WIDTH
+        assert_solver_refuses(m, build(m, np.random.default_rng(46)), NOT_DOMINANT)
         assert not spilu_calls
-        expected = np.linalg.solve(dense(a), b)
-        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
-
-    @pytest.mark.parametrize("cells", [(48, 12), (56, 8), (72, 20)], ids=["48x12", "56x8", "72x20"])
-    def test_a_storage_free_operator_goes_direct_and_solves(self, cells, spilu_calls):
-        # its red columns are dominant only by equality: `_eliminable` refuses
-        # it before any ILU is built, and the solve goes direct
-        m = AxiMesh(r=graded_nodes(cells[0], 1.02), z=graded_nodes(cells[1], 1.1))
-        a = storage_free_transport_operator(m, np.random.default_rng(46))
-        b = np.random.default_rng(47).normal(size=m.n_nodes)
-        solver = SpeciesSolver(m, KrylovCounts())
-        x = solver.solve(a, b)
-        assert krylov_work(solver.counts) == (0, 0, 1)
-        assert not spilu_calls
-        expected = np.linalg.solve(dense(a), b)
-        assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @WIDE
     def test_switching_the_speeds_off_rebuilds_the_ilu(self, kept_ilu_mesh, spilu_calls):

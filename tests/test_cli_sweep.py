@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import compare_run_dirs
-from depotsim import sweep
+from depotsim import _assembly, sweep
 from depotsim.cli import build_parser, main
 from depotsim.config import load_config, load_config_text
 from depotsim.io import load_checkpoint, read_timeseries
@@ -386,6 +386,21 @@ class TestBadInputFiles:
         ref = tmp_path / "ref.csv"
         ref.write_bytes(NOT_UTF8 + b"time_h,remaining_fraction\n0,1.0\n")
         assert_clean_error(capsys, ["compare", str(finished_run), str(ref)], "ref.csv")
+
+
+class TestSolverFailure:
+    def test_a_refused_operator_exits_2_naming_the_check(self, tmp_path, capsys, monkeypatch):
+        # a 27-wide fine mesh is condensed red-black; condensation here sees
+        # every eliminated pivot as zero, and refuses the first operator
+        eliminable = _assembly._eliminable
+        monkeypatch.setattr(_assembly, "_eliminable",
+                            lambda d, *args: eliminable(np.zeros_like(d), *args))
+        cfg = tmp_path / "wide.cfg"
+        cfg.write_text(TINY.replace("mesh.fine_nr = 20", "mesh.fine_nr = 26"))
+        assert main(["run", str(cfg), "--outdir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: ") and "Traceback" not in err
+        assert "operator refused: a red pivot is zero or not finite" in err
 
 
 class TestSweep:

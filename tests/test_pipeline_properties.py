@@ -34,7 +34,8 @@ def scenarios(draw):
     mesh whose cells grow by more than 1.3 across the needle tip) or whose
     fine mesh cannot resolve the injection source (a coarse uniform one with
     no node near the tip) describe no scenario, and are drawn again."""
-    fine, coarse = st.integers(8, 20), st.integers(8, 14)
+    # fine meshes 24 cells wide or wider reach the condensed factors
+    fine, coarse = st.integers(8, 32), st.integers(8, 14)
     duration = draw(st.floats(1.0, 4.0))
     dt = draw(st.floats(0.2, 0.5))
     dermis = draw(st.floats(0.1, 0.4))
